@@ -39,6 +39,7 @@ import tempfile
 import time
 
 from repro.checkpoint import read_checkpoint_info, restore_checkpoint, write_checkpoint
+from repro.config import EngineConfig, create_engine
 from repro.datasets import (
     RetailerConfig,
     UpdateStream,
@@ -142,7 +143,9 @@ def bench_cross_shard(database, events, batch_size, order, path):
     """4-shard snapshot restored at 2 shards and unsharded: exact both ways."""
     half = len(events) // 2
     query = retailer_query(CountSpec())
-    source = ShardedEngine(query, order=order, shards=4, backend="serial")
+    source = create_engine(
+        query, EngineConfig(shards=4, backend="serial"), order=order
+    )
     try:
         source.initialize(database)
         source.apply_stream(iter(events[:half]), batch_size=batch_size)
@@ -151,7 +154,12 @@ def bench_cross_shard(database, events, batch_size, order, path):
     finally:
         source.close()
     for label, factory in (
-        ("2 shards", lambda: ShardedEngine(query, order=order, shards=2, backend="serial")),
+        (
+            "2 shards",
+            lambda: create_engine(
+                query, EngineConfig(shards=2, backend="serial"), order=order
+            ),
+        ),
         ("unsharded", lambda: FIVMEngine(query, order=order)),
     ):
         engine = factory()
@@ -209,8 +217,8 @@ def main(argv=None) -> int:
         )
         bench_engine(
             "sharded-x2",
-            lambda: ShardedEngine(
-                query, order=order, shards=2, backend=args.backend
+            lambda: create_engine(
+                query, EngineConfig(shards=2, backend=args.backend), order=order
             ),
             database,
             events,

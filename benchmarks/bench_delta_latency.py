@@ -1,19 +1,22 @@
-"""Per-update latency with persistent view indexes on vs. off.
+"""Per-update latency of F-IVM's indexed delta propagation.
 
-The view-index subsystem converts F-IVM's per-update cost from
-O(|sibling view|) scans to O(|delta| x matches) probes. This benchmark
-measures what that buys at the latency-critical end of the spectrum —
-small batches — where PR 1's batcher cannot amortize the scans:
+Persistent view indexes make F-IVM's per-update cost O(|delta| x
+matches) probes instead of O(|sibling view|) scans. This benchmark
+measures the latency-critical end of the spectrum — small batches —
+where the batcher cannot amortize anything:
 
 1. **Delta latency** — a Retailer single-tuple stream ingested through
-   ``apply_stream`` at batch sizes 1/10/100/1000, F-IVM with indexes
-   enabled and disabled. Reports per-update latency and updates/s; in
-   full mode the batch-size-1 run with indexes must be >= 5x faster than
-   the scan path (warning on stderr otherwise; the CI smoke run never
-   gates on timing).
-2. **Cross-engine equivalence** — naive, first-order, per-aggregate and
-   F-IVM (indexes on *and* off) consume the same stream; all final
-   results must agree. This is asserted and is what CI gates on.
+   ``apply_stream`` at batch sizes 1/10/100/1000 (count ring, so every
+   batch stays on the per-tuple probe path). Reports per-update latency
+   and updates/s; the CI smoke run never gates on timing.
+2. **Path crossover** — numeric COVAR at batch sizes around
+   ``EngineStatistics.COLUMNAR_MIN_DELTA``, the fused columnar program
+   against the per-tuple path (each pinned by patching that constant
+   for the run). This is the measurement the constant is set from; the
+   two paths must agree.
+3. **Cross-engine equivalence** — naive, first-order, per-aggregate and
+   F-IVM consume the same stream; all final results must agree. This
+   is asserted and is what CI gates on.
 
 ``--json PATH`` writes the measurements as a small JSON artifact
 (updates/s per engine / ingest mode) that CI uploads to track the perf
@@ -31,9 +34,11 @@ import argparse
 import json
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 
+from repro.data import UpdateBatcher
 from repro.datasets import (
     RetailerConfig,
     UpdateStream,
@@ -49,6 +54,7 @@ from repro.engine import (
     NaiveEngine,
     PerAggregateEngine,
 )
+from repro.engine.base import EngineStatistics
 from repro.rings import CountSpec, CovarSpec
 
 # Sibling views on the Inventory path (V_Item, V_Weather, V@zip) must be
@@ -62,6 +68,7 @@ SMOKE_CONFIG = RetailerConfig(
 )
 
 BATCH_SIZES = (1, 10, 100, 1000)
+CROSSOVER_SIZES = (8, 10, 12, 14, 16, 24, 32, 100, 1000)
 
 
 def make_events(database, config, total_updates, seed=7):
@@ -77,54 +84,108 @@ def make_events(database, config, total_updates, seed=7):
 
 
 def bench_delta_latency(database, config, order, total_updates, records):
-    """Batch-size sweep, indexes on vs off; returns the batch-1 speedup."""
+    """Batch-size sweep on the count ring."""
     events = make_events(database, config, total_updates)
     query = retailer_query(CountSpec())
     print(f"## fivm per-update latency, {len(events)} updates (retailer stream)")
     print(
-        f"{'batch':>6} {'view-index':>11} {'seconds':>9} "
-        f"{'updates/s':>11} {'latency/upd':>12}"
+        f"{'batch':>6} {'seconds':>9} {'updates/s':>11} {'latency/upd':>12}"
     )
-    seconds = {}
-    results = {}
+    results = []
     for batch_size in BATCH_SIZES:
-        for view_index in (False, True):
-            engine = FIVMEngine(query, order=order, use_view_index=view_index)
-            engine.initialize(database)
-            started = time.perf_counter()
-            engine.apply_stream(iter(events), batch_size=batch_size)
-            elapsed = time.perf_counter() - started
-            seconds[batch_size, view_index] = elapsed
-            results[batch_size, view_index] = engine.result()
-            latency_us = 1e6 * elapsed / len(events)
-            print(
-                f"{batch_size:>6} {'on' if view_index else 'off':>11} "
-                f"{elapsed:>9.3f} {len(events) / elapsed:>11.0f} "
-                f"{latency_us:>9.1f} µs"
-            )
-            records.append(
-                {
-                    "engine": "fivm",
-                    "ingest": "stream",
-                    "batch_size": batch_size,
-                    "view_index": view_index,
-                    "updates": len(events),
-                    "seconds": round(elapsed, 6),
-                    "updates_per_s": round(len(events) / elapsed, 1),
-                    "latency_us": round(latency_us, 2),
-                }
-            )
-    reference = results[BATCH_SIZES[0], False]
-    assert all(result == reference for result in results.values()), (
-        "fivm results diverged across batch sizes / index modes"
+        engine = FIVMEngine(query, order=order)
+        engine.initialize(database)
+        started = time.perf_counter()
+        engine.apply_stream(iter(events), batch_size=batch_size)
+        elapsed = time.perf_counter() - started
+        results.append(engine.result())
+        latency_us = 1e6 * elapsed / len(events)
+        print(
+            f"{batch_size:>6} {elapsed:>9.3f} {len(events) / elapsed:>11.0f} "
+            f"{latency_us:>9.1f} µs"
+        )
+        records.append(
+            {
+                "engine": "fivm",
+                "ingest": "stream",
+                "batch_size": batch_size,
+                "updates": len(events),
+                "seconds": round(elapsed, 6),
+                "updates_per_s": round(len(events) / elapsed, 1),
+                "latency_us": round(latency_us, 2),
+            }
+        )
+    assert all(result == results[0] for result in results[1:]), (
+        "fivm results diverged across batch sizes"
     )
-    speedup = seconds[1, False] / seconds[1, True] if seconds[1, True] else float("inf")
-    print(f"batch-size-1 view-index speedup: {speedup:.1f}x")
-    return speedup
+
+
+def bench_path_crossover(database, config, order, updates_per_cell, repeats):
+    """Numeric COVAR, fused columnar program vs per-tuple path, µs/update.
+
+    One engine per path, both fed the same event chunks: per batch size
+    a warm-up chunk, then a timed one; the table shows the minimum over
+    ``repeats`` rounds. Only ``engine.apply_many`` is timed.
+    """
+    query = retailer_query(
+        CovarSpec(continuous_covar_features(limit=12), backend="numeric")
+    )
+    schemas = {n: query.schema_of(n).attributes for n in query.relation_names}
+    warm = max(updates_per_cell // 4, max(CROSSOVER_SIZES))
+    cell = warm + updates_per_cell
+    events = make_events(
+        database, config, cell * len(CROSSOVER_SIZES) * repeats, seed=17
+    )
+    pins = {"fused": 1, "per-tuple": sys.maxsize}
+    engines = {}
+    for path in pins:
+        engines[path] = FIVMEngine(query, order=order)
+        engines[path].initialize(database)
+    best = {}
+    cursor = 0
+    for _round in range(repeats):
+        for size in CROSSOVER_SIZES:
+            batcher = UpdateBatcher(schemas, batch_size=size)
+            batches = []
+            for event in events[cursor:cursor + cell]:
+                batch = batcher.add(*event)
+                if batch:
+                    batches.append(batch)
+            cursor += cell
+            split = warm // size
+            for path, pin in pins.items():
+                engine = engines[path]
+                with mock.patch.object(EngineStatistics, "COLUMNAR_MIN_DELTA", pin):
+                    for batch in batches[:split]:
+                        engine.apply_many(batch)
+                    started = time.perf_counter()
+                    for batch in batches[split:]:
+                        engine.apply_many(batch)
+                    elapsed = time.perf_counter() - started
+                latency_us = 1e6 * elapsed / (size * (len(batches) - split))
+                best[size, path] = min(best.get((size, path), latency_us), latency_us)
+    assert engines["per-tuple"].stats.fused_batches == 0
+    assert engines["fused"].stats.probe_steps == 0
+    assert engines["fused"].result().close_to(engines["per-tuple"].result(), 1e-8), (
+        "fused and per-tuple paths diverged"
+    )
+    print(
+        f"\n## path crossover, numeric COVAR (12 features), min of {repeats} "
+        f"x {updates_per_cell} updates, µs/update"
+    )
+    print(f"{'batch':>6} {'fused':>8} {'per-tuple':>10}")
+    for size in CROSSOVER_SIZES:
+        print(
+            f"{size:>6} {best[size, 'fused']:>8.1f} {best[size, 'per-tuple']:>10.1f}"
+        )
+    print(
+        f"fused and per-tuple paths agree ✓ "
+        f"(COLUMNAR_MIN_DELTA = {EngineStatistics.COLUMNAR_MIN_DELTA})"
+    )
 
 
 def bench_equivalence(database, config, order, total_updates, batch_size, records):
-    """All four engines agree, with F-IVM's indexes both on and off."""
+    """All four engines agree on one stream."""
     events = make_events(database, config, total_updates, seed=11)
     count_query = retailer_query(CountSpec())
     features = continuous_covar_features(limit=2)
@@ -133,10 +194,6 @@ def bench_equivalence(database, config, order, total_updates, batch_size, record
         ("naive", lambda: NaiveEngine(count_query, order=order)),
         ("first-order", lambda: FirstOrderEngine(count_query, order=order)),
         ("fivm", lambda: FIVMEngine(count_query, order=order)),
-        (
-            "fivm-noindex",
-            lambda: FIVMEngine(count_query, order=order, use_view_index=False),
-        ),
         (
             "per-aggregate",
             lambda: PerAggregateEngine(covar_query, features, order=order),
@@ -157,17 +214,11 @@ def bench_equivalence(database, config, order, total_updates, batch_size, record
             f"{label:>14}: {len(events) / elapsed:>9.0f} updates/s "
             f"({len(results[label])} result keys)"
         )
-        # view_index only means something for F-IVM rows; null elsewhere
-        # so artifact consumers don't lump scan-based engines in with it.
-        view_index = None
-        if label.startswith("fivm"):
-            view_index = label != "fivm-noindex"
         records.append(
             {
                 "engine": label,
                 "ingest": "stream",
                 "batch_size": batch_size,
-                "view_index": view_index,
                 "updates": len(events),
                 "seconds": round(elapsed, 6),
                 "updates_per_s": round(len(events) / elapsed, 1),
@@ -182,11 +233,11 @@ def bench_equivalence(database, config, order, total_updates, batch_size, record
             f"{label}: final result diverged from naive"
         )
     # Spot-check the per-aggregate COVAR assembly is finite and symmetric
-    # (its sub-engines run the indexed maintenance path too).
+    # (its sub-engines run the same maintenance paths).
     count, sums, quad = instances["per-aggregate"].covar_matrix()
     assert np.isfinite(count) and np.isfinite(sums).all()
     assert np.allclose(quad, quad.T), "per-aggregate COVAR not symmetric"
-    print("all engines agree with indexes on and off ✓")
+    print("all engines agree ✓")
 
 
 def main(argv=None) -> int:
@@ -209,7 +260,12 @@ def main(argv=None) -> int:
         f"{'smoke' if args.smoke else 'full'} mode)\n"
     )
     records = []
-    speedup = bench_delta_latency(database, config, order, args.updates, records)
+    bench_delta_latency(database, config, order, args.updates, records)
+    bench_path_crossover(
+        database, config, order,
+        updates_per_cell=1000 if args.smoke else 4000,
+        repeats=1 if args.smoke else 5,
+    )
     bench_equivalence(
         database,
         config,
@@ -218,24 +274,16 @@ def main(argv=None) -> int:
         args.equivalence_batch,
         records,
     )
-    if not args.smoke and speedup < 5.0:
-        print(
-            f"\nWARNING: batch-1 view-index speedup {speedup:.1f}x "
-            "below the 5x target",
-            file=sys.stderr,
-        )
     if args.json:
         artifact = {
             "benchmark": "delta_latency",
             "mode": "smoke" if args.smoke else "full",
             "dataset": "retailer",
-            "batch1_view_index_speedup": round(speedup, 2),
             "results": records,
         }
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(artifact, handle, indent=2)
         print(f"\nwrote {len(records)} measurements to {args.json}")
-    print("\nview-index and scan paths agree ✓")
     return 0
 
 

@@ -1,6 +1,6 @@
-"""Sharded multi-core ingestion throughput and the adaptive access path.
+"""Sharded multi-core ingestion throughput and large-batch probe-vs-scan.
 
-Three claims are measured on a Retailer update stream:
+Three things are measured on a Retailer update stream:
 
 1. **Sharded throughput** — the same stream ingested by
    :class:`~repro.engine.sharded.ShardedEngine` at 1, 2 and 4 shards,
@@ -17,10 +17,10 @@ Three claims are measured on a Retailer update stream:
    shard count. The shm transport merges tree-wise in the workers, so
    gather cost must grow *sub-linearly* in the worker count (gated like
    the speedup target: full mode, >= 4 cores).
-3. **Adaptive probe-vs-scan** — F-IVM with ``adaptive_probe`` against
-   probe-only and scan-only (``use_view_index=False``) ingestion at
-   large batch sizes, the regime where PR 2's always-probe path lost to
-   scans. All three must agree; adaptive should track or beat both.
+3. **Probe-vs-scan at large batches** — unsharded F-IVM ingestion at
+   batch 1000/4000, the regime where the per-tuple path switches
+   sibling joins from index probes to scan joins; reports how many
+   steps took each, and the results must agree across batch sizes.
 
 ``--json PATH`` writes the measurements in the same record format as
 ``bench_delta_latency.py`` for the perf-regression gate
@@ -179,52 +179,40 @@ def bench_sharded(database, config, order, args, records):
 
 
 def bench_adaptive(database, config, order, args, records):
-    """Large-batch ingestion: adaptive vs probe-only vs scan-only."""
+    """Large-batch ingestion: which sibling joins probe and which scan."""
     events = make_events(database, config, args.updates, seed=13)
     query = retailer_query(CountSpec())
-    modes = (
-        ("adaptive", EngineConfig(adaptive_probe=True)),
-        ("probe-only", EngineConfig(adaptive_probe=False)),
-        ("scan-only", EngineConfig(use_view_index=False)),
-    )
-    print(f"\n## adaptive probe-vs-scan, {len(events)} updates")
+    print(f"\n## probe-vs-scan at large batches, {len(events)} updates")
     print(
-        f"{'batch':>6} {'mode':>11} {'seconds':>9} {'updates/s':>11} "
-        f"{'probe':>6} {'scan':>5}"
+        f"{'batch':>6} {'seconds':>9} {'updates/s':>11} {'probe':>6} {'scan':>5}"
     )
-    results = {}
-    throughput = {}
+    results = []
     for batch_size in ADAPTIVE_BATCHES:
-        for mode, engine_config in modes:
-            engine = FIVMEngine(query, order=order, config=engine_config)
-            engine.initialize(database)
-            started = time.perf_counter()
-            engine.apply_stream(iter(events), batch_size=batch_size)
-            elapsed = time.perf_counter() - started
-            results[batch_size, mode] = engine.result()
-            throughput[batch_size, mode] = len(events) / elapsed
-            print(
-                f"{batch_size:>6} {mode:>11} {elapsed:>9.3f} "
-                f"{len(events) / elapsed:>11.0f} "
-                f"{engine.stats.probe_steps:>6} {engine.stats.scan_steps:>5}"
-            )
-            records.append(
-                {
-                    "engine": f"fivm-{mode}",
-                    "ingest": "stream",
-                    "batch_size": batch_size,
-                    "updates": len(events),
-                    "seconds": round(elapsed, 6),
-                    "updates_per_s": round(len(events) / elapsed, 1),
-                    "latency_us": round(1e6 * elapsed / len(events), 2),
-                }
-            )
-    reference = results[ADAPTIVE_BATCHES[0], "adaptive"]
-    assert all(result == reference for result in results.values()), (
-        "adaptive / probe-only / scan-only results diverged"
+        engine = FIVMEngine(query, order=order)
+        engine.initialize(database)
+        started = time.perf_counter()
+        engine.apply_stream(iter(events), batch_size=batch_size)
+        elapsed = time.perf_counter() - started
+        results.append(engine.result())
+        print(
+            f"{batch_size:>6} {elapsed:>9.3f} {len(events) / elapsed:>11.0f} "
+            f"{engine.stats.probe_steps:>6} {engine.stats.scan_steps:>5}"
+        )
+        records.append(
+            {
+                "engine": "fivm-adaptive",
+                "ingest": "stream",
+                "batch_size": batch_size,
+                "updates": len(events),
+                "seconds": round(elapsed, 6),
+                "updates_per_s": round(len(events) / elapsed, 1),
+                "latency_us": round(1e6 * elapsed / len(events), 2),
+            }
+        )
+    assert all(result == results[0] for result in results[1:]), (
+        "results diverged across batch sizes"
     )
-    print("adaptive, probe-only and scan-only agree ✓")
-    return throughput
+    print("results agree across batch sizes ✓")
 
 
 def main(argv=None) -> int:

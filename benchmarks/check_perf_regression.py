@@ -46,9 +46,6 @@ def config_key(benchmark: str, record: Dict) -> str:
     for field in (
         "ingest",
         "batch_size",
-        "view_index",
-        "columnar",
-        "fused",
         "shards",
         "transport",
         "supervise",

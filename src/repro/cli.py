@@ -19,8 +19,8 @@ Usage (installed entry point or module)::
     python -m repro run --dataset retailer --app regression --bulks 3
     python -m repro run --dataset favorita --app model-selection
     python -m repro bench --dataset retailer --batches 5
-    python -m repro checkpoint save ckpt.fivm --updates 2000 --shards 4
-    python -m repro checkpoint load ckpt.fivm --shards 2 --verify
+    python -m repro checkpoint save ckpt.fivm --updates 2000 --engine-shards 4
+    python -m repro checkpoint load ckpt.fivm --engine-shards 2 --verify
     python -m repro serve --dataset toy --payload covar --port 8321
 """
 
@@ -246,52 +246,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _columnar_sweep(db, order, query_of, factories, targets, args) -> None:
-    """Updates/s for the columnar path at batch 1/10/100/1000.
-
-    Same count ring / stream ingest as ``bench_delta_latency.py``'s
-    batch-size sweep, so the two stay comparable; ``use_columnar=True``
-    forces the columnar ladder even for the scalar count ring (which
-    ``"auto"`` would keep on its dict fast path).
-    """
-    stream = UpdateStream(
-        db,
-        factories,
-        targets=targets,
-        batch_size=max(args.batch_size, 1000),
-        insert_ratio=args.insert_ratio,
-        seed=args.seed,
-    )
-    total = max(args.batches * args.batch_size, 2000)
-    events = list(stream.tuples(total))
-    print(
-        f"\n# columnar batch-size sweep ({len(events)} updates, count ring, "
-        "stream ingest)"
-    )
-    print(f"{'batch':>6} {'columnar':>9} {'seconds':>9} {'updates/s':>11}")
-    results = []
-    for batch_size in (1, 10, 100, 1000):
-        for use_columnar in (True, False):
-            engine = FIVMEngine(
-                query_of(CountSpec()),
-                order=order,
-                config=EngineConfig(use_columnar=use_columnar),
-            )
-            engine.initialize(db)
-            started = time.perf_counter()
-            engine.apply_stream(iter(events), batch_size=batch_size)
-            seconds = time.perf_counter() - started
-            results.append(engine.result())
-            print(
-                f"{batch_size:>6} {'on' if use_columnar else 'off':>9} "
-                f"{seconds:>9.3f} {len(events) / seconds:>11.0f}"
-            )
-    assert all(result == results[0] for result in results[1:]), (
-        "columnar sweep results diverged"
-    )
-    print("columnar and per-tuple results agree across the sweep ✓")
-
-
 def _bench_spec(args, config):
     """Payload for the engine comparison: count ring by default, the
     numeric covar ring over the continuous features when decay is on —
@@ -345,17 +299,9 @@ def _run_bench(args) -> int:
         ]
     else:
         updates = batches
-    columnar = (
-        config.use_columnar
-        if isinstance(config.use_columnar, str)
-        else ("on" if config.use_columnar else "off")
-    )
     print(
         f"# engine comparison on {args.dataset} "
-        f"({ring_label}, ingest={args.ingest}, batch size {args.batch_size}, "
-        f"view-index={'on' if config.use_view_index else 'off'}, "
-        f"columnar={columnar}, "
-        f"fused={'on' if config.use_fused else 'off'}"
+        f"({ring_label}, ingest={args.ingest}, batch size {args.batch_size}"
         + (f", shards={config.shards}" if config.shards > 1 else "")
         + (f", window={config.window}" if config.window else "")
         + (f", decay={config.decay}" if config.decay else "")
@@ -460,7 +406,7 @@ def _run_bench(args) -> int:
         )
     if profiled is not None:
         stages = profiled.stage_seconds
-        print("\n# fivm per-stage time (fused ladder)")
+        print("\n# fivm per-stage time (fused program)")
         if stages:
             total = sum(stages.values())
             for stage in ("lift", "probe", "multiply", "group", "scatter"):
@@ -475,9 +421,7 @@ def _run_bench(args) -> int:
                 f"{profiled.mirror_hits}/{profiled.mirror_builds})"
             )
         else:
-            print("  no fused batches ran (per-tuple path or fusion off)")
-    if args.columnar_sweep:
-        _columnar_sweep(db, order, query_of, factories, targets, args)
+            print("  no fused batches ran (per-tuple path)")
     return 0
 
 
@@ -636,7 +580,7 @@ def cmd_checkpoint_load(args) -> int:
         return 1
     # Rebuild the dataset and stream exactly as `save` did (seeded, hence
     # deterministic), then restore into the *requested* topology — the
-    # checkpoint's shard count need not match --shards. Time semantics
+    # checkpoint's shard count need not match --engine-shards. Time semantics
     # (window/decay) come from the checkpoint's own config provenance so
     # the resumed stream means the same thing it did at save time.
     args.dataset, args.scale, args.seed = (
@@ -904,14 +848,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "batch: apply pre-built batches; tuple: one apply per tuple; "
             "stream: single-tuple events re-coalesced by the UpdateBatcher"
-        ),
-    )
-    bench.add_argument(
-        "--columnar-sweep",
-        action="store_true",
-        help=(
-            "also report columnar vs per-tuple updates/s at batch sizes "
-            "1/10/100/1000 (comparable to bench_delta_latency.py)"
         ),
     )
     add_engine_cli_args(bench)

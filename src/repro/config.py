@@ -1,30 +1,25 @@
 """One frozen description of how to build a maintenance engine.
 
-Engine construction had accreted a kwarg sprawl — ``use_view_index``,
-``use_columnar``, ``use_fused``, ``shards``, ``backend``,
-``columnar_transport``, … — duplicated across :class:`FIVMEngine`,
-:class:`ShardedEngine` and dozens of hand-registered CLI flags.
-:class:`EngineConfig` consolidates all of it into a single frozen
-dataclass:
+:class:`EngineConfig` says *where* maintenance runs (shards, backend,
+transport, supervision) and over *which* history (window, decay). It
+does not say *how* a delta is maintained: the engine picks the fused
+columnar program or the per-tuple path from the payload ring and the
+delta's size (see :class:`~repro.engine.fivm.FIVMEngine`), so there is
+no access-path switch to set.
 
 - :func:`create_engine` builds the right engine (sharded coordinator or
   plain F-IVM) from a config;
-- the legacy constructor kwargs keep working through
-  :func:`resolve_engine_config`, a deprecation shim with a single
-  ``DeprecationWarning`` path;
 - :func:`add_engine_cli_args` / :func:`engine_config_from_args` derive
-  the CLI's ``--engine-*`` flag namespace from the config fields (old
-  spellings like ``--shards`` and ``--no-columnar`` stay as aliases), so
+  the CLI's ``--engine-*`` flag namespace from the config fields, so
   ``repro bench``, ``repro checkpoint`` and ``repro serve`` share one
   source of truth;
 - ``export_state`` / checkpoint headers record ``EngineConfig.to_dict``
-  for provenance, so a snapshot knows exactly how its engine was built.
+  for provenance, so a snapshot knows how its engine was built.
 """
 
 from __future__ import annotations
 
 import argparse
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -33,7 +28,6 @@ from repro.errors import DataError, EngineError, RingError
 __all__ = [
     "EngineConfig",
     "create_engine",
-    "resolve_engine_config",
     "add_engine_cli_args",
     "engine_config_from_args",
 ]
@@ -51,7 +45,7 @@ class EngineConfig:
     A config with ``shards == 1`` describes a plain
     :class:`~repro.engine.fivm.FIVMEngine`; ``shards > 1`` describes a
     :class:`~repro.engine.sharded.ShardedEngine` coordinator whose
-    per-shard engines inherit the F-IVM fields. Validation happens at
+    per-shard engines inherit ``decay``. Validation happens at
     construction, so a config that exists is a config that builds.
     """
 
@@ -64,17 +58,6 @@ class EngineConfig:
     transport: str = "auto"
     #: Explicit shard attributes (default: derived from the view tree).
     shard_attrs: Optional[Tuple[str, ...]] = None
-    #: Ship pipe-transport deltas in columnar wire form (ablation switch;
-    #: the shm transport is always columnar).
-    columnar_transport: bool = True
-    #: F-IVM: persistent hash indexes on sibling views.
-    use_view_index: bool = True
-    #: F-IVM: adaptive probe-vs-scan choice per maintenance step.
-    adaptive_probe: bool = True
-    #: F-IVM: columnar maintenance ladder — ``"auto"`` | True | False.
-    use_columnar: Any = "auto"
-    #: F-IVM: fused per-path kernels over the columnar ladder.
-    use_fused: bool = True
     #: F-IVM: accumulate per-stage wall-clock into ``stats.stage_seconds``.
     profile_stages: bool = False
     #: Windowed maintenance: ``"tumbling:SIZE"`` or ``"sliding:SIZE/SLIDE"``
@@ -123,15 +106,7 @@ class EngineConfig:
             )
         if self.shard_attrs is not None:
             object.__setattr__(self, "shard_attrs", tuple(self.shard_attrs))
-        if self.use_columnar not in ("auto", True, False):
-            raise EngineError(
-                f"use_columnar must be 'auto', True or False, "
-                f"got {self.use_columnar!r}"
-            )
-        for name in (
-            "columnar_transport", "use_view_index", "adaptive_probe",
-            "use_fused", "profile_stages", "supervise",
-        ):
+        for name in ("profile_stages", "supervise"):
             object.__setattr__(self, name, bool(getattr(self, name)))
         try:
             object.__setattr__(
@@ -229,14 +204,6 @@ class EngineConfig:
         if self.shards > 1:
             parts.append(f"backend={self.backend}")
             parts.append(f"transport={self.transport}")
-        parts.append(f"view-index={'on' if self.use_view_index else 'off'}")
-        columnar = (
-            self.use_columnar
-            if isinstance(self.use_columnar, str)
-            else ("on" if self.use_columnar else "off")
-        )
-        parts.append(f"columnar={columnar}")
-        parts.append(f"fused={'on' if self.use_fused else 'off'}")
         if self.window is not None:
             parts.append(f"window={self.window}")
         if self.decay is not None:
@@ -247,7 +214,7 @@ class EngineConfig:
 
 
 # ----------------------------------------------------------------------
-# Factory + legacy-kwarg shim
+# Factory
 # ----------------------------------------------------------------------
 
 
@@ -256,9 +223,8 @@ def create_engine(query, config: Optional[EngineConfig] = None, order=None):
 
     ``shards > 1`` builds a :class:`~repro.engine.sharded.ShardedEngine`
     (the coordinator resolves backend/transport); otherwise a plain
-    :class:`~repro.engine.fivm.FIVMEngine` with the config's F-IVM
-    options. The returned engine still needs ``initialize()`` (or
-    ``import_state()``).
+    :class:`~repro.engine.fivm.FIVMEngine`. The returned engine still
+    needs ``initialize()`` (or ``import_state()``).
     """
     if config is None:
         config = EngineConfig()
@@ -278,53 +244,6 @@ def create_engine(query, config: Optional[EngineConfig] = None, order=None):
     return FIVMEngine(query, order=order, config=config)
 
 
-def resolve_engine_config(
-    config: Optional[EngineConfig],
-    legacy: Mapping[str, Any],
-    cls_name: str,
-    allowed: Tuple[str, ...],
-    defaults: Optional[Mapping[str, Any]] = None,
-) -> EngineConfig:
-    """The deprecation shim behind every engine constructor.
-
-    ``config=`` wins when given; legacy keyword arguments (the pre-config
-    constructor surface, restricted to ``allowed`` per engine class so
-    signatures stay strict) build an equivalent config through this one
-    warning path. ``defaults`` preserves per-class defaults that differ
-    from the config's (``ShardedEngine`` historically defaulted to 2
-    shards).
-    """
-    merged = dict(defaults or {})
-    if legacy:
-        unknown = sorted(set(legacy) - set(allowed))
-        if unknown:
-            raise TypeError(
-                f"{cls_name}() got unexpected keyword argument(s) {unknown}"
-            )
-        if config is not None:
-            raise EngineError(
-                f"{cls_name}: pass config=EngineConfig(...) or legacy "
-                "keyword arguments, not both"
-            )
-        warnings.warn(
-            f"passing engine options to {cls_name}(...) as keyword "
-            "arguments is deprecated; pass config=repro.EngineConfig(...) "
-            "or use repro.create_engine(query, config)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        merged.update(legacy)
-        return EngineConfig(**merged)
-    if config is None:
-        return EngineConfig(**merged)
-    if not isinstance(config, EngineConfig):
-        raise EngineError(
-            f"{cls_name}: config must be an EngineConfig, "
-            f"got {type(config).__name__}"
-        )
-    return config
-
-
 # ----------------------------------------------------------------------
 # CLI derivation: one --engine-* namespace for every subcommand
 # ----------------------------------------------------------------------
@@ -333,17 +252,13 @@ def resolve_engine_config(
 def add_engine_cli_args(parser: argparse.ArgumentParser, shards_default: int = 1) -> None:
     """Register the shared ``--engine-*`` flag namespace on a subparser.
 
-    Every flag maps to one :class:`EngineConfig` field; the old hand-
-    registered spellings (``--shards``, ``--shard-backend``,
-    ``--no-view-index``, ``--no-columnar``, ``--no-fused``,
-    ``--profile``) remain as aliases of the same destinations, so
-    existing invocations keep working unchanged.
+    Every flag maps to one :class:`EngineConfig` field.
     """
     group = parser.add_argument_group(
         "engine options", "shared --engine-* namespace (see repro.EngineConfig)"
     )
     group.add_argument(
-        "--engine-shards", "--shards",
+        "--engine-shards",
         dest="engine_shards", type=int, default=shards_default, metavar="N",
         help=(
             "hash partitions: 1 = plain F-IVM, >1 = ShardedEngine "
@@ -351,7 +266,7 @@ def add_engine_cli_args(parser: argparse.ArgumentParser, shards_default: int = 1
         ),
     )
     group.add_argument(
-        "--engine-backend", "--shard-backend",
+        "--engine-backend",
         dest="engine_backend", choices=BACKEND_CHOICES, default="auto",
         help="shard execution backend (auto: fork processes when available)",
     )
@@ -372,31 +287,7 @@ def add_engine_cli_args(parser: argparse.ArgumentParser, shards_default: int = 1
         ),
     )
     group.add_argument(
-        "--engine-view-index", "--view-index",
-        dest="engine_view_index", action=argparse.BooleanOptionalAction,
-        default=True,
-        help="F-IVM persistent view indexes (--no-view-index: scan siblings)",
-    )
-    group.add_argument(
-        "--engine-columnar", "--columnar",
-        dest="engine_columnar", action=argparse.BooleanOptionalAction,
-        default=None,
-        help=(
-            "columnar maintenance + columnar pipe wire form "
-            "(default: auto; --no-columnar: per-tuple everywhere)"
-        ),
-    )
-    group.add_argument(
-        "--engine-fused", "--fused",
-        dest="engine_fused", action=argparse.BooleanOptionalAction,
-        default=True,
-        help=(
-            "fused per-path kernels "
-            "(--no-fused: interpreted columnar ladder)"
-        ),
-    )
-    group.add_argument(
-        "--engine-profile", "--profile",
+        "--engine-profile",
         dest="engine_profile", action="store_true",
         help=(
             "accumulate per-stage wall time "
@@ -448,13 +339,7 @@ def add_engine_cli_args(parser: argparse.ArgumentParser, shards_default: int = 1
 
 
 def engine_config_from_args(args: argparse.Namespace) -> EngineConfig:
-    """Build the :class:`EngineConfig` an ``--engine-*`` namespace encodes.
-
-    The tri-state ``--engine-columnar`` maps to the config exactly as the
-    historical flags did: absent -> ``use_columnar="auto"`` with the
-    columnar pipe wire form on; ``--no-columnar`` disables both.
-    """
-    columnar = getattr(args, "engine_columnar", None)
+    """Build the :class:`EngineConfig` an ``--engine-*`` namespace encodes."""
     attrs = getattr(args, "engine_shard_attrs", None)
     shard_attrs = (
         tuple(a.strip() for a in attrs.split(",") if a.strip()) if attrs else None
@@ -464,10 +349,6 @@ def engine_config_from_args(args: argparse.Namespace) -> EngineConfig:
         backend=getattr(args, "engine_backend", "auto"),
         transport=getattr(args, "engine_transport", "auto"),
         shard_attrs=shard_attrs,
-        columnar_transport=columnar is not False,
-        use_view_index=bool(getattr(args, "engine_view_index", True)),
-        use_columnar="auto" if columnar is None else bool(columnar),
-        use_fused=bool(getattr(args, "engine_fused", True)),
         profile_stages=bool(getattr(args, "engine_profile", False)),
         window=getattr(args, "engine_window", None),
         decay=getattr(args, "engine_decay", None),

@@ -52,7 +52,7 @@ class ColumnarMirror:
     index attribute, so probes can match hooks numerically instead of
     hashing Python tuples). Entries appear in exactly the order
     ``bucket.items()`` yields them, so a fused probe that gathers a
-    bucket's slots reproduces the interpreted probe's emission order bit
+    bucket's slots reproduces the per-tuple probe's emission order bit
     for bit. Payloads are *copied* into the block at build time; a
     mirror never aliases live view payloads, and any mutation of the
     owning index invalidates it wholesale.

@@ -35,8 +35,8 @@ __all__ = ["EngineStatistics", "MaintenanceEngine"]
 class EngineStatistics:
     """Counters engines update as they process deltas.
 
-    The ``ADAPTIVE_*`` class constants calibrate the adaptive
-    probe-vs-scan choice F-IVM makes per maintenance step: a sibling is
+    The ``ADAPTIVE_*`` class constants calibrate the probe-vs-scan
+    choice F-IVM's per-tuple path makes per maintenance step: a sibling is
     *probed* through its persistent index (O(|delta| x matches)) unless
     the running delta dwarfs the sibling — then one hash join that
     indexes the small sibling per call beats per-entry probe dispatch.
@@ -61,15 +61,29 @@ class EngineStatistics:
     #: ratio noise and keeps the latency-critical single-tuple regime on
     #: the O(|delta|) path unconditionally).
     ADAPTIVE_SCAN_MIN_DELTA: ClassVar[int] = 512
-    #: Third access path: batches of at least this many delta keys run
-    #: the columnar (bulk-kernel) maintenance ladder when the payload
-    #: ring supports it. Below the threshold the per-tuple paths win —
-    #: the fixed numpy setup cost per kernel call is not amortized — so
-    #: the latency-critical single-tuple regime stays on the per-tuple
-    #: path unconditionally. Calibrated on retailer numeric-COVAR
-    #: ingestion (``bench_columnar.py``): the crossover sits at batch
-    #: ~4 (0.75x at batch 1, 1.3x at 4, 2.8x at 32, >4x at 1000).
-    COLUMNAR_MIN_DELTA: ClassVar[int] = 8
+    #: Deltas of at least this many keys take the fused columnar program
+    #: (when the ring and the path's lifts allow it); smaller ones take
+    #: the per-tuple path, where the fixed numpy cost per kernel call is
+    #: not amortized. Set from the crossover on retailer numeric COVAR
+    #: (12 features, 40k inventory rows; µs/update, min of 5 x 4000
+    #: updates, ``engine.apply_many`` only, each path pinned by patching
+    #: this constant)::
+    #:
+    #:     PYTHONPATH=src python benchmarks/bench_delta_latency.py
+    #:
+    #:      batch    fused  per-tuple
+    #:          8    121.4       99.5
+    #:         10    101.2       96.3
+    #:         12     92.9      101.1
+    #:         14     82.6      116.1
+    #:         16     69.8       85.0
+    #:         32     46.7       88.1
+    #:        100     30.4       72.4
+    #:       1000     18.9       60.5
+    #:
+    #: In each of three separate runs fused lost at 10 and won at 12.
+    #: A class constant (tests patch it to pin one path), not a setting.
+    COLUMNAR_MIN_DELTA: ClassVar[int] = 12
 
     updates_applied: int = 0
     batches_applied: int = 0
@@ -79,21 +93,20 @@ class EngineStatistics:
     #: those lookups found a non-empty bucket (F-IVM with view indexes).
     index_probes: int = 0
     index_hits: int = 0
-    #: Adaptive access-path decisions: sibling joins served by an index
-    #: probe vs. by a scan join (F-IVM with ``adaptive_probe``), and
-    #: sibling joins served by the columnar bulk kernels. In columnar
-    #: steps ``index_probes`` counts one probe per *distinct* hook value
-    #: of the delta (rows are grouped before probing), so probe counts
-    #: are lower than the per-tuple paths' for the same data.
+    #: Access-path decisions: per-tuple sibling joins served by an index
+    #: probe vs. by a scan join, and sibling joins served by the columnar
+    #: bulk kernels. In columnar steps ``index_probes`` counts one probe
+    #: per *distinct* hook value of the delta (rows are grouped before
+    #: probing), so probe counts are lower than the per-tuple path's for
+    #: the same data.
     probe_steps: int = 0
     scan_steps: int = 0
     columnar_steps: int = 0
-    #: Batches that took the columnar maintenance ladder end to end.
+    #: Batches/sibling joins that took the fused columnar program of
+    #: :mod:`repro.engine.compile`. It is the only columnar path, so the
+    #: ``columnar_*`` and ``fused_*`` counters advance together (both
+    #: names are kept: snapshots and the benchmark read either).
     columnar_batches: int = 0
-    #: Batches/sibling joins served by the *fused* per-path kernels (the
-    #: compiled columnar ladder of :mod:`repro.engine.compile`). Fused
-    #: batches also count as columnar batches — fusion is an
-    #: implementation of the columnar access path, not a fourth one.
     fused_batches: int = 0
     fused_steps: int = 0
     #: Columnar sibling-mirror lifecycle: probes served from a live
@@ -116,7 +129,7 @@ class EngineStatistics:
     view_sizes: Dict[str, int] = field(default_factory=dict)
     #: Per-stage wall-clock seconds of the fused kernels (lift / probe /
     #: multiply / group / scatter), accumulated only when the engine was
-    #: built with ``profile_stages=True`` (``repro bench --profile``).
+    #: built with ``profile_stages=True`` (``repro bench --engine-profile``).
     #: Not checkpoint-carried: timings describe one process's run.
     stage_seconds: Dict[str, float] = field(default_factory=dict)
 

@@ -1,43 +1,32 @@
-"""Fused per-path kernels: the compiled form of the columnar ladder.
+"""Fused per-path kernels: the columnar maintenance program.
 
-The interpreted columnar ladder (``FIVMEngine._apply_columnar``) already
-runs bulk ring kernels, but it still pays three per-row Python loops per
-batch: the tuple-dict group-by of ``_group_block``, the per-match gather
-loop of ``_join_probe_block`` and the per-key merge of
-``add_block_inplace``. This module lowers each relation path's static
-ladder into a :class:`FusedPath` — one compiled kernel per (relation,
-path) that keeps the running delta as key *column arrays* plus one
-payload block and chains lift -> probe-gather -> multiply -> group-sum
-with numpy expression fusion:
+One :class:`FusedPath` per (relation, path), compiled from the static
+view tree at engine construction, maintains a whole delta batch at once:
+the running delta is key *column arrays* plus one contiguous payload
+block, and lift -> probe-gather -> multiply -> group-sum run as bulk
+ring kernels chained with numpy index arithmetic — no payload object
+and no Python-level loop per delta row:
 
 - **int-keyed grouping** — key columns are integer-encoded per column
   (``np.unique`` for typed columns, one dict pass for object columns),
   combined into a single code word, and grouped with one ``np.unique``
-  call whose result is remapped to *first-seen* order — the order the
-  interpreted dict pass assigns, so every downstream float sum
-  associates identically;
+  call whose result is remapped to *first-seen* order, so every
+  downstream float sum associates in the order the rows arrived;
 - **columnar sibling cache** — probes gather from the
   :class:`~repro.data.index.ColumnarMirror` each view index keeps (keys
   + payload block + bucket slot ranges + hook value columns, invalidated
   on every index mutation and rebuilt lazily here): probe hooks are
   matched against buckets numerically via per-column ``searchsorted``,
   match pairs are expanded by integer index arithmetic and payloads
-  fetched with ``ring.take`` instead of ``make_block``'s per-match loop;
+  fetched with ``ring.take``;
 - **ordering discipline** — hooks are visited in first-seen order,
   bucket entries outer, delta rows inner, and within-group sums run over
-  ascending original row order, exactly like the interpreted ladder, so
-  fused results are *bit-equal*, not merely close.
-
-``REPRO_JIT=1`` additionally routes the pair-expansion kernel through
-numba when importable. The numpy expression remains the always-available
-fallback and both produce identical integer index arrays, so the flag
-can never change results — it is purely a speed knob, and it degrades
-silently to numpy when numba is absent.
+  ascending original row order, so results do not depend on how the
+  grouping was computed (int codes or the tuple-dict fallback).
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -49,7 +38,6 @@ from repro.data.relation import _positions
 __all__ = [
     "FusedPath",
     "compile_fused_path",
-    "jit_kernels",
     "live_mirrors",
     "MIRROR_MAX_ENTRIES",
 ]
@@ -66,63 +54,16 @@ _CODE_LIMIT = 1 << 62
 
 
 # ----------------------------------------------------------------------
-# Optional JIT backend (REPRO_JIT)
+# Pair expansion
 # ----------------------------------------------------------------------
-
-_JIT_CACHE: Dict[str, Optional[Dict[str, Callable]]] = {}
-
-
-def jit_kernels() -> Optional[Dict[str, Callable]]:
-    """The numba-compiled kernel table, or ``None`` when unavailable.
-
-    Gated by the ``REPRO_JIT`` environment variable (off by default) and
-    resolved lazily: the first enabled call tries ``import numba`` and
-    caches the outcome, so an environment without numba pays one failed
-    import ever and runs the numpy expressions instead. The jitted
-    kernels compute the same integer index arrays as the numpy fallback,
-    so enabling the flag can never change engine results.
-    """
-    flag = os.environ.get("REPRO_JIT", "").strip().lower()
-    if flag in ("", "0", "false", "off", "no"):
-        return None
-    if "kernels" in _JIT_CACHE:
-        return _JIT_CACHE["kernels"]
-    try:
-        import numba
-    except ImportError:
-        kernels = None
-    else:
-
-        @numba.njit(cache=False)
-        def expand_pairs(  # pragma: no cover - exercised only with numba
-            members, member_start, member_count, entry_start, entry_count, total
-        ):
-            left = np.empty(total, dtype=np.intp)
-            right = np.empty(total, dtype=np.intp)
-            out = 0
-            for g in range(member_start.shape[0]):
-                m0 = member_start[g]
-                mc = member_count[g]
-                e0 = entry_start[g]
-                for e in range(entry_count[g]):
-                    slot = e0 + e
-                    for j in range(mc):
-                        left[out] = members[m0 + j]
-                        right[out] = slot
-                        out += 1
-            return left, right
-
-        kernels = {"expand_pairs": expand_pairs}
-    _JIT_CACHE["kernels"] = kernels
-    return kernels
 
 
 def _expand_pairs(members, member_start, member_count, entry_start, entry_count):
     """Expand (group -> members, group -> entry slots) into match pairs.
 
-    Emission order mirrors the interpreted probe loop exactly: groups in
-    the given (first-seen) order, bucket entries outer, delta members
-    inner in ascending original row order. Returns ``(left_rows,
+    Emission order: groups in the given (first-seen) order, bucket
+    entries outer, delta members inner in ascending original row order
+    (the per-tuple probe loop's order). Returns ``(left_rows,
     right_slots)`` — indexes into the running delta and into the sibling
     source block respectively.
     """
@@ -136,11 +77,6 @@ def _expand_pairs(members, member_start, member_count, entry_start, entry_count)
         # the dominant shape when delta keys are distinct and the sibling
         # is keyed on the hook. Gather directly.
         return members[member_start], entry_start
-    jit = jit_kernels()
-    if jit is not None:
-        return jit["expand_pairs"](
-            members, member_start, member_count, entry_start, entry_count, total
-        )
     gidx = np.repeat(np.arange(len(pairs), dtype=np.intp), pairs)
     first = np.concatenate(([0], np.cumsum(pairs)[:-1]))
     pos = np.arange(total, dtype=np.intp) - first[gidx]
@@ -235,7 +171,7 @@ def _group_rows(cols, n: int, scratch: _Scratch):
     """First-seen grouping of ``n`` rows by the given key columns.
 
     Returns ``(gids, reps)``: per-row group ids numbered in first-seen
-    order — the numbering the interpreted dict pass assigns, which fixes
+    order — the numbering a dict pass over the rows assigns, which fixes
     the summation order of every float accumulation downstream — and the
     first row index of each group. With no key columns every row lands
     in the single empty group.
@@ -568,10 +504,10 @@ class _FusedStep:
 class FusedPath:
     """The fused kernel of one relation's maintenance path.
 
-    :meth:`apply` is the compiled counterpart of
-    ``FIVMEngine._apply_columnar``: same ladder, same statistics
-    contract (``columnar_batches``/``columnar_steps`` keep advancing,
-    with ``fused_batches``/``fused_steps`` on top), bit-equal results.
+    :meth:`apply` is the batch counterpart of the per-tuple loop in
+    ``FIVMEngine.apply``: same ladder (lift, sibling joins, marginalize,
+    fold into the views), and ``columnar_batches``/``columnar_steps``
+    advance together with ``fused_batches``/``fused_steps``.
     """
 
     __slots__ = (
@@ -700,12 +636,12 @@ class FusedPath:
 
 
 def compile_fused_path(engine, relation_name: str) -> Optional[FusedPath]:
-    """Lower one relation's columnar ladder into a fused kernel.
+    """Compile one relation's maintenance path into a fused kernel.
 
     Pure function of the static view tree, compiled once at engine
     construction. Returns ``None`` when a lifting function on the path
-    lacks bulk metadata — exactly the condition under which the
-    interpreted columnar ladder also declines the path.
+    lacks bulk metadata — the per-tuple path then handles every batch
+    for this relation.
     """
     leaf, leaf_lifts, inner = engine._paths[relation_name]
     schema = tuple(engine.query.schema_of(relation_name).attributes)

@@ -15,15 +15,14 @@ from base relations on every update.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.config import EngineConfig, resolve_engine_config
-from repro.data.columnar import bulk_liftable, lift_column
+from repro.config import EngineConfig
 from repro.data.database import Database
 from repro.data.index import IndexedRelation
-from repro.data.relation import Relation, _hook_getter, _key_getter, _positions
+from repro.data.relation import Relation
 from repro.engine.base import MaintenanceEngine
 from repro.engine.compile import FusedPath, compile_fused_path, live_mirrors
 from repro.engine.evaluation import evaluate_tree
@@ -39,62 +38,53 @@ __all__ = ["FIVMEngine"]
 class FIVMEngine(MaintenanceEngine):
     """Higher-order factorized incremental view maintenance.
 
-    With ``use_view_index`` (the default) every materialized view that
-    serves as a sibling on some relation's maintenance path carries
-    persistent hash indexes on exactly the attribute sets those paths
-    probe — the probe plan is computed once from the view tree at
-    construction. Delta propagation then loops over the (small) delta and
-    looks matches up (`Relation.join_probe`) instead of scanning the full
-    sibling per update, and index maintenance is folded into the same
-    ``add_inplace`` calls that refresh the views. ``use_view_index=False``
-    falls back to per-call hash joins (the pre-index behaviour) for
-    ablation; results are identical either way.
+    Every materialized view that serves as a sibling on some relation's
+    maintenance path carries persistent hash indexes on exactly the
+    attribute sets those paths probe — the probe plan is computed once
+    from the view tree at construction, and index maintenance is folded
+    into the same ``add_inplace`` calls that refresh the views.
 
-    ``use_columnar`` adds the third access path: batches of at least
-    ``EngineStatistics.COLUMNAR_MIN_DELTA`` delta keys run a *columnar*
-    maintenance ladder when the payload ring implements the bulk kernels
-    (``Ring.has_bulk_kernels``) and every lifting function on the path is
-    bulk-liftable: the delta travels as key rows plus one contiguous
-    payload block, sibling joins probe once per distinct hook value, and
-    lift/join/marginalize arithmetic runs as whole-batch kernel calls
-    instead of a payload object per tuple. Results are identical to the
-    per-tuple paths (floating-point group sums may associate differently,
-    like any batch-size change).
+    A delta is maintained along one of two paths, chosen only from what
+    the engine can observe:
 
-    ``use_fused`` (default on) compiles each columnar ladder further
-    into a :class:`~repro.engine.compile.FusedPath` — one fused kernel
-    per (relation, path) chaining lift -> probe-gather -> multiply ->
-    group-sum with int-keyed grouping and columnar sibling mirrors, and
-    *bit-equal* to the interpreted ladder by construction. Under
-    ``use_columnar="auto"`` compound rings always take the columnar
-    path, and scalar rings take it exactly when fused kernels are
-    available (the interpreted ladder loses ~10% to their dict fast
-    paths, the fused one wins). ``use_fused=False`` restores the
-    interpreted ladder (and the compound-rings-only "auto" rule) for
-    ablation. ``profile_stages`` accumulates per-stage wall-clock
-    seconds (lift/probe/multiply/group/scatter) into
-    ``stats.stage_seconds`` — the ``repro bench --profile`` breakdown.
+    - the **fused columnar program** (:mod:`repro.engine.compile`) when
+      the payload ring has bulk kernels and is not scalar
+      (``ring.has_bulk_kernels and not ring.is_scalar``), every lifting
+      function on the relation's path is bulk-liftable, and the delta
+      has at least ``EngineStatistics.COLUMNAR_MIN_DELTA`` keys: the
+      delta travels as key columns plus one contiguous payload block and
+      lift / probe / multiply / group-sum run as whole-batch kernels;
+    - the **per-tuple path** otherwise: a payload object per delta key,
+      and per sibling join an index probe (`Relation.join_probe`) or —
+      when the running delta dwarfs the sibling
+      (``EngineStatistics.ADAPTIVE_SCAN_*``) — one scan join.
+
+    Scalar rings (count, sum) always take the per-tuple path: their dict
+    fast paths beat the kernels' fixed numpy cost at every batch size
+    measured. Both paths produce the same views (floating-point group
+    sums may associate differently, like any batch-size change).
+    ``profile_stages`` accumulates per-stage wall-clock seconds
+    (lift/probe/multiply/group/scatter) of the fused program into
+    ``stats.stage_seconds`` — the ``repro bench --engine-profile``
+    breakdown.
     """
 
     strategy = "fivm"
-
-    #: Legacy constructor kwargs accepted by the deprecation shim.
-    LEGACY_OPTIONS = (
-        "use_view_index", "adaptive_probe", "use_columnar", "use_fused",
-        "profile_stages",
-    )
 
     def __init__(
         self,
         query: Query,
         order: Optional[VariableOrder] = None,
         config: Optional[EngineConfig] = None,
-        **legacy,
     ):
         super().__init__(query)
-        config = resolve_engine_config(
-            config, legacy, "FIVMEngine", self.LEGACY_OPTIONS
-        )
+        if config is None:
+            config = EngineConfig()
+        elif not isinstance(config, EngineConfig):
+            raise EngineError(
+                f"FIVMEngine: config must be an EngineConfig, "
+                f"got {type(config).__name__}"
+            )
         self.config = config
         self.plan = query.build_plan()
         #: Decay clock (None unless built with ``decay=RATE/EVERY``). The
@@ -126,14 +116,6 @@ class FIVMEngine(MaintenanceEngine):
             else {}
         )
         self.materialized: Dict[str, Relation] = {}
-        self.use_view_index = config.use_view_index
-        #: Pick probe vs. scan per sibling join from |delta| against the
-        #: sibling's size (constants on EngineStatistics); with
-        #: ``adaptive_probe=False`` every step probes, the pre-adaptive
-        #: behaviour. Only meaningful when ``use_view_index`` is on.
-        self.adaptive_probe = config.adaptive_probe
-        self.use_columnar = config.use_columnar
-        self.use_fused = config.use_fused
         self.profile_stages = config.profile_stages
         self.probe_plan = build_probe_plan(self.tree)
         # Maintenance paths and per-view lifting dicts are pure functions
@@ -149,40 +131,18 @@ class FIVMEngine(MaintenanceEngine):
                 for view in path[1:]
             )
             self._paths[name] = (leaf, leaf_lifts, inner)
-        # Per-relation columnar ladders (absent where not vectorizable):
-        # like the probe plan, a pure function of the static tree, so the
-        # schema evolution along each path — hook/projection positions at
-        # every step — is compiled once here rather than per batch.
-        self._columnar_paths: Dict[str, "_ColumnarPath"] = {}
-        #: Fused kernels, one per vectorizable relation path (PR 7).
+        #: Fused columnar programs, one per vectorizable relation path —
+        #: like the probe plan a pure function of the static tree, so the
+        #: schema evolution along each path is compiled once here rather
+        #: than per batch. Scalar rings get none: their dict fast paths
+        #: beat the kernels' fixed cost at every batch size.
         self._fused_paths: Dict[str, FusedPath] = {}
         ring = self.plan.ring
-        if self.use_columnar == "auto":
-            # Compound rings always profit from the columnar path; scalar
-            # rings only beat their dict fast paths once the ladder is
-            # *fused*, so they engage exactly when fused kernels compile.
-            columnar_on = ring.has_bulk_kernels and (
-                not ring.is_scalar or self.use_fused
-            )
-        else:
-            columnar_on = bool(self.use_columnar) and ring.has_bulk_kernels
-        if columnar_on and self.use_view_index:
+        if ring.has_bulk_kernels and not ring.is_scalar:
             for name in self._paths:
-                cpath = self._build_columnar_path(name)
-                if cpath is not None:
-                    self._columnar_paths[name] = cpath
-                    if self.use_fused:
-                        fpath = compile_fused_path(self, name)
-                        if fpath is not None:
-                            self._fused_paths[name] = fpath
-            if self.use_columnar == "auto" and ring.is_scalar:
-                # Never run the interpreted columnar ladder for scalar
-                # rings under "auto" — only fused paths made them engage.
-                self._columnar_paths = {
-                    name: cpath
-                    for name, cpath in self._columnar_paths.items()
-                    if name in self._fused_paths
-                }
+                fpath = compile_fused_path(self, name)
+                if fpath is not None:
+                    self._fused_paths[name] = fpath
 
     # ------------------------------------------------------------------
 
@@ -198,7 +158,7 @@ class FIVMEngine(MaintenanceEngine):
             self.tree,
             relations,
             self.materialized,
-            index_specs=self.probe_plan.index_specs if self.use_view_index else None,
+            index_specs=self.probe_plan.index_specs,
         )
         self._initialized = True
         self._refresh_view_sizes()
@@ -209,13 +169,9 @@ class FIVMEngine(MaintenanceEngine):
         if not delta.data:
             return
         stats = self.stats
-        cpath = self._columnar_paths.get(relation_name)
-        if cpath is not None and len(delta.data) >= stats.COLUMNAR_MIN_DELTA:
-            fpath = self._fused_paths.get(relation_name)
-            if fpath is not None:
-                fpath.apply(self, delta)
-            else:
-                self._apply_columnar(relation_name, delta, cpath)
+        fpath = self._fused_paths.get(relation_name)
+        if fpath is not None and len(delta.data) >= stats.COLUMNAR_MIN_DELTA:
+            fpath.apply(self, delta)
             return
         stats.record_batch(delta)
         # Mirrors only exist when fused paths run; small batches passing
@@ -230,52 +186,34 @@ class FIVMEngine(MaintenanceEngine):
             stats.mirror_invalidations += live_mirrors(leaf_view)
         leaf_view.add_inplace(current)
         view_sizes[leaf.name] = len(leaf_view)
-        probe_steps = (
-            self.probe_plan.path_steps[relation_name]
-            if self.use_view_index
-            else None
-        )
-        adaptive = self.adaptive_probe
+        probe_steps = self.probe_plan.path_steps[relation_name]
         scan_ratio = stats.ADAPTIVE_SCAN_RATIO
         scan_min_delta = stats.ADAPTIVE_SCAN_MIN_DELTA
-        previous_name = leaf.name
         for position, (view, lifts) in enumerate(inner):
             if not current.data:
                 break
             joined = current
-            if probe_steps is not None:
-                for step in probe_steps[position]:
-                    sibling = materialized[step.sibling]
-                    if (
-                        adaptive
-                        and len(joined.data) >= scan_min_delta
-                        and len(joined.data) > scan_ratio * len(sibling.data)
-                    ):
-                        # The delta dwarfs the sibling: one hash join over
-                        # the small sibling beats per-entry index probes.
-                        joined = joined.join(sibling)
-                        stats.scan_steps += 1
-                    else:
-                        # O(|delta| x matches): probe the persistent index
-                        # (materialized lazily on the first probe).
-                        index = sibling.ensure_index(step.attrs)
-                        probes, hits = index.probes, index.hits
-                        joined = joined.join_probe(sibling, index)
-                        stats.index_probes += index.probes - probes
-                        stats.index_hits += index.hits - hits
-                        stats.probe_steps += 1
-                    if not joined.data:
-                        break
-            else:
-                siblings = [
-                    child for child in view.children if child.name != previous_name
-                ]
-                # Smallest sibling first keeps the running delta join narrow.
-                siblings.sort(key=lambda child: len(materialized[child.name]))
-                for sibling in siblings:
-                    joined = joined.join(materialized[sibling.name])
-                    if not joined.data:
-                        break
+            for step in probe_steps[position]:
+                sibling = materialized[step.sibling]
+                if (
+                    len(joined.data) >= scan_min_delta
+                    and len(joined.data) > scan_ratio * len(sibling.data)
+                ):
+                    # The delta dwarfs the sibling: one hash join over
+                    # the small sibling beats per-entry index probes.
+                    joined = joined.join(sibling)
+                    stats.scan_steps += 1
+                else:
+                    # O(|delta| x matches): probe the persistent index
+                    # (materialized lazily on the first probe).
+                    index = sibling.ensure_index(step.attrs)
+                    probes, hits = index.probes, index.hits
+                    joined = joined.join_probe(sibling, index)
+                    stats.index_probes += index.probes - probes
+                    stats.index_hits += index.hits - hits
+                    stats.probe_steps += 1
+                if not joined.data:
+                    break
             if not joined.data:
                 # The delta annihilated mid-join: every view above receives
                 # nothing, so stop before marginalize — with 3+ children the
@@ -288,116 +226,6 @@ class FIVMEngine(MaintenanceEngine):
                 stats.mirror_invalidations += live_mirrors(target)
             target.add_inplace(current)
             view_sizes[view.name] = len(target)
-            previous_name = view.name
-
-    # ------------------------------------------------------------------
-    # Columnar (bulk-kernel) maintenance
-    # ------------------------------------------------------------------
-
-    def _build_columnar_path(self, relation_name: str) -> Optional["_ColumnarPath"]:
-        """Compile the static columnar ladder for one relation's path.
-
-        Returns ``None`` when any lifting function on the path lacks bulk
-        metadata — the per-tuple paths then handle every batch for this
-        relation.
-        """
-        leaf, leaf_lifts, inner = self._paths[relation_name]
-        schema = tuple(self.query.schema_of(relation_name).attributes)
-        leaf_lift_items = []
-        for attr, fn in leaf_lifts.items():
-            if not bulk_liftable(fn):
-                return None
-            leaf_lift_items.append((schema.index(attr), fn))
-        leaf_group_of = _key_getter(_positions(schema, leaf.key))
-        schema_now = leaf.key
-        probe_steps = self.probe_plan.path_steps[relation_name]
-        steps: List[_ColumnarStep] = []
-        for position, (view, lifts) in enumerate(inner):
-            probes = []
-            for step in probe_steps[position]:
-                sibling_key = self.tree.views[step.sibling].key
-                hook_of = _hook_getter(_positions(schema_now, step.attrs))
-                keep_b = tuple(
-                    i for i, attr in enumerate(sibling_key) if attr not in schema_now
-                )
-                probes.append(
-                    _ColumnarProbe(step.sibling, step.attrs, hook_of, _key_getter(keep_b))
-                )
-                schema_now = schema_now + tuple(sibling_key[i] for i in keep_b)
-            lift_items = []
-            for attr, fn in lifts.items():
-                if not bulk_liftable(fn):
-                    return None
-                lift_items.append((schema_now.index(attr), fn))
-            steps.append(
-                _ColumnarStep(
-                    view.name,
-                    tuple(probes),
-                    tuple(lift_items),
-                    _key_getter(_positions(schema_now, view.key)),
-                )
-            )
-            schema_now = view.key
-        return _ColumnarPath(
-            leaf.name, tuple(leaf_lift_items), leaf_group_of, tuple(steps)
-        )
-
-    def _apply_columnar(
-        self, relation_name: str, delta: Relation, cpath: "_ColumnarPath"
-    ) -> None:
-        """Batch-at-a-time maintenance: one bulk-kernel ladder per path.
-
-        Mirrors :meth:`apply` exactly — lift to the leaf view, join the
-        materialized siblings, marginalize through each node's variable,
-        fold into the materializations — but the running delta is a list
-        of key rows plus one contiguous payload block, so the per-tuple
-        ring dispatch and payload allocation of the scalar paths collapse
-        into whole-batch kernel calls.
-        """
-        stats = self.stats
-        stats.record_batch(delta)
-        stats.columnar_batches += 1
-        ring = self.plan.ring
-        materialized = self.materialized
-        view_sizes = stats.view_sizes
-        columnar = delta.columnar()
-        rows = columnar.rows
-        # Lift: payload = (product of lifted attribute values) * multiplicity.
-        if cpath.leaf_lifts:
-            block = None
-            for position, fn in cpath.leaf_lifts:
-                lifted = lift_column(ring, fn, columnar.column(position))
-                block = lifted if block is None else ring.mul_many(block, lifted)
-            block = ring.scale_many(block, columnar.counts)
-        else:
-            block = ring.from_int_many(columnar.counts)
-        rows, block = _group_block(ring, rows, cpath.leaf_group_of, block)
-        rows, block = _compact_block(ring, rows, block)
-        leaf_view = materialized[cpath.leaf_name]
-        leaf_view.add_block_inplace(rows, block)
-        view_sizes[cpath.leaf_name] = len(leaf_view)
-        for step in cpath.steps:
-            if not rows:
-                break
-            for probe in step.probes:
-                sibling = materialized[probe.sibling]
-                index = sibling.ensure_index(probe.attrs)
-                rows, block = _join_probe_block(ring, rows, block, probe, index, stats)
-                stats.columnar_steps += 1
-                if not rows:
-                    break
-            if not rows:
-                # Annihilated mid-join: nothing propagates further up.
-                break
-            for position, fn in step.lifts:
-                column = [row[position] for row in rows]
-                block = ring.mul_many(block, lift_column(ring, fn, column))
-            rows, block = _group_block(ring, rows, step.group_of, block)
-            rows, block = _compact_block(ring, rows, block)
-            stats.delta_tuples_propagated += len(rows)
-            target = materialized[step.view_name]
-            target.add_block_inplace(rows, block)
-            view_sizes[step.view_name] = len(target)
 
     def result(self) -> Relation:
         self._require_initialized()
@@ -558,8 +386,7 @@ class FIVMEngine(MaintenanceEngine):
             self.materialized[name] = Relation(
                 view.key, self.plan.ring, data=data, name=name
             )
-        if self.use_view_index:
-            self._install_indexes()
+        self._install_indexes()
 
     def _after_restore(self) -> None:
         self._refresh_view_sizes()
@@ -613,132 +440,3 @@ def _payload_weight_scalar(value) -> int:
     if hasattr(value, "data"):  # relational values: one cell per annotation
         return max(len(value.data), 1)
     return 1
-
-
-# ----------------------------------------------------------------------
-# Columnar maintenance machinery (compiled per relation at construction)
-# ----------------------------------------------------------------------
-
-
-class _ColumnarProbe:
-    """One sibling probe of a columnar step: compiled key extractors."""
-
-    __slots__ = ("sibling", "attrs", "hook_of", "rest_of")
-
-    def __init__(self, sibling: str, attrs: Tuple[str, ...], hook_of, rest_of):
-        self.sibling = sibling
-        self.attrs = attrs
-        self.hook_of = hook_of  # running-delta row -> index hook
-        self.rest_of = rest_of  # sibling key -> its non-shared suffix
-
-
-class _ColumnarStep:
-    """One inner view of a columnar ladder: probes, lifts, projection."""
-
-    __slots__ = ("view_name", "probes", "lifts", "group_of")
-
-    def __init__(
-        self,
-        view_name: str,
-        probes: Tuple[_ColumnarProbe, ...],
-        lifts: Tuple[Tuple[int, Callable], ...],
-        group_of,
-    ):
-        self.view_name = view_name
-        self.probes = probes
-        self.lifts = lifts  # (position in the running schema, lift fn)
-        self.group_of = group_of  # running row -> view-key projection
-
-
-class _ColumnarPath:
-    """The compiled columnar ladder of one relation's maintenance path."""
-
-    __slots__ = ("leaf_name", "leaf_lifts", "leaf_group_of", "steps")
-
-    def __init__(
-        self,
-        leaf_name: str,
-        leaf_lifts: Tuple[Tuple[int, Callable], ...],
-        leaf_group_of,
-        steps: Tuple[_ColumnarStep, ...],
-    ):
-        self.leaf_name = leaf_name
-        self.leaf_lifts = leaf_lifts  # (position in the delta schema, lift fn)
-        self.leaf_group_of = leaf_group_of
-        self.steps = steps
-
-
-def _group_block(ring, rows, group_of, block):
-    """Project rows through ``group_of`` and group-sum the payload block.
-
-    The columnar form of marginalization's group-by: group ids are
-    assigned in first-seen order with one dict pass, then a single
-    ``sum_segments`` kernel call sums every group.
-    """
-    group_index: Dict[Tuple, int] = {}
-    keys: List[Tuple] = []
-    gids = np.empty(len(rows), dtype=np.intp)
-    setdefault = group_index.setdefault
-    for i, row in enumerate(rows):
-        group = group_of(row)
-        gid = setdefault(group, len(keys))
-        if gid == len(keys):
-            keys.append(group)
-        gids[i] = gid
-    if len(keys) == len(rows):
-        # Nothing merged; group ids are the identity permutation.
-        return keys, block
-    return keys, ring.sum_segments(block, gids, len(keys))
-
-
-def _compact_block(ring, rows, block):
-    """Drop rows whose payload is the exact ring zero (± cancellation)."""
-    mask = ring.is_zero_many(block)
-    if not mask.any():
-        return rows, block
-    keep = np.flatnonzero(~mask)
-    return [rows[i] for i in keep], ring.take(block, keep)
-
-
-def _join_probe_block(ring, rows, block, probe: _ColumnarProbe, index, stats):
-    """Columnar sibling join: group delta rows by hook, probe each once.
-
-    Returns the widened rows (delta key + the sibling's non-shared
-    suffix) and the element-wise payload products, computed with two
-    kernel calls (`take` + `mul_many`) over the match pairs. Probe
-    counters advance per *distinct* hook value — grouping first is what
-    makes the columnar step cheaper than per-row probing.
-    """
-    hook_of = probe.hook_of
-    rest_of = probe.rest_of
-    groups: Dict = {}
-    setdefault = groups.setdefault
-    for i, row in enumerate(rows):
-        setdefault(hook_of(row), []).append(i)
-    buckets_get = index.buckets.get
-    left: List[int] = []
-    out_rows: List[Tuple] = []
-    matches: List = []
-    hits = 0
-    for hook, members in groups.items():
-        bucket = buckets_get(hook)
-        if not bucket:
-            continue
-        hits += 1
-        for key_b, payload_b in bucket.items():
-            rest = rest_of(key_b)
-            for i in members:
-                left.append(i)
-                out_rows.append(rows[i] + rest)
-                matches.append(payload_b)
-    index.probes += len(groups)
-    index.hits += hits
-    stats.index_probes += len(groups)
-    stats.index_hits += hits
-    if not out_rows:
-        return [], ring.zero_block(0)
-    product = ring.mul_many(
-        ring.take(block, np.asarray(left, dtype=np.intp)),
-        ring.make_block(matches),
-    )
-    return out_rows, product

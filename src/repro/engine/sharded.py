@@ -27,8 +27,7 @@ Two backends extend one :class:`ShardBackend` protocol:
     so gather cost grows logarithmically rather than linearly in the
     shard count.
   * ``transport="pipe"`` is the historical wire: deltas pickled through
-    the pipe in columnar form (``columnar_transport=False`` restores
-    the dict form for ablation), gathers fanned in and merged on the
+    the pipe in columnar form, gathers fanned in and merged on the
     coordinator.
 
   Applies are fire-and-forget either way, so the coordinator routes
@@ -59,7 +58,7 @@ import os
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.config import EngineConfig, resolve_engine_config
+from repro.config import EngineConfig
 from repro.data.columnar import ColumnarDelta
 from repro.data.database import Database
 from repro.data.relation import Relation
@@ -730,9 +729,8 @@ class _ProcessBackend(ShardBackend):
     def apply_delta(self, shard: int, relation_name: str, delta) -> None:
         """Fire-and-forget apply through the transport's data plane.
 
-        ``delta`` is whatever the transport asked for
-        (``wants_columnar``): a :class:`ColumnarDelta` for the columnar
-        pipe wire and the shm rings, a :class:`Relation` otherwise.
+        ``delta`` is a :class:`ColumnarDelta` slice — the form both the
+        pipe wire and the shm rings carry.
         """
         self._require_open()
         alive = self.processes[shard].is_alive
@@ -1069,11 +1067,9 @@ class ShardedEngine(MaintenanceEngine):
         the same tree over its partition.
     config:
         An :class:`~repro.config.EngineConfig` carrying every tunable —
-        shard count, backend, transport, shard attributes and the
-        per-shard F-IVM options. The legacy keyword arguments
-        (``shards=``, ``backend=``, ``use_columnar=``, …) still work
-        through a deprecation shim; when neither is given the engine
-        defaults to two shards.
+        shard count, backend, transport, shard attributes, supervision
+        and decay. ``None`` means ``EngineConfig(shards=2)``, the
+        engine's historical default.
 
     The coordinator's own ``stats`` count what was routed (batches,
     updates, tuples); per-shard maintenance counters are aggregated on
@@ -1083,33 +1079,23 @@ class ShardedEngine(MaintenanceEngine):
 
     strategy = "fivm-sharded"
 
-    #: Legacy constructor kwargs accepted by the deprecation shim.
-    LEGACY_OPTIONS = (
-        "shards", "shard_attrs", "backend", "transport",
-        "use_view_index", "adaptive_probe", "use_columnar", "use_fused",
-        "columnar_transport",
-    )
-
     def __init__(
         self,
         query: Query,
         order: Optional[VariableOrder] = None,
         config: Optional[EngineConfig] = None,
-        **legacy,
     ):
         super().__init__(query)
-        config = resolve_engine_config(
-            config, legacy, "ShardedEngine", self.LEGACY_OPTIONS,
-            defaults={"shards": 2},
-        )
+        if config is None:
+            config = EngineConfig(shards=2)
+        elif not isinstance(config, EngineConfig):
+            raise EngineError(
+                f"ShardedEngine: config must be an EngineConfig, "
+                f"got {type(config).__name__}"
+            )
         self.config = config
         self.shards = config.shards
         self.order = order
-        self.use_view_index = config.use_view_index
-        self.adaptive_probe = config.adaptive_probe
-        self.use_columnar = config.use_columnar
-        self.use_fused = config.use_fused
-        self.columnar_transport = config.columnar_transport
         self.tree = build_view_tree(query, order=order)
         self.shard_plan: ShardPlan = build_shard_plan(
             self.tree, attrs=config.shard_attrs
@@ -1155,15 +1141,9 @@ class ShardedEngine(MaintenanceEngine):
         # Capture plain locals (not self): the closure crosses the fork
         # boundary into every worker process.
         query, order = self.query, self.order
-        shard_config = EngineConfig(
-            use_view_index=self.use_view_index,
-            adaptive_probe=self.adaptive_probe,
-            use_columnar=self.use_columnar,
-            use_fused=self.use_fused,
-            # Every shard runs the same decay clock; the coordinator
-            # broadcasts ticks so they stay in lockstep.
-            decay=self.config.decay,
-        )
+        # Every shard runs the same decay clock; the coordinator
+        # broadcasts ticks so they stay in lockstep.
+        shard_config = EngineConfig(decay=self.config.decay)
 
         def factory() -> FIVMEngine:
             return FIVMEngine(query, order=order, config=shard_config)
@@ -1173,7 +1153,7 @@ class ShardedEngine(MaintenanceEngine):
     def _make_transport(self) -> ShardTransport:
         if self.transport_name == "shm":
             return SharedMemoryTransport()
-        return PipeTransport(columnar=self.columnar_transport)
+        return PipeTransport()
 
     def _make_backend(self, **seeds) -> None:
         factory = self._engine_factory()
@@ -1216,10 +1196,7 @@ class ShardedEngine(MaintenanceEngine):
             self._apply_supervised(relation_name, delta)
             return
         self.stats.record_batch(delta)
-        if (
-            self.backend_name == "process"
-            and self._backend.transport.wants_columnar
-        ):
+        if self.backend_name == "process":
             # Route and ship in columnar form: rows hash exactly as in
             # split(), but no per-shard key-tuple dict is built and the
             # data plane carries columns (pickled pipe lists or raw
@@ -1251,10 +1228,7 @@ class ShardedEngine(MaintenanceEngine):
         supervisor.record_delta(relation_name, delta.data)
         self.stats.record_batch(delta)
         backend = self._backend
-        columnar = (
-            self.backend_name == "process"
-            and backend.transport.wants_columnar
-        )
+        columnar = self.backend_name == "process"
         if columnar:
             routed = self.router.split_columnar(
                 relation_name, delta.columnar()

@@ -8,7 +8,7 @@ coordinator's time, and this module makes it a pluggable
 :class:`ShardTransport`:
 
 - :class:`PipeTransport` is the historical wire: whole deltas pickled
-  through the pipe (columnar or dict form), every gather fanned in and
+  through the pipe in columnar form, every gather fanned in and
   merged serially on the coordinator.
 - :class:`SharedMemoryTransport` moves payload bytes through
   ``multiprocessing.shared_memory`` instead:
@@ -51,7 +51,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.data.columnar import ColumnarDelta, decode_blocks
+from repro.data.columnar import decode_blocks
 from repro.errors import EngineError
 from repro.testing import faults as _faults
 
@@ -214,8 +214,6 @@ class ShardTransport:
     """
 
     name = "abstract"
-    #: Does :meth:`send_delta` want :class:`ColumnarDelta` slices?
-    wants_columnar = True
     #: Do result/export gathers merge tree-wise across the workers?
     tree_gather = False
 
@@ -242,17 +240,13 @@ class ShardTransport:
 class PipeTransport(ShardTransport):
     """The historical data plane: whole deltas pickled through the pipe.
 
-    ``columnar=True`` (default) ships ``("applyc", name, columns,
-    counts)`` — homogeneous lists that pickle without a tuple object per
-    key; ``columnar=False`` restores the dict wire form for ablation.
-    Gathers stay coordinator-serial (the backend fans in and merges).
+    Ships ``("applyc", name, columns, counts)`` — homogeneous lists that
+    pickle without a tuple object per key. Gathers stay
+    coordinator-serial (the backend fans in and merges).
     """
 
     name = "pipe"
     tree_gather = False
-
-    def __init__(self, columnar: bool = True):
-        self.wants_columnar = bool(columnar)
 
     def setup(self, shards: int) -> None:
         pass
@@ -261,11 +255,8 @@ class PipeTransport(ShardTransport):
         return None
 
     def send_delta(self, conn, shard, relation_name, delta, alive=None):
-        if isinstance(delta, ColumnarDelta):
-            _schema, columns, counts = delta.transport()
-            conn.send(("applyc", relation_name, columns, counts))
-        else:
-            conn.send(("apply", relation_name, delta.data))
+        _schema, columns, counts = delta.transport()
+        conn.send(("applyc", relation_name, columns, counts))
 
     def close(self) -> None:
         pass
@@ -280,7 +271,6 @@ class SharedMemoryTransport(ShardTransport):
     """
 
     name = "shm"
-    wants_columnar = True
     tree_gather = True
 
     #: Default per-slot bytes of a down ring (two slots per shard).

@@ -94,8 +94,7 @@ class ServingScenario:
         """An initialized engine maintaining the scenario's query.
 
         ``config`` wins when given; the ``shards``/``backend`` shorthand
-        builds an equivalent :class:`EngineConfig` (no deprecation — the
-        scenario is the convenience layer).
+        builds an equivalent :class:`EngineConfig`.
         """
         if config is None:
             config = EngineConfig(shards=shards, backend=backend)

@@ -487,7 +487,12 @@ class SnapshotServer:
             try:
                 writer.close()
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
+            except (
+                ConnectionResetError, BrokenPipeError, asyncio.CancelledError
+            ):
+                # CancelledError: teardown landed while a just-closed
+                # connection was still in wait_closed() — same quiet
+                # finish as in the body above.
                 pass
 
     _REASONS = {

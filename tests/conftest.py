@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from unittest import mock
+
 import hypothesis
 import pytest
 from hypothesis import strategies as st
@@ -13,6 +16,7 @@ from repro.datasets import (
     retailer_variable_order,
     toy_database,
 )
+from repro.engine.base import EngineStatistics
 
 hypothesis.settings.register_profile(
     "fivm",
@@ -21,6 +25,19 @@ hypothesis.settings.register_profile(
     suppress_health_check=[hypothesis.HealthCheck.too_slow],
 )
 hypothesis.settings.load_profile("fivm")
+
+
+# ----------------------------------------------------------------------
+# Test seam: the per-tuple path at any batch size
+# ----------------------------------------------------------------------
+
+
+def per_tuple_path():
+    """Context manager: while active no delta is large enough for the
+    fused columnar program, so every ``apply`` takes the per-tuple path
+    — the reference the fused path is checked against. The engine has no
+    option for this; the size threshold is the only seam."""
+    return mock.patch.object(EngineStatistics, "COLUMNAR_MIN_DELTA", sys.maxsize)
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,6 @@ from repro.engine import (
 )
 from repro.errors import EngineError
 from repro.rings import CountSpec, CovarSpec, Feature
-from repro.config import EngineConfig
 
 
 def fresh_engine(query=None):
@@ -268,12 +267,10 @@ class TestMemoryReport:
         # The root is never probed, so it carries no index overhead keys.
         assert "indexes" not in report["V@A"]
 
-    def test_no_index_overhead_when_disabled(self):
-        engine = FIVMEngine(
-            toy_count_query(),
-            order=toy_variable_order(),
-            config=EngineConfig(use_view_index=False),
-        )
+    def test_no_index_overhead_before_the_first_probe(self):
+        # Indexes are registered at initialize but built lazily: an
+        # engine that never maintained a delta reports none.
+        engine = FIVMEngine(toy_count_query(), order=toy_variable_order())
         engine.initialize(toy_database())
         report = engine.memory_report()
         assert all("indexes" not in entry for entry in report.values())

@@ -14,17 +14,18 @@ from repro.datasets import (
     retailer_query,
     retailer_row_factories,
     retailer_variable_order,
-    toy_count_query,
     toy_covar_categorical_query,
+    toy_covar_continuous_query,
     toy_database,
+    toy_row_factories,
     toy_variable_order,
 )
 from repro.engine import FIVMEngine, NaiveEngine, ShardedEngine
 from repro.engine.base import EngineStatistics
 from repro.engine.sharded import available_backends
-from repro.errors import EngineError
-from repro.rings import CountSpec, CovarSpec
+from repro.rings import CountSpec, CovarSpec, SumSpec
 from repro.config import EngineConfig
+from tests.conftest import per_tuple_path
 
 R_SCHEMA = ("A", "B")
 S_SCHEMA = ("A", "C", "D")
@@ -52,56 +53,61 @@ def covar_query(limit=2):
     )
 
 
-class TestColumnarPathSelection:
-    def test_auto_engages_for_cofactor_and_fused_scalar_rings(self):
-        covar = FIVMEngine(covar_query(), order=retailer_variable_order())
-        assert covar._columnar_paths  # numeric cofactor: vectorizable
-        assert covar._fused_paths
-        # Scalar rings ride the columnar path too now that grouping is
-        # int-keyed — but only through fused kernels.
-        count = FIVMEngine(
-            retailer_query(CountSpec()), order=retailer_variable_order()
-        )
-        assert count._fused_paths
-        assert set(count._columnar_paths) == set(count._fused_paths)
-        # With fusion off, auto falls back to the scalar fast path.
-        unfused = FIVMEngine(
-            retailer_query(CountSpec()),
-            order=retailer_variable_order(),
-            config=EngineConfig(use_fused=False),
-        )
-        assert not unfused._columnar_paths
-        forced = FIVMEngine(
-            retailer_query(CountSpec()),
-            order=retailer_variable_order(),
-            config=EngineConfig(use_columnar=True, use_fused=False),
-        )
-        assert forced._columnar_paths
+def count_query():
+    return retailer_query(CountSpec())
 
-    def test_disabled_by_flag_and_by_no_view_index(self):
-        off = FIVMEngine(
-            covar_query(),
+
+class TestColumnarPathSelection:
+    def test_compound_bulk_rings_compile_fused_paths_scalar_rings_do_not(self):
+        covar = FIVMEngine(covar_query(), order=retailer_variable_order())
+        assert covar._fused_paths  # numeric cofactor: vectorizable
+        # Scalar rings keep their dict fast paths at every batch size.
+        count = FIVMEngine(count_query(), order=retailer_variable_order())
+        assert not count._fused_paths
+        # DecayRing declares is_scalar = False even over a sum ring (its
+        # payloads carry a boost), so a decayed sum rides the fused path.
+        decayed = FIVMEngine(
+            retailer_query(SumSpec("inventoryunits")),
             order=retailer_variable_order(),
-            config=EngineConfig(use_columnar=False),
+            config=EngineConfig(decay="0.99/100"),
         )
-        assert not off._columnar_paths
-        no_index = FIVMEngine(
-            covar_query(),
-            order=retailer_variable_order(),
-            config=EngineConfig(use_view_index=False),
-        )
-        assert not no_index._columnar_paths
+        assert decayed._fused_paths
 
     def test_general_ring_falls_back(self):
         # The general cofactor ring has no bulk kernels: per-tuple path.
         engine = FIVMEngine(
             toy_covar_categorical_query(), order=toy_variable_order()
         )
-        assert not engine._columnar_paths
+        assert not engine._fused_paths
 
-    def test_invalid_flag_rejected(self):
-        with pytest.raises(EngineError, match="use_columnar"):
-            FIVMEngine(covar_query(), config=EngineConfig(use_columnar="yes"))
+    def test_scalar_rings_stay_on_dict_fast_path(self):
+        database, stream = retailer_setup(inventory_rows=1200)
+        engine = FIVMEngine(count_query(), order=retailer_variable_order())
+        engine.initialize(database)
+        engine.apply_stream(stream.tuples(3000), batch_size=1000)
+        assert engine.stats.batches_applied >= 3
+        assert engine.stats.tuples_applied > 1500
+        assert engine.stats.fused_batches == 0
+        assert engine.stats.columnar_batches == 0
+        assert engine.stats.probe_steps + engine.stats.scan_steps > 0
+
+    def test_size_threshold_is_the_only_dispatch(self):
+        """Numeric COVAR: a delta takes the fused program iff it has at
+        least COLUMNAR_MIN_DELTA keys, and both counters move together."""
+        threshold = EngineStatistics.COLUMNAR_MIN_DELTA
+        engine = FIVMEngine(covar_query(), order=retailer_variable_order())
+        database, _stream = retailer_setup()
+        engine.initialize(database)
+        schema = engine.query.schema_of("Inventory").attributes
+        expected = 0
+        for n in (1, threshold - 1, threshold, threshold + 1, 4 * threshold):
+            rows = [(1 + i % 4, 1 + i % 6, 1 + i % 20, float(i)) for i in range(n)]
+            delta = inserts(schema, rows)
+            assert len(delta.data) == n
+            engine.apply("Inventory", delta)
+            expected += n >= threshold
+            assert engine.stats.fused_batches == expected, n
+            assert engine.stats.columnar_batches == expected, n
 
     def test_small_batches_stay_on_per_tuple_path(self):
         engine = FIVMEngine(covar_query(), order=retailer_variable_order())
@@ -118,42 +124,46 @@ class TestColumnarEquivalence:
     def test_covar_stream_matches_per_tuple_and_views_agree(self, batch_size):
         database, stream = retailer_setup()
         events = list(stream.tuples(500))
-        engines = []
-        for use_columnar in (True, False):
-            engine = FIVMEngine(
-                covar_query(),
-                order=retailer_variable_order(),
-                config=EngineConfig(use_columnar=use_columnar),
-            )
+        columnar = FIVMEngine(covar_query(), order=retailer_variable_order())
+        per_tuple = FIVMEngine(covar_query(), order=retailer_variable_order())
+        oracle = NaiveEngine(covar_query(), order=retailer_variable_order())
+        for engine in (columnar, per_tuple, oracle):
             engine.initialize(database)
-            engine.apply_stream(iter(events), batch_size=batch_size)
-            engines.append(engine)
-        columnar, per_tuple = engines
+        columnar.apply_stream(iter(events), batch_size=batch_size)
+        oracle.apply_stream(iter(events), batch_size=batch_size)
+        with per_tuple_path():
+            per_tuple.apply_stream(iter(events), batch_size=batch_size)
         assert columnar.stats.columnar_batches > 0
         assert columnar.stats.columnar_steps > 0
         assert per_tuple.stats.columnar_batches == 0
         assert columnar.result().close_to(per_tuple.result(), 1e-8)
+        assert columnar.result().close_to(oracle.result(), 1e-8)
         for name, view in columnar.materialized.items():
             assert view.close_to(per_tuple.materialized[name], 1e-8), name
         assert columnar.stats.view_sizes == per_tuple.stats.view_sizes
 
-    def test_forced_columnar_count_ring_matches_oracle_exactly(self):
-        database, stream = retailer_setup(seed=8)
+    def test_integer_valued_covar_matches_oracle_exactly(self):
+        # The toy stream's B/C/D values are small integers, so every
+        # float sum is exact whatever its association: the fused path,
+        # the per-tuple path and re-evaluation agree bit for bit.
+        stream = UpdateStream(
+            toy_database(), toy_row_factories(), batch_size=64,
+            insert_ratio=0.6, seed=8,
+        )
         events = list(stream.tuples(400))
-        columnar = FIVMEngine(
-            retailer_query(CountSpec()),
-            order=retailer_variable_order(),
-            config=EngineConfig(use_columnar=True),
-        )
-        oracle = NaiveEngine(
-            retailer_query(CountSpec()), order=retailer_variable_order()
-        )
-        for engine in (columnar, oracle):
-            engine.initialize(database)
-            engine.apply_stream(iter(events), batch_size=64)
+        columnar = FIVMEngine(toy_covar_continuous_query(), order=toy_variable_order())
+        per_tuple = FIVMEngine(toy_covar_continuous_query(), order=toy_variable_order())
+        oracle = NaiveEngine(toy_covar_continuous_query(), order=toy_variable_order())
+        for engine in (columnar, per_tuple, oracle):
+            engine.initialize(toy_database())
+        columnar.apply_stream(iter(events), batch_size=64)
+        oracle.apply_stream(iter(events), batch_size=64)
+        with per_tuple_path():
+            per_tuple.apply_stream(iter(events), batch_size=64)
         assert columnar.stats.columnar_batches > 0
-        # Z payloads: bit-exact, not just close.
+        assert per_tuple.stats.columnar_batches == 0
         assert columnar.result() == oracle.result()
+        assert per_tuple.result() == oracle.result()
 
     def test_cancelling_batch_returns_views_to_start(self):
         engine = FIVMEngine(covar_query(), order=retailer_variable_order())
@@ -196,14 +206,16 @@ class TestColumnarEquivalence:
         source.apply_stream(iter(events[:150]), batch_size=50)
         snapshot = pickle.loads(pickle.dumps(source.export_state()))
         source.apply_stream(iter(events[150:]), batch_size=50)
-        for use_columnar in (True, False):
-            clone = FIVMEngine(
-                covar_query(),
-                order=retailer_variable_order(),
-                config=EngineConfig(use_columnar=use_columnar),
-            )
+        # A snapshot written by the fused path resumes on either path.
+        for force_per_tuple in (False, True):
+            clone = FIVMEngine(covar_query(), order=retailer_variable_order())
             clone.import_state(pickle.loads(pickle.dumps(snapshot)))
-            clone.apply_stream(iter(events[150:]), batch_size=50)
+            if force_per_tuple:
+                with per_tuple_path():
+                    clone.apply_stream(iter(events[150:]), batch_size=50)
+                assert clone.stats.columnar_batches == snapshot["stats"]["columnar_batches"]
+            else:
+                clone.apply_stream(iter(events[150:]), batch_size=50)
             assert clone.result().close_to(source.result(), 1e-8)
         assert source.stats.columnar_batches > 0
 
@@ -224,12 +236,13 @@ class TestColumnarWithToyQueries:
     """Hand-built deltas straddling COLUMNAR_MIN_DELTA on the toy query."""
 
     def engines(self):
+        # Integer-valued B/C/D: numeric COVAR sums are exact, so "==".
         columnar = FIVMEngine(
-            toy_count_query(),
-            order=toy_variable_order(),
-            config=EngineConfig(use_columnar=True),
+            toy_covar_continuous_query(), order=toy_variable_order()
         )
-        oracle = NaiveEngine(toy_count_query(), order=toy_variable_order())
+        oracle = NaiveEngine(
+            toy_covar_continuous_query(), order=toy_variable_order()
+        )
         for engine in (columnar, oracle):
             engine.initialize(toy_database())
         return columnar, oracle
@@ -265,27 +278,47 @@ class TestColumnarWithToyQueries:
 
 @pytest.mark.parametrize("backend", available_backends())
 class TestColumnarTransport:
-    def test_transport_on_off_and_shard_counts_agree(self, backend):
+    def test_shard_counts_agree(self, backend):
         database, stream = retailer_setup(seed=21)
         events = list(stream.tuples(400))
         reference = None
-        for transport in (True, False):
-            for shards in (1, 3):
-                engine = ShardedEngine(
-                    covar_query(),
-                    order=retailer_variable_order(),
-                    config=EngineConfig(shards=shards, backend=backend, columnar_transport=transport),
-                )
-                try:
-                    engine.initialize(database)
-                    engine.apply_stream(iter(events), batch_size=50)
-                    result = engine.result()
-                finally:
-                    engine.close()
-                if reference is None:
-                    reference = result
-                else:
-                    assert result.close_to(reference, 1e-8), (backend, transport, shards)
+        for shards in (1, 3):
+            engine = ShardedEngine(
+                covar_query(),
+                order=retailer_variable_order(),
+                config=EngineConfig(shards=shards, backend=backend),
+            )
+            try:
+                engine.initialize(database)
+                engine.apply_stream(iter(events), batch_size=50)
+                result = engine.result()
+            finally:
+                engine.close()
+            if reference is None:
+                reference = result
+            else:
+                assert result.close_to(reference, 1e-8), (backend, shards)
+
+    def test_fused_snapshot_restores_into_sharded_engine(self, backend):
+        """A snapshot a fused COVAR engine wrote mid-stream resumes on a
+        2-shard engine and lands where uninterrupted ingestion does."""
+        database, stream = retailer_setup(seed=12)
+        events = list(stream.tuples(300))
+        source = FIVMEngine(covar_query(), order=retailer_variable_order())
+        source.initialize(database)
+        source.apply_stream(iter(events[:150]), batch_size=50)
+        assert source.stats.fused_batches > 0
+        snapshot = pickle.loads(pickle.dumps(source.export_state()))
+        source.apply_stream(iter(events[150:]), batch_size=50)
+        engine = ShardedEngine(
+            covar_query(),
+            order=retailer_variable_order(),
+            config=EngineConfig(shards=2, backend=backend),
+        )
+        with engine:
+            engine.import_state(snapshot)
+            engine.apply_stream(iter(events[150:]), batch_size=50)
+            assert engine.result().close_to(source.result(), 1e-8)
 
     def test_count_ring_transport_exact(self, backend):
         database, stream = retailer_setup(seed=23)
@@ -298,7 +331,7 @@ class TestColumnarTransport:
         engine = ShardedEngine(
             retailer_query(CountSpec()),
             order=retailer_variable_order(),
-            config=EngineConfig(shards=2, backend=backend, columnar_transport=True),
+            config=EngineConfig(shards=2, backend=backend),
         )
         try:
             engine.initialize(database)

@@ -16,6 +16,7 @@ from repro.engine.sharded import available_backends
 from repro.engine.transport import available_transports
 from repro.errors import EngineError
 from repro.rings import payload_drift, result_drift
+from tests.conftest import per_tuple_path
 
 needs_process = pytest.mark.skipif(
     "process" not in available_backends(), reason="fork unavailable"
@@ -27,12 +28,6 @@ needs_shm = pytest.mark.skipif(
 # Toy query joins two base relations, so every result summand carries
 # exactly two decayed leaf factors.
 TOY_LEAVES = 2
-
-PATHS = {
-    "per-tuple": dict(use_columnar=False, use_fused=False),
-    "columnar": dict(use_columnar=True, use_fused=False),
-    "fused": dict(use_columnar=True, use_fused=True),
-}
 
 
 def toy_events(total=60, insert_ratio=0.7, seed=13):
@@ -48,8 +43,8 @@ def toy_events(total=60, insert_ratio=0.7, seed=13):
     return database, list(stream.tuples(total))
 
 
-def decayed_engine(decay="0.9/10", config=None, **path):
-    config = config or EngineConfig(decay=decay, **path)
+def decayed_engine(decay="0.9/10", config=None):
+    config = config or EngineConfig(decay=decay)
     return create_engine(
         toy_covar_continuous_query(), config=config, order=toy_variable_order()
     )
@@ -131,17 +126,24 @@ class TestAnalyticDecay:
 
 
 class TestPathEquality:
-    def test_per_tuple_columnar_fused_bit_identical(self):
-        # The boost rides the shared multiplicity entry points, so all
-        # three maintenance paths produce the same bits.
-        database, events = toy_events()
-        results = {}
-        for name, path in PATHS.items():
-            engine = decayed_engine(config=EngineConfig(decay="0.9/10", **path))
+    def test_per_tuple_and_fused_agree(self):
+        # The boost rides the shared multiplicity entry points of both
+        # maintenance paths. Batches of 60 events over two relations:
+        # every delta is large enough to fuse, and with a non-integer
+        # boost the group sums associate differently — float tolerance,
+        # not bits (observed drift ~2e-12).
+        database, events = toy_events(total=240)
+        fused = decayed_engine(decay="0.9/60")
+        per_tuple = decayed_engine(decay="0.9/60")
+        for engine in (fused, per_tuple):
             engine.initialize(database)
-            engine.apply_stream(iter(events), batch_size=10)
-            results[name] = engine.result()
-        assert results["per-tuple"] == results["columnar"] == results["fused"]
+        fused.apply_stream(iter(events), batch_size=60)
+        with per_tuple_path():
+            per_tuple.apply_stream(iter(events), batch_size=60)
+        assert fused.stats.fused_batches > 0
+        assert per_tuple.stats.fused_batches == 0
+        assert fused.stats.decay_ticks == per_tuple.stats.decay_ticks == 4
+        assert result_drift(fused.result(), per_tuple.result()) < 1e-9
 
     def test_forced_rescale_changes_nothing(self):
         database, events = toy_events()

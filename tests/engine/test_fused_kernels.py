@@ -1,18 +1,15 @@
-"""Fused per-path kernels: bit-equality, mirrors, JIT gating, checkpoints.
+"""Fused per-path kernels: bit-equality, mirrors, checkpoints.
 
-The fused ladder (:mod:`repro.engine.compile`) promises *bit-equal*
-results to the interpreted columnar ladder and the per-tuple path — not
-merely numerically close — because it replays the exact same float
-summation orders. These tests sweep rings, batch sizes and delete-heavy
-cancellation streams against that promise, and pin down the supporting
-invariants: columnar mirrors can never serve stale state, the numba
-backend is a pure speed knob behind ``REPRO_JIT``, and fused counters
-survive checkpoint round-trips.
+The fused program (:mod:`repro.engine.compile`) promises *bit-equal*
+results to the per-tuple path — not merely numerically close — because
+it replays the exact same float summation orders. These tests sweep
+rings, batch sizes and delete-heavy cancellation streams against that
+promise (with re-evaluation as the third voice), and pin down the
+supporting invariants: columnar mirrors can never serve stale state, and
+fused counters survive checkpoint round-trips.
 """
 
-import os
 import pickle
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,21 +24,20 @@ from repro.datasets import (
     retailer_query,
     retailer_row_factories,
     retailer_variable_order,
-    toy_count_query,
+    toy_covar_continuous_query,
     toy_database,
     toy_variable_order,
 )
-from repro.engine import FIVMEngine
+from repro.engine import FIVMEngine, NaiveEngine
 from repro.engine.compile import (
     _expand_pairs,
     _group_rows,
     _Scratch,
     compile_fused_path,
-    jit_kernels,
 )
 from repro.rings import CountSpec, CovarSpec
 from repro.rings.cofactor import CofactorLayout, NumericCofactorRing
-from repro.config import EngineConfig
+from tests.conftest import per_tuple_path
 
 R_SCHEMA = ("A", "B")
 
@@ -86,8 +82,17 @@ def assert_views_bit_equal(fused, reference):
             assert payloads_identical(payload, ref.data[key]), (name, key)
 
 
+def toy_engine():
+    """The toy query over the numeric COVAR ring (B/C/D are integers, so
+    every float sum is exact) — the smallest engine with fused paths."""
+    engine = FIVMEngine(toy_covar_continuous_query(), order=toy_variable_order())
+    engine.initialize(toy_database())
+    return engine
+
+
 class TestFusedBitEquality:
-    """Fused vs interpreted vs per-tuple across rings and batch sizes."""
+    """Fused vs forced per-tuple vs re-evaluation, across rings and
+    batch sizes."""
 
     @pytest.mark.parametrize("batch_size", (16, 100, 500))
     @pytest.mark.parametrize(
@@ -100,55 +105,50 @@ class TestFusedBitEquality:
         query_of = covar_query if query_ring == "covar" else (
             lambda: retailer_query(CountSpec())
         )
-        engines = {}
-        for mode, kwargs in (
-            ("fused", {}),
-            ("interpreted", {"use_fused": False, "use_columnar": True}),
-            ("per_tuple", {"use_fused": False, "use_columnar": False}),
-        ):
-            engine = FIVMEngine(
-                query_of(),
-                order=retailer_variable_order(),
-                config=EngineConfig(**kwargs),
-            )
+        fused = FIVMEngine(query_of(), order=retailer_variable_order())
+        per_tuple = FIVMEngine(query_of(), order=retailer_variable_order())
+        naive = NaiveEngine(query_of(), order=retailer_variable_order())
+        for engine in (fused, per_tuple, naive):
             engine.initialize(database)
-            engine.apply_stream(iter(events), batch_size=batch_size)
-            engines[mode] = engine
-        if batch_size >= 100:
-            assert engines["fused"].stats.fused_batches > 0
-        assert engines["fused"].stats.fused_batches == (
-            engines["fused"].stats.columnar_batches
+        fused.apply_stream(iter(events), batch_size=batch_size)
+        naive.apply_stream(iter(events), batch_size=batch_size)
+        with per_tuple_path():
+            per_tuple.apply_stream(iter(events), batch_size=batch_size)
+        if query_ring == "covar":
+            if batch_size >= 100:
+                assert fused.stats.fused_batches > 0
+        else:
+            # Scalar rings never leave their dict fast paths.
+            assert fused.stats.fused_batches == 0
+        assert fused.stats.fused_batches == fused.stats.columnar_batches
+        assert per_tuple.stats.fused_batches == 0
+        assert_views_bit_equal(fused, per_tuple)
+        assert fused.stats.delta_tuples_propagated == (
+            per_tuple.stats.delta_tuples_propagated
         )
-        assert engines["interpreted"].stats.fused_batches == 0
-        assert_views_bit_equal(engines["fused"], engines["interpreted"])
-        assert_views_bit_equal(engines["fused"], engines["per_tuple"])
-        # Shared maintenance counters replay identically on the
-        # interpreted ladder (per-tuple takes different probe shapes).
-        fused, interp = engines["fused"].stats, engines["interpreted"].stats
-        assert fused.index_probes == interp.index_probes
-        assert fused.index_hits == interp.index_hits
-        assert fused.delta_tuples_propagated == interp.delta_tuples_propagated
+        if query_ring == "count":
+            assert fused.result() == naive.result()
+        else:
+            assert fused.result().close_to(naive.result(), 1e-8)
 
     def test_delete_heavy_cancellation(self):
         """Insert-then-delete streams cancel to the exact same views."""
         database, stream = retailer_setup(insert_ratio=0.2)
         warm = list(stream.tuples(400))
         fused = FIVMEngine(covar_query(), order=retailer_variable_order())
-        interp = FIVMEngine(
-            covar_query(),
-            order=retailer_variable_order(),
-            config=EngineConfig(use_fused=False, use_columnar=True),
-        )
-        for engine in (fused, interp):
+        per_tuple = FIVMEngine(covar_query(), order=retailer_variable_order())
+        for engine in (fused, per_tuple):
             engine.initialize(database)
-            engine.apply_stream(iter(warm), batch_size=128)
+        fused.apply_stream(iter(warm), batch_size=128)
+        with per_tuple_path():
+            per_tuple.apply_stream(iter(warm), batch_size=128)
         assert fused.stats.fused_batches > 0
-        assert_views_bit_equal(fused, interp)
+        assert per_tuple.stats.fused_batches == 0
+        assert_views_bit_equal(fused, per_tuple)
 
     def test_exact_insert_delete_annihilation(self):
         """+row then -row in separate batches leaves no residue."""
-        engine = FIVMEngine(toy_count_query(), order=toy_variable_order())
-        engine.initialize(toy_database())
+        engine = toy_engine()
         rows = [(f"a{i}", i) for i in range(40)]
         before = {
             name: dict(view.data)
@@ -240,25 +240,24 @@ class TestColumnarMirror:
     def test_stale_mirror_never_reaches_a_fused_probe(self):
         """End to end: mutate a sibling between fused batches and check
         the next batch probes the *new* contents."""
-        engine = FIVMEngine(toy_count_query(), order=toy_variable_order())
-        engine.initialize(toy_database())
-        rows = [(f"b{i}", i) for i in range(20)]
-        engine.apply("R", inserts(R_SCHEMA, rows))
-        oracle = FIVMEngine(
-            toy_count_query(),
-            order=toy_variable_order(),
-            config=EngineConfig(use_fused=False, use_columnar=False),
-        )
-        oracle.initialize(toy_database())
-        oracle.apply("R", inserts(R_SCHEMA, rows))
-        # Mutate S (the sibling view side) then push R rows again: the R
+        engine = toy_engine()
+        oracle = toy_engine()
+        # Mutate S (the sibling view side) between two R batches: the R
         # path probes V_S, whose mirror must have been invalidated.
+        rows = [(f"b{i}", i) for i in range(20)]
         s_rows = [("b1", 1, 1), ("b2", 2, 2)]
-        engine.apply("S", inserts(("A", "C", "D"), s_rows))
-        oracle.apply("S", inserts(("A", "C", "D"), s_rows))
         more = [(f"b{i}", i + 100) for i in range(30)]
-        engine.apply("R", inserts(R_SCHEMA, more))
-        oracle.apply("R", inserts(R_SCHEMA, more))
+        steps = [
+            ("R", inserts(R_SCHEMA, rows)),
+            ("S", inserts(("A", "C", "D"), s_rows)),
+            ("R", inserts(R_SCHEMA, more)),
+        ]
+        for name, delta in steps:
+            engine.apply(name, delta.copy())
+        with per_tuple_path():
+            for name, delta in steps:
+                oracle.apply(name, delta.copy())
+        assert oracle.stats.fused_batches == 0
         assert engine.stats.fused_batches >= 2
         assert_views_bit_equal(engine, oracle)
         assert engine.result() == oracle.result()
@@ -303,55 +302,6 @@ class TestGroupingKernels:
         assert right.tolist() == [5, 5, 6, 6, 9, 9]
 
 
-class TestJITGate:
-    def test_disabled_without_env(self):
-        with mock.patch.dict(os.environ, {}, clear=False):
-            os.environ.pop("REPRO_JIT", None)
-            from repro.engine import compile as compile_mod
-
-            compile_mod._JIT_CACHE.clear()
-            assert jit_kernels() is None
-            compile_mod._JIT_CACHE.clear()
-
-    def test_degrades_silently_when_numba_missing(self):
-        """REPRO_JIT=1 without numba must fall back to numpy, not raise."""
-        from repro.engine import compile as compile_mod
-
-        compile_mod._JIT_CACHE.clear()
-        with mock.patch.dict(os.environ, {"REPRO_JIT": "1"}):
-            kernels = jit_kernels()
-            has_numba = True
-            try:
-                import numba  # noqa: F401
-            except ImportError:
-                has_numba = False
-            if has_numba:
-                assert kernels is not None
-            else:
-                assert kernels is None
-        compile_mod._JIT_CACHE.clear()
-
-    def test_jit_expand_matches_numpy(self):
-        pytest.importorskip("numba")
-        from repro.engine import compile as compile_mod
-
-        compile_mod._JIT_CACHE.clear()
-        members = np.arange(6, dtype=np.intp)[::-1].copy()
-        args = (
-            members,
-            np.asarray([0, 3], dtype=np.intp),
-            np.asarray([3, 3], dtype=np.intp),
-            np.asarray([2, 7], dtype=np.intp),
-            np.asarray([2, 3], dtype=np.intp),
-        )
-        plain = _expand_pairs(*args)
-        with mock.patch.dict(os.environ, {"REPRO_JIT": "1"}):
-            jitted = _expand_pairs(*args)
-        compile_mod._JIT_CACHE.clear()
-        assert plain[0].tolist() == jitted[0].tolist()
-        assert plain[1].tolist() == jitted[1].tolist()
-
-
 class TestCheckpointRoundTrip:
     def test_fused_counters_survive_snapshot(self):
         database, stream = retailer_setup()
@@ -379,10 +329,10 @@ class TestCheckpointRoundTrip:
         assert clone.stats.fused_batches == engine.stats.fused_batches
 
     def test_restored_engine_keeps_fused_paths(self):
-        engine = FIVMEngine(toy_count_query(), order=toy_variable_order())
-        engine.initialize(toy_database())
-        clone = FIVMEngine(toy_count_query(), order=toy_variable_order())
+        engine = toy_engine()
+        clone = FIVMEngine(toy_covar_continuous_query(), order=toy_variable_order())
         clone.import_state(engine.export_state())
+        assert engine._fused_paths
         assert set(clone._fused_paths) == set(engine._fused_paths)
         assert all(
             compile_fused_path(clone, name) is not None

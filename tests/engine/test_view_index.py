@@ -1,6 +1,7 @@
-"""The view-index subsystem: probe plans, O(delta) maintenance, ablation."""
+"""The view-index subsystem: probe plans, O(delta) maintenance, probe vs scan."""
 
-import pytest
+import sys
+from unittest import mock
 
 from repro.data import IndexedRelation, deletes, inserts
 from repro.data.delta import delta_of
@@ -13,37 +14,34 @@ from repro.datasets import (
     retailer_variable_order,
     toy_count_query,
     toy_covar_categorical_query,
+    toy_covar_continuous_query,
     toy_database,
     toy_variable_order,
 )
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.data.schema import RelationSchema
-from repro.engine import FIVMEngine, NaiveEngine
+from repro.engine import FIVMEngine, FirstOrderEngine, NaiveEngine
+from repro.engine.base import EngineStatistics
 from repro.query.query import Query
 from repro.query.variable_order import VariableOrder, VONode
 from repro.rings import CountSpec
 from repro.viewtree import build_probe_plan
-from repro.config import EngineConfig
+from tests.conftest import per_tuple_path
 
 R_SCHEMA = ("A", "B")
 S_SCHEMA = ("A", "C", "D")
 
 
 def toy_engines():
-    """Fresh toy engines with indexes on and off, plus a naive oracle."""
+    """A fresh toy F-IVM engine plus two index-free references: the
+    first-order engine (scans base relations) and a naive oracle."""
     engines = []
-    for flag in (True, False):
-        engine = FIVMEngine(
-            toy_count_query(),
-            order=toy_variable_order(),
-            config=EngineConfig(use_view_index=flag),
-        )
+    for cls in (FIVMEngine, FirstOrderEngine, NaiveEngine):
+        engine = cls(toy_count_query(), order=toy_variable_order())
         engine.initialize(toy_database())
         engines.append(engine)
-    oracle = NaiveEngine(toy_count_query(), order=toy_variable_order())
-    oracle.initialize(toy_database())
-    return engines[0], engines[1], oracle
+    return tuple(engines)
 
 
 def retailer_setup(seed=5):
@@ -139,7 +137,7 @@ class TestIndexedMaintenance:
             assert indexed_e.result() == oracle.result()
             assert plain_e.result() == oracle.result()
 
-    def test_index_counters_advance_only_when_enabled(self):
+    def test_index_counters_advance_only_on_the_indexed_engine(self):
         indexed_e, plain_e, _oracle = toy_engines()
         delta = inserts(R_SCHEMA, [("a1", 1)])
         indexed_e.apply("R", delta)
@@ -174,21 +172,22 @@ class TestIndexedMaintenance:
         }
 
     def test_batched_vs_unbatched_with_indexes_on_and_off(self):
+        """Batch 1 and batch 64, F-IVM (indexed) against the index-free
+        first-order and naive engines: one result."""
         database, stream = retailer_setup()
         events = list(stream.tuples(400))
         query = retailer_query(CountSpec())
         order = retailer_variable_order()
         results = []
-        for flag in (True, False):
+        for cls in (FIVMEngine, FirstOrderEngine, NaiveEngine):
             for batch_size in (1, 64):
-                engine = FIVMEngine(query, order=order, config=EngineConfig(use_view_index=flag))
+                engine = cls(query, order=order)
                 engine.initialize(database)
                 engine.apply_stream(iter(events), batch_size=batch_size)
                 results.append(engine.result())
         assert all(result == results[0] for result in results[1:])
 
-    @pytest.mark.parametrize("use_view_index", (True, False))
-    def test_delta_annihilated_mid_join_at_three_child_node(self, use_view_index):
+    def test_delta_annihilated_mid_join_at_three_child_node(self):
         """A delta emptied by one sibling at a 3-child node must stop cleanly.
 
         V@A joins V_R, V_S and V@D, and its key D comes only from V@D —
@@ -216,11 +215,7 @@ class TestIndexedMaintenance:
                 Relation.from_tuples(("A", "D"), [("a1", 7)], name="T"),
             ]
         )
-        engine = FIVMEngine(
-            query,
-            order=order,
-            config=EngineConfig(use_view_index=use_view_index),
-        )
+        engine = FIVMEngine(query, order=order)
         engine.initialize(database)
         oracle = NaiveEngine(query, order=order)
         oracle.initialize(database)
@@ -237,11 +232,7 @@ class TestIndexedMaintenance:
     def test_nonscalar_ring_maintenance_with_indexes(self):
         query = toy_covar_categorical_query()
         indexed_e = FIVMEngine(query, order=toy_variable_order())
-        plain_e = FIVMEngine(
-            query,
-            order=toy_variable_order(),
-            config=EngineConfig(use_view_index=False),
-        )
+        plain_e = NaiveEngine(query, order=toy_variable_order())
         for engine in (indexed_e, plain_e):
             engine.initialize(toy_database())
         steps = [
@@ -256,26 +247,17 @@ class TestIndexedMaintenance:
 
 
 class TestCheckpointWithIndexes:
-    def snapshot_roundtrip(self, use_view_index):
-        engine = FIVMEngine(
-            toy_count_query(),
-            order=toy_variable_order(),
-            config=EngineConfig(use_view_index=use_view_index),
-        )
+    def snapshot_roundtrip(self):
+        engine = FIVMEngine(toy_count_query(), order=toy_variable_order())
         engine.initialize(toy_database())
         engine.apply("R", inserts(R_SCHEMA, [("a1", 5)]))
         snapshot = engine.export_state()
-        clone = FIVMEngine(
-            toy_count_query(),
-            order=toy_variable_order(),
-            config=EngineConfig(use_view_index=use_view_index),
-        )
+        clone = FIVMEngine(toy_count_query(), order=toy_variable_order())
         clone.import_state(snapshot)
         return engine, clone
 
-    @pytest.mark.parametrize("use_view_index", (True, False))
-    def test_roundtrip_result_and_continued_maintenance(self, use_view_index):
-        engine, clone = self.snapshot_roundtrip(use_view_index)
+    def test_roundtrip_result_and_continued_maintenance(self):
+        engine, clone = self.snapshot_roundtrip()
         assert clone.result() == engine.result()
         delta = delta_of(S_SCHEMA, inserted=[("a1", 8, 8)], deleted=[("a1", 1, 1)])
         engine.apply("S", delta)
@@ -283,7 +265,7 @@ class TestCheckpointWithIndexes:
         assert clone.result() == engine.result()
 
     def test_indexes_registered_after_import(self):
-        engine, clone = self.snapshot_roundtrip(True)
+        engine, clone = self.snapshot_roundtrip()
         for name, specs in clone.probe_plan.index_specs.items():
             view = clone.materialized[name]
             assert isinstance(view, IndexedRelation)
@@ -295,7 +277,7 @@ class TestCheckpointWithIndexes:
                 assert index.entry_count() == len(view)
 
     def test_import_drops_ring_zero_payloads(self):
-        engine, _clone = self.snapshot_roundtrip(True)
+        engine, _clone = self.snapshot_roundtrip()
         snapshot = engine.export_state()
         snapshot["views"]["V_R"][("parked",)] = 0  # a parked cancellation
         clone = FIVMEngine(toy_count_query(), order=toy_variable_order())
@@ -306,7 +288,7 @@ class TestCheckpointWithIndexes:
         assert clone.view("V_R").ensure_index(("A",)).get("parked") is None
 
     def test_import_restores_stats_counters(self):
-        engine, clone = self.snapshot_roundtrip(True)
+        engine, clone = self.snapshot_roundtrip()
         assert clone.stats.updates_applied == engine.stats.updates_applied
         assert clone.stats.index_probes == engine.stats.index_probes
         assert clone.stats.view_sizes == {
@@ -314,7 +296,7 @@ class TestCheckpointWithIndexes:
         }
 
     def test_import_without_stats_resets_counters(self):
-        engine, _clone = self.snapshot_roundtrip(True)
+        engine, _clone = self.snapshot_roundtrip()
         snapshot = engine.export_state()
         del snapshot["stats"]
         clone = FIVMEngine(toy_count_query(), order=toy_variable_order())
@@ -323,37 +305,46 @@ class TestCheckpointWithIndexes:
         assert clone.stats.index_probes == 0
 
     def test_cross_mode_snapshot_compatible(self):
-        """A snapshot from a no-index engine restores into an indexed one."""
-        plain = FIVMEngine(
-            toy_count_query(),
-            order=toy_variable_order(),
-            config=EngineConfig(use_view_index=False),
-        )
-        plain.initialize(toy_database())
-        plain.apply("R", inserts(R_SCHEMA, [("a2", 9)]))
-        clone = FIVMEngine(toy_count_query(), order=toy_variable_order())
+        """A snapshot written on the per-tuple path restores into an
+        engine that continues on the fused path (integer-valued numeric
+        COVAR, so both agree with the oracle exactly)."""
+        query = toy_covar_continuous_query()
+        plain = FIVMEngine(query, order=toy_variable_order())
+        oracle = NaiveEngine(query, order=toy_variable_order())
+        for engine in (plain, oracle):
+            engine.initialize(toy_database())
+        first = inserts(R_SCHEMA, [(f"a{i % 3}", 9 + i) for i in range(40)])
+        with per_tuple_path():
+            plain.apply("R", first)
+        oracle.apply("R", first)
+        assert plain.stats.fused_batches == 0
+        clone = FIVMEngine(query, order=toy_variable_order())
         clone.import_state(plain.export_state())
         assert clone.result() == plain.result()
-        delta = inserts(S_SCHEMA, [("a2", 1, 1)])
-        plain.apply("S", delta)
+        delta = inserts(S_SCHEMA, [(f"a{i % 3}", i, 1) for i in range(40)])
+        with per_tuple_path():
+            plain.apply("S", delta)
         clone.apply("S", delta)
-        assert clone.result() == plain.result()
+        oracle.apply("S", delta)
+        assert clone.stats.fused_batches == 1
+        assert clone.result() == plain.result() == oracle.result()
 
 
 class TestAdaptiveProbeVsScan:
     """Per-step probe-vs-scan choice from |delta| vs sibling size."""
 
-    def small_engine(self, **kwargs):
-        # Probe-vs-scan is a per-tuple-path choice; keep fused kernels
-        # out so large count-ring batches still exercise it.
-        kwargs.setdefault("use_fused", False)
-        engine = FIVMEngine(
-            toy_count_query(),
-            order=toy_variable_order(),
-            config=EngineConfig(**kwargs),
-        )
+    def small_engine(self):
+        # Probe-vs-scan is a per-tuple-path choice; the count ring is
+        # scalar, so even large batches stay on that path.
+        engine = FIVMEngine(toy_count_query(), order=toy_variable_order())
         engine.initialize(toy_database())
         return engine
+
+    def probe_only(self):
+        """Test seam: no delta is ever large enough to scan."""
+        return mock.patch.object(
+            EngineStatistics, "ADAPTIVE_SCAN_MIN_DELTA", sys.maxsize
+        )
 
     def big_delta(self, n=1200):
         delta = Relation(R_SCHEMA, name="R")
@@ -367,12 +358,6 @@ class TestAdaptiveProbeVsScan:
         assert engine.stats.scan_steps == 1
         assert engine.stats.probe_steps == 0
 
-    def test_adaptive_off_always_probes(self):
-        engine = self.small_engine(adaptive_probe=False)
-        engine.apply("R", self.big_delta())
-        assert engine.stats.scan_steps == 0
-        assert engine.stats.probe_steps == 1
-
     def test_small_delta_always_probes(self):
         engine = self.small_engine()
         engine.apply("R", delta_of(R_SCHEMA, {("a1", 7): 1}, name="R"))
@@ -381,7 +366,7 @@ class TestAdaptiveProbeVsScan:
 
     def test_adaptive_and_probe_only_agree(self):
         adaptive = self.small_engine()
-        probe_only = self.small_engine(adaptive_probe=False)
+        probe_only = self.small_engine()
         oracle = NaiveEngine(toy_count_query(), order=toy_variable_order())
         oracle.initialize(toy_database())
         deltas = [
@@ -391,11 +376,13 @@ class TestAdaptiveProbeVsScan:
         ]
         for name, delta in deltas:
             adaptive.apply(name, delta.copy())
-            probe_only.apply(name, delta.copy())
+            with self.probe_only():
+                probe_only.apply(name, delta.copy())
             oracle.apply(name, delta.copy())
         assert adaptive.result() == oracle.result()
         assert probe_only.result() == oracle.result()
         assert adaptive.stats.scan_steps >= 1
+        assert probe_only.stats.scan_steps == 0
 
     def test_counters_roundtrip_through_snapshot(self):
         engine = self.small_engine()

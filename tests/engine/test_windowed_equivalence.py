@@ -4,7 +4,7 @@ The acceptance contract for time-aware maintenance: ingesting a stream
 through :class:`~repro.data.windows.WindowedStream` must leave the engine
 in *exactly* the state a fresh batch evaluation over the live window
 would produce — at every window advance, for tumbling and sliding
-windows, across the per-tuple/columnar/fused maintenance paths and the
+windows, across the per-tuple and fused maintenance paths and the
 serial/pipe/shm shard transports, including delete-heavy streams.
 """
 
@@ -25,6 +25,7 @@ from repro.datasets import (
 from repro.engine import FIVMEngine
 from repro.engine.sharded import available_backends
 from repro.engine.transport import available_transports
+from tests.conftest import per_tuple_path
 
 needs_process = pytest.mark.skipif(
     "process" not in available_backends(), reason="fork unavailable"
@@ -36,11 +37,15 @@ needs_shm = pytest.mark.skipif(
 TUMBLING = WindowSpec(24, 24)
 SLIDING = WindowSpec(24, 8)
 
-# The three maintenance paths that must agree bit-exactly.
+# Wide enough that a 64-event flush hands each relation a delta the
+# fused path takes; the 24-unit windows above stay per-tuple throughout.
+WIDE_SLIDING = WindowSpec(96, 32)
+
+# The two maintenance paths that must agree bit-exactly (toy values are
+# integers): whatever the size rule picks, and per-tuple forced.
 PATHS = {
-    "per-tuple": EngineConfig(use_columnar=False, use_fused=False),
-    "columnar": EngineConfig(use_columnar=True, use_fused=False),
-    "fused": EngineConfig(use_columnar=True, use_fused=True),
+    "fused": contextlib.nullcontext,
+    "per-tuple": per_tuple_path,
 }
 
 
@@ -71,13 +76,20 @@ def batch_reference(query, database, live, batch_size=7):
 
 
 def assert_equivalent_at_every_advance(
-    query, database, events, spec, config=None, batch_size=7
+    query, database, events, spec, config=None, batch_size=7,
+    path=contextlib.nullcontext,
 ):
-    """At every boundary b: windowed state == batch eval over [b-size, b)."""
+    """At every boundary b: windowed state == batch eval over [b-size, b).
+
+    ``path`` wraps the windowed engine's ingest (``per_tuple_path`` pins
+    it to the per-tuple path; the batch reference always runs unpinned).
+    Returns how many windowed batches took the fused path.
+    """
     stamped = timed(events)
     last = len(stamped) - 1
     boundaries = range(spec.slide, spec.boundary(last) + spec.slide, spec.slide)
     checked = 0
+    fused_batches = 0
     for b in boundaries:
         prefix = stamped[:b]  # index-as-time: events with time < b
         if not prefix:
@@ -89,9 +101,11 @@ def assert_equivalent_at_every_advance(
         with ctx:
             engine.initialize(database)
             stream = WindowedStream(spec, iter(prefix))
-            engine.apply_stream(stream, batch_size=batch_size)
-            engine.apply_stream(stream.advance_to(b), batch_size=batch_size)
+            with path():
+                engine.apply_stream(stream, batch_size=batch_size)
+                engine.apply_stream(stream.advance_to(b), batch_size=batch_size)
             result = engine.result()
+            fused_batches += getattr(engine.stats, "fused_batches", 0)
             expected = batch_reference(
                 query, database, live_window_events(prefix, spec, b), batch_size
             )
@@ -101,6 +115,7 @@ def assert_equivalent_at_every_advance(
             )
         checked += 1
     assert checked >= 3, "window sweep never crossed a boundary"
+    return fused_batches
 
 
 def assert_equivalent_mid_window(
@@ -122,26 +137,28 @@ def assert_equivalent_mid_window(
 
 
 class TestMaintenancePaths:
-    """Tumbling and sliding windows across per-tuple/columnar/fused."""
+    """Tumbling and sliding windows across the per-tuple and fused paths."""
 
     @pytest.mark.parametrize("path", sorted(PATHS))
     @pytest.mark.parametrize("spec", [TUMBLING, SLIDING], ids=lambda s: s.kind)
     def test_count_equivalent_at_every_advance(self, path, spec):
         database, events = toy_events()
         assert_equivalent_at_every_advance(
-            toy_count_query(), database, events, spec, config=PATHS[path]
+            toy_count_query(), database, events, spec, path=PATHS[path]
         )
 
     @pytest.mark.parametrize("path", sorted(PATHS))
     def test_covar_sliding_equivalent_at_every_advance(self, path):
-        database, events = toy_events(total=64)
-        assert_equivalent_at_every_advance(
+        database, events = toy_events(total=256)
+        fused_batches = assert_equivalent_at_every_advance(
             toy_covar_continuous_query(),
             database,
             events,
-            SLIDING,
-            config=PATHS[path],
+            WIDE_SLIDING,
+            batch_size=64,
+            path=PATHS[path],
         )
+        assert (fused_batches > 0) == (path == "fused")
 
     @pytest.mark.parametrize("spec", [TUMBLING, SLIDING], ids=lambda s: s.kind)
     def test_delete_heavy_stream(self, spec):

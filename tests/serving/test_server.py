@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import logging
 import threading
 
 import pytest
@@ -211,6 +212,24 @@ class TestHTTPTransport:
             assert "GET only" in body["error"]
         finally:
             server.stop()
+
+    def test_stop_while_a_closed_connection_drains_logs_nothing(self, caplog):
+        # stop() can land while the handler of a connection the client
+        # just closed is still in wait_closed(); being cancelled there
+        # must not surface as a CancelledError traceback on the asyncio
+        # logger. Several rounds: the window is a scheduling race.
+        _, _, app = scenario_app("covar", apply_events=60)
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            for _ in range(10):
+                server = self.start(app)
+                conn = http.client.HTTPConnection(
+                    "127.0.0.1", server.port, timeout=10
+                )
+                conn.request("GET", "/healthz")  # HTTP/1.1: keep-alive
+                assert conn.getresponse().read()
+                conn.close()
+                server.stop()
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
 
 
 def count_engine():

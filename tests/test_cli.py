@@ -114,9 +114,9 @@ class TestBench:
                 "2",
                 "--batch-size",
                 "50",
-                "--shards",
+                "--engine-shards",
                 "2",
-                "--shard-backend",
+                "--engine-backend",
                 "serial",
             ]
             + SMALL,
@@ -135,8 +135,8 @@ class TestCheckpoint:
                 "checkpoint", "save", path,
                 "--updates", "400",
                 "--batch-size", "100",
-                "--shards", "2",
-                "--shard-backend", "serial",
+                "--engine-shards", "2",
+                "--engine-backend", "serial",
             ]
             + SMALL,
         )
@@ -152,8 +152,8 @@ class TestCheckpoint:
             capsys,
             [
                 "checkpoint", "load", path,
-                "--shards", "4",
-                "--shard-backend", "serial",
+                "--engine-shards", "4",
+                "--engine-backend", "serial",
                 "--resume-updates", "200",
                 "--verify",
             ],

@@ -1,16 +1,35 @@
-"""EngineConfig: validation, factory, legacy-kwarg shim, CLI derivation."""
+"""EngineConfig: validation, factory, constructors, CLI derivation."""
 
-import warnings
+import dataclasses
 
 import pytest
 
 from repro import EngineConfig, create_engine
-from repro.checkpoint import read_checkpoint_info, write_checkpoint
-from repro.cli import build_parser
+from repro.checkpoint import (
+    read_checkpoint_info,
+    restore_checkpoint,
+    write_checkpoint,
+)
+from repro.cli import build_parser, main
 from repro.config import engine_config_from_args
 from repro.datasets import toy_count_query, toy_database, toy_variable_order
 from repro.engine import FIVMEngine, ShardedEngine
 from repro.errors import EngineError
+
+
+#: Fields the engine used to select a maintenance path by; a checkpoint
+#: written before their removal still carries them in its header.
+REMOVED_FIELDS = (
+    "use_view_index", "adaptive_probe", "use_columnar", "use_fused",
+    "columnar_transport",
+)
+PARENT_FORMAT_CONFIG = {
+    "shards": 1, "backend": "auto", "transport": "auto", "shard_attrs": None,
+    "columnar_transport": True, "use_view_index": True, "adaptive_probe": True,
+    "use_columnar": "auto", "use_fused": True, "profile_stages": False,
+    "window": None, "decay": None, "supervise": False,
+    "replay_log_limit": 20000, "heartbeat_timeout": 30.0,
+}
 
 
 class TestEngineConfigValidation:
@@ -19,7 +38,7 @@ class TestEngineConfigValidation:
         assert config.shards == 1
         assert config.backend == "auto"
         assert config.transport == "auto"
-        assert config.use_columnar == "auto"
+        assert len(dataclasses.fields(EngineConfig)) == 10
 
     def test_shards_must_be_positive(self):
         with pytest.raises(EngineError, match="at least 1"):
@@ -37,11 +56,14 @@ class TestEngineConfigValidation:
         with pytest.raises(EngineError, match="unknown shard transport"):
             EngineConfig(transport="rdma")
 
-    def test_use_columnar_tristate(self):
-        for value in ("auto", True, False):
-            assert EngineConfig(use_columnar=value).use_columnar == value
-        with pytest.raises(EngineError, match="use_columnar"):
-            EngineConfig(use_columnar="yes")
+    @pytest.mark.parametrize("removed", REMOVED_FIELDS)
+    def test_config_rejects_removed_fields(self, removed):
+        # The access-path knobs are gone, not ignored: setting one fails
+        # the way any misspelt field does.
+        with pytest.raises(TypeError, match=removed):
+            EngineConfig(**{removed: False})
+        with pytest.raises(EngineError, match="unknown EngineConfig field"):
+            EngineConfig.from_dict({"shards": 2, removed: False})
 
     def test_shard_attrs_normalized_to_tuple(self):
         config = EngineConfig(shard_attrs=["locn", "dateid"])
@@ -55,7 +77,7 @@ class TestEngineConfigValidation:
 
     def test_dict_round_trip(self):
         config = EngineConfig(
-            shards=3, backend="serial", shard_attrs=("locn",), use_fused=False
+            shards=3, backend="serial", shard_attrs=("locn",), supervise=True
         )
         data = config.to_dict()
         assert data["shard_attrs"] == ["locn"]  # primitives only
@@ -131,39 +153,27 @@ class TestCreateEngine:
             create_engine(toy_count_query(), config={"shards": 2})
 
 
-class TestLegacyKwargShim:
-    def test_fivm_kwargs_warn_once_and_apply(self):
-        with pytest.warns(DeprecationWarning, match="config=repro.EngineConfig"):
-            engine = FIVMEngine(toy_count_query(), use_view_index=False)
-        assert engine.config.use_view_index is False
+class TestConstructors:
+    """``(query, order=None, config=None)`` is the whole signature."""
 
-    def test_sharded_kwargs_warn_and_keep_two_shard_default(self):
-        with pytest.warns(DeprecationWarning):
-            engine = ShardedEngine(toy_count_query(), backend="serial")
-        assert engine.shards == 2  # historical ShardedEngine default
+    def test_sharded_without_config_keeps_two_shard_default(self):
+        engine = ShardedEngine(toy_count_query())
+        assert engine.shards == 2
+        assert engine.config == EngineConfig(shards=2)
 
-    def test_config_constructor_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            FIVMEngine(toy_count_query(), config=EngineConfig(use_fused=False))
+    @pytest.mark.parametrize("cls", [FIVMEngine, ShardedEngine])
+    def test_config_type_checked(self, cls):
+        with pytest.raises(EngineError, match="must be an EngineConfig"):
+            cls(toy_count_query(), config={"shards": 2})
 
-    def test_config_plus_kwargs_rejected(self):
-        with pytest.raises(EngineError, match="not both"):
-            FIVMEngine(
-                toy_count_query(), config=EngineConfig(), use_view_index=False
-            )
-
-    def test_unknown_kwarg_is_type_error(self):
+    @pytest.mark.parametrize("cls", [FIVMEngine, ShardedEngine])
+    def test_engine_options_are_not_keyword_arguments(self, cls):
         with pytest.raises(TypeError, match="unexpected keyword"):
-            FIVMEngine(toy_count_query(), shards=2)
-
-    def test_sharded_rejects_fivm_only_typo(self):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            ShardedEngine(toy_count_query(), profile_stages=True)
+            cls(toy_count_query(), shards=2)
 
 
 class TestCliDerivation:
-    """Old and new flag spellings encode the same EngineConfig."""
+    """Every subcommand reads one ``--engine-*`` namespace."""
 
     def _config(self, argv):
         return engine_config_from_args(build_parser().parse_args(argv))
@@ -171,25 +181,31 @@ class TestCliDerivation:
     def test_bench_defaults(self):
         assert self._config(["bench"]) == EngineConfig()
 
-    def test_old_and_new_spellings_agree(self):
-        old = self._config(
-            [
-                "bench", "--shards", "2", "--shard-backend", "serial",
-                "--no-view-index", "--no-columnar", "--no-fused", "--profile",
-            ]
-        )
-        new = self._config(
+    def test_engine_flags_reach_the_config(self):
+        config = self._config(
             [
                 "bench", "--engine-shards", "2", "--engine-backend", "serial",
-                "--no-engine-view-index", "--no-engine-columnar",
-                "--no-engine-fused", "--engine-profile",
+                "--engine-profile",
             ]
         )
-        assert old == new
-        assert old.shards == 2 and old.backend == "serial"
-        assert old.use_view_index is False and old.use_fused is False
-        assert old.use_columnar is False and old.columnar_transport is False
-        assert old.profile_stages is True
+        assert config.shards == 2 and config.backend == "serial"
+        assert config.profile_stages is True
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            "--shards", "--shard-backend", "--profile", "--no-fused",
+            "--no-columnar", "--no-view-index", "--columnar-sweep",
+            "--engine-fused", "--engine-columnar", "--engine-view-index",
+        ],
+    )
+    def test_removed_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", flag])
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--help"])
+        assert flag not in capsys.readouterr().out
 
     def test_transport_and_shard_attrs_flags(self):
         config = self._config(
@@ -201,14 +217,10 @@ class TestCliDerivation:
         assert config.transport == "pipe"
         assert config.shard_attrs == ("locn", "dateid")
 
-    def test_columnar_on_forces_columnar(self):
-        config = self._config(["bench", "--columnar"])
-        assert config.use_columnar is True and config.columnar_transport is True
-
     def test_serve_and_checkpoint_share_the_namespace(self):
         for argv in (
-            ["serve", "--shards", "3"],
-            ["checkpoint", "save", "x.fivm", "--shards", "3"],
+            ["serve", "--engine-shards", "3"],
+            ["checkpoint", "save", "x.fivm", "--engine-shards", "3"],
             ["checkpoint", "load", "x.fivm", "--engine-shards", "3"],
         ):
             assert self._config(argv).shards == 3
@@ -235,12 +247,12 @@ class TestCliDerivation:
 class TestConfigProvenance:
     def test_export_state_records_config(self):
         engine = create_engine(
-            toy_count_query(), config=EngineConfig(use_fused=False)
+            toy_count_query(), config=EngineConfig(profile_stages=True)
         )
         engine.initialize(toy_database())
         state = engine.export_state()
-        assert state["config"]["use_fused"] is False
-        assert EngineConfig.from_dict(state["config"]).use_fused is False
+        assert state["config"]["profile_stages"] is True
+        assert EngineConfig.from_dict(state["config"]).profile_stages is True
 
     def test_sharded_provenance_records_resolved_names(self):
         engine = create_engine(
@@ -257,12 +269,31 @@ class TestConfigProvenance:
     def test_checkpoint_header_round_trips_config(self, tmp_path):
         path = str(tmp_path / "toy.fivm")
         engine = create_engine(
-            toy_count_query(),
-            config=EngineConfig(use_view_index=False, use_fused=False),
+            toy_count_query(), config=EngineConfig(window="tumbling:50")
         )
         engine.initialize(toy_database())
         write_checkpoint(engine, path)
         info = read_checkpoint_info(path)
-        assert info.config["use_view_index"] is False
-        restored = EngineConfig.from_dict(info.config)
-        assert restored.use_fused is False
+        assert info.config["window"] == "tumbling:50"
+        assert EngineConfig.from_dict(info.config) == engine.config
+
+    def test_parent_format_header_still_reads_and_restores(
+        self, tmp_path, capsys
+    ):
+        # Checkpoints written before the access-path knobs were removed
+        # carry them in the header's config dict. That dict is provenance
+        # only: info shows it verbatim and restore never parses it.
+        path = str(tmp_path / "old.fivm")
+        writer = create_engine(toy_count_query())
+        writer.initialize(toy_database())
+        writer.config_provenance = lambda: dict(PARENT_FORMAT_CONFIG)
+        write_checkpoint(writer, path)
+        info = read_checkpoint_info(path)
+        assert info.config == PARENT_FORMAT_CONFIG
+        restored = create_engine(toy_count_query())
+        restore_checkpoint(restored, path)
+        assert restored.result() == writer.result()
+        assert main(["checkpoint", "info", path]) == 0
+        out = capsys.readouterr().out
+        for removed in REMOVED_FIELDS:
+            assert f"{removed}:" in out
