@@ -18,6 +18,7 @@ physically removes the key, and view sizes track live data.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
@@ -51,7 +52,14 @@ Key = Tuple
 SCALAR_FASTPATH = True
 
 
-def _positions(schema: Tuple[str, ...], attrs: Iterable[str]) -> Tuple[int, ...]:
+# Every join, probe, marginalize and lift resolves attribute positions and
+# key extractors, always for one of the few (schema, attrs) pairs the view
+# tree defines; results are immutable and stateless, so they are shared.
+_memo = lru_cache(maxsize=1024)
+
+
+@_memo
+def _positions(schema: Tuple[str, ...], attrs: Tuple[str, ...]) -> Tuple[int, ...]:
     index = {attr: i for i, attr in enumerate(schema)}
     try:
         return tuple(index[attr] for attr in attrs)
@@ -62,6 +70,7 @@ def _positions(schema: Tuple[str, ...], attrs: Iterable[str]) -> Tuple[int, ...]
 _EMPTY = ()
 
 
+@_memo
 def _hook_getter(positions: Tuple[int, ...]) -> Callable[[Key], Any]:
     """Compiled extractor for internal hash keys (scalar when unary)."""
     if not positions:
@@ -69,6 +78,7 @@ def _hook_getter(positions: Tuple[int, ...]) -> Callable[[Key], Any]:
     return itemgetter(*positions)
 
 
+@_memo
 def _key_getter(positions: Tuple[int, ...]) -> Callable[[Key], Tuple]:
     """Compiled extractor that always yields a tuple (for result keys)."""
     if not positions:

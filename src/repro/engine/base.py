@@ -72,16 +72,17 @@ class EngineStatistics:
     #:     PYTHONPATH=src python benchmarks/bench_delta_latency.py
     #:
     #:      batch    fused  per-tuple
-    #:          8    121.4       99.5
-    #:         10    101.2       96.3
-    #:         12     92.9      101.1
-    #:         14     82.6      116.1
-    #:         16     69.8       85.0
-    #:         32     46.7       88.1
-    #:        100     30.4       72.4
-    #:       1000     18.9       60.5
+    #:          8     89.7       63.1
+    #:         10     74.0       61.8
+    #:         12     63.4       62.3
+    #:         14     55.8       58.5
+    #:         16     50.8       58.1
+    #:         32     30.8       54.3
+    #:        100     18.1       44.6
+    #:       1000      8.8       37.0
     #:
-    #: In each of three separate runs fused lost at 10 and won at 12.
+    #: In six separate runs fused lost at 10 every time and won at 16 every
+    #: time; at 12 the paths are within 3 % of each other (fused won twice).
     #: A class constant (tests patch it to pin one path), not a setting.
     COLUMNAR_MIN_DELTA: ClassVar[int] = 12
 

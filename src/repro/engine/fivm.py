@@ -15,7 +15,7 @@ from base relations on every update.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from repro.data.relation import Relation
 from repro.engine.base import MaintenanceEngine
 from repro.engine.compile import FusedPath, compile_fused_path, live_mirrors
 from repro.engine.evaluation import evaluate_tree
-from repro.errors import EngineError, RingError
+from repro.errors import CheckpointError, EngineError, RingError
 from repro.query.query import Query
 from repro.rings.decay import DecayRing
 from repro.query.variable_order import VariableOrder
@@ -115,6 +115,15 @@ class FIVMEngine(MaintenanceEngine):
             if self.decay_ring is not None
             else {}
         )
+        #: Cofactor plans: layout slots of the features lifted in each
+        #: view's subtree — every term of a payload of that view is a
+        #: product of one lift per such feature, so this is its support.
+        self._view_supports: Dict[str, Tuple[int, ...]] = {}
+        layout = self.plan.layout
+        for view in self.tree.all_views() if layout is not None else ():
+            slots = {layout.index(attr) for attr in view.lifted}
+            slots.update(*(self._view_supports[c.name] for c in view.children))
+            self._view_supports[view.name] = tuple(sorted(slots))
         self.materialized: Dict[str, Relation] = {}
         self.profile_stages = config.profile_stages
         self.probe_plan = build_probe_plan(self.tree)
@@ -307,24 +316,32 @@ class FIVMEngine(MaintenanceEngine):
         """Total number of materialized key-payload entries (memory proxy)."""
         return sum(len(relation) for relation in self.materialized.values())
 
-    def memory_report(self) -> Dict[str, Dict[str, int]]:
+    def memory_report(self) -> Dict[str, Dict[str, Any]]:
         """Per-view entry counts, payload weights and index overhead.
 
         ``entries`` is the number of keys; ``payload_weight`` counts the
         scalar cells inside the payloads (1 for scalar rings, the number
         of non-zero vector/matrix cells for cofactor rings, annotation
         counts for relational values) — the factorization-aware memory
-        measure the engine paper reports. Views carrying persistent
+        measure the engine paper reports. Cofactor plans add ``support``,
+        the names of the ``k`` features lifted in the view's subtree, and
+        ``payload_cells``, the ``1 + k + k*k`` aggregates per entry those
+        span (what the numeric ring stores). Views carrying persistent
         indexes additionally report ``indexes`` (how many), their total
         ``index_entries`` (one per live key per index; payloads are
         shared, not copied) and ``index_buckets``.
         """
-        report: Dict[str, Dict[str, int]] = {}
+        report: Dict[str, Dict[str, Any]] = {}
         for name, relation in self.materialized.items():
             weight = sum(
                 _payload_weight(payload) for payload in relation.data.values()
             )
             entry = {"entries": len(relation), "payload_weight": weight}
+            support = self._view_supports.get(name)
+            if support is not None:
+                k = len(support)
+                entry["support"] = tuple(self.plan.layout.attributes[i] for i in support)
+                entry["payload_cells"] = len(relation) * (1 + k + k * k)
             indexes = getattr(relation, "indexes", None)
             if indexes:
                 entry["indexes"] = len(indexes)
@@ -369,7 +386,11 @@ class FIVMEngine(MaintenanceEngine):
         payloads in the snapshot are dropped on restore (snapshots
         written while a cancellation was parked would otherwise silently
         inflate view sizes), and persistent view indexes are rebuilt
-        from the restored materializations.
+        from the restored materializations. Rings whose payloads carry a
+        support (``ring.project``) get every payload re-expressed over
+        its view's subtree support — snapshots from when every view held
+        dense payloads still restore — and a non-zero aggregate outside
+        it is a :class:`CheckpointError` naming the view.
         """
         views = state["views"]
         missing = set(self.tree.views) - set(views)
@@ -380,8 +401,17 @@ class FIVMEngine(MaintenanceEngine):
                 f"(missing={sorted(missing)}, unexpected={sorted(unexpected)})"
             )
         self.materialized = {}
+        project = getattr(self.plan.ring, "project", None)
         for name, data in views.items():
             view = self.tree.views[name]
+            if project is not None:
+                support = self._view_supports[name]
+                try:
+                    data = {key: project(p, support) for key, p in data.items()}
+                except RingError as exc:
+                    raise CheckpointError(
+                        f"snapshot view {name!r} does not fit its subtree's features: {exc}"
+                    ) from exc
             # The constructor validates keys and filters ring-zero payloads.
             self.materialized[name] = Relation(
                 view.key, self.plan.ring, data=data, name=name

@@ -1383,15 +1383,19 @@ class ShardedEngine(MaintenanceEngine):
         }
         return totals
 
-    def memory_report(self) -> Dict[str, Dict[str, int]]:
-        """Per-view totals across shards (entries, payload weight, indexes)."""
+    def memory_report(self) -> Dict[str, Dict[str, Any]]:
+        """Per-view totals across shards (entries, payload weight, indexes);
+        a view's ``support`` is the same on every shard and kept as is."""
         self._require_initialized()
-        merged: Dict[str, Dict[str, int]] = {}
+        merged: Dict[str, Dict[str, Any]] = {}
         for report in self._gather_with_recovery(lambda: self._backend.memory()):
             for view_name, entry in report.items():
                 target = merged.setdefault(view_name, {})
                 for field, value in entry.items():
-                    target[field] = target.get(field, 0) + int(value)
+                    if field == "support":
+                        target[field] = value
+                    else:
+                        target[field] = target.get(field, 0) + int(value)
         return merged
 
     def total_view_tuples(self) -> int:

@@ -127,6 +127,7 @@ def covar_from_payload(payload, plan: PayloadPlan) -> CovarMatrix:
 
 def _from_numeric(payload: NumericCofactor, plan: PayloadPlan) -> CovarMatrix:
     columns = tuple(Column(attr) for attr in plan.layout.attributes)
+    payload = plan.ring.dense(payload)
     return CovarMatrix(
         columns=columns,
         count=float(payload.c),

@@ -191,7 +191,8 @@ class Ring(ABC):
     # A block holds n payloads in whatever layout the ring chooses: the
     # generic fallbacks below use a plain Python list, scalar rings use a
     # 1-d numpy array, and the numeric cofactor ring uses contiguous
-    # ``(c[n], s[n, m], q[n, m, m])`` column arrays. Blocks are opaque to
+    # ``(c[n], s[n, k], q[n, k, k])`` column arrays over the block's
+    # k-feature support. Blocks are opaque to
     # callers — always go through these methods. All kernels are pure
     # (fresh output blocks); :meth:`block_payloads` is the only bridge
     # back to ordinary per-key payload values.

@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.errors import RingError
 from repro.rings.base import Ring
-from repro.rings.cofactor import NumericCofactor
+from repro.rings.cofactor import NumericCofactor, aligned
 
 __all__ = ["DecaySpec", "DecayRing", "payload_drift", "result_drift"]
 
@@ -277,6 +277,7 @@ def payload_drift(a: Any, b: Any) -> float:
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
         return abs(float(a) - float(b))
     if isinstance(a, NumericCofactor) and isinstance(b, NumericCofactor):
+        a, b = aligned(a, b)
         drift = abs(a.c - b.c)
         if a.s.size or b.s.size:
             drift = max(drift, float(np.abs(a.s - b.s).max(initial=0.0)))

@@ -298,3 +298,27 @@ class TestZeroDropRegression:
 
         assert relation_module.SCALAR_FASTPATH is True
         assert Z.is_scalar and FloatRing().is_scalar
+
+
+class TestPositionMemo:
+    """Attribute positions and key extractors are resolved once per
+    (schema, attrs) pair and shared; a failed lookup is not remembered."""
+
+    def test_resolved_once_and_shared(self):
+        from repro.data.relation import _hook_getter, _key_getter, _positions
+
+        schema, attrs = ("A", "B", "C"), ("C", "A")
+        assert _positions(schema, attrs) == (2, 0)
+        assert _positions(schema, attrs) is _positions(tuple(schema), tuple(attrs))
+        assert _key_getter((2, 0)) is _key_getter((2, 0))
+        assert _hook_getter((1,)) is _hook_getter((1,))
+        assert _key_getter((1,))(("a", "b", "c")) == ("b",)
+        assert _hook_getter((1,))(("a", "b", "c")) == "b"
+        assert _key_getter(())(("a",)) == _hook_getter(())(("a",)) == ()
+
+    def test_unknown_attribute_raises_every_time(self):
+        from repro.data.relation import _positions
+
+        for _ in range(2):
+            with pytest.raises(SchemaError, match="'Z' not in schema"):
+                _positions(("A", "B"), ("Z",))

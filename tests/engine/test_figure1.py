@@ -65,19 +65,23 @@ class TestCovarContinuousScenario:
     def test_vr_payloads_are_lifted_b_values(self):
         engine = engine_for(toy_covar_continuous_query())
         vr = engine.view("V_R")
-        a1 = vr.payload(("a1",))
-        # VR(a1) = g_B(b1): count 1, s_B = 1, Q_BB = 1
+        dense = engine.plan.ring.dense
+        # VR(a1) = g_B(b1): count 1, s_B = 1, Q_BB = 1 — stored over B alone
+        assert vr.payload(("a1",)).support == (0,)
+        a1 = dense(vr.payload(("a1",)))
         assert a1.c == 1.0
         assert a1.s.tolist() == [1.0, 0.0, 0.0]
         assert a1.q[0, 0] == 1.0
-        a2 = vr.payload(("a2",))
+        a2 = dense(vr.payload(("a2",)))
         assert a2.s.tolist() == [2.0, 0.0, 0.0]
         assert a2.q[0, 0] == 4.0
 
     def test_vs_a1_is_sum_of_products(self):
         engine = engine_for(toy_covar_continuous_query())
         a1 = engine.view("V_S").payload(("a1",))
-        # VS(a1) = g_C(1)*g_D(1) + g_C(2)*g_D(3)
+        # VS(a1) = g_C(1)*g_D(1) + g_C(2)*g_D(3) — stored over C, D
+        assert a1.support == (1, 2)
+        a1 = engine.plan.ring.dense(a1)
         assert a1.c == 2.0
         assert a1.s.tolist() == [0.0, 3.0, 4.0]
         assert a1.q[1, 1] == 5.0   # 1 + 4

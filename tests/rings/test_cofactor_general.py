@@ -96,6 +96,7 @@ class TestEquivalenceWithNumericRing:
             gen_prod = general.mul(gen_prod, lift_cont(general, index, float(value)))
             num_total = numeric.add(num_total, num_prod)
             gen_total = general.add(gen_total, gen_prod)
+        num_total = numeric.dense(num_total)
         assert num_total.c == gen_total.c
         for i in range(3):
             assert num_total.s[i] == gen_total.s.get(i, 0.0)

@@ -50,9 +50,13 @@ class TestIdentitiesAndLift:
     def test_lift_shape(self, ring):
         g = ring.lift(1, 3.0)
         assert g.c == 1.0
-        assert g.s.tolist() == [0.0, 3.0, 0.0]
-        assert g.q[1, 1] == 9.0
-        assert g.q.sum() == 9.0
+        assert g.support == (1,)
+        assert g.s.tolist() == [3.0]
+        assert g.q.tolist() == [[9.0]]
+        dense = ring.dense(g)
+        assert dense.s.tolist() == [0.0, 3.0, 0.0]
+        assert dense.q[1, 1] == 9.0
+        assert dense.q.sum() == 9.0
 
     def test_from_int(self, ring):
         v = ring.from_int(-2)
@@ -66,6 +70,9 @@ class TestPaperMulFormula:
         a = ring.lift(0, 2.0)  # g_B(2)
         b = ring.lift(1, 5.0)  # g_C(5)
         p = ring.mul(a, b)
+        assert p.support == (0, 1)
+        assert p.q.shape == (2, 2)
+        p = ring.dense(p)
         assert p.c == 1.0
         assert p.s.tolist() == [2.0, 5.0, 0.0]
         expected_q = np.zeros((3, 3))
@@ -103,21 +110,23 @@ class TestMutationSafety:
         a = ring.copy(ring.lift(0, 2.0))
         b = ring.lift(1, 3.0)
         b_snapshot = b.s.copy()
-        ring.add_inplace(a, b)
-        assert a.s[1] == 3.0
+        total = ring.add_inplace(a, b)
+        assert ring.dense(total).s.tolist() == [2.0, 3.0, 0.0]
         assert np.array_equal(b.s, b_snapshot)
 
     def test_copy_isolates(self, ring):
         a = ring.lift(0, 2.0)
         b = ring.copy(a)
-        ring.add_inplace(b, ring.one())
+        b = ring.add_inplace(b, ring.one())
         assert a.c == 1.0
         assert b.c == 2.0
 
-    def test_zero_returns_fresh_arrays(self, ring):
-        z1 = ring.zero()
-        z1.s[0] = 99.0
-        assert ring.zero().s[0] == 0.0
+    def test_accumulating_into_zero_leaves_zero_alone(self, ring):
+        total = ring.add_inplace(ring.zero(), ring.lift(0, 99.0))
+        ring.add_inplace(total, ring.lift(0, 1.0))
+        assert total.s.tolist() == [100.0]
+        assert ring.is_zero(ring.zero())
+        assert ring.zero().support == ()
 
 
 class TestComparisons:

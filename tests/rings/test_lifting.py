@@ -73,7 +73,7 @@ class TestNumericCofactorLift:
     def test_continuous(self):
         ring = NumericCofactorRing(LAYOUT)
         lift = numeric_cofactor_lift(ring, Feature.continuous("C"))
-        value = lift(3)
+        value = ring.dense(lift(3))
         assert value.s.tolist() == [0.0, 3.0]
         assert value.q[1, 1] == 9.0
 

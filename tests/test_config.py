@@ -12,9 +12,16 @@ from repro.checkpoint import (
 )
 from repro.cli import build_parser, main
 from repro.config import engine_config_from_args
-from repro.datasets import toy_count_query, toy_database, toy_variable_order
+from repro.data import inserts
+from repro.datasets import (
+    toy_count_query,
+    toy_covar_continuous_query,
+    toy_database,
+    toy_variable_order,
+)
 from repro.engine import FIVMEngine, ShardedEngine
-from repro.errors import EngineError
+from repro.errors import CheckpointError, EngineError
+from repro.rings import NumericCofactor
 
 
 #: Fields the engine used to select a maintenance path by; a checkpoint
@@ -297,3 +304,64 @@ class TestConfigProvenance:
         out = capsys.readouterr().out
         for removed in REMOVED_FIELDS:
             assert f"{removed}:" in out
+
+    def _write_dense_payload_checkpoint(self, path, corrupt_view=None):
+        """A checkpoint as written when every view held dense numeric
+        COVAR payloads: ``s[m]``/``Q[m, m]`` everywhere and no
+        ``support`` slot in the pickled objects."""
+        writer = create_engine(toy_covar_continuous_query(), order=toy_variable_order())
+        writer.initialize(toy_database())
+        writer.apply("R", inserts(("A", "B"), [("a1", 5), ("a2", 7)]))
+        ring = writer.plan.ring
+        state = writer.export_state()
+        for name, data in state["views"].items():
+            for key, payload in data.items():
+                dense = ring.dense(payload)
+                legacy = NumericCofactor(dense.c, dense.s.copy(), dense.q.copy())
+                if name == corrupt_view:
+                    outside = [i for i in range(3) if i not in payload.support]
+                    legacy.s[outside[0]] = 1.0
+                del legacy.support
+                data[key] = legacy
+        writer.export_state = lambda: state
+        write_checkpoint(writer, path)
+        return writer
+
+    @pytest.mark.parametrize("shards", (1, 2))
+    def test_dense_payload_checkpoint_restores_onto_subtree_supports(
+        self, tmp_path, shards
+    ):
+        path = str(tmp_path / "dense.fivm")
+        writer = self._write_dense_payload_checkpoint(path)
+        restored = create_engine(
+            toy_covar_continuous_query(),
+            order=toy_variable_order(),
+            config=EngineConfig(shards=shards, backend="serial"),
+        )
+        try:
+            restore_checkpoint(restored, path)
+            want = writer.result().payload(())
+            got = restored.result().payload(())
+            assert got.support == want.support == (0, 1, 2)
+            assert got == want
+            if shards == 1:
+                for name, view in writer.materialized.items():
+                    mine = restored.view(name)
+                    assert list(mine.data) == list(view.data)
+                    for key, payload in view.data.items():
+                        assert mine.data[key].support == payload.support
+                        assert mine.data[key] == payload
+            update = inserts(("A", "B"), [("a1", 2)])
+            writer.apply("R", update)
+            restored.apply("R", update)
+            assert restored.result().payload(()) == writer.result().payload(())
+        finally:
+            if shards > 1:
+                restored.close()
+
+    def test_dense_payload_outside_its_view_support_is_refused(self, tmp_path):
+        path = str(tmp_path / "corrupt.fivm")
+        self._write_dense_payload_checkpoint(path, corrupt_view="V_R")
+        restored = create_engine(toy_covar_continuous_query(), order=toy_variable_order())
+        with pytest.raises(CheckpointError, match="'V_R'.*outside"):
+            restore_checkpoint(restored, path)
