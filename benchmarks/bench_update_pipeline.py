@@ -1,6 +1,6 @@
 """Batched vs. tuple-at-a-time update ingestion, across all four engines.
 
-Three sections:
+Two sections:
 
 1. **F-IVM throughput** — a Retailer tuple stream pushed through
    ``FIVMEngine`` one tuple at a time vs. re-coalesced into batches by the
@@ -10,8 +10,6 @@ Three sections:
 2. **Cross-engine equivalence** — naive, first-order, per-aggregate and
    F-IVM each consume the same stream both ways; the final views must be
    identical (this is asserted, and is what the CI smoke job gates on).
-3. **Scalar-ring micro-benchmark** — join/marginalize/add_inplace on Z
-   payloads with the scalar fast path toggled off and on.
 
 Run standalone (CI smoke: crash/assert fails the job, timing does not)::
 
@@ -27,8 +25,7 @@ import time
 
 import numpy as np
 
-import repro.data.relation as relation_module
-from repro.data import Relation, single
+from repro.data import single
 from repro.datasets import (
     RetailerConfig,
     UpdateStream,
@@ -139,67 +136,17 @@ def bench_equivalence(database, config, order, total_updates, batch_size):
         print(f"{label:>14}: identical final views ✓ ({len(actual)} result keys)")
 
 
-def bench_scalar_fastpath(rows, trials=3):
-    """Micro-benchmark: Z-payload join + marginalize + add, fast path off/on."""
-    rng = np.random.default_rng(3)
-    r = Relation(("A", "B"))
-    r.data = {
-        (int(a), int(b)): int(m)
-        for a, b, m in zip(
-            rng.integers(0, rows // 4, rows),
-            rng.integers(0, 50, rows),
-            rng.integers(1, 4, rows),
-        )
-    }
-    s = Relation(("A", "C"))
-    s.data = {
-        (int(a), int(c)): int(m)
-        for a, c, m in zip(
-            rng.integers(0, rows // 4, rows),
-            rng.integers(0, 50, rows),
-            rng.integers(1, 4, rows),
-        )
-    }
-
-    def body():
-        joined = r.join(s)
-        grouped = joined.marginalize(("A",))
-        grouped.add_inplace(grouped.neg())
-        return joined
-
-    timings = {}
-    try:
-        for enabled in (False, True):
-            relation_module.SCALAR_FASTPATH = enabled
-            best = float("inf")
-            for _ in range(trials):
-                started = time.perf_counter()
-                body()
-                best = min(best, time.perf_counter() - started)
-            timings[enabled] = best
-    finally:
-        relation_module.SCALAR_FASTPATH = True
-    speedup = timings[False] / timings[True] if timings[True] else float("inf")
-    print(f"\n## scalar fast path micro-benchmark ({len(r)}x{len(s)} join)")
-    print(f"generic ring dispatch: {timings[False]:.3f}s")
-    print(f"scalar fast path:      {timings[True]:.3f}s")
-    print(f"fast-path speedup: {speedup:.2f}x")
-    return speedup
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true", help="tiny sizes, CI gate")
     parser.add_argument("--updates", type=int, default=10_000)
     parser.add_argument("--batch-size", type=int, default=1000)
     parser.add_argument("--equivalence-updates", type=int, default=600)
-    parser.add_argument("--micro-rows", type=int, default=20_000)
     args = parser.parse_args(argv)
     if args.smoke:
         args.updates = min(args.updates, 300)
         args.batch_size = min(args.batch_size, 100)
         args.equivalence_updates = min(args.equivalence_updates, 150)
-        args.micro_rows = min(args.micro_rows, 2000)
 
     config = SMOKE_CONFIG if args.smoke else CONFIG
     database = generate_retailer(config)
@@ -214,7 +161,6 @@ def main(argv=None) -> int:
     bench_equivalence(
         database, config, order, args.equivalence_updates, args.batch_size
     )
-    bench_scalar_fastpath(args.micro_rows)
     if not args.smoke and speedup < 2.0:
         print(
             f"\nWARNING: batched fivm speedup {speedup:.1f}x below the 2x target",

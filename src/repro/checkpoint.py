@@ -37,9 +37,10 @@ payload is wasted bytes. ``write_checkpoint(..., base=(info, state))``
 persists only the delta since ``base`` — per view, the entries that
 changed (``set``) and the keys that vanished (``drop``) — under a chain
 header: a ``chain_id`` shared by the whole chain, a ``chain_seq``
-position and the ``base_file`` it applies on top of. Maintenance never
-mutates stored payloads in place (it replaces them), so an unchanged
-entry is recognized by object identity and the diff is cheap.
+position and the ``base_file`` it applies on top of. An unchanged entry
+is recognized by object identity (dict views replace payloads, never
+mutate them) or, for the payload copies slot-stored views export, by
+``==``, so the diff is cheap.
 :func:`load_checkpoint_chain` (and :func:`restore_checkpoint`, which
 uses it) follows ``base_file`` links back to the full snapshot,
 validates every link's chain id and sequence, and replays the deltas in
@@ -543,11 +544,12 @@ def _diff_states(
     Small header sections (stats, serving, config, shard provenance)
     are copied whole; the ``views`` section — the bulk of any snapshot —
     becomes per-view ``{"set": changed entries, "drop": vanished keys}``.
-    Unchanged entries are recognized by object identity first
-    (maintenance replaces payloads, never mutates them, so an untouched
-    entry keeps its object across exports) with a guarded ``==``
-    fallback; payloads whose equality is unknowable are re-included,
-    which is always correct, just larger.
+    Unchanged entries are recognized by object identity first (dict
+    views replace payloads, never mutate them, so an untouched entry
+    keeps its object across exports) with a guarded ``==`` fallback —
+    which is what recognizes them in exports of slot-stored views, whose
+    payloads are fresh copies each time; payloads whose equality is
+    unknowable are re-included, which is always correct, just larger.
     """
     views = state.get("views")
     base_views = base_state.get("views")

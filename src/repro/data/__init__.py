@@ -15,6 +15,7 @@ from repro.data.index import IndexedRelation, RelationIndex
 from repro.data.relation import Relation
 from repro.data.schema import DatabaseSchema, RelationSchema
 from repro.data.sharding import ShardRouter, shard_hash
+from repro.data.store import SlotStore
 from repro.data.windows import (
     RetractionScheduler,
     WindowedStream,
@@ -31,6 +32,7 @@ __all__ = [
     "Relation",
     "RelationIndex",
     "IndexedRelation",
+    "SlotStore",
     "DatabaseSchema",
     "RelationSchema",
     "UpdateBatcher",

@@ -13,62 +13,21 @@ engines perform on materialized views.
 Buckets hold ``key -> payload`` entries, so a probe iterates matches
 without touching the relation's main dict, and a delete that cancels the
 last entry of a bucket removes the bucket itself — index memory tracks
-live data exactly as view memory does.
-
-Each built index can additionally carry a :class:`ColumnarMirror` — a
-columnar snapshot of its buckets (key columns + one payload block +
-per-hook slot ranges) used by the fused maintenance kernels
-(:mod:`repro.engine.compile`) to gather sibling matches with
-``ring.take`` instead of a per-match Python loop. Mirrors follow a
-strict invalidate-on-write discipline: *every* mutation path (``build``,
-``set``, ``discard``, and both inlined ``add_inplace`` variants) drops
-the mirror, and it is rebuilt lazily on the next probe.
+live data exactly as view memory does. Views of bulk non-scalar rings
+are kept in a :class:`~repro.data.store.SlotStore` instead, whose
+indexes reuse :class:`RelationIndex` with row slots as the bucket values.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
-import numpy as np
-
-import repro.data.relation as relation_module
-from repro.data.columnar import column_array
 from repro.data.relation import Relation, _hook_getter, _positions
 from repro.errors import DataError
 
-__all__ = ["ColumnarMirror", "RelationIndex", "IndexedRelation"]
+__all__ = ["RelationIndex", "IndexedRelation"]
 
 Key = Tuple
-
-
-class ColumnarMirror:
-    """Columnar snapshot of one index: key columns + payload block + buckets.
-
-    ``key_cols[p]`` is the indexed relation's ``p``-th key attribute as a
-    column array over all live entries and ``block`` the matching payload
-    block. Buckets are described positionally: bucket ``b`` occupies the
-    contiguous slot range ``starts[b] : starts[b] + counts[b]`` and its
-    hook value is ``tuple(col[b] for col in hook_cols)`` (one column per
-    index attribute, so probes can match hooks numerically instead of
-    hashing Python tuples). Entries appear in exactly the order
-    ``bucket.items()`` yields them, so a fused probe that gathers a
-    bucket's slots reproduces the per-tuple probe's emission order bit
-    for bit. Payloads are *copied* into the block at build time; a
-    mirror never aliases live view payloads, and any mutation of the
-    owning index invalidates it wholesale.
-    """
-
-    __slots__ = ("block", "key_cols", "hook_cols", "starts", "counts", "match")
-
-    def __init__(self, block, key_cols, hook_cols, starts, counts):
-        self.block = block
-        self.key_cols = key_cols
-        self.hook_cols = hook_cols
-        self.starts = starts
-        self.counts = counts
-        #: Lazily built hook-matching structure (owned by the fused
-        #: probe); dies with the mirror on invalidation.
-        self.match = None
 
 
 class RelationIndex:
@@ -86,9 +45,7 @@ class RelationIndex:
         sibling with no shared attributes (a cartesian step) is probed.
     """
 
-    __slots__ = (
-        "attrs", "positions", "hook_of", "buckets", "probes", "hits", "mirror",
-    )
+    __slots__ = ("attrs", "positions", "hook_of", "buckets", "probes", "hits")
 
     def __init__(self, schema: Tuple[str, ...], attrs: Iterable[str]):
         self.attrs = tuple(attrs)
@@ -100,8 +57,6 @@ class RelationIndex:
         #: Probe-side counters (filled by ``Relation.join_probe``).
         self.probes = 0
         self.hits = 0
-        #: Lazily built columnar snapshot; None whenever stale.
-        self.mirror: Optional[ColumnarMirror] = None
 
     # ------------------------------------------------------------------
 
@@ -117,12 +72,10 @@ class RelationIndex:
             else:
                 bucket[key] = payload
         self.buckets = buckets
-        self.mirror = None
         return self
 
     def set(self, key: Key, payload: Any) -> None:
         """Insert or refresh one live entry."""
-        self.mirror = None
         hook = self.hook_of(key)
         bucket = self.buckets.get(hook)
         if bucket is None:
@@ -132,7 +85,6 @@ class RelationIndex:
 
     def discard(self, key: Key) -> None:
         """Remove one entry; the bucket vanishes when it empties."""
-        self.mirror = None
         hook = self.hook_of(key)
         bucket = self.buckets.get(hook)
         if bucket is not None:
@@ -140,52 +92,15 @@ class RelationIndex:
             if not bucket:
                 del self.buckets[hook]
 
-    def columnar_mirror(self, ring, arity: int) -> ColumnarMirror:
-        """The columnar snapshot of this index, (re)built if stale.
-
-        Buckets are walked in dict order and each bucket's entries laid
-        out contiguously, so every hook's slot range is a single slice
-        and slice order equals ``bucket.items()`` order — the property
-        the fused probe's bit-equality argument rests on. ``arity`` is
-        the indexed relation's key width (needed for the empty case).
-        """
-        mirror = self.mirror
-        if mirror is None:
-            buckets = self.buckets
-            payloads: list = []
-            keys: list = []
-            starts = np.empty(len(buckets), dtype=np.intp)
-            counts = np.empty(len(buckets), dtype=np.intp)
-            for b, bucket in enumerate(buckets.values()):
-                starts[b] = len(payloads)
-                counts[b] = len(bucket)
-                payloads.extend(bucket.values())
-                keys.extend(bucket.keys())
-            if keys:
-                key_cols = tuple(
-                    column_array(list(col)) for col in zip(*keys)
-                )
-            else:
-                key_cols = tuple(column_array([]) for _ in range(arity))
-            positions = self.positions
-            if not positions:
-                hook_cols: Tuple = ()
-            elif len(positions) == 1:
-                hook_cols = (column_array(list(buckets.keys())),)
-            elif buckets:
-                hook_cols = tuple(
-                    column_array(list(col)) for col in zip(*buckets.keys())
-                )
-            else:
-                hook_cols = tuple(column_array([]) for _ in positions)
-            mirror = self.mirror = ColumnarMirror(
-                ring.make_block(payloads), key_cols, hook_cols, starts, counts
-            )
-        return mirror
-
     def get(self, hook: Any) -> Optional[Dict[Key, Any]]:
         """Bucket of entries whose keys project to ``hook`` (None if empty)."""
         return self.buckets.get(hook)
+
+    def matches(self, hook: Any):
+        """``(key, payload)`` pairs of the entries under ``hook`` (falsy
+        when there are none) — what ``Relation.join_probe`` iterates."""
+        bucket = self.buckets.get(hook)
+        return bucket.items() if bucket else ()
 
     # ------------------------------------------------------------------
 
@@ -203,7 +118,53 @@ class RelationIndex:
         )
 
 
-class IndexedRelation(Relation):
+class _IndexCarrier:
+    """Lazy index bookkeeping shared by every long-lived view form.
+
+    Expects ``indexes`` (built, maintained through every mutation),
+    ``pending`` (registered attribute tuples not built yet), ``name``
+    and ``_build_index(attrs)`` on the class mixing it in.
+    """
+
+    __slots__ = ()
+
+    def register_index(self, attrs: Iterable[str]) -> None:
+        """Declare that ``attrs`` may be probed, without building yet."""
+        attrs = tuple(attrs)
+        if attrs not in self.indexes:
+            self.pending.add(attrs)
+
+    def add_index(self, attrs: Iterable[str]) -> RelationIndex:
+        """Create (or return the existing) index on ``attrs``, built now."""
+        attrs = tuple(attrs)
+        index = self.indexes.get(attrs)
+        if index is None:
+            index = self.indexes[attrs] = self._build_index(attrs)
+            self.pending.discard(attrs)
+        return index
+
+    def ensure_index(self, attrs: Iterable[str]) -> RelationIndex:
+        """The index on ``attrs``, materialized on first use.
+
+        This is the probe-side entry point: registered-but-unbuilt
+        indexes are built from the live entries here, and from then on
+        maintained incrementally by every mutation.
+        """
+        return self.indexes.get(tuple(attrs)) or self.add_index(attrs)
+
+    def index_on(self, attrs: Iterable[str]) -> RelationIndex:
+        """The index on exactly ``attrs``; raises if it was never built."""
+        try:
+            return self.indexes[tuple(attrs)]
+        except KeyError:
+            raise DataError(
+                f"no index on {tuple(attrs)!r} for relation {self.name!r} "
+                f"(built {sorted(self.indexes)!r}, "
+                f"pending {sorted(self.pending)!r})"
+            ) from None
+
+
+class IndexedRelation(_IndexCarrier, Relation):
     """A relation carrying persistent indexes kept consistent on mutation.
 
     The engines mutate materialized views exclusively through
@@ -238,45 +199,8 @@ class IndexedRelation(Relation):
         indexed.data = relation.data
         return indexed
 
-    # ------------------------------------------------------------------
-
-    def register_index(self, attrs: Iterable[str]) -> None:
-        """Declare that ``attrs`` may be probed, without building yet."""
-        attrs = tuple(attrs)
-        if attrs not in self.indexes:
-            self.pending.add(attrs)
-
-    def add_index(self, attrs: Iterable[str]) -> RelationIndex:
-        """Create (or return the existing) index on ``attrs``, built now."""
-        attrs = tuple(attrs)
-        index = self.indexes.get(attrs)
-        if index is None:
-            index = RelationIndex(self.schema, attrs).build(self.data)
-            self.indexes[attrs] = index
-            self.pending.discard(attrs)
-        return index
-
-    def ensure_index(self, attrs: Iterable[str]) -> RelationIndex:
-        """The index on ``attrs``, materialized on first use.
-
-        This is the probe-side entry point: registered-but-unbuilt
-        indexes are built from the live entries here, and from then on
-        maintained incrementally by :meth:`add_inplace`.
-        """
-        return self.indexes.get(tuple(attrs)) or self.add_index(attrs)
-
-    def index_on(self, attrs: Iterable[str]) -> RelationIndex:
-        """The index on exactly ``attrs``; raises if it was never built."""
-        try:
-            return self.indexes[tuple(attrs)]
-        except KeyError:
-            raise DataError(
-                f"no index on {tuple(attrs)!r} for relation {self.name!r} "
-                f"(built {sorted(self.indexes)!r}, "
-                f"pending {sorted(self.pending)!r})"
-            ) from None
-
-    # ------------------------------------------------------------------
+    def _build_index(self, attrs: Tuple[str, ...]) -> RelationIndex:
+        return RelationIndex(self.schema, attrs).build(self.data)
 
     def add_inplace(self, other: Relation) -> "IndexedRelation":
         """Union with payload addition, updating every index in the same pass."""
@@ -285,19 +209,16 @@ class IndexedRelation(Relation):
             super().add_inplace(other)
             return self
         self._check_compatible(other)
-        # Regression guard: this branch bypasses Relation.add_inplace, so it
-        # must drop the cached columnar form and every index mirror itself —
-        # a stale mirror served to a fused probe would echo pre-update state.
+        # This branch bypasses Relation.add_inplace, so it must drop the
+        # cached columnar form itself.
         self._columnar = None
-        for index in indexes:
-            index.mirror = None
         ring = self.ring
         data = self.data
-        # Inlined index writes: one (hook_of, buckets) pair per index saves
-        # a method call per index per changed key — index maintenance is
-        # the dominant per-update cost of the indexed path at large batches.
-        index_ops = tuple((index.hook_of, index.buckets) for index in indexes)
-        if relation_module.SCALAR_FASTPATH and ring.is_scalar:
+        if ring.is_scalar:
+            # Inlined index writes: one (hook_of, buckets) pair per index saves
+            # a method call per index per changed key — index maintenance is
+            # the dominant per-update cost of the indexed path at large batches.
+            index_ops = tuple((index.hook_of, index.buckets) for index in indexes)
             for key, payload in other.data.items():
                 existing = data.get(key)
                 total = payload if existing is None else existing + payload
@@ -340,59 +261,4 @@ class IndexedRelation(Relation):
                     data[key] = total
                     for index in indexes:
                         index.set(key, total)
-        return self
-
-    def add_block_inplace(self, keys, block) -> "IndexedRelation":
-        """Columnar scatter with index maintenance in the same pass."""
-        indexes = tuple(self.indexes.values())
-        if not indexes:
-            super().add_block_inplace(keys, block)
-            return self
-        self._columnar = None
-        for index in indexes:
-            index.mirror = None
-        ring = self.ring
-        data = self.data
-        index_ops = tuple((index.hook_of, index.buckets) for index in indexes)
-        scalar = relation_module.SCALAR_FASTPATH and ring.is_scalar
-        if not scalar and ring.has_bulk_kernels:
-            if not isinstance(keys, list):
-                keys = list(keys)
-            # Same duplicate-key guard as Relation.add_block_inplace: the
-            # two-phase merge resolves every key once.
-            if len(set(keys)) == len(keys):
-                return self._merge_block(keys, block, index_ops)
-        add = ring.add
-        is_zero = ring.is_zero
-        for key, payload in zip(keys, ring.block_payloads(block)):
-            existing = data.get(key)
-            if existing is None:
-                if scalar:
-                    if not payload:
-                        continue
-                    total = payload
-                elif is_zero(payload):
-                    continue
-                else:
-                    total = payload
-            else:
-                total = existing + payload if scalar else add(existing, payload)
-                if (not total) if scalar else is_zero(total):
-                    del data[key]
-                    for hook_of, buckets in index_ops:
-                        hook = hook_of(key)
-                        bucket = buckets.get(hook)
-                        if bucket is not None:
-                            bucket.pop(key, None)
-                            if not bucket:
-                                del buckets[hook]
-                    continue
-            data[key] = total
-            for hook_of, buckets in index_ops:
-                hook = hook_of(key)
-                bucket = buckets.get(hook)
-                if bucket is None:
-                    buckets[hook] = {key: total}
-                else:
-                    bucket[key] = total
         return self

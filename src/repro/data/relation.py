@@ -31,8 +31,6 @@ from typing import (
     Tuple,
 )
 
-import numpy as np
-
 from repro.data.columnar import ColumnarDelta
 from repro.errors import DataError, SchemaError
 from repro.rings.base import Ring
@@ -41,15 +39,9 @@ from repro.rings.scalar import Z
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.data.index import RelationIndex
 
-__all__ = ["Relation", "SCALAR_FASTPATH"]
+__all__ = ["Relation"]
 
 Key = Tuple
-
-#: Global switch for the scalar-ring fast paths (numeric payloads bypass
-#: generic ring dispatch in join/marginalize/lift/add_inplace). On by
-#: default; benchmarks flip it off to measure the win, and it is a safety
-#: hatch should a custom scalar ring misbehave.
-SCALAR_FASTPATH = True
 
 
 # Every join, probe, marginalize and lift resolves attribute positions and
@@ -87,6 +79,25 @@ def _key_getter(positions: Tuple[int, ...]) -> Callable[[Key], Tuple]:
         position = positions[0]
         return lambda key: (key[position],)
     return itemgetter(*positions)
+
+
+@_memo
+def _probe_shape(schema_a: Tuple[str, ...], schema_b: Tuple[str, ...], attrs: Tuple[str, ...]):
+    """``(result schema, hook extractor for a-keys, b-key suffix extractor)``
+    of ``a.join_probe(b, index on attrs)`` — one lookup per probe."""
+    shared = tuple(attr for attr in schema_b if attr in schema_a)
+    if set(attrs) != set(shared):
+        raise DataError(
+            f"index on {attrs!r} does not match the shared "
+            f"attributes {shared!r} of {schema_a!r} and {schema_b!r}"
+        )
+    keep_b = tuple(i for i, attr in enumerate(schema_b) if attr not in schema_a)
+    # Hook order must match the index's: extract ``attrs``, not ``shared``.
+    return (
+        schema_a + tuple(schema_b[i] for i in keep_b),
+        _hook_getter(_positions(schema_a, attrs)),
+        _key_getter(keep_b),
+    )
 
 
 class Relation:
@@ -170,9 +181,8 @@ class Relation:
     def columnar(self) -> "ColumnarDelta":
         """Columnar (struct-of-arrays) form of this Z-delta, built once.
 
-        Cached until the relation is mutated through
-        :meth:`add_inplace`/:meth:`add_block_inplace`; callers that
-        assign ``data`` directly own the invalidation.
+        Cached until the relation is mutated through :meth:`add_inplace`;
+        callers that assign ``data`` directly own the invalidation.
         """
         cached = self._columnar
         if cached is None:
@@ -259,7 +269,7 @@ class Relation:
         self._columnar = None
         ring = self.ring
         data = self.data
-        if SCALAR_FASTPATH and ring.is_scalar:
+        if ring.is_scalar:
             # Numeric payloads: plain +, truthiness as the zero test.
             for key, payload in other.data.items():
                 existing = data.get(key)
@@ -282,147 +292,6 @@ class Relation:
                     del data[key]
                 else:
                     data[key] = total
-        return self
-
-    def add_block_inplace(self, keys: Iterable[Key], block: Any) -> "Relation":
-        """Scatter a payload block into this relation, key by key.
-
-        The columnar counterpart of :meth:`add_inplace`: ``keys`` and the
-        ring block (see the bulk kernels in :mod:`repro.rings.base`) come
-        from the vectorized maintenance ladder; the same merge semantics
-        apply — payload addition, zero pruning, no parked ring zeros.
-        Compound rings with bulk kernels take the two-phase vectorized
-        merge of :meth:`_merge_block` instead of the per-key loop.
-        """
-        self._columnar = None
-        ring = self.ring
-        data = self.data
-        if SCALAR_FASTPATH and ring.is_scalar:
-            for key, payload in zip(keys, ring.block_payloads(block)):
-                existing = data.get(key)
-                total = payload if existing is None else existing + payload
-                if total:
-                    data[key] = total
-                elif existing is not None:
-                    del data[key]
-            return self
-        if ring.has_bulk_kernels:
-            if not isinstance(keys, list):
-                keys = list(keys)
-            # The two-phase merge resolves every key once, so a block
-            # carrying the same key twice (legal here: occurrences merge
-            # sequentially) must take the per-key loop instead.
-            if len(set(keys)) == len(keys):
-                return self._merge_block(keys, block, _EMPTY)
-        add = ring.add
-        is_zero = ring.is_zero
-        for key, payload in zip(keys, ring.block_payloads(block)):
-            existing = data.get(key)
-            if existing is None:
-                if not is_zero(payload):
-                    data[key] = payload
-            else:
-                total = add(existing, payload)
-                if is_zero(total):
-                    del data[key]
-                else:
-                    data[key] = total
-        return self
-
-    def _merge_block(self, keys, block, index_ops) -> "Relation":
-        """Two-phase vectorized scatter for rings with bulk kernels.
-
-        Semantics are identical to the per-key loop of
-        :meth:`add_block_inplace` — payload addition, zero pruning, no
-        parked ring zeros, and the same final dict/index orders — but the
-        per-row ``ring.add``/``ring.is_zero`` dispatch (the dominant
-        scatter cost for compound payloads) collapses into three block
-        kernel calls: gather the existing payloads of the *hit* keys,
-        ``add_many`` the matching delta rows, ``is_zero_many`` the sums.
-        Miss keys are zero-filtered up front and inserted afterwards;
-        hits never create dict entries and batch keys are unique, so
-        hits-then-misses lands the exact insertion order of the
-        interleaved loop. ``index_ops`` carries the ``(hook_of,
-        buckets)`` pairs of any live indexes to maintain in the same
-        pass (empty for plain relations).
-        """
-        ring = self.ring
-        data = self.data
-        data_get = data.get
-        if not isinstance(keys, list):
-            keys = list(keys)
-        existing = [data_get(key) for key in keys]
-        hit_idx = [i for i, payload in enumerate(existing) if payload is not None]
-        if hit_idx:
-            if len(hit_idx) == len(keys):
-                hit_keys = keys
-                merged = ring.add_many(ring.make_block(existing), block)
-            else:
-                hit_keys = [keys[i] for i in hit_idx]
-                merged = ring.add_many(
-                    ring.make_block([existing[i] for i in hit_idx]),
-                    ring.take(block, np.asarray(hit_idx, dtype=np.intp)),
-                )
-            dead = ring.is_zero_many(merged)
-            if not index_ops and not dead.any():
-                # dict.update drives the whole phase from C; updating
-                # existing keys never moves them, so order is preserved.
-                data.update(zip(hit_keys, ring.block_payloads(merged)))
-            else:
-                dead_list = dead.tolist()
-                for j, payload in enumerate(ring.block_payloads(merged)):
-                    key = hit_keys[j]
-                    if dead_list[j]:
-                        del data[key]
-                        for hook_of, buckets in index_ops:
-                            hook = hook_of(key)
-                            bucket = buckets.get(hook)
-                            if bucket is not None:
-                                bucket.pop(key, None)
-                                if not bucket:
-                                    del buckets[hook]
-                    else:
-                        data[key] = payload
-                        for hook_of, buckets in index_ops:
-                            hook = hook_of(key)
-                            bucket = buckets.get(hook)
-                            if bucket is None:
-                                buckets[hook] = {key: payload}
-                            else:
-                                bucket[key] = payload
-        if len(hit_idx) != len(keys):
-            if hit_idx:
-                miss_idx = [
-                    i for i, payload in enumerate(existing) if payload is None
-                ]
-                miss_keys = [keys[i] for i in miss_idx]
-                miss_block = ring.take(block, np.asarray(miss_idx, dtype=np.intp))
-            else:
-                miss_keys = keys
-                miss_block = block
-            zero = ring.is_zero_many(miss_block)
-            if zero.any():
-                live = np.flatnonzero(~zero)
-                miss_keys = [miss_keys[i] for i in live.tolist()]
-                miss_block = ring.take(miss_block, live)
-            if miss_keys:
-                if not index_ops:
-                    # Batch keys are unique and hits never create
-                    # entries, so appending every miss afterwards lands
-                    # the interleaved loop's insertion order.
-                    data.update(zip(miss_keys, ring.block_payloads(miss_block)))
-                else:
-                    for key, payload in zip(
-                        miss_keys, ring.block_payloads(miss_block)
-                    ):
-                        data[key] = payload
-                        for hook_of, buckets in index_ops:
-                            hook = hook_of(key)
-                            bucket = buckets.get(hook)
-                            if bucket is None:
-                                buckets[hook] = {key: payload}
-                            else:
-                                bucket[key] = payload
         return self
 
     def neg(self) -> "Relation":
@@ -475,7 +344,7 @@ class Relation:
             return result
         pos_a = _positions(schema_a, shared)
         pos_b = _positions(schema_b, shared)
-        if SCALAR_FASTPATH and ring.is_scalar:
+        if ring.is_scalar:
             # Tight loops for numeric payloads: native * and +, truthiness
             # as the zero test, compiled key extractors, no ring dispatch
             # per output tuple. Same index-the-smaller-side strategy as
@@ -586,32 +455,22 @@ class Relation:
                 f"cannot join relations over rings {self.ring.name!r} and {other.ring.name!r}"
             )
         ring = self.ring
-        schema_a, schema_b = self.schema, other.schema
-        shared = tuple(attr for attr in schema_b if attr in schema_a)
-        if set(index.attrs) != set(shared):
-            raise DataError(
-                f"index on {index.attrs!r} does not match the shared "
-                f"attributes {shared!r} of {schema_a!r} and {schema_b!r}"
-            )
-        keep_b = tuple(i for i, attr in enumerate(schema_b) if attr not in schema_a)
-        result = Relation(schema_a + tuple(schema_b[i] for i in keep_b), ring)
-        if not self.data or not other.data:
+        schema, hook_of_a, rest_of_b = _probe_shape(self.schema, other.schema, index.attrs)
+        result = Relation(schema, ring)
+        if not self.data or not len(other):
             return result
         out = result.data
-        # Hook order must match the index's: extract index.attrs, not `shared`.
-        hook_of_a = _hook_getter(_positions(schema_a, index.attrs))
-        rest_of_b = _key_getter(keep_b)
-        buckets_get = index.buckets.get
+        matches = index.matches
         probes = hits = 0
-        if SCALAR_FASTPATH and ring.is_scalar:
+        if ring.is_scalar:
             out_get = out.get
             for key_a, payload_a in self.data.items():
                 probes += 1
-                bucket = buckets_get(hook_of_a(key_a))
+                bucket = matches(hook_of_a(key_a))
                 if not bucket:
                     continue
                 hits += 1
-                for key_b, payload_b in bucket.items():
+                for key_b, payload_b in bucket:
                     key = key_a + rest_of_b(key_b)
                     existing = out_get(key)
                     total = (
@@ -629,11 +488,11 @@ class Relation:
             is_zero = ring.is_zero
             for key_a, payload_a in self.data.items():
                 probes += 1
-                bucket = buckets_get(hook_of_a(key_a))
+                bucket = matches(hook_of_a(key_a))
                 if not bucket:
                     continue
                 hits += 1
-                for key_b, payload_b in bucket.items():
+                for key_b, payload_b in bucket:
                     key = key_a + rest_of_b(key_b)
                     product = mul(payload_a, payload_b)
                     existing = out.get(key)
@@ -677,7 +536,7 @@ class Relation:
             )
         result = Relation(keep, ring)
         out = result.data
-        if SCALAR_FASTPATH and ring.is_scalar:
+        if ring.is_scalar:
             group_of = _key_getter(keep_pos)
             out_get = out.get
             if lift_items:
@@ -741,7 +600,7 @@ class Relation:
         result = Relation(keep, ring)
         out = result.data
         one = ring.one()
-        if SCALAR_FASTPATH and ring.is_scalar:
+        if ring.is_scalar:
             group_of = _key_getter(keep_pos)
             out_get = out.get
             for key, multiplicity in self.data.items():

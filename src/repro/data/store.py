@@ -1,0 +1,330 @@
+"""Slot stores: a bulk-ring view kept as one ring block, not as objects.
+
+A materialized view whose ring has bulk kernels and is not scalar
+(numeric COVAR, :class:`~repro.rings.decay.DecayRing` over a bulk ring)
+is a :class:`SlotStore`: an insertion-ordered ``key -> slot`` dict — its
+order *is* the view order, so every downstream float sum associates as
+it would over a dict relation — plus one growing payload block whose row
+``slot`` holds the key's payload, and a free list of the rows exact-zero
+deletes gave back. Both maintenance paths read and write these rows:
+the fused program scatters with :meth:`SlotStore.add_block` and gathers
+probe matches with ``ring.take(store.block, slots)``; the per-tuple path
+adds small deltas with :meth:`SlotStore.add_inplace` and joins against
+row views handed out by :meth:`StoreIndex.matches`. There is no second
+copy of a payload to keep coherent.
+
+Who may alias what: row views from ``matches`` alias the block and are
+for immediate use inside one join; everything the read API returns
+(:attr:`SlotStore.data`, :meth:`~SlotStore.payload`,
+:meth:`~SlotStore.copy`) is a copy that later maintenance cannot touch.
+"""
+
+from __future__ import annotations
+
+from itertools import repeat
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Tuple
+
+import numpy as np
+
+from repro.data.columnar import column_array
+from repro.data.index import RelationIndex, _IndexCarrier
+from repro.data.relation import Relation
+from repro.errors import SchemaError
+
+__all__ = ["ProbeArrays", "StoreIndex", "SlotStore"]
+
+Key = Tuple
+
+
+class ProbeArrays:
+    """Columnar description of one store index, for the fused probe.
+
+    Buckets are laid out back to back in ``buckets`` dict order: bucket
+    ``b`` occupies positions ``starts[b] : starts[b] + counts[b]``, its
+    hook value is ``tuple(col[b] for col in hook_cols)`` (one column per
+    index attribute, so hooks match numerically instead of by hashing
+    tuples), and position ``p`` holds the entry whose key is
+    ``tuple(col[p] for col in key_cols)`` and whose payload is row
+    ``slots[p]`` of the store's block. Entries appear in exactly the
+    order the bucket yields them, so a fused probe emits matches in the
+    per-tuple probe's order bit for bit. Nothing here depends on payload
+    values: the arrays stay valid until the view's key *set* changes.
+    """
+
+    __slots__ = ("slots", "key_cols", "hook_cols", "starts", "counts", "match")
+
+    def __init__(self, slots, key_cols, hook_cols, starts, counts):
+        self.slots = slots
+        self.key_cols = key_cols
+        self.hook_cols = hook_cols
+        self.starts = starts
+        self.counts = counts
+        #: Lazily built hook-matching structure (owned by the fused probe).
+        self.match = None
+
+
+class StoreIndex(RelationIndex):
+    """Index of a :class:`SlotStore`: buckets map ``key -> slot``."""
+
+    __slots__ = ("store", "cache")
+
+    def __init__(self, store: "SlotStore", attrs):
+        super().__init__(store.schema, attrs)
+        self.store = store
+        #: Cached :class:`ProbeArrays`; the store drops it when a key is
+        #: inserted or deleted, never on a payload update.
+        self.cache = None
+
+    def matches(self, hook: Any):
+        """``(key, row view)`` pairs under ``hook``; the views alias the
+        store's block, so consume them before the next mutation."""
+        bucket = self.buckets.get(hook)
+        if not bucket:
+            return ()
+        store = self.store
+        row, block = store.ring.row, store.block
+        return [(key, row(block, slot)) for key, slot in bucket.items()]
+
+    def probe_arrays(self) -> ProbeArrays:
+        """The index in columnar form, (re)built when the cache is stale."""
+        cache = self.cache
+        if cache is None:
+            buckets = self.buckets
+            slots: List[int] = []
+            keys: List[Key] = []
+            starts = np.empty(len(buckets), dtype=np.intp)
+            counts = np.empty(len(buckets), dtype=np.intp)
+            for b, bucket in enumerate(buckets.values()):
+                starts[b] = len(slots)
+                counts[b] = len(bucket)
+                slots.extend(bucket.values())
+                keys.extend(bucket)
+            if len(self.positions) == 1:
+                hooks: List[Key] = [(hook,) for hook in buckets]
+            else:
+                hooks = list(buckets)
+            cache = self.cache = ProbeArrays(
+                np.array(slots, dtype=np.intp),
+                _columns(keys, len(self.store.schema)),
+                _columns(hooks, len(self.positions)),
+                starts,
+                counts,
+            )
+        return cache
+
+
+def _columns(rows: List[Key], arity: int) -> Tuple[np.ndarray, ...]:
+    if not rows:
+        return tuple(column_array([]) for _ in range(arity))
+    return tuple(column_array(list(col)) for col in zip(*rows))
+
+
+class SlotStore(_IndexCarrier):
+    """One materialized view as ``key -> slot`` plus a block of rows.
+
+    Mutations follow :meth:`Relation.add_inplace` exactly — payload
+    addition, a sum that is the exact ring zero deletes its key, a
+    ring-zero delta for an absent key is skipped — and keep every built
+    index in step. ``support`` is the view's static feature support (the
+    block is allocated over it; scalar-block rings ignore it).
+    """
+
+    __slots__ = (
+        "schema", "ring", "name", "support", "slots", "block", "high", "free",
+        "indexes", "pending",
+    )
+
+    def __init__(self, schema, ring, support=(), name: str = ""):
+        self.schema = tuple(schema)
+        self.ring = ring
+        self.name = name
+        self.support = support
+        #: Live keys in view order -> row of ``block``.
+        self.slots: Dict[Key, int] = {}
+        self.block = ring.alloc_block(0, support)
+        #: Rows ``[0, high)`` are live or on the free list.
+        self.high = 0
+        self.free: List[int] = []
+        self.indexes: Dict[Tuple[str, ...], StoreIndex] = {}
+        self.pending: set = set()
+
+    @classmethod
+    def from_relation(cls, relation: Relation, support=()) -> "SlotStore":
+        """Store holding copies of ``relation``'s entries, in its order."""
+        store = cls(relation.schema, relation.ring, support, relation.name)
+        if relation.data:
+            block = relation.ring.make_block(relation.data.values())
+            store.add_block(list(relation.data), block, distinct=True)
+        return store
+
+    def _build_index(self, attrs) -> StoreIndex:
+        return StoreIndex(self, attrs).build(self.slots)
+
+    # ------------------------------------------------------------------
+    # Reads (all copies)
+    # ------------------------------------------------------------------
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def __contains__(self, key: Key) -> bool:
+        return key in self.slots
+
+    def payload(self, key: Key) -> Any:
+        """Copy of ``key``'s payload (ring zero when absent)."""
+        slot = self.slots.get(key)
+        if slot is None:
+            return self.ring.zero()
+        return self.ring.copy(self.ring.row(self.block, slot))
+
+    @property
+    def capacity(self) -> int:
+        return self.ring.block_size(self.block)
+
+    def copy(self) -> Relation:
+        """The view as a plain relation of payload copies, in view order."""
+        ring = self.ring
+        slots = self.slots
+        relation = Relation(self.schema, ring, name=self.name)
+        if len(slots) <= 4:
+            # A root view's few rows: cheaper one by one than one gather.
+            row, block = ring.row, self.block
+            relation.data = {k: ring.copy(row(block, i)) for k, i in slots.items()}
+        else:
+            live = np.fromiter(slots.values(), dtype=np.intp, count=len(slots))
+            rows = ring.block_payloads(ring.take(self.block, live))
+            relation.data = dict(zip(slots, rows))
+        return relation
+
+    @property
+    def data(self) -> Mapping[Key, Any]:
+        """Read-only ``key -> payload copy`` mapping, built per access."""
+        return MappingProxyType(self.copy().data)
+
+    def __eq__(self, other) -> bool:
+        return self.copy() == (other.copy() if isinstance(other, SlotStore) else other)
+
+    def close_to(self, other, tol: float = 1e-8) -> bool:
+        if isinstance(other, SlotStore):
+            other = other.copy()
+        return self.copy().close_to(other, tol)
+
+    # ------------------------------------------------------------------
+    # Mutation
+    # ------------------------------------------------------------------
+
+    def add_inplace(self, other: Relation) -> int:
+        """Add a (small) dict delta row by row.
+
+        Returns how many cached :class:`ProbeArrays` the call dropped.
+        """
+        if self.schema != other.schema:
+            raise SchemaError(f"schema mismatch: {self.schema!r} vs {other.schema!r}")
+        ring = self.ring
+        slots = self.slots
+        add_row = ring.add_row
+        changed = False
+        for key, payload in other.data.items():
+            slot = slots.get(key)
+            if slot is None:
+                if not ring.is_zero(payload):
+                    self._insert([key], payload)
+                    changed = True
+            elif add_row(self.block, slot, payload):
+                self._delete([key])
+                changed = True
+        return self._keys_changed() if changed else 0
+
+    def add_block(self, keys, block, distinct: bool = False) -> int:
+        """Scatter ``block`` row ``i`` into ``keys[i]``'s row.
+
+        One slot lookup per key, one ``add_at`` over the hit rows, one
+        zero test over the touched rows; only inserts and deletes write
+        the dict and the buckets. Hits never move a key and batch keys
+        are distinct, so deleting after the hits and appending the live
+        misses last lands :meth:`add_inplace`'s key and bucket orders.
+        ``distinct`` is the caller's promise that no key repeats (the
+        fused program groups by key first), which skips hashing every
+        key once more to find out. Returns how many cached
+        :class:`ProbeArrays` the call dropped.
+        """
+        ring = self.ring
+        if not isinstance(keys, list):
+            keys = list(keys)
+        n = len(keys)
+        if not distinct and len(set(keys)) != n:
+            # Occurrences of one key merge sequentially, as in a dict delta.
+            return sum(
+                self.add_block([key], ring.take(block, [i]))
+                for i, key in enumerate(keys)
+            )
+        at = np.fromiter(map(self.slots.get, keys, repeat(-1)), dtype=np.intp, count=n)
+        hit = np.flatnonzero(at >= 0)
+        dead_keys: List[Key] = []
+        if len(hit):
+            delta, rows_at = block, at
+            if len(hit) < n:
+                delta, rows_at = ring.take(block, hit), at[hit]
+            dead = ring.is_zero_many(ring.add_at(self.block, rows_at, delta))
+            if dead.any():
+                dead_keys = [keys[i] for i in hit[dead].tolist()]
+        new_keys: List[Key] = []
+        if len(hit) < n:
+            miss = np.flatnonzero(at < 0)
+            rows = ring.take(block, miss) if len(hit) else block
+            zero = ring.is_zero_many(rows)
+            if zero.any():
+                miss = miss[~zero]
+                rows = ring.take(rows, np.flatnonzero(~zero))
+            new_keys = keys if len(miss) == n else [keys[i] for i in miss.tolist()]
+        if not dead_keys and not new_keys:
+            return 0
+        self._delete(dead_keys)
+        if new_keys:
+            self._insert(new_keys, rows)
+        return self._keys_changed()
+
+    def rescale(self, factor: float) -> None:
+        """Multiply every payload by ``factor`` (free rows stay zero)."""
+        self.block = self.ring.scale_float_many(self.block, factor)
+
+    # ------------------------------------------------------------------
+
+    def _insert(self, keys: List[Key], rows) -> None:
+        """Append absent ``keys`` with ``rows`` (a block, or one payload)."""
+        free = self.free
+        slots = [free.pop() for _ in range(min(len(keys), len(free)))]
+        fresh = len(keys) - len(slots)
+        if fresh:
+            ring = self.ring
+            high = self.high
+            if high + fresh > self.capacity:
+                # Double, so appends cost amortised O(1) row copies.
+                used = np.arange(high)
+                block = ring.alloc_block(
+                    max(2 * self.capacity, high + fresh, 16), self.support
+                )
+                ring.set_rows(block, used, ring.take(self.block, used))
+                self.block = block
+            slots.extend(range(high, high + fresh))
+            self.high = high + fresh
+        self.ring.set_rows(self.block, np.array(slots, dtype=np.intp), rows)
+        self.slots.update(zip(keys, slots))
+        for index in self.indexes.values():
+            for key, slot in zip(keys, slots):
+                index.set(key, slot)
+
+    def _delete(self, keys: List[Key]) -> None:
+        self.free.extend(map(self.slots.pop, keys))
+        for index in self.indexes.values():
+            for key in keys:
+                index.discard(key)
+
+    def _keys_changed(self) -> int:
+        dropped = 0
+        for index in self.indexes.values():
+            if index.cache is not None:
+                index.cache = None
+                dropped += 1
+        return dropped

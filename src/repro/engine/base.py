@@ -72,17 +72,18 @@ class EngineStatistics:
     #:     PYTHONPATH=src python benchmarks/bench_delta_latency.py
     #:
     #:      batch    fused  per-tuple
-    #:          8     89.7       63.1
-    #:         10     74.0       61.8
-    #:         12     63.4       62.3
-    #:         14     55.8       58.5
-    #:         16     50.8       58.1
-    #:         32     30.8       54.3
-    #:        100     18.1       44.6
-    #:       1000      8.8       37.0
+    #:          8     69.5       63.2
+    #:         10     58.6       59.8
+    #:         12     50.8       60.8
+    #:         14     42.8       59.6
+    #:         16     40.7       56.3
+    #:         32     21.4       52.4
+    #:        100     10.2       42.1
+    #:       1000      3.7       33.4
     #:
-    #: In six separate runs fused lost at 10 every time and won at 16 every
-    #: time; at 12 the paths are within 3 % of each other (fused won twice).
+    #: In six separate runs (views in slot stores) fused lost at 8 every
+    #: time and won at 14 every time; at 10 it lost four times, at 12 it won
+    #: five — the crossover did not move off 12.
     #: A class constant (tests patch it to pin one path), not a setting.
     COLUMNAR_MIN_DELTA: ClassVar[int] = 12
 
@@ -110,11 +111,13 @@ class EngineStatistics:
     columnar_batches: int = 0
     fused_batches: int = 0
     fused_steps: int = 0
-    #: Columnar sibling-mirror lifecycle: probes served from a live
-    #: mirror, mirrors (re)built, and live mirrors dropped because their
-    #: view was mutated. ``mirror_invalidations`` close to
-    #: ``mirror_builds`` means the cache is thrashing (a view that is
-    #: both probed and updated every batch).
+    #: Lifecycle of the probe arrays a slot-store index caches for the
+    #: fused probe (names predate the stores): probes that reused live
+    #: arrays, arrays (re)built, and live arrays dropped because a key
+    #: was inserted into or deleted from their view — payload updates
+    #: drop nothing. ``mirror_invalidations`` close to ``mirror_builds``
+    #: means the cache is thrashing (a view that is probed and gains or
+    #: loses keys every batch).
     mirror_hits: int = 0
     mirror_builds: int = 0
     mirror_invalidations: int = 0
@@ -232,10 +235,14 @@ class MaintenanceEngine(ABC):
     ) -> EngineSnapshot:
         """Publish an immutable snapshot of the current result.
 
-        The snapshot's ``result`` is the root view behind a fresh key
-        dict with payload objects shared (zero-copy): maintenance never
-        mutates a stored payload in place, so later :meth:`apply` calls
-        cannot alter a published snapshot. The swap into the engine's
+        The snapshot's ``result`` is :meth:`result` behind a fresh key
+        dict, and :meth:`result` never returns a payload that
+        maintenance will later write: engines that keep dict relations
+        share the payload objects (zero-copy — they replace a stored
+        payload, never mutate it), while F-IVM views held in slot stores
+        are added into *in place* and hand out copies of the root's few
+        rows instead. Either way later :meth:`apply` calls (and decay
+        settles) cannot alter a published snapshot. The swap into the engine's
         snapshot store is a single attribute assignment — readers calling
         :meth:`latest_snapshot` concurrently (from other threads) observe
         either the previous epoch or this one, never a torn state.

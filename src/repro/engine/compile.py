@@ -12,13 +12,14 @@ and no Python-level loop per delta row:
   combined into a single code word, and grouped with one ``np.unique``
   call whose result is remapped to *first-seen* order, so every
   downstream float sum associates in the order the rows arrived;
-- **columnar sibling cache** — probes gather from the
-  :class:`~repro.data.index.ColumnarMirror` each view index keeps (keys
-  + payload block + bucket slot ranges + hook value columns, invalidated
-  on every index mutation and rebuilt lazily here): probe hooks are
-  matched against buckets numerically via per-column ``searchsorted``,
-  match pairs are expanded by integer index arithmetic and payloads
-  fetched with ``ring.take``;
+- **columnar sibling probes** — every view is a
+  :class:`~repro.data.store.SlotStore`, and each of its indexes caches
+  its :class:`~repro.data.store.ProbeArrays` (key columns, bucket ranges,
+  hook value columns and row slots; dropped only when the view's key set
+  changes): probe hooks are matched against buckets numerically via
+  per-column ``searchsorted``, match pairs are expanded by integer index
+  arithmetic and payloads fetched from the store's block with
+  ``ring.take``;
 - **ordering discipline** — hooks are visited in first-seen order,
   bucket entries outer, delta rows inner, and within-group sums run over
   ascending original row order, so results do not depend on how the
@@ -35,18 +36,7 @@ import numpy as np
 from repro.data.columnar import bulk_liftable, column_array, lift_column
 from repro.data.relation import _positions
 
-__all__ = [
-    "FusedPath",
-    "compile_fused_path",
-    "live_mirrors",
-    "MIRROR_MAX_ENTRIES",
-]
-
-#: Views larger than this never get a columnar mirror: building one is a
-#: full pass over every live entry, which a huge frequently-written
-#: sibling would repay after every invalidation. Probes of such views
-#: fall back to gathering just the matched buckets (still vectorized).
-MIRROR_MAX_ENTRIES = 65_536
+__all__ = ["FusedPath", "compile_fused_path"]
 
 #: Combined group codes stay below this bound; larger key spaces fall
 #: back to the tuple-dict grouping pass (same first-seen semantics).
@@ -230,16 +220,16 @@ def _lift_block(ring, fn, arr: np.ndarray):
 _EMPTY_IDX = np.empty(0, dtype=np.intp)
 
 
-class _MirrorMatch:
-    """Cached hook-matching structure for one columnar mirror.
+class _HookMatch:
+    """Cached hook-matching structure for one index's probe arrays.
 
-    ``col_uniques[p]`` holds the sorted distinct values of the mirror's
+    ``col_uniques[p]`` holds the sorted distinct values of the index's
     ``p``-th hook column and ``m_sorted``/``m_order`` the buckets'
     combined per-column codes in sorted order plus the permutation back
     to bucket positions — enough to resolve a batch of probe hooks with
     one ``searchsorted`` per column. Each column's code base is
     ``len(uniques) + 1``, reserving one sentinel digit for probe values
-    absent from the mirror (those can never equal a bucket code).
+    absent from the index (those can never equal a bucket code).
     ``hook_index`` is the hook→bucket-position dict fallback, built
     lazily when the columns resist integer encoding (overflow, exotic
     dtypes) or a probe batch brings incomparable values.
@@ -254,10 +244,10 @@ class _MirrorMatch:
         self.hook_index: Optional[Dict[Any, int]] = None
 
 
-def _mirror_match(mirror) -> _MirrorMatch:
-    match = mirror.match
+def _hook_match(arrays) -> _HookMatch:
+    match = arrays.match
     if match is None:
-        cols = mirror.hook_cols
+        cols = arrays.hook_cols
         col_uniques: Optional[List[np.ndarray]] = []
         comb = None
         card = 1
@@ -275,18 +265,18 @@ def _mirror_match(mirror) -> _MirrorMatch:
             codes = np.searchsorted(uniques, col)
             comb = codes if comb is None else comb * base + codes
         if col_uniques is None:
-            match = _MirrorMatch(None, None, None)
+            match = _HookMatch(None, None, None)
         else:
             order = np.argsort(comb)
-            match = _MirrorMatch(col_uniques, comb[order], order)
-        mirror.match = match
+            match = _HookMatch(col_uniques, comb[order], order)
+        arrays.match = match
     return match
 
 
-def _hook_index_of(mirror, match: _MirrorMatch) -> Dict[Any, int]:
+def _hook_index_of(arrays, match: _HookMatch) -> Dict[Any, int]:
     hook_index = match.hook_index
     if hook_index is None:
-        cols = mirror.hook_cols
+        cols = arrays.hook_cols
         if len(cols) == 1:
             hooks: Iterable = cols[0].tolist()
         else:
@@ -301,17 +291,17 @@ def _kinds_comparable(a: str, b: str) -> bool:
     return (a in "iufb" and b in "iufb") or (a == "U" and b == "U")
 
 
-def _match_reps(hook_cols, reps, mirror):
-    """Match per-group representative hooks against mirror buckets.
+def _match_reps(hook_cols, reps, arrays):
+    """Match per-group representative hooks against an index's buckets.
 
     Returns ``(keep, bucket_idx)``: positions of the groups whose hook
     owns a bucket (ascending, preserving first-seen group order) and the
     matching bucket position for each. The encoded path runs one
     ``searchsorted`` per column over the ``k`` representatives; batches
-    whose values cannot be compared against the mirror's columns fall
+    whose values cannot be compared against the index's columns fall
     back to the hook→bucket dict.
     """
-    match = _mirror_match(mirror)
+    match = _hook_match(arrays)
     col_uniques = match.col_uniques
     if col_uniques is not None:
         comb = None
@@ -331,7 +321,7 @@ def _match_reps(hook_cols, reps, mirror):
             np.minimum(pos, len(m_sorted) - 1, out=pos)
             keep = np.flatnonzero(m_sorted[pos] == comb)
             return keep, match.m_order[pos[keep]]
-    hook_index = _hook_index_of(mirror, match)
+    hook_index = _hook_index_of(arrays, match)
     if len(hook_cols) == 1:
         rep_hooks: List = hook_cols[0][reps].tolist()
     else:
@@ -348,14 +338,6 @@ def _match_reps(hook_cols, reps, mirror):
         np.asarray(keep_g, dtype=np.intp),
         np.asarray(bucket_g, dtype=np.intp),
     )
-
-
-def live_mirrors(view) -> int:
-    """Live columnar mirrors across a view's built indexes."""
-    indexes = getattr(view, "indexes", None)
-    if not indexes:
-        return 0
-    return sum(1 for index in indexes.values() if index.mirror is not None)
 
 
 # ----------------------------------------------------------------------
@@ -393,64 +375,22 @@ class _FusedProbe:
         hook_cols = [cols[p] for p in self.hook_positions]
         gids, reps = _group_rows(hook_cols, n, scratch)
         k = len(reps)
-        mirror = None
-        if len(sibling.data) <= MIRROR_MAX_ENTRIES:
-            if index.mirror is not None:
-                stats.mirror_hits += 1
-            else:
-                stats.mirror_builds += 1
-            mirror = index.columnar_mirror(ring, len(sibling.schema))
-        if mirror is not None:
-            if k == 0 or len(mirror.starts) == 0:
-                keep_arr = ent_start = ent_count = _EMPTY_IDX
-            elif not hook_cols:
-                # Cartesian step: one delta group, one all-entries bucket.
-                keep_arr = np.zeros(1, dtype=np.intp)
-                ent_start = mirror.starts
-                ent_count = mirror.counts
-            else:
-                keep_arr, bucket_idx = _match_reps(hook_cols, reps, mirror)
-                ent_start = mirror.starts[bucket_idx]
-                ent_count = mirror.counts[bucket_idx]
-            src_block = mirror.block
-            rest_sources = [mirror.key_cols[p] for p in self.keep_positions]
+        if index.cache is not None:
+            stats.mirror_hits += 1
         else:
-            # Direct mode (oversized sibling): gather only the matched
-            # buckets into a transient columnar form, same layout rules.
-            if not hook_cols:
-                hooks: List = [()] if k else []
-            elif len(hook_cols) == 1:
-                hooks = hook_cols[0][reps].tolist()
-            else:
-                hooks = list(zip(*(col[reps].tolist() for col in hook_cols)))
-            buckets_get = index.buckets.get
-            keep_g: List[int] = []
-            starts_g: List[int] = []
-            counts_g: List[int] = []
-            payloads: List = []
-            keys_b: List[Tuple] = []
-            for g, hook in enumerate(hooks):
-                bucket = buckets_get(hook)
-                if not bucket:
-                    continue
-                keep_g.append(g)
-                starts_g.append(len(payloads))
-                payloads.extend(bucket.values())
-                keys_b.extend(bucket.keys())
-                counts_g.append(len(payloads) - starts_g[-1])
-            keep_arr = np.asarray(keep_g, dtype=np.intp)
-            ent_start = np.asarray(starts_g, dtype=np.intp)
-            ent_count = np.asarray(counts_g, dtype=np.intp)
-            src_block = ring.make_block(payloads)
-            if keys_b and self.keep_positions:
-                cols_b = list(zip(*keys_b))
-                rest_sources = [
-                    column_array(list(cols_b[p])) for p in self.keep_positions
-                ]
-            else:
-                rest_sources = [
-                    column_array([]) for _ in self.keep_positions
-                ]
+            stats.mirror_builds += 1
+        arrays = index.probe_arrays()
+        if k == 0 or len(arrays.starts) == 0:
+            keep_arr = ent_start = ent_count = _EMPTY_IDX
+        elif not hook_cols:
+            # Cartesian step: one delta group, one all-entries bucket.
+            keep_arr = np.zeros(1, dtype=np.intp)
+            ent_start = arrays.starts
+            ent_count = arrays.counts
+        else:
+            keep_arr, bucket_idx = _match_reps(hook_cols, reps, arrays)
+            ent_start = arrays.starts[bucket_idx]
+            ent_count = arrays.counts[bucket_idx]
         hits = len(keep_arr)
         index.probes += k
         index.hits += hits
@@ -478,8 +418,10 @@ class _FusedProbe:
             ent_count,
         )
         new_cols = [col[left] for col in cols]
-        new_cols.extend(src[right] for src in rest_sources)
-        product = ring.mul_many(ring.take(block, left), ring.take(src_block, right))
+        new_cols.extend(arrays.key_cols[p][right] for p in self.keep_positions)
+        product = ring.mul_many(
+            ring.take(block, left), ring.take(sibling.block, arrays.slots[right])
+        )
         return new_cols, product, len(left)
 
 
@@ -563,8 +505,7 @@ class FusedPath:
         leaf_view = materialized[self.leaf_name]
         if timer:
             t0 = timer()
-        stats.mirror_invalidations += live_mirrors(leaf_view)
-        leaf_view.add_block_inplace(keys, block)
+        stats.mirror_invalidations += leaf_view.add_block(keys, block, distinct=True)
         if timer:
             stats.record_stage("scatter", timer() - t0)
         view_sizes[self.leaf_name] = len(leaf_view)
@@ -602,8 +543,7 @@ class FusedPath:
             target = materialized[step.view_name]
             if timer:
                 t0 = timer()
-            stats.mirror_invalidations += live_mirrors(target)
-            target.add_block_inplace(keys, block)
+            stats.mirror_invalidations += target.add_block(keys, block, distinct=True)
             if timer:
                 stats.record_stage("scatter", timer() - t0)
             view_sizes[step.view_name] = len(target)

@@ -5,18 +5,16 @@ the first-order baseline's delta queries (which evaluate the same tree
 with one base relation replaced by a delta — correct because the join is
 linear in each of its relations).
 
-With ``index_specs`` (the probe plan's view-to-attribute-tuples map),
-views that maintenance paths later probe are wrapped as
-:class:`~repro.data.index.IndexedRelation` with their probe keys
-*registered* — the hash maps themselves materialize lazily on first
-probe, so views no update stream ever probes cost nothing.
+With ``install`` every evaluated view is recorded in its long-lived form
+— F-IVM passes the function that wraps a view as an indexed relation or
+a slot store with its probe keys registered — while parents still join
+the plain relation, which is dropped once they are evaluated.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional
 
-from repro.data.index import IndexedRelation
 from repro.data.relation import Relation
 from repro.errors import EngineError
 from repro.viewtree.builder import ViewTree
@@ -24,23 +22,21 @@ from repro.viewtree.node import View
 
 __all__ = ["evaluate_view", "evaluate_tree"]
 
-IndexSpecs = Mapping[str, Tuple[Tuple[str, ...], ...]]
+Install = Callable[[Relation], Any]
 
 
 def evaluate_view(
     tree: ViewTree,
     view: View,
     relations: Mapping[str, Relation],
-    materialized: Optional[Dict[str, Relation]] = None,
-    index_specs: Optional[IndexSpecs] = None,
+    materialized: Optional[Dict[str, Any]] = None,
+    install: Optional[Install] = None,
 ) -> Relation:
     """Evaluate ``view`` recursively over the given base ``relations``.
 
     When ``materialized`` is provided, every evaluated view is recorded in
-    it (used by F-IVM's initialization to materialize the whole tree).
-    When ``index_specs`` names this view, the result is returned as an
-    :class:`~repro.data.index.IndexedRelation` with the listed attribute
-    tuples registered for lazy materialization on first probe.
+    it (used by F-IVM's initialization to materialize the whole tree) —
+    as ``install(relation)`` when ``install`` is given.
     """
     plan = tree.plan
     if view.is_leaf:
@@ -52,7 +48,7 @@ def evaluate_view(
         result = base.lift(plan.ring, view.key, lifts)
     else:
         children = [
-            evaluate_view(tree, child, relations, materialized, index_specs)
+            evaluate_view(tree, child, relations, materialized, install)
             for child in view.children
         ]
         # Join smallest-first keeps intermediates small on skewed data.
@@ -63,27 +59,16 @@ def evaluate_view(
         lifts = {attr: plan.lifts[attr] for attr in view.lifted}
         result = joined.marginalize(view.key, lifts)
     result.name = view.name
-    if index_specs is not None:
-        specs = index_specs.get(view.name)
-        if specs:
-            # Register lazily: the hash maps are only materialized once a
-            # maintenance path actually probes them (IndexedRelation.
-            # ensure_index), so views that are never probed pay neither
-            # the build nor per-update index maintenance.
-            indexed = IndexedRelation.from_relation(result)
-            for attrs in specs:
-                indexed.register_index(attrs)
-            result = indexed
     if materialized is not None:
-        materialized[view.name] = result
+        materialized[view.name] = install(result) if install else result
     return result
 
 
 def evaluate_tree(
     tree: ViewTree,
     relations: Mapping[str, Relation],
-    materialized: Optional[Dict[str, Relation]] = None,
-    index_specs: Optional[IndexSpecs] = None,
+    materialized: Optional[Dict[str, Any]] = None,
+    install: Optional[Install] = None,
 ) -> Relation:
     """Evaluate the whole tree; returns the root view's relation."""
-    return evaluate_view(tree, tree.root, relations, materialized, index_specs)
+    return evaluate_view(tree, tree.root, relations, materialized, install)

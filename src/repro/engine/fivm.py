@@ -23,8 +23,9 @@ from repro.config import EngineConfig
 from repro.data.database import Database
 from repro.data.index import IndexedRelation
 from repro.data.relation import Relation
+from repro.data.store import SlotStore
 from repro.engine.base import MaintenanceEngine
-from repro.engine.compile import FusedPath, compile_fused_path, live_mirrors
+from repro.engine.compile import FusedPath, compile_fused_path
 from repro.engine.evaluation import evaluate_tree
 from repro.errors import CheckpointError, EngineError, RingError
 from repro.query.query import Query
@@ -42,7 +43,11 @@ class FIVMEngine(MaintenanceEngine):
     maintenance path carries persistent hash indexes on exactly the
     attribute sets those paths probe — the probe plan is computed once
     from the view tree at construction, and index maintenance is folded
-    into the same ``add_inplace`` calls that refresh the views.
+    into the same ``add_inplace`` calls that refresh the views. When the
+    payload ring has bulk kernels and is not scalar, every view is a
+    :class:`~repro.data.store.SlotStore` (one ring block per view, both
+    paths below read and write its rows); otherwise views are dict
+    relations, indexed where probed.
 
     A delta is maintained along one of two paths, chosen only from what
     the engine can observe:
@@ -124,7 +129,11 @@ class FIVMEngine(MaintenanceEngine):
             slots = {layout.index(attr) for attr in view.lifted}
             slots.update(*(self._view_supports[c.name] for c in view.children))
             self._view_supports[view.name] = tuple(sorted(slots))
-        self.materialized: Dict[str, Relation] = {}
+        ring = self.plan.ring
+        #: Whether views are slot stores — the predicate that also
+        #: selects the fused path.
+        self._stored = ring.has_bulk_kernels and not ring.is_scalar
+        self.materialized: Dict[str, Any] = {}
         self.profile_stages = config.profile_stages
         self.probe_plan = build_probe_plan(self.tree)
         # Maintenance paths and per-view lifting dicts are pure functions
@@ -146,8 +155,7 @@ class FIVMEngine(MaintenanceEngine):
         #: than per batch. Scalar rings get none: their dict fast paths
         #: beat the kernels' fixed cost at every batch size.
         self._fused_paths: Dict[str, FusedPath] = {}
-        ring = self.plan.ring
-        if ring.has_bulk_kernels and not ring.is_scalar:
+        if self._stored:
             for name in self._paths:
                 fpath = compile_fused_path(self, name)
                 if fpath is not None:
@@ -160,14 +168,10 @@ class FIVMEngine(MaintenanceEngine):
             name: database.relation(name) for name in self.query.relation_names
         }
         self.materialized = {}
-        # Index-aware evaluation: probed views come out of evaluate_tree
-        # already wrapped and indexed, so there is no second install pass
-        # over the freshly materialized data.
+        # Views come out of evaluate_tree in their long-lived form, so
+        # there is no second pass over the freshly materialized data.
         evaluate_tree(
-            self.tree,
-            relations,
-            self.materialized,
-            index_specs=self.probe_plan.index_specs,
+            self.tree, relations, self.materialized, install=self._install_view
         )
         self._initialized = True
         self._refresh_view_sizes()
@@ -183,17 +187,17 @@ class FIVMEngine(MaintenanceEngine):
             fpath.apply(self, delta)
             return
         stats.record_batch(delta)
-        # Mirrors only exist when fused paths run; small batches passing
-        # through here must still account for the mirrors they invalidate.
-        count_mirrors = bool(self._fused_paths)
+        stored = self._stored
         materialized = self.materialized
         view_sizes = stats.view_sizes
         leaf, leaf_lifts, inner = self._paths[relation_name]
         current = delta.lift(self.plan.ring, leaf.key, leaf_lifts)
         leaf_view = materialized[leaf.name]
-        if count_mirrors:
-            stats.mirror_invalidations += live_mirrors(leaf_view)
-        leaf_view.add_inplace(current)
+        dropped = leaf_view.add_inplace(current)
+        if stored:
+            # A store reports the probe-array caches a key insert or
+            # delete cost it; small batches must account for them too.
+            stats.mirror_invalidations += dropped
         view_sizes[leaf.name] = len(leaf_view)
         probe_steps = self.probe_plan.path_steps[relation_name]
         scan_ratio = stats.ADAPTIVE_SCAN_RATIO
@@ -206,11 +210,11 @@ class FIVMEngine(MaintenanceEngine):
                 sibling = materialized[step.sibling]
                 if (
                     len(joined.data) >= scan_min_delta
-                    and len(joined.data) > scan_ratio * len(sibling.data)
+                    and len(joined.data) > scan_ratio * len(sibling)
                 ):
                     # The delta dwarfs the sibling: one hash join over
                     # the small sibling beats per-entry index probes.
-                    joined = joined.join(sibling)
+                    joined = joined.join(sibling.copy() if stored else sibling)
                     stats.scan_steps += 1
                 else:
                     # O(|delta| x matches): probe the persistent index
@@ -231,15 +235,19 @@ class FIVMEngine(MaintenanceEngine):
             current = joined.marginalize(view.key, lifts)
             stats.delta_tuples_propagated += len(current.data)
             target = materialized[view.name]
-            if count_mirrors:
-                stats.mirror_invalidations += live_mirrors(target)
-            target.add_inplace(current)
+            dropped = target.add_inplace(current)
+            if stored:
+                stats.mirror_invalidations += dropped
             view_sizes[view.name] = len(target)
 
     def result(self) -> Relation:
+        """The root view; for a stored view, a relation of payload copies
+        (the root holds a few rows), so callers never alias a row that
+        maintenance later adds into."""
         self._require_initialized()
         self._settle_decay()
-        return self.materialized[self.tree.root.name]
+        root = self.materialized[self.tree.root.name]
+        return root.copy() if self._stored else root
 
     # ------------------------------------------------------------------
     # Decay (exponential forgetting)
@@ -269,43 +277,40 @@ class FIVMEngine(MaintenanceEngine):
         """Fold the pending decay into every materialized view (lazy rebase).
 
         Each view ``v`` is scaled by ``rate ** (ticks * k_v)`` where
-        ``k_v`` counts the leaf relations under its subtree, payload
-        objects are *replaced* (never mutated — published snapshots
-        sharing them stay frozen), and the clock resets. Idempotent; a
-        no-op on undecayed engines and at tick zero, so :meth:`result`
-        and :meth:`_export_payload` call it unconditionally.
+        ``k_v`` counts the leaf relations under its subtree — a stored
+        view in one block multiply, a dict view payload by payload
+        (*replaced*, never mutated: published snapshots sharing them
+        stay frozen) — and the clock resets. Idempotent; a no-op on
+        undecayed engines and at tick zero, so :meth:`result` and
+        :meth:`_export_payload` call it unconditionally.
         """
         ring = self.decay_ring
         if ring is None or ring.ticks == 0:
             return
         scale_float = ring.base.scale_float
-        for name, relation in self.materialized.items():
+        for name, view in self.materialized.items():
             factor = ring.settle_factor(self._decay_leaf_counts[name])
             if factor == 1.0:
                 continue
-            data = relation.data
+            if self._stored:
+                view.rescale(factor)
+                continue
+            data = view.data
             for key, payload in data.items():
                 data[key] = scale_float(payload, factor)
-            # Same invalidate-on-write discipline as add_inplace: the
-            # cached columnar form and every index mirror describe the
-            # pre-settle payloads, and index buckets alias them — refresh
-            # bucket entries in place so bucket *order* (which the fused
-            # probe's bit-equality rests on) survives the settle.
-            relation._columnar = None
-            indexes = getattr(relation, "indexes", None)
-            if indexes:
-                for index in indexes.values():
-                    index.mirror = None
-                    for bucket in index.buckets.values():
-                        for key in bucket:
-                            bucket[key] = data[key]
+            view._columnar = None
+            # Buckets alias the replaced payloads; a bucket's entries are
+            # in view order, so rebuilding from the view keeps that order.
+            for index in getattr(view, "indexes", {}).values():
+                index.build(data)
         ring.reset()
         self.stats.decay_settles += 1
 
     # ------------------------------------------------------------------
 
-    def view(self, name: str) -> Relation:
-        """Materialization of a named view (for inspection and tests)."""
+    def view(self, name: str):
+        """Materialization of a named view (for inspection and tests): a
+        relation, or a slot store whose read API hands out copies."""
         self._require_initialized()
         try:
             return self.materialized[name]
@@ -329,14 +334,28 @@ class FIVMEngine(MaintenanceEngine):
         span (what the numeric ring stores). Views carrying persistent
         indexes additionally report ``indexes`` (how many), their total
         ``index_entries`` (one per live key per index; payloads are
-        shared, not copied) and ``index_buckets``.
+        shared, not copied) and ``index_buckets``. Stored views count
+        their weight over the block and add ``capacity`` (rows
+        allocated) and ``free_slots`` (rows deletes gave back).
         """
         report: Dict[str, Dict[str, Any]] = {}
         for name, relation in self.materialized.items():
-            weight = sum(
-                _payload_weight(payload) for payload in relation.data.values()
-            )
-            entry = {"entries": len(relation), "payload_weight": weight}
+            if self._stored:
+                block = relation.block
+                weight = len(relation)
+                if hasattr(block, "q"):  # free and unused rows are exact zeros
+                    weight += int(np.count_nonzero(block.s) + np.count_nonzero(block.q))
+                entry = {
+                    "entries": len(relation),
+                    "payload_weight": weight,
+                    "capacity": relation.capacity,
+                    "free_slots": len(relation.free),
+                }
+            else:
+                weight = sum(
+                    _payload_weight(payload) for payload in relation.data.values()
+                )
+                entry = {"entries": len(relation), "payload_weight": weight}
             support = self._view_supports.get(name)
             if support is not None:
                 k = len(support)
@@ -372,7 +391,7 @@ class FIVMEngine(MaintenanceEngine):
         self._settle_decay()
         return {
             "views": {
-                name: dict(relation.data)
+                name: relation.copy().data
                 for name, relation in self.materialized.items()
             }
         }
@@ -413,29 +432,36 @@ class FIVMEngine(MaintenanceEngine):
                         f"snapshot view {name!r} does not fit its subtree's features: {exc}"
                     ) from exc
             # The constructor validates keys and filters ring-zero payloads.
-            self.materialized[name] = Relation(
-                view.key, self.plan.ring, data=data, name=name
+            self.materialized[name] = self._install_view(
+                Relation(view.key, self.plan.ring, data=data, name=name)
             )
-        self._install_indexes()
 
     def _after_restore(self) -> None:
         self._refresh_view_sizes()
 
     # ------------------------------------------------------------------
 
-    def _install_indexes(self) -> None:
-        """Wrap probed views as :class:`IndexedRelation`, indexes registered.
+    def _install_view(self, relation: Relation):
+        """The long-lived form of one evaluated or restored view.
 
-        The probe plan names, per view, exactly the attribute tuples some
-        relation's maintenance path looks up; views never probed (e.g. the
-        root) stay plain relations. The hash maps themselves materialize
-        lazily on first probe (:meth:`IndexedRelation.ensure_index`).
+        A slot store for bulk non-scalar rings; otherwise an
+        :class:`IndexedRelation` when some maintenance path probes the
+        view (the probe plan names exactly those attribute tuples) and
+        the plain relation when none does (e.g. the root). Indexes are
+        only registered here; the hash maps materialize on first probe.
         """
-        for name, specs in self.probe_plan.index_specs.items():
-            indexed = IndexedRelation.from_relation(self.materialized[name])
-            for attrs in specs:
-                indexed.register_index(attrs)
-            self.materialized[name] = indexed
+        specs = self.probe_plan.index_specs.get(relation.name, ())
+        if self._stored:
+            view = SlotStore.from_relation(
+                relation, self._view_supports.get(relation.name, ())
+            )
+        elif specs:
+            view = IndexedRelation.from_relation(relation)
+        else:
+            return relation
+        for attrs in specs:
+            view.register_index(attrs)
+        return view
 
     def _refresh_view_sizes(self) -> None:
         """Full recomputation — initialization/restore only; ``apply``
@@ -454,14 +480,11 @@ def _subtree_leaf_count(view) -> int:
 
 def _payload_weight(payload) -> int:
     """Scalar cells inside one payload (see :meth:`FIVMEngine.memory_report`)."""
-    if hasattr(payload, "q"):  # cofactor values
-        q = payload.q
-        if hasattr(q, "shape"):  # numpy: count structural non-zeros
-            return 1 + int(np.count_nonzero(payload.s)) + int(np.count_nonzero(q))
+    if hasattr(payload, "q"):  # general cofactor values (numeric ones are stored)
         return (
             _payload_weight_scalar(payload.c)
             + sum(_payload_weight_scalar(v) for v in payload.s.values())
-            + sum(_payload_weight_scalar(v) for v in q.values())
+            + sum(_payload_weight_scalar(v) for v in payload.q.values())
         )
     return _payload_weight_scalar(payload)
 

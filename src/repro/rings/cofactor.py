@@ -418,6 +418,52 @@ class NumericCofactorRing(Ring):
             q[present] = np.add.reduceat(block.q[order], starts, axis=0)
         return NumericCofactorBlock(c, s, q, block.support)
 
+    # ------------------------------------------------------------------
+    # Row kernels: a view's slot store (repro.data.store) keeps all its
+    # payloads as the rows of one growing block. ``at`` is an array of
+    # distinct row indices (with a block) or one index (with a payload).
+    # ------------------------------------------------------------------
+
+    def alloc_block(self, n: int, support: Support = ()) -> NumericCofactorBlock:
+        """Block of ``n`` ring zeros over ``support``."""
+        k = len(support)
+        return NumericCofactorBlock(
+            np.zeros(n), np.zeros((n, k)), np.zeros((n, k, k)), self.support(support)
+        )
+
+    def _fit(self, x, support: Support):
+        if x.support != support:
+            if not set(x.support) <= set(support):
+                raise RingError(f"payload over {x.support} does not fit rows over {support}")
+            x = _widen(x, support)
+        return x
+
+    def add_at(self, block: NumericCofactorBlock, at, delta):
+        """``block[at] += delta`` in place; returns the summed rows."""
+        delta = self._fit(delta, block.support)
+        c, s, q = block.c[at] + delta.c, block.s[at] + delta.s, block.q[at] + delta.q
+        block.c[at], block.s[at], block.q[at] = c, s, q
+        return type(delta)(c, s, q, block.support)
+
+    def add_row(self, block: NumericCofactorBlock, i: int, a: NumericCofactor) -> bool:
+        """``block[i] += a`` through row views; whether the row is now zero."""
+        if a.support != block.support:
+            a = self._fit(a, block.support)
+        c = block.c[i] = block.c[i] + a.c
+        s, q = block.s[i], block.q[i]
+        s += a.s
+        q += a.q
+        return c == 0.0 and not s.any() and not q.any()
+
+    def set_rows(self, block: NumericCofactorBlock, at, rows) -> None:
+        """``block[at] = rows`` (values are copied in)."""
+        rows = self._fit(rows, block.support)
+        block.c[at], block.s[at], block.q[at] = rows.c, rows.s, rows.q
+
+    def row(self, block: NumericCofactorBlock, i: int) -> NumericCofactor:
+        """Row ``i`` as a payload whose ``s``/``Q`` alias the block."""
+        return NumericCofactor(block.c.item(i), block.s[i], block.q[i], block.support)
+
 
 # ----------------------------------------------------------------------
 # Generalized implementation over an arbitrary scalar ring

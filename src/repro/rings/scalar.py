@@ -77,6 +77,26 @@ class _ArrayBlockKernels:
         np.add.at(totals, np.asarray(segment_ids, dtype=np.intp), block)
         return totals
 
+    # Row kernels of a view's slot store (see NumericCofactorRing): scalar
+    # payloads span no features, so ``support`` is ignored.
+
+    def alloc_block(self, n, support=()):
+        return np.zeros(n, dtype=self._block_dtype)
+
+    def add_at(self, block, at, delta):
+        block[at] += delta
+        return block[at]
+
+    def add_row(self, block, i, a):
+        block[i] += a
+        return bool(self.is_zero(block.item(i)))
+
+    def set_rows(self, block, at, rows):
+        block[at] = rows
+
+    def row(self, block, i):
+        return block.item(i)
+
 
 class IntegerRing(_ArrayBlockKernels, Ring):
     """The ring of integers Z; payloads are plain ``int``."""

@@ -17,6 +17,7 @@ from repro.datasets import (
     toy_database,
 )
 from repro.engine.base import EngineStatistics
+from repro.rings.scalar import IntegerRing
 
 hypothesis.settings.register_profile(
     "fivm",
@@ -38,6 +39,20 @@ def per_tuple_path():
     — the reference the fused path is checked against. The engine has no
     option for this; the size threshold is the only seam."""
     return mock.patch.object(EngineStatistics, "COLUMNAR_MIN_DELTA", sys.maxsize)
+
+
+class _GenericIntegerRing(IntegerRing):
+    """Z with ``is_scalar`` off: the same data takes the generic-ring
+    branches of Relation/IndexedRelation (``ring.add``/``ring.is_zero``
+    dispatch instead of native ``+`` and truthiness), so scalar ≡ generic
+    is checked without a switch in ``src/``."""
+
+    name = "Z-generic"
+    is_scalar = False
+    has_bulk_kernels = False
+
+
+GENERIC_Z = _GenericIntegerRing()
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""ColumnarDelta, Relation block construction/scatter, batcher emission."""
+"""ColumnarDelta, slot-store block scatter, batcher emission."""
 
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.data import ColumnarDelta, IndexedRelation, Relation, UpdateBatcher
+from repro.data import ColumnarDelta, Relation, SlotStore, UpdateBatcher
 from repro.data.delta import delta_of
 from repro.errors import DataError
 from repro.rings import CofactorLayout, FloatRing, NumericCofactorRing
@@ -95,52 +95,73 @@ class TestRelationColumnarCache:
         assert relation.columnar().rows == [(1, "a"), (2, "b")]
 
 
-class TestAddBlockInplace:
-    def test_matches_add_inplace_on_scalar_ring(self):
+class TestStoreBlockScatter:
+    """SlotStore.add_block is the block form of Relation.add_inplace."""
+
+    def test_matches_add_inplace_on_scalar_block_ring(self):
+        # FloatRing blocks are 1-d arrays (the DecayRing-over-sum case).
         ring = FloatRing()
-        base = {(1,): 1.0, (2,): 2.0}
-        via_block = Relation(("A",), ring, data=dict(base))
-        via_dict = Relation(("A",), ring, data=dict(base))
+        base = Relation(("A",), ring, data={(1,): 1.0, (2,): 2.0})
+        via_block = SlotStore.from_relation(base)
+        via_dict = base.copy()
         keys = [(1,), (2,), (3,), (4,)]
         values = [0.5, -2.0, 0.0, 3.0]
-        via_block.add_block_inplace(keys, ring.make_block(values))
+        via_block.add_block(keys, ring.make_block(values))
         other = Relation(("A",), ring)
         other.data = dict(zip(keys, values))
         via_dict.add_inplace(other)
         assert via_block == via_dict
+        assert list(via_block.data) == list(via_dict.data)
         # (2,) cancelled to zero and (3,) was a parked zero: both absent.
-        assert (2,) not in via_block.data and (3,) not in via_block.data
+        assert (2,) not in via_block and (3,) not in via_block
 
     def test_matches_add_inplace_on_cofactor_ring(self):
         ring = NumericCofactorRing(CofactorLayout(("x", "y")))
         keys = [(1,), (2,), (1,)]
         payloads = [ring.lift(0, 2.0), ring.lift(1, 3.0), ring.neg(ring.lift(0, 2.0))]
-        target = Relation(("A",), ring)
-        target.add_block_inplace(keys, ring.make_block(payloads))
+        target = SlotStore(("A",), ring, support=(0, 1))
+        target.add_block(keys, ring.make_block(payloads))
         # (1,) received x and -x in one block: exact cancellation.
         assert list(target.data) == [(2,)]
-        assert ring.eq(target.data[(2,)], payloads[1])
+        assert ring.eq(target.payload((2,)), payloads[1])
 
-    def test_indexed_relation_keeps_built_indexes_consistent(self):
+    def test_store_keeps_built_indexes_consistent(self):
         ring = FloatRing()
-        view = IndexedRelation(("A", "B"), ring, data={(1, "a"): 1.0})
+        view = SlotStore.from_relation(
+            Relation(("A", "B"), ring, data={(1, "a"): 1.0})
+        )
         index = view.add_index(("A",))
         keys = [(1, "a"), (2, "b"), (2, "c")]
-        view.add_block_inplace(keys, ring.make_block([-1.0, 4.0, 5.0]))
-        assert view.data == {(2, "b"): 4.0, (2, "c"): 5.0}
+        view.add_block(keys, ring.make_block([-1.0, 4.0, 5.0]))
+        assert dict(view.data) == {(2, "b"): 4.0, (2, "c"): 5.0}
         assert index.entry_count() == 2
         assert index.get(1) is None
-        assert set(index.get(2)) == {(2, "b"), (2, "c")}
+        assert list(index.get(2)) == [(2, "b"), (2, "c")]
+        assert [key for key, _ in index.matches(2)] == [(2, "b"), (2, "c")]
+        assert [payload for _, payload in index.matches(2)] == [4.0, 5.0]
 
     def test_lazy_indexes_stay_pending_through_block_scatter(self):
         ring = FloatRing()
-        view = IndexedRelation(("A",), ring)
+        view = SlotStore(("A",), ring)
         view.register_index(("A",))
-        view.add_block_inplace([(1,)], ring.make_block([2.0]))
+        view.add_block([(1,)], ring.make_block([2.0]))
         assert view.pending == {("A",)} and not view.indexes
         index = view.ensure_index(("A",))
         assert index.entry_count() == 1
         assert not view.pending
+
+    def test_reads_are_copies_and_data_is_read_only(self):
+        ring = NumericCofactorRing(CofactorLayout(("x",)))
+        view = SlotStore(("A",), ring, support=(0,))
+        view.add_block([(1,)], ring.make_block([ring.lift(0, 2.0)]))
+        before = view.payload((1,))
+        snapshot = view.copy()
+        with pytest.raises(TypeError):
+            view.data[(9,)] = before
+        view.add_block([(1,)], ring.make_block([ring.lift(0, 5.0)]))
+        assert before == ring.lift(0, 2.0)
+        assert snapshot.payload((1,)) == ring.lift(0, 2.0)
+        assert view.payload((1,)) == ring.add(ring.lift(0, 2.0), ring.lift(0, 5.0))
 
 
 class TestBatcherColumnarEmission:

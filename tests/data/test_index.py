@@ -4,20 +4,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import repro.data.relation as relation_module
 from repro.data import IndexedRelation, Relation, RelationIndex
 from repro.errors import DataError, SchemaError
 from repro.rings.scalar import FloatRing, Z
 
+from tests.conftest import GENERIC_Z
 
-def z_relation(schema, entries):
-    relation = Relation(schema, Z)
+
+def z_relation(schema, entries, ring=Z):
+    relation = Relation(schema, ring)
     relation.data = dict(entries)
     return relation
 
 
-def indexed(schema, entries, attrs):
-    relation = IndexedRelation(schema, Z)
+def indexed(schema, entries, attrs, ring=Z):
+    relation = IndexedRelation(schema, ring)
     relation.data = dict(entries)
     relation.add_index(attrs)
     return relation
@@ -78,10 +79,9 @@ class TestIndexedRelationMaintenance:
         assert index.bucket_count() == 0
         assert relation.data == {}
 
-    def test_generic_path_maintains_index(self, monkeypatch):
-        monkeypatch.setattr(relation_module, "SCALAR_FASTPATH", False)
-        relation = indexed(("A", "B"), {("x", 1): 2}, ("A",))
-        delta = Relation(("A", "B"), Z)
+    def test_generic_path_maintains_index(self):
+        relation = indexed(("A", "B"), {("x", 1): 2}, ("A",), ring=GENERIC_Z)
+        delta = Relation(("A", "B"), GENERIC_Z)
         delta.data = {("x", 1): -2, ("y", 3): 0, ("z", 4): 5}
         relation.add_inplace(delta)
         index = relation.index_on(("A",))
@@ -126,23 +126,25 @@ class TestIndexedRelationMaintenance:
 
 
 class TestJoinProbe:
-    def probe_pair(self, left_entries, right_entries, attrs=("A",)):
-        left = z_relation(("A", "B"), left_entries)
-        right = indexed(("A", "C"), right_entries, attrs)
+    def probe_pair(self, left_entries, right_entries, attrs=("A",), ring=Z):
+        left = z_relation(("A", "B"), left_entries, ring)
+        right = indexed(("A", "C"), right_entries, attrs, ring)
         return left, right
 
-    def test_matches_join(self):
+    @pytest.mark.parametrize("ring", [Z, GENERIC_Z], ids=["scalar", "generic"])
+    def test_matches_join(self, ring):
         left, right = self.probe_pair(
             {("x", 1): 2, ("y", 2): 3, ("w", 9): 1},
             {("x", 10): 5, ("x", 11): 7, ("y", 12): -3},
+            ring=ring,
         )
         probed = left.join_probe(right, right.index_on(("A",)))
         assert probed == left.join(right)
         assert probed.schema == ("A", "B", "C")
-
-    def test_matches_join_generic_path(self, monkeypatch):
-        monkeypatch.setattr(relation_module, "SCALAR_FASTPATH", False)
-        self.test_matches_join()
+        # The scalar branches and the generic ring dispatch agree entry by entry.
+        assert probed.data == {
+            ("x", 1, 10): 10, ("x", 1, 11): 14, ("y", 2, 12): -9,
+        }
 
     def test_cartesian_probe(self):
         left = z_relation(("B",), {(1,): 2})

@@ -7,7 +7,7 @@ from repro.data import Relation
 from repro.errors import DataError, SchemaError
 from repro.rings import CofactorLayout, FloatRing, NumericCofactorRing, Z
 
-from tests.conftest import z_relation_strategy
+from tests.conftest import GENERIC_Z, z_relation_strategy
 
 
 @pytest.fixture
@@ -264,12 +264,9 @@ class TestZeroDropRegression:
         target.add_inplace(other)
         assert ("y",) not in target.data
 
-    def test_zero_payload_skipped_on_generic_path_too(self, monkeypatch):
-        import repro.data.relation as relation_module
-
-        monkeypatch.setattr(relation_module, "SCALAR_FASTPATH", False)
-        target = Relation(("A",), Z, {("x",): 1})
-        other = Relation(("A",))
+    def test_zero_payload_skipped_on_generic_path_too(self):
+        target = Relation(("A",), GENERIC_Z, {("x",): 1})
+        other = Relation(("A",), GENERIC_Z)
         other.data[("y",)] = 0
         target.add_inplace(other)
         assert ("y",) not in target.data
@@ -283,21 +280,15 @@ class TestZeroDropRegression:
         target.add_inplace(other)
         assert ("y",) not in target.data
 
-    def test_cancellation_removes_key_on_both_paths(self, monkeypatch):
-        import repro.data.relation as relation_module
-
-        for fastpath in (True, False):
-            monkeypatch.setattr(relation_module, "SCALAR_FASTPATH", fastpath)
-            target = Relation(("A",), Z, {("x",): 2})
-            other = Relation(("A",), Z, {("x",): -2})
+    def test_cancellation_removes_key_on_both_paths(self):
+        for ring in (Z, GENERIC_Z):
+            target = Relation(("A",), ring, {("x",): 2})
+            other = Relation(("A",), ring, {("x",): -2})
             target.add_inplace(other)
             assert target.data == {}
 
-    def test_scalar_fastpath_flag_is_on_by_default(self):
-        import repro.data.relation as relation_module
-
-        assert relation_module.SCALAR_FASTPATH is True
-        assert Z.is_scalar and FloatRing().is_scalar
+    def test_exact_scalar_rings_take_the_numeric_branches(self):
+        assert Z.is_scalar and FloatRing().is_scalar and not GENERIC_Z.is_scalar
 
 
 class TestPositionMemo:

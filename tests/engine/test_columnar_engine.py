@@ -180,10 +180,10 @@ class TestColumnarEquivalence:
         engine.apply("Inventory", deletes(schema, rows))
         assert engine.stats.columnar_batches == 2
         for name, data in before.items():
-            view = engine.materialized[name]
-            assert set(view.data) == set(data), name
+            after = engine.materialized[name].data
+            assert set(after) == set(data), name
             for key, payload in data.items():
-                assert engine.plan.ring.close(view.data[key], payload, 1e-9)
+                assert engine.plan.ring.close(after[key], payload, 1e-9)
 
     def test_columnar_delta_annihilated_mid_join_stops_cleanly(self):
         """A block emptied by a sibling probe must stop before marginalize."""

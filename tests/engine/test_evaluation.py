@@ -68,49 +68,43 @@ class TestEvaluateView:
         assert result.payload(("a2",)) == 1
 
 
-class TestIndexAwareEvaluation:
-    """evaluate_tree builds probe-plan indexes while materializing."""
+class TestInstallingEvaluation:
+    """evaluate_tree records every view in the form ``install`` gives it,
+    while parents still evaluate from the plain relations."""
 
-    def test_index_specs_wrap_probed_views(self, tree):
+    def test_install_wraps_every_view(self, tree):
         from repro.data import IndexedRelation
-        from repro.viewtree import build_probe_plan
 
-        probe_plan = build_probe_plan(tree)
         materialized = {}
-        evaluate_tree(
+        root = evaluate_tree(
             tree,
             relations_of(toy_database()),
             materialized,
-            index_specs=probe_plan.index_specs,
+            install=IndexedRelation.from_relation,
         )
-        for name, specs in probe_plan.index_specs.items():
-            view = materialized[name]
-            assert isinstance(view, IndexedRelation)
-            # Specs are registered for lazy materialization, not built.
-            assert not view.indexes
-            assert view.pending == set(specs)
-            for attrs in specs:
-                index = view.ensure_index(attrs)
-                assert index.entry_count() == len(view)
-        # Views outside the probe plan stay plain relations.
+        assert set(materialized) == {"V_R", "V_S", "V@A"}
         for name, view in materialized.items():
-            if name not in probe_plan.index_specs:
-                assert not isinstance(view, IndexedRelation)
+            assert isinstance(view, IndexedRelation) and view.name == name
+        # The returned root is the evaluated relation, not its wrapper.
+        assert not isinstance(root, IndexedRelation)
+        assert root == materialized["V@A"]
 
-    def test_indexed_evaluation_matches_plain(self, tree):
-        from repro.viewtree import build_probe_plan
+    def test_installed_evaluation_matches_plain(self, tree):
+        from repro.data import SlotStore
 
-        plain, indexed = {}, {}
+        plain, stored = {}, {}
         evaluate_tree(tree, relations_of(toy_database()), plain)
         evaluate_tree(
             tree,
             relations_of(toy_database()),
-            indexed,
-            index_specs=build_probe_plan(tree).index_specs,
+            stored,
+            install=SlotStore.from_relation,
         )
-        assert set(plain) == set(indexed)
+        assert set(plain) == set(stored)
         for name in plain:
-            assert plain[name] == indexed[name]
+            assert isinstance(stored[name], SlotStore)
+            assert plain[name] == stored[name]
+            assert list(plain[name].data) == list(stored[name].data)
 
     def test_engine_initialize_needs_no_second_pass(self):
         """FIVMEngine's views come out of evaluate_tree already indexed."""

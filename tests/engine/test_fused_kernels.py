@@ -1,12 +1,12 @@
-"""Fused per-path kernels: bit-equality, mirrors, checkpoints.
+"""Fused per-path kernels: bit-equality, probe arrays, checkpoints.
 
 The fused program (:mod:`repro.engine.compile`) promises *bit-equal*
 results to the per-tuple path — not merely numerically close — because
 it replays the exact same float summation orders. These tests sweep
 rings, batch sizes and delete-heavy cancellation streams against that
 promise (with re-evaluation as the third voice), and pin down the
-supporting invariants: columnar mirrors can never serve stale state, and
-fused counters survive checkpoint round-trips.
+supporting invariants: cached probe arrays can never serve stale state,
+and fused counters survive checkpoint round-trips.
 """
 
 import pickle
@@ -16,6 +16,7 @@ import pytest
 
 from repro.data import Relation, inserts
 from repro.data.index import IndexedRelation
+from repro.data.store import SlotStore
 from repro.datasets import (
     RetailerConfig,
     UpdateStream,
@@ -76,10 +77,11 @@ def payloads_identical(a, b):
 def assert_views_bit_equal(fused, reference):
     assert fused.materialized.keys() == reference.materialized.keys()
     for name, view in fused.materialized.items():
-        ref = reference.materialized[name]
-        assert list(view.data.keys()) == list(ref.data.keys()), name
-        for key, payload in view.data.items():
-            assert payloads_identical(payload, ref.data[key]), (name, key)
+        # A store's ``data`` is a fresh mapping of row copies: take it once.
+        mine, theirs = view.data, reference.materialized[name].data
+        assert list(mine) == list(theirs), name
+        for key, payload in mine.items():
+            assert payloads_identical(payload, theirs[key]), (name, key)
 
 
 def toy_engine():
@@ -162,66 +164,89 @@ class TestFusedBitEquality:
             assert view.data == before[name], name
 
 
-class TestColumnarMirror:
-    """A stale mirror can never serve a probe."""
+class TestProbeArrays:
+    """Cached probe arrays can never serve a probe stale state: they hold
+    no payloads, and every key insert or delete drops them."""
 
     def ring(self):
         return NumericCofactorRing(CofactorLayout(("x",)))
 
     def indexed(self):
         ring = self.ring()
-        rel = IndexedRelation(("A", "B"), ring)
+        rel = SlotStore(("A", "B"), ring, support=(0,))
         block = ring.make_block(
             [ring.lift(0, float(v)) for v in (1.0, 2.0, 3.0)]
         )
-        rel.add_block_inplace([(1, 10), (2, 20), (2, 21)], block)
+        rel.add_block([(1, 10), (2, 20), (2, 21)], block)
         return ring, rel, rel.ensure_index(("A",))
 
-    def test_mirror_layout_matches_buckets(self):
+    def test_layout_matches_buckets(self):
         ring, rel, index = self.indexed()
-        mirror = index.columnar_mirror(ring, 2)
-        assert index.mirror is mirror
-        assert len(mirror.starts) == len(index.buckets)
+        arrays = index.probe_arrays()
+        assert index.cache is arrays and index.probe_arrays() is arrays
+        assert len(arrays.starts) == len(index.buckets)
         total = 0
         for b, (hook, bucket) in enumerate(index.buckets.items()):
-            assert mirror.hook_cols[0][b] == hook
-            start, count = mirror.starts[b], mirror.counts[b]
+            assert arrays.hook_cols[0][b] == hook
+            start, count = arrays.starts[b], arrays.counts[b]
             assert count == len(bucket)
             assert [
-                tuple(col[i] for col in mirror.key_cols)
+                tuple(col[i] for col in arrays.key_cols)
                 for i in range(start, start + count)
             ] == list(bucket.keys())
+            assert arrays.slots[start : start + count].tolist() == list(
+                bucket.values()
+            )
             total += count
-        assert total == ring.block_size(mirror.block)
+        assert total == len(rel) == len(arrays.slots)
+        gathered = ring.take(rel.block, arrays.slots)
+        assert gathered.s[:, 0].tolist() == [1.0, 2.0, 3.0]
 
     @pytest.mark.parametrize(
-        "mutate",
-        (
-            "add_inplace",
-            "add_block_inplace",
-            "index_set",
-            "index_discard",
-            "index_build",
-        ),
+        "mutate", ("add_inplace", "add_block", "delete_inplace", "delete_block")
     )
-    def test_every_mutation_drops_the_mirror(self, mutate):
+    def test_every_key_change_drops_the_arrays(self, mutate):
         ring, rel, index = self.indexed()
-        index.columnar_mirror(ring, 2)
-        assert index.mirror is not None
+        index.probe_arrays()
         payload = ring.lift(0, 5.0)
+        gone = ring.neg(ring.lift(0, 1.0))  # cancels (1, 10) exactly
         if mutate == "add_inplace":
             other = Relation(("A", "B"), ring)
             other.data = {(9, 90): payload}
-            rel.add_inplace(other)
-        elif mutate == "add_block_inplace":
-            rel.add_block_inplace([(9, 90)], ring.make_block([payload]))
-        elif mutate == "index_set":
-            index.set((9, 90), payload)
-        elif mutate == "index_discard":
-            index.discard((1, 10))
+            dropped = rel.add_inplace(other)
+        elif mutate == "add_block":
+            dropped = rel.add_block([(9, 90)], ring.make_block([payload]))
+        elif mutate == "delete_inplace":
+            other = Relation(("A", "B"), ring)
+            other.data = {(1, 10): gone}
+            dropped = rel.add_inplace(other)
         else:
-            index.build(rel.data)
-        assert index.mirror is None, f"{mutate} left a stale mirror"
+            dropped = rel.add_block([(1, 10)], ring.make_block([gone]))
+        assert index.cache is None, f"{mutate} left stale probe arrays"
+        assert dropped == 1
+        fresh = index.probe_arrays()
+        assert len(fresh.slots) == len(rel) == index.entry_count()
+
+    @pytest.mark.parametrize("mutate", ("add_inplace", "add_block", "rescale"))
+    def test_payload_updates_keep_the_arrays_and_show_through(self, mutate):
+        ring, rel, index = self.indexed()
+        arrays = index.probe_arrays()
+        payload = ring.lift(0, 5.0)
+        if mutate == "add_inplace":
+            other = Relation(("A", "B"), ring)
+            other.data = {(2, 20): payload}
+            assert rel.add_inplace(other) == 0
+            expected = [1.0, 7.0, 3.0]
+        elif mutate == "add_block":
+            assert rel.add_block([(2, 20)], ring.make_block([payload])) == 0
+            expected = [1.0, 7.0, 3.0]
+        else:
+            rel.rescale(0.5)
+            expected = [0.5, 1.0, 1.5]
+        assert index.cache is arrays
+        # The arrays carry slots, not payloads: the gather reads the block.
+        assert ring.take(rel.block, arrays.slots).s[:, 0].tolist() == expected
+        assert [p.s[0] for _, p in index.matches(2)] == expected[1:]
 
     def test_add_inplace_drops_columnar_cache(self):
         """Regression: the indexed add_inplace branch bypassed the base
@@ -237,13 +262,13 @@ class TestColumnarMirror:
         assert refreshed is not first
         assert len(refreshed.counts) == len(rel.data)
 
-    def test_stale_mirror_never_reaches_a_fused_probe(self):
+    def test_stale_arrays_never_reach_a_fused_probe(self):
         """End to end: mutate a sibling between fused batches and check
         the next batch probes the *new* contents."""
         engine = toy_engine()
         oracle = toy_engine()
         # Mutate S (the sibling view side) between two R batches: the R
-        # path probes V_S, whose mirror must have been invalidated.
+        # path probes V_S, whose probe arrays the new key must have dropped.
         rows = [(f"b{i}", i) for i in range(20)]
         s_rows = [("b1", 1, 1), ("b2", 2, 2)]
         more = [(f"b{i}", i + 100) for i in range(30)]
