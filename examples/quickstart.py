@@ -63,7 +63,7 @@ def main() -> None:
     engine = engine_for(toy_covar_categorical_query())
     ring = engine.plan.ring
     payload = engine.result().payload(())
-    print(f"count        : {payload.c.annotation(())}")
+    print(f"count        : {payload.c}")
     print(f"SUM(B)       : {ring.linear(payload, 0).annotation(())}")
     print(f"SUM(1) by C  : {ring.linear(payload, 1).as_dict()}")
     print(f"SUM(B) by C  : {ring.entry(payload, 0, 1).as_dict()}   (Q_BC)")
@@ -75,7 +75,7 @@ def main() -> None:
     engine = engine_for(toy_mi_query())
     ring = engine.plan.ring
     payload = engine.result().payload(())
-    print(f"C_0  = {payload.c.annotation(())}")
+    print(f"C_0  = {payload.c}")
     print(f"C_B  = {ring.linear(payload, 0).as_dict()}")
     print(f"C_C  = {ring.linear(payload, 1).as_dict()}")
     print(f"C_D  = {ring.linear(payload, 2).as_dict()}")

@@ -125,6 +125,7 @@ from repro.rings import (
     RelationRing,
     RelationValue,
     Ring,
+    SparseCofactorRing,
     SumProductSpec,
     SumSpec,
     Z,
@@ -171,6 +172,7 @@ __all__ = [
     "CofactorLayout",
     "NumericCofactorRing",
     "GeneralCofactorRing",
+    "SparseCofactorRing",
     "Binning",
     "Feature",
     "PayloadPlan",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from types import MappingProxyType
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -49,7 +49,8 @@ class ProbeArrays:
     ``slots[p]`` of the store's block. Entries appear in exactly the
     order the bucket yields them, so a fused probe emits matches in the
     per-tuple probe's order bit for bit. Nothing here depends on payload
-    values: the arrays stay valid until the view's key *set* changes.
+    values: a payload update leaves the arrays alone, and a key insert or
+    delete is patched in (:meth:`StoreIndex.patch`), not rebuilt.
     """
 
     __slots__ = ("slots", "key_cols", "hook_cols", "starts", "counts", "match")
@@ -60,7 +61,8 @@ class ProbeArrays:
         self.hook_cols = hook_cols
         self.starts = starts
         self.counts = counts
-        #: Lazily built hook-matching structure (owned by the fused probe).
+        #: Lazily built hook-matching structure (owned by the fused probe);
+        #: dropped when a bucket appears or vanishes.
         self.match = None
 
 
@@ -72,8 +74,8 @@ class StoreIndex(RelationIndex):
     def __init__(self, store: "SlotStore", attrs):
         super().__init__(store.schema, attrs)
         self.store = store
-        #: Cached :class:`ProbeArrays`; the store drops it when a key is
-        #: inserted or deleted, never on a payload update.
+        #: Cached :class:`ProbeArrays`; the store patches it when a key is
+        #: inserted or deleted and never touches it on a payload update.
         self.cache = None
 
     def matches(self, hook: Any):
@@ -112,6 +114,106 @@ class StoreIndex(RelationIndex):
                 counts,
             )
         return cache
+
+    def patch(self, dead_slots: List[int], new_keys: List[Key], new_slots: List[int]) -> bool:
+        """Bring the cached arrays in step with the buckets, which first
+        lost the keys at ``dead_slots`` and then gained ``new_keys`` (at
+        ``new_slots``, in that order): entries leave and join at the
+        positions a rebuild would choose. False when a new key's values
+        do not fit the cached column types — the caller then drops the
+        cache.
+        """
+        arrays = self.cache
+        slots, counts = arrays.slots, arrays.counts
+        key_cols, hook_cols = arrays.key_cols, arrays.hook_cols
+        high = self.store.high
+        regrouped = False
+        if dead_slots:
+            dead = np.zeros(high, dtype=bool)
+            dead[dead_slots] = True
+            keep = ~dead[slots]
+            owner = np.searchsorted(arrays.starts, np.flatnonzero(~keep), side="right") - 1
+            counts = counts - np.bincount(owner, minlength=len(counts))
+            slots = slots[keep]
+            key_cols = tuple(col[keep] for col in key_cols)
+            live = counts > 0
+            if not live.all():  # a bucket that empties leaves the dict
+                regrouped = True
+                counts = counts[live]
+                hook_cols = tuple(col[live] for col in hook_cols)
+        if new_keys:
+            # A key joins the end of its bucket, which is found through the
+            # bucket's first entry. A key that is its own bucket's first
+            # entry opened the bucket: those follow the old buckets, in
+            # the order they were opened (the dict's).
+            buckets, hook_of = self.buckets, self.hook_of
+            anchor = np.fromiter(
+                (next(iter(buckets[hook_of(key)].values())) for key in new_keys),
+                dtype=np.intp, count=len(new_keys),
+            )
+            joined = np.array(new_slots, dtype=np.intp)
+            opened = np.flatnonzero(anchor == joined)
+            kept = len(counts)
+            bucket_of = np.empty(high, dtype=np.intp)
+            bucket_of[slots] = np.repeat(np.arange(kept), counts)
+            bucket_of[joined[opened]] = kept + np.arange(len(opened))
+            owner = bucket_of[anchor]
+            ends = np.cumsum(counts)
+            if len(opened):
+                regrouped = True
+                hooks = [hook_of(new_keys[i]) for i in opened.tolist()]
+                if len(self.positions) == 1:
+                    hooks = [(hook,) for hook in hooks]
+                fitted = _fit(hook_cols, hooks)
+                if fitted is None:
+                    return False
+                hook_cols = tuple(np.concatenate(pair) for pair in fitted)
+                counts = np.concatenate((counts, np.zeros(len(opened), dtype=np.intp)))
+                ends = np.concatenate((ends, np.full(len(opened), len(slots))))
+            order = np.argsort(owner, kind="stable")
+            fitted = _fit(key_cols, [new_keys[i] for i in order.tolist()])
+            if fitted is None:
+                return False
+            # One merge order for every column: old entry k sorts at k, a
+            # new one just before the position it is inserted at.
+            merge = np.argsort(
+                np.concatenate((np.arange(len(slots)), ends[owner[order]] - 0.5)),
+                kind="stable",
+            )
+            key_cols = tuple(np.concatenate(pair)[merge] for pair in fitted)
+            slots = np.concatenate((slots, joined[order]))[merge]
+            counts = counts + np.bincount(owner, minlength=len(counts))
+        arrays.slots, arrays.counts = slots, counts
+        arrays.starts = np.cumsum(counts) - counts
+        arrays.key_cols, arrays.hook_cols = key_cols, hook_cols
+        if regrouped:
+            arrays.match = None
+        return True
+
+
+def _fit(cols: Tuple[np.ndarray, ...], rows: List[Key]) -> Optional[List[Tuple]]:
+    """Per column, ``(col, new)``: the cached column and the matching
+    values of ``rows`` under one dtype that holds both exactly, as a
+    rebuild over all the values would pick it. None when a rebuild would
+    fall back to an object column instead.
+    """
+    pairs = []
+    for col, values in zip(cols, zip(*rows)):
+        new = column_array(list(values))
+        if not len(col):
+            col = new[:0]  # an empty column has no type to keep
+        elif col.dtype.kind == "O":
+            new = np.empty(len(values), dtype=object)
+            for i, value in enumerate(values):
+                new[i] = value
+        elif new.dtype != col.dtype:
+            kinds = {col.dtype.kind, new.dtype.kind}
+            if not (kinds <= set("iufb") or kinds == {"U"}):
+                return None
+            dtype = np.result_type(col, new)
+            col, new = col.astype(dtype), new.astype(dtype)
+        pairs.append((col, new))
+    return pairs
 
 
 def _columns(rows: List[Key], arity: int) -> Tuple[np.ndarray, ...]:
@@ -218,23 +320,30 @@ class SlotStore(_IndexCarrier):
         """Add a (small) dict delta row by row.
 
         Returns how many cached :class:`ProbeArrays` the call dropped.
+        Keys leave after every hit is added and join after that, which
+        is where :meth:`add_block` puts them.
         """
         if self.schema != other.schema:
             raise SchemaError(f"schema mismatch: {self.schema!r} vs {other.schema!r}")
         ring = self.ring
         slots = self.slots
         add_row = ring.add_row
-        changed = False
+        dead_keys: List[Key] = []
+        new = []
         for key, payload in other.data.items():
             slot = slots.get(key)
             if slot is None:
                 if not ring.is_zero(payload):
-                    self._insert([key], payload)
-                    changed = True
+                    new.append((key, payload))
             elif add_row(self.block, slot, payload):
-                self._delete([key])
-                changed = True
-        return self._keys_changed() if changed else 0
+                dead_keys.append(key)
+        if not dead_keys and not new:
+            return 0
+        # Delta keys are distinct: deleting after the hits and appending
+        # the misses last is the order add_block uses.
+        dead_slots = self._delete(dead_keys)
+        new_slots = [slot for key, payload in new for slot in self._insert([key], payload)]
+        return self._keys_changed(dead_slots, [key for key, _ in new], new_slots)
 
     def add_block(self, keys, block, distinct: bool = False) -> int:
         """Scatter ``block`` row ``i`` into ``keys[i]``'s row.
@@ -280,10 +389,9 @@ class SlotStore(_IndexCarrier):
             new_keys = keys if len(miss) == n else [keys[i] for i in miss.tolist()]
         if not dead_keys and not new_keys:
             return 0
-        self._delete(dead_keys)
-        if new_keys:
-            self._insert(new_keys, rows)
-        return self._keys_changed()
+        dead_slots = self._delete(dead_keys)
+        new_slots = self._insert(new_keys, rows) if new_keys else []
+        return self._keys_changed(dead_slots, new_keys, new_slots)
 
     def rescale(self, factor: float) -> None:
         """Multiply every payload by ``factor`` (free rows stay zero)."""
@@ -291,8 +399,9 @@ class SlotStore(_IndexCarrier):
 
     # ------------------------------------------------------------------
 
-    def _insert(self, keys: List[Key], rows) -> None:
-        """Append absent ``keys`` with ``rows`` (a block, or one payload)."""
+    def _insert(self, keys: List[Key], rows) -> List[int]:
+        """Append absent ``keys`` with ``rows`` (a block, or one payload);
+        returns their slots."""
         free = self.free
         slots = [free.pop() for _ in range(min(len(keys), len(free)))]
         fresh = len(keys) - len(slots)
@@ -314,17 +423,22 @@ class SlotStore(_IndexCarrier):
         for index in self.indexes.values():
             for key, slot in zip(keys, slots):
                 index.set(key, slot)
+        return slots
 
-    def _delete(self, keys: List[Key]) -> None:
-        self.free.extend(map(self.slots.pop, keys))
+    def _delete(self, keys: List[Key]) -> List[int]:
+        slots = list(map(self.slots.pop, keys))
+        self.free.extend(slots)
         for index in self.indexes.values():
             for key in keys:
                 index.discard(key)
+        return slots
 
-    def _keys_changed(self) -> int:
+    def _keys_changed(self, dead_slots: List[int], new_keys: List[Key], new_slots: List[int]) -> int:
+        """Patch the cached probe arrays after deletes, then inserts;
+        returns how many could not be patched and were dropped."""
         dropped = 0
         for index in self.indexes.values():
-            if index.cache is not None:
+            if index.cache is not None and not index.patch(dead_slots, new_keys, new_slots):
                 index.cache = None
                 dropped += 1
         return dropped

@@ -113,11 +113,12 @@ class EngineStatistics:
     fused_steps: int = 0
     #: Lifecycle of the probe arrays a slot-store index caches for the
     #: fused probe (names predate the stores): probes that reused live
-    #: arrays, arrays (re)built, and live arrays dropped because a key
-    #: was inserted into or deleted from their view — payload updates
-    #: drop nothing. ``mirror_invalidations`` close to ``mirror_builds``
-    #: means the cache is thrashing (a view that is probed and gains or
-    #: loses keys every batch).
+    #: arrays, arrays (re)built, and live arrays dropped. Payload updates
+    #: leave the arrays alone and key inserts and deletes are patched
+    #: into them; only a new key whose values the cached column types
+    #: cannot hold (a string in an integer column) drops them, so
+    #: ``mirror_invalidations`` close to ``mirror_builds`` means a view's
+    #: key columns keep changing type.
     mirror_hits: int = 0
     mirror_builds: int = 0
     mirror_invalidations: int = 0

@@ -15,8 +15,8 @@ and no Python-level loop per delta row:
 - **columnar sibling probes** — every view is a
   :class:`~repro.data.store.SlotStore`, and each of its indexes caches
   its :class:`~repro.data.store.ProbeArrays` (key columns, bucket ranges,
-  hook value columns and row slots; dropped only when the view's key set
-  changes): probe hooks are matched against buckets numerically via
+  hook value columns and row slots; patched, not rebuilt, when the view
+  gains or loses keys): probe hooks are matched against buckets numerically via
   per-column ``searchsorted``, match pairs are expanded by integer index
   arithmetic and payloads fetched from the store's block with
   ``ring.take``;

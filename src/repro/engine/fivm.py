@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
-import numpy as np
-
 from repro.config import EngineConfig
 from repro.data.database import Database
 from repro.data.index import IndexedRelation
@@ -44,9 +42,12 @@ class FIVMEngine(MaintenanceEngine):
     attribute sets those paths probe — the probe plan is computed once
     from the view tree at construction, and index maintenance is folded
     into the same ``add_inplace`` calls that refresh the views. When the
-    payload ring has bulk kernels and is not scalar, every view is a
-    :class:`~repro.data.store.SlotStore` (one ring block per view, both
-    paths below read and write its rows); otherwise views are dict
+    payload ring has bulk kernels and is not scalar — every cofactor
+    payload a spec builds by default: numeric COVAR, and MI / mixed
+    COVAR over the sparse relational ring, decayed or not — every view
+    is a :class:`~repro.data.store.SlotStore` (one ring block per view,
+    both paths below read and write its rows); otherwise (counts, sums,
+    the ``general-float`` cross-validation backend) views are dict
     relations, indexed where probed.
 
     A delta is maintained along one of two paths, chosen only from what
@@ -66,8 +67,10 @@ class FIVMEngine(MaintenanceEngine):
 
     Scalar rings (count, sum) always take the per-tuple path: their dict
     fast paths beat the kernels' fixed numpy cost at every batch size
-    measured. Both paths produce the same views (floating-point group
-    sums may associate differently, like any batch-size change).
+    measured. For every other payload the choice depends on the delta's
+    size only, never on the application. Both paths produce the same
+    views (floating-point group sums may associate differently, like
+    any batch-size change).
     ``profile_stages`` accumulates per-stage wall-clock seconds
     (lift/probe/multiply/group/scatter) of the fused program into
     ``stats.stage_seconds`` — the ``repro bench --engine-profile``
@@ -325,29 +328,26 @@ class FIVMEngine(MaintenanceEngine):
         """Per-view entry counts, payload weights and index overhead.
 
         ``entries`` is the number of keys; ``payload_weight`` counts the
-        scalar cells inside the payloads (1 for scalar rings, the number
-        of non-zero vector/matrix cells for cofactor rings, annotation
-        counts for relational values) — the factorization-aware memory
-        measure the engine paper reports. Cofactor plans add ``support``,
-        the names of the ``k`` features lifted in the view's subtree, and
-        ``payload_cells``, the ``1 + k + k*k`` aggregates per entry those
-        span (what the numeric ring stores). Views carrying persistent
-        indexes additionally report ``indexes`` (how many), their total
+        scalar cells inside the payloads — one count per entry plus the
+        non-zero vector/matrix cells of cofactor payloads, which a stored
+        view's ring reads off its block (``ring.nonzero_cells``) — the
+        factorization-aware memory measure the engine paper reports.
+        Cofactor plans add ``support``, the names of the features lifted
+        in the view's subtree. Views carrying persistent indexes
+        additionally report ``indexes`` (how many), their total
         ``index_entries`` (one per live key per index; payloads are
-        shared, not copied) and ``index_buckets``. Stored views count
-        their weight over the block and add ``capacity`` (rows
-        allocated) and ``free_slots`` (rows deletes gave back).
+        shared, not copied) and ``index_buckets``. Stored views add
+        ``capacity`` (rows allocated) and ``free_slots`` (rows deletes
+        gave back).
         """
         report: Dict[str, Dict[str, Any]] = {}
+        ring = self.plan.ring
         for name, relation in self.materialized.items():
             if self._stored:
-                block = relation.block
-                weight = len(relation)
-                if hasattr(block, "q"):  # free and unused rows are exact zeros
-                    weight += int(np.count_nonzero(block.s) + np.count_nonzero(block.q))
+                # Free and unused rows are exact zeros: they weigh nothing.
                 entry = {
                     "entries": len(relation),
-                    "payload_weight": weight,
+                    "payload_weight": len(relation) + ring.nonzero_cells(relation.block),
                     "capacity": relation.capacity,
                     "free_slots": len(relation.free),
                 }
@@ -358,9 +358,7 @@ class FIVMEngine(MaintenanceEngine):
                 entry = {"entries": len(relation), "payload_weight": weight}
             support = self._view_supports.get(name)
             if support is not None:
-                k = len(support)
                 entry["support"] = tuple(self.plan.layout.attributes[i] for i in support)
-                entry["payload_cells"] = len(relation) * (1 + k + k * k)
             indexes = getattr(relation, "indexes", None)
             if indexes:
                 entry["indexes"] = len(indexes)
@@ -479,17 +477,8 @@ def _subtree_leaf_count(view) -> int:
 
 
 def _payload_weight(payload) -> int:
-    """Scalar cells inside one payload (see :meth:`FIVMEngine.memory_report`)."""
-    if hasattr(payload, "q"):  # general cofactor values (numeric ones are stored)
-        return (
-            _payload_weight_scalar(payload.c)
-            + sum(_payload_weight_scalar(v) for v in payload.s.values())
-            + sum(_payload_weight_scalar(v) for v in payload.q.values())
-        )
-    return _payload_weight_scalar(payload)
-
-
-def _payload_weight_scalar(value) -> int:
-    if hasattr(value, "data"):  # relational values: one cell per annotation
-        return max(len(value.data), 1)
+    """Scalar cells inside one dict-view payload: a scalar, or a general
+    cofactor over a numeric scalar ring (one count, sparse ``s`` and ``Q``)."""
+    if hasattr(payload, "q"):
+        return 1 + len(payload.s) + len(payload.q)
     return 1

@@ -7,7 +7,7 @@ from repro.ml.discretize import (
     binning_for_attribute,
     binning_from_values,
 )
-from repro.ml.mi import MIMatrix, entropy, mutual_information_matrix, pairwise_mi
+from repro.ml.mi import MIMatrix, mutual_information_matrix
 from repro.ml.model_selection import FeatureRanking, rank_features, select_features
 from repro.ml.regression import RidgeModel, RidgeRegression
 
@@ -18,9 +18,7 @@ __all__ = [
     "RidgeModel",
     "RidgeRegression",
     "MIMatrix",
-    "entropy",
     "mutual_information_matrix",
-    "pairwise_mi",
     "FeatureRanking",
     "rank_features",
     "select_features",

@@ -16,7 +16,7 @@ by the join, which is all ridge regression needs (Schleich et al., ref [6]).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ from repro.rings.cofactor import (
     NumericCofactor,
     NumericCofactorRing,
 )
-from repro.rings.lifting import Feature
-from repro.rings.relational import RelationRing, RelationValue
+from repro.rings.cofactor_sparse import SparseCofactor, SparseCofactorRing
 from repro.rings.specs import PayloadPlan
 
 __all__ = ["Column", "CovarMatrix", "covar_from_payload"]
@@ -118,9 +117,9 @@ def covar_from_payload(payload, plan: PayloadPlan) -> CovarMatrix:
     ring = plan.ring
     if isinstance(ring, NumericCofactorRing):
         return _from_numeric(payload, plan)
+    if isinstance(ring, SparseCofactorRing):
+        return _from_sparse(payload, plan)
     if isinstance(ring, GeneralCofactorRing):
-        if isinstance(ring.scalar, RelationRing):
-            return _from_relational(payload, plan)
         return _from_general_float(payload, plan)
     raise FIVMError(f"payload ring {ring.name!r} does not carry a COVAR matrix")
 
@@ -150,90 +149,53 @@ def _from_general_float(payload: GeneralCofactor, plan: PayloadPlan) -> CovarMat
     return CovarMatrix(columns, float(payload.c), sums, moments)
 
 
-def _from_relational(payload: GeneralCofactor, plan: PayloadPlan) -> CovarMatrix:
-    layout = plan.layout
-    features: Dict[str, Feature] = {f.name: f for f in plan.features}
-    count = float(payload.c.annotation(())) if payload.c.data else 0.0
+def _from_sparse(payload: SparseCofactor, plan: PayloadPlan) -> CovarMatrix:
+    """One column per continuous feature and per category present in a
+    categorical feature's ``s_X`` (sorted by category value); every
+    aggregate cell then lands by two table lookups on its category codes."""
+    ring: SparseCofactorRing = plan.ring
+    m = ring.degree
+    tag, code_i, code_j = ring.unpack(payload.codes)
+    linear = int(np.searchsorted(tag, m))  # linear entries sort first
 
-    # Column discovery: continuous features contribute one column;
-    # categorical features one column per category present in s_X.
+    # Per feature, a table from category code to column; -1: no such column.
     columns: List[Column] = []
-    col_index: Dict[Column, int] = {}
-    for slot, attr in enumerate(layout.attributes):
-        feature = features[attr]
-        if feature.is_categorical:
-            s_value: RelationValue = payload.s.get(slot, RelationValue())
-            for key in _sorted_categories(s_value.data):
-                column = Column(attr, key[0])
-                col_index[column] = len(columns)
-                columns.append(column)
-        else:
-            column = Column(attr)
-            col_index[column] = len(columns)
-            columns.append(column)
+    tables: List[np.ndarray] = []
+    for slot, feature in enumerate(plan.features):
+        if not feature.is_categorical:
+            tables.append(np.array([len(columns)]))
+            columns.append(Column(feature.name))
+            continue
+        lo, hi = np.searchsorted(tag[:linear], (slot, slot + 1))
+        codes = code_i[lo:hi]
+        categories = ring.categories(slot, codes)
+        order = {category: k for k, category in enumerate(_sorted_categories(categories))}
+        table = np.full(int(codes.max(initial=-1)) + 1, -1)
+        table[codes] = [len(columns) + order[category] for category in categories]
+        tables.append(table)
+        columns.extend(Column(feature.name, category) for category in order)
+    offsets = np.cumsum([0] + [len(table) for table in tables])
+    column_of = np.concatenate(tables)
+
+    def column(features: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        at = offsets[features] + codes
+        inside = codes < offsets[features + 1] - offsets[features]
+        return np.where(inside, column_of[np.where(inside, at, 0)], -1)
 
     d = len(columns)
     sums = np.zeros(d)
+    sums[column(tag[:linear], code_i[:linear])] = payload.vals[:linear]
+    left, right = ring.tag_left[tag[linear:]], ring.tag_right[tag[linear:]]
+    rows = column(left, code_i[linear:])
+    # Q_ii is keyed by one category: distinct one-hot columns are orthogonal.
+    cols = rows.copy()
+    off = right >= 0
+    cols[off] = column(right[off], code_j[linear:][off])
+    # A category whose count fell to zero has no column; what float sums
+    # left of its other aggregates is rounding residue, not data.
+    listed = (rows >= 0) & (cols >= 0)
+    rows, cols, cells = rows[listed], cols[listed], payload.vals[linear:][listed]
     moments = np.zeros((d, d))
-
-    for slot, attr in enumerate(layout.attributes):
-        feature = features[attr]
-        s_value = payload.s.get(slot)
-        if s_value is None:
-            continue
-        if feature.is_categorical:
-            for key, annotation in s_value.data.items():
-                sums[col_index[Column(attr, key[0])]] = annotation
-        else:
-            sums[col_index[Column(attr)]] = s_value.annotation(())
-
-    def set_moment(i: int, j: int, value: float) -> None:
-        moments[i, j] = value
-        moments[j, i] = value
-
-    for (slot_i, slot_j), q_value in payload.q.items():
-        attr_i = layout.attributes[slot_i]
-        attr_j = layout.attributes[slot_j]
-        cat_i = features[attr_i].is_categorical
-        cat_j = features[attr_j].is_categorical
-        if not q_value.data:
-            continue
-        if slot_i == slot_j:
-            if cat_i:
-                # Diagonal block of a categorical attribute: counts per
-                # category; distinct one-hot columns are orthogonal.
-                for key, annotation in q_value.data.items():
-                    index = col_index[Column(attr_i, key[0])]
-                    set_moment(index, index, annotation)
-            else:
-                index = col_index[Column(attr_i)]
-                set_moment(index, index, q_value.annotation(()))
-            continue
-        if not cat_i and not cat_j:
-            set_moment(
-                col_index[Column(attr_i)],
-                col_index[Column(attr_j)],
-                q_value.annotation(()),
-            )
-        elif cat_i and cat_j:
-            # Relation over both attributes; columns follow the canonical
-            # sorted schema of the relation value.
-            schema = q_value.schema
-            pos_i = schema.index(attr_i)
-            pos_j = schema.index(attr_j)
-            for key, annotation in q_value.data.items():
-                set_moment(
-                    col_index[Column(attr_i, key[pos_i])],
-                    col_index[Column(attr_j, key[pos_j])],
-                    annotation,
-                )
-        else:
-            cat_attr = attr_i if cat_i else attr_j
-            cont_attr = attr_j if cat_i else attr_i
-            for key, annotation in q_value.data.items():
-                set_moment(
-                    col_index[Column(cat_attr, key[0])],
-                    col_index[Column(cont_attr)],
-                    annotation,
-                )
-    return CovarMatrix(tuple(columns), count, sums, moments)
+    moments[rows, cols] = cells
+    moments[cols, rows] = cells
+    return CovarMatrix(tuple(columns), float(payload.c), sums, moments)

@@ -17,18 +17,16 @@ Logarithms are natural; scale by 1/ln 2 for bits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.errors import FIVMError
-from repro.rings.cofactor import GeneralCofactor, GeneralCofactorRing
-from repro.rings.relational import RelationRing, RelationValue
+from repro.rings.cofactor_sparse import SparseCofactor, SparseCofactorRing
 from repro.rings.specs import PayloadPlan
 
-__all__ = ["MIMatrix", "mutual_information_matrix", "pairwise_mi", "entropy"]
+__all__ = ["MIMatrix", "mutual_information_matrix"]
 
 
 @dataclass
@@ -65,56 +63,17 @@ class MIMatrix:
         return "\n".join(lines)
 
 
-def entropy(c_x: RelationValue, c0: float) -> float:
-    """H(X) from the grouped counts C_X and total C_0."""
-    if c0 <= 0:
-        return 0.0
-    total = 0.0
-    for annotation in c_x.data.values():
-        if annotation > 0:
-            p = annotation / c0
-            total -= p * math.log(p)
-    return total
+def mutual_information_matrix(payload: SparseCofactor, plan: PayloadPlan) -> MIMatrix:
+    """Expand the maintained payload into the full pairwise MI matrix.
 
-
-def pairwise_mi(
-    c_xy: RelationValue,
-    c_x: RelationValue,
-    c_y: RelationValue,
-    c0: float,
-    x_first: bool,
-) -> float:
-    """I(X, Y) from the three count relations.
-
-    ``x_first`` says whether X is the first column of ``c_xy``'s canonical
-    (sorted-attribute) schema.
+    Computed from the payload's arrays: every joint count ``C_XY(x, y)``
+    finds its two marginals by one sorted lookup among the linear
+    entries, and the terms sum per attribute pair with ``bincount``.
     """
-    if c0 <= 0 or not c_xy.data:
-        return 0.0
-    x_counts = {key[0]: annotation for key, annotation in c_x.data.items()}
-    y_counts = {key[0]: annotation for key, annotation in c_y.data.items()}
-    total = 0.0
-    for key, joint in c_xy.data.items():
-        if joint <= 0:
-            continue
-        x_val, y_val = (key[0], key[1]) if x_first else (key[1], key[0])
-        cx = x_counts.get(x_val, 0)
-        cy = y_counts.get(y_val, 0)
-        if cx <= 0 or cy <= 0:
-            continue
-        total += (joint / c0) * math.log(c0 * joint / (cx * cy))
-    return max(total, 0.0)
-
-
-def mutual_information_matrix(payload: GeneralCofactor, plan: PayloadPlan) -> MIMatrix:
-    """Expand the maintained payload into the full pairwise MI matrix."""
     ring = plan.ring
-    if not isinstance(ring, GeneralCofactorRing) or not isinstance(
-        ring.scalar, RelationRing
-    ):
+    if not isinstance(ring, SparseCofactorRing):
         raise FIVMError(
-            "MI requires the generalized cofactor ring with relational values "
-            "(use MISpec)"
+            "MI requires the cofactor ring with relational values (use MISpec)"
         )
     for feature in plan.features:
         if not feature.is_categorical:
@@ -123,27 +82,36 @@ def mutual_information_matrix(payload: GeneralCofactor, plan: PayloadPlan) -> MI
             )
     attributes = plan.layout.attributes
     m = len(attributes)
-    c0 = float(payload.c.annotation(())) if payload.c.data else 0.0
     values = np.zeros((m, m))
-    marginals: List[RelationValue] = [
-        payload.s.get(i, RelationValue()) for i in range(m)
-    ]
-    for i in range(m):
-        values[i, i] = entropy(marginals[i], c0)
-        for j in range(i + 1, m):
-            joint = payload.q.get((i, j), RelationValue())
-            if joint.data:
-                # Canonical schemas are sorted, so the first column of the
-                # joint relation is whichever attribute name sorts first.
-                x_first = joint.schema[0] == _binned_name(plan, i, attributes[i])
-            else:
-                x_first = True
-            mi = pairwise_mi(joint, marginals[i], marginals[j], c0, x_first)
-            values[i, j] = mi
-            values[j, i] = mi
+    c0 = float(payload.c)
+    if c0 <= 0:
+        return MIMatrix(attributes=attributes, values=values)
+    tag, code_i, code_j = ring.unpack(payload.codes)
+    linear = int(np.searchsorted(tag, m))  # linear entries sort first
+    marginal_codes, marginals = payload.codes[:linear], payload.vals[:linear]
+
+    present = marginals > 0
+    p = marginals[present] / c0
+    values[np.diag_indices(m)] = np.bincount(
+        tag[:linear][present], weights=-p * np.log(p), minlength=m
+    )
+
+    left, right = ring.tag_left[tag[linear:]], ring.tag_right[tag[linear:]]
+    joint = payload.vals[linear:]
+    c_x = _lookup(marginal_codes, marginals, ring.pack(left, code_i[linear:]))
+    c_y = _lookup(marginal_codes, marginals, ring.pack(right, code_j[linear:]))
+    ok = (right >= 0) & (joint > 0) & (c_x > 0) & (c_y > 0)  # off-diagonal cells
+    joint, c_x, c_y = joint[ok], c_x[ok], c_y[ok]
+    terms = (joint / c0) * np.log(c0 * joint / (c_x * c_y))
+    pairs = np.bincount(left[ok] * m + right[ok], weights=terms, minlength=m * m)
+    pairs = np.maximum(pairs.reshape(m, m), 0.0)
+    values += pairs + pairs.T
     return MIMatrix(attributes=attributes, values=values)
 
 
-def _binned_name(plan: PayloadPlan, slot: int, attr: str) -> str:
-    """Relation-value column name for a feature (its attribute name)."""
-    return attr
+def _lookup(codes: np.ndarray, vals: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """``vals`` at the sorted ``codes`` equal to ``wanted`` (0 where absent)."""
+    if not len(codes):
+        return np.zeros(len(wanted))
+    at = np.minimum(np.searchsorted(codes, wanted), len(codes) - 1)
+    return np.where(codes[at] == wanted, vals[at], 0.0)

@@ -15,6 +15,11 @@ from repro.rings.cofactor import (
     NumericCofactorBlock,
     NumericCofactorRing,
 )
+from repro.rings.cofactor_sparse import (
+    SparseCofactor,
+    SparseCofactorBlock,
+    SparseCofactorRing,
+)
 from repro.rings.lifting import (
     CATEGORICAL,
     CONTINUOUS,
@@ -24,6 +29,7 @@ from repro.rings.lifting import (
     constant_lift,
     general_cofactor_lift,
     numeric_cofactor_lift,
+    sparse_cofactor_lift,
 )
 from repro.rings.relational import RelationRing, RelationValue
 from repro.rings.scalar import BoolRing, FloatRing, IntegerRing, MinPlusRing, R_FLOAT, Z
@@ -58,6 +64,9 @@ __all__ = [
     "NumericCofactorRing",
     "GeneralCofactor",
     "GeneralCofactorRing",
+    "SparseCofactor",
+    "SparseCofactorBlock",
+    "SparseCofactorRing",
     "CONTINUOUS",
     "CATEGORICAL",
     "Binning",
@@ -65,6 +74,7 @@ __all__ = [
     "LiftFunction",
     "constant_lift",
     "numeric_cofactor_lift",
+    "sparse_cofactor_lift",
     "general_cofactor_lift",
     "CountSpec",
     "SumSpec",

@@ -190,9 +190,10 @@ class Ring(ABC):
     #
     # A block holds n payloads in whatever layout the ring chooses: the
     # generic fallbacks below use a plain Python list, scalar rings use a
-    # 1-d numpy array, and the numeric cofactor ring uses contiguous
+    # 1-d numpy array, the numeric cofactor ring uses contiguous
     # ``(c[n], s[n, k], q[n, k, k])`` column arrays over the block's
-    # k-feature support. Blocks are opaque to
+    # k-feature support, and the sparse cofactor ring CSR arrays of
+    # packed aggregate codes. Blocks are opaque to
     # callers — always go through these methods. All kernels are pure
     # (fresh output blocks); :meth:`block_payloads` is the only bridge
     # back to ordinary per-key payload values.
@@ -275,6 +276,12 @@ class Ring(ABC):
         return self.make_block(
             self.zero() if total is None else total for total in totals
         )
+
+    def nonzero_cells(self, block: Any) -> int:
+        """Non-zero vector/matrix cells a block holds beyond the one count
+        per payload (0 for rings whose payload is a single scalar) — the
+        ``payload_weight`` of ``FIVMEngine.memory_report``."""
+        return 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"

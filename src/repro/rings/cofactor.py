@@ -464,6 +464,9 @@ class NumericCofactorRing(Ring):
         """Row ``i`` as a payload whose ``s``/``Q`` alias the block."""
         return NumericCofactor(block.c.item(i), block.s[i], block.q[i], block.support)
 
+    def nonzero_cells(self, block: NumericCofactorBlock) -> int:
+        return int(np.count_nonzero(block.s) + np.count_nonzero(block.q))
+
 
 # ----------------------------------------------------------------------
 # Generalized implementation over an arbitrary scalar ring

@@ -255,6 +255,9 @@ class DecayRing(Ring):
     def sum_segments(self, block, segment_ids, count):
         return self.base.sum_segments(block, segment_ids, count)
 
+    def nonzero_cells(self, block):
+        return self.base.nonzero_cells(block)
+
     def __getattr__(self, attr):
         # Ring-specific extras (lift/layout/degree/close/...) pass through,
         # so lifting closures and model extraction see the base interface.

@@ -20,10 +20,11 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+import numpy as np
+
 from repro.errors import RingError
 from repro.rings.base import Ring
 from repro.rings.cofactor import GeneralCofactorRing, NumericCofactorRing
-from repro.rings.relational import RelationRing, RelationValue
 from repro.rings.scalar import FloatRing, IntegerRing
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "LiftFunction",
     "constant_lift",
     "numeric_cofactor_lift",
+    "sparse_cofactor_lift",
     "general_cofactor_lift",
 ]
 
@@ -67,12 +69,21 @@ class Binning:
         if value != value:  # NaN guard: math.isnan without the import cost
             raise RingError("cannot bin NaN")
         width = (self.high - self.low) / self.count
-        index = math.floor((value - self.low) / width)
-        if index < 0:
+        offset = (value - self.low) / width
+        if offset < 0:
             return 0
-        if index >= self.count:
+        if offset >= self.count:
             return self.count - 1
-        return int(index)
+        return math.floor(offset)
+
+    def bin_many(self, values) -> np.ndarray:
+        """:meth:`bin` of a whole column, value for value, as ``int64``."""
+        x = np.asarray(values, dtype=np.float64)
+        if np.isnan(x).any():
+            raise RingError("cannot bin NaN")
+        width = (self.high - self.low) / self.count
+        offset = np.floor((x - self.low) / width)
+        return np.clip(offset, 0, self.count - 1).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -121,7 +132,7 @@ def numeric_cofactor_lift(ring: NumericCofactorRing, feature: Feature) -> LiftFu
     if feature.is_categorical:
         raise RingError(
             f"feature {feature.name!r} is categorical; the numeric cofactor "
-            "ring handles continuous features only — use the generalized "
+            "ring handles continuous features only — use the sparse "
             "ring with relational values"
         )
     index = ring.layout.index(feature.name)
@@ -137,44 +148,26 @@ def numeric_cofactor_lift(ring: NumericCofactorRing, feature: Feature) -> LiftFu
     return lift
 
 
+def sparse_cofactor_lift(ring, feature: Feature) -> LiftFunction:
+    """Lift into :class:`~repro.rings.cofactor_sparse.SparseCofactorRing`,
+    which knows from its features whether a value is continuous, a
+    category or to be binned."""
+    index = ring.layout.index(feature.name)
+
+    def lift(value):
+        return ring.lift(index, value)
+
+    lift.bulk_slot = index  # whole columns go through ``ring.lift_many``
+    return lift
+
+
 def general_cofactor_lift(ring: GeneralCofactorRing, feature: Feature) -> LiftFunction:
-    """Lift into the generalized cofactor ring.
-
-    The embedding of attribute values into the scalar ring depends on the
-    scalar ring and the feature kind:
-
-    - relational scalar, categorical feature: ``s = Q = {value -> 1}``;
-    - relational scalar, continuous feature: ``s = {() -> x}``,
-      ``Q = {() -> x^2}``;
-    - float scalar (cross-validation backend), continuous feature:
-      ``s = x``, ``Q = x^2``.
-    """
+    """Lift into the generalized cofactor ring over a numeric scalar ring
+    (continuous features only): ``s = x``, ``Q = x^2`` — floats over
+    :class:`FloatRing` (the cross-validation backend), exact integers
+    over :class:`IntegerRing`."""
     index = ring.layout.index(feature.name)
     scalar = ring.scalar
-    if isinstance(scalar, RelationRing):
-        if feature.binning is not None:
-            binning = binning_local = feature.binning
-            name = feature.name
-
-            def lift_binned(value, _ring=ring, _index=index, _name=name, _binning=binning_local):
-                indicator = RelationValue.indicator(_name, _binning.bin(float(value)))
-                return _ring.lift(_index, indicator, indicator)
-
-            return lift_binned
-        if feature.is_categorical:
-            name = feature.name
-
-            def lift_categorical(value, _ring=ring, _index=index, _name=name):
-                indicator = RelationValue.indicator(_name, value)
-                return _ring.lift(_index, indicator, indicator)
-
-            return lift_categorical
-
-        def lift_continuous(value, _ring=ring, _index=index):
-            x = float(value)
-            return _ring.lift(_index, RelationValue.scalar(x), RelationValue.scalar(x * x))
-
-        return lift_continuous
     if isinstance(scalar, (FloatRing, IntegerRing)):
         if feature.is_categorical:
             raise RingError(

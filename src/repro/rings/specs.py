@@ -17,14 +17,15 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.errors import RingError
 from repro.rings.base import Ring
 from repro.rings.cofactor import CofactorLayout, GeneralCofactorRing, NumericCofactorRing
+from repro.rings.cofactor_sparse import SparseCofactorRing
 from repro.rings.lifting import (
     CONTINUOUS,
     Feature,
     LiftFunction,
     general_cofactor_lift,
     numeric_cofactor_lift,
+    sparse_cofactor_lift,
 )
-from repro.rings.relational import RelationRing
 from repro.rings.scalar import FloatRing, Z
 
 __all__ = [
@@ -151,6 +152,13 @@ def _layout_of(features: Sequence[Feature]) -> CofactorLayout:
     return CofactorLayout(tuple(feature.name for feature in features))
 
 
+def _sparse_plan(features: Tuple[Feature, ...]) -> PayloadPlan:
+    """The cofactor ring with relational values, over sparse arrays."""
+    ring = SparseCofactorRing(features)
+    lifts = {feature.name: sparse_cofactor_lift(ring, feature) for feature in features}
+    return PayloadPlan(ring, lifts, ring.layout, tuple(features))
+
+
 @dataclass(frozen=True)
 class CovarSpec(PayloadSpec):
     """The COVAR compound aggregate ``(c, s, Q)`` over the given features.
@@ -158,8 +166,9 @@ class CovarSpec(PayloadSpec):
     ``backend`` selects the ring implementation:
 
     - ``"numeric"`` — numpy degree-m ring; requires all-continuous features;
-    - ``"general"`` — generalized ring with relational values; supports a
-      mix of continuous and categorical features (the paper's composition);
+    - ``"general"`` — cofactor ring with relational values (the paper's
+      composition), stored as sparse arrays; supports a mix of continuous
+      and categorical features;
     - ``"general-float"`` — generalized ring over the float scalar ring;
       functionally identical to ``"numeric"`` but independently implemented,
       kept for cross-validation.
@@ -185,8 +194,10 @@ class CovarSpec(PayloadSpec):
         return "numeric"
 
     def build(self) -> PayloadPlan:
-        layout = _layout_of(self.features)
         backend = self._backend()
+        if backend == "general":
+            return _sparse_plan(tuple(self.features))
+        layout = _layout_of(self.features)
         if backend == "numeric":
             numeric_ring = NumericCofactorRing(layout)
             lifts = {
@@ -194,8 +205,7 @@ class CovarSpec(PayloadSpec):
                 for feature in self.features
             }
             return PayloadPlan(numeric_ring, lifts, layout, tuple(self.features))
-        scalar: Ring = RelationRing() if backend == "general" else FloatRing()
-        ring = GeneralCofactorRing(scalar, layout)
+        ring = GeneralCofactorRing(FloatRing(), layout)
         lifts = {
             feature.name: general_cofactor_lift(ring, feature)
             for feature in self.features
@@ -231,13 +241,7 @@ class MISpec(PayloadSpec):
                 )
 
     def build(self) -> PayloadPlan:
-        layout = _layout_of(self.features)
-        ring = GeneralCofactorRing(RelationRing(), layout)
-        lifts = {
-            feature.name: general_cofactor_lift(ring, feature)
-            for feature in self.features
-        }
-        return PayloadPlan(ring, lifts, layout, tuple(self.features))
+        return _sparse_plan(tuple(self.features))
 
     @property
     def lifted_attributes(self) -> Tuple[str, ...]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.rings.cofactor import GeneralCofactorRing, NumericCofactorRing
-from repro.rings.relational import RelationRing
+from repro.rings.cofactor_sparse import SparseCofactorRing
 from repro.rings.scalar import FloatRing, IntegerRing
 from repro.rings.specs import PayloadPlan
 from repro.viewtree.builder import ViewTree
@@ -29,9 +29,10 @@ def ring_type_name(plan: PayloadPlan) -> str:
         return "double"
     if isinstance(ring, NumericCofactorRing):
         return f"RingCofactor<double, {ring.degree}>"
+    if isinstance(ring, SparseCofactorRing):
+        return f"RingCofactor<RingRelation, {ring.degree}>"
     if isinstance(ring, GeneralCofactorRing):
-        scalar = "RingRelation" if isinstance(ring.scalar, RelationRing) else "double"
-        return f"RingCofactor<{scalar}, {ring.degree}>"
+        return f"RingCofactor<double, {ring.degree}>"
     return ring.name
 
 

@@ -41,6 +41,22 @@ def per_tuple_path():
     return mock.patch.object(EngineStatistics, "COLUMNAR_MIN_DELTA", sys.maxsize)
 
 
+def assert_same_as_rebuilt(index):
+    """The (patched) cached probe arrays equal a from-scratch rebuild."""
+    patched = index.cache
+    index.cache = None
+    rebuilt = index.probe_arrays()
+    index.cache = patched
+    for name in ("slots", "starts", "counts"):
+        assert getattr(patched, name).tolist() == getattr(rebuilt, name).tolist(), name
+    for name in ("key_cols", "hook_cols"):
+        ours, theirs = getattr(patched, name), getattr(rebuilt, name)
+        assert len(ours) == len(theirs)
+        for a, b in zip(ours, theirs):
+            # (an empty column has no type worth keeping)
+            assert a.tolist() == b.tolist() and (not len(a) or a.dtype == b.dtype), name
+
+
 class _GenericIntegerRing(IntegerRing):
     """Z with ``is_scalar`` off: the same data takes the generic-ring
     branches of Relation/IndexedRelation (``ring.add``/``ring.is_zero``

@@ -5,9 +5,11 @@ A ``RuleBasedStateMachine`` drives one store and one plain
 — the reference representation, still what scalar and general rings use)
 through interleaved block scatters and small dict deltas, and after
 every step demands the same keys in the same order, ``np.array_equal``
-rows, and every built bucket listing its entries in the model's order.
-Integer-valued floats keep the arithmetic exact, so a delete really does
-cancel to the exact ring zero.
+rows, every built bucket listing its entries in the model's order, and
+cached probe arrays — patched on every key insert and delete — equal to
+a rebuild. Integer-valued floats keep the arithmetic exact, so a delete
+really does cancel to the exact ring zero. The machine runs over the
+numeric cofactor ring (dense rows) and the sparse one (ragged rows).
 """
 
 import numpy as np
@@ -18,121 +20,162 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.data import IndexedRelation, Relation, SlotStore
 from repro.errors import RingError, SchemaError
-from repro.rings import CofactorLayout, FloatRing, NumericCofactorRing
+from repro.rings import (
+    CofactorLayout,
+    Feature,
+    FloatRing,
+    NumericCofactorRing,
+    SparseCofactorRing,
+)
+from tests.conftest import assert_same_as_rebuilt
 
 SCHEMA = ("A", "B")
 RING = NumericCofactorRing(CofactorLayout(("x", "y")))
 SUPPORT = (0, 1)
+#: Ragged rows: a payload holds between zero and a dozen cells.
+SPARSE = SparseCofactorRing(
+    (Feature.categorical("colour"), Feature.continuous("y"), Feature.binned("z", 0, 4, 4))
+)
 
 keys = st.tuples(st.integers(0, 3), st.integers(0, 4))
 coefficients = st.integers(-2, 2)
 
 
 @st.composite
-def payloads(draw):
+def numeric_payloads(draw):
     """Integer combinations of two fixed payloads: sums cancel exactly."""
     a, b = draw(coefficients), draw(coefficients)
     base = RING.mul(RING.lift(0, 2.0), RING.lift(1, 3.0))
     return RING.add(RING.scale(base, a), RING.scale(RING.lift(0, 1.0), b))
 
 
-entries = st.lists(st.tuples(keys, payloads()), max_size=12)
+@st.composite
+def sparse_payloads(draw):
+    """Integer combinations of a few lifted products, of varying width."""
+    ring = SPARSE
+    wide = ring.mul(ring.mul(ring.lift(0, "red"), ring.lift(1, 3.0)), ring.lift(2, 2.5))
+    terms = [wide, ring.lift(0, draw(st.sampled_from(["red", "green", "blue"]))), ring.one()]
+    return ring.sum(ring.scale(term, draw(coefficients)) for term in terms)
 
 
-class StoreVersusDictModel(RuleBasedStateMachine):
-    def __init__(self):
-        super().__init__()
-        self.store = SlotStore(SCHEMA, RING, support=SUPPORT)
-        self.model = IndexedRelation(SCHEMA, RING)
+def numeric_rows_equal(row, expected):
+    wide = RING.project(expected, SUPPORT)
+    return (
+        row.support == SUPPORT
+        and row.c == wide.c
+        and np.array_equal(row.s, wide.s)
+        and np.array_equal(row.q, wide.q)
+    )
 
-    def _delta(self, pairs):
-        """A dict delta; a repeated key keeps its last payload."""
-        delta = Relation(SCHEMA, RING)
-        delta.data = dict(pairs)
-        return delta
 
-    @rule(pairs=entries)
-    def scatter_block(self, pairs):
-        """Block scatter — duplicates inside one block merge one by one."""
-        if not pairs:
-            return
-        block_keys = [key for key, _ in pairs]
-        self.store.add_block(block_keys, RING.make_block(p for _, p in pairs))
-        for key, payload in pairs:
-            self.model.add_inplace(self._delta([(key, payload)]))
+def store_machine(ring, support, payloads, rows_equal, grown):
+    """The state machine over one ring: ``payloads`` draws values whose
+    sums cancel exactly, ``grown`` is the payload growth inserts."""
+    entries = st.lists(st.tuples(keys, payloads), max_size=12)
 
-    @rule(pairs=st.lists(st.tuples(keys, payloads()), max_size=3))
-    def add_small_delta(self, pairs):
-        delta = self._delta(pairs)
-        self.store.add_inplace(delta)
-        self.model.add_inplace(delta)
+    class StoreVersusDictModel(RuleBasedStateMachine):
+        def __init__(self):
+            super().__init__()
+            self.store = SlotStore(SCHEMA, ring, support=support)
+            self.model = IndexedRelation(SCHEMA, ring)
 
-    @rule(data=st.data())
-    def delete_live_keys(self, data):
-        """Cancel some live keys to the exact zero, by either entry point."""
-        live = list(self.model.data)
-        if not live:
-            return
-        doomed = data.draw(st.lists(st.sampled_from(live), max_size=4, unique=True))
-        delta = self._delta((key, RING.neg(self.model.data[key])) for key in doomed)
-        if data.draw(st.booleans()) and doomed:
-            self.store.add_block(list(delta.data), RING.make_block(delta.data.values()))
-        else:
+        def _delta(self, pairs):
+            """A dict delta; a repeated key keeps its last payload."""
+            delta = Relation(SCHEMA, ring)
+            delta.data = dict(pairs)
+            return delta
+
+        @rule(pairs=entries)
+        def scatter_block(self, pairs):
+            """Block scatter — duplicates inside one block merge one by one."""
+            if not pairs:
+                return
+            block_keys = [key for key, _ in pairs]
+            self.store.add_block(block_keys, ring.make_block(p for _, p in pairs))
+            for key, payload in pairs:
+                self.model.add_inplace(self._delta([(key, payload)]))
+
+        @rule(pairs=st.lists(st.tuples(keys, payloads), max_size=3))
+        def add_small_delta(self, pairs):
+            delta = self._delta(pairs)
             self.store.add_inplace(delta)
-        self.model.add_inplace(delta)
-        assert not any(key in self.store for key in doomed)
+            self.model.add_inplace(delta)
 
-    @rule(count=st.integers(1, 40), start=st.integers(10, 10_000))
-    def grow_past_capacity(self, count, start):
-        pairs = [((start + i, 0), RING.lift(0, 1.0)) for i in range(count)]
-        self.scatter_block(pairs)
+        @rule(data=st.data())
+        def delete_live_keys(self, data):
+            """Cancel some live keys to the exact zero, by either entry point."""
+            live = list(self.model.data)
+            if not live:
+                return
+            doomed = data.draw(st.lists(st.sampled_from(live), max_size=4, unique=True))
+            delta = self._delta((key, ring.neg(self.model.data[key])) for key in doomed)
+            if data.draw(st.booleans()) and doomed:
+                self.store.add_block(list(delta.data), ring.make_block(delta.data.values()))
+            else:
+                self.store.add_inplace(delta)
+            self.model.add_inplace(delta)
+            assert not any(key in self.store for key in doomed)
 
-    @rule(attrs=st.sampled_from([("A",), ("B",), ("A", "B"), ()]))
-    def build_index(self, attrs):
-        self.store.ensure_index(attrs)
-        self.model.ensure_index(attrs)
+        @rule(count=st.integers(1, 40), start=st.integers(10, 10_000))
+        def grow_past_capacity(self, count, start):
+            self.scatter_block([((start + i, 0), grown) for i in range(count)])
 
-    @invariant()
-    def same_keys_same_order_same_rows(self):
-        store, model = self.store, self.model
-        assert list(store.slots) == list(model.data)
-        assert len(store) == len(model)
-        rows = store.copy().data
-        for key, expected in model.data.items():
-            row = rows[key]
-            assert row.support == SUPPORT
-            wide = RING.project(expected, SUPPORT)
-            assert row.c == wide.c
-            assert np.array_equal(row.s, wide.s) and np.array_equal(row.q, wide.q)
+        @rule(attrs=st.sampled_from([("A",), ("B",), ("A", "B"), ()]), cached=st.booleans())
+        def build_index(self, attrs, cached):
+            """``cached``: the probe arrays exist from here on, so every
+            later insert and delete has to patch them."""
+            index = self.store.ensure_index(attrs)
+            self.model.ensure_index(attrs)
+            if cached:
+                index.probe_arrays()
 
-    @invariant()
-    def slots_are_a_partition(self):
-        store = self.store
-        live = list(store.slots.values())
-        assert len(set(live)) == len(live)
-        assert sorted(live + store.free) == list(range(store.high))
-        assert store.high <= store.capacity
+        @invariant()
+        def same_keys_same_order_same_rows(self):
+            store, model = self.store, self.model
+            assert list(store.slots) == list(model.data)
+            assert len(store) == len(model)
+            rows = store.copy().data
+            for key, expected in model.data.items():
+                assert rows_equal(rows[key], expected), key
 
-    @invariant()
-    def buckets_match_the_model(self):
-        store, model = self.store, self.model
-        assert set(store.indexes) == set(model.indexes)
-        for attrs, index in store.indexes.items():
-            reference = model.indexes[attrs]
-            assert set(index.buckets) == set(reference.buckets)
-            for hook, bucket in reference.buckets.items():
-                assert list(index.buckets[hook]) == list(bucket)
-                assert index.buckets[hook] == {
-                    key: store.slots[key] for key in bucket
-                }
-            arrays = index.probe_arrays()
-            assert sorted(arrays.slots.tolist()) == sorted(store.slots.values())
+        @invariant()
+        def slots_are_a_partition(self):
+            store = self.store
+            live = list(store.slots.values())
+            assert len(set(live)) == len(live)
+            assert sorted(live + store.free) == list(range(store.high))
+            assert store.high <= store.capacity
+            zero = ring.zero()
+            assert all(ring.eq(ring.row(store.block, slot), zero) for slot in store.free)
+
+        @invariant()
+        def buckets_match_the_model(self):
+            store, model = self.store, self.model
+            assert set(store.indexes) == set(model.indexes)
+            for attrs, index in store.indexes.items():
+                reference = model.indexes[attrs]
+                assert set(index.buckets) == set(reference.buckets)
+                for hook, bucket in reference.buckets.items():
+                    assert list(index.buckets[hook]) == list(bucket)
+                    assert index.buckets[hook] == {
+                        key: store.slots[key] for key in bucket
+                    }
+                if index.cache is not None:
+                    assert_same_as_rebuilt(index)
+                    assert sorted(index.cache.slots.tolist()) == sorted(store.slots.values())
+
+    StoreVersusDictModel.TestCase.settings = settings(
+        max_examples=60, stateful_step_count=30, deadline=None
+    )
+    return StoreVersusDictModel.TestCase
 
 
-StoreVersusDictModel.TestCase.settings = settings(
-    max_examples=60, stateful_step_count=30, deadline=None
+TestStoreVersusDictModel = store_machine(
+    RING, SUPPORT, numeric_payloads(), numeric_rows_equal, RING.lift(0, 1.0)
 )
-TestStoreVersusDictModel = StoreVersusDictModel.TestCase
+TestSparseStoreVersusDictModel = store_machine(
+    SPARSE, (0, 1, 2), sparse_payloads(), SPARSE.eq, SPARSE.lift(0, "red")
+)
 
 
 class TestSlotReuse:

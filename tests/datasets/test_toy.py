@@ -44,4 +44,4 @@ class TestToyQueries:
     def test_spec_kinds(self):
         assert toy_count_query().build_plan().ring.name == "Z"
         assert toy_covar_continuous_query().build_plan().ring.degree == 3
-        assert toy_mi_query().build_plan().ring.scalar.name == "Rel"
+        assert toy_mi_query().build_plan().ring.name == "SparseCofactor<3>"

@@ -17,13 +17,15 @@ from repro.datasets import (
     toy_covar_categorical_query,
     toy_covar_continuous_query,
     toy_database,
+    toy_mi_query,
+    toy_query,
     toy_row_factories,
     toy_variable_order,
 )
 from repro.engine import FIVMEngine, NaiveEngine, ShardedEngine
 from repro.engine.base import EngineStatistics
 from repro.engine.sharded import available_backends
-from repro.rings import CountSpec, CovarSpec, SumSpec
+from repro.rings import CountSpec, CovarSpec, Feature, SumSpec
 from repro.config import EngineConfig
 from tests.conftest import per_tuple_path
 
@@ -73,12 +75,15 @@ class TestColumnarPathSelection:
         )
         assert decayed._fused_paths
 
-    def test_general_ring_falls_back(self):
-        # The general cofactor ring has no bulk kernels: per-tuple path.
-        engine = FIVMEngine(
-            toy_covar_categorical_query(), order=toy_variable_order()
-        )
-        assert not engine._fused_paths
+    def test_every_cofactor_payload_compiles_but_the_loop_fallback(self):
+        # Mixed COVAR and MI ride the sparse ring's kernels; only the
+        # cross-validation backend (generic per-payload loops) does not.
+        for query in (toy_covar_categorical_query(), toy_mi_query()):
+            engine = FIVMEngine(query, order=toy_variable_order())
+            assert set(engine._fused_paths) == set(query.relation_names)
+        features = (Feature.continuous("B"), Feature.continuous("D"))
+        fallback = toy_query(CovarSpec(features, backend="general-float"))
+        assert not FIVMEngine(fallback, order=toy_variable_order())._fused_paths
 
     def test_scalar_rings_stay_on_dict_fast_path(self):
         database, stream = retailer_setup(inventory_rows=1200)

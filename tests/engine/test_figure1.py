@@ -96,7 +96,7 @@ class TestCovarCategoricalScenario:
         engine = engine_for(toy_covar_categorical_query())
         ring = engine.plan.ring
         payload = engine.result().payload(())
-        assert payload.c.annotation(()) == 3
+        assert payload.c == 3
         # s: SUM(B)=4, SUM(1) GROUP BY C = {c1->1, c2->2}, SUM(D)=6
         assert ring.linear(payload, 0).annotation(()) == 4.0
         assert ring.linear(payload, 1).as_dict() == {(1,): 1, (2,): 2}
@@ -117,7 +117,7 @@ class TestMIScenario:
         engine = engine_for(toy_mi_query())
         ring = engine.plan.ring
         payload = engine.result().payload(())
-        assert payload.c.annotation(()) == 3
+        assert payload.c == 3
         assert ring.linear(payload, 0).as_dict() == {(1,): 2, (2,): 1}
         assert ring.linear(payload, 1).as_dict() == {(1,): 1, (2,): 2}
         assert ring.linear(payload, 2).as_dict() == {(1,): 1, (2,): 1, (3,): 1}

@@ -38,7 +38,7 @@ from repro.engine.compile import (
 )
 from repro.rings import CountSpec, CovarSpec
 from repro.rings.cofactor import CofactorLayout, NumericCofactorRing
-from tests.conftest import per_tuple_path
+from tests.conftest import assert_same_as_rebuilt, per_tuple_path
 
 R_SCHEMA = ("A", "B")
 
@@ -166,7 +166,7 @@ class TestFusedBitEquality:
 
 class TestProbeArrays:
     """Cached probe arrays can never serve a probe stale state: they hold
-    no payloads, and every key insert or delete drops them."""
+    no payloads, and every key insert or delete is patched into them."""
 
     def ring(self):
         return NumericCofactorRing(CofactorLayout(("x",)))
@@ -205,9 +205,9 @@ class TestProbeArrays:
     @pytest.mark.parametrize(
         "mutate", ("add_inplace", "add_block", "delete_inplace", "delete_block")
     )
-    def test_every_key_change_drops_the_arrays(self, mutate):
+    def test_every_key_change_is_patched_into_the_arrays(self, mutate):
         ring, rel, index = self.indexed()
-        index.probe_arrays()
+        arrays = index.probe_arrays()
         payload = ring.lift(0, 5.0)
         gone = ring.neg(ring.lift(0, 1.0))  # cancels (1, 10) exactly
         if mutate == "add_inplace":
@@ -222,10 +222,23 @@ class TestProbeArrays:
             dropped = rel.add_inplace(other)
         else:
             dropped = rel.add_block([(1, 10)], ring.make_block([gone]))
-        assert index.cache is None, f"{mutate} left stale probe arrays"
-        assert dropped == 1
-        fresh = index.probe_arrays()
-        assert len(fresh.slots) == len(rel) == index.entry_count()
+        assert dropped == 0 and index.cache is arrays
+        assert arrays.match is None  # a bucket came or went
+        assert len(arrays.slots) == len(rel) == index.entry_count()
+        assert_same_as_rebuilt(index)
+
+    def test_a_key_the_columns_cannot_hold_drops_the_arrays(self):
+        ring, rel, index = self.indexed()
+        index.probe_arrays()
+        assert rel.add_block([("nine", 90)], ring.make_block([ring.lift(0, 5.0)])) == 1
+        assert index.cache is None
+        assert index.probe_arrays().key_cols[0].dtype == object
+        # A wider number is absorbed the way a rebuild would type it.
+        ring, rel, index = self.indexed()
+        index.probe_arrays()
+        assert rel.add_block([(2.5, 7)], ring.make_block([ring.lift(0, 5.0)])) == 0
+        assert index.cache.key_cols[0].dtype == np.float64
+        assert_same_as_rebuilt(index)
 
     @pytest.mark.parametrize("mutate", ("add_inplace", "add_block", "rescale"))
     def test_payload_updates_keep_the_arrays_and_show_through(self, mutate):

@@ -10,9 +10,8 @@ from repro.datasets import toy_database, toy_mi_query, toy_variable_order
 from repro.engine import FIVMEngine
 from repro.errors import FIVMError
 from repro.ml import mutual_information_matrix
-from repro.ml.mi import entropy, pairwise_mi
 from repro.query import Query
-from repro.rings import CountSpec, Feature, MISpec, RelationValue
+from repro.rings import CountSpec, Feature, MISpec
 
 R = RelationSchema("R", ("A", "B"))
 S = RelationSchema("S", ("A", "C", "D"))
@@ -120,15 +119,21 @@ class TestAgainstDirectComputation:
 
 
 class TestHelpers:
-    def test_entropy_empty(self):
-        assert entropy(RelationValue(), 0) == 0.0
+    PLAN = MISpec((Feature.categorical("X"), Feature.categorical("Y"))).build()
+
+    def test_empty_payload_has_no_information(self):
+        for payload in (self.PLAN.ring.zero(), self.PLAN.ring.from_int(-2)):
+            mi = mutual_information_matrix(payload, self.PLAN)
+            assert not mi.values.any()
 
     def test_entropy_uniform(self):
-        c_x = RelationValue(("X",), {(0,): 2, (1,): 2})
-        assert entropy(c_x, 4) == pytest.approx(math.log(2))
-
-    def test_pairwise_mi_empty(self):
-        assert pairwise_mi(RelationValue(), RelationValue(), RelationValue(), 0, True) == 0.0
+        ring, lifts = self.PLAN.ring, self.PLAN.lifts
+        payload = ring.sum(
+            ring.scale(ring.mul(lifts["X"](x), lifts["Y"]("y")), 2) for x in (0, 1)
+        )
+        mi = mutual_information_matrix(payload, self.PLAN)
+        assert mi.mi("X", "X") == pytest.approx(math.log(2))
+        assert mi.mi("Y", "Y") == 0.0 and mi.mi("X", "Y") == 0.0
 
     def test_mi_matrix_accessors(self):
         mi = mi_matrix_of(toy_database())

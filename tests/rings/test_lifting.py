@@ -11,12 +11,14 @@ from repro.rings import (
     GeneralCofactorRing,
     NumericCofactorRing,
     RelationRing,
+    SparseCofactorRing,
     Z,
 )
 from repro.rings.lifting import (
     constant_lift,
     general_cofactor_lift,
     numeric_cofactor_lift,
+    sparse_cofactor_lift,
 )
 
 LAYOUT = CofactorLayout(("B", "C"))
@@ -83,27 +85,44 @@ class TestNumericCofactorLift:
             numeric_cofactor_lift(ring, Feature.categorical("C"))
 
 
-class TestGeneralCofactorLift:
+class TestSparseCofactorLift:
+    """Lifts into the ring with relational values, read back through its
+    reference (relation-valued) form."""
+
+    def lifted(self, feature, value, other=Feature.continuous("C")):
+        features = (feature, other) if feature.name == "B" else (other, feature)
+        ring = SparseCofactorRing(features)
+        lift = sparse_cofactor_lift(ring, feature)
+        assert lift.bulk_slot == ring.layout.index(feature.name)
+        return ring.decode(lift(value))
+
     def test_relational_continuous(self):
-        ring = GeneralCofactorRing(RelationRing(), LAYOUT)
-        lift = general_cofactor_lift(ring, Feature.continuous("B"))
-        value = lift(4)
+        value = self.lifted(Feature.continuous("B"), 4)
+        assert value.c.annotation(()) == 1
         assert value.s[0].annotation(()) == 4.0
         assert value.q[(0, 0)].annotation(()) == 16.0
 
     def test_relational_categorical(self):
-        ring = GeneralCofactorRing(RelationRing(), LAYOUT)
-        lift = general_cofactor_lift(ring, Feature.categorical("C"))
-        value = lift("red")
+        value = self.lifted(Feature.categorical("C"), "red", Feature.continuous("B"))
         assert value.s[1].as_dict() == {("red",): 1}
         assert value.q[(1, 1)].as_dict() == {("red",): 1}
 
     def test_relational_binned(self):
-        ring = GeneralCofactorRing(RelationRing(), LAYOUT)
-        lift = general_cofactor_lift(ring, Feature.binned("B", 0, 10, 5))
-        value = lift(7.5)
+        value = self.lifted(Feature.binned("B", 0, 10, 5), 7.5)
         assert value.s[0].as_dict() == {(3,): 1}
+        assert value.q[(0, 0)].as_dict() == {(3,): 1}
 
+    def test_continuous_zero_stores_no_cell(self):
+        value = self.lifted(Feature.continuous("B"), 0.0)
+        assert value.c.annotation(()) == 1 and not value.s and not value.q
+
+    def test_unknown_attribute_rejected(self):
+        ring = SparseCofactorRing((Feature.continuous("B"),))
+        with pytest.raises(RingError):
+            sparse_cofactor_lift(ring, Feature.continuous("Z"))
+
+
+class TestGeneralCofactorLift:
     def test_float_continuous(self):
         ring = GeneralCofactorRing(FloatRing(), LAYOUT)
         lift = general_cofactor_lift(ring, Feature.continuous("B"))
@@ -131,6 +150,12 @@ class TestGeneralCofactorLift:
             general_cofactor_lift(ring, Feature.continuous("B"))
 
     def test_unknown_attribute_rejected(self):
-        ring = GeneralCofactorRing(RelationRing(), LAYOUT)
+        ring = GeneralCofactorRing(FloatRing(), LAYOUT)
         with pytest.raises(RingError):
             general_cofactor_lift(ring, Feature.continuous("Z"))
+
+    def test_relational_scalar_ring_has_no_closure(self):
+        # Relational values live in SparseCofactorRing now.
+        ring = GeneralCofactorRing(RelationRing(), LAYOUT)
+        with pytest.raises(RingError, match="no lift known"):
+            general_cofactor_lift(ring, Feature.continuous("B"))

@@ -12,7 +12,7 @@ from repro.rings import (
     IntegerRing,
     MISpec,
     NumericCofactorRing,
-    RelationRing,
+    SparseCofactorRing,
     SumProductSpec,
     SumSpec,
 )
@@ -61,8 +61,9 @@ class TestCovarSpec:
 
     def test_auto_picks_general_for_mixed(self):
         plan = CovarSpec(MIXED).build()
-        assert isinstance(plan.ring, GeneralCofactorRing)
-        assert isinstance(plan.ring.scalar, RelationRing)
+        assert isinstance(plan.ring, SparseCofactorRing)
+        assert plan.ring.features == MIXED and plan.layout is plan.ring.layout
+        assert plan.ring.has_bulk_kernels
 
     def test_explicit_general_float_backend(self):
         plan = CovarSpec(CONT, backend="general-float").build()
@@ -88,13 +89,12 @@ class TestCovarSpec:
 class TestMISpec:
     def test_all_categorical_ok(self):
         plan = MISpec((Feature.categorical("B"), Feature.categorical("C"))).build()
-        assert isinstance(plan.ring, GeneralCofactorRing)
-        assert isinstance(plan.ring.scalar, RelationRing)
+        assert isinstance(plan.ring, SparseCofactorRing)
 
     def test_binned_continuous_ok(self):
         plan = MISpec((Feature.binned("B", 0, 1, 4), Feature.categorical("C"))).build()
         value = plan.lifts["B"](0.6)
-        assert value.s[0].as_dict() == {(2,): 1}
+        assert plan.ring.linear(value, 0).as_dict() == {(2,): 1}
 
     def test_unbinned_continuous_rejected(self):
         with pytest.raises(RingError):
