@@ -94,10 +94,15 @@ class UpdateBatcher:
         #: relations in first-touched order (flush emission order).
         self._order: List[str] = []
         self._absorbed_since_flush = 0
-        self.updates_absorbed = 0
+        self._absorbed_before_flush = 0
         self.batches_emitted = 0
 
     # ------------------------------------------------------------------
+
+    @property
+    def updates_absorbed(self) -> int:
+        """Updates absorbed since construction (|multiplicity| weighted)."""
+        return self._absorbed_before_flush + self._absorbed_since_flush
 
     @property
     def pending_updates(self) -> int:
@@ -136,10 +141,12 @@ class UpdateBatcher:
             pending[row] = total
         else:
             del pending[row]
-        count = abs(multiplicity)
-        self._absorbed_since_flush += count
-        self.updates_absorbed += count
-        return self._maybe_flush()
+        absorbed = self._absorbed_since_flush = (
+            self._absorbed_since_flush + abs(multiplicity)
+        )
+        if absorbed < self.batch_size or self.flush_policy != "size":
+            return None
+        return self.close()
 
     def add_delta(self, relation: str, delta: Relation) -> Optional[Batch]:
         """Absorb a pre-built Z-delta (all its entries, key by key)."""
@@ -169,6 +176,7 @@ class UpdateBatcher:
             batch.append((name, delta))
         self._pending = {}
         self._order = []
+        self._absorbed_before_flush += self._absorbed_since_flush
         self._absorbed_since_flush = 0
         if batch:
             self.batches_emitted += 1
@@ -202,21 +210,6 @@ class UpdateBatcher:
         """
         if exc_type is None:
             self.close()
-
-    # ------------------------------------------------------------------
-
-    def _maybe_flush(self) -> Optional[Batch]:
-        if self.flush_policy != "size":
-            return None
-        if self._absorbed_since_flush < self.batch_size:
-            return None
-        batch = self.flush()
-        if not batch:
-            return None
-        if self.on_flush is not None:
-            self.on_flush(batch)
-            return None
-        return batch
 
 
 def batch_events(

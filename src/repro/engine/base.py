@@ -45,8 +45,7 @@ class EngineStatistics:
     win in every regime where the delta is at most about the sibling's
     size (the persistent index amortizes the build a scan join pays per
     call), so the crossover sits well above 1. The constants are
-    class-level so a deployment can retune them globally without
-    threading parameters through every engine.
+    class-level so that no parameter is threaded through every engine.
     """
 
     #: Scan a sibling instead of probing it when
@@ -72,20 +71,22 @@ class EngineStatistics:
     #:     PYTHONPATH=src python benchmarks/bench_delta_latency.py
     #:
     #:      batch    fused  per-tuple
-    #:          8     69.5       63.2
-    #:         10     58.6       59.8
-    #:         12     50.8       60.8
-    #:         14     42.8       59.6
-    #:         16     40.7       56.3
-    #:         32     21.4       52.4
-    #:        100     10.2       42.1
-    #:       1000      3.7       33.4
+    #:          8     68.8       69.4
+    #:         10     58.3       64.8
+    #:         12     46.2       66.3
+    #:         14     43.0       65.0
+    #:         16     35.8       62.4
+    #:         32     19.6       58.4
+    #:        100      8.8       48.7
+    #:       1000      2.6       36.9
     #:
-    #: In six separate runs (views in slot stores) fused lost at 8 every
-    #: time and won at 14 every time; at 10 it lost four times, at 12 it won
-    #: five — the crossover did not move off 12.
+    #: In six separate runs (batches grouped and probed through key codes)
+    #: fused won from 10 keys on every time, by 6-16 µs at 10; at 8 it won
+    #: four times, tied once and lost once — the crossover sits between 8
+    #: and 10. (With every grouping a sort, the same host read 83 / 68 at 8
+    #: and 68 / 65 at 10, and the constant was 12.)
     #: A class constant (tests patch it to pin one path), not a setting.
-    COLUMNAR_MIN_DELTA: ClassVar[int] = 12
+    COLUMNAR_MIN_DELTA: ClassVar[int] = 10
 
     updates_applied: int = 0
     batches_applied: int = 0
@@ -162,7 +163,7 @@ class EngineStatistics:
 
     def record_batch(self, delta: Relation) -> None:
         self.batches_applied += 1
-        self.updates_applied += sum(abs(m) for m in delta.data.values())
+        self.updates_applied += sum(map(abs, delta.data.values()))
         self.tuples_applied += len(delta.data)
 
     def record_stage(self, stage: str, seconds: float) -> None:
@@ -306,16 +307,18 @@ class MaintenanceEngine(ABC):
         Merged relations are applied in first-seen order.
         """
         merged: Dict[str, Relation] = {}
-        order = []
+        owned = set()
         for relation_name, delta in updates:
             existing = merged.get(relation_name)
             if existing is None:
-                merged[relation_name] = delta.copy()
-                order.append(relation_name)
-            else:
-                existing.add_inplace(delta)
-        for relation_name in order:
-            delta = merged[relation_name]
+                merged[relation_name] = delta
+                continue
+            if relation_name not in owned:
+                # Merging writes: into a copy, never the caller's relation.
+                owned.add(relation_name)
+                existing = merged[relation_name] = existing.copy()
+            existing.add_inplace(delta)
+        for relation_name, delta in merged.items():
             if delta.data:
                 self.apply(relation_name, delta)
 

@@ -8,22 +8,27 @@ ring kernels chained with numpy index arithmetic — no payload object
 and no Python-level loop per delta row:
 
 - **int-keyed grouping** — key columns are integer-encoded per column
-  (``np.unique`` for typed columns, one dict pass for object columns),
-  combined into a single code word, and grouped with one ``np.unique``
-  call whose result is remapped to *first-seen* order, so every
+  (``value - min`` for integer columns of a bounded span, ``np.unique``
+  for other typed columns, one dict pass for object columns) and
+  combined into a single code word. A code space of at most
+  ``_DIRECT_LIMIT`` is grouped by *addressing* — each code's first row
+  is written into a table, no sort — and a larger one with one
+  ``np.unique`` call remapped to *first-seen* order; either way every
   downstream float sum associates in the order the rows arrived;
 - **columnar sibling probes** — every view is a
   :class:`~repro.data.store.SlotStore`, and each of its indexes caches
   its :class:`~repro.data.store.ProbeArrays` (key columns, bucket ranges,
   hook value columns and row slots; patched, not rebuilt, when the view
-  gains or loses keys): probe hooks are matched against buckets numerically via
-  per-column ``searchsorted``, match pairs are expanded by integer index
-  arithmetic and payloads fetched from the store's block with
-  ``ring.take``;
+  gains or loses keys): probe hooks are matched against buckets
+  numerically — through a hook-code -> bucket table when the index's
+  hook columns are integers of a packed range within ``_DIRECT_LIMIT``,
+  via per-column ``searchsorted`` otherwise — match pairs are expanded
+  by integer index arithmetic and payloads fetched from the store's
+  block with ``ring.take``;
 - **ordering discipline** — hooks are visited in first-seen order,
   bucket entries outer, delta rows inner, and within-group sums run over
   ascending original row order, so results do not depend on how the
-  grouping was computed (int codes or the tuple-dict fallback).
+  grouping was computed (addressed, sorted or the tuple-dict fallback).
 """
 
 from __future__ import annotations
@@ -41,6 +46,13 @@ __all__ = ["FusedPath", "compile_fused_path"]
 #: Combined group codes stay below this bound; larger key spaces fall
 #: back to the tuple-dict grouping pass (same first-seen semantics).
 _CODE_LIMIT = 1 << 62
+#: An integer key column whose values span at most this many integers is
+#: coded as ``value - min`` (two reductions) instead of being sorted.
+_RANGE_LIMIT = 1 << 20
+#: Code spaces of at most this many codes are grouped, and index hooks
+#: matched, through a directly addressed table: one grow-only intp buffer
+#: (<= 1 MB) per compiled path, one table of that size at most per index.
+_DIRECT_LIMIT = 1 << 17
 
 
 # ----------------------------------------------------------------------
@@ -85,16 +97,17 @@ class _Scratch:
     """Grow-only reusable buffers for the per-batch grouping codes.
 
     One per compiled path: fused batches run strictly sequentially per
-    engine, and neither buffer outlives the grouping call that fills it,
+    engine, and no buffer outlives the grouping call that fills it,
     so reuse is safe and removes the last per-call allocations the
     profiler showed on the grouping hot loop.
     """
 
-    __slots__ = ("_column_codes", "_combined")
+    __slots__ = ("_column_codes", "_combined", "_first")
 
     def __init__(self):
         self._column_codes = np.empty(0, dtype=np.intp)
         self._combined = np.empty(0, dtype=np.intp)
+        self._first = np.empty(0, dtype=np.intp)
 
     def column_codes(self, n: int) -> np.ndarray:
         buf = self._column_codes
@@ -108,10 +121,45 @@ class _Scratch:
             buf = self._combined = np.empty(max(n, 64), dtype=np.intp)
         return buf[:n]
 
+    def first(self, space: int) -> np.ndarray:
+        """Code -> first row table of the addressed grouping. Never
+        cleared: a call reads only the cells it has just written."""
+        buf = self._first
+        if len(buf) < space:
+            buf = self._first = np.empty(space, dtype=np.intp)
+        return buf
 
-def _encode_column(arr: np.ndarray, scratch: Optional[_Scratch]):
-    """``(codes, cardinality)`` for one key column (code ids arbitrary)."""
-    if arr.dtype.kind == "O":
+
+def _offsets(arr: np.ndarray, lo: int) -> np.ndarray:
+    """``arr - lo`` as fresh intp codes, for any integer dtype.
+
+    ``uint64`` values (and a ``lo``) past the intp range wrap, and the
+    wrapped difference is the true one wherever that fits an intp — the
+    callers only use rows they know to lie within a bounded span of
+    ``lo``; other rows hold garbage, never an error.
+    """
+    codes = arr.astype(np.intp)
+    codes -= lo - (1 << 64) if lo >= 1 << 63 else lo
+    return codes
+
+
+def _pack(packed: Optional[np.ndarray], codes: np.ndarray, span: int) -> np.ndarray:
+    """Append one column's codes (fresh, below ``span``) to a code word."""
+    if packed is None:
+        return codes
+    packed *= span
+    packed += codes
+    return packed
+
+
+def _encode_column(arr: np.ndarray, scratch: Optional[_Scratch], dense: bool = False):
+    """``(codes, cardinality)`` for one key column (code ids arbitrary).
+
+    ``dense`` asks for codes below the row count whatever the values
+    span (the retry after range codes overflowed the code word).
+    """
+    kind = arr.dtype.kind
+    if kind == "O":
         index: Dict[Any, int] = {}
         n = len(arr)
         codes = scratch.column_codes(n) if scratch is not None else np.empty(n, dtype=np.intp)
@@ -119,28 +167,37 @@ def _encode_column(arr: np.ndarray, scratch: Optional[_Scratch]):
         for i, value in enumerate(arr.tolist()):
             codes[i] = setdefault(value, len(index))
         return codes, len(index)
+    if kind in "iu" and not dense:
+        lo = int(arr.min())
+        span = int(arr.max()) - lo + 1
+        if span <= _RANGE_LIMIT:
+            return _offsets(arr, lo), span
     uniques, inverse = np.unique(arr, return_inverse=True)
     return inverse, len(uniques)
 
 
-def _combined_codes(cols, n: int, scratch: _Scratch) -> Optional[np.ndarray]:
-    """One integer code word per row, or ``None`` on code-space overflow."""
+def _combined_codes(cols, n: int, scratch: _Scratch, dense: bool = False):
+    """``(codes, space)``: one integer code word per row (``n`` >= 1 of
+    them) and the size of the space the words live in, or ``(None, 0)``
+    on code-space overflow."""
     combined = None
-    card = 1
+    space = 1
     for arr in cols:
-        codes, k = _encode_column(arr, scratch)
-        if k and card > _CODE_LIMIT // k:
-            return None
-        card *= max(k, 1)
+        codes, k = _encode_column(arr, scratch, dense)
+        if space > _CODE_LIMIT // k:
+            # Range codes spend code space on values that do not occur;
+            # dense ones overflow only when the batch itself is too big.
+            return (None, 0) if dense else _combined_codes(cols, n, scratch, True)
+        space *= k
         if combined is None:
             if len(cols) == 1:
-                return codes
+                return codes, space
             combined = scratch.combined(n)
             np.copyto(combined, codes)
         else:
             combined *= k
             combined += codes
-    return combined
+    return combined, space
 
 
 def _group_rows_dict(cols, n: int):
@@ -154,6 +211,8 @@ def _group_rows_dict(cols, n: int):
         if gid == len(reps):
             reps.append(i)
         gids[i] = gid
+    if len(reps) == n:
+        return gids, gids
     return gids, np.asarray(reps, dtype=np.intp)
 
 
@@ -164,24 +223,41 @@ def _group_rows(cols, n: int, scratch: _Scratch):
     order — the numbering a dict pass over the rows assigns, which fixes
     the summation order of every float accumulation downstream — and the
     first row index of each group. With no key columns every row lands
-    in the single empty group.
+    in the single empty group. When every row is its own group the
+    *same* array is returned twice; callers test ``reps is gids``.
     """
     if not cols:
         return (
             np.zeros(n, dtype=np.intp),
             np.zeros(1 if n else 0, dtype=np.intp),
         )
-    codes = _combined_codes(cols, n, scratch)
+    rows = np.arange(n, dtype=np.intp)
+    if not n:
+        return rows, rows
+    codes, space = _combined_codes(cols, n, scratch)
     if codes is None:
         return _group_rows_dict(cols, n)
+    if space <= _DIRECT_LIMIT:
+        # Addressed: rows written in descending order leave each code's
+        # first row in its cell (fancy assignment stores in index order;
+        # the grouping properties in tests/engine pin that).
+        table = scratch.first(space)
+        table[codes[::-1]] = rows[::-1]
+        seen = table[codes]
+        reps = np.flatnonzero(seen == rows)
+        k = len(reps)
+        if k == n:
+            return rows, rows
+        rank = np.empty(n, dtype=np.intp)
+        rank[reps] = rows[:k]
+        return rank[seen], reps
     uniques, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     k = len(uniques)
     if k == n:
-        identity = np.arange(n, dtype=np.intp)
-        return identity, identity
+        return rows, rows
     order = np.argsort(first, kind="stable")
     remap = np.empty(k, dtype=np.intp)
-    remap[order] = np.arange(k, dtype=np.intp)
+    remap[order] = rows[:k]
     return remap[inverse], first[order]
 
 
@@ -221,56 +297,92 @@ _EMPTY_IDX = np.empty(0, dtype=np.intp)
 
 
 class _HookMatch:
-    """Cached hook-matching structure for one index's probe arrays.
+    """Cached hook-matching structures for one index's probe arrays.
 
-    ``col_uniques[p]`` holds the sorted distinct values of the index's
-    ``p``-th hook column and ``m_sorted``/``m_order`` the buckets'
-    combined per-column codes in sorted order plus the permutation back
-    to bucket positions — enough to resolve a batch of probe hooks with
-    one ``searchsorted`` per column. Each column's code base is
-    ``len(uniques) + 1``, reserving one sentinel digit for probe values
-    absent from the index (those can never equal a bucket code).
-    ``hook_index`` is the hook→bucket-position dict fallback, built
-    lazily when the columns resist integer encoding (overflow, exotic
-    dtypes) or a probe batch brings incomparable values.
+    ``table`` maps a packed hook code to its bucket position (-1: no
+    bucket) and ``ranges`` holds each hook column's ``(min, span)``
+    the codes are packed with; both are ``None`` unless every hook
+    column is an integer column and the packed range fits
+    ``_DIRECT_LIMIT``. The sorted form serves every other typed input
+    and is built on first use: ``col_uniques[p]`` holds the sorted
+    distinct values of the index's ``p``-th hook column and
+    ``m_sorted``/``m_order`` the buckets' combined per-column codes in
+    sorted order plus the permutation back to bucket positions — enough
+    to resolve a batch of probe hooks with one ``searchsorted`` per
+    column. Each column's code base is ``len(uniques) + 1``, reserving
+    one sentinel digit for probe values absent from the index (those can
+    never equal a bucket code). ``hook_index`` is the hook→bucket-position
+    dict fallback, built lazily when the columns resist integer encoding
+    (overflow, exotic dtypes) or a probe batch brings incomparable values.
     """
 
-    __slots__ = ("col_uniques", "m_sorted", "m_order", "hook_index")
+    __slots__ = (
+        "table", "ranges", "sorted_built", "col_uniques", "m_sorted", "m_order",
+        "hook_index",
+    )
 
-    def __init__(self, col_uniques, m_sorted, m_order):
-        self.col_uniques = col_uniques
-        self.m_sorted = m_sorted
-        self.m_order = m_order
+    def __init__(self, table, ranges):
+        self.table = table
+        self.ranges = ranges
+        self.sorted_built = False
+        self.col_uniques = self.m_sorted = self.m_order = None
         self.hook_index: Optional[Dict[Any, int]] = None
 
 
+def _hook_table(cols):
+    """``(table, ranges)`` of :class:`_HookMatch` for an index's hook
+    columns, ``(None, None)`` when they are not integers of a packed
+    range within ``_DIRECT_LIMIT``."""
+    ranges: List[Tuple[int, int]] = []
+    packed = None
+    space = 1
+    for col in cols:
+        if col.dtype.kind not in "iu":
+            return None, None
+        lo = int(col.min())
+        span = int(col.max()) - lo + 1
+        space *= span
+        if space > _DIRECT_LIMIT:
+            return None, None
+        ranges.append((lo, span))
+        packed = _pack(packed, _offsets(col, lo), span)
+    table = np.full(space, -1, dtype=np.intp)
+    table[packed] = np.arange(len(packed), dtype=np.intp)
+    return table, ranges
+
+
 def _hook_match(arrays) -> _HookMatch:
+    """The index's matching structures, rebuilt after ``StoreIndex.patch``
+    reset them (a bucket appeared or vanished)."""
     match = arrays.match
     if match is None:
-        cols = arrays.hook_cols
-        col_uniques: Optional[List[np.ndarray]] = []
+        match = arrays.match = _HookMatch(*_hook_table(arrays.hook_cols))
+    return match
+
+
+def _sorted_codes(arrays, match: _HookMatch) -> Optional[List[np.ndarray]]:
+    """``match.col_uniques`` with the sorted form built (``None`` when
+    the index's hook columns resist integer encoding)."""
+    if not match.sorted_built:
+        match.sorted_built = True
+        col_uniques: List[np.ndarray] = []
         comb = None
         card = 1
-        for col in cols:
+        for col in arrays.hook_cols:
             if col.dtype.kind not in "iufbUS":
-                col_uniques = None
-                break
+                return None
             uniques = np.unique(col)
             base = len(uniques) + 1
             if card > _CODE_LIMIT // base:
-                col_uniques = None
-                break
+                return None
             card *= base
             col_uniques.append(uniques)
             codes = np.searchsorted(uniques, col)
             comb = codes if comb is None else comb * base + codes
-        if col_uniques is None:
-            match = _HookMatch(None, None, None)
-        else:
-            order = np.argsort(comb)
-            match = _HookMatch(col_uniques, comb[order], order)
-        arrays.match = match
-    return match
+        order = np.argsort(comb)
+        match.col_uniques = col_uniques
+        match.m_sorted, match.m_order = comb[order], order
+    return match.col_uniques
 
 
 def _hook_index_of(arrays, match: _HookMatch) -> Dict[Any, int]:
@@ -291,18 +403,48 @@ def _kinds_comparable(a: str, b: str) -> bool:
     return (a in "iufb" and b in "iufb") or (a == "U" and b == "U")
 
 
+def _match_table(hook_cols, reps, match: _HookMatch):
+    """Direct-address form of :func:`_match_reps`; ``None`` when a probe
+    column is not an integer column (the sorted form compares those)."""
+    inside = packed = None
+    for col, (lo, span) in zip(hook_cols, match.ranges):
+        if col.dtype.kind not in "iu":
+            return None
+        vals = col[reps]
+        # Range test against bounds the probe dtype can hold (whatever its
+        # width or signedness), so no comparison promotes or overflows.
+        info = np.iinfo(vals.dtype)
+        low, high = max(lo, info.min), min(lo + span - 1, info.max)
+        if low > high:
+            return _EMPTY_IDX, _EMPTY_IDX
+        ok = (vals >= low) & (vals <= high)
+        inside = ok if inside is None else inside & ok
+        packed = _pack(packed, _offsets(vals, lo), span)  # garbage outside the range
+    keep = np.flatnonzero(inside)
+    bucket_idx = match.table[packed[keep]]
+    hit = bucket_idx >= 0
+    if not hit.all():
+        keep, bucket_idx = keep[hit], bucket_idx[hit]
+    return keep, bucket_idx
+
+
 def _match_reps(hook_cols, reps, arrays):
     """Match per-group representative hooks against an index's buckets.
 
     Returns ``(keep, bucket_idx)``: positions of the groups whose hook
     owns a bucket (ascending, preserving first-seen group order) and the
-    matching bucket position for each. The encoded path runs one
-    ``searchsorted`` per column over the ``k`` representatives; batches
-    whose values cannot be compared against the index's columns fall
-    back to the hook→bucket dict.
+    matching bucket position for each. Integer hooks of a small packed
+    range are looked up in the index's hook-code table; otherwise the
+    encoded path runs one ``searchsorted`` per column over the ``k``
+    representatives, and batches whose values cannot be compared against
+    the index's columns fall back to the hook→bucket dict.
     """
     match = _hook_match(arrays)
-    col_uniques = match.col_uniques
+    if match.table is not None:
+        found = _match_table(hook_cols, reps, match)
+        if found is not None:
+            return found
+    col_uniques = _sorted_codes(arrays, match)
     if col_uniques is not None:
         comb = None
         for col, uniques in zip(hook_cols, col_uniques):

@@ -392,11 +392,14 @@ class NumericCofactorRing(Ring):
         return NumericCofactorBlock(np.ones(len(x)), s, q, self._lifted[index])
 
     def is_zero_many(self, block: NumericCofactorBlock) -> np.ndarray:
-        return (
-            (block.c == 0.0)
-            & (block.s == 0.0).all(axis=1)
-            & (block.q == 0.0).all(axis=(1, 2))
-        )
+        zero = block.c == 0.0
+        if zero.any():
+            # Only a row whose count is zero can be the ring zero.
+            rows = np.flatnonzero(zero)
+            zero[rows] = (block.s[rows] == 0.0).all(axis=1) & (
+                block.q[rows] == 0.0
+            ).all(axis=(1, 2))
+        return zero
 
     def sum_segments(
         self, block: NumericCofactorBlock, segment_ids, count: int
@@ -407,15 +410,20 @@ class NumericCofactorRing(Ring):
         q = np.zeros((count, k, k))
         ids = np.asarray(segment_ids, dtype=np.intp)
         if len(ids):
-            order = np.argsort(ids, kind="stable")
-            sorted_ids = ids[order]
-            starts = np.flatnonzero(
-                np.r_[True, sorted_ids[1:] != sorted_ids[:-1]]
-            )
-            present = sorted_ids[starts]
-            c[present] = np.add.reduceat(block.c[order], starts)
-            s[present] = np.add.reduceat(block.s[order], starts, axis=0)
-            q[present] = np.add.reduceat(block.q[order], starts, axis=0)
+            rows = block.c, block.s, block.q
+            if (ids[1:] < ids[:-1]).any():
+                # Stable, so each segment sums in row order. Ids that fit
+                # 16 bits sort by radix: the same permutation, sooner.
+                order = np.argsort(
+                    ids.astype(np.uint16) if count <= 1 << 16 else ids, kind="stable"
+                )
+                ids = ids[order]
+                rows = block.c[order], block.s[order], block.q[order]
+            starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+            present = ids[starts]
+            c[present] = np.add.reduceat(rows[0], starts)
+            s[present] = np.add.reduceat(rows[1], starts, axis=0)
+            q[present] = np.add.reduceat(rows[2], starts, axis=0)
         return NumericCofactorBlock(c, s, q, block.support)
 
     # ------------------------------------------------------------------

@@ -157,6 +157,31 @@ class TestValidation:
         with pytest.raises(DataError):
             batcher.add("R", ("a1", 1, 2))
 
+    def test_a_rejected_event_is_rejected_at_the_call_and_absorbs_nothing(self):
+        batcher = UpdateBatcher(SCHEMAS, batch_size=2)
+        batcher.add("R", ("a1", 1))
+        for relation, row, multiplicity in (
+            ("T", ("x",), 1),
+            ("R", ("a1",), 1),
+            ("R", ("a1", 1, 2), 0),  # validated before the zero is dropped
+        ):
+            with pytest.raises(DataError):
+                batcher.add(relation, row, multiplicity)
+        assert batcher.pending_updates == batcher.updates_absorbed == 1
+        assert batcher.pending_tuples == 1
+        [(name, delta)] = batcher.add("R", ("a2", 2))  # the flush is still due
+        assert delta.data == {("a1", 1): 1, ("a2", 2): 1}
+
+    def test_updates_absorbed_counts_across_flushes(self):
+        batcher = UpdateBatcher(SCHEMAS, batch_size=3)
+        batcher.add("R", ("a1", 1), +2)
+        assert batcher.add("R", ("a1", 1), -2) is None  # 4 absorbed: flushed empty
+        batcher.add("S", ("a1", 1, 1), 0)
+        batcher.add("S", ("a1", 1, 1), -1)
+        assert (batcher.updates_absorbed, batcher.pending_updates) == (5, 1)
+        batcher.flush()
+        assert (batcher.updates_absorbed, batcher.pending_updates) == (5, 0)
+
     def test_bad_batch_size_and_policy(self):
         with pytest.raises(DataError):
             UpdateBatcher(SCHEMAS, batch_size=0)
@@ -243,6 +268,36 @@ def test_apply_many_merges_same_relation_deltas():
     # 11 input deltas over 2 relations collapse into at most 2 applies.
     assert engine.stats.batches_applied - baseline_batches <= 2
     assert engine.result() == reference.result()
+
+
+@pytest.mark.parametrize(
+    "label,factory",
+    engine_factories(),
+    ids=[label for label, _ in engine_factories()],
+)
+def test_apply_many_never_writes_into_the_callers_deltas(label, factory):
+    """One delta per relation is applied as it is, uncopied; a second one
+    for the same relation is merged into a copy of the first."""
+    rows = {"R": [("a3", 3), ("a9", 9)], "S": [("a3", 3, 3)]}
+
+    def deltas():
+        return [
+            (name, single(SCHEMAS[name], row, +1))
+            for name in ("R", "S")
+            for row in rows[name]
+        ]
+
+    reference = factory()
+    reference.initialize(toy_database())
+    for name, delta in deltas():
+        reference.apply(name, delta)
+    for updates in (deltas()[1:], deltas()):  # one per relation, then two for R
+        before = [dict(delta.data) for _name, delta in updates]
+        engine = factory()
+        engine.initialize(toy_database())
+        engine.apply_many(updates)
+        assert [delta.data for _name, delta in updates] == before
+    assert engine.result().close_to(reference.result())
 
 
 def test_long_stream_of_cancelling_updates_leaves_no_residue():

@@ -7,7 +7,8 @@ products take the union). Three properties pin that down:
 - the ring laws hold over random, overlapping, disjoint and empty
   supports (the delta rules are derived from exactly these axioms);
 - every bulk kernel equals its scalar operation row by row, support
-  included;
+  included (``sum_segments`` and ``is_zero_many`` against the ``Ring``
+  base class's per-payload loops, whatever shortcut the kernel takes);
 - results equal a dense reference ring cell for cell on random
   expression trees (``tests/rings/dense_cofactor.py``).
 """
@@ -18,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import RingError
-from repro.rings import CofactorLayout, NumericCofactor, NumericCofactorRing
+from repro.rings import CofactorLayout, NumericCofactor, NumericCofactorRing, Ring
 from repro.rings.base import check_ring_axioms
 from tests.rings.dense_cofactor import DenseCofactorRing
 
@@ -26,6 +27,17 @@ M = 5
 LAYOUT = CofactorLayout(tuple("abcde"))
 RING = NumericCofactorRing(LAYOUT)
 DENSE = DenseCofactorRing(M)
+
+
+class ScalarLoops(NumericCofactorRing):
+    """The ring's scalar operations under the ``Ring`` base class's
+    group-sum and zero test: one per-payload loop each."""
+
+    is_zero_many = Ring.is_zero_many
+    sum_segments = Ring.sum_segments
+
+
+LOOPS = ScalarLoops(LAYOUT)
 
 #: Integer-valued, so sums and products of a few payloads are exact.
 exact = st.integers(-4, 4).map(float)
@@ -209,12 +221,45 @@ class TestBulkKernelsMatchScalarOps:
         ids = data.draw(
             st.lists(st.integers(0, groups - 1), min_size=len(a), max_size=len(a))
         )
-        summed = RING.sum_segments(RING.make_block(a), ids, groups)
+        if data.draw(st.booleans()):
+            ids.sort()  # non-decreasing ids skip the kernel's sort
+        block = RING.make_block(a)
+        summed = RING.sum_segments(block, ids, groups)
         assert summed.support == a[0].support
         for gid, got in enumerate(RING.block_payloads(summed)):
             members = [x for x, g in zip(a, ids) if g == gid]
             assert RING.eq(got, RING.sum(RING.copy(x) for x in members))
             assert got.support == a[0].support
+        for got, want in zip(
+            RING.block_payloads(summed),
+            LOOPS.block_payloads(LOOPS.sum_segments(block, ids, groups)),
+        ):
+            assert_identical(got, want)
+
+    def test_sum_segments_past_sixteen_bit_ids(self):
+        """Ids are radix-sorted as ``uint16`` only while they fit."""
+        count = (1 << 16) + 5
+        ids = [count - 1, 3, 1 << 16, 3, count - 1, 0, 1 << 16]
+        rows = [RING.lift(1, float(v)) for v in range(1, len(ids) + 1)]
+        summed = RING.sum_segments(RING.make_block(rows), ids, count)
+        got = list(RING.block_payloads(RING.take(summed, sorted(set(ids)))))
+        for gid, total in zip(sorted(set(ids)), got):
+            members = [x for x, g in zip(rows, ids) if g == gid]
+            assert_identical(total, RING.sum(RING.copy(x) for x in members))
+        assert int(RING.is_zero_many(summed).sum()) == count - len(set(ids))
+
+    @given(blocks(values=exact, rows=st.integers(1, 8)))
+    def test_is_zero_many_reads_past_a_zero_count(self, pair):
+        """``c == 0`` alone is not the ring zero: ``s`` / ``Q`` decide."""
+        a, _ = pair
+        support = a[0].support
+        k = len(support)
+        hollow = [NumericCofactor(0.0, x.s, x.q, support) for x in a]
+        zeros = [NumericCofactor(0.0, np.zeros(k), np.zeros((k, k)), support)]
+        block = RING.make_block(a + hollow + zeros)
+        want = LOOPS.is_zero_many(block)
+        assert RING.is_zero_many(block).tolist() == want.tolist()
+        assert want[-1] and want.tolist()[: len(a)] == [RING.is_zero(x) for x in a]
 
 
 expressions = st.recursive(
