@@ -1,8 +1,8 @@
 """Supervised recovery: MTTR, throughput under faults, supervision cost.
 
 Three claims are measured on a Retailer update stream over a 2-shard
-supervised engine, across every topology this host can run (serial,
-process/pipe, process/shm):
+supervised engine, on both ways of driving the shard workers this host
+can run (in-process, labelled ``none``; forked over pipes, ``pipe``):
 
 1. **Supervision overhead** — the same fault-free stream ingested with
    and without ``EngineConfig(supervise=True)``. The replay log costs
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import sys
 import time
@@ -47,7 +48,6 @@ from repro.datasets import (
 )
 from repro.engine import FIVMEngine, ShardedEngine
 from repro.engine.sharded import available_backends
-from repro.engine.transport import active_shm_segments, available_transports
 from repro.rings import CountSpec
 from repro.testing import FaultInjector, clear_injector, install_injector
 
@@ -81,11 +81,7 @@ def topologies():
     """(backend, transport-label) pairs this host can run."""
     tops = [("serial", "none")]
     if "process" in available_backends():
-        tops += [
-            ("process", t)
-            for t in ("pipe", "shm")
-            if t in available_transports()
-        ]
+        tops.append(("process", "pipe"))
     return tops
 
 
@@ -94,13 +90,9 @@ def run_ingest(query, order, database, events, batch_size, backend,
     """One full ingest; returns (result, elapsed seconds, health)."""
     if injector is not None:
         install_injector(injector)
-    config = EngineConfig(
-        shards=SHARDS,
-        backend=backend,
-        transport="auto" if transport == "none" else transport,
-        supervise=supervise,
-    )
+    config = EngineConfig(shards=SHARDS, backend=backend, supervise=supervise)
     engine = ShardedEngine(query, order=order, config=config)
+    assert engine.transport_name == transport
     try:
         engine.initialize(database)
         started = time.perf_counter()
@@ -179,7 +171,6 @@ def bench_recovery(query, order, database, events, expected, args, records):
         f"{'recoveries':>10} {'MTTR':>9}"
     )
     for backend, transport in topologies():
-        shm_before = set(active_shm_segments())
         injector = FaultInjector.seeded_kills(
             KILL_SEED, "worker.apply", max_at=5, shards=SHARDS
         )
@@ -195,8 +186,8 @@ def bench_recovery(query, order, database, events, expected, args, records):
             f"the seeded kill never fired on {transport} — "
             "the benchmark measured nothing"
         )
-        leaked = set(active_shm_segments()) - shm_before
-        assert not leaked, f"killed-worker run leaked shm segments {leaked}"
+        orphans = multiprocessing.active_children()
+        assert not orphans, f"killed-worker run left workers behind: {orphans}"
         mttr_ms = 1e3 * (health["last_recovery_s"] or 0.0)
         print(
             f"{transport:>10} {elapsed:>9.3f} "

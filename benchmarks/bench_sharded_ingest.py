@@ -1,23 +1,19 @@
 """Sharded multi-core ingestion throughput and large-batch probe-vs-scan.
 
-Three things are measured on a Retailer update stream:
+Two things are measured on a Retailer update stream:
 
 1. **Sharded throughput** — the same stream ingested by
-   :class:`~repro.engine.sharded.ShardedEngine` at 1, 2 and 4 shards,
-   swept across every available transport (``pipe`` and ``shm`` on the
-   fork-process backend). The coordinator hash-routes deltas on the
-   shard plan's attributes while workers maintain their slices
-   concurrently, so on a >= 4-core machine 4 shards must reach >= 2.5x
-   the 1-shard throughput. The shard-merged result must equal the
-   unsharded :class:`FIVMEngine`'s exactly — that equivalence (not the
-   timing) is what CI's smoke run gates on; the speedup target is only
-   asserted in full mode on hardware with enough cores (a warning is
-   printed otherwise, e.g. on single-core CI containers).
-2. **Gather scaling** — per-``result()`` coordinator gather time at each
-   shard count. The shm transport merges tree-wise in the workers, so
-   gather cost must grow *sub-linearly* in the worker count (gated like
-   the speedup target: full mode, >= 4 cores).
-3. **Probe-vs-scan at large batches** — unsharded F-IVM ingestion at
+   :class:`~repro.engine.sharded.ShardedEngine` at 1, 2 and 4 shards.
+   The coordinator hash-routes deltas on the shard plan's attributes
+   while workers maintain their slices concurrently, so on a >= 4-core
+   machine 4 shards must reach >= 2.5x the 1-shard throughput. The
+   shard-merged result must equal the unsharded :class:`FIVMEngine`'s
+   exactly — that equivalence (not the timing) is what CI's smoke run
+   gates on; the speedup target is only asserted in full mode on
+   hardware with enough cores (a warning is printed otherwise, e.g. on
+   single-core CI containers). The per-``result()`` gather time at each
+   shard count is reported beside it.
+2. **Probe-vs-scan at large batches** — unsharded F-IVM ingestion at
    batch 1000/4000, the regime where the per-tuple path switches
    sibling joins from index probes to scan joins; reports how many
    steps took each, and the results must agree across batch sizes.
@@ -25,7 +21,8 @@ Three things are measured on a Retailer update stream:
 ``--json PATH`` writes the measurements in the same record format as
 ``bench_delta_latency.py`` for the perf-regression gate
 (``benchmarks/check_perf_regression.py``); sharded records carry a
-``transport`` key so pipe and shm gate independently.
+``transport`` label (``pipe`` when the sweep forks workers, ``none``
+when it runs them in-process) so the two gate independently.
 
 Run standalone::
 
@@ -52,7 +49,6 @@ from repro.datasets import (
 )
 from repro.engine import FIVMEngine, ShardedEngine
 from repro.engine.sharded import resolve_backend
-from repro.engine.transport import available_transports
 from repro.rings import CountSpec
 
 CONFIG = RetailerConfig(
@@ -66,10 +62,6 @@ SHARD_COUNTS = (1, 2, 4)
 SPEEDUP_TARGET = 2.5
 #: result() gathers timed per configuration (averaged).
 GATHER_ROUNDS = 5
-#: 4 shards run 2x the workers of 2 shards (both process-backed, unlike
-#: the serial 1-shard baseline); tree gathers must cost less than
-#: proportionally more.
-GATHER_GROWTH_LIMIT = 2.0
 ADAPTIVE_BATCHES = (1000, 4000)
 
 
@@ -85,15 +77,8 @@ def make_events(database, config, total_updates, seed=7):
     return list(stream.tuples(total_updates))
 
 
-def sweep_transports(backend: str) -> tuple:
-    """The data planes this host can run: both on process, none serial."""
-    if resolve_backend(backend, 2) != "process":
-        return ("none",)
-    return tuple(t for t in ("pipe", "shm") if t in available_transports())
-
-
 def bench_sharded(database, config, order, args, records):
-    """Shard x transport sweep; returns (best 4v1 speedup, gather growth)."""
+    """Shard-count sweep; returns the 4-shard vs 1-shard speedup."""
     events = make_events(database, config, args.updates)
     query = retailer_query(CountSpec())
     reference = FIVMEngine(query, order=order)
@@ -101,81 +86,63 @@ def bench_sharded(database, config, order, args, records):
     reference.apply_stream(iter(events), batch_size=args.batch_size)
     expected = reference.result()
 
-    transports = sweep_transports(args.backend)
+    # One label for the whole sweep (the 1-shard row is its baseline).
+    forks = resolve_backend(args.backend, 2) == "process"
+    transport = "pipe" if forks else "none"
     print(
         f"## sharded ingestion, {len(events)} updates "
         f"(retailer stream, batch size {args.batch_size}, "
-        f"backend={args.backend}, transports={'/'.join(transports)}, "
-        f"{os.cpu_count()} cores)"
+        f"backend={args.backend}, {os.cpu_count()} cores)"
     )
     print(
         f"{'shards':>7} {'transport':>10} {'seconds':>9} {'updates/s':>11} "
         f"{'latency/upd':>12} {'gather':>10}"
     )
     seconds = {}
-    gathers = {}
-    for transport in transports:
-        for shards in SHARD_COUNTS:
-            engine_config = EngineConfig(
-                shards=shards,
-                backend=args.backend,
-                transport="auto" if transport == "none" else transport,
-            )
-            engine = ShardedEngine(query, order=order, config=engine_config)
-            try:
-                engine.initialize(database)
-                started = time.perf_counter()
-                engine.apply_stream(iter(events), batch_size=args.batch_size)
-                result = engine.result()  # synchronizes all workers
-                elapsed = time.perf_counter() - started
-                started = time.perf_counter()
-                for _ in range(GATHER_ROUNDS):
-                    engine.result()
-                gather_s = (time.perf_counter() - started) / GATHER_ROUNDS
-            finally:
-                engine.close()
-            assert result == expected, (
-                f"shard-merged result at {shards} shards over the "
-                f"{transport} transport diverged from the unsharded engine"
-            )
-            seconds[transport, shards] = elapsed
-            gathers[transport, shards] = gather_s
-            latency_us = 1e6 * elapsed / len(events)
-            print(
-                f"{shards:>7} {transport:>10} {elapsed:>9.3f} "
-                f"{len(events) / elapsed:>11.0f} {latency_us:>9.1f} µs "
-                f"{1e6 * gather_s:>7.0f} µs"
-            )
-            records.append(
-                {
-                    "engine": "fivm-sharded",
-                    "ingest": "stream",
-                    "batch_size": args.batch_size,
-                    "shards": shards,
-                    "transport": transport,
-                    "updates": len(events),
-                    "seconds": round(elapsed, 6),
-                    "updates_per_s": round(len(events) / elapsed, 1),
-                    "latency_us": round(latency_us, 2),
-                    "gather_us": round(1e6 * gather_s, 2),
-                }
-            )
-    speedup = None
-    growth = None
-    for transport in transports:
-        if seconds.get((transport, 4)):
-            ratio = seconds[transport, 1] / seconds[transport, 4]
-            speedup = ratio if speedup is None else max(speedup, ratio)
-            print(f"4-shard vs 1-shard speedup ({transport}): {ratio:.2f}x")
-        if gathers.get((transport, 2)) and gathers.get((transport, 4)):
-            rate = gathers[transport, 4] / gathers[transport, 2]
-            growth = rate if growth is None else min(growth, rate)
-            print(
-                f"gather growth ({transport}): 4-shard/2-shard "
-                f"{rate:.2f}x for 2x the workers"
-            )
+    for shards in SHARD_COUNTS:
+        engine_config = EngineConfig(shards=shards, backend=args.backend)
+        engine = ShardedEngine(query, order=order, config=engine_config)
+        try:
+            engine.initialize(database)
+            started = time.perf_counter()
+            engine.apply_stream(iter(events), batch_size=args.batch_size)
+            result = engine.result()  # synchronizes all workers
+            elapsed = time.perf_counter() - started
+            started = time.perf_counter()
+            for _ in range(GATHER_ROUNDS):
+                engine.result()
+            gather_s = (time.perf_counter() - started) / GATHER_ROUNDS
+        finally:
+            engine.close()
+        assert result == expected, (
+            f"shard-merged result at {shards} shards diverged from the "
+            "unsharded engine"
+        )
+        seconds[shards] = elapsed
+        latency_us = 1e6 * elapsed / len(events)
+        print(
+            f"{shards:>7} {transport:>10} {elapsed:>9.3f} "
+            f"{len(events) / elapsed:>11.0f} {latency_us:>9.1f} µs "
+            f"{1e6 * gather_s:>7.0f} µs"
+        )
+        records.append(
+            {
+                "engine": "fivm-sharded",
+                "ingest": "stream",
+                "batch_size": args.batch_size,
+                "shards": shards,
+                "transport": transport,
+                "updates": len(events),
+                "seconds": round(elapsed, 6),
+                "updates_per_s": round(len(events) / elapsed, 1),
+                "latency_us": round(latency_us, 2),
+                "gather_us": round(1e6 * gather_s, 2),
+            }
+        )
+    speedup = seconds[1] / seconds[4]
+    print(f"4-shard vs 1-shard speedup: {speedup:.2f}x")
     print("shard-merged results identical to the unsharded engine ✓")
-    return speedup, growth
+    return speedup
 
 
 def bench_adaptive(database, config, order, args, records):
@@ -244,26 +211,18 @@ def main(argv=None) -> int:
         f"{'smoke' if args.smoke else 'full'} mode)\n"
     )
     records = []
-    speedup, gather_growth = bench_sharded(database, config, order, args, records)
+    speedup = bench_sharded(database, config, order, args, records)
     bench_adaptive(database, config, order, args, records)
 
     cores = os.cpu_count() or 1
     gate_scaling = (
         not args.smoke and not args.no_gate and cores >= max(SHARD_COUNTS)
     )
-    failures = []
-    if speedup is not None and speedup < SPEEDUP_TARGET:
-        failures.append(
+    if speedup < SPEEDUP_TARGET:
+        message = (
             f"4-shard speedup {speedup:.2f}x below the {SPEEDUP_TARGET}x target "
             f"({cores} cores available)"
         )
-    if gather_growth is not None and gather_growth >= GATHER_GROWTH_LIMIT:
-        failures.append(
-            f"gather time grew {gather_growth:.2f}x from 2 to 4 shards — "
-            f"not sub-linear in the worker count (limit "
-            f"{GATHER_GROWTH_LIMIT:.1f}x)"
-        )
-    for message in failures:
         if gate_scaling:
             print(f"\nFAIL: {message}", file=sys.stderr)
             return 1
@@ -275,10 +234,7 @@ def main(argv=None) -> int:
             "mode": "smoke" if args.smoke else "full",
             "dataset": "retailer",
             "cpu_count": cores,
-            "shard_speedup_4v1": round(speedup, 3) if speedup else None,
-            "gather_growth_4v2": (
-                round(gather_growth, 3) if gather_growth else None
-            ),
+            "shard_speedup_4v1": round(speedup, 3),
             "results": records,
         }
         with open(args.json, "w", encoding="utf-8") as handle:

@@ -65,12 +65,8 @@ from repro.engine import (
     MaintenanceEngine,
     NaiveEngine,
     PerAggregateEngine,
-    PipeTransport,
-    ShardTransport,
     ShardedEngine,
-    SharedMemoryTransport,
     available_backends,
-    available_transports,
     evaluate_tree,
 )
 from repro.errors import (
@@ -199,14 +195,10 @@ __all__ = [
     "PerAggregateEngine",
     "ShardedEngine",
     "evaluate_tree",
-    # engine construction & transports
+    # engine construction
     "EngineConfig",
     "create_engine",
     "available_backends",
-    "available_transports",
-    "ShardTransport",
-    "PipeTransport",
-    "SharedMemoryTransport",
     # serving
     "EngineSnapshot",
     "SnapshotStore",

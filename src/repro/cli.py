@@ -92,8 +92,8 @@ def _graceful_sigterm():
     """Route SIGTERM through the KeyboardInterrupt unwind path.
 
     The long-running commands (serve, bench, checkpoint save) already
-    shut down cleanly on Ctrl-C — engines closed, /dev/shm segments
-    unlinked, final checkpoints flushed. `kill` and container stops
+    shut down cleanly on Ctrl-C — engines closed, shard workers
+    stopped, final checkpoints flushed. `kill` and container stops
     send SIGTERM, which would otherwise bypass all of that; translating
     it to KeyboardInterrupt makes both paths identical. Signal handlers
     can only be installed from the main thread; elsewhere (tests
@@ -263,7 +263,7 @@ def cmd_bench(args) -> int:
             return _run_bench(args)
     except KeyboardInterrupt:
         # The per-contender finally already closed the live engine (and
-        # its shm segments) on the way out.
+        # its shard workers) on the way out.
         print("\ninterrupted; engines closed", file=sys.stderr)
         return 130
 

@@ -1,8 +1,8 @@
 """One frozen description of how to build a maintenance engine.
 
 :class:`EngineConfig` says *where* maintenance runs (shards, backend,
-transport, supervision) and over *which* history (window, decay). It
-does not say *how* a delta is maintained: the engine picks the fused
+supervision) and over *which* history (window, decay). It does not say
+*how* a delta is maintained: the engine picks the fused
 columnar program or the per-tuple path from the payload ring and the
 delta's size (see :class:`~repro.engine.fivm.FIVMEngine`), so there is
 no access-path switch to set.
@@ -34,8 +34,6 @@ __all__ = [
 
 #: Values accepted by the ``backend`` field (before resolution).
 BACKEND_CHOICES = ("auto", "serial", "process")
-#: Values accepted by the ``transport`` field (before resolution).
-TRANSPORT_CHOICES = ("auto", "pipe", "shm")
 
 
 @dataclass(frozen=True)
@@ -53,9 +51,6 @@ class EngineConfig:
     shards: int = 1
     #: Shard execution backend: ``auto`` | ``serial`` | ``process``.
     backend: str = "auto"
-    #: Shard data plane: ``auto`` (shared memory when available) |
-    #: ``pipe`` | ``shm``. Only meaningful for the process backend.
-    transport: str = "auto"
     #: Explicit shard attributes (default: derived from the view tree).
     shard_attrs: Optional[Tuple[str, ...]] = None
     #: F-IVM: accumulate per-stage wall-clock into ``stats.stage_seconds``.
@@ -80,8 +75,7 @@ class EngineConfig:
     #: truncates the log.
     replay_log_limit: int = 20000
     #: Supervision: seconds a worker may stay silent on a synchronous
-    #: reply (or a shared-memory slot) before it is declared hung and
-    #: respawned.
+    #: reply before it is declared hung and respawned.
     heartbeat_timeout: float = 30.0
 
     def __post_init__(self):
@@ -98,11 +92,6 @@ class EngineConfig:
             raise EngineError(
                 f"unknown shard backend {self.backend!r}; expected one of "
                 f"{BACKEND_CHOICES}"
-            )
-        if self.transport not in TRANSPORT_CHOICES:
-            raise EngineError(
-                f"unknown shard transport {self.transport!r}; expected one "
-                f"of {TRANSPORT_CHOICES}"
             )
         if self.shard_attrs is not None:
             object.__setattr__(self, "shard_attrs", tuple(self.shard_attrs))
@@ -203,7 +192,6 @@ class EngineConfig:
         parts = [f"shards={self.shards}"]
         if self.shards > 1:
             parts.append(f"backend={self.backend}")
-            parts.append(f"transport={self.transport}")
         if self.window is not None:
             parts.append(f"window={self.window}")
         if self.decay is not None:
@@ -222,7 +210,7 @@ def create_engine(query, config: Optional[EngineConfig] = None, order=None):
     """Build the engine a config describes.
 
     ``shards > 1`` builds a :class:`~repro.engine.sharded.ShardedEngine`
-    (the coordinator resolves backend/transport); otherwise a plain
+    (the coordinator resolves the backend); otherwise a plain
     :class:`~repro.engine.fivm.FIVMEngine`. The returned engine still
     needs ``initialize()`` (or ``import_state()``).
     """
@@ -269,14 +257,6 @@ def add_engine_cli_args(parser: argparse.ArgumentParser, shards_default: int = 1
         "--engine-backend",
         dest="engine_backend", choices=BACKEND_CHOICES, default="auto",
         help="shard execution backend (auto: fork processes when available)",
-    )
-    group.add_argument(
-        "--engine-transport",
-        dest="engine_transport", choices=TRANSPORT_CHOICES, default="auto",
-        help=(
-            "shard data plane: shared-memory rings (shm, the default when "
-            "available) or pickled pipes (pipe)"
-        ),
     )
     group.add_argument(
         "--engine-shard-attrs",
@@ -347,7 +327,6 @@ def engine_config_from_args(args: argparse.Namespace) -> EngineConfig:
     return EngineConfig(
         shards=int(getattr(args, "engine_shards", 1)),
         backend=getattr(args, "engine_backend", "auto"),
-        transport=getattr(args, "engine_transport", "auto"),
         shard_attrs=shard_attrs,
         profile_stages=bool(getattr(args, "engine_profile", False)),
         window=getattr(args, "engine_window", None),

@@ -163,7 +163,7 @@ class UpdateBatcher:
         Each emitted delta's columnar (struct-of-arrays) form is
         available through :meth:`Relation.columnar`, built at most once
         on first use — columnar consumers (the vectorized maintenance
-        path, the sharded pipe transport) share one build, and purely
+        path, the sharded wire form) share one build, and purely
         per-tuple consumers never pay for it.
         """
         batch: Batch = []

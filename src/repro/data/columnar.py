@@ -36,8 +36,6 @@ __all__ = [
     "column_array",
     "lift_column",
     "bulk_liftable",
-    "decode_blocks",
-    "block_views",
 ]
 
 Key = Tuple
@@ -203,15 +201,15 @@ class ColumnarDelta:
         return relation
 
     def to_blocks(self) -> "ColumnarBlocks":
-        """Stage this delta for a shared-memory write.
+        """This delta as flat byte blocks — the wire-size measure.
 
-        Typed columns (numeric, boolean, fixed-width string) become raw
-        ndarray blocks copied bytewise into the segment; anything an
-        ndarray cannot represent exactly (mixed types, tuples, arbitrary
-        objects) falls back to one pickled blob per column. The counts
-        array is always the first raw block. The staged form knows its
-        total byte size *before* any segment is touched, so the sender
-        can grow the ring first.
+        Typed columns (numeric, boolean, fixed-width string) count as
+        raw ndarray blocks; anything an ndarray cannot represent exactly
+        (mixed types, tuples, arbitrary objects) as one pickled blob per
+        column. The counts array is always the first raw block. Nothing
+        is sent in this form: ``ColumnarBlocks.nbytes`` is the
+        framing-free size of a routed delta, which the benchmark reports
+        as wire bytes per update.
         """
         parts: List[Tuple[str, Optional[str], Any]] = []
         counts = np.ascontiguousarray(self.counts)
@@ -239,14 +237,10 @@ class ColumnarDelta:
 
 
 class ColumnarBlocks:
-    """A :class:`ColumnarDelta` staged as flat byte blocks.
+    """A :class:`ColumnarDelta` laid out as flat byte blocks.
 
-    The shared-memory wire form: :meth:`write_into` lays the blocks into
-    a buffer back to back and returns a small picklable *layout* tuple —
-    ``(row count, ((kind, dtype, offset, count, nbytes), ...))`` — which
-    travels over the control pipe while the bytes stay in shared memory.
-    :func:`decode_blocks` rebuilds the delta on the other side;
-    :func:`block_views` exposes the raw blocks as zero-copy numpy views.
+    ``parts`` holds ``(kind, dtype, payload)`` per block — counts first,
+    then one block per key column — and ``nbytes`` their total size.
     """
 
     __slots__ = ("schema", "length", "parts", "nbytes")
@@ -256,75 +250,6 @@ class ColumnarBlocks:
         self.length = int(length)
         self.parts = parts
         self.nbytes = int(nbytes)
-
-    def write_into(self, buf, offset: int):
-        """Copy every block into ``buf`` starting at ``offset``.
-
-        Raw blocks are written through a numpy view over the target
-        buffer (one vectorized assignment, no intermediate pickle);
-        pickled blobs are spliced bytewise. Returns the layout tuple.
-        """
-        entries = []
-        position = int(offset)
-        for kind, dtype, payload in self.parts:
-            if kind == "raw":
-                nbytes = payload.nbytes
-                if nbytes:
-                    target = np.frombuffer(
-                        buf, dtype=payload.dtype, count=len(payload),
-                        offset=position,
-                    )
-                    target[:] = payload
-                entries.append((kind, dtype, position, len(payload), nbytes))
-            else:
-                nbytes = len(payload)
-                buf[position:position + nbytes] = payload
-                entries.append((kind, None, position, nbytes, nbytes))
-            position += nbytes
-        return (self.length, tuple(entries))
-
-
-def decode_blocks(schema, buf, layout, name: str = "") -> ColumnarDelta:
-    """Rebuild a :class:`ColumnarDelta` from blocks laid out in ``buf``.
-
-    Everything is copied out of the buffer — the returned delta owns its
-    data, so the sender may overwrite the slot the moment the caller
-    acknowledges it. Typed columns round-trip through ``tolist`` so key
-    values come back as the same plain Python objects the pipe wire form
-    carries (bit-exact routing and grouping either way).
-    """
-    _length, entries = layout
-    arrays = _block_values(buf, entries)
-    counts = np.array(arrays[0], dtype=np.int64)
-    columns = tuple(
-        arr.tolist() if isinstance(arr, np.ndarray) else list(arr)
-        for arr in arrays[1:]
-    )
-    return ColumnarDelta(schema, counts, columns=columns, name=name)
-
-
-def block_views(buf, layout) -> List[Any]:
-    """The blocks of a layout as views over ``buf`` — counts first.
-
-    Raw blocks come back as numpy views *sharing memory* with ``buf``
-    (the zero-copy read path); pickled blocks necessarily load into
-    fresh lists. Callers must drop the views before the segment closes.
-    """
-    _length, entries = layout
-    return _block_values(buf, entries)
-
-
-def _block_values(buf, entries) -> List[Any]:
-    values: List[Any] = []
-    for kind, dtype, offset, count, nbytes in entries:
-        if kind == "raw":
-            values.append(
-                np.frombuffer(buf, dtype=np.dtype(dtype), count=count,
-                              offset=offset)
-            )
-        else:
-            values.append(pickle.loads(bytes(buf[offset:offset + nbytes])))
-    return values
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ ages out. :class:`WindowedStream` keeps that promise: it wraps a stream
 of timed events and interleaves, at every window boundary, the negated
 deltas of the events that just expired. The output is a plain
 ``(relation, row, ±step)`` event stream, so every engine — per-tuple,
-columnar, fused, sharded over any transport — maintains the windowed
+columnar, fused, sharded on either backend — maintains the windowed
 view without knowing windows exist, and bit-identically to a fresh batch
 evaluation over exactly the live window.
 

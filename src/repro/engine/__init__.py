@@ -7,12 +7,6 @@ from repro.engine.fivm import FIVMEngine
 from repro.engine.naive import NaiveEngine
 from repro.engine.peragg import PerAggregateEngine
 from repro.engine.sharded import ShardBackend, ShardedEngine, available_backends
-from repro.engine.transport import (
-    PipeTransport,
-    ShardTransport,
-    SharedMemoryTransport,
-    available_transports,
-)
 
 __all__ = [
     "MaintenanceEngine",
@@ -23,11 +17,7 @@ __all__ = [
     "PerAggregateEngine",
     "ShardedEngine",
     "ShardBackend",
-    "ShardTransport",
-    "PipeTransport",
-    "SharedMemoryTransport",
     "available_backends",
-    "available_transports",
     "evaluate_tree",
     "evaluate_view",
 ]

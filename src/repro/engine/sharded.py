@@ -1,4 +1,4 @@
-"""Sharded multi-core ingestion: one F-IVM engine per worker process.
+"""Sharded multi-core ingestion: one F-IVM engine per shard worker.
 
 The paper's C++ system sustains high update rates with compiled triggers;
 a pure-Python reproduction is bounded by the interpreter on one core.
@@ -10,37 +10,27 @@ slice of the database, and the query result is the ring-sum of the
 per-shard root views (multilinearity of the join makes that exact — see
 :mod:`repro.data.sharding`).
 
-Two backends extend one :class:`ShardBackend` protocol:
+There is one worker, one wire form and one coordinator loop:
 
-- ``"serial"`` keeps the shard engines in-process. No parallelism, but
-  identical routing/merging semantics — this is what the determinism
-  tests sweep and the fallback on platforms without ``fork``.
-- ``"process"`` forks one worker per shard over a duplex pipe each, with
-  the *data plane* delegated to a :class:`~repro.engine.transport`
-  implementation selected by :class:`~repro.config.EngineConfig`:
-
-  * ``transport="shm"`` (the default where available) moves payload
-    bytes through per-shard shared-memory rings — the pipes carry only
-    control messages (op, buffer generation, block layout) — and runs
-    ``result()``/``export_state()`` gathers *tree-wise*: workers merge
-    pairwise across shards and the coordinator reads one final blob,
-    so gather cost grows logarithmically rather than linearly in the
-    shard count.
-  * ``transport="pipe"`` is the historical wire: deltas pickled through
-    the pipe in columnar form, gathers fanned in and merged on the
-    coordinator.
-
-  Applies are fire-and-forget either way, so the coordinator routes
-  batch *n+1* while workers maintain batch *n*; ``result()`` /
-  ``shard_stats()`` / ``memory_report()`` / ``export_state()`` are
-  synchronous fan-out/fan-in points. Fork start is required because
+- :class:`ShardWorker` owns a shard's engine and answers one message set
+  (``apply`` / ``advance`` fire-and-forget; ``result`` / ``export`` /
+  ``stats`` / ``memory`` / ``ping`` synchronous; ``stop``). A delta
+  travels as ``("apply", relation, columns, counts)`` — the columnar
+  form of :meth:`~repro.data.columnar.ColumnarDelta.transport`.
+- Two backends drive that same worker. ``"process"`` forks one worker
+  per shard and talks to it over a duplex ``multiprocessing.Pipe``, so
+  the coordinator routes batch *n+1* while workers maintain batch *n*.
+  ``"serial"`` calls the worker in-process through a loopback channel:
+  no parallelism, identical semantics — the only path on platforms
+  without ``fork``, and the determinism tests' double of the very code
+  the processes run. Fork start is required for ``process`` because
   payload plans hold lifting closures that cannot cross a spawn boundary
   — workers inherit the query object instead of unpickling it.
-
-Every merge path — the serial backend, the pipe coordinator and the shm
-worker tree — folds per-shard parts in the *same* pairwise structure
-(:func:`pairwise_fold`), so all transports produce bit-identical results
-for any ring, floating point included.
+- ``result()`` / ``shard_stats()`` / ``memory_report()`` /
+  ``export_state()`` are synchronous fan-out/fan-in gathers; the
+  per-shard parts are folded on the coordinator in one fixed pairwise
+  structure (:func:`pairwise_fold`), so both backends produce
+  bit-identical results for any ring, floating point included.
 
 Checkpoints are shard-count portable: ``export_state`` merges per-shard
 view snapshots into the global normal form a plain
@@ -53,10 +43,11 @@ F-IVM engine, and across the serial/process backend switch.
 
 from __future__ import annotations
 
+import collections
 import multiprocessing
 import os
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import EngineConfig
 from repro.data.columnar import ColumnarDelta
@@ -66,13 +57,6 @@ from repro.data.sharding import ShardRouter, shard_hash
 from repro.engine.base import EngineStatistics, MaintenanceEngine
 from repro.engine.fivm import FIVMEngine
 from repro.engine.supervisor import WorkerSupervisor
-from repro.engine.transport import (
-    PipeTransport,
-    ShardTransport,
-    SharedMemoryTransport,
-    _ShmOverflow,
-    resolve_transport,
-)
 from repro.errors import EngineError, SupervisionError
 from repro.query.query import Query
 from repro.testing import faults as _faults
@@ -82,6 +66,7 @@ from repro.viewtree.builder import ShardPlan, build_shard_plan, build_view_tree
 __all__ = [
     "ShardedEngine",
     "ShardBackend",
+    "ShardWorker",
     "available_backends",
     "resolve_backend",
     "pairwise_fold",
@@ -117,19 +102,18 @@ def resolve_backend(backend: str, shards: int) -> str:
 
 
 # ----------------------------------------------------------------------
-# Pairwise merging — one fold structure for every transport
+# Pairwise merging — one fold structure for both backends
 # ----------------------------------------------------------------------
 
 
 def pairwise_fold(parts: List[Any], combine: Callable[[Any, Any], Any]) -> Any:
     """Fold ``parts`` pairwise: adjacent pairs combine, odd tails pass up.
 
-    This is exactly the reduction order of the shm worker tree (shard
-    ``s+step`` merges into shard ``s`` round by round), so folding
-    per-shard results with it on the coordinator — as the serial and
-    pipe paths do — yields bit-identical floats to the tree merge.
-    ``combine`` may mutate and return its left argument; callers own the
-    leaf copies.
+    The reduction order depends on the shard count only — never on
+    which backend produced the parts or the order replies arrived in —
+    which is what makes serial and process results bit-identical for
+    floating-point rings. ``combine`` may mutate and return its left
+    argument; callers own the leaf copies.
     """
     if not parts:
         return None
@@ -184,320 +168,155 @@ def _merge_view_states(parts, keys, ring, broadcast_views) -> Dict[str, Dict]:
 
 
 # ----------------------------------------------------------------------
-# Backends
+# The shard worker — one op dispatch, whichever backend drives it
 # ----------------------------------------------------------------------
 
 
-class ShardBackend:
-    """What the coordinator needs from a set of shard engines.
+class ShardWorker:
+    """One shard: its engine, its parked failure, its op dispatch.
 
-    Both backends seed their shards either from per-shard ``databases``
-    (initialize) or from per-shard ``states`` (checkpoint restore) —
-    exactly one of the two — and a closed backend refuses every
-    operation with the same descriptive :class:`EngineError` instead of
-    dying on its emptied engine/connection lists. Subclasses implement
-    ``apply``/``results``/``stats``/``memory``/``export_states``/
-    ``close``.
+    :meth:`handle` takes one coordinator message and returns the reply
+    to send back, or ``None`` for the fire-and-forget ops. Every
+    synchronous reply is ``("ok", payload)`` or ``("error", message)``.
+    ``apply`` and ``advance`` never reply, so a failure in one is
+    *parked*: later applies are dropped (not half-applied on top of a
+    broken state) and every synchronous op answers with the parked error
+    until the coordinator replaces the worker.
+
+    The deterministic fault sites ``worker.apply`` / ``worker.advance`` /
+    ``worker.reply`` fire here and nowhere else, so a fault spec means
+    the same thing on both backends. ``kill`` is how a ``"kill"`` spec
+    dies: a forked worker passes :func:`~repro.testing.faults.exit_worker`;
+    in-process it is ``None`` and the spec raises
+    :class:`~repro.testing.faults.InjectedWorkerDeath`, which
+    :meth:`handle` lets through for the loopback channel to act on.
     """
 
-    name = "abstract"
+    def __init__(self, engine, shard=-1, incarnation=0, kill=None):
+        self.engine = engine
+        self.schemas = {
+            name: engine.query.schema_of(name).attributes
+            for name in engine.query.relation_names
+        }
+        self.shard = shard
+        self.incarnation = incarnation
+        self.kill = kill
+        self.failure: Optional[str] = None
+        self.stopped = False
 
-    def __init__(self):
-        self.closed = False
-        #: Supervision state (set by the coordinator when
-        #: ``EngineConfig.supervise`` is on). A supervised backend never
-        #: tears itself down on a dead worker: it marks the shard failed
-        #: and lets :meth:`ShardedEngine._recover` rebuild it in place.
-        self.supervised = False
-        self.heartbeat_timeout: Optional[float] = None
-        self.failed_shards: set = set()
-        self.failures: Dict[int, str] = {}
-        self.incarnations: List[int] = []
+    @classmethod
+    def boot(cls, factory, database, state, **identity):
+        """Build the engine, seeded from ``state`` (checkpoint restore /
+        recovery) when given, else from ``database``. Returns
+        ``(worker, ready reply)``; the worker is ``None`` when the seed
+        did not load and the reply says why."""
+        try:
+            engine = factory()
+            if state is not None:
+                engine.import_state(state)
+            else:
+                engine.initialize(database)
+            return cls(engine, **identity), ("ok", "ready")
+        except Exception as exc:
+            return None, ("error", f"shard initialization failed: {exc!r}")
 
-    @staticmethod
-    def _check_seeds(databases, states) -> List:
-        if (databases is None) == (states is None):
-            raise EngineError(
-                "shard backend needs either databases or states, not both"
-            )
-        return databases if states is None else states
-
-    def _require_open(self) -> None:
-        if self.closed:
-            raise EngineError(
-                "shard backend is closed; initialize() (or import_state()) "
-                "the engine again before using it"
-            )
-
-    def mark_failed(self, shard: int, message: str) -> None:
-        """Park ``shard`` for recovery (supervised mode only)."""
-        if self.supervised:
-            self.failed_shards.add(shard)
-            self.failures[shard] = message
-
-    def clear_failed(self, shard: int) -> None:
-        self.failed_shards.discard(shard)
-        self.failures.pop(shard, None)
-
-    def kill_callable(self, shard: int) -> Optional[Callable[[], None]]:
-        """A callback that kills ``shard``'s worker, for coordinator-side
-        fault injection sites; ``None`` when shards are in-process."""
+    def handle(self, message) -> Optional[Tuple[str, Any]]:
+        op = message[0]
+        if op == "stop":
+            self.stopped = True
+            return None
+        replies = op != "apply" and op != "advance"
+        engine = self.engine
+        try:
+            if self.failure is None and _faults.current_injector() is not None:
+                # No-ops without an injector: a "kill" spec dies the way
+                # a crashed worker dies, a "raise" spec is parked below.
+                site = "worker.reply" if replies else f"worker.{op}"
+                _faults.fire(
+                    site, op=op, shard=self.shard,
+                    incarnation=self.incarnation, kill=self.kill,
+                )
+            if self.failure is not None:
+                return ("error", self.failure) if replies else None
+            if op == "apply":
+                # Rebuild the dict delta once here; the columnar form
+                # stays attached, so the engine's fused path reuses it
+                # without re-deriving.
+                relation_name, columns, counts = message[1:]
+                delta = ColumnarDelta(
+                    self.schemas[relation_name], counts, columns=columns,
+                    name=relation_name,
+                ).to_relation()
+                engine.apply(relation_name, delta)
+            elif op == "advance":
+                # Channels are FIFO, so the tick lands after every delta
+                # routed before it — all shards advance their decay
+                # clocks in lockstep.
+                engine.advance_decay(message[1])
+            elif op == "result":
+                return "ok", engine.result().data
+            elif op == "ping":
+                return "ok", "pong"
+            elif op == "stats":
+                return "ok", engine.stats.snapshot()
+            elif op == "memory":
+                return "ok", engine.memory_report()
+            elif op == "export":
+                return "ok", engine.export_state()
+            else:
+                return "error", f"unknown op {op!r}"
+        except _faults.InjectedWorkerDeath:
+            raise
+        except Exception as exc:
+            self.failure = f"shard worker failed on {op!r}: {exc!r}"
+            if replies:
+                return "error", self.failure
         return None
 
-    def respawn(self, shard: int, state: dict) -> None:
-        raise EngineError(
-            f"{self.name} backend cannot respawn shard {shard}"
-        )  # pragma: no cover - overridden by both backends
 
-    def _raise_gather_errors(self, errors: List[str], dead: bool) -> None:
-        """Surface per-shard failures as one joined :class:`EngineError`.
+class _Loopback:
+    """The serial backend's channel: a pipe-shaped call into a worker.
 
-        When a worker died (``dead``) the request/reply alignment cannot
-        be recovered, so an *unsupervised* backend tears itself down
-        first; a supervised one stays open — the dead shards were marked
-        failed and the coordinator respawns them (with a fresh pipe, so
-        alignment is moot) before retrying the gather.
-        """
-        if errors:
-            if dead and not self.supervised:
-                self.close()
-            raise EngineError("; ".join(errors))
-
-
-class _SerialBackend(ShardBackend):
-    """All shard engines live in the coordinator process.
-
-    Under supervision an engine that raises plays the role of a crashed
-    worker: the shard is marked failed (the broken engine object is
-    dropped) and :meth:`respawn` rebuilds it from a state slice — the
-    exact recovery path the process backend exercises, minus the fork.
-    The fault-injection hooks fire at the same logical sites as the
-    worker-process ones, so the deterministic fault suite runs the whole
-    matrix on the serial backend too.
+    ``send`` runs :meth:`ShardWorker.handle` inline and queues its reply
+    for ``recv``. A worker that is gone — never booted, stopped, closed,
+    or killed by an injected fault — behaves like the far end of a dead
+    process's pipe: sends raise ``BrokenPipeError``, receives ``EOFError``.
     """
 
-    name = "serial"
+    def __init__(self, worker: Optional[ShardWorker], ready):
+        self.worker = worker
+        self.replies = collections.deque([ready])
 
-    def __init__(
-        self,
-        factory: Callable[[], MaintenanceEngine],
-        databases: Optional[List[Database]] = None,
-        states: Optional[List[dict]] = None,
-        supervised: bool = False,
-        heartbeat_timeout: Optional[float] = None,
-    ):
-        super().__init__()
-        self.supervised = supervised
-        self.heartbeat_timeout = heartbeat_timeout
-        self._factory = factory
-        seeds = self._check_seeds(databases, states)
-        self.engines = [factory() for _ in seeds]
-        self.incarnations = [0] * len(seeds)
-        if states is None:
-            for engine, database in zip(self.engines, databases):
-                engine.initialize(database)
-        else:
-            for engine, state in zip(self.engines, states):
-                engine.import_state(state)
-
-    def _guard(self, shard: int, op: str, fn: Callable[[], Any]) -> Any:
-        """Run one shard-engine op; under supervision any failure marks
-        the shard dead — the serial analogue of a crashed worker."""
-        if not self.supervised:
-            return fn()
-        if shard in self.failed_shards:
-            raise EngineError(
-                f"shard {shard} engine is down: "
-                f"{self.failures.get(shard, 'failed')}"
-            )
+    def send(self, message) -> None:
+        worker = self.worker
+        if worker is None:
+            raise BrokenPipeError("in-process shard worker is gone")
         try:
-            return fn()
-        except Exception as exc:
-            message = f"shard {shard} engine failed on {op!r}: {exc!r}"
-            self.mark_failed(shard, message)
-            raise EngineError(message) from None
-
-    def apply(self, shard: int, relation_name: str, delta: Relation) -> None:
-        self._require_open()
-
-        def run():
-            if _faults.current_injector() is not None:
-                _faults.fire(
-                    "worker.apply", op="apply", shard=shard,
-                    incarnation=self.incarnations[shard],
-                )
-            self.engines[shard].apply(relation_name, delta)
-
-        self._guard(shard, "apply", run)
-
-    def advance(self, ticks: int) -> None:
-        self._require_open()
-        if not self.supervised:
-            for engine in self.engines:
-                engine.advance_decay(ticks)
+            reply = worker.handle(message)
+        except _faults.InjectedWorkerDeath:
+            # Died mid-message, like a process would: the send itself
+            # went through, the reply never comes.
+            self.worker = None
             return
-        errors = []
-        for shard in range(len(self.engines)):
-            try:
-                self.advance_one(shard, ticks)
-            except EngineError as exc:
-                errors.append(str(exc))
-        if errors:
-            raise EngineError("; ".join(errors))
+        if worker.stopped:
+            self.worker = None
+        if reply is not None:
+            self.replies.append(reply)
 
-    def advance_one(self, shard: int, ticks: int) -> None:
-        self._require_open()
+    def poll(self, timeout: float = 0.0) -> bool:
+        return bool(self.replies)
 
-        def run():
-            if _faults.current_injector() is not None:
-                _faults.fire(
-                    "worker.advance", op="advance", shard=shard,
-                    incarnation=self.incarnations[shard],
-                )
-            self.engines[shard].advance_decay(ticks)
-
-        self._guard(shard, "advance", run)
-
-    def _collect(self, op: str, fn: Callable[[Any], Any]) -> List[Any]:
-        """Per-shard gather; supervised failures are collected so every
-        healthy shard is still polled (mirrors the process fan-in)."""
-        self._require_open()
-        if not self.supervised:
-            return [fn(engine) for engine in self.engines]
-        out: List[Any] = [None] * len(self.engines)
-        errors = []
-        for shard, engine in enumerate(self.engines):
-            def run(engine=engine, shard=shard):
-                if _faults.current_injector() is not None:
-                    _faults.fire(
-                        "coordinator.gather", op=op, shard=shard,
-                        incarnation=self.incarnations[shard],
-                    )
-                return fn(engine)
-
-            try:
-                out[shard] = self._guard(shard, op, run)
-            except EngineError as exc:
-                errors.append(str(exc))
-        if errors:
-            raise EngineError("; ".join(errors))
-        return out
-
-    def results(self) -> List[Dict]:
-        return self._collect("result", lambda engine: engine.result().data)
-
-    def stats(self) -> List[Dict[str, int]]:
-        return self._collect("stats", lambda engine: engine.stats.snapshot())
-
-    def memory(self) -> List[Dict[str, Dict[str, int]]]:
-        return self._collect("memory", lambda engine: engine.memory_report())
-
-    def export_states(self) -> List[dict]:
-        return self._collect("export", lambda engine: engine.export_state())
-
-    def respawn(self, shard: int, state: dict) -> None:
-        """Rebuild ``shard``'s engine from a re-partitioned state slice."""
-        self._require_open()
-        engine = self._factory()
-        engine.import_state(state)
-        self.engines[shard] = engine
-        self.incarnations[shard] += 1
-        # The fresh engine is healthy until proven otherwise; replay
-        # failures re-mark it.
-        self.clear_failed(shard)
-
-    def gather_one(self, shard: int, op: str) -> Any:
-        self._require_open()
-        ops = {
-            "stats": lambda engine: engine.stats.snapshot(),
-            "result": lambda engine: engine.result().data,
-            "ping": lambda engine: "pong",
-        }
-        return self._guard(
-            shard, op, lambda: ops[op](self.engines[shard])
-        )
+    def recv(self):
+        if not self.replies:
+            raise EOFError
+        return self.replies.popleft()
 
     def close(self) -> None:
-        self.engines = []
-        self.closed = True
+        self.worker = None
 
 
-def _serve_tree(conn, endpoint, engine, op, seq, failure, broadcast_views):
-    """One worker's side of a tree gather; returns the new parked failure.
-
-    A parked failure (or a merge-partner failure) poisons this worker's
-    write round — so partners waiting on it abort fast instead of timing
-    out — and replies ``("error", ...)``. A blob that does not fit the
-    up block replies ``("overflow", needed bytes)`` without parking: the
-    coordinator grows the blocks and retries the whole gather.
-    """
-    if failure is None and endpoint is None:  # pragma: no cover - defensive
-        failure = f"shard worker got tree op {op!r} without an shm endpoint"
-    if failure is not None:
-        try:
-            endpoint.poison(seq)
-        except Exception:
-            pass
-        conn.send(("error", failure))
-        return failure
-    try:
-        ring = engine.tree.plan.ring
-        if op == "tresult":
-            key = engine.tree.root.key
-            payload = dict(engine.result().data)
-
-            def combine(mine, theirs):
-                return _merge_root_pair(mine, theirs, key, ring)
-
-        else:  # "texport"
-            keys = {
-                name: node.key for name, node in engine.tree.views.items()
-            }
-            payload = {
-                name: dict(data)
-                for name, data in engine._export_payload()["views"].items()
-            }
-
-            def combine(mine, theirs):
-                return _merge_views_pair(
-                    mine, theirs, keys, ring, broadcast_views
-                )
-
-        endpoint.tree_merge(seq, payload, combine)
-        conn.send(("ok", "done"))
-        return None
-    except _ShmOverflow as exc:
-        try:
-            endpoint.poison(seq, needed=exc.needed)
-        except Exception:
-            pass
-        conn.send(("overflow", exc.needed))
-        return failure
-    except Exception as exc:
-        message = f"shard worker failed on {op!r}: {exc!r}"
-        try:
-            endpoint.poison(seq)
-        except Exception:
-            pass
-        conn.send(("error", message))
-        return message
-
-
-def _shard_worker(
-    conn, factory, database, state=None, endpoint=None, broadcast_views=(),
-    inherited=(), shard=-1, incarnation=0,
-) -> None:
-    """Worker loop: build the engine, then serve the coordinator's pipe.
-
-    The engine is seeded from ``state`` (checkpoint restore) when given,
-    otherwise from ``database``. Every synchronous reply is
-    ``("ok", payload)``, ``("error", message)`` or — for tree gathers —
-    ``("overflow", bytes)``; applies are fire-and-forget, so an apply
-    failure is parked and surfaced at the next synchronous exchange. A
-    parked worker still services the transport control plane: shared-
-    memory deltas are acknowledged (``mark_consumed``) so the
-    coordinator's ring flow control never deadlocks on a failed shard,
-    and ``remap``/``remap_up`` segment swaps are honoured.
+def _worker_main(conn, inherited, factory, database, state, shard, incarnation):
+    """A forked worker: boot the engine, then serve the coordinator's pipe.
 
     ``inherited`` holds the coordinator-side pipe ends this fork copied;
     they are closed immediately so that a dying coordinator delivers EOF
@@ -509,325 +328,297 @@ def _shard_worker(
             other.close()
         except OSError:  # pragma: no cover - already closed
             pass
-    try:
-        engine = factory()
-        if state is not None:
-            engine.import_state(state)
-        else:
-            engine.initialize(database)
-        schemas = {
-            name: engine.query.schema_of(name).attributes
-            for name in engine.query.relation_names
-        }
-    except Exception as exc:
-        conn.send(("error", f"shard initialization failed: {exc!r}"))
-        conn.close()
-        return
-    conn.send(("ok", "ready"))
-    failure: Optional[str] = None
-    while True:
+    worker, ready = ShardWorker.boot(
+        factory, database, state,
+        shard=shard, incarnation=incarnation, kill=_faults.exit_worker,
+    )
+    conn.send(ready)
+    while worker is not None and not worker.stopped:
         try:
             message = conn.recv()
         except EOFError:
             break
-        op = message[0]
-        if op == "stop":
-            break
-        if op == "remap":
-            # Fire-and-forget segment swap — no reply, and honoured even
-            # when a failure is parked (the coordinator already switched).
-            try:
-                endpoint.remap_down(message[1], message[2])
-            except Exception as exc:  # pragma: no cover - defensive
-                failure = failure or f"shard worker failed on 'remap': {exc!r}"
-            continue
-        if op == "remap_up":
-            try:
-                endpoint.remap_up(message[1], message[2])
-            except Exception as exc:  # pragma: no cover - defensive
-                failure = (
-                    failure or f"shard worker failed on 'remap_up': {exc!r}"
-                )
-            continue
-        if op == "tresult" or op == "texport":
-            failure = _serve_tree(
-                conn, endpoint, engine, op, message[1], failure,
-                broadcast_views,
-            )
-            continue
-        is_apply = (
-            op == "apply" or op == "applyc" or op == "applyd"
-            or op == "advance"
-        )
-        try:
-            if _faults.current_injector() is not None and failure is None:
-                # Deterministic fault sites (no-ops without an injector):
-                # a "kill" spec dies the way a crashed process dies, a
-                # "raise" spec becomes a parked failure below.
-                if op == "apply" or op == "applyc" or op == "applyd":
-                    _faults.fire(
-                        "worker.apply", op=op, shard=shard,
-                        incarnation=incarnation, kill=_faults.exit_worker,
-                    )
-                elif op == "advance":
-                    _faults.fire(
-                        "worker.advance", op=op, shard=shard,
-                        incarnation=incarnation, kill=_faults.exit_worker,
-                    )
-                else:
-                    _faults.fire(
-                        "worker.reply", op=op, shard=shard,
-                        incarnation=incarnation, kill=_faults.exit_worker,
-                    )
-            if failure is not None:
-                if op == "applyd":
-                    # Keep the ring flow control moving even while parked.
-                    try:
-                        endpoint.mark_consumed(message[2])
-                    except Exception:
-                        pass
-                elif not is_apply:
-                    conn.send(("error", failure))
-            elif op == "apply":
-                relation_name, data = message[1], message[2]
-                delta = Relation(schemas[relation_name], name=relation_name)
-                delta.data = data
-                engine.apply(relation_name, delta)
-            elif op == "applyc":
-                # Columnar wire form: rebuild the dict delta once here;
-                # the columnar form stays attached, so the worker's own
-                # columnar maintenance path reuses it without re-deriving.
-                relation_name, columns, counts = message[1], message[2], message[3]
-                delta = ColumnarDelta(
-                    schemas[relation_name], counts, columns=columns,
-                    name=relation_name,
-                ).to_relation()
-                engine.apply(relation_name, delta)
-            elif op == "applyd":
-                # Shared-memory wire form: the pipe carried only the
-                # generation, block layout and a checksum; the bytes are
-                # in the ring. A checksum mismatch (torn write) parks the
-                # worker with a descriptive failure instead of decoding
-                # garbage into the views.
-                relation_name, generation, layout = (
-                    message[1], message[2], message[3]
-                )
-                nbytes = message[4] if len(message) > 4 else None
-                crc = message[5] if len(message) > 5 else None
-                delta = endpoint.read_delta(
-                    schemas[relation_name], relation_name, generation,
-                    layout, nbytes, crc,
-                )
-                engine.apply(relation_name, delta)
-            elif op == "advance":
-                # Fire-and-forget like applies: the pipe is FIFO, so the
-                # tick lands after every delta routed before it — all
-                # shards advance their decay clocks in lockstep.
-                engine.advance_decay(message[1])
-            elif op == "result":
-                conn.send(("ok", engine.result().data))
-            elif op == "ping":
-                # Liveness probe (supervised gathers); also the recovery
-                # barrier that flushes a respawned shard's replay queue.
-                conn.send(("ok", "pong"))
-            elif op == "stats":
-                conn.send(("ok", engine.stats.snapshot()))
-            elif op == "memory":
-                conn.send(("ok", engine.memory_report()))
-            elif op == "export":
-                conn.send(("ok", engine.export_state()))
-            else:
-                conn.send(("error", f"unknown op {op!r}"))
-        except Exception as exc:
-            failure = f"shard worker failed on {op!r}: {exc!r}"
-            if not is_apply:
-                conn.send(("error", failure))
-    if endpoint is not None:
-        endpoint.close()
+        reply = worker.handle(message)
+        if reply is not None:
+            conn.send(reply)
     conn.close()
 
 
-class _ProcessBackend(ShardBackend):
-    """One forked worker process per shard, one duplex pipe each.
+# ----------------------------------------------------------------------
+# Backends — how the coordinator reaches its workers
+# ----------------------------------------------------------------------
 
-    The pipe is the *control plane*; the injected
-    :class:`~repro.engine.transport.ShardTransport` is the data plane
-    (see the module docstring). The pipe protocol is strictly one reply
-    per synchronous request, so gathers must *always* drain every
-    fanned-out reply — even when a shard reports an error — or the next
-    gather would read the stale replies of the previous op and silently
-    return results for the wrong request.
+
+class ShardBackend:
+    """A set of shard workers behind one channel each.
+
+    Shards are seeded either from per-shard ``databases`` (initialize)
+    or from per-shard ``states`` (checkpoint restore) — exactly one of
+    the two. The protocol is strictly one reply per synchronous request,
+    so a gather *always* drains every fanned-out reply — even when a
+    shard reports an error — or the next gather would read the stale
+    replies of the previous op and silently return results for the
+    wrong request.
+
+    Nothing here raises for a shard's failure: sends and gathers *mark*
+    the shard (``failures``, plus ``dead_shards`` when the worker is gone
+    or hung and its channel cannot be realigned) and carry on with the
+    others. What happens to marked shards — heal
+    or fail-stop — is the coordinator's call
+    (:meth:`ShardedEngine._settle`). A closed backend refuses every
+    operation with the same descriptive :class:`EngineError` instead of
+    dying on its emptied channel list.
+
+    Subclasses supply what differs between in-process and forked
+    workers: :meth:`_spawn`, :meth:`_retire`, :meth:`_alive`,
+    :meth:`_reap` and :meth:`kill_callable`.
     """
 
-    name = "process"
-
-    #: How many grow-and-retry rounds a tree gather may take before the
-    #: backend gives up (each round at least doubles the up blocks).
-    MAX_GATHER_ATTEMPTS = 4
+    name = "abstract"
 
     def __init__(
         self,
         factory: Callable[[], MaintenanceEngine],
         databases: Optional[List[Database]] = None,
         states: Optional[List[dict]] = None,
-        transport: Optional[ShardTransport] = None,
-        broadcast_views: Tuple[str, ...] = (),
-        supervised: bool = False,
         heartbeat_timeout: Optional[float] = None,
     ):
-        super().__init__()
-        self.supervised = supervised
+        if (databases is None) == (states is None):
+            raise EngineError(
+                "shard backend needs either databases or states, not both"
+            )
+        self.closed = False
+        #: ``None`` blocks on replies; a number polls, so that a worker
+        #: that died without closing its pipe end, or hangs longer than
+        #: this, is reported instead of blocking the coordinator forever.
         self.heartbeat_timeout = heartbeat_timeout
+        #: shard -> why it is marked failed.
+        self.failures: Dict[int, str] = {}
+        self.dead_shards: set = set()
         self._factory = factory
-        self._broadcast_views = broadcast_views
-        self._context = multiprocessing.get_context("fork")
-        context = self._context
-        self.transport = transport if transport is not None else PipeTransport()
-        self.connections = []
-        self.processes = []
-        seeds = self._check_seeds(databases, states)
+        if states is None:
+            seeds = [(database, None) for database in databases]
+        else:
+            seeds = [(None, state) for state in states]
+        self.connections: List[Any] = [None] * len(seeds)
         self.incarnations = [0] * len(seeds)
         try:
-            self.transport.setup(len(seeds))
-            for shard, seed in enumerate(seeds):
-                parent_conn, child_conn = context.Pipe(duplex=True)
-                database, state = (
-                    (seed, None) if states is None else (None, seed)
-                )
-                process = context.Process(
-                    target=_shard_worker,
-                    args=(
-                        child_conn, factory, database, state,
-                        self.transport.worker_endpoint(shard),
-                        broadcast_views,
-                        (*self.connections, parent_conn),
-                        shard, 0,
-                    ),
-                    daemon=True,
-                )
-                process.start()
-                child_conn.close()
-                self.connections.append(parent_conn)
-                self.processes.append(process)
-            for shard, conn in enumerate(self.connections):
-                status, payload = self._receive(shard, conn)
-                if status != "ok":
-                    raise EngineError(f"shard {shard}: {payload}")
+            for shard, (database, state) in enumerate(seeds):
+                self._spawn(shard, database, state)
+            for shard in range(len(seeds)):
+                self._expect_ready(shard)
         except Exception:
             self.close()
             raise
 
-    # ------------------------------------------------------------------
+    # -- what differs per backend ----------------------------------------
 
-    def apply(self, shard: int, relation_name: str, delta: Relation) -> None:
-        self._require_open()
-        try:
-            self.connections[shard].send(("apply", relation_name, delta.data))
-        except (BrokenPipeError, OSError) as exc:
-            raise EngineError(f"shard {shard} worker is gone: {exc!r}") from None
+    def _spawn(self, shard: int, database, state) -> None:
+        """Start ``shard``'s worker and store its channel."""
+        raise NotImplementedError
 
-    def apply_delta(self, shard: int, relation_name: str, delta) -> None:
-        """Fire-and-forget apply through the transport's data plane.
+    def _retire(self, shard: int) -> None:
+        """Make sure ``shard``'s current worker is gone, channel closed."""
+        raise NotImplementedError
 
-        ``delta`` is a :class:`ColumnarDelta` slice — the form both the
-        pipe wire and the shm rings carry.
-        """
-        self._require_open()
-        alive = self.processes[shard].is_alive
-        if self.supervised and self.heartbeat_timeout:
-            # A *hung* (not dead) worker never consumes its ring slot;
-            # bound the transport's wait so the supervisor can declare
-            # the shard unresponsive and respawn it.
-            deadline = time.monotonic() + self.heartbeat_timeout
+    def _alive(self, shard: int) -> bool:
+        raise NotImplementedError
 
-            def alive_fn():
-                return alive() and time.monotonic() < deadline
-        else:
-            alive_fn = alive
-        try:
-            self.transport.send_delta(
-                self.connections[shard], shard, relation_name, delta,
-                alive=alive_fn,
+    def _reap(self) -> None:
+        """Wait for stopped workers to exit (nothing to do in-process)."""
+
+    def kill_callable(self, shard: int) -> Callable[[], None]:
+        """A callback that kills ``shard``'s worker, for the
+        coordinator-side fault injection sites."""
+        raise NotImplementedError
+
+    # -- failure bookkeeping ---------------------------------------------
+
+    def _require_open(self) -> None:
+        if self.closed:
+            raise EngineError(
+                "shard backend is closed; initialize() (or import_state()) "
+                "the engine again before using it"
             )
-        except (BrokenPipeError, OSError) as exc:
-            raise EngineError(f"shard {shard} worker is gone: {exc!r}") from None
 
-    def advance(self, ticks: int) -> None:
-        """Fire-and-forget decay-clock broadcast to every shard.
+    def mark_failed(self, shard: int, message: str, dead: bool = False) -> None:
+        self.failures[shard] = message
+        if dead:
+            self.dead_shards.add(shard)
 
-        Rides the control pipe, which is FIFO per worker even under the
-        shm transport (data-plane applies announce themselves on the same
-        pipe), so every shard observes the tick at the same stream
-        position.
+    def clear_failed(self, shard: int) -> None:
+        self.dead_shards.discard(shard)
+        self.failures.pop(shard, None)
+
+    def failure_summary(self) -> str:
+        return "; ".join(self.failures[shard] for shard in sorted(self.failures))
+
+    # -- the wire ----------------------------------------------------------
+
+    def post(self, shard: int, message: Tuple, site: str) -> bool:
+        """Send one message to one shard; ``False`` if it did not go out.
+
+        ``site`` is the coordinator-side fault site fired first
+        (``coordinator.send`` for applies and ticks, ``coordinator.gather``
+        for synchronous requests). A shard the message could not reach is
+        marked failed — it has missed work, or will not answer.
         """
         self._require_open()
-        for shard, conn in enumerate(self.connections):
+        try:
+            if _faults.current_injector() is not None:
+                _faults.fire(
+                    site, op=message[0], shard=shard,
+                    incarnation=self.incarnations[shard],
+                    kill=self.kill_callable(shard),
+                )
+            self.connections[shard].send(message)
+            return True
+        except _faults.InjectedFault as exc:
+            self.mark_failed(shard, f"shard {shard}: {exc}")
+        except (BrokenPipeError, OSError) as exc:
+            self.mark_failed(
+                shard, f"shard {shard} worker is gone: {exc!r}", dead=True
+            )
+        return False
+
+    def gather(self, op: str, shards: Optional[Sequence[int]] = None) -> List[Any]:
+        """Fan ``op`` out to ``shards`` (default: all), then fan every
+        reply back in; returns payloads by shard index (``None`` where a
+        shard was not asked or failed).
+
+        Error replies (a parked apply failure, an op that raised) do not
+        stop the fan-in: the remaining replies are drained first so the
+        channels stay request/reply aligned. The backend stays usable
+        after a drained error; a worker that died or hung mid-gather is
+        marked dead.
+        """
+        self._require_open()
+        if shards is None:
+            shards = range(len(self.connections))
+        sent = [
+            shard for shard in shards
+            if self.post(shard, (op,), "coordinator.gather")
+        ]
+        results: List[Any] = [None] * len(self.connections)
+        for shard in sent:
             try:
-                conn.send(("advance", ticks))
-            except (BrokenPipeError, OSError) as exc:
-                raise EngineError(
-                    f"shard {shard} worker is gone: {exc!r}"
-                ) from None
+                status, payload = self._receive(shard)
+            except EngineError as exc:
+                self.mark_failed(shard, str(exc), dead=True)
+                continue
+            if status == "ok":
+                results[shard] = payload
+            else:
+                self.mark_failed(shard, f"shard {shard}: {payload}")
+        return results
 
-    def results(self) -> List[Dict]:
-        # Supervised gathers fan in over the pipes even when the
-        # transport offers tree merges: a worker dying mid tree-merge
-        # would poison its partners, and the fan-in fold is the same
-        # pairwise_fold the tree runs, so the bits match either way.
-        if self.transport.tree_gather and not self.supervised:
-            return [self._gather_tree("tresult")]
-        return self._gather("result")
+    def _receive(self, shard: int) -> Tuple[str, Any]:
+        """One raw ``(status, payload)`` reply; EOF means the worker died."""
+        conn = self.connections[shard]
+        timeout = self.heartbeat_timeout
+        try:
+            if timeout is None:
+                return conn.recv()
+            deadline = time.monotonic() + timeout
+            while not conn.poll(0.02):
+                if not self._alive(shard):
+                    # Take a reply that raced the worker's exit.
+                    if conn.poll(0):
+                        break
+                    raise EOFError
+                if time.monotonic() > deadline:
+                    raise EngineError(
+                        f"shard {shard} worker unresponsive: no reply "
+                        f"within the heartbeat timeout ({timeout:g}s)"
+                    )
+            return conn.recv()
+        except (EOFError, OSError):
+            # A SIGKILLed worker surfaces as EOFError or a reset/broken
+            # pipe (OSError) depending on how much it had buffered.
+            raise EngineError(
+                f"shard {shard} worker died without replying"
+            ) from None
 
-    def stats(self) -> List[Dict[str, int]]:
-        return self._gather("stats")
-
-    def memory(self) -> List[Dict[str, Dict[str, int]]]:
-        return self._gather("memory")
-
-    def export_states(self) -> List[dict]:
-        if self.transport.tree_gather and not self.supervised:
-            return [{"views": self._gather_tree("texport")}]
-        return self._gather("export")
-
-    def kill_callable(self, shard: int) -> Optional[Callable[[], None]]:
-        process = self.processes[shard]
-        if process.pid is None:  # pragma: no cover - defensive
-            return None
-        return _faults.kill_process(process.pid)
+    def _expect_ready(self, shard: int) -> None:
+        status, payload = self._receive(shard)
+        if status != "ok":
+            raise EngineError(f"shard {shard}: {payload}")
 
     def respawn(self, shard: int, state: dict) -> None:
-        """Replace ``shard``'s worker with a fresh fork seeded from
-        ``state`` (a re-partitioned baseline slice).
-
-        The old process is SIGKILLed if still technically alive (it may
-        be hung rather than dead), its pipe is closed, and the
-        transport's per-shard segments are rebuilt so the new worker
-        starts from generation zero — no ring state survives the old
-        incarnation.
-        """
+        """Replace ``shard``'s worker with a fresh one seeded from
+        ``state`` (a re-partitioned baseline slice). The old worker may
+        be hung rather than dead; either way nothing of it survives."""
         self._require_open()
-        old_process = self.processes[shard]
-        old_conn = self.connections[shard]
-        if old_process.is_alive():
-            old_process.kill()
-        old_process.join(timeout=5.0)
-        try:
-            old_conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        self.transport.reset_shard(shard)
-        incarnation = self.incarnations[shard] + 1
+        self._retire(shard)
+        self.incarnations[shard] += 1
+        self._spawn(shard, None, state)
+        self._expect_ready(shard)
+        # The fresh worker is healthy until proven otherwise; replay
+        # failures re-mark it.
+        self.clear_failed(shard)
+
+    def close(self) -> None:
+        channels = [conn for conn in self.connections if conn is not None]
+        for conn in channels:
+            try:
+                conn.send(("stop",))
+            except (BrokenPipeError, OSError):
+                pass
+        self._reap()
+        for conn in channels:
+            conn.close()
+        self.connections = []
+        self.closed = True
+
+
+class _SerialBackend(ShardBackend):
+    """Every shard worker lives in the coordinator process, reached
+    through a :class:`_Loopback`. A worker that raises an injected death
+    plays the role of a crashed process: its channel goes dead and
+    :meth:`respawn` rebuilds it from a state slice — the exact recovery
+    path the process backend exercises, minus the fork."""
+
+    name = "serial"
+
+    def _spawn(self, shard, database, state) -> None:
+        worker, ready = ShardWorker.boot(
+            self._factory, database, state,
+            shard=shard, incarnation=self.incarnations[shard],
+        )
+        self.connections[shard] = _Loopback(worker, ready)
+
+    def _retire(self, shard: int) -> None:
+        self.connections[shard].close()
+
+    def _alive(self, shard: int) -> bool:
+        return self.connections[shard].worker is not None
+
+    def kill_callable(self, shard: int) -> Callable[[], None]:
+        return self.connections[shard].close
+
+
+class _ProcessBackend(ShardBackend):
+    """One forked worker process per shard, one duplex pipe each."""
+
+    name = "process"
+
+    def __init__(self, *args, **kwargs):
+        self._context = multiprocessing.get_context("fork")
+        #: shard -> its current worker process.
+        self.processes: Dict[int, Any] = {}
+        super().__init__(*args, **kwargs)
+
+    def _spawn(self, shard, database, state) -> None:
         parent_conn, child_conn = self._context.Pipe(duplex=True)
-        inherited = tuple(
+        inherited = [
             conn for index, conn in enumerate(self.connections)
-            if index != shard
-        ) + (parent_conn,)
+            if index != shard and conn is not None
+        ]
         process = self._context.Process(
-            target=_shard_worker,
+            target=_worker_main,
             args=(
-                child_conn, self._factory, None, state,
-                self.transport.worker_endpoint(shard),
-                self._broadcast_views, inherited, shard, incarnation,
+                child_conn, (*inherited, parent_conn), self._factory,
+                database, state, shard, self.incarnations[shard],
             ),
             daemon=True,
         )
@@ -835,221 +626,30 @@ class _ProcessBackend(ShardBackend):
         child_conn.close()
         self.connections[shard] = parent_conn
         self.processes[shard] = process
-        self.incarnations[shard] = incarnation
-        status, payload = self._receive(shard, parent_conn)
-        if status != "ok":
-            raise EngineError(f"shard {shard}: {payload}")
-        # The fresh worker is healthy until proven otherwise; replay
-        # failures re-mark it.
-        self.clear_failed(shard)
 
-    def advance_one(self, shard: int, ticks: int) -> None:
-        self._require_open()
+    def _retire(self, shard: int) -> None:
+        process = self.processes[shard]
+        if process.is_alive():
+            process.kill()
+        process.join(timeout=5.0)
         try:
-            self.connections[shard].send(("advance", ticks))
-        except (BrokenPipeError, OSError) as exc:
-            raise EngineError(
-                f"shard {shard} worker is gone: {exc!r}"
-            ) from None
+            self.connections[shard].close()
+        except OSError:  # pragma: no cover - already closed
+            pass
 
-    def gather_one(self, shard: int, op: str) -> Any:
-        """One synchronous request/reply exchange with a single shard."""
-        self._require_open()
-        try:
-            self.connections[shard].send((op,))
-        except (BrokenPipeError, OSError) as exc:
-            raise EngineError(
-                f"shard {shard} worker is gone: {exc!r}"
-            ) from None
-        status, payload = self._receive(shard, self.connections[shard])
-        if status != "ok":
-            raise EngineError(f"shard {shard}: {payload}")
-        return payload
+    def _alive(self, shard: int) -> bool:
+        return self.processes[shard].is_alive()
 
-    def close(self) -> None:
-        for conn in self.connections:
-            try:
-                conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        for process in self.processes:
+    def _reap(self) -> None:
+        for process in self.processes.values():
             process.join(timeout=5.0)
             if process.is_alive():  # pragma: no cover - defensive
                 process.terminate()
                 process.join(timeout=1.0)
-        for conn in self.connections:
-            conn.close()
-        self.connections = []
-        self.processes = []
-        # Workers are down (or being torn down): unlink every segment.
-        self.transport.close()
-        self.closed = True
+        self.processes = {}
 
-    # ------------------------------------------------------------------
-
-    def _gather(self, op: str) -> List[Any]:
-        """Fan ``op`` out to every shard, then fan every reply back in.
-
-        Error replies (a parked apply failure, an op that raised) do not
-        stop the fan-in: the remaining replies are drained first so the
-        pipes stay request/reply aligned, then one :class:`EngineError`
-        summarizing every failed shard is raised. The backend stays usable
-        after a drained error; if a worker died mid-gather (EOF/broken
-        pipe) the pipes cannot be realigned, so the backend tears itself
-        down and subsequent ops raise the closed error.
-        """
-        self._require_open()
-        sent: List[Tuple[int, Any]] = []
-        errors: List[str] = []
-        dead = False
-        for shard, conn in enumerate(self.connections):
-            if self.supervised and shard in self.failed_shards:
-                errors.append(
-                    f"shard {shard}: {self.failures.get(shard, 'failed')}"
-                )
-                continue
-            if self.supervised and _faults.current_injector() is not None:
-                try:
-                    _faults.fire(
-                        "coordinator.gather", op=op, shard=shard,
-                        incarnation=self.incarnations[shard],
-                        kill=self.kill_callable(shard),
-                    )
-                except _faults.InjectedFault as exc:
-                    message = f"shard {shard}: {exc}"
-                    errors.append(message)
-                    self.mark_failed(shard, message)
-                    continue
-            try:
-                conn.send((op,))
-                sent.append((shard, conn))
-            except (BrokenPipeError, OSError) as exc:
-                message = f"shard {shard} worker is gone: {exc!r}"
-                errors.append(message)
-                self.mark_failed(shard, message)
-                dead = True
-        results: List[Any] = [None] * len(self.connections)
-        for shard, conn in sent:
-            try:
-                status, payload = self._receive(shard, conn)
-            except EngineError as exc:
-                errors.append(str(exc))
-                self.mark_failed(shard, str(exc))
-                dead = True
-                continue
-            if status != "ok":
-                message = f"shard {shard}: {payload}"
-                errors.append(message)
-                self.mark_failed(shard, message)
-            else:
-                results[shard] = payload
-        self._raise_gather_errors(errors, dead)
-        return results
-
-    def _gather_tree(self, op: str) -> Dict:
-        """Run one tree-wise gather; returns the final merged payload.
-
-        The workers merge pairwise among themselves through the up
-        blocks; the coordinator only fans out ``(op, seq)``, drains one
-        acknowledgement per shard (keeping the pipes aligned exactly as
-        :meth:`_gather` does) and reads shard 0's final blob. Overflow
-        acknowledgements grow the up blocks and retry the whole gather
-        under a fresh sequence number.
-        """
-        self._require_open()
-        for _attempt in range(self.MAX_GATHER_ATTEMPTS):
-            # A dead partner would stall the worker-side merge dance, so
-            # check liveness before fanning out rather than after.
-            for shard, process in enumerate(self.processes):
-                if not process.is_alive():
-                    self.close()
-                    raise EngineError(
-                        f"shard {shard} worker died (process exited); "
-                        "shard backend closed"
-                    )
-            seq = self.transport.new_sequence()
-            sent: List[Tuple[int, Any]] = []
-            errors: List[str] = []
-            dead = False
-            overflow = 0
-            for shard, conn in enumerate(self.connections):
-                try:
-                    conn.send((op, seq))
-                    sent.append((shard, conn))
-                except (BrokenPipeError, OSError) as exc:
-                    errors.append(f"shard {shard} worker is gone: {exc!r}")
-                    dead = True
-            for shard, conn in sent:
-                try:
-                    status, payload = self._receive(shard, conn)
-                except EngineError as exc:
-                    errors.append(str(exc))
-                    dead = True
-                    continue
-                if status == "overflow":
-                    overflow = max(overflow, int(payload))
-                elif status != "ok":
-                    errors.append(f"shard {shard}: {payload}")
-            self._raise_gather_errors(errors, dead)
-            if overflow:
-                names, up_bytes = self.transport.grow_up(overflow)
-                for shard, conn in enumerate(self.connections):
-                    try:
-                        conn.send(("remap_up", names, up_bytes))
-                    except (BrokenPipeError, OSError) as exc:
-                        self._raise_gather_errors(
-                            [f"shard {shard} worker is gone: {exc!r}"],
-                            dead=True,
-                        )
-                continue
-            return self.transport.read_final(seq)
-        raise EngineError(  # pragma: no cover - would need pathological growth
-            f"tree gather {op!r} still overflowed after "
-            f"{self.MAX_GATHER_ATTEMPTS} block-growth attempts"
-        )
-
-    def _receive(self, shard: int, conn) -> Tuple[str, Any]:
-        """One raw ``(status, payload)`` reply; EOF means the worker died.
-
-        Supervised mode polls instead of blocking: a worker that died
-        without closing its pipe end — or one that is alive but hung past
-        ``heartbeat_timeout`` — is detected and reported instead of
-        blocking the coordinator forever.
-        """
-        if not self.supervised:
-            try:
-                return conn.recv()
-            except EOFError:
-                raise EngineError(
-                    f"shard {shard} worker died without replying"
-                ) from None
-        timeout = self.heartbeat_timeout or 30.0
-        deadline = time.monotonic() + timeout
-        while True:
-            # A SIGKILLed worker surfaces as EOFError or a reset/broken
-            # pipe (OSError) depending on how much it had buffered.
-            try:
-                if conn.poll(0.02):
-                    return conn.recv()
-            except (EOFError, OSError):
-                raise EngineError(
-                    f"shard {shard} worker died without replying"
-                ) from None
-            if not self.processes[shard].is_alive():
-                # Drain any reply that raced the process exit.
-                try:
-                    if conn.poll(0):
-                        return conn.recv()
-                except (EOFError, OSError):
-                    pass
-                raise EngineError(
-                    f"shard {shard} worker died without replying"
-                ) from None
-            if time.monotonic() > deadline:
-                raise EngineError(
-                    f"shard {shard} worker unresponsive: no reply within "
-                    f"the heartbeat timeout ({timeout:g}s)"
-                )
+    def kill_callable(self, shard: int) -> Callable[[], None]:
+        return _faults.kill_process(self.processes[shard].pid)
 
 
 # ----------------------------------------------------------------------
@@ -1067,9 +667,9 @@ class ShardedEngine(MaintenanceEngine):
         the same tree over its partition.
     config:
         An :class:`~repro.config.EngineConfig` carrying every tunable —
-        shard count, backend, transport, shard attributes, supervision
-        and decay. ``None`` means ``EngineConfig(shards=2)``, the
-        engine's historical default.
+        shard count, backend, shard attributes, supervision and decay.
+        ``None`` means ``EngineConfig(shards=2)``, the engine's
+        historical default.
 
     The coordinator's own ``stats`` count what was routed (batches,
     updates, tuples); per-shard maintenance counters are aggregated on
@@ -1114,9 +714,6 @@ class ShardedEngine(MaintenanceEngine):
                 f"router derived {self.router.routed!r}"
             )
         self.backend_name = resolve_backend(config.backend, self.shards)
-        self.transport_name = resolve_transport(
-            config.transport, self.backend_name
-        )
         #: Views whose subtree touches broadcast relations only — exact
         #: replicas on every shard, copied (not summed) by every merge.
         view_relations = self._view_relations()
@@ -1150,29 +747,27 @@ class ShardedEngine(MaintenanceEngine):
 
         return factory
 
-    def _make_transport(self) -> ShardTransport:
-        if self.transport_name == "shm":
-            return SharedMemoryTransport()
-        return PipeTransport()
+    @property
+    def transport_name(self) -> str:
+        """What carries a routed delta: a label derived from the backend
+        (reports key on it), not a choice."""
+        return "pipe" if self.backend_name == "process" else "none"
 
     def _make_backend(self, **seeds) -> None:
-        factory = self._engine_factory()
+        backend = (
+            _ProcessBackend if self.backend_name == "process"
+            else _SerialBackend
+        )
+        # Only a supervised engine can do anything about a hung worker,
+        # so only it polls for replies against the heartbeat.
         supervised = self.supervisor is not None
-        heartbeat = self.config.heartbeat_timeout if supervised else None
-        if self.backend_name == "process":
-            self._backend = _ProcessBackend(
-                factory,
-                transport=self._make_transport(),
-                broadcast_views=self._broadcast_only_views,
-                supervised=supervised,
-                heartbeat_timeout=heartbeat,
-                **seeds,
-            )
-        else:
-            self._backend = _SerialBackend(
-                factory, supervised=supervised,
-                heartbeat_timeout=heartbeat, **seeds,
-            )
+        self._backend = backend(
+            self._engine_factory(),
+            heartbeat_timeout=(
+                self.config.heartbeat_timeout if supervised else None
+            ),
+            **seeds,
+        )
         self._was_closed = False
 
     def initialize(self, database: Database) -> None:
@@ -1188,72 +783,51 @@ class ShardedEngine(MaintenanceEngine):
             self.export_state()
 
     def apply(self, relation_name: str, delta: Relation) -> None:
+        """Route one delta to its shards (fire-and-forget).
+
+        A supervised engine first records the batch into the replay log
+        *pre-split* (one shallow dict copy). A shard that fails mid-batch
+        is rebuilt from baseline + log, which re-delivers this very batch
+        through the same deterministic router split, so the recovered
+        shard sees exactly the sub-deltas it missed and the root view
+        stays bit-identical.
+        """
         self._require_initialized()
         self._check_delta(relation_name, delta)
         if not delta.data:
             return
-        if self.supervisor is not None:
-            self._apply_supervised(relation_name, delta)
-            return
-        self.stats.record_batch(delta)
-        if self.backend_name == "process":
-            # Route and ship in columnar form: rows hash exactly as in
-            # split(), but no per-shard key-tuple dict is built and the
-            # data plane carries columns (pickled pipe lists or raw
-            # shared-memory blocks) instead of pickled dicts.
-            for shard, sub in self.router.split_columnar(
-                relation_name, delta.columnar()
-            ):
-                self._backend.apply_delta(shard, relation_name, sub)
-            return
-        for shard, sub_delta in self.router.split(relation_name, delta):
-            self._backend.apply(shard, relation_name, sub_delta)
-
-    def _apply_supervised(self, relation_name: str, delta: Relation) -> None:
-        """Routed apply with failure containment.
-
-        The batch is recorded into the replay log *pre-split* (one
-        shallow dict copy), then routed exactly as the unsupervised path
-        routes it. A shard that fails mid-batch is marked and skipped for
-        the rest of the batch — it will be rebuilt from baseline + log,
-        which re-delivers this very batch through the same deterministic
-        router split, so the recovered shard sees exactly the sub-deltas
-        it missed and the root view stays bit-identical.
-        """
         supervisor = self.supervisor
-        if supervisor.needs_rebase():
-            # The log outgrew its bound: refresh the baseline (one export
-            # gather, which truncates the log as a side effect).
-            self.export_state()
-        supervisor.record_delta(relation_name, delta.data)
+        if supervisor is not None:
+            if supervisor.needs_rebase():
+                # The log outgrew its bound: refresh the baseline (one
+                # export gather, which truncates the log as a side effect).
+                self.export_state()
+            supervisor.record_delta(relation_name, delta.data)
         self.stats.record_batch(delta)
+        self._route(relation_name, delta)
+        self._settle()
+
+    def _route(
+        self, relation_name: str, delta: Relation, only: Optional[int] = None
+    ) -> None:
+        """Split ``delta`` and send each shard its slice (``only`` that
+        shard's, when recovery replays the log to one worker).
+
+        Routing reads the shard-attribute *columns* and the wire carries
+        columns too — homogeneous lists that pickle without a tuple
+        object per key — so no per-shard key-tuple dict is built on the
+        coordinator.
+        """
         backend = self._backend
-        columnar = self.backend_name == "process"
-        if columnar:
-            routed = self.router.split_columnar(
-                relation_name, delta.columnar()
-            )
-        else:
-            routed = self.router.split(relation_name, delta)
-        injector_on = _faults.current_injector() is not None
-        for shard, sub in routed:
-            if shard in backend.failed_shards:
-                continue
-            try:
-                if injector_on:
-                    _faults.fire(
-                        "coordinator.send", op="apply", shard=shard,
-                        incarnation=backend.incarnations[shard],
-                        kill=backend.kill_callable(shard),
-                    )
-                if columnar:
-                    backend.apply_delta(shard, relation_name, sub)
-                else:
-                    backend.apply(shard, relation_name, sub)
-            except (EngineError, _faults.InjectedFault) as exc:
-                backend.mark_failed(shard, str(exc))
-        if backend.failed_shards:
-            self._recover()
+        for shard, sub in self.router.split_columnar(
+            relation_name, delta.columnar()
+        ):
+            if only is None or shard == only:
+                _schema, columns, counts = sub.transport()
+                backend.post(
+                    shard, ("apply", relation_name, columns, counts),
+                    "coordinator.send",
+                )
 
     def result(self) -> Relation:
         """Ring-additive merge of the per-shard root views.
@@ -1262,18 +836,15 @@ class ShardedEngine(MaintenanceEngine):
         attributes, and where they do collide (e.g. the empty root key of
         a full aggregate) the ring's addition combines them — the same
         operation maintenance itself uses, so the merged result is
-        exactly the unsharded engine's. Under the shm transport the merge
-        already happened tree-wise across the workers and the backend
-        returns a single part; either way the fold structure is
-        :func:`pairwise_fold`, so the bits match across transports.
+        exactly the unsharded engine's. The fold structure is
+        :func:`pairwise_fold`, so the bits match across backends.
         """
         self._require_initialized()
         root = self.tree.root
         ring = self.tree.plan.ring
         merged = Relation(root.key, ring, name=root.name)
         merged.data = _merge_root_states(
-            self._gather_with_recovery(lambda: self._backend.results()),
-            root.key, ring,
+            self._gather("result"), root.key, ring
         )
         return merged
 
@@ -1324,42 +895,25 @@ class ShardedEngine(MaintenanceEngine):
         (``result``/``publish``/``export_state``) is the barrier that
         guarantees every shard observed the tick. Supervised engines log
         the tick (replayed in stream order during recovery, so a rebuilt
-        shard's decay clock lands on the same value) and contain
-        per-shard failures exactly as :meth:`_apply_supervised` does.
+        shard's decay clock lands on the same value).
         """
         if self.config.decay is None:
             super().advance_decay(ticks)
         self._require_initialized()
-        if self.supervisor is None:
-            self._backend.advance(ticks)
-            self.stats.decay_ticks += ticks
-            return
-        self.supervisor.record_advance(ticks)
+        if self.supervisor is not None:
+            self.supervisor.record_advance(ticks)
         self.stats.decay_ticks += ticks
         backend = self._backend
-        injector_on = _faults.current_injector() is not None
         for shard in range(self.shards):
-            if shard in backend.failed_shards:
-                continue
-            try:
-                if injector_on:
-                    _faults.fire(
-                        "coordinator.send", op="advance", shard=shard,
-                        incarnation=backend.incarnations[shard],
-                        kill=backend.kill_callable(shard),
-                    )
-                backend.advance_one(shard, ticks)
-            except (EngineError, _faults.InjectedFault) as exc:
-                backend.mark_failed(shard, str(exc))
-        if backend.failed_shards:
-            self._recover()
+            backend.post(shard, ("advance", ticks), "coordinator.send")
+        self._settle()
 
     # ------------------------------------------------------------------
 
     def shard_stats(self) -> List[Dict[str, int]]:
         """Per-shard maintenance counter snapshots, in shard order."""
         self._require_initialized()
-        return self._gather_with_recovery(lambda: self._backend.stats())
+        return self._gather("stats")
 
     def aggregate_stats(self) -> Dict[str, int]:
         """Summed per-shard counters (``view:*`` entries sum entry counts).
@@ -1388,7 +942,7 @@ class ShardedEngine(MaintenanceEngine):
         a view's ``support`` is the same on every shard and kept as is."""
         self._require_initialized()
         merged: Dict[str, Dict[str, Any]] = {}
-        for report in self._gather_with_recovery(lambda: self._backend.memory()):
+        for report in self._gather("memory"):
             for view_name, entry in report.items():
                 target = merged.setdefault(view_name, {})
                 for field, value in entry.items():
@@ -1445,11 +999,10 @@ class ShardedEngine(MaintenanceEngine):
     state_payload = "views"
 
     def config_provenance(self) -> Dict[str, Any]:
-        """The config recorded into exports, with backend/transport
-        resolved to what actually ran (``"auto"`` would say nothing)."""
+        """The config recorded into exports, with the backend resolved
+        to what actually ran (``"auto"`` would say nothing)."""
         data = self.config.to_dict()
         data["backend"] = self.backend_name
-        data["transport"] = self.transport_name
         return data
 
     def _export_payload(self) -> dict:
@@ -1460,19 +1013,14 @@ class ShardedEngine(MaintenanceEngine):
         addition — multilinearity of the join makes the merged view equal
         the unsharded engine's, the same argument behind :meth:`result`.
         Views over broadcast relations only are replicated identically on
-        every shard, so one copy is taken instead of a sum. Under the shm
-        transport the workers run this merge tree-wise among themselves
-        (same pairwise fold, same bits) and the backend returns the
-        single merged part.
+        every shard, so one copy is taken instead of a sum.
 
         Worker failures during the gather surface with export context
         (same hardening as :meth:`publish`): the pipes are drained and
         realigned by the backend, and the error names the failed shard.
         """
         try:
-            states = self._gather_with_recovery(
-                lambda: self._backend.export_states()
-            )
+            states = self._gather("export")
         except SupervisionError:
             raise
         except EngineError as exc:
@@ -1554,32 +1102,46 @@ class ShardedEngine(MaintenanceEngine):
             report["supervised"] = True
             report.update(self.supervisor.health())
             backend = self._backend
-            if backend is not None and backend.failed_shards:
+            if backend is not None and backend.failures:
                 report["status"] = "recovering"
-                report["failed_shards"] = sorted(backend.failed_shards)
+                report["failed_shards"] = sorted(backend.failures)
         return report
 
-    def _gather_with_recovery(self, gather: Callable[[], Any]) -> Any:
-        """Run a synchronous gather, healing failed shards and retrying.
+    def _gather(self, op: str) -> List[Any]:
+        """The one fan-out/fan-in: ask every shard for ``op``, settle
+        whatever failed, and go again if the failed shards were healed.
 
-        Unsupervised engines call the gather straight through. Supervised
-        ones retry after each recovery round; gathers are read-only, so a
-        retry is idempotent. An error with *no* shard marked failed is a
-        logic error (or a closed backend) and propagates as-is; the
-        recovery budget inside :meth:`_recover` bounds the loop.
+        Gathers are read-only, so a retry is idempotent; the recovery
+        budget inside :meth:`_recover` bounds the loop.
         """
-        if self.supervisor is None:
-            return gather()
         while True:
-            try:
-                return gather()
-            except SupervisionError:
-                raise
-            except EngineError:
-                backend = self._backend
-                if backend is None or not backend.failed_shards:
-                    raise
-                self._recover()
+            parts = self._backend.gather(op)
+            if not self._settle():
+                return parts
+
+    def _settle(self) -> bool:
+        """Deal with the shards the last send loop or gather marked
+        failed — the one place that asks whether the engine is supervised.
+
+        Supervised: heal them (baseline + replay log) and return ``True``
+        so a gather retries. Unsupervised: surface every failure as one
+        joined :class:`EngineError`. A parked failure leaves the backend
+        usable (the worker repeats it at the next gather); a worker that
+        died or hung cannot be realigned with its pipe, so the backend is
+        closed first and later calls raise the closed error.
+        """
+        backend = self._backend
+        if not backend.failures:
+            return False
+        if self.supervisor is not None:
+            self._recover()
+            return True
+        message = backend.failure_summary()
+        if backend.dead_shards:
+            backend.close()
+        else:
+            backend.failures.clear()
+        raise EngineError(message)
 
     def _recover(self) -> None:
         """Rebuild every failed shard: respawn from the re-partitioned
@@ -1592,17 +1154,11 @@ class ShardedEngine(MaintenanceEngine):
         """
         supervisor = self.supervisor
         backend = self._backend
-        if supervisor is None or backend is None:
-            return
-        while backend.failed_shards:
-            failed = sorted(backend.failed_shards)
-            error = "; ".join(
-                backend.failures.get(shard, f"shard {shard} failed")
-                for shard in failed
-            )
+        while backend.failures:
+            failed = sorted(backend.failures)
             started = time.monotonic()
             try:
-                supervisor.begin_recovery(failed, error)
+                supervisor.begin_recovery(failed, backend.failure_summary())
             except SupervisionError:
                 self.close()
                 raise
@@ -1615,8 +1171,7 @@ class ShardedEngine(MaintenanceEngine):
                     try:
                         backend.respawn(shard, state=shard_states[shard])
                         self._replay_shard(shard)
-                        backend.clear_failed(shard)
-                    except (EngineError, _faults.InjectedFault) as exc:
+                    except EngineError as exc:
                         backend.mark_failed(
                             shard, f"recovery of shard {shard} failed: {exc}"
                         )
@@ -1631,26 +1186,24 @@ class ShardedEngine(MaintenanceEngine):
         """Re-deliver the post-baseline log to a freshly respawned shard.
 
         Each logged delta is re-split through the deterministic router
-        and only ``shard``'s slice is delivered (dict wire form: the dict
-        and columnar forms build identical engine state, so replay is
-        bit-compatible with whatever transport carried the original).
-        The trailing stats gather is the barrier that flushes the
-        fire-and-forget replay queue and surfaces any parked failure.
+        and only ``shard``'s slice is delivered, in the same wire form
+        that carried the original. The trailing stats gather is the
+        barrier that flushes the fire-and-forget replay queue and
+        surfaces any failure the replay parked.
         """
         backend = self._backend
         schemas = self.router.schemas
         for entry in self.supervisor.log.entries:
             if entry[0] == "advance":
-                backend.advance_one(shard, entry[1])
+                backend.post(shard, ("advance", entry[1]), "coordinator.send")
                 continue
             _kind, name, data = entry
             delta = Relation(schemas[name], name=name)
             delta.data = data
-            for target, sub in self.router.split(name, delta):
-                if target == shard:
-                    backend.apply(shard, name, sub)
-                    break
-        backend.gather_one(shard, "stats")
+            self._route(name, delta, only=shard)
+        backend.gather("stats", (shard,))
+        if shard in backend.failures:
+            raise EngineError(backend.failures[shard])
 
     def _view_relations(self) -> Dict[str, set]:
         """``view name -> base relations in its subtree`` (bottom-up)."""
@@ -1735,11 +1288,8 @@ class ShardedEngine(MaintenanceEngine):
     def describe(self) -> str:
         """One-line summary for benchmark tables and logs."""
         cores = os.cpu_count() or 1
-        backend = self.backend_name
-        if backend == "process":
-            backend = f"process/{self.transport_name}"
         return (
-            f"{self.strategy} x{self.shards} ({backend}, "
+            f"{self.strategy} x{self.shards} ({self.backend_name}, "
             f"hash on {'/'.join(self.shard_plan.attrs)}, "
             f"routed={len(self.shard_plan.routed)}, "
             f"broadcast={len(self.shard_plan.broadcast)}, {cores} cores)"

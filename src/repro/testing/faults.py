@@ -13,21 +13,19 @@ site                      where it fires
 ``worker.reply``          in a shard worker, before a synchronous reply
 ``coordinator.send``      on the coordinator, before routing one sub-delta
 ``coordinator.gather``    on the coordinator, before fanning out a gather op
-``shm.write``             after delta blocks are staged in shared memory
 ``checkpoint.write``      in ``write_checkpoint``, before the atomic rename
 ``checkpoint.finish``     in ``write_checkpoint``, after the atomic rename
 ========================  ====================================================
 
 Spec kinds:
 
-- ``"kill"`` — die at the site: a worker process ``os._exit``\\ s, a
-  coordinator-side site SIGKILLs the target shard's worker, the serial
-  backend raises :class:`InjectedWorkerDeath`.
+- ``"kill"`` — die at the site: a worker process ``os._exit``\\ s, an
+  in-process (serial backend) worker raises :class:`InjectedWorkerDeath`
+  and its channel goes dead, a coordinator-side site SIGKILLs the target
+  shard's worker process or drops the in-process one.
 - ``"raise"`` — raise :class:`InjectedFault` (a parked worker failure or
   a coordinator-visible error, depending on the site).
 - ``"delay"`` — sleep ``seconds`` at the site (heartbeat-timeout tests).
-- ``"torn"`` — returned to the ``shm.write`` site, which corrupts the
-  staged bytes after the checksum was computed.
 - ``"crash"`` / ``"truncate"`` — returned to the checkpoint sites, which
   orphan the ``*.tmp`` file / truncate the finished file to
   ``bytes_kept`` bytes.
@@ -153,7 +151,7 @@ class FaultInjector:
         kill: Optional[Callable[[], None]] = None,
     ) -> Optional[FaultSpec]:
         """Run the first matching spec's action; site-specific kinds
-        (``torn``/``crash``/``truncate``) are returned to the caller."""
+        (``crash``/``truncate``) are returned to the caller."""
         for spec in self.specs:
             if not spec.matches(site, op, shard, incarnation):
                 continue

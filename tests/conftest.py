@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import sys
 from unittest import mock
 
@@ -55,6 +56,37 @@ def assert_same_as_rebuilt(index):
         for a, b in zip(ours, theirs):
             # (an empty column has no type worth keeping)
             assert a.tolist() == b.tolist() and (not len(a) or a.dtype == b.dtype), name
+
+
+def _proc_state_and_parent(pid):
+    """``(state, ppid)`` of a process from ``/proc``; ``None`` if gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            # "pid (comm) state ppid ..."; comm may contain spaces.
+            state, ppid = handle.read().rpartition(")")[2].split()[:2]
+    except OSError:
+        return None
+    return state, int(ppid)
+
+
+def pid_alive(pid):
+    """Running, i.e. present and not a zombie awaiting its parent."""
+    found = _proc_state_and_parent(pid)
+    return found is not None and found[0] != "Z"
+
+
+def child_pids(pid):
+    """Pids of the live direct children of ``pid`` — how the tests see
+    the shard workers of *another* process (a crashed coordinator, a
+    signalled CLI)."""
+    found = {
+        int(entry): _proc_state_and_parent(entry)
+        for entry in os.listdir("/proc") if entry.isdigit()
+    }
+    return [
+        child for child, stat in found.items()
+        if stat is not None and stat[1] == pid and stat[0] != "Z"
+    ]
 
 
 class _GenericIntegerRing(IntegerRing):

@@ -13,16 +13,12 @@ from repro.datasets import (
 )
 from repro.engine import FIVMEngine
 from repro.engine.sharded import available_backends
-from repro.engine.transport import available_transports
 from repro.errors import EngineError
 from repro.rings import payload_drift, result_drift
 from tests.conftest import per_tuple_path
 
 needs_process = pytest.mark.skipif(
     "process" not in available_backends(), reason="fork unavailable"
-)
-needs_shm = pytest.mark.skipif(
-    "shm" not in available_transports(), reason="shared memory unavailable"
 )
 
 # Toy query joins two base relations, so every result summand carries
@@ -224,31 +220,19 @@ class TestSharded:
 
     @pytest.mark.slow
     @needs_process
-    @needs_shm
-    def test_transports_bit_identical(self):
-        # Across transports the arithmetic order is identical, so the
+    def test_backends_bit_identical(self):
+        # Across backends the arithmetic order is identical, so the
         # stronger bit-equality contract holds shard-count for shard-count.
         database, events = toy_events()
         results = {}
-        for backend, transport in (
-            ("serial", "auto"),
-            ("process", "pipe"),
-            ("process", "shm"),
-        ):
+        for backend in ("serial", "process"):
             engine = decayed_engine(
                 config=EngineConfig(
-                    shards=2,
-                    backend=backend,
-                    transport=transport,
-                    decay="0.9/10",
+                    shards=2, backend=backend, decay="0.9/10"
                 )
             )
             with engine:
                 engine.initialize(database)
                 engine.apply_stream(iter(events), batch_size=10)
-                results[(backend, transport)] = engine.result()
-        assert (
-            results[("serial", "auto")]
-            == results[("process", "pipe")]
-            == results[("process", "shm")]
-        )
+                results[backend] = engine.result()
+        assert results["serial"] == results["process"]

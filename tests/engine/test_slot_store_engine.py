@@ -182,8 +182,7 @@ class TestSnapshotImmutability:
     )
     def test_two_shards(self, backend):
         database, batches = both_sides_batches(seed=7, total=600, batch_size=100)
-        transport = "auto" if backend == "serial" else "pipe"
-        config = EngineConfig(shards=2, backend=backend, transport=transport)
+        config = EngineConfig(shards=2, backend=backend)
         with engine_for(config) as engine:
             self.drive(engine, database, batches)
 
@@ -454,10 +453,9 @@ class TestRelationalPayloads:
         """Shard workers intern categories on their own (forked ones in
         their own processes); the roots they ship carry values."""
         database, batches = three_relation_batches(seed=7, total=600, batch_size=100)
-        transport = "auto" if backend == "serial" else "pipe"
         single = relational_engine(kind)
         single.initialize(database)
-        config = EngineConfig(shards=2, backend=backend, transport=transport)
+        config = EngineConfig(shards=2, backend=backend)
         with relational_engine(kind, config) as sharded:
             sharded.initialize(database)
             for batch in batches:

@@ -6,10 +6,11 @@ window advance, at a decay tick — is respawned from the baseline, healed
 by replaying the coordinator's post-baseline log, and the engine's root
 view ends **bit-identical** to an uninterrupted run. Fail-stop remains
 the backstop: when recovery itself keeps dying the budget trips a
-:class:`SupervisionError` and the engine closes (no leaked processes or
-/dev/shm segments).
+:class:`SupervisionError` and the engine closes (no leaked worker
+processes).
 """
 
+import multiprocessing
 import time
 
 import pytest
@@ -31,7 +32,6 @@ from repro.datasets import (
 )
 from repro.engine import FIVMEngine, ShardedEngine
 from repro.engine.sharded import available_backends
-from repro.engine.transport import active_shm_segments, available_transports
 from repro.errors import EngineError, SupervisionError
 from repro.rings import CountSpec
 from repro.testing import (
@@ -44,17 +44,11 @@ from repro.testing import (
 needs_process = pytest.mark.skipif(
     "process" not in available_backends(), reason="fork unavailable"
 )
-needs_shm = pytest.mark.skipif(
-    "shm" not in available_transports(), reason="shared memory unavailable"
-)
 
-# The three shard topologies that must all self-heal identically.
+# Both ways of driving a shard worker must self-heal identically.
 TOPOLOGIES = [
-    pytest.param("serial", "pipe", id="serial"),
-    pytest.param("process", "pipe", marks=needs_process, id="pipe"),
-    pytest.param(
-        "process", "shm", marks=[needs_process, needs_shm], id="shm"
-    ),
+    pytest.param("serial", id="serial"),
+    pytest.param("process", marks=needs_process, id="process"),
 ]
 
 
@@ -64,11 +58,8 @@ def _fault_free_afterwards():
     clear_injector()
 
 
-def supervised_config(backend, transport, shards, **kw):
-    return EngineConfig(
-        shards=shards, backend=backend, transport=transport,
-        supervise=True, **kw
-    )
+def supervised_config(backend, shards, **kw):
+    return EngineConfig(shards=shards, backend=backend, supervise=True, **kw)
 
 
 def retailer_setup(insert_ratio=0.7, seed=5, total_updates=600):
@@ -107,8 +98,7 @@ def reference_result(query, order, database, events, batch_size):
     return engine.result()
 
 
-def run_supervised_retailer(backend, transport, specs, shards=2,
-                            batch_size=50):
+def run_supervised_retailer(backend, specs, shards=2, batch_size=50):
     """Initialize → stream → publish → export → result under faults."""
     database, events = retailer_setup()
     expected = reference_result(
@@ -119,7 +109,7 @@ def run_supervised_retailer(backend, transport, specs, shards=2,
     engine = ShardedEngine(
         retailer_query(CountSpec()),
         order=retailer_variable_order(),
-        config=supervised_config(backend, transport, shards),
+        config=supervised_config(backend, shards),
     )
     with engine:
         engine.initialize(database)
@@ -132,7 +122,7 @@ def run_supervised_retailer(backend, transport, specs, shards=2,
 
 
 class TestKillSweep:
-    """Kills at five distinct pipeline points, every backend/transport.
+    """Kills at five distinct pipeline points, on both backends.
 
     Gather-op hit order in the driver above: ``export`` fires once per
     shard at initialize (baseline capture) and again at export_state;
@@ -154,11 +144,10 @@ class TestKillSweep:
     }
 
     @pytest.mark.parametrize("point", sorted(KILL_POINTS))
-    @pytest.mark.parametrize(("backend", "transport"), TOPOLOGIES)
-    def test_kill_recovers_bit_identical(self, backend, transport, point):
-        before = set(active_shm_segments())
+    @pytest.mark.parametrize("backend", TOPOLOGIES)
+    def test_kill_recovers_bit_identical(self, backend, point):
         result, expected, state, health = run_supervised_retailer(
-            backend, transport, [FaultSpec("kill", **self.KILL_POINTS[point])]
+            backend, [FaultSpec("kill", **self.KILL_POINTS[point])]
         )
         assert result == expected
         assert health["supervised"] is True
@@ -173,23 +162,25 @@ class TestKillSweep:
         with fresh:
             fresh.import_state(state)
             assert fresh.result() == expected
-        assert not (set(active_shm_segments()) - before), "leaked shm"
+        # Neither the killed worker nor its replacement outlives close().
+        assert not multiprocessing.active_children(), "leaked a worker"
 
-    @needs_process
-    def test_worker_reply_kill_recovers(self):
+    @pytest.mark.parametrize("backend", TOPOLOGIES)
+    def test_worker_reply_kill_recovers(self, backend):
         # The worker dies between finishing the op and replying — the
-        # coordinator sees a closed pipe mid-gather.
+        # coordinator sees a dead channel mid-gather. The site fires in
+        # the worker itself, so it means the same on both backends.
         result, expected, _state, health = run_supervised_retailer(
-            "process", "pipe",
+            backend,
             [FaultSpec("kill", site="worker.reply", op="result", shard=0)],
         )
         assert result == expected
         assert health["recoveries"] >= 1
 
-    @pytest.mark.parametrize(("backend", "transport"), TOPOLOGIES)
-    def test_two_shards_killed_in_one_batch(self, backend, transport):
+    @pytest.mark.parametrize("backend", TOPOLOGIES)
+    def test_two_shards_killed_in_one_batch(self, backend):
         result, expected, _state, health = run_supervised_retailer(
-            backend, transport,
+            backend,
             [
                 FaultSpec("kill", site="worker.apply", shard=0, at=3),
                 FaultSpec("kill", site="worker.apply", shard=1, at=5),
@@ -207,7 +198,7 @@ class TestKillSweep:
             (s.site, s.shard, s.at) for s in b.specs
         ]
         result, expected, _state, health = run_supervised_retailer(
-            "serial", "pipe", a.specs
+            "serial", a.specs
         )
         assert result == expected
         assert health["recoveries"] == 1
@@ -218,10 +209,8 @@ class TestTimeAwareRecovery:
     equivalence — the replay log carries retraction deltas and ticks."""
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
-    @pytest.mark.parametrize(("backend", "transport"), TOPOLOGIES)
-    def test_windowed_delete_heavy_kill_mid_window(
-        self, backend, transport, shards
-    ):
+    @pytest.mark.parametrize("backend", TOPOLOGIES)
+    def test_windowed_delete_heavy_kill_mid_window(self, backend, shards):
         database, events = toy_events(total=96, insert_ratio=0.3, seed=7)
         # Compile the sliding window once: the same insert/retract event
         # sequence feeds the reference and the supervised engine.
@@ -236,7 +225,7 @@ class TestTimeAwareRecovery:
         engine = ShardedEngine(
             toy_count_query(),
             order=toy_variable_order(),
-            config=supervised_config(backend, transport, shards),
+            config=supervised_config(backend, shards),
         )
         with engine:
             engine.initialize(database)
@@ -245,14 +234,10 @@ class TestTimeAwareRecovery:
             assert engine.health()["recoveries"] >= 1
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
-    @pytest.mark.parametrize(("backend", "transport"), TOPOLOGIES)
-    def test_decay_kill_at_tick_matches_fault_free_run(
-        self, backend, transport, shards
-    ):
+    @pytest.mark.parametrize("backend", TOPOLOGIES)
+    def test_decay_kill_at_tick_matches_fault_free_run(self, backend, shards):
         database, events = toy_events(total=60, insert_ratio=0.7, seed=13)
-        config = supervised_config(
-            backend, transport, shards, decay="0.9/10"
-        )
+        config = supervised_config(backend, shards, decay="0.9/10")
 
         def run(specs):
             install_injector(FaultInjector(tuple(specs)))
@@ -295,9 +280,7 @@ class TestHeartbeat:
         engine = ShardedEngine(
             retailer_query(CountSpec()),
             order=retailer_variable_order(),
-            config=supervised_config(
-                "process", "pipe", 2, heartbeat_timeout=0.5
-            ),
+            config=supervised_config("process", 2, heartbeat_timeout=0.5),
         )
         started = time.monotonic()
         with engine:
@@ -309,37 +292,6 @@ class TestHeartbeat:
         assert health["recoveries"] >= 1
         assert "unresponsive" in health["last_error"]
         assert elapsed < 15.0, "coordinator waited out the stall"
-
-
-class TestTornShmWrites:
-    @needs_process
-    @needs_shm
-    def test_supervised_torn_write_recovers_bit_identical(self):
-        result, expected, _state, health = run_supervised_retailer(
-            "process", "shm",
-            [FaultSpec("torn", site="shm.write", shard=1, at=3)],
-        )
-        assert result == expected
-        assert health["recoveries"] >= 1
-        assert "torn shared-memory delta" in health["last_error"]
-
-    @needs_process
-    @needs_shm
-    def test_unsupervised_torn_write_fail_stops(self):
-        database, events = retailer_setup(total_updates=400)
-        install_injector(FaultInjector((
-            FaultSpec("torn", site="shm.write", shard=1, at=3),
-        )))
-        engine = ShardedEngine(
-            retailer_query(CountSpec()),
-            order=retailer_variable_order(),
-            config=EngineConfig(shards=2, backend="process", transport="shm"),
-        )
-        with engine:
-            engine.initialize(database)
-            with pytest.raises(EngineError, match="torn shared-memory"):
-                engine.apply_stream(iter(events), batch_size=50)
-                engine.result()
 
 
 class TestRecoveryBudget:
@@ -357,7 +309,7 @@ class TestRecoveryBudget:
         engine = ShardedEngine(
             retailer_query(CountSpec()),
             order=retailer_variable_order(),
-            config=supervised_config("serial", "pipe", 2),
+            config=supervised_config("serial", 2),
         )
         engine.initialize(database)
         with pytest.raises(SupervisionError, match="giving up"):
@@ -371,7 +323,7 @@ class TestRecoveryBudget:
         # one kill, one recovery, then the respawned worker survives the
         # identical op sequence.
         result, expected, _state, health = run_supervised_retailer(
-            "serial", "pipe",
+            "serial",
             [FaultSpec("kill", site="worker.apply", shard=1, at=2,
                        once=False)],
         )
@@ -393,9 +345,7 @@ class TestReplayLogRebase:
         engine = ShardedEngine(
             retailer_query(CountSpec()),
             order=retailer_variable_order(),
-            config=supervised_config(
-                "serial", "pipe", 2, replay_log_limit=80
-            ),
+            config=supervised_config("serial", 2, replay_log_limit=80),
         )
         with engine:
             engine.initialize(database)
@@ -412,7 +362,7 @@ class TestReplayLogRebase:
         engine = ShardedEngine(
             retailer_query(CountSpec()),
             order=retailer_variable_order(),
-            config=supervised_config("serial", "pipe", 2),
+            config=supervised_config("serial", 2),
         )
         with engine:
             engine.initialize(database)

@@ -1,11 +1,11 @@
-"""Windowed ingest equivalence: every engine, every transport, every advance.
+"""Windowed ingest equivalence: every engine, every backend, every advance.
 
 The acceptance contract for time-aware maintenance: ingesting a stream
 through :class:`~repro.data.windows.WindowedStream` must leave the engine
 in *exactly* the state a fresh batch evaluation over the live window
 would produce — at every window advance, for tumbling and sliding
 windows, across the per-tuple and fused maintenance paths and the
-serial/pipe/shm shard transports, including delete-heavy streams.
+serial and process shard backends, including delete-heavy streams.
 """
 
 import contextlib
@@ -24,14 +24,10 @@ from repro.datasets import (
 )
 from repro.engine import FIVMEngine
 from repro.engine.sharded import available_backends
-from repro.engine.transport import available_transports
 from tests.conftest import per_tuple_path
 
 needs_process = pytest.mark.skipif(
     "process" not in available_backends(), reason="fork unavailable"
-)
-needs_shm = pytest.mark.skipif(
-    "shm" not in available_transports(), reason="shared memory unavailable"
 )
 
 TUMBLING = WindowSpec(24, 24)
@@ -217,8 +213,8 @@ class TestShardedSerial:
 
 @pytest.mark.slow
 @needs_process
-class TestProcessTransports:
-    """Windowed semantics survive the pipe and shm data planes bit-exactly."""
+class TestProcessBackend:
+    """Windowed semantics survive the worker pipes bit-exactly."""
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_pipe_equivalent_at_every_advance(self, shards):
@@ -228,32 +224,15 @@ class TestProcessTransports:
             database,
             events,
             SLIDING,
-            config=EngineConfig(
-                shards=shards, backend="process", transport="pipe"
-            ),
+            config=EngineConfig(shards=shards, backend="process"),
         )
 
-    @needs_shm
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_shm_equivalent_at_every_advance(self, shards):
-        database, events = toy_events(total=64)
-        assert_equivalent_at_every_advance(
-            toy_count_query(),
-            database,
-            events,
-            SLIDING,
-            config=EngineConfig(
-                shards=shards, backend="process", transport="shm"
-            ),
-        )
-
-    @needs_shm
-    def test_covar_delete_heavy_over_shm(self):
+    def test_covar_delete_heavy_over_processes(self):
         database, events = toy_events(total=48, insert_ratio=0.3, seed=23)
         assert_equivalent_mid_window(
             toy_covar_continuous_query(),
             database,
             events,
             SLIDING,
-            config=EngineConfig(shards=2, backend="process", transport="shm"),
+            config=EngineConfig(shards=2, backend="process"),
         )

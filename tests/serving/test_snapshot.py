@@ -289,7 +289,9 @@ class TestShardedPublishFailurePaths:
         try:
             # Inject a failing command directly into shard 1's pipe: the
             # next gather must name the shard *and* the publish path.
-            engine._backend.connections[1].send(("apply", "NoSuchRelation", {}))
+            engine._backend.connections[1].send(
+                ("apply", "NoSuchRelation", (), [])
+            )
             with pytest.raises(EngineError, match="publish failed"):
                 engine.publish()
         finally:
@@ -301,7 +303,9 @@ class TestShardedPublishFailurePaths:
     def test_failed_worker_surfaces_export_context(self):
         engine = self.make_engine("process")
         try:
-            engine._backend.connections[1].send(("apply", "NoSuchRelation", {}))
+            engine._backend.connections[1].send(
+                ("apply", "NoSuchRelation", (), [])
+            )
             with pytest.raises(EngineError, match="export_state failed"):
                 engine.export_state()
         finally:

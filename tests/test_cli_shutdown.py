@@ -10,7 +10,8 @@ import pytest
 
 import repro
 from repro.checkpoint import read_checkpoint_info
-from repro.engine.transport import active_shm_segments
+from repro.engine import available_backends
+from tests.conftest import child_pids, pid_alive
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -70,7 +71,6 @@ class TestServeSigterm:
         assert 0 < info.metadata["events_processed"] < 3000000
 
     def test_sigterm_without_checkpointing_exits_clean(self, tmp_path):
-        before = set(active_shm_segments())
         proc = spawn_serve(tmp_path)
         try:
             time.sleep(2.0)
@@ -84,4 +84,25 @@ class TestServeSigterm:
         assert proc.returncode == 0, out
         assert "interrupted; shutting down" in out
         assert "final checkpoint" not in out
-        assert not (set(active_shm_segments()) - before)
+
+    @pytest.mark.skipif(
+        "process" not in available_backends() or not os.path.isdir("/proc"),
+        reason="needs fork and /proc",
+    )
+    def test_sigterm_leaves_no_shard_worker_behind(self, tmp_path):
+        proc = spawn_serve(
+            tmp_path, "--engine-shards", "2", "--engine-backend", "process"
+        )
+        workers = []
+        try:
+            wait_for(lambda: len(child_pids(proc.pid)) >= 2, proc)
+            workers = child_pids(proc.pid)
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate(timeout=10)
+        assert proc.returncode == 0, out
+        assert "interrupted; shutting down" in out
+        assert not [pid for pid in workers if pid_alive(pid)]

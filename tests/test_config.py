@@ -1,5 +1,6 @@
 """EngineConfig: validation, factory, constructors, CLI derivation."""
 
+import contextlib
 import dataclasses
 
 import pytest
@@ -19,16 +20,17 @@ from repro.datasets import (
     toy_database,
     toy_variable_order,
 )
-from repro.engine import FIVMEngine, ShardedEngine
+from repro.engine import FIVMEngine, ShardedEngine, available_backends
 from repro.errors import CheckpointError, EngineError
 from repro.rings import NumericCofactor
 
 
-#: Fields the engine used to select a maintenance path by; a checkpoint
-#: written before their removal still carries them in its header.
+#: Fields the engine used to select a maintenance path or a shard data
+#: plane by; a checkpoint written before their removal still carries them
+#: in its header.
 REMOVED_FIELDS = (
     "use_view_index", "adaptive_probe", "use_columnar", "use_fused",
-    "columnar_transport",
+    "columnar_transport", "transport",
 )
 PARENT_FORMAT_CONFIG = {
     "shards": 1, "backend": "auto", "transport": "auto", "shard_attrs": None,
@@ -44,8 +46,7 @@ class TestEngineConfigValidation:
         config = EngineConfig()
         assert config.shards == 1
         assert config.backend == "auto"
-        assert config.transport == "auto"
-        assert len(dataclasses.fields(EngineConfig)) == 10
+        assert len(dataclasses.fields(EngineConfig)) == 9
 
     def test_shards_must_be_positive(self):
         with pytest.raises(EngineError, match="at least 1"):
@@ -59,9 +60,18 @@ class TestEngineConfigValidation:
         with pytest.raises(EngineError, match="unknown shard backend"):
             EngineConfig(backend="threads")
 
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(EngineError, match="unknown shard transport"):
-            EngineConfig(transport="rdma")
+    def test_transport_is_not_a_choice(self):
+        # One wire form: the only word left is a label derived from the
+        # backend, which reports key on.
+        assert "transport" not in EngineConfig().to_dict()
+        for backend, label in (("serial", "none"), ("process", "pipe")):
+            if backend not in available_backends():
+                continue
+            engine = ShardedEngine(
+                toy_count_query(),
+                config=EngineConfig(shards=2, backend=backend),
+            )
+            assert engine.transport_name == label
 
     @pytest.mark.parametrize("removed", REMOVED_FIELDS)
     def test_config_rejects_removed_fields(self, removed):
@@ -95,8 +105,9 @@ class TestEngineConfigValidation:
             EngineConfig.from_dict({"shards": 2, "turbo": True})
 
     def test_describe_mentions_topology(self):
-        text = EngineConfig(shards=2, transport="shm").describe()
-        assert "shards=2" in text and "transport=shm" in text
+        text = EngineConfig(shards=2, backend="serial").describe()
+        assert "shards=2" in text and "backend=serial" in text
+        assert "transport" not in text
 
     def test_window_normalized_and_parsed(self):
         config = EngineConfig(window="sliding:100/25")
@@ -204,6 +215,7 @@ class TestCliDerivation:
             "--shards", "--shard-backend", "--profile", "--no-fused",
             "--no-columnar", "--no-view-index", "--columnar-sweep",
             "--engine-fused", "--engine-columnar", "--engine-view-index",
+            "--engine-transport",
         ],
     )
     def test_removed_flags_are_rejected(self, flag, capsys):
@@ -214,14 +226,10 @@ class TestCliDerivation:
             build_parser().parse_args(["bench", "--help"])
         assert flag not in capsys.readouterr().out
 
-    def test_transport_and_shard_attrs_flags(self):
+    def test_shard_attrs_flag(self):
         config = self._config(
-            [
-                "bench", "--engine-transport", "pipe",
-                "--engine-shard-attrs", "locn,dateid",
-            ]
+            ["bench", "--engine-shard-attrs", "locn,dateid"]
         )
-        assert config.transport == "pipe"
         assert config.shard_attrs == ("locn", "dateid")
 
     def test_serve_and_checkpoint_share_the_namespace(self):
@@ -304,6 +312,72 @@ class TestConfigProvenance:
         out = capsys.readouterr().out
         for removed in REMOVED_FIELDS:
             assert f"{removed}:" in out
+
+    #: What a 2-shard process engine on the shared-memory data plane
+    #: recorded into its snapshots before that plane was removed.
+    SHM_ERA_CONFIG = {
+        "shards": 2, "backend": "process", "transport": "shm",
+        "shard_attrs": None, "profile_stages": False, "window": None,
+        "decay": None, "supervise": False, "replay_log_limit": 20000,
+        "heartbeat_timeout": 30.0,
+    }
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            EngineConfig(),
+            EngineConfig(shards=2, backend="serial"),
+            pytest.param(
+                EngineConfig(shards=2, backend="process"),
+                marks=pytest.mark.skipif(
+                    "process" not in available_backends(),
+                    reason="fork unavailable",
+                ),
+            ),
+        ],
+        ids=lambda config: config.describe().replace(" ", ","),
+    )
+    def test_shm_era_snapshot_restores_and_continues(
+        self, tmp_path, capsys, config
+    ):
+        path = str(tmp_path / "shm.fivm")
+        query, order = toy_covar_continuous_query(), toy_variable_order()
+        writer = create_engine(
+            query, EngineConfig(shards=2, backend="serial"), order=order
+        )
+        update = inserts(("A", "B"), [("a1", 2), ("a3", 4)])
+        restored = create_engine(query, config, order=order)
+        with writer, contextlib.ExitStack() as stack:
+            if config.shards > 1:
+                stack.enter_context(restored)
+            writer.initialize(toy_database())
+            writer.apply("R", inserts(("A", "B"), [("a1", 5), ("a2", 7)]))
+            writer.config_provenance = lambda: dict(self.SHM_ERA_CONFIG)
+            write_checkpoint(writer, path)
+            assert read_checkpoint_info(path).config == self.SHM_ERA_CONFIG
+            restore_checkpoint(restored, path)
+            assert restored.result() == writer.result()
+            writer.apply("R", update)
+            restored.apply("R", update)
+            assert restored.result() == writer.result()
+        assert main(["checkpoint", "info", path]) == 0
+        assert "transport: shm" in capsys.readouterr().out
+
+    def test_sharded_provenance_round_trips_through_the_config(self, tmp_path):
+        path = str(tmp_path / "sharded.fivm")
+        config = EngineConfig(shards=2, backend="serial")
+        with create_engine(toy_count_query(), config) as engine:
+            engine.initialize(toy_database())
+            write_checkpoint(engine, path)
+        assert EngineConfig.from_dict(read_checkpoint_info(path).config) == config
+
+    def test_removed_transport_flag_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--engine-transport", "shm"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --engine-transport" in (
+            capsys.readouterr().err
+        )
 
     def _write_dense_payload_checkpoint(self, path, corrupt_view=None):
         """A checkpoint as written when every view held dense numeric

@@ -8,6 +8,16 @@ class TestPublicAPI:
         for name in repro.__all__:
             assert hasattr(repro, name), name
 
+    def test_removed_transport_names_are_gone(self):
+        import repro.engine
+
+        for name in (
+            "ShardTransport", "PipeTransport", "SharedMemoryTransport",
+            "available_transports",
+        ):
+            assert name not in repro.__all__ and not hasattr(repro, name)
+            assert not hasattr(repro.engine, name)
+
     def test_version(self):
         assert repro.__version__ == "1.0.0"
 
