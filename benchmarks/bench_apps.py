@@ -97,7 +97,7 @@ class TestModelSelectionTab:
 
 class TestRegressionTab:
     def test_regression_refresh(self, benchmark, regression_app):
-        """Warm-started BGD re-convergence against the current COVAR."""
+        """Warm-started CG re-convergence against the current COVAR."""
         model = benchmark(regression_app.refresh_model)
         assert model.training_rmse < 50.0
 

@@ -4,7 +4,7 @@
 Maintains the COVAR matrix for the demo's feature set — ksn, price,
 subcategory, category, categoryCluster (features) and inventoryunits
 (label) — under bulks of updates, re-converging the ridge model after
-every bulk with warm-started batch gradient descent.
+every bulk with warm-started conjugate gradients.
 
 Run:  python examples/retailer_regression.py
 """

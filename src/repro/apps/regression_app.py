@@ -1,16 +1,14 @@
 """Regression tab (Figure 2b).
 
 Maintains the COVAR matrix for the chosen features and label; after every
-bulk a batch gradient descent solver *resumes* convergence from the
-previous parameters against the refreshed matrix — the warm-start pattern
-of the demo (and ref [5]).
+bulk an iterative solver (conjugate gradients, :mod:`repro.ml.regression`)
+*resumes* convergence from the previous parameters against the refreshed
+matrix — the warm-start pattern of the demo (and ref [5]).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Tuple
-
-import numpy as np
 
 from repro.apps.session import BulkReport, MaintenanceSession
 from repro.data.database import Database
@@ -53,7 +51,6 @@ class RegressionApp:
             label=label,
             regularization=regularization,
         )
-        self._theta: Optional[np.ndarray] = None
         self.model: Optional[RidgeModel] = None
 
     # ------------------------------------------------------------------
@@ -67,22 +64,17 @@ class RegressionApp:
     def refresh_model(self, max_iterations: int = 2000) -> RidgeModel:
         """Re-converge parameters against the current COVAR matrix.
 
-        Warm-starts from the previous bulk's parameters when the one-hot
-        column set is unchanged; otherwise restarts from zero (a category
-        appeared or disappeared under updates).
+        Warm-starts from the previous bulk's parameters, aligned by column:
+        a category that appeared under updates starts at weight 0, one that
+        disappeared drops out, every other column keeps its weight.
         """
         covar = self.covar()
-        theta0 = self._theta
-        if theta0 is not None:
-            expected = 1 + sum(
-                len(covar.columns_of(attr)) for attr in self.solver.features
-            )
-            if theta0.shape != (expected,):
-                theta0 = None
+        theta0 = None
+        if self.model is not None:
+            theta0 = self.model.theta_over(self.solver.feature_columns(covar))
         self.model = self.solver.fit(
             covar, theta0=theta0, max_iterations=max_iterations
         )
-        self._theta = self.model.theta.copy()
         return self.model
 
     def render(self) -> str:
@@ -92,7 +84,9 @@ class RegressionApp:
         lines = [
             f"ridge λ={self.solver.regularization:g}  "
             f"RMSE={self.model.training_rmse:.4f}  "
-            f"iterations={self.model.iterations}",
+            f"iterations={self.model.iterations}  "
+            f"converged={self.model.converged}  "
+            f"gradient={self.model.gradient_norm:.1e}",
             f"  intercept: {self.model.intercept:+.4f}",
         ]
         for label, weight in self.model.coefficients().items():

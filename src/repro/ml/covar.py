@@ -16,7 +16,8 @@ by the join, which is all ridge regression needs (Schleich et al., ref [6]).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from functools import cached_property
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -67,6 +68,13 @@ class CovarMatrix:
     sums: np.ndarray
     moments: np.ndarray
 
+    @cached_property
+    def _by_attribute(self) -> Dict[str, Tuple[int, ...]]:
+        by_attribute: Dict[str, List[int]] = {}
+        for i, column in enumerate(self.columns):
+            by_attribute.setdefault(column.attribute, []).append(i)
+        return {attribute: tuple(indices) for attribute, indices in by_attribute.items()}
+
     def index(self, attribute: str, category: Optional[Any] = None) -> int:
         target = Column(attribute, category)
         for i, column in enumerate(self.columns):
@@ -76,12 +84,10 @@ class CovarMatrix:
 
     def columns_of(self, attribute: str) -> Tuple[int, ...]:
         """Indices of all columns belonging to ``attribute``."""
-        out = tuple(
-            i for i, column in enumerate(self.columns) if column.attribute == attribute
-        )
-        if not out:
-            raise FIVMError(f"no COVAR columns for attribute {attribute!r}")
-        return out
+        try:
+            return self._by_attribute[attribute]
+        except KeyError:
+            raise FIVMError(f"no COVAR columns for attribute {attribute!r}") from None
 
     @property
     def dimension(self) -> int:

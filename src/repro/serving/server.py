@@ -174,11 +174,11 @@ class ServingApp:
             if feature.name != self.regression_label
         )
         solver = RidgeRegression(features, self.regression_label)
-        # Closed-form solve, not warm-started gradient descent: under
-        # epoch churn every read can land on a fresh epoch, and a
-        # multi-millisecond iterative fit per epoch would dominate read
-        # latency. The normal-equations solve is exact and costs
-        # microseconds at serving dimensionalities.
+        # Closed-form solve, not the warm-started conjugate gradients the
+        # Regression tab runs: under epoch churn a read can land on any
+        # epoch, and the direct solve is exact for it, needs no previous
+        # model, and at serving dimensionalities (d of tens) costs no more
+        # than CG's ~d matrix-vector steps.
         model = solver.fit_closed_form(covar)
         self._model_cache = (snapshot.epoch, model)
         return model
@@ -358,6 +358,7 @@ class ServingApp:
                 "coefficients": model.coefficients(),
                 "iterations": model.iterations,
                 "converged": model.converged,
+                "gradient_norm": model.gradient_norm,
                 "training_rmse": model.training_rmse,
             }
         )

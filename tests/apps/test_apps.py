@@ -1,5 +1,7 @@
 """The demo tabs end-to-end on the synthetic Retailer database."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.apps import (
     ModelSelectionApp,
     RegressionApp,
 )
+from repro.data import Database, Relation, RelationSchema
 from repro.datasets import (
     RETAILER_SCHEMAS,
     UpdateStream,
@@ -143,7 +146,7 @@ class TestRegressionApp:
             regularization=1e-4,
             order=retailer_variable_order(),
         )
-        model = app.refresh_model(max_iterations=20000)
+        model = app.refresh_model()
         assert model.coefficients()["prize"] < 0
         assert model.training_rmse < 20.0
 
@@ -159,6 +162,10 @@ class TestRegressionApp:
         model = app.refresh_model()
         # one column per live ksn plus the category tree plus price
         assert len(model.feature_columns) > 10
+        assert model.converged
+        assert model.training_rmse == pytest.approx(
+            app.solver.fit_closed_form(app.covar()).training_rmse, rel=1e-9
+        )
         assert model.training_rmse < 20.0
 
     def test_warm_start_after_bulk(self, small_retailer_db_module, stream_factory):
@@ -169,9 +176,10 @@ class TestRegressionApp:
             "inventoryunits",
             order=retailer_variable_order(),
         )
-        first = app.refresh_model(max_iterations=4000)
+        first = app.refresh_model()
         app.process_bulk(stream_factory(seed=9).batches(2))
-        second = app.refresh_model(max_iterations=4000)
+        second = app.refresh_model()
+        assert first.converged and second.converged
         if second.theta.shape == first.theta.shape:
             # warm start: parameters move but stay in the same region
             assert np.linalg.norm(second.theta - first.theta) < max(
@@ -204,6 +212,43 @@ class TestRegressionApp:
         )
         text = app.render()
         assert "intercept" in text and "prize" in text
+        assert "converged=True" in text and "gradient=" in text
+
+    def test_warm_start_follows_columns_when_a_category_is_swapped(self):
+        """A bulk retires category 0 of C and introduces category 3: the
+        column count stays the same, but the warm start must carry each
+        surviving column's weight to that column and start C=3 at 0."""
+        r_rows = [(a, a % 3 - 1) for a in range(6)]
+        s_rows = [(a, c, 10 * c + a) for a in range(6) for c in range(3)]
+        database = Database(
+            [
+                Relation.from_tuples(("A", "B"), r_rows, name="R"),
+                Relation.from_tuples(("A", "C", "D"), s_rows, name="S"),
+            ]
+        )
+        app = RegressionApp(
+            database,
+            (RelationSchema("R", ("A", "B")), RelationSchema("S", ("A", "C", "D"))),
+            (Feature.continuous("B"), Feature.categorical("C"), Feature.continuous("D")),
+            "D",
+        )
+        first = app.refresh_model()
+        swap = Relation(("A", "C", "D"), name="S")
+        for a in range(6):
+            swap.data[(a, 0, a)] = -1
+            swap.data[(a, 3, 30 + a)] = 1
+        app.process_bulk([("S", swap)])
+        with mock.patch.object(app.solver, "fit", wraps=app.solver.fit) as fit:
+            second = app.refresh_model()
+        theta0 = fit.call_args.kwargs["theta0"]
+        assert len(theta0) == len(first.theta)  # the shape alone cannot tell
+        before = dict(zip(first.feature_columns, first.theta[1:]))
+        expected = [first.intercept] + [
+            before.get(column, 0.0) for column in second.feature_columns
+        ]
+        assert [c.label for c in second.feature_columns] == ["B", "C=1", "C=2", "C=3"]
+        assert theta0.tolist() == expected and theta0[-1] == 0.0
+        assert second.converged
 
 
 class TestChowLiuApp:

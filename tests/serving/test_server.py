@@ -77,6 +77,8 @@ class TestServingAppEndpoints:
         assert model_body["label"] == "D"
         assert model_body["intercept"] == reference.intercept
         assert model_body["coefficients"] == reference.coefficients()
+        assert model_body["converged"] == reference.converged
+        assert model_body["gradient_norm"] == reference.gradient_norm
 
         status, prediction = app.handle("/predict", {"B": "2", "C": "3"})
         assert status == 200
