@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Callable, ClassVar, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.data.batcher import UpdateBatcher
 from repro.data.database import Database
@@ -132,6 +132,11 @@ class EngineStatistics:
     decay_ticks: int = 0
     decay_settles: int = 0
     decay_rescales: int = 0
+    #: Dropped views F-IVM rebuilt because a newly observed relation's
+    #: path probes them — at most one per inner view per engine life.
+    #: Not checkpoint-carried: a restore stores every view again.
+    views_rebuilt: int = 0
+    #: Entries per *stored* view (F-IVM lists no dropped view here).
     view_sizes: Dict[str, int] = field(default_factory=dict)
     #: Per-stage wall-clock seconds of the fused kernels (lift / probe /
     #: multiply / group / scatter), accumulated only when the engine was
@@ -318,9 +323,14 @@ class MaintenanceEngine(ABC):
                 owned.add(relation_name)
                 existing = merged[relation_name] = existing.copy()
             existing.add_inplace(delta)
-        for relation_name, delta in merged.items():
-            if delta.data:
-                self.apply(relation_name, delta)
+        pending = [(name, delta) for name, delta in merged.items() if delta.data]
+        self._before_many([name for name, _delta in pending])
+        for relation_name, delta in pending:
+            self.apply(relation_name, delta)
+
+    def _before_many(self, relation_names: List[str]) -> None:
+        """Hook: the relations a coalesced :meth:`apply_many` batch is
+        about to update, before the first of its deltas applies."""
 
     def apply_stream(
         self,

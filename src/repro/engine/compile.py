@@ -15,7 +15,7 @@ and no Python-level loop per delta row:
   is written into a table, no sort — and a larger one with one
   ``np.unique`` call remapped to *first-seen* order; either way every
   downstream float sum associates in the order the rows arrived;
-- **columnar sibling probes** — every view is a
+- **columnar sibling probes** — every stored view is a
   :class:`~repro.data.store.SlotStore`, and each of its indexes caches
   its :class:`~repro.data.store.ProbeArrays` (key columns, bucket ranges,
   hook value columns and row slots; patched, not rebuilt, when the view
@@ -39,7 +39,8 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.data.columnar import bulk_liftable, column_array, lift_column
-from repro.data.relation import _positions
+from repro.data.relation import Relation, _positions
+from repro.engine.base import EngineStatistics
 
 __all__ = ["FusedPath", "compile_fused_path"]
 
@@ -590,8 +591,11 @@ class FusedPath:
 
     :meth:`apply` is the batch counterpart of the per-tuple loop in
     ``FIVMEngine.apply``: same ladder (lift, sibling joins, marginalize,
-    fold into the views), and ``columnar_batches``/``columnar_steps``
+    fold into the views the engine stores — a dropped view costs its
+    grouping only), and ``columnar_batches``/``columnar_steps``
     advance together with ``fused_batches``/``fused_steps``.
+    :meth:`derive` runs the same ladder over a stored view's whole
+    contents to recompute a view the engine dropped.
     """
 
     __slots__ = (
@@ -654,35 +658,20 @@ class FusedPath:
         for step in self.steps:
             if not n:
                 break
-            for probe in step.probes:
-                sibling = materialized[probe.sibling]
-                index = sibling.ensure_index(probe.attrs)
-                if timer:
-                    t0 = timer()
-                cols, block, n = probe.run(
-                    cols, block, n, sibling, index, ring, stats, self._scratch
-                )
-                if timer:
-                    stats.record_stage("probe", timer() - t0)
-                stats.columnar_steps += 1
-                stats.fused_steps += 1
-                if not n:
-                    break
+            cols, block, n = self._join(
+                ring, materialized, step, cols, block, n, stats, timer
+            )
             if not n:
                 # Annihilated mid-join: nothing propagates further up.
                 break
-            if step.lifts:
-                if timer:
-                    t0 = timer()
-                for position, fn in step.lifts:
-                    block = ring.mul_many(block, _lift_block(ring, fn, cols[position]))
-                if timer:
-                    stats.record_stage("multiply", timer() - t0)
+            target = materialized.get(step.view_name)
             cols, keys, block, n = self._group_compact(
-                ring, cols, step.group_positions, block, n, stats, timer
+                ring, cols, step.group_positions, block, n, stats, timer,
+                target is not None,
             )
             stats.delta_tuples_propagated += n
-            target = materialized[step.view_name]
+            if target is None:
+                continue  # not stored: the delta only passes through
             if timer:
                 t0 = timer()
             stats.mirror_invalidations += target.add_block(keys, block, distinct=True)
@@ -690,12 +679,81 @@ class FusedPath:
                 stats.record_stage("scatter", timer() - t0)
             view_sizes[step.view_name] = len(target)
 
-    def _group_compact(self, ring, cols, group_positions, block, n, stats, timer):
+    def derive(self, engine, view_name: str) -> Dict[str, Relation]:
+        """Recompute ``view_name``, a view on this path the engine does
+        not store, with the ladder :meth:`apply` runs.
+
+        The whole contents of the stored view nearest below it on the
+        path (the leaf at worst) go up as one block, as a delta would:
+        every view is its child joined with its siblings, linear in each,
+        so the child's contents give the view itself. The siblings must
+        be stored. Returns the views the block passed — all dropped ones,
+        ``view_name`` last — and leaves the engine's counters alone.
+        """
+        ring = engine.plan.ring
+        materialized = engine.materialized
+        names = [step.view_name for step in self.steps]
+        start = stop = names.index(view_name) + 1
+        while start > 1 and names[start - 2] not in materialized:
+            start -= 1
+        below = materialized[names[start - 2] if start > 1 else self.leaf_name]
+        keys = list(below.slots)
+        n = len(keys)
+        cols = [column_array(list(col)) for col in zip(*keys)]
+        rows = np.fromiter(below.slots.values(), dtype=np.intp, count=n)
+        block = ring.take(below.block, rows)
+        stats = EngineStatistics()
+        derived: Dict[str, Relation] = {}
+        for step in self.steps[start - 1 : stop]:
+            view = engine.tree.views[step.view_name]
+            relation = derived[view.name] = Relation(view.key, ring, name=view.name)
+            if n:
+                cols, block, n = self._join(
+                    ring, materialized, step, cols, block, n, stats, None
+                )
+            if n:
+                cols, keys, block, n = self._group_compact(
+                    ring, cols, step.group_positions, block, n, stats, None
+                )
+                relation.data = dict(zip(keys, ring.block_payloads(block)))
+        return derived
+
+    def _join(self, ring, materialized, step, cols, block, n, stats, timer):
+        """Probe ``step``'s siblings and multiply in its lifts: the
+        running ``(cols, block, n)`` before grouping (``n == 0`` once the
+        rows annihilated)."""
+        for probe in step.probes:
+            sibling = materialized[probe.sibling]
+            index = sibling.ensure_index(probe.attrs)
+            if timer:
+                t0 = timer()
+            cols, block, n = probe.run(
+                cols, block, n, sibling, index, ring, stats, self._scratch
+            )
+            if timer:
+                stats.record_stage("probe", timer() - t0)
+            stats.columnar_steps += 1
+            stats.fused_steps += 1
+            if not n:
+                return cols, block, 0
+        if step.lifts:
+            if timer:
+                t0 = timer()
+            for position, fn in step.lifts:
+                block = ring.mul_many(block, _lift_block(ring, fn, cols[position]))
+            if timer:
+                stats.record_stage("multiply", timer() - t0)
+        return cols, block, n
+
+    def _group_compact(
+        self, ring, cols, group_positions, block, n, stats, timer, scatter=True
+    ):
         """Group-sum by the key positions, then drop exact ring zeros.
 
         Returns ``(group_cols, keys, block, k)``: the gathered key
         columns (the running schema after projection), matching key
-        tuples for the scatter, and the compacted block.
+        tuples for the scatter (``None`` without ``scatter``: the view
+        is not stored), and the compacted block.
         """
         if timer:
             t0 = timer()
@@ -711,7 +769,7 @@ class FusedPath:
             block = ring.take(block, keep)
             group_cols = [col[keep] for col in group_cols]
             k = len(keep)
-        keys = _keys_of(group_cols, k)
+        keys = _keys_of(group_cols, k) if scatter else None
         if timer:
             stats.record_stage("group", timer() - t0)
         return group_cols, keys, block, k

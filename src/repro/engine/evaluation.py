@@ -1,14 +1,17 @@
 """Bottom-up evaluation of a view tree over concrete relations.
 
-Shared by: F-IVM's initialization, the naive re-evaluation baseline, and
-the first-order baseline's delta queries (which evaluate the same tree
-with one base relation replaced by a delta — correct because the join is
-linear in each of its relations).
+Shared by: F-IVM's initialization and its re-derivation of views it does
+not store, the naive re-evaluation baseline, and the first-order
+baseline's delta queries (which evaluate the same tree with one base
+relation replaced by a delta — correct because the join is linear in
+each of its relations).
 
 With ``install`` every evaluated view is recorded in its long-lived form
 — F-IVM passes the function that wraps a view as an indexed relation or
 a slot store with its probe keys registered — while parents still join
-the plain relation, which is dropped once they are evaluated.
+the plain relation, which is dropped once they are evaluated. With
+``stored`` the recursion stops at views already held there: F-IVM
+re-derives a view it dropped from whichever of its descendants it keeps.
 """
 
 from __future__ import annotations
@@ -31,13 +34,21 @@ def evaluate_view(
     relations: Mapping[str, Relation],
     materialized: Optional[Dict[str, Any]] = None,
     install: Optional[Install] = None,
+    stored: Optional[Mapping[str, Any]] = None,
 ) -> Relation:
     """Evaluate ``view`` recursively over the given base ``relations``.
 
     When ``materialized`` is provided, every evaluated view is recorded in
     it (used by F-IVM's initialization to materialize the whole tree) —
-    as ``install(relation)`` when ``install`` is given.
+    as ``install(relation)`` when ``install`` is given. A view found in
+    ``stored`` (relations or slot stores by view name) is not evaluated:
+    a plain-relation copy of it is used, so ``relations`` only needs the
+    base relations under views ``stored`` lacks.
     """
+    if stored is not None:
+        held = stored.get(view.name)
+        if held is not None:
+            return held.copy()
     plan = tree.plan
     if view.is_leaf:
         try:
@@ -48,7 +59,7 @@ def evaluate_view(
         result = base.lift(plan.ring, view.key, lifts)
     else:
         children = [
-            evaluate_view(tree, child, relations, materialized, install)
+            evaluate_view(tree, child, relations, materialized, install, stored)
             for child in view.children
         ]
         # Join smallest-first keeps intermediates small on skewed data.

@@ -1,11 +1,28 @@
 """The F-IVM engine: factorized higher-order IVM over a view tree.
 
-This is the paper's primary contribution. The engine materializes every
-view of the tree at initialization. An update δR then only touches the
+This is the paper's primary contribution. An update δR touches only the
 views on the leaf-to-root path of R (Figure 1, right): the delta is lifted
-into payload space at R's leaf view, joined with the *materialized* sibling
+into payload space at R's leaf view, joined with the *stored* sibling
 views at each inner node, marginalized through the node's variable, and
-folded into the node's materialization — regardless of the payload ring.
+folded into the node's view when that view is stored — regardless of the
+payload ring.
+
+Initialization evaluates and stores every view. From then on the engine
+keeps a view stored only if it is the root, a leaf, or a sibling that the
+path of an *observed* relation probes — a relation is observed once it
+has received a delta since initialization or restore. When a relation is
+first observed, the inner views on its path that no observed path probes
+are dropped: its deltas still group through them on their way up, but
+nothing scatters into them. The observed set only grows, so a dropped
+view is rebuilt (from its children, in :meth:`FIVMEngine._observe`) at
+most once per engine life — when a newly observed relation's path starts
+probing it. A rebuild is exact: leaves always stay current, every view is
+the join of its children with its variable summed out, and a dropped
+view's stored descendants were maintained all along. Rebuilds, reads and
+exports re-derive a dropped view the way a delta travels: the contents of
+the stored view below it run up an observed path's fused ladder as one
+block, or, for rings without bulk kernels, its children join entry by
+entry.
 
 Compared to re-evaluation the work per update is bounded by the sizes of
 the deltas and sibling views along one path; compared to first-order IVM
@@ -15,7 +32,7 @@ from base relations on every update.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.config import EngineConfig
 from repro.data.database import Database
@@ -24,7 +41,7 @@ from repro.data.relation import Relation
 from repro.data.store import SlotStore
 from repro.engine.base import MaintenanceEngine
 from repro.engine.compile import FusedPath, compile_fused_path
-from repro.engine.evaluation import evaluate_tree
+from repro.engine.evaluation import evaluate_tree, evaluate_view
 from repro.errors import CheckpointError, EngineError, RingError
 from repro.query.query import Query
 from repro.rings.decay import DecayRing
@@ -37,7 +54,15 @@ __all__ = ["FIVMEngine"]
 class FIVMEngine(MaintenanceEngine):
     """Higher-order factorized incremental view maintenance.
 
-    Every materialized view that serves as a sibling on some relation's
+    ``materialized`` holds the stored views: after initialization every
+    view, then — as relations are observed — the root, the leaves, the
+    siblings an observed relation's path probes, and views no delta has
+    reached yet (see the module docstring). :meth:`view` and exports
+    re-derive a dropped view from its children; :meth:`memory_report`
+    lists it as not stored; ``stats.views_rebuilt`` counts the dropped
+    views an observation brought back.
+
+    Every stored view that serves as a sibling on some relation's
     maintenance path carries persistent hash indexes on exactly the
     attribute sets those paths probe — the probe plan is computed once
     from the view tree at construction, and index maintenance is folded
@@ -139,6 +164,11 @@ class FIVMEngine(MaintenanceEngine):
         self.materialized: Dict[str, Any] = {}
         self.profile_stages = config.profile_stages
         self.probe_plan = build_probe_plan(self.tree)
+        #: Relations observed since initialize / restore.
+        self._observed: Set[str] = set()
+        #: View names children before parents: reports and exports list
+        #: views in the order initialization evaluates them.
+        self._view_order = tuple(view.name for view in self.tree.all_views())
         # Maintenance paths and per-view lifting dicts are pure functions
         # of the static tree; precompute them so apply() does no per-update
         # work proportional to tree depth beyond the propagation itself.
@@ -177,13 +207,15 @@ class FIVMEngine(MaintenanceEngine):
             self.tree, relations, self.materialized, install=self._install_view
         )
         self._initialized = True
-        self._refresh_view_sizes()
+        self._after_restore()
 
     def apply(self, relation_name: str, delta: Relation) -> None:
         self._require_initialized()
         self._check_delta(relation_name, delta)
         if not delta.data:
             return
+        if relation_name not in self._observed:
+            self._observe((relation_name,))
         stats = self.stats
         fpath = self._fused_paths.get(relation_name)
         if fpath is not None and len(delta.data) >= stats.COLUMNAR_MIN_DELTA:
@@ -237,11 +269,90 @@ class FIVMEngine(MaintenanceEngine):
                 break
             current = joined.marginalize(view.key, lifts)
             stats.delta_tuples_propagated += len(current.data)
-            target = materialized[view.name]
+            target = materialized.get(view.name)
+            if target is None:
+                continue  # not stored: the delta only passes through
             dropped = target.add_inplace(current)
             if stored:
                 stats.mirror_invalidations += dropped
             view_sizes[view.name] = len(target)
+
+    def _before_many(self, relation_names) -> None:
+        # A coalesced batch is observed as a whole: a view one relation's
+        # path probes is then never dropped by another relation's first
+        # delta only to be rebuilt when the next one applies.
+        if self._initialized:
+            self._observe(
+                [name for name in relation_names if name in self._paths]
+            )
+
+    def _observe(self, relation_names) -> None:
+        """Grow the observed set by relations about to receive deltas.
+
+        The dropped views their paths probe are rebuilt (:meth:`_derive`)
+        and installed with their indexes (pending decay settled first, so
+        they join the tick-zero state); then the inner views on their
+        paths that no observed path probes are dropped. A probed view is
+        never dropped again, so each view is rebuilt at most once.
+        """
+        new = [name for name in relation_names if name not in self._observed]
+        if not new:
+            return
+        path_steps = self.probe_plan.path_steps
+
+        def probed(relations):
+            return {
+                step.sibling
+                for relation in relations
+                for steps in path_steps[relation]
+                for step in steps
+            }
+
+        materialized = self.materialized
+        stats = self.stats
+        wanted = probed(new)
+        missing = [
+            name for name in self._view_order
+            if name in wanted and name not in materialized
+        ]
+        if missing:
+            self._settle_decay()
+        for name in missing:
+            rebuilt = self._derive(name)[name]
+            materialized[name] = self._install_view(rebuilt)
+            stats.view_sizes[name] = len(rebuilt)
+            stats.views_rebuilt += 1
+        self._observed.update(new)
+        kept = probed(self._observed) | {self.tree.root.name}
+        for name in new:
+            for view, _lifts in self._paths[name][2]:
+                if view.name not in kept:
+                    materialized.pop(view.name, None)
+                    stats.view_sizes.pop(view.name, None)
+
+    def _derive(self, name: str) -> Dict[str, Relation]:
+        """Re-derive the dropped view ``name`` from the stored views.
+
+        Returns it with the dropped views below it the derivation passed.
+        A view is dropped only from an observed relation's path, and
+        every sibling such a path probes is stored: with a fused program,
+        that path's ladder recomputes the view in bulk
+        (:meth:`FusedPath.derive`); otherwise :func:`evaluate_view` joins
+        its children entry by entry.
+        """
+        for relation, (_leaf, _lifts, inner) in self._paths.items():
+            fpath = self._fused_paths.get(relation)
+            if (
+                fpath is not None
+                and relation in self._observed
+                and any(view.name == name for view, _ in inner)
+            ):
+                return fpath.derive(self, name)
+        derived: Dict[str, Relation] = {}
+        evaluate_view(
+            self.tree, self.tree.views[name], {}, derived, stored=self.materialized
+        )
+        return derived
 
     def result(self) -> Relation:
         """The root view; for a stored view, a relation of payload copies
@@ -277,7 +388,7 @@ class FIVMEngine(MaintenanceEngine):
             self.stats.decay_rescales += 1
 
     def _settle_decay(self) -> None:
-        """Fold the pending decay into every materialized view (lazy rebase).
+        """Fold the pending decay into every stored view (lazy rebase).
 
         Each view ``v`` is scaled by ``rate ** (ticks * k_v)`` where
         ``k_v`` counts the leaf relations under its subtree — a stored
@@ -312,16 +423,20 @@ class FIVMEngine(MaintenanceEngine):
     # ------------------------------------------------------------------
 
     def view(self, name: str):
-        """Materialization of a named view (for inspection and tests): a
-        relation, or a slot store whose read API hands out copies."""
+        """A named view (for inspection and tests): the stored relation or
+        slot store (whose read API hands out copies), or — for a view the
+        engine dropped — a relation re-derived from its children, which
+        is not stored again."""
         self._require_initialized()
-        try:
-            return self.materialized[name]
-        except KeyError:
-            raise EngineError(f"unknown view {name!r}") from None
+        stored = self.materialized.get(name)
+        if stored is not None:
+            return stored
+        if name not in self.tree.views:
+            raise EngineError(f"unknown view {name!r}")
+        return self._derive(name)[name]
 
     def total_view_tuples(self) -> int:
-        """Total number of materialized key-payload entries (memory proxy)."""
+        """Total number of stored key-payload entries (memory proxy)."""
         return sum(len(relation) for relation in self.materialized.values())
 
     def memory_report(self) -> Dict[str, Dict[str, Any]]:
@@ -338,11 +453,17 @@ class FIVMEngine(MaintenanceEngine):
         ``index_entries`` (one per live key per index; payloads are
         shared, not copied) and ``index_buckets``. Stored views add
         ``capacity`` (rows allocated) and ``free_slots`` (rows deletes
-        gave back).
+        gave back). ``stored`` tells the views the engine keeps from the
+        ones it dropped; a dropped view is listed as
+        ``{"entries": 0, "stored": False}``.
         """
         report: Dict[str, Dict[str, Any]] = {}
         ring = self.plan.ring
-        for name, relation in self.materialized.items():
+        for name in self._view_order:
+            relation = self.materialized.get(name)
+            if relation is None:
+                report[name] = {"entries": 0, "stored": False}
+                continue
             if self._stored:
                 # Free and unused rows are exact zeros: they weigh nothing.
                 entry = {
@@ -356,6 +477,7 @@ class FIVMEngine(MaintenanceEngine):
                     _payload_weight(payload) for payload in relation.data.values()
                 )
                 entry = {"entries": len(relation), "payload_weight": weight}
+            entry["stored"] = True
             support = self._view_supports.get(name)
             if support is not None:
                 entry["support"] = tuple(self.plan.layout.attributes[i] for i in support)
@@ -378,21 +500,28 @@ class FIVMEngine(MaintenanceEngine):
     state_payload = "views"
 
     def _export_payload(self) -> dict:
-        """Snapshot of the materialized views (picklable).
+        """Snapshot of every view of the tree (picklable).
 
         The payload plan holds lifting closures, so the engine object
         itself is not serialized — recreate it from the query and restore
         the snapshot with :meth:`import_state`. Pending decay is settled
         first, so snapshots always hold tick-zero (fully rebased) state
         and restore into any compatible engine without a decay clock.
+        Dropped views are re-derived (:meth:`_derive`) top-down, so one
+        derivation also yields the dropped views below it: the snapshot
+        has the same form whatever the engine stores.
         """
         self._settle_decay()
-        return {
-            "views": {
-                name: relation.copy().data
-                for name, relation in self.materialized.items()
-            }
-        }
+        materialized = self.materialized
+        derived: Dict[str, Relation] = {}
+        for name in reversed(self._view_order):
+            if name not in materialized and name not in derived:
+                derived.update(self._derive(name))
+        views: Dict[str, Any] = {}
+        for name in self._view_order:
+            stored = materialized.get(name)
+            views[name] = stored.copy().data if stored is not None else derived[name].data
+        return {"views": views}
 
     def _import_payload(self, state) -> None:
         """Restore the materialized views of a snapshot.
@@ -435,6 +564,8 @@ class FIVMEngine(MaintenanceEngine):
             )
 
     def _after_restore(self) -> None:
+        """Every view is stored again and nothing is observed yet."""
+        self._observed = set()
         self._refresh_view_sizes()
 
     # ------------------------------------------------------------------

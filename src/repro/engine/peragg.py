@@ -81,6 +81,10 @@ class PerAggregateEngine(MaintenanceEngine):
         for engine in self.engines.values():
             engine.apply(relation_name, delta)
 
+    def _before_many(self, relation_names) -> None:
+        for engine in self.engines.values():
+            engine._before_many(relation_names)
+
     def result(self) -> Relation:
         """The count view's result (keys match all per-aggregate views)."""
         self._require_initialized()

@@ -13,7 +13,7 @@ per-shard root views (multilinearity of the join makes that exact — see
 There is one worker, one wire form and one coordinator loop:
 
 - :class:`ShardWorker` owns a shard's engine and answers one message set
-  (``apply`` / ``advance`` fire-and-forget; ``result`` / ``export`` /
+  (``apply`` / ``observe`` / ``advance`` fire-and-forget; ``result`` / ``export`` /
   ``stats`` / ``memory`` / ``ping`` synchronous; ``stop``). A delta
   travels as ``("apply", relation, columns, counts)`` — the columnar
   form of :meth:`~repro.data.columnar.ColumnarDelta.transport`.
@@ -55,6 +55,7 @@ from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.data.sharding import ShardRouter, shard_hash
 from repro.engine.base import EngineStatistics, MaintenanceEngine
+from repro.engine.evaluation import evaluate_view
 from repro.engine.fivm import FIVMEngine
 from repro.engine.supervisor import WorkerSupervisor
 from repro.errors import EngineError, SupervisionError
@@ -178,13 +179,13 @@ class ShardWorker:
     :meth:`handle` takes one coordinator message and returns the reply
     to send back, or ``None`` for the fire-and-forget ops. Every
     synchronous reply is ``("ok", payload)`` or ``("error", message)``.
-    ``apply`` and ``advance`` never reply, so a failure in one is
-    *parked*: later applies are dropped (not half-applied on top of a
-    broken state) and every synchronous op answers with the parked error
-    until the coordinator replaces the worker.
+    ``apply``, ``observe`` and ``advance`` never reply, so a failure in
+    one is *parked*: later applies are dropped (not half-applied on top
+    of a broken state) and every synchronous op answers with the parked
+    error until the coordinator replaces the worker.
 
-    The deterministic fault sites ``worker.apply`` / ``worker.advance`` /
-    ``worker.reply`` fire here and nowhere else, so a fault spec means
+    The deterministic fault sites ``worker.apply`` / ``worker.observe`` /
+    ``worker.advance`` / ``worker.reply`` fire here and nowhere else, so a fault spec means
     the same thing on both backends. ``kill`` is how a ``"kill"`` spec
     dies: a forked worker passes :func:`~repro.testing.faults.exit_worker`;
     in-process it is ``None`` and the spec raises
@@ -225,7 +226,7 @@ class ShardWorker:
         if op == "stop":
             self.stopped = True
             return None
-        replies = op != "apply" and op != "advance"
+        replies = op not in ("apply", "advance", "observe")
         engine = self.engine
         try:
             if self.failure is None and _faults.current_injector() is not None:
@@ -248,6 +249,10 @@ class ShardWorker:
                     name=relation_name,
                 ).to_relation()
                 engine.apply(relation_name, delta)
+            elif op == "observe":
+                # The relations of a coalesced batch, ahead of their
+                # slices: F-IVM then keeps the views any of them probes.
+                engine._before_many(message[1])
             elif op == "advance":
                 # Channels are FIFO, so the tick lands after every delta
                 # routed before it — all shards advance their decay
@@ -807,6 +812,21 @@ class ShardedEngine(MaintenanceEngine):
         self._route(relation_name, delta)
         self._settle()
 
+    def _before_many(self, relation_names) -> None:
+        # Every shard hears the whole batch's relations before its first
+        # slice, as an unsharded engine's apply_many would.
+        if relation_names:
+            self._require_initialized()
+            self._observe(relation_names)
+            self._settle()
+
+    def _observe(self, relation_names, only: Optional[int] = None) -> None:
+        """Tell the shards (``only`` that one, in a replay) which
+        relations the deltas that follow update (fire-and-forget)."""
+        message = ("observe", tuple(relation_names))
+        for shard in range(self.shards) if only is None else (only,):
+            self._backend.post(shard, message, "coordinator.send")
+
     def _route(
         self, relation_name: str, delta: Relation, only: Optional[int] = None
     ) -> None:
@@ -939,7 +959,9 @@ class ShardedEngine(MaintenanceEngine):
 
     def memory_report(self) -> Dict[str, Dict[str, Any]]:
         """Per-view totals across shards (entries, payload weight, indexes);
-        a view's ``support`` is the same on every shard and kept as is."""
+        a view's ``support`` is the same on every shard and kept as is,
+        and it counts as ``stored`` when some shard stores it (each shard
+        drops views by the relations *it* has observed)."""
         self._require_initialized()
         merged: Dict[str, Dict[str, Any]] = {}
         for report in self._gather("memory"):
@@ -948,6 +970,8 @@ class ShardedEngine(MaintenanceEngine):
                 for field, value in entry.items():
                     if field == "support":
                         target[field] = value
+                    elif field == "stored":
+                        target[field] = target.get(field, False) or value
                     else:
                         target[field] = target.get(field, 0) + int(value)
         return merged
@@ -1193,7 +1217,13 @@ class ShardedEngine(MaintenanceEngine):
         """
         backend = self._backend
         schemas = self.router.schemas
-        for entry in self.supervisor.log.entries:
+        entries = self.supervisor.log.entries
+        # The restored shard stores every view again; hearing the log's
+        # relations first spares it a drop-and-rebuild mid-replay.
+        logged = dict.fromkeys(entry[1] for entry in entries if entry[0] == "delta")
+        if logged:
+            self._observe(logged, only=shard)
+        for entry in entries:
             if entry[0] == "advance":
                 backend.post(shard, ("advance", entry[1]), "coordinator.send")
                 continue
@@ -1259,21 +1289,13 @@ class ShardedEngine(MaintenanceEngine):
                 # same join+marginalize step evaluation uses, exact per
                 # shard and cheap: these views sit at/above the shard
                 # variable, the smallest materializations of the tree.
-                lifts = {
-                    attr: self.tree.plan.lifts[attr] for attr in node.lifted
-                }
                 for shard in range(self.shards):
-                    children = []
+                    children = {}
                     for child in node.children:
-                        relation = Relation(child.key, ring)
+                        relation = children[child.name] = Relation(child.key, ring)
                         relation.data = per_shard[shard][child.name]
-                        children.append(relation)
-                    children.sort(key=len)
-                    joined = children[0]
-                    for child in children[1:]:
-                        joined = joined.join(child)
-                    per_shard[shard][name] = joined.marginalize(
-                        node.key, lifts
+                    per_shard[shard][name] = evaluate_view(
+                        self.tree, node, {}, stored=children
                     ).data
         return per_shard
 

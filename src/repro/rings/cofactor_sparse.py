@@ -99,6 +99,10 @@ class Vocabulary:
 
     __slots__ = ("name", "codes", "values")
 
+    #: Values interned by every vocabulary together: rings cache what
+    #: depends on vocabulary sizes and recompute it when this moves.
+    interned = 0
+
     def __init__(self, name: str):
         self.name = name
         self.codes: Dict[Any, int] = {}
@@ -128,6 +132,7 @@ class Vocabulary:
                     )
                 self.values.append(value)
                 self.codes[value] = code
+                Vocabulary.interned += 1
         return code
 
     def encode(self, values) -> np.ndarray:
@@ -347,7 +352,9 @@ class SparseCofactorRing(Ring):
             keyed = [(f, side) for f, side in sides if self._kinds[f] != _CONTINUOUS]
             self._tag_sides.append(tuple(side for _, side in keyed))
             self._tag_schema.append(tuple(self.layout.attributes[f] for f, _ in keyed))
-        self._table_sizes = None
+        #: ``Vocabulary.interned`` when the value table and the packing
+        #: width were last computed (-1: never).
+        self._table_at = self._width_at = -1
         #: Codes below this are linear (``s``) entries: a payload's prefix.
         self._linear_end = m << _TAG_SHIFT
 
@@ -387,10 +394,7 @@ class SparseCofactorRing(Ring):
         in near-linear time over the few sorted runs the kernels
         concatenate — with a two-key ``lexsort`` when they do not.
         """
-        width = max(
-            (len(v.values) - 1).bit_length() if v is not None else b
-            for v, b in zip(self._vocabularies, self._bin_bits)
-        )
+        width = self._packing_width()
         shift = self._tag_bits + 2 * width
         if (n - 1).bit_length() + shift > 63:
             return self._canonical_rows_wide(rows, codes, vals, n)
@@ -412,6 +416,19 @@ class SparseCofactorRing(Ring):
             key, codes, vals = key[live], codes[live], vals[live]
         indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) << shift)
         return indptr, codes, vals
+
+    def _packing_width(self) -> int:
+        """Bits the widest category code of this ring's features needs,
+        recomputed only when a vocabulary has grown (the sort order of
+        :meth:`_canonical_rows` does not depend on it)."""
+        interned = Vocabulary.interned
+        if self._width_at != interned:
+            self._width = max(
+                (len(v.values) - 1).bit_length() if v is not None else b
+                for v, b in zip(self._vocabularies, self._bin_bits)
+            )
+            self._width_at = interned
+        return self._width
 
     @staticmethod
     def _canonical_rows_wide(rows, codes, vals, n: int):
@@ -587,8 +604,8 @@ class SparseCofactorRing(Ring):
         """Every feature's ``code -> category value`` table back to back
         (feature -1, a linear entry's absent second key, comes last),
         rebuilt when a vocabulary has grown."""
-        sizes = [len(v.values) if v is not None else 0 for v in self._vocabularies]
-        if sizes != self._table_sizes:
+        interned = Vocabulary.interned
+        if self._table_at != interned:
             tables = [
                 v.values if v is not None else range(size)
                 for v, size in zip(self._vocabularies, self._plain_sizes)
@@ -597,7 +614,8 @@ class SparseCofactorRing(Ring):
             values = np.empty(offsets[-1], dtype=object)
             for lo, table in zip(offsets.tolist(), tables):
                 values[lo : lo + len(table)] = list(table)
-            self._table_sizes, self._table = sizes, (offsets[:-1], values)
+            self._table = (offsets[:-1], values)
+            self._table_at = interned
         return self._table
 
     def intern(self, c: float, tags, first, second, vals) -> SparseCofactor:

@@ -9,6 +9,7 @@ fire at exact, counted call sites threaded through the engine:
 site                      where it fires
 ========================  ====================================================
 ``worker.apply``          in a shard worker, before applying one routed delta
+``worker.observe``        in a shard worker, before noting a batch's relations
 ``worker.advance``        in a shard worker, before a decay tick
 ``worker.reply``          in a shard worker, before a synchronous reply
 ``coordinator.send``      on the coordinator, before routing one sub-delta

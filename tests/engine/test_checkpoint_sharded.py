@@ -143,6 +143,7 @@ class TestCrossShardCountRestore:
         with restored:
             restored.import_state(state)
             report_restored = restored.memory_report()
+            shards_restored = restored._gather("export")
         # replaying the same prefix at 2 shards from scratch
         fresh = sharded(2)
         with fresh:
@@ -150,9 +151,29 @@ class TestCrossShardCountRestore:
             fresh.initialize(database)
             fresh.apply_stream(iter(events[:half]), batch_size=100)
             report_fresh = fresh.memory_report()
+            shards_fresh = fresh._gather("export")
+        # A restore stores every view; the fresh shards have dropped the
+        # inner views no path of the relations they saw probes.
+        assert all(entry["stored"] for entry in report_restored.values())
+        kept = {name for name, entry in report_fresh.items() if entry["stored"]}
+        assert kept < set(report_fresh)
         assert {
-            name: entry["entries"] for name, entry in report_restored.items()
-        } == {name: entry["entries"] for name, entry in report_fresh.items()}
+            name: entry["entries"]
+            for name, entry in report_restored.items()
+            if name in kept
+        } == {
+            name: entry["entries"]
+            for name, entry in report_fresh.items()
+            if name in kept
+        }
+        # Every view, shard by shard — a dropped one as its shard
+        # re-derives it for the export.
+        assert [part["views"] for part in shards_restored] == [
+            part["views"] for part in shards_fresh
+        ]
+        assert [set(part["views"]) for part in shards_fresh] == [
+            set(report_fresh)
+        ] * 2
 
     def test_coordinator_counters_restored(self):
         database, events = retailer_setup()

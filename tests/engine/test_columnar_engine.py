@@ -143,8 +143,8 @@ class TestColumnarEquivalence:
         assert per_tuple.stats.columnar_batches == 0
         assert columnar.result().close_to(per_tuple.result(), 1e-8)
         assert columnar.result().close_to(oracle.result(), 1e-8)
-        for name, view in columnar.materialized.items():
-            assert view.close_to(per_tuple.materialized[name], 1e-8), name
+        for name in columnar.tree.views:
+            assert columnar.view(name).close_to(per_tuple.view(name), 1e-8), name
         assert columnar.stats.view_sizes == per_tuple.stats.view_sizes
 
     def test_integer_valued_covar_matches_oracle_exactly(self):
@@ -185,7 +185,7 @@ class TestColumnarEquivalence:
         engine.apply("Inventory", deletes(schema, rows))
         assert engine.stats.columnar_batches == 2
         for name, data in before.items():
-            after = engine.materialized[name].data
+            after = engine.view(name).data
             assert set(after) == set(data), name
             for key, payload in data.items():
                 assert engine.plan.ring.close(after[key], payload, 1e-9)

@@ -151,13 +151,13 @@ class TestIndexedMaintenance:
 
     def test_cancellation_stream_returns_views_and_indexes_to_start(self):
         engine, _plain, _oracle = toy_engines()
-        before = {name: dict(v.data) for name, v in engine.materialized.items()}
+        before = {name: dict(engine.view(name).data) for name in engine.tree.views}
         rows = [("a1", 77), ("a8", 8), ("a9", 9)]
         engine.apply("R", inserts(R_SCHEMA, rows))
         engine.apply("R", deletes(R_SCHEMA, rows[:1]))
         engine.apply("R", deletes(R_SCHEMA, rows[1:]))
         for name, data in before.items():
-            view = engine.materialized[name]
+            view = engine.view(name)
             assert view.data == data
             if isinstance(view, IndexedRelation):
                 for index in view.indexes.values():

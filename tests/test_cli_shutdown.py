@@ -97,6 +97,11 @@ class TestServeSigterm:
         try:
             wait_for(lambda: len(child_pids(proc.pid)) >= 2, proc)
             workers = child_pids(proc.pid)
+            # The workers fork before serve routes SIGTERM into its clean
+            # shutdown; the banner is printed after, so wait for it.
+            for line in proc.stdout:
+                if line.startswith("# serving"):
+                    break
             proc.send_signal(signal.SIGTERM)
             out, _ = proc.communicate(timeout=60)
         finally:

@@ -419,12 +419,12 @@ class TestConfigProvenance:
             assert got.support == want.support == (0, 1, 2)
             assert got == want
             if shards == 1:
-                for name, view in writer.materialized.items():
-                    mine = restored.view(name)
-                    assert list(mine.data) == list(view.data)
-                    for key, payload in view.data.items():
-                        assert mine.data[key].support == payload.support
-                        assert mine.data[key] == payload
+                for name in writer.tree.views:
+                    theirs, mine = writer.view(name).data, restored.view(name).data
+                    assert list(mine) == list(theirs)
+                    for key, payload in theirs.items():
+                        assert mine[key].support == payload.support
+                        assert mine[key] == payload
             update = inserts(("A", "B"), [("a1", 2)])
             writer.apply("R", update)
             restored.apply("R", update)
