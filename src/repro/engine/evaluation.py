@@ -1,10 +1,13 @@
 """Bottom-up evaluation of a view tree over concrete relations.
 
-Shared by: F-IVM's initialization and its re-derivation of views it does
-not store, the naive re-evaluation baseline, and the first-order
-baseline's delta queries (which evaluate the same tree with one base
-relation replaced by a delta — correct because the join is linear in
-each of its relations).
+Shared by: F-IVM's initialization on rings without fused paths (count,
+sum, ``general-float``; cofactor rings load the database up the fused
+paths instead), F-IVM's re-derivation of a view it does not store where
+no fused path runs through it, the sharded engine's re-partitioning of
+views above the shard variable, the naive re-evaluation baseline, and
+the first-order baseline's delta queries (which evaluate the same tree
+with one base relation replaced by a delta — correct because the join is
+linear in each of its relations).
 
 With ``install`` every evaluated view is recorded in its long-lived form
 — F-IVM passes the function that wraps a view as an indexed relation or
