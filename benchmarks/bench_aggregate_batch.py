@@ -54,7 +54,7 @@ def tiny_batches(database, count=3, batch_size=50):
 
 @pytest.mark.parametrize("m", [2, 4, 8])
 def test_compound_ring(benchmark, m, tiny_db):
-    query = retailer_query(CovarSpec(features_of(m), backend="numeric"))
+    query = retailer_query(CovarSpec(features_of(m)))
     order = retailer_variable_order()
     batches = tiny_batches(tiny_db)
     benchmark.extra_info["updates"] = total_updates(batches)

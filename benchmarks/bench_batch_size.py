@@ -24,7 +24,6 @@ def spec():
             Feature.continuous("inventoryunits"),
             Feature.continuous("maxtemp"),
         ),
-        backend="numeric",
     )
 
 

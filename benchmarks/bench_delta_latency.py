@@ -128,7 +128,7 @@ def bench_path_crossover(database, config, order, updates_per_cell, repeats):
     ``repeats`` rounds. Only ``engine.apply_many`` is timed.
     """
     query = retailer_query(
-        CovarSpec(continuous_covar_features(limit=12), backend="numeric")
+        CovarSpec(continuous_covar_features(limit=12))
     )
     schemas = {n: query.schema_of(n).attributes for n in query.relation_names}
     warm = max(updates_per_cell // 4, max(CROSSOVER_SIZES))
@@ -189,7 +189,7 @@ def bench_equivalence(database, config, order, total_updates, batch_size, record
     events = make_events(database, config, total_updates, seed=11)
     count_query = retailer_query(CountSpec())
     features = continuous_covar_features(limit=2)
-    covar_query = retailer_query(CovarSpec(features, backend="numeric"))
+    covar_query = retailer_query(CovarSpec(features))
     engines = [
         ("naive", lambda: NaiveEngine(count_query, order=order)),
         ("first-order", lambda: FirstOrderEngine(count_query, order=order)),

@@ -17,7 +17,7 @@ from benchmarks.conftest import apply_all, retailer_batches, total_updates
 
 
 def test_full_covar_initialization(benchmark, retailer_db, retailer_order):
-    query = retailer_query(CovarSpec(continuous_covar_features(), backend="numeric"))
+    query = retailer_query(CovarSpec(continuous_covar_features()))
 
     def initialize():
         engine = FIVMEngine(query, order=retailer_order)
@@ -31,7 +31,7 @@ def test_full_covar_initialization(benchmark, retailer_db, retailer_order):
 
 
 def test_full_covar_batch_1000(benchmark, retailer_db, retailer_order):
-    query = retailer_query(CovarSpec(continuous_covar_features(), backend="numeric"))
+    query = retailer_query(CovarSpec(continuous_covar_features()))
     batches = retailer_batches(retailer_db, 2, batch_size=1000, seed=12)
     benchmark.extra_info["updates"] = total_updates(batches)
     benchmark.extra_info["aggregates"] = 990

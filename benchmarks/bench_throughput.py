@@ -38,7 +38,6 @@ def continuous_covar_spec():
             Feature.continuous("maxtemp"),
             Feature.continuous("avghhi"),
         ),
-        backend="numeric",
     )
 
 

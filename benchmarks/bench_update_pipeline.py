@@ -102,7 +102,7 @@ def bench_equivalence(database, config, order, total_updates, batch_size):
     events = make_events(database, config, total_updates, seed=11)
     count_query = retailer_query(CountSpec())
     features = continuous_covar_features(limit=2)
-    covar_query = retailer_query(CovarSpec(features, backend="numeric"))
+    covar_query = retailer_query(CovarSpec(features))
 
     def peragg():
         return PerAggregateEngine(covar_query, features, order=order)

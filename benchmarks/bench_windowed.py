@@ -90,7 +90,7 @@ def bench_ingest(database, events, batch_size, records) -> None:
     """Per-source-update ingest latency: full-history vs windowed vs decayed."""
     count_query = retailer_query(CountSpec())
     covar_query = retailer_query(
-        CovarSpec(continuous_covar_features(limit=3), backend="numeric")
+        CovarSpec(continuous_covar_features(limit=3))
     )
     size = max(len(events) // 4, 4)
     sliding = WindowSpec(size, max(size // 2, 1))

@@ -129,7 +129,6 @@ def exp_batch_size(quick: bool) -> None:
             Feature.continuous("inventoryunits"),
             Feature.continuous("maxtemp"),
         ),
-        backend="numeric",
     )
     total = 600 if quick else 2000
     print(f"{'batch_size':>10} {'updates':>8} {'seconds':>9} {'upd/s':>10}")
@@ -178,7 +177,7 @@ def exp_aggregate_batch(quick: bool) -> None:
         features = tuple(Feature.continuous(a) for a in attrs[:m])
         batches = make_batches(db, config, ("Inventory",), 3, 50, seed=11)
         compound = FIVMEngine(
-            retailer_query(CovarSpec(features, backend="numeric")), order=order
+            retailer_query(CovarSpec(features)), order=order
         )
         compound.initialize(db)
         compound_s = timed_apply(compound, batches)
@@ -211,7 +210,7 @@ def exp_full_covar(quick: bool) -> None:
     m = len(features)
     aggregates = 1 + m + m * (m + 1) // 2
     engine = FIVMEngine(
-        retailer_query(CovarSpec(features, backend="numeric")),
+        retailer_query(CovarSpec(features)),
         order=retailer_variable_order(),
     )
     started = time.perf_counter()
@@ -348,7 +347,6 @@ def exp_ablation(quick: bool) -> None:
             Feature.continuous("inventoryunits"),
             Feature.continuous("population"),
         ),
-        backend="numeric",
     )
     orders = {
         "figure2d-tree": retailer_variable_order(),

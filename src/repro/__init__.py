@@ -111,14 +111,12 @@ from repro.rings import (
     CovarSpec,
     Feature,
     FloatRing,
-    GeneralCofactorRing,
     IntegerRing,
     MinPlusRing,
     MISpec,
     NumericCofactorRing,
     PayloadPlan,
     PayloadSpec,
-    RelationRing,
     RelationValue,
     Ring,
     SparseCofactorRing,
@@ -163,11 +161,9 @@ __all__ = [
     "FloatRing",
     "BoolRing",
     "MinPlusRing",
-    "RelationRing",
     "RelationValue",
     "CofactorLayout",
     "NumericCofactorRing",
-    "GeneralCofactorRing",
     "SparseCofactorRing",
     "Binning",
     "Feature",

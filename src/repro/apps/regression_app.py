@@ -35,16 +35,11 @@ class RegressionApp:
         label: str,
         regularization: float = 1e-2,
         order: Optional[VariableOrder] = None,
-        backend: str = "auto",
     ):
         names = [feature.name for feature in features]
         if label not in names:
             raise FIVMError(f"label {label!r} must be one of the COVAR features")
-        query = Query(
-            "Regression",
-            tuple(relations),
-            spec=CovarSpec(tuple(features), backend=backend),
-        )
+        query = Query("Regression", tuple(relations), spec=CovarSpec(tuple(features)))
         self.session = MaintenanceSession(database, query, order=order)
         self.solver = RidgeRegression(
             features=[name for name in names if name != label],

@@ -57,26 +57,11 @@ from repro.config import (
     engine_config_from_args,
 )
 from repro.data import WindowedStream, single, tuple_events
-from repro.datasets import (
-    FAVORITA_SCHEMAS,
-    RETAILER_SCHEMAS,
-    FavoritaConfig,
-    RetailerConfig,
-    UpdateStream,
-    favorita_query,
-    favorita_regression_features,
-    favorita_row_factories,
-    favorita_variable_order,
-    generate_favorita,
-    generate_retailer,
-    regression_features,
-    retailer_query,
-    retailer_row_factories,
-    retailer_variable_order,
-)
+from repro.datasets import UpdateStream
 from repro.engine import FIVMEngine, FirstOrderEngine, NaiveEngine, ShardedEngine
-from repro.ml.discretize import binning_for_attribute
-from repro.rings import CountSpec, CovarSpec, Feature, MISpec, result_drift
+from repro.errors import FIVMError
+from repro.query.query import Query
+from repro.rings import CovarSpec, result_drift
 from repro.serving import (
     IngestThread,
     ServerThread,
@@ -114,65 +99,9 @@ def _graceful_sigterm():
         signal.signal(signal.SIGTERM, previous)
 
 
-def _dataset(args):
-    """Resolve (database, schemas, order, query factory, stream factory)."""
-    if args.dataset == "retailer":
-        config = RetailerConfig(
-            locations=args.scale * 8,
-            dates=args.scale * 15,
-            items=args.scale * 60,
-            inventory_rows=args.scale * 1200,
-            seed=args.seed,
-        )
-        db = generate_retailer(config)
-        factories = retailer_row_factories(config, db)
-        return db, RETAILER_SCHEMAS, retailer_variable_order(), retailer_query, factories, ("Inventory",)
-    config = FavoritaConfig(
-        stores=args.scale * 8,
-        dates=args.scale * 20,
-        items=args.scale * 50,
-        sales_rows=args.scale * 1000,
-        seed=args.seed,
-    )
-    db = generate_favorita(config)
-    factories = favorita_row_factories(config, db)
-    return db, FAVORITA_SCHEMAS, favorita_variable_order(), favorita_query, factories, ("Sales",)
-
-
-def _mi_features(args, db):
-    if args.dataset == "retailer":
-        item = db.relation("Item")
-        inventory = db.relation("Inventory")
-        return (
-            Feature.categorical("ksn"),
-            Feature.categorical("subcategory"),
-            Feature.categorical("category"),
-            Feature.categorical("categoryCluster"),
-            Feature("prize", "continuous", binning_for_attribute(item, "prize", 8)),
-            Feature(
-                "inventoryunits",
-                "continuous",
-                binning_for_attribute(inventory, "inventoryunits", 8),
-            ),
-            Feature.categorical("rain"),
-        ), "inventoryunits"
-    sales = db.relation("Sales")
-    oil = db.relation("Oil")
-    return (
-        Feature.categorical("onpromotion"),
-        Feature.categorical("family"),
-        Feature.categorical("holidaytype"),
-        Feature("oilprize", "continuous", binning_for_attribute(oil, "oilprize", 6)),
-        Feature(
-            "unitsales", "continuous", binning_for_attribute(sales, "unitsales", 8)
-        ),
-    ), "unitsales"
-
-
-def _regression_features(args):
-    if args.dataset == "retailer":
-        return regression_features()
-    return favorita_regression_features()
+def _scenario(args, payload: str):
+    """The dataset, query and update stream recipe ``repro serve`` uses."""
+    return build_serving_scenario(args.dataset, payload, scale=args.scale, seed=args.seed)
 
 
 # ----------------------------------------------------------------------
@@ -181,16 +110,8 @@ def _regression_features(args):
 
 
 def cmd_info(args) -> int:
-    db, _schemas, order, query_of, _factories, _targets = _dataset(args)
-    if args.payload == "count":
-        spec = CountSpec()
-    elif args.payload == "covar":
-        features, _label = _regression_features(args)
-        spec = CovarSpec(features)
-    else:
-        features, _label = _mi_features(args, db)
-        spec = MISpec(features)
-    app = MaintenanceStrategyApp(query_of(spec), order=order)
+    scenario = _scenario(args, args.payload)
+    app = MaintenanceStrategyApp(scenario.query, order=scenario.order)
     print(f"# dataset: {args.dataset}   payload: {args.payload}")
     print("\n## View tree\n")
     print(app.render_tree())
@@ -203,16 +124,17 @@ def cmd_info(args) -> int:
 
 
 def cmd_run(args) -> int:
-    db, schemas, order, _query_of, factories, targets = _dataset(args)
+    scenario = _scenario(args, "covar" if args.app == "regression" else "mi")
+    db, schemas, order = scenario.database, scenario.query.relations, scenario.order
+    features = scenario.query.spec.features
     if args.app == "model-selection":
-        features, label = _mi_features(args, db)
         app = ModelSelectionApp(
-            db, schemas, features, label=label, threshold=args.threshold, order=order
+            db, schemas, features, label=scenario.mi_label,
+            threshold=args.threshold, order=order,
         )
         render = app.render
     elif args.app == "regression":
-        features, label = _regression_features(args)
-        app = RegressionApp(db, schemas, features, label, order=order)
+        app = RegressionApp(db, schemas, features, scenario.regression_label, order=order)
         app.refresh_model()
 
         def render():
@@ -220,7 +142,6 @@ def cmd_run(args) -> int:
             return app.render()
 
     else:
-        features, _label = _mi_features(args, db)
         app = ChowLiuApp(db, schemas, features, order=order)
 
         def render():
@@ -230,8 +151,8 @@ def cmd_run(args) -> int:
     print(render())
     stream = UpdateStream(
         app.session.database,
-        factories,
-        targets=targets,
+        scenario.factories,
+        targets=scenario.targets,
         batch_size=args.batch_size,
         insert_ratio=args.insert_ratio,
         seed=args.seed,
@@ -246,15 +167,22 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _bench_spec(args, config):
-    """Payload for the engine comparison: count ring by default, the
-    numeric covar ring over the continuous features when decay is on —
-    decay needs float-weighted payloads, exact count rings refuse it."""
+def _bench_query(args, config):
+    """Scenario and query for the engine comparison: the count ring by
+    default, the numeric covar ring over the continuous regression
+    features when decay is on — decay needs float-weighted payloads,
+    exact count rings refuse it."""
     if config.decay is None:
-        return CountSpec(), "count ring"
-    features, _label = _regression_features(args)
-    continuous = tuple(f for f in features if f.kind == "continuous")
-    return CovarSpec(continuous, backend="numeric"), "numeric covar ring"
+        scenario = _scenario(args, "count")
+        return scenario, scenario.query, "count ring"
+    scenario = _scenario(args, "covar")
+    query = scenario.query
+    continuous = tuple(f for f in query.spec.features if not f.is_categorical)
+    return (
+        scenario,
+        Query(query.name, query.relations, spec=CovarSpec(continuous)),
+        "numeric covar ring",
+    )
 
 
 def cmd_bench(args) -> int:
@@ -269,23 +197,16 @@ def cmd_bench(args) -> int:
 
 
 def _run_bench(args) -> int:
-    db, _schemas, order, query_of, factories, targets = _dataset(args)
     config = engine_config_from_args(args)
+    scenario, query, ring_label = _bench_query(args, config)
+    db, order = scenario.database, scenario.order
     window_spec = config.window_spec()
     if (window_spec is not None or config.decay is not None) and args.ingest != "stream":
         # Windows fire retractions on the event clock and decay ticks on
         # it; pre-built batches have no clock.
         print("# note: window/decay ride the event stream; using --ingest stream")
         args.ingest = "stream"
-    spec, ring_label = _bench_spec(args, config)
-    stream = UpdateStream(
-        db,
-        factories,
-        targets=targets,
-        batch_size=args.batch_size,
-        insert_ratio=args.insert_ratio,
-        seed=args.seed,
-    )
+    stream = scenario.stream(batch_size=args.batch_size, insert_ratio=args.insert_ratio)
     batches = list(stream.batches(args.batches))
     n_updates = sum(
         sum(abs(m) for m in delta.data.values()) for _n, delta in batches
@@ -308,25 +229,24 @@ def _run_bench(args) -> int:
         + ")"
     )
     print(f"{'engine':>14} {'init (s)':>9} {'maintain (s)':>13} {'updates/s':>11}")
-    contenders = [
-        (
-            FIVMEngine.strategy,
-            lambda: FIVMEngine(
-                query_of(spec), order=order, config=config.replace(shards=1)
-            ),
-        ),
-    ]
+
+    def fivm():
+        engine = FIVMEngine(query, order=order, config=config.replace(shards=1))
+        engine.profile_stages = args.profile
+        return engine
+
+    contenders = [(FIVMEngine.strategy, fivm)]
     if config.decay is None:
         # First-order/naive engines take no EngineConfig, so they cannot
         # decay — windowed streams are fine (retractions are plain deltas).
         contenders += [
             (
                 FirstOrderEngine.strategy,
-                lambda: FirstOrderEngine(query_of(spec), order=order),
+                lambda: FirstOrderEngine(query, order=order),
             ),
             (
                 NaiveEngine.strategy,
-                lambda: NaiveEngine(query_of(spec), order=order),
+                lambda: NaiveEngine(query, order=order),
             ),
         ]
     if config.shards > 1:
@@ -335,7 +255,7 @@ def _run_bench(args) -> int:
             (
                 f"fivm x{config.shards}",
                 lambda: ShardedEngine(
-                    query_of(spec), order=order, config=config
+                    query, order=order, config=config
                 ),
             ),
         )
@@ -365,7 +285,7 @@ def _run_bench(args) -> int:
             # the in-process engines).
             results.append(engine.result())
             seconds = time.perf_counter() - started
-            if config.profile_stages and isinstance(engine, FIVMEngine):
+            if getattr(engine, "profile_stages", False):
                 profiled = engine.stats
         finally:
             if isinstance(engine, ShardedEngine):
@@ -385,11 +305,11 @@ def _run_bench(args) -> int:
     else:
         assert all(results[0] == other for other in results[1:]), "engines disagree"
         print("all engines agree on the final result ✓")
-    if config.decay is not None and config.profile_stages:
+    if config.decay is not None and args.profile:
         # Quantify what decay is doing: distance of the recency-weighted
         # result from the same stream aggregated without decay.
         reference = FIVMEngine(
-            query_of(spec), order=order,
+            query, order=order,
             config=config.replace(shards=1, decay=None),
         )
         reference.initialize(db)
@@ -430,13 +350,6 @@ def _run_bench(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _checkpoint_spec(args, payload: str):
-    if payload == "covar":
-        features, _label = _regression_features(args)
-        return CovarSpec(features)
-    return CountSpec()
-
-
 def _counting(events, counter):
     """Pass events through, tallying them in ``counter[0]`` — keeps the
     CLI's memory O(batch) instead of materializing the whole stream."""
@@ -445,14 +358,10 @@ def _counting(events, counter):
         yield event
 
 
-def _checkpoint_stream(meta, db, factories, targets):
-    return UpdateStream(
-        db,
-        factories,
-        targets=targets,
-        batch_size=int(meta["batch_size"]),
-        insert_ratio=float(meta["insert_ratio"]),
-        seed=int(meta["seed"]),
+def _checkpoint_stream(scenario, meta):
+    """The update stream ``repro checkpoint save`` ingested."""
+    return scenario.stream(
+        batch_size=int(meta["batch_size"]), insert_ratio=float(meta["insert_ratio"])
     )
 
 
@@ -476,16 +385,8 @@ def cmd_checkpoint_save(args) -> int:
 
 
 def _run_checkpoint_save(args) -> int:
-    db, _schemas, order, query_of, factories, targets = _dataset(args)
-    query = query_of(_checkpoint_spec(args, args.payload))
-    stream = UpdateStream(
-        db,
-        factories,
-        targets=targets,
-        batch_size=args.batch_size,
-        insert_ratio=args.insert_ratio,
-        seed=args.seed,
-    )
+    scenario = _scenario(args, args.payload)
+    stream = scenario.stream(batch_size=args.batch_size, insert_ratio=args.insert_ratio)
     # "updates" starts as the requested target; periodic snapshots carry
     # the exact position as events_processed, and the final write below
     # replaces it with the exact emitted count (streams emit in whole
@@ -504,9 +405,9 @@ def _run_checkpoint_save(args) -> int:
     # Counting sits on the *source* stream, so positions stay in source
     # units even when the window wrapper interleaves retractions.
     events = _windowed(_counting(stream.tuples(args.updates), counter), config)
-    engine = create_engine(query, config=config, order=order)
+    engine = create_engine(scenario.query, config=config, order=scenario.order)
     try:
-        engine.initialize(db)
+        engine.initialize(scenario.database)
         if args.every:
             engine.apply_stream(
                 events,
@@ -583,15 +484,13 @@ def cmd_checkpoint_load(args) -> int:
     # checkpoint's shard count need not match --engine-shards. Time semantics
     # (window/decay) come from the checkpoint's own config provenance so
     # the resumed stream means the same thing it did at save time.
-    args.dataset, args.scale, args.seed = (
-        meta["dataset"], int(meta["scale"]), int(meta["seed"]),
+    scenario = build_serving_scenario(
+        meta["dataset"], meta["payload"], scale=int(meta["scale"]), seed=int(meta["seed"])
     )
-    db, _schemas, order, query_of, factories, targets = _dataset(args)
-    query = query_of(_checkpoint_spec(args, meta["payload"]))
     config = engine_config_from_args(args).replace(
         window=info.config.get("window"), decay=info.config.get("decay"),
     )
-    engine = create_engine(query, config=config, order=order)
+    engine = create_engine(scenario.query, config=config, order=scenario.order)
     try:
         restore_checkpoint(engine, head)
         position = int(meta.get("events_processed", meta["updates"]))
@@ -605,7 +504,7 @@ def cmd_checkpoint_load(args) -> int:
             total = int(meta["updates"]) + args.resume_updates
             # Regenerate the seeded stream and skip the already-applied
             # prefix lazily — memory stays O(batch), not O(stream).
-            stream = _checkpoint_stream(meta, db, factories, targets)
+            stream = _checkpoint_stream(scenario, meta)
             counter = [0]
             window_spec = config.window_spec()
             if window_spec is not None:
@@ -623,14 +522,14 @@ def cmd_checkpoint_load(args) -> int:
             print(f"resumed {resumed} updates from the stream")
             if args.verify:
                 reference = FIVMEngine(
-                    query_of(_checkpoint_spec(args, meta["payload"])),
-                    order=order,
+                    scenario.query,
+                    order=scenario.order,
                     config=EngineConfig(
                         window=config.window, decay=config.decay
                     ),
                 )
-                reference.initialize(db)
-                replay = _checkpoint_stream(meta, db, factories, targets)
+                reference.initialize(scenario.database)
+                replay = _checkpoint_stream(scenario, meta)
                 reference.apply_stream(
                     _windowed(replay.tuples(total), config),
                     batch_size=int(meta["batch_size"]),
@@ -850,6 +749,14 @@ def build_parser() -> argparse.ArgumentParser:
             "stream: single-tuple events re-coalesced by the UpdateBatcher"
         ),
     )
+    bench.add_argument(
+        "--profile",
+        action="store_true",
+        help=(
+            "print the F-IVM engine's per-stage wall time "
+            "(lift/probe/multiply/group/scatter) of the fused program"
+        ),
+    )
     add_engine_cli_args(bench)
     bench.set_defaults(func=cmd_bench)
 
@@ -968,7 +875,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (FIVMError, OSError) as exc:
+        # What the user asked for cannot be done (bad input, missing or
+        # unreadable file): one line, not a traceback.
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -1,11 +1,13 @@
 """One frozen description of how to build a maintenance engine.
 
 :class:`EngineConfig` says *where* maintenance runs (shards, backend,
-supervision) and over *which* history (window, decay). It does not say
-*how* a delta is maintained: the engine picks the fused
-columnar program or the per-tuple path from the payload ring and the
-delta's size (see :class:`~repro.engine.fivm.FIVMEngine`), so there is
-no access-path switch to set.
+supervision) and over *which* history (window, decay). What the query
+decides is not in it: the engine picks the fused columnar program or the
+per-tuple path from the payload ring and the delta's size (see
+:class:`~repro.engine.fivm.FIVMEngine`), and a sharded engine derives its
+shard key from the view tree
+(:func:`~repro.viewtree.builder.build_shard_plan`), so there is no
+access-path or shard-key switch to set.
 
 - :func:`create_engine` builds the right engine (sharded coordinator or
   plain F-IVM) from a config;
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
 from repro.errors import DataError, EngineError, RingError
 
@@ -51,10 +53,6 @@ class EngineConfig:
     shards: int = 1
     #: Shard execution backend: ``auto`` | ``serial`` | ``process``.
     backend: str = "auto"
-    #: Explicit shard attributes (default: derived from the view tree).
-    shard_attrs: Optional[Tuple[str, ...]] = None
-    #: F-IVM: accumulate per-stage wall-clock into ``stats.stage_seconds``.
-    profile_stages: bool = False
     #: Windowed maintenance: ``"tumbling:SIZE"`` or ``"sliding:SIZE/SLIDE"``
     #: (event-time units). The stream layer compiles the window to delayed
     #: retractions (:class:`~repro.data.windows.WindowedStream`); snapshots
@@ -93,10 +91,7 @@ class EngineConfig:
                 f"unknown shard backend {self.backend!r}; expected one of "
                 f"{BACKEND_CHOICES}"
             )
-        if self.shard_attrs is not None:
-            object.__setattr__(self, "shard_attrs", tuple(self.shard_attrs))
-        for name in ("profile_stages", "supervise"):
-            object.__setattr__(self, name, bool(getattr(self, name)))
+        object.__setattr__(self, "supervise", bool(self.supervise))
         try:
             object.__setattr__(
                 self, "replay_log_limit", int(self.replay_log_limit)
@@ -167,13 +162,7 @@ class EngineConfig:
 
     def to_dict(self) -> Dict[str, Any]:
         """Primitive-only dict form (checkpoint headers, provenance)."""
-        out: Dict[str, Any] = {}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            out[spec.name] = value
-        return out
+        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EngineConfig":
@@ -259,22 +248,6 @@ def add_engine_cli_args(parser: argparse.ArgumentParser, shards_default: int = 1
         help="shard execution backend (auto: fork processes when available)",
     )
     group.add_argument(
-        "--engine-shard-attrs",
-        dest="engine_shard_attrs", default=None, metavar="A[,B...]",
-        help=(
-            "explicit comma-separated shard attributes "
-            "(default: derived from the view tree)"
-        ),
-    )
-    group.add_argument(
-        "--engine-profile",
-        dest="engine_profile", action="store_true",
-        help=(
-            "accumulate per-stage wall time "
-            "(lift/probe/multiply/group/scatter) in engine stats"
-        ),
-    )
-    group.add_argument(
         "--engine-window",
         dest="engine_window", default=None, metavar="SPEC",
         help=(
@@ -320,15 +293,9 @@ def add_engine_cli_args(parser: argparse.ArgumentParser, shards_default: int = 1
 
 def engine_config_from_args(args: argparse.Namespace) -> EngineConfig:
     """Build the :class:`EngineConfig` an ``--engine-*`` namespace encodes."""
-    attrs = getattr(args, "engine_shard_attrs", None)
-    shard_attrs = (
-        tuple(a.strip() for a in attrs.split(",") if a.strip()) if attrs else None
-    )
     return EngineConfig(
         shards=int(getattr(args, "engine_shards", 1)),
         backend=getattr(args, "engine_backend", "auto"),
-        shard_attrs=shard_attrs,
-        profile_stages=bool(getattr(args, "engine_profile", False)),
         window=getattr(args, "engine_window", None),
         decay=getattr(args, "engine_decay", None),
         supervise=bool(getattr(args, "engine_supervise", False)),

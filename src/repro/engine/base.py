@@ -139,9 +139,10 @@ class EngineStatistics:
     #: Entries per *stored* view (F-IVM lists no dropped view here).
     view_sizes: Dict[str, int] = field(default_factory=dict)
     #: Per-stage wall-clock seconds of the fused kernels (lift / probe /
-    #: multiply / group / scatter), accumulated only when the engine was
-    #: built with ``profile_stages=True`` (``repro bench --engine-profile``).
-    #: Not checkpoint-carried: timings describe one process's run.
+    #: multiply / group / scatter), accumulated only while F-IVM's
+    #: ``profile_stages`` attribute is set (``repro bench --profile``).
+    #: Not checkpoint-carried, and not in :meth:`snapshot` (so not in
+    #: ``/stats``): timings describe one process's run.
     stage_seconds: Dict[str, float] = field(default_factory=dict)
 
     #: Counter fields carried through engine snapshots (checkpointing).

@@ -1,8 +1,7 @@
 """Bottom-up evaluation of a view tree over concrete relations.
 
 Shared by: F-IVM's initialization on rings without fused paths (count,
-sum, ``general-float``; cofactor rings load the database up the fused
-paths instead), F-IVM's re-derivation of a view it does not store where
+sum; cofactor rings load the database up the fused paths instead), F-IVM's re-derivation of a view it does not store where
 no fused path runs through it, the sharded engine's re-partitioning of
 views above the shard variable, the naive re-evaluation baseline, and
 the first-order baseline's delta queries (which evaluate the same tree

@@ -13,9 +13,9 @@ every view starts empty, and each base relation's contents go up its own
 path as insert deltas of at most ``_LOAD_CHUNK_ROWS`` rows, smallest
 relation first. The sum of the inserts is the database, so the views are
 the evaluated ones, and the transient blocks stay the size of one
-steady-state batch. Rings without fused paths (count, sum,
-``general-float``) evaluate the tree instead: through the per-tuple
-interpreter the same load measured 2.3-3.6x slower than evaluation.
+steady-state batch. Rings without fused paths (count, sum) evaluate the
+tree instead: through the per-tuple interpreter the same load measured
+2.3-3.6x slower than evaluation.
 
 From then on the engine keeps a view stored only if it is the root, a
 leaf, or a sibling that the path of an *observed* relation probes — a
@@ -95,9 +95,8 @@ class FIVMEngine(MaintenanceEngine):
     payload a spec builds by default: numeric COVAR, and MI / mixed
     COVAR over the sparse relational ring, decayed or not — every view
     is a :class:`~repro.data.store.SlotStore` (one ring block per view,
-    both paths below read and write its rows); otherwise (counts, sums,
-    the ``general-float`` cross-validation backend) views are dict
-    relations, indexed where probed.
+    both paths below read and write its rows); otherwise (counts, sums)
+    views are dict relations, indexed where probed.
 
     A delta is maintained along one of two paths, chosen only from what
     the engine can observe:
@@ -120,10 +119,10 @@ class FIVMEngine(MaintenanceEngine):
     size only, never on the application. Both paths produce the same
     views (floating-point group sums may associate differently, like
     any batch-size change).
-    ``profile_stages`` accumulates per-stage wall-clock seconds
+    Setting the engine's ``profile_stages`` attribute (default
+    ``False``) accumulates per-stage wall-clock seconds
     (lift/probe/multiply/group/scatter) of the fused program into
-    ``stats.stage_seconds`` — the ``repro bench --engine-profile``
-    breakdown.
+    ``stats.stage_seconds`` — the ``repro bench --profile`` breakdown.
     """
 
     strategy = "fivm"
@@ -186,7 +185,7 @@ class FIVMEngine(MaintenanceEngine):
         #: selects the fused path.
         self._stored = ring.has_bulk_kernels and not ring.is_scalar
         self.materialized: Dict[str, Any] = {}
-        self.profile_stages = config.profile_stages
+        self.profile_stages = False
         self.probe_plan = build_probe_plan(self.tree)
         #: Relations observed since initialize / restore.
         self._observed: Set[str] = set()
@@ -560,10 +559,8 @@ class FIVMEngine(MaintenanceEngine):
                     "free_slots": len(relation.free),
                 }
             else:
-                weight = sum(
-                    _payload_weight(payload) for payload in relation.data.values()
-                )
-                entry = {"entries": len(relation), "payload_weight": weight}
+                # Spec-built dict views hold scalar payloads: one cell each.
+                entry = {"entries": len(relation), "payload_weight": len(relation)}
             entry["stored"] = True
             support = self._view_supports.get(name)
             if support is not None:
@@ -692,11 +689,3 @@ def _subtree_leaf_count(view) -> int:
     if view.is_leaf:
         return 1
     return sum(_subtree_leaf_count(child) for child in view.children)
-
-
-def _payload_weight(payload) -> int:
-    """Scalar cells inside one dict-view payload: a scalar, or a general
-    cofactor over a numeric scalar ring (one count, sparse ``s`` and ``Q``)."""
-    if hasattr(payload, "q"):
-        return 1 + len(payload.s) + len(payload.q)
-    return 1

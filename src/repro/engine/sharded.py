@@ -672,7 +672,8 @@ class ShardedEngine(MaintenanceEngine):
         the same tree over its partition.
     config:
         An :class:`~repro.config.EngineConfig` carrying every tunable —
-        shard count, backend, shard attributes, supervision and decay.
+        shard count, backend, supervision and decay. The shard attribute
+        is derived from the view tree (:func:`build_shard_plan`).
         ``None`` means ``EngineConfig(shards=2)``, the engine's
         historical default.
 
@@ -702,9 +703,7 @@ class ShardedEngine(MaintenanceEngine):
         self.shards = config.shards
         self.order = order
         self.tree = build_view_tree(query, order=order)
-        self.shard_plan: ShardPlan = build_shard_plan(
-            self.tree, attrs=config.shard_attrs
-        )
+        self.shard_plan: ShardPlan = build_shard_plan(self.tree)
         schemas = {
             name: query.schema_of(name).attributes
             for name in query.relation_names

@@ -22,12 +22,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import FIVMError
-from repro.rings.cofactor import (
-    GeneralCofactor,
-    GeneralCofactorRing,
-    NumericCofactor,
-    NumericCofactorRing,
-)
+from repro.rings.cofactor import NumericCofactor, NumericCofactorRing
 from repro.rings.cofactor_sparse import SparseCofactor, SparseCofactorRing
 from repro.rings.specs import PayloadPlan
 
@@ -125,8 +120,6 @@ def covar_from_payload(payload, plan: PayloadPlan) -> CovarMatrix:
         return _from_numeric(payload, plan)
     if isinstance(ring, SparseCofactorRing):
         return _from_sparse(payload, plan)
-    if isinstance(ring, GeneralCofactorRing):
-        return _from_general_float(payload, plan)
     raise FIVMError(f"payload ring {ring.name!r} does not carry a COVAR matrix")
 
 
@@ -139,20 +132,6 @@ def _from_numeric(payload: NumericCofactor, plan: PayloadPlan) -> CovarMatrix:
         sums=payload.s.copy(),
         moments=payload.q.copy(),
     )
-
-
-def _from_general_float(payload: GeneralCofactor, plan: PayloadPlan) -> CovarMatrix:
-    layout = plan.layout
-    m = layout.degree
-    columns = tuple(Column(attr) for attr in layout.attributes)
-    sums = np.zeros(m)
-    for i, value in payload.s.items():
-        sums[i] = value
-    moments = np.zeros((m, m))
-    for (i, j), value in payload.q.items():
-        moments[i, j] = value
-        moments[j, i] = value
-    return CovarMatrix(columns, float(payload.c), sums, moments)
 
 
 def _from_sparse(payload: SparseCofactor, plan: PayloadPlan) -> CovarMatrix:

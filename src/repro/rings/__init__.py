@@ -10,7 +10,6 @@ from repro.rings.decay import DecayRing, DecaySpec, payload_drift, result_drift
 from repro.rings.cofactor import (
     CofactorLayout,
     GeneralCofactor,
-    GeneralCofactorRing,
     NumericCofactor,
     NumericCofactorBlock,
     NumericCofactorRing,
@@ -27,11 +26,10 @@ from repro.rings.lifting import (
     Feature,
     LiftFunction,
     constant_lift,
-    general_cofactor_lift,
     numeric_cofactor_lift,
     sparse_cofactor_lift,
 )
-from repro.rings.relational import RelationRing, RelationValue
+from repro.rings.relational import RelationValue
 from repro.rings.scalar import BoolRing, FloatRing, IntegerRing, MinPlusRing, R_FLOAT, Z
 from repro.rings.specs import (
     CountSpec,
@@ -56,14 +54,12 @@ __all__ = [
     "MinPlusRing",
     "Z",
     "R_FLOAT",
-    "RelationRing",
     "RelationValue",
     "CofactorLayout",
     "NumericCofactor",
     "NumericCofactorBlock",
     "NumericCofactorRing",
     "GeneralCofactor",
-    "GeneralCofactorRing",
     "SparseCofactor",
     "SparseCofactorBlock",
     "SparseCofactorRing",
@@ -75,7 +71,6 @@ __all__ = [
     "constant_lift",
     "numeric_cofactor_lift",
     "sparse_cofactor_lift",
-    "general_cofactor_lift",
     "CountSpec",
     "SumSpec",
     "SumProductSpec",

@@ -9,25 +9,14 @@ operations (Section 2) are::
     a +R b = (ca + cb,  sa + sb,  Qa + Qb)
     a *R b = (ca*cb,  cb*sa + ca*sb,  cb*Qa + ca*Qb + sa sb^T + sb sa^T)
 
-This module provides two interchangeable implementations:
-
-- :class:`NumericCofactorRing` — entries are floats, backed by numpy; the
-  fast path for all-continuous attributes;
-- :class:`GeneralCofactorRing` — entries come from an arbitrary scalar
-  :class:`~repro.rings.base.Ring`; instantiated with the
-  :class:`~repro.rings.relational.RelationRing` it becomes the paper's
-  generalized ring with relational values, which uniformly handles
-  categorical attributes (one-hot group-bys) and the mutual-information
-  counts. Instantiated with :class:`~repro.rings.scalar.FloatRing` it is a
-  slow but independent re-implementation of the numeric ring, which the
-  test-suite uses for cross-validation.
-
-Both store only what is needed: a numeric payload keeps the vector and the
+:class:`NumericCofactorRing` implements it over floats, backed by numpy —
+the ring for all-continuous attributes. A payload keeps the vector and the
 full symmetric matrix of just the features in its *support* — the layout
 slots that can be non-zero in it, which for a view's payload are the
-features lifted in that view's subtree — in contiguous arrays; the general
-ring keeps sparse upper-triangle maps because lifted values start with a
-single non-zero slot.
+features lifted in that view's subtree — in contiguous arrays.
+Categorical attributes take the paper's composition with relational
+values, :class:`~repro.rings.cofactor_sparse.SparseCofactorRing`, whose
+``decode`` returns the spelt-out :class:`GeneralCofactor` defined here.
 """
 
 from __future__ import annotations
@@ -47,7 +36,6 @@ __all__ = [
     "NumericCofactorRing",
     "aligned",
     "GeneralCofactor",
-    "GeneralCofactorRing",
 ]
 
 
@@ -477,12 +465,15 @@ class NumericCofactorRing(Ring):
 
 
 # ----------------------------------------------------------------------
-# Generalized implementation over an arbitrary scalar ring
+# The spelt-out form of a cofactor over a scalar ring
 # ----------------------------------------------------------------------
 
 
 class GeneralCofactor:
-    """Payload of the generalized degree-m ring.
+    """A cofactor payload whose entries are values of a scalar ring —
+    :class:`~repro.rings.relational.RelationValue` when
+    :meth:`SparseCofactorRing.decode
+    <repro.rings.cofactor_sparse.SparseCofactorRing.decode>` returns it.
 
     ``c`` is a scalar-ring value, ``s`` a sparse map ``index -> value`` and
     ``q`` a sparse upper-triangle map ``(i, j) -> value`` with ``i <= j``
@@ -498,197 +489,3 @@ class GeneralCofactor:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"GeneralCofactor(c={self.c!r}, s={self.s!r}, q={self.q!r})"
-
-
-class GeneralCofactorRing(Ring):
-    """Degree-m cofactor ring whose entries come from any scalar ring.
-
-    With :class:`~repro.rings.relational.RelationRing` as the scalar ring
-    this is the paper's composition "degree-m matrix ring with relational
-    values": continuous attributes store ``{() -> x}`` scalars, categorical
-    attributes store ``{x -> 1}`` indicator relations, and the interaction
-    entries come out as group-by aggregates (e.g. ``SUM(B) GROUP BY C``).
-    """
-
-    def __init__(self, scalar: Ring, layout: CofactorLayout):
-        self.scalar = scalar
-        self.layout = layout
-        self.degree = layout.degree
-        self.name = f"Cofactor<{self.degree}, {scalar.name}>"
-
-    # -- helpers -------------------------------------------------------
-
-    def _merge(self, into: Dict, source: Dict) -> None:
-        """Accumulate ``source`` into ``into`` entry-wise (pure scalar adds)."""
-        scalar = self.scalar
-        for key, value in source.items():
-            existing = into.get(key)
-            total = value if existing is None else scalar.add(existing, value)
-            if scalar.is_zero(total):
-                into.pop(key, None)
-            else:
-                into[key] = total
-
-    def _scaled(self, entries: Dict, factor: Any) -> Dict:
-        """Entry-wise scalar multiplication by ``factor``, dropping zeros."""
-        scalar = self.scalar
-        if scalar.is_zero(factor):
-            return {}
-        result = {}
-        for key, value in entries.items():
-            product = scalar.mul(value, factor)
-            if not scalar.is_zero(product):
-                result[key] = product
-        return result
-
-    # -- ring interface --------------------------------------------------
-
-    def zero(self) -> GeneralCofactor:
-        return GeneralCofactor(self.scalar.zero(), {}, {})
-
-    def one(self) -> GeneralCofactor:
-        return GeneralCofactor(self.scalar.one(), {}, {})
-
-    def add(self, a: GeneralCofactor, b: GeneralCofactor) -> GeneralCofactor:
-        s = dict(a.s)
-        self._merge(s, b.s)
-        q = dict(a.q)
-        self._merge(q, b.q)
-        return GeneralCofactor(self.scalar.add(a.c, b.c), s, q)
-
-    def add_inplace(self, a: GeneralCofactor, b: GeneralCofactor) -> GeneralCofactor:
-        a.c = self.scalar.add(a.c, b.c)
-        self._merge(a.s, b.s)
-        self._merge(a.q, b.q)
-        return a
-
-    def copy(self, a: GeneralCofactor) -> GeneralCofactor:
-        return GeneralCofactor(a.c, dict(a.s), dict(a.q))
-
-    def mul(self, a: GeneralCofactor, b: GeneralCofactor) -> GeneralCofactor:
-        scalar = self.scalar
-        c = scalar.mul(a.c, b.c)
-        s = self._scaled(a.s, b.c)
-        self._merge(s, self._scaled(b.s, a.c))
-        q = self._scaled(a.q, b.c)
-        self._merge(q, self._scaled(b.q, a.c))
-        # The symmetric cross term sa sb^T + sb sa^T, folded onto the upper
-        # triangle: entry (i, j) with i < j receives sa_i*sb_j and sa_j*sb_i;
-        # the diagonal receives 2 * sa_i*sb_i.
-        for i, sa_i in a.s.items():
-            for j, sb_j in b.s.items():
-                term = scalar.mul(sa_i, sb_j)
-                if scalar.is_zero(term):
-                    continue
-                if i == j:
-                    term = scalar.add(term, term)
-                    key = (i, i)
-                else:
-                    key = (i, j) if i < j else (j, i)
-                existing = q.get(key)
-                total = term if existing is None else scalar.add(existing, term)
-                if scalar.is_zero(total):
-                    q.pop(key, None)
-                else:
-                    q[key] = total
-        return GeneralCofactor(c, s, q)
-
-    def neg(self, a: GeneralCofactor) -> GeneralCofactor:
-        scalar = self.scalar
-        return GeneralCofactor(
-            scalar.neg(a.c),
-            {key: scalar.neg(value) for key, value in a.s.items()},
-            {key: scalar.neg(value) for key, value in a.q.items()},
-        )
-
-    def scale(self, a: GeneralCofactor, n: int) -> GeneralCofactor:
-        if n == 0:
-            return self.zero()
-        scalar = self.scalar
-        return GeneralCofactor(
-            scalar.scale(a.c, n),
-            {key: scalar.scale(value, n) for key, value in a.s.items()},
-            {key: scalar.scale(value, n) for key, value in a.q.items()},
-        )
-
-    def from_int(self, n: int) -> GeneralCofactor:
-        return GeneralCofactor(self.scalar.from_int(n), {}, {})
-
-    @property
-    def has_float_scaling(self) -> bool:
-        return self.scalar.has_float_scaling
-
-    def scale_float(self, a: GeneralCofactor, factor: float) -> GeneralCofactor:
-        # Delegates entry-wise; a scalar ring without float scaling
-        # (e.g. the relational ring) raises its own descriptive error.
-        scalar = self.scalar
-        return GeneralCofactor(
-            scalar.scale_float(a.c, factor),
-            {key: scalar.scale_float(value, factor) for key, value in a.s.items()},
-            {key: scalar.scale_float(value, factor) for key, value in a.q.items()},
-        )
-
-    def eq(self, a: GeneralCofactor, b: GeneralCofactor) -> bool:
-        scalar = self.scalar
-        if not scalar.eq(a.c, b.c):
-            return False
-        for left, right in ((a.s, b.s), (a.q, b.q)):
-            keys = set(left) | set(right)
-            for key in keys:
-                lval = left.get(key)
-                rval = right.get(key)
-                if lval is None:
-                    if not scalar.is_zero(rval):
-                        return False
-                elif rval is None:
-                    if not scalar.is_zero(lval):
-                        return False
-                elif not scalar.eq(lval, rval):
-                    return False
-        return True
-
-    def is_zero(self, a: GeneralCofactor) -> bool:
-        if not self.scalar.is_zero(a.c):
-            return False
-        return all(self.scalar.is_zero(v) for v in a.s.values()) and all(
-            self.scalar.is_zero(v) for v in a.q.values()
-        )
-
-    def close(self, a: GeneralCofactor, b: GeneralCofactor, tol: float = 1e-8) -> bool:
-        """Tolerant comparison via the scalar ring's ``close`` (if any)."""
-        scalar = self.scalar
-        scalar_close = getattr(scalar, "close", None)
-        if scalar_close is None:
-            return self.eq(a, b)
-        zero = scalar.zero()
-        if not scalar_close(a.c, b.c, tol):
-            return False
-        for left, right in ((a.s, b.s), (a.q, b.q)):
-            for key in set(left) | set(right):
-                lval = left.get(key, zero)
-                rval = right.get(key, zero)
-                if not scalar_close(lval, rval, tol):
-                    return False
-        return True
-
-    def lift(self, index: int, s_value: Any, q_value: Any) -> GeneralCofactor:
-        """Attribute function g at slot ``index`` with pre-embedded entries.
-
-        ``s_value``/``q_value`` are scalar-ring values: for a continuous
-        attribute ``({() -> x}, {() -> x^2})``; for a categorical one
-        ``({x -> 1}, {x -> 1})`` (see :mod:`repro.rings.lifting`).
-        """
-        return GeneralCofactor(self.scalar.one(), {index: s_value}, {(index, index): q_value})
-
-    # -- accessors -------------------------------------------------------
-
-    def entry(self, a: GeneralCofactor, i: int, j: int) -> Any:
-        """Symmetric read of the quadratic entry (i, j)."""
-        key = (i, j) if i <= j else (j, i)
-        value = a.q.get(key)
-        return self.scalar.zero() if value is None else value
-
-    def linear(self, a: GeneralCofactor, i: int) -> Any:
-        """Read of the linear entry i."""
-        value = a.s.get(i)
-        return self.scalar.zero() if value is None else value

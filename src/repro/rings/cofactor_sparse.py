@@ -283,9 +283,11 @@ class SparseCofactorRing(Ring):
     Built from the plan's :class:`~repro.rings.lifting.Feature` tuple:
     the features fix the layout, which aggregates are keyed by category
     and how :meth:`lift` turns an attribute value into a category code.
-    Algebraically it *is* ``GeneralCofactorRing(RelationRing(), layout)``
-    (the tests hold it to that ring operation by operation);
-    :meth:`decode` / :meth:`encode` convert between the two forms.
+    Algebraically it *is* the cofactor ring over relation values
+    (``tests/rings/reference_cofactor.py`` holds it to that reference ring
+    operation by operation); :meth:`decode` / :meth:`encode` convert
+    between the array form and :class:`GeneralCofactor` over
+    :class:`~repro.rings.relational.RelationValue` entries.
     """
 
     has_bulk_kernels = True
@@ -652,8 +654,9 @@ class SparseCofactorRing(Ring):
         return codes
 
     def decode(self, a: SparseCofactor) -> GeneralCofactor:
-        """``a`` in the form of ``GeneralCofactorRing(RelationRing())``:
-        relations keyed by category values, free of codes."""
+        """``a`` spelt out as a :class:`GeneralCofactor` of
+        :class:`RelationValue` entries: relations keyed by category
+        values, free of codes."""
         relations: Dict[int, Dict[Tuple, float]] = {}
         for tag, *pair, value in zip(*self.portable(a.codes), a.vals.tolist()):
             key = tuple(pair[side] for side in self._tag_sides[tag])

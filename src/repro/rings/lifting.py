@@ -8,7 +8,7 @@ into the payload ring (Section 2). This module defines:
 - :class:`Binning` — equi-width discretization used to compute mutual
   information over continuous attributes;
 - factories producing the concrete ``value -> ring element`` callables for
-  every ring implemented in this package.
+  the cofactor rings.
 
 Attributes that carry no feature (pure join keys) are lifted through
 :func:`constant_lift`, i.e. they contribute the multiplicative identity.
@@ -24,8 +24,7 @@ import numpy as np
 
 from repro.errors import RingError
 from repro.rings.base import Ring
-from repro.rings.cofactor import GeneralCofactorRing, NumericCofactorRing
-from repro.rings.scalar import FloatRing, IntegerRing
+from repro.rings.cofactor import NumericCofactorRing
 
 __all__ = [
     "CONTINUOUS",
@@ -36,7 +35,6 @@ __all__ = [
     "constant_lift",
     "numeric_cofactor_lift",
     "sparse_cofactor_lift",
-    "general_cofactor_lift",
 ]
 
 CONTINUOUS = "continuous"
@@ -159,35 +157,3 @@ def sparse_cofactor_lift(ring, feature: Feature) -> LiftFunction:
 
     lift.bulk_slot = index  # whole columns go through ``ring.lift_many``
     return lift
-
-
-def general_cofactor_lift(ring: GeneralCofactorRing, feature: Feature) -> LiftFunction:
-    """Lift into the generalized cofactor ring over a numeric scalar ring
-    (continuous features only): ``s = x``, ``Q = x^2`` — floats over
-    :class:`FloatRing` (the cross-validation backend), exact integers
-    over :class:`IntegerRing`."""
-    index = ring.layout.index(feature.name)
-    scalar = ring.scalar
-    if isinstance(scalar, (FloatRing, IntegerRing)):
-        if feature.is_categorical:
-            raise RingError(
-                f"feature {feature.name!r} is categorical; the "
-                f"{scalar.name}-scalar cofactor ring handles continuous "
-                "features only"
-            )
-        if isinstance(scalar, FloatRing):
-
-            def lift_float(value, _ring=ring, _index=index):
-                x = float(value)
-                return _ring.lift(_index, x, x * x)
-
-            return lift_float
-
-        # Integer scalar ring: exact arithmetic for integer-valued data.
-        def lift_int(value, _ring=ring, _index=index):
-            return _ring.lift(_index, value, value * value)
-
-        return lift_int
-    raise RingError(
-        f"no lift known for scalar ring {scalar.name!r} in the generalized cofactor ring"
-    )

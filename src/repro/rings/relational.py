@@ -1,21 +1,19 @@
-"""The ring over relations: union as +, natural join as *.
+"""Relations as ring values: union as +, natural join as *.
 
 Section 2 of the paper generalizes the cofactor ring to categorical
 attributes by "using relations as values in c, s, and Q instead of scalars;
 union and join instead of scalar addition and multiplication; the empty
-relation 0 as zero". This module implements exactly that value type.
+relation 0 as zero". This module holds that value type: the form in which
+:meth:`SparseCofactorRing.decode
+<repro.rings.cofactor_sparse.SparseCofactorRing.decode>` spells out a
+payload's aggregates.
 
 A :class:`RelationValue` is a finite map from tuples (over a fixed schema of
-attribute names) to numeric annotations. Addition unions two maps, summing
-annotations of equal keys and dropping keys whose annotation reaches zero —
-which is how one-hot encoded deletes cancel inserts. Multiplication is the
-natural join on shared attributes with multiplied annotations; for the
-cofactor/MI use case schemas are typically disjoint ``(X,) * (Y,) -> (X, Y)``
-or scalar ``() * (X,) -> (X,)``.
-
-The multiplicative identity is the relation mapping the empty tuple to 1,
-and the canonical zero is the empty relation, which acts as zero for *every*
-schema (schemas only exist where there is at least one tuple).
+attribute names) to numeric annotations. The ring on these values — union
+summing annotations of equal keys, natural join multiplying them, the empty
+relation as zero for *every* schema — is
+``tests/rings/reference_cofactor.py``'s ``RelationRing``, the reference the
+sparse ring is tested against.
 """
 
 from __future__ import annotations
@@ -23,9 +21,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.errors import RingError
-from repro.rings.base import Ring
 
-__all__ = ["RelationValue", "RelationRing"]
+__all__ = ["RelationValue"]
 
 Key = Tuple
 
@@ -136,188 +133,3 @@ class RelationValue:
             f"{key!r}->{annotation}" for key, annotation in sorted(self.data.items(), key=repr)
         )
         return f"RelationValue({self.schema}: {shown})"
-
-
-class RelationRing(Ring):
-    """Ring structure on :class:`RelationValue` (union, natural join).
-
-    Join plans — the index arithmetic for combining two schemas — are cached
-    per schema pair, since the cofactor ring multiplies the same slot shapes
-    millions of times during maintenance.
-    """
-
-    name = "Rel"
-
-    def __init__(self):
-        self._join_plans: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], tuple] = {}
-
-    def zero(self) -> RelationValue:
-        return _ZERO
-
-    def one(self) -> RelationValue:
-        return _ONE
-
-    def add(self, a: RelationValue, b: RelationValue) -> RelationValue:
-        if not a.data:
-            return b
-        if not b.data:
-            return a
-        if a.schema != b.schema:
-            raise RingError(
-                f"cannot union relations over schemas {a.schema!r} and {b.schema!r}"
-            )
-        merged = dict(a.data)
-        for key, annotation in b.data.items():
-            total = merged.get(key, 0) + annotation
-            if total == 0:
-                merged.pop(key, None)
-            else:
-                merged[key] = total
-        result = RelationValue.__new__(RelationValue)
-        result.data = merged
-        result.schema = a.schema if merged else None
-        return result
-
-    def add_inplace(self, a: RelationValue, b: RelationValue) -> RelationValue:
-        # RelationValues handed out by add/mul are fresh objects, but the
-        # shared _ZERO/_ONE singletons must never be mutated.
-        if a is _ZERO or a is _ONE or not a.data:
-            return self.add(a, b)
-        if not b.data:
-            return a
-        if a.schema != b.schema:
-            raise RingError(
-                f"cannot union relations over schemas {a.schema!r} and {b.schema!r}"
-            )
-        data = a.data
-        for key, annotation in b.data.items():
-            total = data.get(key, 0) + annotation
-            if total == 0:
-                data.pop(key, None)
-            else:
-                data[key] = total
-        if not data:
-            a.schema = None
-        return a
-
-    def copy(self, a: RelationValue) -> RelationValue:
-        result = RelationValue.__new__(RelationValue)
-        result.data = dict(a.data)
-        result.schema = a.schema
-        return result
-
-    def mul(self, a: RelationValue, b: RelationValue) -> RelationValue:
-        if not a.data or not b.data:
-            return _ZERO
-        shared_a, shared_b, sources, result_schema = self._plan(a.schema, b.schema)
-        result: Dict[Key, float] = {}
-        if shared_a:
-            # Hash join: index b on its shared positions, probe with a.
-            index: Dict[Key, list] = {}
-            for key_b, ann_b in b.data.items():
-                hook = tuple(key_b[i] for i in shared_b)
-                index.setdefault(hook, []).append((key_b, ann_b))
-            for key_a, ann_a in a.data.items():
-                hook = tuple(key_a[i] for i in shared_a)
-                for key_b, ann_b in index.get(hook, ()):
-                    key = tuple(
-                        key_a[i] if from_a else key_b[i] for from_a, i in sources
-                    )
-                    total = result.get(key, 0) + ann_a * ann_b
-                    if total == 0:
-                        result.pop(key, None)
-                    else:
-                        result[key] = total
-        else:
-            # Cartesian product — the common case for cofactor slots, where
-            # schemas are disjoint singletons.
-            for key_a, ann_a in a.data.items():
-                for key_b, ann_b in b.data.items():
-                    key = tuple(
-                        key_a[i] if from_a else key_b[i] for from_a, i in sources
-                    )
-                    total = result.get(key, 0) + ann_a * ann_b
-                    if total == 0:
-                        result.pop(key, None)
-                    else:
-                        result[key] = total
-        value = RelationValue.__new__(RelationValue)
-        value.data = result
-        value.schema = result_schema if result else None
-        return value
-
-    def neg(self, a: RelationValue) -> RelationValue:
-        if not a.data:
-            return _ZERO
-        result = RelationValue.__new__(RelationValue)
-        result.data = {key: -annotation for key, annotation in a.data.items()}
-        result.schema = a.schema
-        return result
-
-    def eq(self, a: RelationValue, b: RelationValue) -> bool:
-        return a == b
-
-    def close(self, a: RelationValue, b: RelationValue, tol: float = 1e-9) -> bool:
-        """Tolerant comparison: annotations may carry float rounding."""
-        if not a.data and not b.data:
-            return True
-        if a.schema != b.schema and a.data and b.data:
-            return False
-        for key in set(a.data) | set(b.data):
-            left = a.data.get(key, 0)
-            right = b.data.get(key, 0)
-            scale = max(1.0, abs(left), abs(right))
-            if abs(left - right) > tol * scale:
-                return False
-        return True
-
-    def is_zero(self, a: RelationValue) -> bool:
-        return not a.data
-
-    def from_int(self, n: int) -> RelationValue:
-        if n == 0:
-            return _ZERO
-        return RelationValue.scalar(n)
-
-    def scale(self, a: RelationValue, n: int) -> RelationValue:
-        if n == 0 or not a.data:
-            return _ZERO
-        result = RelationValue.__new__(RelationValue)
-        result.data = {key: annotation * n for key, annotation in a.data.items()}
-        result.schema = a.schema
-        return result
-
-    # ------------------------------------------------------------------
-
-    def _plan(self, schema_a: Tuple[str, ...], schema_b: Tuple[str, ...]) -> tuple:
-        """Cache the positional bookkeeping for joining two schemas.
-
-        Output columns follow the canonical (sorted) order of the union;
-        ``sources`` says, per output position, whether the value comes from
-        operand a (preferred for shared attributes) or operand b.
-        """
-        cache_key = (schema_a, schema_b)
-        plan = self._join_plans.get(cache_key)
-        if plan is None:
-            positions_a = {attr: i for i, attr in enumerate(schema_a)}
-            positions_b = {attr: i for i, attr in enumerate(schema_b)}
-            shared_a = tuple(
-                positions_a[attr] for attr in schema_b if attr in positions_a
-            )
-            shared_b = tuple(
-                i for i, attr in enumerate(schema_b) if attr in positions_a
-            )
-            result_schema = tuple(sorted(set(schema_a) | set(schema_b)))
-            sources = tuple(
-                (True, positions_a[attr])
-                if attr in positions_a
-                else (False, positions_b[attr])
-                for attr in result_schema
-            )
-            plan = (shared_a, shared_b, sources, result_schema)
-            self._join_plans[cache_key] = plan
-        return plan
-
-
-_ZERO = RelationValue()
-_ONE = RelationValue.scalar(1)

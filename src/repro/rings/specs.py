@@ -12,17 +12,16 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import RingError
 from repro.rings.base import Ring
-from repro.rings.cofactor import CofactorLayout, GeneralCofactorRing, NumericCofactorRing
+from repro.rings.cofactor import CofactorLayout, NumericCofactorRing
 from repro.rings.cofactor_sparse import SparseCofactorRing
 from repro.rings.lifting import (
     CONTINUOUS,
     Feature,
     LiftFunction,
-    general_cofactor_lift,
     numeric_cofactor_lift,
     sparse_cofactor_lift,
 )
@@ -148,10 +147,6 @@ class SumProductSpec(PayloadSpec):
         return tuple(attr for attr, _power in self.powers)
 
 
-def _layout_of(features: Sequence[Feature]) -> CofactorLayout:
-    return CofactorLayout(tuple(feature.name for feature in features))
-
-
 def _sparse_plan(features: Tuple[Feature, ...]) -> PayloadPlan:
     """The cofactor ring with relational values, over sparse arrays."""
     ring = SparseCofactorRing(features)
@@ -163,54 +158,25 @@ def _sparse_plan(features: Tuple[Feature, ...]) -> PayloadPlan:
 class CovarSpec(PayloadSpec):
     """The COVAR compound aggregate ``(c, s, Q)`` over the given features.
 
-    ``backend`` selects the ring implementation:
-
-    - ``"numeric"`` — numpy degree-m ring; requires all-continuous features;
-    - ``"general"`` — cofactor ring with relational values (the paper's
-      composition), stored as sparse arrays; supports a mix of continuous
-      and categorical features;
-    - ``"general-float"`` — generalized ring over the float scalar ring;
-      functionally identical to ``"numeric"`` but independently implemented,
-      kept for cross-validation.
-
-    ``backend="auto"`` picks ``"numeric"`` when every feature is continuous
-    and ``"general"`` otherwise.
+    The features choose the ring: all continuous -> the numeric degree-m
+    :class:`~repro.rings.cofactor.NumericCofactorRing`; any categorical ->
+    the cofactor ring with relational values (the paper's composition),
+    stored as sparse arrays (:class:`~repro.rings.cofactor_sparse.SparseCofactorRing`).
     """
 
     features: Tuple[Feature, ...]
-    backend: str = "auto"
 
     def __post_init__(self):
         if not self.features:
             raise RingError("CovarSpec requires at least one feature")
-        if self.backend not in ("auto", "numeric", "general", "general-float"):
-            raise RingError(f"unknown CovarSpec backend {self.backend!r}")
-
-    def _backend(self) -> str:
-        if self.backend != "auto":
-            return self.backend
-        if any(feature.is_categorical for feature in self.features):
-            return "general"
-        return "numeric"
 
     def build(self) -> PayloadPlan:
-        backend = self._backend()
-        if backend == "general":
-            return _sparse_plan(tuple(self.features))
-        layout = _layout_of(self.features)
-        if backend == "numeric":
-            numeric_ring = NumericCofactorRing(layout)
-            lifts = {
-                feature.name: numeric_cofactor_lift(numeric_ring, feature)
-                for feature in self.features
-            }
-            return PayloadPlan(numeric_ring, lifts, layout, tuple(self.features))
-        ring = GeneralCofactorRing(FloatRing(), layout)
-        lifts = {
-            feature.name: general_cofactor_lift(ring, feature)
-            for feature in self.features
-        }
-        return PayloadPlan(ring, lifts, layout, tuple(self.features))
+        features = tuple(self.features)
+        if any(feature.is_categorical for feature in features):
+            return _sparse_plan(features)
+        ring = NumericCofactorRing(CofactorLayout(tuple(f.name for f in features)))
+        lifts = {f.name: numeric_cofactor_lift(ring, f) for f in features}
+        return PayloadPlan(ring, lifts, ring.layout, features)
 
     @property
     def lifted_attributes(self) -> Tuple[str, ...]:

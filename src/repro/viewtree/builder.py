@@ -290,59 +290,35 @@ class ShardPlan:
     broadcast: Tuple[str, ...]
 
 
-def build_shard_plan(
-    tree: ViewTree, attrs: Optional[Tuple[str, ...]] = None
-) -> ShardPlan:
-    """Choose shard attributes for ``tree``'s query (or validate ``attrs``).
+def build_shard_plan(tree: ViewTree) -> ShardPlan:
+    """Choose the shard attribute for ``tree``'s query.
 
-    The automatic choice considers each variable of the order as a
-    singleton hash key and takes the one contained in the most relations
-    — maximizing the share of the database (and of the update stream)
-    that is partitioned instead of replicated. Ties break toward the
-    root-most variable, whose views sit highest in the tree. An explicit
-    ``attrs`` must partition at least one relation; a query whose
-    relations share no attribute cannot be sharded and raises.
+    Each variable of the order is considered as a singleton hash key and
+    the one contained in the most relations wins — maximizing the share
+    of the database (and of the update stream) that is partitioned
+    instead of replicated. Ties break toward the root-most variable,
+    whose views sit highest in the tree. A query whose relations share no
+    attribute cannot be sharded and raises.
     """
     query = tree.query
     schemas = {
         name: set(query.schema_of(name).attributes)
         for name in query.relation_names
     }
-    if attrs is not None:
-        attrs = tuple(attrs)
-        for attr in attrs:
-            if attr not in query.attributes:
-                raise QueryError(
-                    f"shard attribute {attr!r} not in query {query.name!r}"
-                )
-        routed = tuple(
-            name for name in query.relation_names
-            if all(attr in schemas[name] for attr in attrs)
-        )
-        if not routed:
-            raise QueryError(
-                f"shard attributes {attrs!r} partition no relation of "
-                f"query {query.name!r}"
-            )
-    else:
-        best = None
-        for position, variable in enumerate(tree.order.variables):
-            covered = sum(1 for name in schemas if variable in schemas[name])
-            if covered < 1:
-                continue
-            # More covered relations first; root-most variable on ties
-            # (pre-order position is the tie-break).
-            rank = (-covered, position)
-            if best is None or rank < best[0]:
-                best = (rank, variable)
-        if best is None or -best[0][0] < 1:
-            raise QueryError(
-                f"query {query.name!r} has no shardable attribute"
-            )
-        attrs = (best[1],)
-        routed = tuple(
-            name for name in query.relation_names if attrs[0] in schemas[name]
-        )
+    best = None
+    for position, variable in enumerate(tree.order.variables):
+        covered = sum(1 for name in schemas if variable in schemas[name])
+        if covered < 1:
+            continue
+        # More covered relations first; root-most variable on ties
+        # (pre-order position is the tie-break).
+        rank = (-covered, position)
+        if best is None or rank < best[0]:
+            best = (rank, variable)
+    if best is None:
+        raise QueryError(f"query {query.name!r} has no shardable attribute")
+    attrs = (best[1],)
+    routed = tuple(name for name in query.relation_names if attrs[0] in schemas[name])
     broadcast = tuple(
         name for name in query.relation_names if name not in routed
     )

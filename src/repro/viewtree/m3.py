@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.rings.cofactor import GeneralCofactorRing, NumericCofactorRing
+from repro.rings.cofactor import NumericCofactorRing
 from repro.rings.cofactor_sparse import SparseCofactorRing
 from repro.rings.scalar import FloatRing, IntegerRing
 from repro.rings.specs import PayloadPlan
@@ -31,8 +31,6 @@ def ring_type_name(plan: PayloadPlan) -> str:
         return f"RingCofactor<double, {ring.degree}>"
     if isinstance(ring, SparseCofactorRing):
         return f"RingCofactor<RingRelation, {ring.degree}>"
-    if isinstance(ring, GeneralCofactorRing):
-        return f"RingCofactor<double, {ring.degree}>"
     return ring.name
 
 

@@ -11,7 +11,7 @@ from repro.datasets import (
     toy_count_query,
     toy_variable_order,
 )
-from repro.errors import DataError, QueryError
+from repro.errors import DataError
 from repro.rings import CountSpec
 from repro.viewtree import build_shard_plan, build_view_tree
 
@@ -150,15 +150,7 @@ class TestBuildShardPlan:
         assert set(plan.routed) == {"R", "S"}
         assert plan.broadcast == ()
 
-    def test_explicit_attrs_validated(self):
+    def test_shard_key_is_derived_not_chosen(self):
         tree = build_view_tree(toy_count_query(), order=toy_variable_order())
-        plan = build_shard_plan(tree, attrs=("A",))
-        assert plan.attrs == ("A",)
-        with pytest.raises(QueryError):
-            build_shard_plan(tree, attrs=("nope",))
-
-    def test_explicit_attrs_must_partition_something(self):
-        tree = build_view_tree(toy_count_query(), order=toy_variable_order())
-        # B and C never co-occur in one relation.
-        with pytest.raises(QueryError):
-            build_shard_plan(tree, attrs=("B", "C"))
+        with pytest.raises(TypeError, match="attrs"):
+            build_shard_plan(tree, attrs=("A",))

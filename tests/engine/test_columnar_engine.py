@@ -2,6 +2,7 @@
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.data import inserts
@@ -28,6 +29,7 @@ from repro.engine.sharded import available_backends
 from repro.rings import CountSpec, CovarSpec, Feature, SumSpec
 from repro.config import EngineConfig
 from tests.conftest import per_tuple_path
+from tests.rings.reference_cofactor import GeneralFloatCovarSpec, general_dense
 
 R_SCHEMA = ("A", "B")
 S_SCHEMA = ("A", "C", "D")
@@ -51,7 +53,7 @@ def retailer_setup(seed=5, inventory_rows=250):
 
 def covar_query(limit=2):
     return retailer_query(
-        CovarSpec(continuous_covar_features(limit=limit), backend="numeric")
+        CovarSpec(continuous_covar_features(limit=limit))
     )
 
 
@@ -82,8 +84,30 @@ class TestColumnarPathSelection:
             engine = FIVMEngine(query, order=toy_variable_order())
             assert set(engine._fused_paths) == set(query.relation_names)
         features = (Feature.continuous("B"), Feature.continuous("D"))
-        fallback = toy_query(CovarSpec(features, backend="general-float"))
+        fallback = toy_query(GeneralFloatCovarSpec(features))
         assert not FIVMEngine(fallback, order=toy_variable_order())._fused_paths
+
+    def test_loop_fallback_maintains_the_numeric_aggregates(self):
+        # The dict-based reference ring has no kernels, so it takes the
+        # per-tuple path with non-scalar payloads; under a delete-heavy
+        # stream it must end where the numeric ring's fused program ends.
+        database, stream = retailer_setup()
+        features = continuous_covar_features(limit=3)
+        numeric, general = (
+            FIVMEngine(retailer_query(spec), order=retailer_variable_order())
+            for spec in (CovarSpec(features), GeneralFloatCovarSpec(features))
+        )
+        for engine in (numeric, general):
+            engine.initialize(database)
+        for name, delta in stream.batches(6):
+            numeric.apply(name, delta)
+            general.apply(name, delta)
+        assert numeric.stats.fused_batches == 6
+        assert general.stats.fused_batches == 0 and general.stats.probe_steps > 0
+        want = numeric.plan.ring.dense(numeric.result().payload(()))
+        count, sums, moments = general_dense(general.result().payload(()), len(features))
+        assert count == want.c
+        assert np.allclose(sums, want.s) and np.allclose(moments, want.q)
 
     def test_scalar_rings_stay_on_dict_fast_path(self):
         database, stream = retailer_setup(inventory_rows=1200)

@@ -120,7 +120,7 @@ class TestFreeAcrossBranches:
 class TestFreeWithCovarPayload:
     def test_covar_grouped_by_free_var(self):
         """COVAR per B-group: compound payloads under group-by keys."""
-        spec = CovarSpec((Feature.continuous("C"),), backend="numeric")
+        spec = CovarSpec((Feature.continuous("C"),))
         query = Query("Q", (R, S), spec=spec, free=("B",))
         engine = FIVMEngine(query, order=order_free_below())
         engine.initialize(db())

@@ -53,7 +53,7 @@ R_SCHEMA = ("A", "B")
 
 def covar_query(limit=2):
     return retailer_query(
-        CovarSpec(continuous_covar_features(limit=limit), backend="numeric")
+        CovarSpec(continuous_covar_features(limit=limit))
     )
 
 

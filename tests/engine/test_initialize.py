@@ -73,7 +73,7 @@ def retailer_spec(payload):
                 Feature.continuous("maxtemp"),
             )
         )
-    return CovarSpec(continuous_covar_features(limit=3), backend="numeric")
+    return CovarSpec(continuous_covar_features(limit=3))
 
 
 def scenario(dataset, payload):

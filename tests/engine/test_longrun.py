@@ -27,7 +27,6 @@ CONFIG = RetailerConfig(locations=5, dates=8, items=25, inventory_rows=300, seed
 def spec():
     return CovarSpec(
         (Feature.continuous("prize"), Feature.continuous("inventoryunits")),
-        backend="numeric",
     )
 
 

@@ -38,7 +38,6 @@ class TestFactorizedStateSize:
                 Feature.continuous("inventoryunits"),
                 Feature.continuous("population"),
             ),
-            backend="numeric",
         )
         engine = FIVMEngine(retailer_query(spec), order=retailer_variable_order())
         engine.initialize(db)
@@ -58,7 +57,6 @@ class TestFactorizedStateSize:
         db = generate_retailer(CONFIG)
         spec = CovarSpec(
             (Feature.continuous("prize"), Feature.continuous("inventoryunits")),
-            backend="numeric",
         )
         engine = FIVMEngine(retailer_query(spec), order=retailer_variable_order())
         engine.initialize(db)

@@ -49,7 +49,7 @@ class TestAssembly:
 
     def test_matches_compound_engine_after_updates(self, peragg):
         compound = FIVMEngine(
-            Query("Q", (R, S), spec=CovarSpec(FEATURES, backend="numeric")),
+            Query("Q", (R, S), spec=CovarSpec(FEATURES)),
             order=toy_variable_order(),
         )
         compound.initialize(toy_database())

@@ -204,7 +204,7 @@ PAYLOADS = {
 
 
 def numeric_covar_spec():
-    return CovarSpec(continuous_covar_features(limit=3), backend="numeric")
+    return CovarSpec(continuous_covar_features(limit=3))
 
 
 class TestBackendEquivalence:

@@ -34,7 +34,11 @@ from repro.engine import FIVMEngine, NaiveEngine, available_backends
 from repro.ml import binning_for_attribute, covar_from_payload, mutual_information_matrix
 from repro.rings import CountSpec, CovarSpec, Feature, GeneralCofactor, MISpec
 from tests.conftest import per_tuple_path
-from tests.rings.reference_cofactor import ReferenceCofactorSpec, as_dicts
+from tests.rings.reference_cofactor import (
+    GeneralFloatCovarSpec,
+    ReferenceCofactorSpec,
+    as_dicts,
+)
 
 needs_process = pytest.mark.skipif(
     "process" not in available_backends(), reason="fork unavailable"
@@ -45,7 +49,7 @@ CONFIG = RetailerConfig(locations=4, dates=6, items=20, inventory_rows=300, seed
 
 def covar_query(limit=3):
     return retailer_query(
-        CovarSpec(continuous_covar_features(limit=limit), backend="numeric")
+        CovarSpec(continuous_covar_features(limit=limit))
     )
 
 
@@ -101,7 +105,7 @@ class TestViewForms:
             assert view.support == engine._view_supports[name]
 
     def test_scalar_and_general_rings_keep_dict_relations(self):
-        general = CovarSpec(continuous_covar_features(limit=2), backend="general-float")
+        general = GeneralFloatCovarSpec(continuous_covar_features(limit=2))
         for spec in (CountSpec(), general):
             engine = FIVMEngine(retailer_query(spec), order=retailer_variable_order())
             engine.initialize(generate_retailer(CONFIG))

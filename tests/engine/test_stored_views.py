@@ -67,7 +67,7 @@ def retailer_spec(payload):
                 Feature.categorical("rain"),
             )
         )
-    return CovarSpec(continuous_covar_features(limit=3), backend="numeric")
+    return CovarSpec(continuous_covar_features(limit=3))
 
 
 TOY_QUERIES = {
@@ -484,7 +484,7 @@ def stored_views_in_a_bulk_run():
     )
     database = generate_retailer(config)
     engine = FIVMEngine(
-        retailer_query(CovarSpec(continuous_covar_features(limit=3), backend="numeric")),
+        retailer_query(CovarSpec(continuous_covar_features(limit=3))),
         order=retailer_variable_order(),
     )
     engine.initialize(database)

@@ -10,6 +10,7 @@ from repro.errors import FIVMError
 from repro.ml import Column, covar_from_payload
 from repro.query import Query
 from repro.rings import CountSpec, CovarSpec, Feature
+from tests.rings.reference_cofactor import GeneralFloatCovarSpec, general_dense
 
 R = RelationSchema("R", ("A", "B"))
 S = RelationSchema("S", ("A", "C", "D"))
@@ -27,14 +28,14 @@ MIXED = (Feature.continuous("B"), Feature.categorical("C"), Feature.continuous("
 
 class TestNumericExtraction:
     def test_columns_and_values(self):
-        covar = covar_for(CovarSpec(CONT, backend="numeric"))
+        covar = covar_for(CovarSpec(CONT))
         assert [c.label for c in covar.columns] == ["B", "C", "D"]
         assert covar.count == 3.0
         assert covar.sums.tolist() == [4.0, 5.0, 6.0]
         assert covar.moments[0, 2] == 8.0
 
     def test_extended_matrix(self):
-        covar = covar_for(CovarSpec(CONT, backend="numeric"))
+        covar = covar_for(CovarSpec(CONT))
         extended = covar.extended()
         assert extended.shape == (4, 4)
         assert extended[0, 0] == 3.0
@@ -43,7 +44,7 @@ class TestNumericExtraction:
         assert extended[3, 3] == 14.0
 
     def test_index_and_columns_of(self):
-        covar = covar_for(CovarSpec(CONT, backend="numeric"))
+        covar = covar_for(CovarSpec(CONT))
         assert covar.index("C") == 1
         assert covar.columns_of("D") == (2,)
         with pytest.raises(FIVMError):
@@ -54,11 +55,15 @@ class TestNumericExtraction:
 
 class TestGeneralFloatExtraction:
     def test_matches_numeric_backend(self):
-        numeric = covar_for(CovarSpec(CONT, backend="numeric"))
-        general = covar_for(CovarSpec(CONT, backend="general-float"))
-        assert numeric.count == general.count
-        assert np.allclose(numeric.sums, general.sums)
-        assert np.allclose(numeric.moments, general.moments)
+        numeric = covar_for(CovarSpec(CONT))
+        engine = FIVMEngine(
+            Query("Q", (R, S), spec=GeneralFloatCovarSpec(CONT)), order=toy_variable_order()
+        )
+        engine.initialize(toy_database())
+        count, sums, moments = general_dense(engine.result().payload(()), len(CONT))
+        assert numeric.count == count
+        assert np.allclose(numeric.sums, sums)
+        assert np.allclose(numeric.moments, moments)
 
 
 class TestRelationalExtraction:
@@ -104,7 +109,7 @@ class TestRelationalExtraction:
     def test_matches_expansion_of_numeric_on_continuous_subset(self):
         """One-hot expansion over {B, D} agrees with the numeric backend."""
         mixed = covar_for(CovarSpec(MIXED))
-        numeric = covar_for(CovarSpec(CONT, backend="numeric"))
+        numeric = covar_for(CovarSpec(CONT))
         for attrs in (("B", "B"), ("B", "D"), ("D", "D")):
             i_mixed = mixed.index(attrs[0])
             j_mixed = mixed.index(attrs[1])

@@ -56,10 +56,9 @@ def materialized_design(db):
     return np.array(xs), np.array(ys)
 
 
-def covar_of(db, backend="numeric"):
+def covar_of(db):
     spec = CovarSpec(
-        (Feature.continuous("B"), Feature.continuous("C"), Feature.continuous("D")),
-        backend=backend,
+        (Feature.continuous("B"), Feature.continuous("C"), Feature.continuous("D"))
     )
     engine = FIVMEngine(Query("Q", (R, S), spec=spec))
     engine.initialize(db)

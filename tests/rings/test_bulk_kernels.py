@@ -15,10 +15,10 @@ import pytest
 from repro.rings import (
     CofactorLayout,
     FloatRing,
-    GeneralCofactorRing,
     NumericCofactorRing,
     Z,
 )
+from tests.rings.reference_cofactor import GeneralCofactorRing
 
 LAYOUT = CofactorLayout(("x", "y", "z"))
 

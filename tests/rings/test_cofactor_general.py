@@ -1,4 +1,5 @@
-"""The generalized cofactor ring (over float and relational scalars)."""
+"""The reference cofactor ring over dicts (float, integer and relational
+scalars), held to the numeric ring and to the ring axioms."""
 
 import pytest
 from hypothesis import given
@@ -7,12 +8,15 @@ from hypothesis import strategies as st
 from repro.rings import (
     CofactorLayout,
     FloatRing,
-    GeneralCofactorRing,
     NumericCofactorRing,
-    RelationRing,
     RelationValue,
 )
 from repro.rings.base import check_ring_axioms
+from tests.rings.reference_cofactor import (
+    GeneralCofactorRing,
+    RelationRing,
+    general_cofactor_lift,
+)
 
 LAYOUT = CofactorLayout(("B", "C", "D"))
 
@@ -162,7 +166,7 @@ class TestIntegerScalarBackend:
 
     def test_exact_integer_arithmetic(self):
         from repro.rings import Z
-        from repro.rings.lifting import Feature, general_cofactor_lift
+        from repro.rings.lifting import Feature
 
         ring = GeneralCofactorRing(Z, LAYOUT)
         lift_b = general_cofactor_lift(ring, Feature.continuous("B"))
@@ -178,7 +182,7 @@ class TestIntegerScalarBackend:
     def test_categorical_rejected(self):
         from repro.errors import RingError
         from repro.rings import Z
-        from repro.rings.lifting import Feature, general_cofactor_lift
+        from repro.rings.lifting import Feature
 
         ring = GeneralCofactorRing(Z, LAYOUT)
         with pytest.raises(RingError):

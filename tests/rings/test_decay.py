@@ -11,13 +11,12 @@ from repro.rings import (
     DecayRing,
     DecaySpec,
     FloatRing,
-    GeneralCofactorRing,
     IntegerRing,
     NumericCofactorRing,
-    RelationRing,
     payload_drift,
     result_drift,
 )
+from tests.rings.reference_cofactor import GeneralCofactorRing, RelationRing
 
 
 class TestDecaySpec:

@@ -8,17 +8,19 @@ from repro.rings import (
     CofactorLayout,
     Feature,
     FloatRing,
-    GeneralCofactorRing,
     NumericCofactorRing,
-    RelationRing,
     SparseCofactorRing,
     Z,
 )
 from repro.rings.lifting import (
     constant_lift,
-    general_cofactor_lift,
     numeric_cofactor_lift,
     sparse_cofactor_lift,
+)
+from tests.rings.reference_cofactor import (
+    GeneralCofactorRing,
+    RelationRing,
+    general_cofactor_lift,
 )
 
 LAYOUT = CofactorLayout(("B", "C"))

@@ -1,12 +1,14 @@
-"""The relational ring: union as +, natural join as *."""
+"""Relation values and the reference ring on them: union as +, natural
+join as *."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import RingError
-from repro.rings import RelationRing, RelationValue
+from repro.rings import RelationValue
 from repro.rings.base import check_ring_axioms
+from tests.rings.reference_cofactor import RelationRing
 
 
 @pytest.fixture

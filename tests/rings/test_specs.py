@@ -8,7 +8,6 @@ from repro.rings import (
     CovarSpec,
     Feature,
     FloatRing,
-    GeneralCofactorRing,
     IntegerRing,
     MISpec,
     NumericCofactorRing,
@@ -16,6 +15,7 @@ from repro.rings import (
     SumProductSpec,
     SumSpec,
 )
+from tests.rings.reference_cofactor import GeneralCofactorRing, GeneralFloatCovarSpec
 
 CONT = (Feature.continuous("B"), Feature.continuous("C"))
 MIXED = (Feature.continuous("B"), Feature.categorical("C"))
@@ -65,22 +65,21 @@ class TestCovarSpec:
         assert plan.ring.features == MIXED and plan.layout is plan.ring.layout
         assert plan.ring.has_bulk_kernels
 
-    def test_explicit_general_float_backend(self):
-        plan = CovarSpec(CONT, backend="general-float").build()
+    def test_general_float_reference_plan(self):
+        plan = GeneralFloatCovarSpec(CONT).build()
         assert isinstance(plan.ring, GeneralCofactorRing)
         assert isinstance(plan.ring.scalar, FloatRing)
-
-    def test_numeric_backend_rejects_categorical(self):
-        with pytest.raises(RingError):
-            CovarSpec(MIXED, backend="numeric").build()
+        assert plan.layout.attributes == ("B", "C")
 
     def test_empty_features_rejected(self):
         with pytest.raises(RingError):
             CovarSpec(())
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(RingError):
-            CovarSpec(CONT, backend="magic")
+        # The features choose the ring; there is no backend to name.
+        for backend in ("auto", "numeric", "general", "general-float", "magic"):
+            with pytest.raises(TypeError, match="backend"):
+                CovarSpec(CONT, backend=backend)
 
     def test_lifted_attributes(self):
         assert CovarSpec(MIXED).lifted_attributes == ("B", "C")

@@ -126,6 +126,21 @@ class TestBench:
         assert "all engines agree" in out
 
 
+    def test_profile_prints_the_stage_breakdown(self, capsys):
+        # Decay runs the numeric covar ring, whose batches take the fused
+        # program that --profile times stage by stage.
+        code, out = run_cli(
+            capsys,
+            ["bench", "--batches", "2", "--batch-size", "50", "--engine-decay", "0.98/50",
+             "--profile"] + SMALL,
+        )
+        assert code == 0
+        assert "# fivm per-stage time (fused program)" in out
+        for stage in ("lift", "probe", "scatter"):
+            assert f"{stage:>10} " in out
+        assert "fused batches: 2" in out
+
+
 class TestCheckpoint:
     def test_save_info_load_roundtrip_across_shard_counts(self, capsys, tmp_path):
         path = str(tmp_path / "retailer.ckpt")
@@ -182,10 +197,26 @@ class TestCheckpoint:
     def test_load_rejects_non_checkpoint(self, capsys, tmp_path):
         bogus = tmp_path / "bogus.ckpt"
         bogus.write_bytes(b"not a checkpoint")
-        from repro.errors import CheckpointError
+        assert main(["checkpoint", "info", str(bogus)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and "checkpoint" in err
 
-        with pytest.raises(CheckpointError):
-            main(["checkpoint", "info", str(bogus)])
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--batch-size", "0"] + SMALL,
+        ["checkpoint", "info", "{missing}"],
+        ["checkpoint", "load", "{missing}"],
+    ],
+    ids=["run-batch-size-0", "checkpoint-info-missing", "checkpoint-load-missing"],
+)
+def test_library_errors_end_in_one_line(capsys, tmp_path, argv):
+    argv = [arg.format(missing=tmp_path / "missing.fivm") for arg in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestParser:

@@ -1,5 +1,6 @@
 """EngineConfig: validation, factory, constructors, CLI derivation."""
 
+import argparse
 import contextlib
 import dataclasses
 
@@ -12,7 +13,7 @@ from repro.checkpoint import (
     write_checkpoint,
 )
 from repro.cli import build_parser, main
-from repro.config import engine_config_from_args
+from repro.config import add_engine_cli_args, engine_config_from_args
 from repro.data import inserts
 from repro.datasets import (
     toy_count_query,
@@ -23,14 +24,15 @@ from repro.datasets import (
 from repro.engine import FIVMEngine, ShardedEngine, available_backends
 from repro.errors import CheckpointError, EngineError
 from repro.rings import NumericCofactor
+from repro.serving import build_serving_scenario
 
 
-#: Fields the engine used to select a maintenance path or a shard data
-#: plane by; a checkpoint written before their removal still carries them
-#: in its header.
+#: Fields the engine used to select a maintenance path, a shard data
+#: plane or a shard key by, or to time its stages; a checkpoint written
+#: before their removal still carries them in its header.
 REMOVED_FIELDS = (
     "use_view_index", "adaptive_probe", "use_columnar", "use_fused",
-    "columnar_transport", "transport",
+    "columnar_transport", "transport", "shard_attrs", "profile_stages",
 )
 PARENT_FORMAT_CONFIG = {
     "shards": 1, "backend": "auto", "transport": "auto", "shard_attrs": None,
@@ -46,7 +48,7 @@ class TestEngineConfigValidation:
         config = EngineConfig()
         assert config.shards == 1
         assert config.backend == "auto"
-        assert len(dataclasses.fields(EngineConfig)) == 9
+        assert len(dataclasses.fields(EngineConfig)) == 7
 
     def test_shards_must_be_positive(self):
         with pytest.raises(EngineError, match="at least 1"):
@@ -82,10 +84,6 @@ class TestEngineConfigValidation:
         with pytest.raises(EngineError, match="unknown EngineConfig field"):
             EngineConfig.from_dict({"shards": 2, removed: False})
 
-    def test_shard_attrs_normalized_to_tuple(self):
-        config = EngineConfig(shard_attrs=["locn", "dateid"])
-        assert config.shard_attrs == ("locn", "dateid")
-
     def test_replace_revalidates(self):
         config = EngineConfig(shards=2)
         assert config.replace(shards=4).shards == 4
@@ -93,11 +91,9 @@ class TestEngineConfigValidation:
             config.replace(backend="bogus")
 
     def test_dict_round_trip(self):
-        config = EngineConfig(
-            shards=3, backend="serial", shard_attrs=("locn",), supervise=True
-        )
+        config = EngineConfig(shards=3, backend="serial", supervise=True)
         data = config.to_dict()
-        assert data["shard_attrs"] == ["locn"]  # primitives only
+        assert all(isinstance(v, (int, float, str, type(None))) for v in data.values())
         assert EngineConfig.from_dict(data) == config
 
     def test_from_dict_rejects_unknown_fields(self):
@@ -201,21 +197,17 @@ class TestCliDerivation:
 
     def test_engine_flags_reach_the_config(self):
         config = self._config(
-            [
-                "bench", "--engine-shards", "2", "--engine-backend", "serial",
-                "--engine-profile",
-            ]
+            ["bench", "--engine-shards", "2", "--engine-backend", "serial"]
         )
         assert config.shards == 2 and config.backend == "serial"
-        assert config.profile_stages is True
 
     @pytest.mark.parametrize(
         "flag",
         [
-            "--shards", "--shard-backend", "--profile", "--no-fused",
+            "--shards", "--shard-backend", "--no-fused",
             "--no-columnar", "--no-view-index", "--columnar-sweep",
             "--engine-fused", "--engine-columnar", "--engine-view-index",
-            "--engine-transport",
+            "--engine-transport", "--engine-shard-attrs", "--engine-profile",
         ],
     )
     def test_removed_flags_are_rejected(self, flag, capsys):
@@ -226,11 +218,17 @@ class TestCliDerivation:
             build_parser().parse_args(["bench", "--help"])
         assert flag not in capsys.readouterr().out
 
-    def test_shard_attrs_flag(self):
-        config = self._config(
-            ["bench", "--engine-shard-attrs", "locn,dateid"]
-        )
-        assert config.shard_attrs == ("locn", "dateid")
+    def test_one_flag_per_config_field(self):
+        # Every subcommand registers this namespace: a setting the inputs
+        # decide (shard key, stage timing) has no flag anywhere.
+        parser = argparse.ArgumentParser()
+        add_engine_cli_args(parser)
+        flags = [
+            action.option_strings[0][len("--engine-"):].replace("-", "_")
+            for action in parser._actions
+            if action.option_strings[0].startswith("--engine-")
+        ]
+        assert flags == [spec.name for spec in dataclasses.fields(EngineConfig)]
 
     def test_serve_and_checkpoint_share_the_namespace(self):
         for argv in (
@@ -262,12 +260,12 @@ class TestCliDerivation:
 class TestConfigProvenance:
     def test_export_state_records_config(self):
         engine = create_engine(
-            toy_count_query(), config=EngineConfig(profile_stages=True)
+            toy_count_query(), config=EngineConfig(window="tumbling:50")
         )
         engine.initialize(toy_database())
         state = engine.export_state()
-        assert state["config"]["profile_stages"] is True
-        assert EngineConfig.from_dict(state["config"]).profile_stages is True
+        assert state["config"]["window"] == "tumbling:50"
+        assert EngineConfig.from_dict(state["config"]) == engine.config
 
     def test_sharded_provenance_records_resolved_names(self):
         engine = create_engine(
@@ -312,6 +310,47 @@ class TestConfigProvenance:
         out = capsys.readouterr().out
         for removed in REMOVED_FIELDS:
             assert f"{removed}:" in out
+
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    def test_shard_key_and_profiling_era_checkpoint_still_restores(
+        self, tmp_path, capsys, monkeypatch, shards
+    ):
+        # Checkpoints written while the shard key and stage timing were
+        # config fields record both in the header's config. Restore,
+        # `checkpoint info` and `checkpoint load --verify` take the header
+        # as provenance and never parse it back into an EngineConfig.
+        path = str(tmp_path / "era.fivm")
+        to_dict = EngineConfig.to_dict
+        monkeypatch.setattr(
+            EngineConfig, "to_dict",
+            lambda self: dict(to_dict(self), shard_attrs=["locn"], profile_stages=True),
+        )
+        argv = ["--engine-shards", shards, "--engine-backend", "serial"]
+        save = ["checkpoint", "save", path, "--updates", "300", "--batch-size", "100"]
+        assert main(save + argv + ["--seed", "3"]) == 0
+        monkeypatch.undo()
+        info = read_checkpoint_info(path)
+        assert info.config["shard_attrs"] == ["locn"] and info.config["profile_stages"]
+
+        def refuse(cls, data):
+            raise AssertionError("a restore path parsed the header config")
+
+        monkeypatch.setattr(EngineConfig, "from_dict", classmethod(refuse))
+        capsys.readouterr()
+        assert main(["checkpoint", "info", path]) == 0
+        out = capsys.readouterr().out
+        assert "shard_attrs: ['locn']" in out and "profile_stages: True" in out
+        assert main(["checkpoint", "load", path, "--verify"] + argv) == 0
+        assert "identical to uninterrupted ingestion ✓" in capsys.readouterr().out
+
+        scenario = build_serving_scenario("retailer", "count", seed=3)
+        reference = create_engine(scenario.query, order=scenario.order)
+        reference.initialize(scenario.database)
+        updates = info.metadata["updates"]
+        reference.apply_stream(scenario.stream(100, 0.7).tuples(updates), batch_size=100)
+        restored = create_engine(scenario.query, order=scenario.order)
+        restore_checkpoint(restored, path)
+        assert restored.result() == reference.result()
 
     #: What a 2-shard process engine on the shared-memory data plane
     #: recorded into its snapshots before that plane was removed.

@@ -1,5 +1,7 @@
 """Public API surface: everything in __all__ resolves and docs exist."""
 
+import dataclasses
+
 import repro
 
 
@@ -17,6 +19,24 @@ class TestPublicAPI:
         ):
             assert name not in repro.__all__ and not hasattr(repro, name)
             assert not hasattr(repro.engine, name)
+
+    def test_settings_the_inputs_decide_are_not_fields(self):
+        # The features choose the COVAR ring, the view tree the shard key;
+        # stage timing is an engine attribute `repro bench --profile` sets.
+        assert [f.name for f in dataclasses.fields(repro.EngineConfig)] == [
+            "shards", "backend", "window", "decay", "supervise",
+            "replay_log_limit", "heartbeat_timeout",
+        ]
+        assert [f.name for f in dataclasses.fields(repro.CovarSpec)] == ["features"]
+
+    def test_reference_rings_are_not_exported(self):
+        import repro.rings
+        import repro.rings.lifting
+
+        for name in ("GeneralCofactorRing", "RelationRing", "general_cofactor_lift"):
+            assert name not in repro.__all__ and not hasattr(repro, name)
+            assert name not in repro.rings.__all__ and not hasattr(repro.rings, name)
+        assert not hasattr(repro.rings.lifting, "general_cofactor_lift")
 
     def test_version(self):
         assert repro.__version__ == "1.0.0"
