@@ -7,13 +7,13 @@ where the batcher cannot amortize anything:
 
 1. **Delta latency** — a Retailer single-tuple stream ingested through
    ``apply_stream`` at batch sizes 1/10/100/1000 (count ring, so every
-   batch stays on the per-tuple probe path). Reports per-update latency
+   batch stays on the dict-view interpreter's probe path). Reports per-update latency
    and updates/s; the CI smoke run never gates on timing.
-2. **Path crossover** — numeric COVAR at batch sizes around
-   ``EngineStatistics.COLUMNAR_MIN_DELTA``, the fused columnar program
-   against the per-tuple path (each pinned by patching that constant
-   for the run). This is the measurement the constant is set from; the
-   two paths must agree.
+2. **Mode crossover** — numeric COVAR at batch sizes around
+   ``EngineStatistics.COLUMNAR_MIN_DELTA``, the compiled program's
+   columnar mode against its row mode (each pinned by patching that
+   constant for the run). This is the measurement the constant is set
+   from; the two modes must agree.
 3. **Cross-engine equivalence** — naive, first-order, per-aggregate and
    F-IVM consume the same stream; all final results must agree. This
    is asserted and is what CI gates on.
@@ -121,9 +121,9 @@ def bench_delta_latency(database, config, order, total_updates, records):
 
 
 def bench_path_crossover(database, config, order, updates_per_cell, repeats):
-    """Numeric COVAR, fused columnar program vs per-tuple path, µs/update.
+    """Numeric COVAR, columnar vs row mode of the compiled program, µs/update.
 
-    One engine per path, both fed the same event chunks: per batch size
+    One engine per mode, both fed the same event chunks: per batch size
     a warm-up chunk, then a timed one; the table shows the minimum over
     ``repeats`` rounds. Only ``engine.apply_many`` is timed.
     """
@@ -136,7 +136,7 @@ def bench_path_crossover(database, config, order, updates_per_cell, repeats):
     events = make_events(
         database, config, cell * len(CROSSOVER_SIZES) * repeats, seed=17
     )
-    pins = {"fused": 1, "per-tuple": sys.maxsize}
+    pins = {"columnar": 1, "row": sys.maxsize}
     engines = {}
     for path in pins:
         engines[path] = FIVMEngine(query, order=order)
@@ -164,22 +164,22 @@ def bench_path_crossover(database, config, order, updates_per_cell, repeats):
                     elapsed = time.perf_counter() - started
                 latency_us = 1e6 * elapsed / (size * (len(batches) - split))
                 best[size, path] = min(best.get((size, path), latency_us), latency_us)
-    assert engines["per-tuple"].stats.fused_batches == 0
-    assert engines["fused"].stats.probe_steps == 0
-    assert engines["fused"].result().close_to(engines["per-tuple"].result(), 1e-8), (
-        "fused and per-tuple paths diverged"
+    assert engines["row"].stats.fused_batches == 0
+    assert engines["columnar"].stats.probe_steps == 0
+    assert engines["columnar"].result().close_to(engines["row"].result(), 1e-8), (
+        "columnar and row modes diverged"
     )
     print(
-        f"\n## path crossover, numeric COVAR (12 features), min of {repeats} "
+        f"\n## mode crossover, numeric COVAR (12 features), min of {repeats} "
         f"x {updates_per_cell} updates, µs/update"
     )
-    print(f"{'batch':>6} {'fused':>8} {'per-tuple':>10}")
+    print(f"{'batch':>6} {'columnar':>9} {'row':>8}")
     for size in CROSSOVER_SIZES:
         print(
-            f"{size:>6} {best[size, 'fused']:>8.1f} {best[size, 'per-tuple']:>10.1f}"
+            f"{size:>6} {best[size, 'columnar']:>9.1f} {best[size, 'row']:>8.1f}"
         )
     print(
-        f"fused and per-tuple paths agree ✓ "
+        f"columnar and row modes agree ✓ "
         f"(COLUMNAR_MIN_DELTA = {EngineStatistics.COLUMNAR_MIN_DELTA})"
     )
 

@@ -14,9 +14,10 @@ Two things are measured on a Retailer update stream:
    single-core CI containers). The per-``result()`` gather time at each
    shard count is reported beside it.
 2. **Probe-vs-scan at large batches** — unsharded F-IVM ingestion at
-   batch 1000/4000, the regime where the per-tuple path switches
-   sibling joins from index probes to scan joins; reports how many
-   steps took each, and the results must agree across batch sizes.
+   batch 1000/4000 on the count ring, the regime where the dict-view
+   interpreter switches sibling joins from index probes to scan joins;
+   reports how many steps took each, and the results must agree across
+   batch sizes.
 
 ``--json PATH`` writes the measurements in the same record format as
 ``bench_delta_latency.py`` for the perf-regression gate

@@ -341,7 +341,7 @@ def _run_bench(args) -> int:
                 f"{profiled.mirror_hits}/{profiled.mirror_builds})"
             )
         else:
-            print("  no fused batches ran (per-tuple path)")
+            print("  no stage time recorded (dict views: the interpreter)")
     return 0
 
 

@@ -2,8 +2,9 @@
 
 :class:`EngineConfig` says *where* maintenance runs (shards, backend,
 supervision) and over *which* history (window, decay). What the query
-decides is not in it: the engine picks the fused columnar program or the
-per-tuple path from the payload ring and the delta's size (see
+decides is not in it: the engine picks the compiled program's columnar
+or row mode, or the dict-view interpreter, from the payload ring and the
+delta's size (see
 :class:`~repro.engine.fivm.FIVMEngine`), and a sharded engine derives its
 shard key from the view tree
 (:func:`~repro.viewtree.builder.build_shard_plan`), so there is no

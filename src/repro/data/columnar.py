@@ -272,7 +272,7 @@ def lift_column(ring: Ring, fn, values: Sequence[Any]):
     selects the kernel: ``bulk_slot`` routes through ``ring.lift_many``
     (cofactor rings), ``bulk_scalar`` packs the transformed column as the
     scalar block itself. Returns ``None`` for closures without metadata —
-    the caller must fall back to the per-tuple path.
+    the caller must fall back to row mode.
     """
     slot = getattr(fn, "bulk_slot", None)
     if slot is not None:

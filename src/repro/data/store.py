@@ -6,12 +6,13 @@ is a :class:`SlotStore`: an insertion-ordered ``key -> slot`` dict — its
 order *is* the view order, so every downstream float sum associates as
 it would over a dict relation — plus one growing payload block whose row
 ``slot`` holds the key's payload, and a free list of the rows exact-zero
-deletes gave back. Both maintenance paths read and write these rows:
-the fused program scatters with :meth:`SlotStore.add_block` and gathers
-probe matches with ``ring.take(store.block, slots)``; the per-tuple path
-adds small deltas with :meth:`SlotStore.add_inplace` and joins against
-row views handed out by :meth:`StoreIndex.matches`. There is no second
-copy of a payload to keep coherent.
+deletes gave back. Both modes of the compiled maintenance program read
+and write these rows: columnar mode scatters with
+:meth:`SlotStore.add_block` and gathers probe matches with
+``ring.take(store.block, slots)``; row mode adds small deltas with
+:meth:`SlotStore.add_inplace` and joins against row views handed out by
+:meth:`StoreIndex.matches`. There is no second copy of a payload to keep
+coherent.
 
 Who may alias what: row views from ``matches`` alias the block and are
 for immediate use inside one join; everything the read API returns
@@ -30,7 +31,6 @@ import numpy as np
 from repro.data.columnar import column_array
 from repro.data.index import RelationIndex, _IndexCarrier
 from repro.data.relation import Relation
-from repro.errors import SchemaError
 
 __all__ = ["ProbeArrays", "StoreIndex", "SlotStore"]
 
@@ -47,8 +47,8 @@ class ProbeArrays:
     tuples), and position ``p`` holds the entry whose key is
     ``tuple(col[p] for col in key_cols)`` and whose payload is row
     ``slots[p]`` of the store's block. Entries appear in exactly the
-    order the bucket yields them, so a fused probe emits matches in the
-    per-tuple probe's order bit for bit. Nothing here depends on payload
+    order the bucket yields them, so a columnar probe emits matches in the
+    row-mode probe's order bit for bit. Nothing here depends on payload
     values: a payload update leaves the arrays alone, and a key insert or
     delete is patched in (:meth:`StoreIndex.patch`), not rebuilt.
     """
@@ -316,21 +316,19 @@ class SlotStore(_IndexCarrier):
     # Mutation
     # ------------------------------------------------------------------
 
-    def add_inplace(self, other: Relation) -> int:
-        """Add a (small) dict delta row by row.
+    def add_inplace(self, rows: Mapping[Key, Any]) -> int:
+        """Add a (small) ``key -> payload`` delta row by row.
 
         Returns how many cached :class:`ProbeArrays` the call dropped.
         Keys leave after every hit is added and join after that, which
         is where :meth:`add_block` puts them.
         """
-        if self.schema != other.schema:
-            raise SchemaError(f"schema mismatch: {self.schema!r} vs {other.schema!r}")
         ring = self.ring
         slots = self.slots
         add_row = ring.add_row
         dead_keys: List[Key] = []
         new = []
-        for key, payload in other.data.items():
+        for key, payload in rows.items():
             slot = slots.get(key)
             if slot is None:
                 if not ring.is_zero(payload):

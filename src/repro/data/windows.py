@@ -7,8 +7,9 @@ layer — a window is nothing but a promise to retract every event once it
 ages out. :class:`WindowedStream` keeps that promise: it wraps a stream
 of timed events and interleaves, at every window boundary, the negated
 deltas of the events that just expired. The output is a plain
-``(relation, row, ±step)`` event stream, so every engine — per-tuple,
-columnar, fused, sharded on either backend — maintains the windowed
+``(relation, row, ±step)`` event stream, so every engine — either mode
+of the compiled program, the dict-view interpreter, sharded on either
+backend — maintains the windowed
 view without knowing windows exist, and bit-identically to a fresh batch
 evaluation over exactly the live window.
 

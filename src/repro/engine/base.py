@@ -36,7 +36,8 @@ class EngineStatistics:
     """Counters engines update as they process deltas.
 
     The ``ADAPTIVE_*`` class constants calibrate the probe-vs-scan
-    choice F-IVM's per-tuple path makes per maintenance step: a sibling is
+    choice F-IVM's dict-view interpreter (count and sum views; slot
+    stores always probe) makes per maintenance step: a sibling is
     *probed* through its persistent index (O(|delta| x matches)) unless
     the running delta dwarfs the sibling — then one hash join that
     indexes the small sibling per call beats per-entry probe dispatch.
@@ -60,32 +61,33 @@ class EngineStatistics:
     #: ratio noise and keeps the latency-critical single-tuple regime on
     #: the O(|delta|) path unconditionally).
     ADAPTIVE_SCAN_MIN_DELTA: ClassVar[int] = 512
-    #: Deltas of at least this many keys take the fused columnar program
-    #: (when the ring and the path's lifts allow it); smaller ones take
-    #: the per-tuple path, where the fixed numpy cost per kernel call is
-    #: not amortized. Set from the crossover on retailer numeric COVAR
-    #: (12 features, 40k inventory rows; µs/update, min of 5 x 4000
-    #: updates, ``engine.apply_many`` only, each path pinned by patching
-    #: this constant)::
+    #: Deltas of at least this many keys take the compiled program's
+    #: columnar mode (when the path's lifts allow it); smaller ones take
+    #: its row mode, where no fixed numpy cost per kernel call needs
+    #: amortizing. Set from the crossover on retailer numeric COVAR (12
+    #: features, 40k inventory rows; µs/update, each cell the minimum of
+    #: 5 x 4000 updates, ``engine.apply_many`` only, each mode pinned by
+    #: patching this constant; the table holds the medians of five such
+    #: runs, 2-core Xeon, Python 3.11)::
     #:
     #:     PYTHONPATH=src python benchmarks/bench_delta_latency.py
     #:
-    #:      batch    fused  per-tuple
-    #:          8     68.8       69.4
-    #:         10     58.3       64.8
-    #:         12     46.2       66.3
-    #:         14     43.0       65.0
-    #:         16     35.8       62.4
-    #:         32     19.6       58.4
-    #:        100      8.8       48.7
-    #:       1000      2.6       36.9
+    #:      batch  columnar    row
+    #:          8      71.9    72.4
+    #:         10      56.5    69.7
+    #:         12      49.2    70.4
+    #:         14      44.4    72.8
+    #:         16      38.7    67.6
+    #:         32      23.3    64.2
+    #:        100       8.7    55.3
+    #:       1000       2.7    45.7
     #:
-    #: In six separate runs (batches grouped and probed through key codes)
-    #: fused won from 10 keys on every time, by 6-16 µs at 10; at 8 it won
-    #: four times, tied once and lost once — the crossover sits between 8
-    #: and 10. (With every grouping a sort, the same host read 83 / 68 at 8
-    #: and 68 / 65 at 10, and the constant was 12.)
-    #: A class constant (tests patch it to pin one path), not a setting.
+    #: At 8 keys row mode won 3 of the 5 runs and columnar 2 — a tie; from
+    #: 10 keys columnar won every run but one at 10, which row mode took
+    #: by 0.8 µs. The crossover sits between 8 and 10, as it did against
+    #: the relation-at-a-time interpreter row mode replaced (columnar won
+    #: from 10 keys in six runs out of six there), so the constant stays.
+    #: A class constant (tests patch it to pin one mode), not a setting.
     COLUMNAR_MIN_DELTA: ClassVar[int] = 10
 
     updates_applied: int = 0
@@ -96,12 +98,13 @@ class EngineStatistics:
     #: those lookups found a non-empty bucket (F-IVM with view indexes).
     index_probes: int = 0
     index_hits: int = 0
-    #: Access-path decisions: per-tuple sibling joins served by an index
-    #: probe vs. by a scan join, and sibling joins served by the columnar
+    #: Access-path decisions: sibling joins served one key at a time by
+    #: an index probe (row mode and the interpreter) vs. by a scan join
+    #: (the interpreter only), and sibling joins served by the columnar
     #: bulk kernels. In columnar steps ``index_probes`` counts one probe
     #: per *distinct* hook value of the delta (rows are grouped before
-    #: probing), so probe counts are lower than the per-tuple path's for
-    #: the same data.
+    #: probing), so probe counts are lower than row mode's for the same
+    #: data.
     probe_steps: int = 0
     scan_steps: int = 0
     columnar_steps: int = 0

@@ -1,11 +1,28 @@
-"""Fused per-path kernels: the columnar maintenance program.
+"""Compiled per-path programs: how a slot-store engine maintains a delta.
 
 One :class:`FusedPath` per (relation, path), compiled from the static
-view tree at engine construction, maintains a whole delta batch at once:
-the running delta is key *column arrays* plus one contiguous payload
-block, and lift -> probe-gather -> multiply -> group-sum run as bulk
-ring kernels chained with numpy index arithmetic — no payload object
-and no Python-level loop per delta row:
+view tree at engine construction, maintains every delta of that
+relation, in one of two modes chosen by the delta's size
+(``EngineStatistics.COLUMNAR_MIN_DELTA``):
+
+- **row mode** (small deltas, e.g. single-tuple updates): one payload
+  object per key, driven by the compiled hook / keep / group positions
+  and lift lists — lift and scale each delta row, probe each sibling
+  through its persistent index (``StoreIndex.matches``), multiply with
+  the ring's payload ``mul``, group-sum in dicts in row order, and add
+  into the stored views with ``SlotStore.add_inplace``. No
+  :class:`~repro.data.relation.Relation` is built;
+- **columnar mode** (larger deltas, when every lift on the path is
+  bulk-liftable): the running delta is key *column arrays* plus one
+  contiguous payload block, and lift -> probe-gather -> multiply ->
+  group-sum run as bulk ring kernels chained with numpy index
+  arithmetic — no payload object and no Python-level loop per delta
+  row.
+
+Both modes issue the same payload products and leave the same views —
+bit for bit wherever the float sums are exact (a columnar group-sum,
+``np.add.reduceat``, may associate a group's rows differently from row
+mode's left-to-right adds). Columnar mode rests on:
 
 - **int-keyed grouping** — key columns are integer-encoded per column
   (``value - min`` for integer columns of a bounded span, ``np.unique``
@@ -39,7 +56,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.data.columnar import bulk_liftable, column_array, lift_column
-from repro.data.relation import Relation, _positions
+from repro.data.relation import Relation, _hook_getter, _key_getter, _positions
 from repro.engine.base import EngineStatistics
 
 __all__ = ["FusedPath", "compile_fused_path"]
@@ -66,7 +83,7 @@ def _expand_pairs(members, member_start, member_count, entry_start, entry_count)
 
     Emission order: groups in the given (first-seen) order, bucket
     entries outer, delta members inner in ascending original row order
-    (the per-tuple probe loop's order). Returns ``(left_rows,
+    (row mode's probe order). Returns ``(left_rows,
     right_slots)`` — indexes into the running delta and into the sibling
     source block respectively.
     """
@@ -484,14 +501,68 @@ def _match_reps(hook_cols, reps, arrays):
 
 
 # ----------------------------------------------------------------------
+# Row mode
+# ----------------------------------------------------------------------
+
+
+def _lift_rows(ring, data, lifts) -> Dict[Tuple, Any]:
+    """Leaf lift of a Z-delta ``key -> multiplicity``, one payload per
+    row: ``one`` times each lifted value, scaled by the multiplicity."""
+    one = ring.one()
+    mul, scale = ring.mul, ring.scale
+    out = {}
+    for key, multiplicity in data.items():
+        payload = one
+        for position, fn in lifts:
+            payload = mul(payload, fn(key[position]))
+        out[key] = scale(payload, multiplicity)
+    return out
+
+
+def _times_lifts(ring, rows, lifts) -> Dict[Tuple, Any]:
+    """Each payload times the lifted values of its key, in lift order."""
+    mul = ring.mul
+    out = {}
+    for key, payload in rows.items():
+        for position, fn in lifts:
+            payload = mul(payload, fn(key[position]))
+        out[key] = payload
+    return out
+
+
+def _sum_rows(ring, rows, group_of, prune: bool) -> Dict[Tuple, Any]:
+    """Group-sum ``rows`` by ``group_of`` in row order (the first payload
+    of a group is copied, later ones added into it); with ``prune``,
+    groups that cancelled to the exact ring zero drop."""
+    copy, add_inplace = ring.copy, ring.add_inplace
+    out: Dict[Tuple, Any] = {}
+    get = out.get
+    for key, payload in rows.items():
+        group = group_of(key)
+        existing = get(group)
+        out[group] = copy(payload) if existing is None else add_inplace(existing, payload)
+    return _drop_zeros(ring, out) if prune else out
+
+
+def _drop_zeros(ring, out: Dict[Tuple, Any]) -> Dict[Tuple, Any]:
+    is_zero = ring.is_zero
+    for key in [key for key, payload in out.items() if is_zero(payload)]:
+        del out[key]
+    return out
+
+
+# ----------------------------------------------------------------------
 # Compiled path
 # ----------------------------------------------------------------------
 
 
 class _FusedProbe:
-    """One compiled sibling probe: pure schema positions, no closures."""
+    """One compiled sibling probe: schema positions and their key
+    extractors."""
 
-    __slots__ = ("sibling", "attrs", "hook_positions", "keep_positions")
+    __slots__ = (
+        "sibling", "attrs", "hook_positions", "keep_positions", "hook_of", "rest_of",
+    )
 
     def __init__(
         self,
@@ -506,6 +577,37 @@ class _FusedProbe:
         self.hook_positions = hook_positions
         #: Positions (in the sibling key) of its non-shared suffix.
         self.keep_positions = keep_positions
+        #: Row mode: a running key's hook (the index's hook form) and a
+        #: sibling key's non-shared suffix.
+        self.hook_of = _hook_getter(hook_positions)
+        self.rest_of = _key_getter(keep_positions)
+
+    def run_rows(self, rows, sibling, index, ring, stats):
+        """Row mode of :meth:`run`: join the running ``key -> payload``
+        dict with the sibling through ``index``, delta rows outer and
+        bucket entries inner. The running keys are distinct and a
+        sibling key is its hook plus its suffix, so every product lands
+        on its own key; exact ring-zero products drop."""
+        if not len(sibling):
+            return {}  # no lookups, so none counted
+        out = {}
+        matches, hook_of, rest_of = index.matches, self.hook_of, self.rest_of
+        mul, is_zero = ring.mul, ring.is_zero
+        hits = 0
+        for key_a, payload_a in rows.items():
+            bucket = matches(hook_of(key_a))
+            if not bucket:
+                continue
+            hits += 1
+            for key_b, payload_b in bucket:
+                product = mul(payload_a, payload_b)
+                if not is_zero(product):
+                    out[key_a + rest_of(key_b)] = product
+        index.probes += len(rows)
+        index.hits += hits
+        stats.index_probes += len(rows)
+        stats.index_hits += hits
+        return out
 
     def run(self, cols, block, n, sibling, index, ring, stats, scratch):
         """Probe one sibling: returns the widened ``(cols, block, n)``.
@@ -571,7 +673,7 @@ class _FusedProbe:
 class _FusedStep:
     """One inner view of a fused ladder: probes, lifts, projection."""
 
-    __slots__ = ("view_name", "probes", "lifts", "group_positions")
+    __slots__ = ("view_name", "probes", "lifts", "group_positions", "group_of")
 
     def __init__(
         self,
@@ -584,17 +686,32 @@ class _FusedStep:
         self.probes = probes
         self.lifts = lifts  # (position in the running schema, lift fn)
         self.group_positions = group_positions
+        self.group_of = _key_getter(group_positions)
 
 
 class FusedPath:
-    """The fused kernel of one relation's maintenance path.
+    """The compiled maintenance program of one relation's path.
 
-    :meth:`apply` is the batch counterpart of the per-tuple loop in
-    ``FIVMEngine.apply``: same ladder (lift, sibling joins, marginalize,
-    fold into the views the engine stores — a dropped view costs its
-    grouping only), and ``columnar_batches``/``columnar_steps``
-    advance together with ``fused_batches``/``fused_steps``.
-    :meth:`derive` runs the same ladder over a stored view's whole
+    :meth:`apply` runs F-IVM's ladder — lift, sibling joins, marginalize,
+    fold into the views the engine stores (a dropped view costs its
+    grouping only) — in one of two modes, chosen by the delta's size:
+
+    - **columnar** (:meth:`columnar`, from ``COLUMNAR_MIN_DELTA`` keys
+      on, and only when every lift on the path is bulk-liftable): the
+      delta travels as key columns plus one payload block through bulk
+      ring kernels; ``columnar_batches``/``columnar_steps`` advance
+      together with ``fused_batches``/``fused_steps``;
+    - **row** (:meth:`rows`, below that): one payload per key and the
+      ring calls a relation-at-a-time interpreter makes for it (lift,
+      ``mul`` per probe match, ``copy``/``add_inplace`` per group, in
+      row order), siblings probed through ``StoreIndex.matches`` and the
+      views added into through ``SlotStore.add_inplace``; it counts
+      ``probe_steps``, and builds no :class:`Relation`.
+
+    Both modes read and write the same slot stores and leave the same
+    views — bit for bit wherever the float sums are exact; otherwise a
+    columnar group-sum may associate a group's rows differently.
+    :meth:`derive` runs the columnar ladder over a stored view's whole
     contents to recompute a view the engine dropped.
     """
 
@@ -602,7 +719,9 @@ class FusedPath:
         "leaf_name",
         "leaf_lifts",
         "leaf_group_positions",
+        "leaf_group_of",
         "steps",
+        "bulk",
         "_scratch",
     )
 
@@ -612,15 +731,94 @@ class FusedPath:
         leaf_lifts: Tuple[Tuple[int, Callable], ...],
         leaf_group_positions: Tuple[int, ...],
         steps: Tuple[_FusedStep, ...],
+        bulk: bool,
     ):
         self.leaf_name = leaf_name
         self.leaf_lifts = leaf_lifts  # (position in the delta schema, lift fn)
         self.leaf_group_positions = leaf_group_positions
+        self.leaf_group_of = _key_getter(leaf_group_positions)
         self.steps = steps
+        #: Every lift on the path is bulk-liftable: columnar mode (and
+        #: :meth:`derive`) is available.
+        self.bulk = bulk
         self._scratch = _Scratch()
 
     def apply(self, engine, delta) -> None:
-        """Run the fused ladder for one delta batch."""
+        """Maintain one delta: columnar from ``COLUMNAR_MIN_DELTA`` keys
+        on (bulk paths only), row mode below."""
+        if self.bulk and len(delta.data) >= engine.stats.COLUMNAR_MIN_DELTA:
+            self.columnar(engine, delta)
+        else:
+            self.rows(engine, delta)
+
+    def rows(self, engine, delta) -> None:
+        """Run the ladder one payload per key (row mode)."""
+        stats = engine.stats
+        stats.record_batch(delta)
+        ring = engine.plan.ring
+        materialized = engine.materialized
+        view_sizes = stats.view_sizes
+        timer = time.perf_counter if engine.profile_stages else None
+        if timer:
+            t0 = timer()
+        lifted = _lift_rows(ring, delta.data, self.leaf_lifts)
+        if timer:
+            t1 = timer()
+            stats.record_stage("lift", t1 - t0)
+        current = _sum_rows(ring, lifted, self.leaf_group_of, True)
+        if timer:
+            stats.record_stage("group", timer() - t1)
+        leaf_view = materialized[self.leaf_name]
+        if timer:
+            t0 = timer()
+        stats.mirror_invalidations += leaf_view.add_inplace(current)
+        if timer:
+            stats.record_stage("scatter", timer() - t0)
+        view_sizes[self.leaf_name] = len(leaf_view)
+        for step in self.steps:
+            if not current:
+                break
+            joined = current
+            for probe in step.probes:
+                sibling = materialized[probe.sibling]
+                index = sibling.ensure_index(probe.attrs)
+                if timer:
+                    t0 = timer()
+                joined = probe.run_rows(joined, sibling, index, ring, stats)
+                if timer:
+                    stats.record_stage("probe", timer() - t0)
+                stats.probe_steps += 1
+                if not joined:
+                    break
+            if not joined:
+                # Annihilated mid-join: nothing propagates further up.
+                break
+            if step.lifts:
+                if timer:
+                    t0 = timer()
+                joined = _times_lifts(ring, joined, step.lifts)
+                if timer:
+                    stats.record_stage("multiply", timer() - t0)
+            if timer:
+                t0 = timer()
+            current = _sum_rows(
+                ring, joined, step.group_of, bool(step.lifts) or ring.has_negation
+            )
+            if timer:
+                stats.record_stage("group", timer() - t0)
+            stats.delta_tuples_propagated += len(current)
+            target = materialized.get(step.view_name)
+            if target is None:
+                continue  # not stored: the delta only passes through
+            if timer:
+                t0 = timer()
+            stats.mirror_invalidations += target.add_inplace(current)
+            if timer:
+                stats.record_stage("scatter", timer() - t0)
+            view_sizes[step.view_name] = len(target)
+
+    def columnar(self, engine, delta) -> None:
+        """Run the ladder for one delta batch in bulk (columnar mode)."""
         stats = engine.stats
         stats.record_batch(delta)
         stats.columnar_batches += 1
@@ -775,21 +973,17 @@ class FusedPath:
         return group_cols, keys, block, k
 
 
-def compile_fused_path(engine, relation_name: str) -> Optional[FusedPath]:
-    """Compile one relation's maintenance path into a fused kernel.
+def compile_fused_path(engine, relation_name: str) -> FusedPath:
+    """Compile one relation's maintenance path.
 
     Pure function of the static view tree, compiled once at engine
-    construction. Returns ``None`` when a lifting function on the path
-    lacks bulk metadata — the per-tuple path then handles every batch
-    for this relation.
+    construction. Row mode runs any path; columnar mode (``bulk``) needs
+    bulk metadata on every lifting function of the path.
     """
     leaf, leaf_lifts, inner = engine._paths[relation_name]
     schema = tuple(engine.query.schema_of(relation_name).attributes)
-    leaf_lift_items = []
-    for attr, fn in leaf_lifts.items():
-        if not bulk_liftable(fn):
-            return None
-        leaf_lift_items.append((schema.index(attr), fn))
+    bulk = all(map(bulk_liftable, leaf_lifts.values()))
+    leaf_lift_items = tuple((schema.index(attr), fn) for attr, fn in leaf_lifts.items())
     leaf_group_positions = _positions(schema, tuple(leaf.key))
     schema_now = tuple(leaf.key)
     probe_steps = engine.probe_plan.path_steps[relation_name]
@@ -808,20 +1002,16 @@ def compile_fused_path(engine, relation_name: str) -> Optional[FusedPath]:
                 )
             )
             schema_now = schema_now + tuple(sibling_key[i] for i in keep_positions)
-        lift_items = []
-        for attr, fn in lifts.items():
-            if not bulk_liftable(fn):
-                return None
-            lift_items.append((schema_now.index(attr), fn))
+        bulk = bulk and all(map(bulk_liftable, lifts.values()))
         steps.append(
             _FusedStep(
                 view.name,
                 tuple(probes),
-                tuple(lift_items),
+                tuple((schema_now.index(attr), fn) for attr, fn in lifts.items()),
                 _positions(schema_now, tuple(view.key)),
             )
         )
         schema_now = tuple(view.key)
     return FusedPath(
-        leaf.name, tuple(leaf_lift_items), leaf_group_positions, tuple(steps)
+        leaf.name, leaf_lift_items, leaf_group_positions, tuple(steps), bulk
     )

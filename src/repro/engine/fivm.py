@@ -7,15 +7,15 @@ views at each inner node, marginalized through the node's variable, and
 folded into the node's view when that view is stored — regardless of the
 payload ring.
 
-Initialization stores every view. When every relation has a compiled
-fused path (every cofactor payload a spec builds) it is maintenance:
-every view starts empty, and each base relation's contents go up its own
-path as insert deltas of at most ``_LOAD_CHUNK_ROWS`` rows, smallest
-relation first. The sum of the inserts is the database, so the views are
-the evaluated ones, and the transient blocks stay the size of one
-steady-state batch. Rings without fused paths (count, sum) evaluate the
-tree instead: through the per-tuple interpreter the same load measured
-2.3-3.6x slower than evaluation.
+Initialization stores every view. When every relation's compiled
+program can run columnar (every cofactor payload a spec builds) it is
+maintenance: every view starts empty, and each base relation's contents
+go up its own path as insert deltas of at most ``_LOAD_CHUNK_ROWS``
+rows, smallest relation first. The sum of the inserts is the database,
+so the views are the evaluated ones, and the transient blocks stay the
+size of one steady-state batch. Dict-view rings (count, sum) evaluate the tree
+instead: through their relation-at-a-time interpreter the same load
+measured 2.3-3.6x slower than evaluation.
 
 From then on the engine keeps a view stored only if it is the root, a
 leaf, or a sibling that the path of an *observed* relation probes — a
@@ -30,9 +30,8 @@ probing it. A rebuild is exact: leaves always stay current, every view is
 the join of its children with its variable summed out, and a dropped
 view's stored descendants were maintained all along. Rebuilds, reads and
 exports re-derive a dropped view the way a delta travels: the contents of
-the stored view below it run up an observed path's fused ladder as one
-block, or, for rings without bulk kernels, its children join entry by
-entry.
+the stored view below it run up an observed path's columnar ladder as
+one block, or, for dict views, its children join entry by entry.
 
 Compared to re-evaluation the work per update is bounded by the sizes of
 the deltas and sibling views along one path; compared to first-order IVM
@@ -62,7 +61,7 @@ from repro.viewtree.builder import ViewTree, build_probe_plan, build_view_tree
 __all__ = ["FIVMEngine"]
 
 #: Rows per insert delta when initialization loads a relation up its
-#: fused path (see :meth:`FIVMEngine._load`) — the paper's flush size.
+#: compiled program (see :meth:`FIVMEngine._load`) — the paper's flush size.
 #: Smaller chunks lower the load's memory peak and cost time: on the
 #: benchmark's MI scenario VmHWM read 53.9 / 55.7 / 57.2 / 59.6 MB at
 #: 250 / 500 / 1000 / 2000 rows (evaluating the tree: 58.9), while the
@@ -74,8 +73,8 @@ _LOAD_CHUNK_ROWS = 1000
 class FIVMEngine(MaintenanceEngine):
     """Higher-order factorized incremental view maintenance.
 
-    :meth:`initialize` stores every view: on rings with a fused path for
-    every relation by loading the database up those paths
+    :meth:`initialize` stores every view: on slot-store engines whose
+    programs all run columnar by loading the database up those paths
     (:meth:`_load`), otherwise by :func:`evaluate_tree`.
 
     ``materialized`` holds the stored views: after initialization every
@@ -95,34 +94,41 @@ class FIVMEngine(MaintenanceEngine):
     payload a spec builds by default: numeric COVAR, and MI / mixed
     COVAR over the sparse relational ring, decayed or not — every view
     is a :class:`~repro.data.store.SlotStore` (one ring block per view,
-    both paths below read and write its rows); otherwise (counts, sums)
-    views are dict relations, indexed where probed.
+    both modes of the compiled program read and write its rows);
+    otherwise (counts, sums) views are dict relations, indexed where
+    probed.
 
-    A delta is maintained along one of two paths, chosen only from what
+    A delta is maintained by one of two programs, chosen only from what
     the engine can observe:
 
-    - the **fused columnar program** (:mod:`repro.engine.compile`) when
-      the payload ring has bulk kernels and is not scalar
-      (``ring.has_bulk_kernels and not ring.is_scalar``), every lifting
-      function on the relation's path is bulk-liftable, and the delta
-      has at least ``EngineStatistics.COLUMNAR_MIN_DELTA`` keys: the
-      delta travels as key columns plus one contiguous payload block and
-      lift / probe / multiply / group-sum run as whole-batch kernels;
-    - the **per-tuple path** otherwise: a payload object per delta key,
-      and per sibling join an index probe (`Relation.join_probe`) or —
-      when the running delta dwarfs the sibling
+    - on a slot-store engine (the payload ring has bulk kernels and is
+      not scalar), by its relation's **compiled program**
+      (:class:`~repro.engine.compile.FusedPath`), which picks its mode
+      by the delta's size: from ``EngineStatistics.COLUMNAR_MIN_DELTA``
+      keys on (and when every lifting function on the path is
+      bulk-liftable) **columnar** — key columns plus one payload block,
+      lift / probe / multiply / group-sum as whole-batch kernels — and
+      below that **row** mode — one payload per key, the compiled
+      positions driving index probes (``StoreIndex.matches``), ring
+      products and dict grouping, no :class:`Relation` built;
+    - on dict views (count, sum, and the reference rings in ``tests/``),
+      by the **interpreter** in :meth:`apply`: relation operations per
+      step, each sibling join an index probe (`Relation.join_probe`) or
+      — when the running delta dwarfs the sibling
       (``EngineStatistics.ADAPTIVE_SCAN_*``) — one scan join.
 
-    Scalar rings (count, sum) always take the per-tuple path: their dict
-    fast paths beat the kernels' fixed numpy cost at every batch size
-    measured. For every other payload the choice depends on the delta's
-    size only, never on the application. Both paths produce the same
-    views (floating-point group sums may associate differently, like
-    any batch-size change).
+    Scalar rings keep dict views: their dict fast paths beat the
+    kernels' fixed numpy cost at every batch size measured. For every
+    other payload the choice depends on the delta's size only, never on
+    the application. Both modes issue the same payload products and
+    produce the same views (bit for bit where the float sums are exact;
+    a columnar group-sum may associate differently, like any batch-size
+    change).
     Setting the engine's ``profile_stages`` attribute (default
     ``False``) accumulates per-stage wall-clock seconds
-    (lift/probe/multiply/group/scatter) of the fused program into
-    ``stats.stage_seconds`` — the ``repro bench --profile`` breakdown.
+    (lift/probe/multiply/group/scatter) of both modes of the compiled
+    program into ``stats.stage_seconds`` — the ``repro bench --profile``
+    breakdown.
     """
 
     strategy = "fivm"
@@ -182,7 +188,7 @@ class FIVMEngine(MaintenanceEngine):
             self._view_supports[view.name] = tuple(sorted(slots))
         ring = self.plan.ring
         #: Whether views are slot stores — the predicate that also
-        #: selects the fused path.
+        #: gives every relation a compiled program.
         self._stored = ring.has_bulk_kernels and not ring.is_scalar
         self.materialized: Dict[str, Any] = {}
         self.profile_stages = False
@@ -205,23 +211,20 @@ class FIVMEngine(MaintenanceEngine):
                 for view in path[1:]
             )
             self._paths[name] = (leaf, leaf_lifts, inner)
-        #: Fused columnar programs, one per vectorizable relation path —
-        #: like the probe plan a pure function of the static tree, so the
-        #: schema evolution along each path is compiled once here rather
-        #: than per batch. Scalar rings get none: their dict fast paths
-        #: beat the kernels' fixed cost at every batch size.
-        self._fused_paths: Dict[str, FusedPath] = {}
-        if self._stored:
-            for name in self._paths:
-                fpath = compile_fused_path(self, name)
-                if fpath is not None:
-                    self._fused_paths[name] = fpath
+        #: Compiled maintenance programs, one per relation path of a
+        #: slot-store engine — like the probe plan a pure function of the
+        #: static tree, so the schema evolution along each path is
+        #: compiled once here rather than per batch. Dict views (count,
+        #: sum) get none: the interpreter in :meth:`apply` serves them.
+        self._fused_paths: Dict[str, FusedPath] = {
+            name: compile_fused_path(self, name) for name in self._paths
+        } if self._stored else {}
 
     # ------------------------------------------------------------------
 
     def initialize(self, database: Database) -> None:
         relations = self._base_relations(database)
-        if len(self._fused_paths) == len(self._paths):
+        if self._fused_paths and all(f.bulk for f in self._fused_paths.values()):
             self._load(relations)
         else:
             self.materialized = {}
@@ -255,8 +258,8 @@ class FIVMEngine(MaintenanceEngine):
 
     def _load(self, relations: Dict[str, Relation]) -> None:
         """Initialization as maintenance: every view starts empty, and each
-        relation's contents go up its own fused path as insert deltas of
-        ``_LOAD_CHUNK_ROWS`` rows, smallest relation first.
+        relation's contents go up its own program, columnar, as insert
+        deltas of ``_LOAD_CHUNK_ROWS`` rows, smallest relation first.
 
         The sum of the inserts is the database, so the views come out as
         :func:`evaluate_tree` would evaluate them (float group sums may
@@ -286,7 +289,7 @@ class FIVMEngine(MaintenanceEngine):
                     chunk.data = dict(islice(rows, _LOAD_CHUNK_ROWS))
                     if not chunk.data:
                         break
-                    fpath.apply(self, chunk)
+                    fpath.columnar(self, chunk)
                 # A path never writes the siblings it probes, so no index
                 # is maintained while a relation loads.
                 for view in self.materialized.values():
@@ -302,23 +305,18 @@ class FIVMEngine(MaintenanceEngine):
             return
         if relation_name not in self._observed:
             self._observe((relation_name,))
-        stats = self.stats
         fpath = self._fused_paths.get(relation_name)
-        if fpath is not None and len(delta.data) >= stats.COLUMNAR_MIN_DELTA:
+        if fpath is not None:
             fpath.apply(self, delta)
             return
+        stats = self.stats
         stats.record_batch(delta)
-        stored = self._stored
         materialized = self.materialized
         view_sizes = stats.view_sizes
         leaf, leaf_lifts, inner = self._paths[relation_name]
         current = delta.lift(self.plan.ring, leaf.key, leaf_lifts)
         leaf_view = materialized[leaf.name]
-        dropped = leaf_view.add_inplace(current)
-        if stored:
-            # A store reports the probe-array caches a key insert or
-            # delete cost it; small batches must account for them too.
-            stats.mirror_invalidations += dropped
+        leaf_view.add_inplace(current)
         view_sizes[leaf.name] = len(leaf_view)
         probe_steps = self.probe_plan.path_steps[relation_name]
         scan_ratio = stats.ADAPTIVE_SCAN_RATIO
@@ -335,7 +333,7 @@ class FIVMEngine(MaintenanceEngine):
                 ):
                     # The delta dwarfs the sibling: one hash join over
                     # the small sibling beats per-entry index probes.
-                    joined = joined.join(sibling.copy() if stored else sibling)
+                    joined = joined.join(sibling)
                     stats.scan_steps += 1
                 else:
                     # O(|delta| x matches): probe the persistent index
@@ -358,9 +356,7 @@ class FIVMEngine(MaintenanceEngine):
             target = materialized.get(view.name)
             if target is None:
                 continue  # not stored: the delta only passes through
-            dropped = target.add_inplace(current)
-            if stored:
-                stats.mirror_invalidations += dropped
+            target.add_inplace(current)
             view_sizes[view.name] = len(target)
 
     def _before_many(self, relation_names) -> None:
@@ -421,8 +417,8 @@ class FIVMEngine(MaintenanceEngine):
 
         Returns it with the dropped views below it the derivation passed.
         A view is dropped only from an observed relation's path, and
-        every sibling such a path probes is stored: with a fused program,
-        that path's ladder recomputes the view in bulk
+        every sibling such a path probes is stored: with a program that
+        runs columnar, that path's ladder recomputes the view in bulk
         (:meth:`FusedPath.derive`); otherwise :func:`evaluate_view` joins
         its children entry by entry.
         """
@@ -430,6 +426,7 @@ class FIVMEngine(MaintenanceEngine):
             fpath = self._fused_paths.get(relation)
             if (
                 fpath is not None
+                and fpath.bulk
                 and relation in self._observed
                 and any(view.name == name for view, _ in inner)
             ):

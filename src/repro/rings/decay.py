@@ -23,12 +23,14 @@ the clock, and does so automatically whenever the boost would overflow
 unbounded streams.
 
 Because the boost rides the multiplicity entry points shared by the
-per-tuple, columnar and fused paths, all three produce bit-identical
-decayed state. The wrapper delegates everything else — including the
-full bulk-kernel contract — to the base ring, so it rides the fused path
-at full speed. It requires ``has_float_scaling`` on the base ring
-(sum/covar payloads); exact rings (Z, bool, min-plus) raise a
-descriptive error, as decayed exact counts are not meaningful.
+row and columnar modes of the compiled maintenance program and the
+dict-view interpreter, all of them produce bit-identical decayed state.
+The wrapper delegates everything else — the full bulk-kernel contract
+and the slot stores' row kernels, each method spelt out — to the base
+ring, so it rides the compiled program at full speed. It requires
+``has_float_scaling`` on the base ring (sum/covar payloads); exact
+rings (Z, bool, min-plus) raise a descriptive error, as decayed exact
+counts are not meaningful.
 """
 
 from __future__ import annotations
@@ -93,8 +95,8 @@ class DecayRing(Ring):
 
     Mutable by design: :meth:`advance` moves the shared decay clock that
     every subsequent lift observes. State (``ticks``/``boost``) lives on
-    the ring because the ring is the one object all three maintenance
-    paths — per-tuple, columnar, fused — already share.
+    the ring because the ring is the one object every maintenance path
+    already shares.
 
     ``is_scalar`` is forced ``False`` even over scalar bases: the scalar
     fast paths use native ``+``/``*`` and would bypass the boost.
@@ -258,9 +260,51 @@ class DecayRing(Ring):
     def nonzero_cells(self, block):
         return self.base.nonzero_cells(block)
 
+    # Row kernels of slot-store views (the maintenance program's row mode
+    # and every store mutation) and the cofactor extras. Spelled out, so
+    # that a kernel that must be boosted is never reached through
+    # ``__getattr__`` by accident: tests/rings/test_decay.py fails when
+    # a base ring grows a public method this class does not define.
+
+    def alloc_block(self, n, *support):
+        return self.base.alloc_block(n, *support)
+
+    def add_at(self, block, at, delta):
+        return self.base.add_at(block, at, delta)
+
+    def add_row(self, block, i, a):
+        return self.base.add_row(block, i, a)
+
+    def set_rows(self, block, at, rows):
+        return self.base.set_rows(block, at, rows)
+
+    def row(self, block, i):
+        return self.base.row(block, i)
+
+    def lift(self, index, x):
+        return self.base.lift(index, x)
+
+    def close(self, a, b, *tol):
+        return self.base.close(a, b, *tol)
+
+    def dense(self, a):
+        return self.base.dense(a)
+
+    def project(self, a, support):
+        return self.base.project(a, support)
+
+    def support(self, indices):
+        return self.base.support(indices)
+
+    def linear(self, a, i):
+        return self.base.linear(a, i)
+
+    def entry(self, a, i, j):
+        return self.base.entry(a, i, j)
+
     def __getattr__(self, attr):
-        # Ring-specific extras (lift/layout/degree/close/...) pass through,
-        # so lifting closures and model extraction see the base interface.
+        # Data attributes of the base ring (layout, degree, ...) pass
+        # through, so model extraction sees the base interface.
         return getattr(self.base, attr)
 
 

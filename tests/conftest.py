@@ -30,15 +30,17 @@ hypothesis.settings.load_profile("fivm")
 
 
 # ----------------------------------------------------------------------
-# Test seam: the per-tuple path at any batch size
+# Test seam: the compiled program's row mode at any batch size
 # ----------------------------------------------------------------------
 
 
-def per_tuple_path():
+def row_mode():
     """Context manager: while active no delta is large enough for the
-    fused columnar program, so every ``apply`` takes the per-tuple path
-    — the reference the fused path is checked against. The engine has no
-    option for this; the size threshold is the only seam."""
+    columnar mode, so every ``apply`` on a slot-store engine runs its
+    compiled program in row mode — one payload per key, the reference
+    the columnar mode is checked against (dict-view engines, which have
+    no program, are unaffected). The engine has no option for this; the
+    size threshold is the only seam."""
     return mock.patch.object(EngineStatistics, "COLUMNAR_MIN_DELTA", sys.maxsize)
 
 

@@ -28,7 +28,7 @@ from repro.engine.base import EngineStatistics
 from repro.engine.sharded import available_backends
 from repro.rings import CountSpec, CovarSpec, Feature, SumSpec
 from repro.config import EngineConfig
-from tests.conftest import per_tuple_path
+from tests.conftest import row_mode
 from tests.rings.reference_cofactor import GeneralFloatCovarSpec, general_dense
 
 R_SCHEMA = ("A", "B")
@@ -160,7 +160,7 @@ class TestColumnarEquivalence:
             engine.initialize(database)
         columnar.apply_stream(iter(events), batch_size=batch_size)
         oracle.apply_stream(iter(events), batch_size=batch_size)
-        with per_tuple_path():
+        with row_mode():
             per_tuple.apply_stream(iter(events), batch_size=batch_size)
         assert columnar.stats.columnar_batches > 0
         assert columnar.stats.columnar_steps > 0
@@ -187,7 +187,7 @@ class TestColumnarEquivalence:
             engine.initialize(toy_database())
         columnar.apply_stream(iter(events), batch_size=64)
         oracle.apply_stream(iter(events), batch_size=64)
-        with per_tuple_path():
+        with row_mode():
             per_tuple.apply_stream(iter(events), batch_size=64)
         assert columnar.stats.columnar_batches > 0
         assert per_tuple.stats.columnar_batches == 0
@@ -240,7 +240,7 @@ class TestColumnarEquivalence:
             clone = FIVMEngine(covar_query(), order=retailer_variable_order())
             clone.import_state(pickle.loads(pickle.dumps(snapshot)))
             if force_per_tuple:
-                with per_tuple_path():
+                with row_mode():
                     clone.apply_stream(iter(events[150:]), batch_size=50)
                 assert clone.stats.columnar_batches == snapshot["stats"]["columnar_batches"]
             else:

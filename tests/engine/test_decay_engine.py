@@ -15,7 +15,7 @@ from repro.engine import FIVMEngine
 from repro.engine.sharded import available_backends
 from repro.errors import EngineError
 from repro.rings import payload_drift, result_drift
-from tests.conftest import per_tuple_path
+from tests.conftest import row_mode
 
 needs_process = pytest.mark.skipif(
     "process" not in available_backends(), reason="fork unavailable"
@@ -134,7 +134,7 @@ class TestPathEquality:
         for engine in (fused, per_tuple):
             engine.initialize(database)
         fused.apply_stream(iter(events), batch_size=60)
-        with per_tuple_path():
+        with row_mode():
             per_tuple.apply_stream(iter(events), batch_size=60)
         assert fused.stats.fused_batches > 0
         assert per_tuple.stats.fused_batches == 0

@@ -1,8 +1,9 @@
 """Fused per-path kernels: bit-equality, probe arrays, checkpoints.
 
-The fused program (:mod:`repro.engine.compile`) promises *bit-equal*
-results to the per-tuple path — not merely numerically close — because
-it replays the exact same float summation orders. These tests sweep
+The fused program's columnar mode (:mod:`repro.engine.compile`)
+promises *bit-equal* results to its row mode (``per_tuple`` below)
+wherever the float sums are exact — not merely numerically close —
+because it issues the same payload products. These tests sweep
 rings, batch sizes and delete-heavy cancellation streams against that
 promise (with re-evaluation as the third voice), and pin down the
 supporting invariants: cached probe arrays can never serve stale state,
@@ -46,7 +47,7 @@ from repro.engine.compile import (
 )
 from repro.rings import CountSpec, CovarSpec
 from repro.rings.cofactor import CofactorLayout, NumericCofactorRing
-from tests.conftest import assert_same_as_rebuilt, per_tuple_path
+from tests.conftest import assert_same_as_rebuilt, row_mode
 
 R_SCHEMA = ("A", "B")
 
@@ -123,7 +124,7 @@ class TestFusedBitEquality:
             engine.initialize(database)
         fused.apply_stream(iter(events), batch_size=batch_size)
         naive.apply_stream(iter(events), batch_size=batch_size)
-        with per_tuple_path():
+        with row_mode():
             per_tuple.apply_stream(iter(events), batch_size=batch_size)
         if query_ring == "covar":
             if batch_size >= 100:
@@ -151,7 +152,7 @@ class TestFusedBitEquality:
         for engine in (fused, per_tuple):
             engine.initialize(database)
         fused.apply_stream(iter(warm), batch_size=128)
-        with per_tuple_path():
+        with row_mode():
             per_tuple.apply_stream(iter(warm), batch_size=128)
         assert fused.stats.fused_batches > 0
         assert per_tuple.stats.fused_batches == 0
@@ -217,15 +218,11 @@ class TestProbeArrays:
         payload = ring.lift(0, 5.0)
         gone = ring.neg(ring.lift(0, 1.0))  # cancels (1, 10) exactly
         if mutate == "add_inplace":
-            other = Relation(("A", "B"), ring)
-            other.data = {(9, 90): payload}
-            dropped = rel.add_inplace(other)
+            dropped = rel.add_inplace({(9, 90): payload})
         elif mutate == "add_block":
             dropped = rel.add_block([(9, 90)], ring.make_block([payload]))
         elif mutate == "delete_inplace":
-            other = Relation(("A", "B"), ring)
-            other.data = {(1, 10): gone}
-            dropped = rel.add_inplace(other)
+            dropped = rel.add_inplace({(1, 10): gone})
         else:
             dropped = rel.add_block([(1, 10)], ring.make_block([gone]))
         assert dropped == 0 and index.cache is arrays
@@ -252,9 +249,7 @@ class TestProbeArrays:
         arrays = index.probe_arrays()
         payload = ring.lift(0, 5.0)
         if mutate == "add_inplace":
-            other = Relation(("A", "B"), ring)
-            other.data = {(2, 20): payload}
-            assert rel.add_inplace(other) == 0
+            assert rel.add_inplace({(2, 20): payload}) == 0
             expected = [1.0, 7.0, 3.0]
         elif mutate == "add_block":
             assert rel.add_block([(2, 20)], ring.make_block([payload])) == 0
@@ -298,7 +293,7 @@ class TestProbeArrays:
         ]
         for name, delta in steps:
             engine.apply(name, delta.copy())
-        with per_tuple_path():
+        with row_mode():
             for name, delta in steps:
                 oracle.apply(name, delta.copy())
         assert oracle.stats.fused_batches == 0

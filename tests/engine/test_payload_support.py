@@ -26,7 +26,7 @@ from repro.datasets import (
     retailer_variable_order,
 )
 from repro.rings import CovarSpec, Feature
-from tests.conftest import per_tuple_path
+from tests.conftest import row_mode
 
 
 def retailer():
@@ -99,7 +99,7 @@ def test_support_is_the_subtree_through_the_engine_life(dataset):
     assert_payloads_span_their_subtrees(engine)
 
     fused_before = engine.stats.fused_batches
-    with per_tuple_path():
+    with row_mode():
         engine.apply_stream(stream.tuples(200), batch_size=64)
     engine.apply_stream(stream.tuples(50), batch_size=1)
     assert engine.stats.fused_batches == fused_before

@@ -33,7 +33,7 @@ from repro.datasets import (
 from repro.engine import FIVMEngine, NaiveEngine, available_backends
 from repro.ml import binning_for_attribute, covar_from_payload, mutual_information_matrix
 from repro.rings import CountSpec, CovarSpec, Feature, GeneralCofactor, MISpec
-from tests.conftest import per_tuple_path
+from tests.conftest import row_mode
 from tests.rings.reference_cofactor import (
     GeneralFloatCovarSpec,
     ReferenceCofactorSpec,
@@ -154,7 +154,7 @@ class TestSnapshotImmutability:
         publish()
         for i, batch in enumerate(batches):
             if i % 2:
-                with per_tuple_path():
+                with row_mode():
                     engine.apply_many(batch)
             else:
                 engine.apply_many(batch)
@@ -210,7 +210,7 @@ class TestCheckpointRoundTrip:
         assert all(isinstance(v, SlotStore) for v in restored.materialized.values())
         for engine in (straight, restored):
             engine.apply_many(tail[0])  # fused
-            with per_tuple_path():
+            with row_mode():
                 for batch in tail[1:]:
                     engine.apply_many(batch)
         assert restored.stats.fused_batches == straight.stats.fused_batches > 0
@@ -259,7 +259,7 @@ def test_both_sides_fused_per_tuple_sharded_naive_agree(seed, batch_size, insert
             fused.apply_many(batch)
             naive.apply_many(batch)
             sharded.apply_many(batch)
-            with per_tuple_path():
+            with row_mode():
                 per_tuple.apply_many(batch)
         assert per_tuple.stats.fused_batches == 0
         if batch_size >= 64:
@@ -427,7 +427,7 @@ class TestRelationalPayloads:
         again.import_state(pickle.loads(pickle.dumps(straight.export_state())))
         for engine in (straight, restored, again, old):
             engine.apply_many(tail[0])  # fused (but for the dict ring)
-            with per_tuple_path():
+            with row_mode():
                 for batch in tail[1:]:
                     engine.apply_many(batch)
         assert again.stats.probe_steps == straight.stats.probe_steps > 0
@@ -510,7 +510,7 @@ def test_relational_fused_per_tuple_naive_and_dict_ring_agree(kind, seed, batch_
         fused.apply_many(batch)
         naive.apply_many(batch)
         old.apply_many(batch)
-        with per_tuple_path():
+        with row_mode():
             per_tuple.apply_many(batch)
     assert per_tuple.stats.fused_batches == 0
     if batch_size >= 64:

@@ -27,7 +27,7 @@ from repro.query.query import Query
 from repro.query.variable_order import VariableOrder, VONode
 from repro.rings import CountSpec
 from repro.viewtree import build_probe_plan
-from tests.conftest import per_tuple_path
+from tests.conftest import row_mode
 
 R_SCHEMA = ("A", "B")
 S_SCHEMA = ("A", "C", "D")
@@ -314,7 +314,7 @@ class TestCheckpointWithIndexes:
         for engine in (plain, oracle):
             engine.initialize(toy_database())
         first = inserts(R_SCHEMA, [(f"a{i % 3}", 9 + i) for i in range(40)])
-        with per_tuple_path():
+        with row_mode():
             plain.apply("R", first)
         oracle.apply("R", first)
         assert plain.stats.fused_batches == 0
@@ -322,7 +322,7 @@ class TestCheckpointWithIndexes:
         clone.import_state(plain.export_state())
         assert clone.result() == plain.result()
         delta = inserts(S_SCHEMA, [(f"a{i % 3}", i, 1) for i in range(40)])
-        with per_tuple_path():
+        with row_mode():
             plain.apply("S", delta)
         clone.apply("S", delta)
         oracle.apply("S", delta)

@@ -4,7 +4,7 @@ The acceptance contract for time-aware maintenance: ingesting a stream
 through :class:`~repro.data.windows.WindowedStream` must leave the engine
 in *exactly* the state a fresh batch evaluation over the live window
 would produce — at every window advance, for tumbling and sliding
-windows, across the per-tuple and fused maintenance paths and the
+windows, across the row and columnar modes of the compiled program and the
 serial and process shard backends, including delete-heavy streams.
 """
 
@@ -24,7 +24,7 @@ from repro.datasets import (
 )
 from repro.engine import FIVMEngine
 from repro.engine.sharded import available_backends
-from tests.conftest import per_tuple_path
+from tests.conftest import row_mode
 
 needs_process = pytest.mark.skipif(
     "process" not in available_backends(), reason="fork unavailable"
@@ -34,14 +34,14 @@ TUMBLING = WindowSpec(24, 24)
 SLIDING = WindowSpec(24, 8)
 
 # Wide enough that a 64-event flush hands each relation a delta the
-# fused path takes; the 24-unit windows above stay per-tuple throughout.
+# columnar mode takes; the 24-unit windows above stay in row mode throughout.
 WIDE_SLIDING = WindowSpec(96, 32)
 
 # The two maintenance paths that must agree bit-exactly (toy values are
-# integers): whatever the size rule picks, and per-tuple forced.
+# integers): whatever the size rule picks, and row mode forced.
 PATHS = {
     "fused": contextlib.nullcontext,
-    "per-tuple": per_tuple_path,
+    "per-tuple": row_mode,
 }
 
 
@@ -77,8 +77,8 @@ def assert_equivalent_at_every_advance(
 ):
     """At every boundary b: windowed state == batch eval over [b-size, b).
 
-    ``path`` wraps the windowed engine's ingest (``per_tuple_path`` pins
-    it to the per-tuple path; the batch reference always runs unpinned).
+    ``path`` wraps the windowed engine's ingest (``row_mode`` pins
+    it to row mode; the batch reference always runs unpinned).
     Returns how many windowed batches took the fused path.
     """
     stamped = timed(events)

@@ -129,6 +129,40 @@ class TestDecayClock:
         assert ring.add(1.0, 2.0) == 3.0
         assert ring.has_bulk_kernels == base.has_bulk_kernels
 
+    @pytest.mark.parametrize(
+        "base",
+        [
+            FloatRing(),
+            NumericCofactorRing(CofactorLayout(("b", "d"))),
+            GeneralCofactorRing(FloatRing(), CofactorLayout(("b",))),
+        ],
+        ids=lambda base: type(base).__name__,
+    )
+    def test_every_public_callable_of_a_decayable_base_is_spelt_out(self, base):
+        """A base ring method reached through ``__getattr__`` would skip
+        the boost silently if it ever took a multiplicity: every public
+        callable of every ring DecayRing accepts must be boosted or
+        explicitly delegated in DecayRing's own body."""
+        DecayRing(base, 0.9)  # accepted
+        public = {
+            name for name in dir(base)
+            if not name.startswith("_") and callable(getattr(base, name))
+        }
+        assert public and not public - set(vars(DecayRing)), sorted(
+            public - set(vars(DecayRing))
+        )
+
+    def test_row_kernels_delegate(self):
+        base = NumericCofactorRing(CofactorLayout(("b",)))
+        ring = DecayRing(base, 0.5)
+        ring.advance(1)
+        block = ring.alloc_block(2, (0,))
+        ring.set_rows(block, [0], ring.make_block([ring.lift(0, 3.0)]))
+        assert not ring.add_row(block, 0, ring.lift(0, 1.0))
+        assert base.eq(ring.row(block, 0), base.add(base.lift(0, 3.0), base.lift(0, 1.0)))
+        ring.add_at(block, [1], ring.make_block([ring.lift(0, 2.0)]))
+        assert base.eq(ring.row(block, 1), base.lift(0, 2.0))
+
 
 class TestDrift:
     def test_payload_drift_scalars(self):
