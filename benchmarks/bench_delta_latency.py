@@ -6,9 +6,10 @@ measures the latency-critical end of the spectrum — small batches —
 where the batcher cannot amortize anything:
 
 1. **Delta latency** — a Retailer single-tuple stream ingested through
-   ``apply_stream`` at batch sizes 1/10/100/1000 (count ring, so every
-   batch stays on the dict-view interpreter's probe path). Reports per-update latency
-   and updates/s; the CI smoke run never gates on timing.
+   ``apply_stream`` at batch sizes 1/10/100/1000 (count ring: dict
+   views, so every batch runs the compiled program's row mode). Reports
+   per-update latency and updates/s; the CI smoke run never gates on
+   timing.
 2. **Mode crossover** — numeric COVAR at batch sizes around
    ``EngineStatistics.COLUMNAR_MIN_DELTA``, the compiled program's
    columnar mode against its row mode (each pinned by patching that

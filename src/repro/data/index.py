@@ -7,8 +7,9 @@ triggers probe. :class:`RelationIndex` is that index: a hash map from a
 projection of the key (the "hook") to the bucket of live entries sharing
 it. :class:`IndexedRelation` is a :class:`~repro.data.relation.Relation`
 that carries any number of such indexes and keeps them consistent through
-:meth:`~repro.data.relation.Relation.add_inplace`, the only mutation the
-engines perform on materialized views.
+:meth:`~repro.data.relation.Relation.add_inplace` (row mode's
+``_add_rows``), the only mutation the engines perform on materialized
+views.
 
 Buckets hold ``key -> payload`` entries, so a probe iterates matches
 without touching the relation's main dict, and a delete that cancels the
@@ -54,7 +55,7 @@ class RelationIndex:
         self.positions = _positions(tuple(schema), self.attrs)
         self.hook_of = _hook_getter(self.positions)
         self.buckets: Dict[Any, Dict[Key, Any]] = {}
-        #: Probe-side counters (filled by ``Relation.join_probe``).
+        #: Probe-side counters (filled by the compiled program's probes).
         self.probes = 0
         self.hits = 0
 
@@ -98,7 +99,7 @@ class RelationIndex:
 
     def matches(self, hook: Any):
         """``(key, payload)`` pairs of the entries under ``hook`` (falsy
-        when there are none) — what ``Relation.join_probe`` iterates."""
+        when there are none) — what row mode's sibling probe iterates."""
         bucket = self.buckets.get(hook)
         return bucket.items() if bucket else ()
 
@@ -168,11 +169,12 @@ class IndexedRelation(_IndexCarrier, Relation):
     """A relation carrying persistent indexes kept consistent on mutation.
 
     The engines mutate materialized views exclusively through
-    :meth:`add_inplace`; this subclass folds index maintenance into that
-    call, so an indexed view costs one extra dict write per index per
-    changed key — never a rebuild. ``copy``/``empty_like`` intentionally
-    return plain (unindexed) relations: indexes belong to the long-lived
-    materialization, not to transient deltas derived from it.
+    :meth:`add_inplace` (``_add_rows``); this subclass folds index
+    maintenance into that call, so an indexed view costs one extra dict
+    write per index per changed key — never a rebuild.
+    ``copy``/``empty_like`` intentionally return plain (unindexed)
+    relations: indexes belong to the long-lived materialization, not to
+    transient deltas derived from it.
 
     Indexes materialize *lazily*: :meth:`register_index` only records
     that an attribute tuple may be probed, and :meth:`ensure_index`
@@ -202,15 +204,11 @@ class IndexedRelation(_IndexCarrier, Relation):
     def _build_index(self, attrs: Tuple[str, ...]) -> RelationIndex:
         return RelationIndex(self.schema, attrs).build(self.data)
 
-    def add_inplace(self, other: Relation) -> "IndexedRelation":
-        """Union with payload addition, updating every index in the same pass."""
+    def _add_rows(self, rows: Mapping[Key, Any]) -> int:
+        """:meth:`add_inplace`'s union, updating every index in the same pass."""
         indexes = tuple(self.indexes.values())
         if not indexes:
-            super().add_inplace(other)
-            return self
-        self._check_compatible(other)
-        # This branch bypasses Relation.add_inplace, so it must drop the
-        # cached columnar form itself.
+            return super()._add_rows(rows)
         self._columnar = None
         ring = self.ring
         data = self.data
@@ -219,7 +217,7 @@ class IndexedRelation(_IndexCarrier, Relation):
             # a method call per index per changed key — index maintenance is
             # the dominant per-update cost of the indexed path at large batches.
             index_ops = tuple((index.hook_of, index.buckets) for index in indexes)
-            for key, payload in other.data.items():
+            for key, payload in rows.items():
                 existing = data.get(key)
                 total = payload if existing is None else existing + payload
                 if total:
@@ -240,13 +238,13 @@ class IndexedRelation(_IndexCarrier, Relation):
                             bucket.pop(key, None)
                             if not bucket:
                                 del buckets[hook]
-            return self
+            return 0
         is_zero = ring.is_zero
         add = ring.add
-        for key, payload in other.data.items():
+        for key, payload in rows.items():
             existing = data.get(key)
             if existing is None:
-                # Mirror Relation.add_inplace: never park ring-zero payloads.
+                # Mirror Relation._add_rows: never park ring-zero payloads.
                 if not is_zero(payload):
                     data[key] = payload
                     for index in indexes:
@@ -261,4 +259,4 @@ class IndexedRelation(_IndexCarrier, Relation):
                     data[key] = total
                     for index in indexes:
                         index.set(key, total)
-        return self
+        return 0

@@ -21,7 +21,6 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import itemgetter
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -35,9 +34,6 @@ from repro.data.columnar import ColumnarDelta
 from repro.errors import DataError, SchemaError
 from repro.rings.base import Ring
 from repro.rings.scalar import Z
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.data.index import RelationIndex
 
 __all__ = ["Relation"]
 
@@ -79,25 +75,6 @@ def _key_getter(positions: Tuple[int, ...]) -> Callable[[Key], Tuple]:
         position = positions[0]
         return lambda key: (key[position],)
     return itemgetter(*positions)
-
-
-@_memo
-def _probe_shape(schema_a: Tuple[str, ...], schema_b: Tuple[str, ...], attrs: Tuple[str, ...]):
-    """``(result schema, hook extractor for a-keys, b-key suffix extractor)``
-    of ``a.join_probe(b, index on attrs)`` — one lookup per probe."""
-    shared = tuple(attr for attr in schema_b if attr in schema_a)
-    if set(attrs) != set(shared):
-        raise DataError(
-            f"index on {attrs!r} does not match the shared "
-            f"attributes {shared!r} of {schema_a!r} and {schema_b!r}"
-        )
-    keep_b = tuple(i for i, attr in enumerate(schema_b) if attr not in schema_a)
-    # Hook order must match the index's: extract ``attrs``, not ``shared``.
-    return (
-        schema_a + tuple(schema_b[i] for i in keep_b),
-        _hook_getter(_positions(schema_a, attrs)),
-        _key_getter(keep_b),
-    )
 
 
 class Relation:
@@ -266,20 +243,28 @@ class Relation:
         stays safe.
         """
         self._check_compatible(other)
+        self._add_rows(other.data)
+        return self
+
+    def _add_rows(self, rows: Mapping[Key, Any]) -> int:
+        """:meth:`add_inplace` of a ``key -> payload`` mapping — the call
+        the compiled row mode adds through into every view form. Returns
+        0: a dict view caches no probe arrays to drop (see
+        ``SlotStore.add_inplace``)."""
         self._columnar = None
         ring = self.ring
         data = self.data
         if ring.is_scalar:
             # Numeric payloads: plain +, truthiness as the zero test.
-            for key, payload in other.data.items():
+            for key, payload in rows.items():
                 existing = data.get(key)
                 total = payload if existing is None else existing + payload
                 if total:
                     data[key] = total
                 elif existing is not None:
                     del data[key]
-            return self
-        for key, payload in other.data.items():
+            return 0
+        for key, payload in rows.items():
             existing = data.get(key)
             if existing is None:
                 # Skip ring-zero payloads so cancelled batches never park
@@ -292,7 +277,7 @@ class Relation:
                     del data[key]
                 else:
                     data[key] = total
-        return self
+        return 0
 
     def neg(self) -> "Relation":
         """Payload-wise additive inverse (encodes deletes)."""
@@ -435,74 +420,6 @@ class Relation:
                         out.pop(key, None)
                     else:
                         out[key] = total
-        return result
-
-    def join_probe(self, other: "Relation", index: "RelationIndex") -> "Relation":
-        """Natural join driven by ``other``'s persistent index.
-
-        Semantically identical to ``self.join(other)`` — same result
-        schema and payloads — but instead of building a hash index per
-        call and scanning the larger side, it loops over ``self`` (meant
-        to be a small delta) and probes ``index``, a
-        :class:`~repro.data.index.RelationIndex` kept on ``other``'s
-        shared attributes. Cost is O(|self| x matches), independent of
-        |other|, which is the access path F-IVM's per-update complexity
-        claim assumes. ``index.probes``/``index.hits`` are advanced so
-        engines can report probe statistics.
-        """
-        if self.ring is not other.ring and type(self.ring) is not type(other.ring):
-            raise DataError(
-                f"cannot join relations over rings {self.ring.name!r} and {other.ring.name!r}"
-            )
-        ring = self.ring
-        schema, hook_of_a, rest_of_b = _probe_shape(self.schema, other.schema, index.attrs)
-        result = Relation(schema, ring)
-        if not self.data or not len(other):
-            return result
-        out = result.data
-        matches = index.matches
-        probes = hits = 0
-        if ring.is_scalar:
-            out_get = out.get
-            for key_a, payload_a in self.data.items():
-                probes += 1
-                bucket = matches(hook_of_a(key_a))
-                if not bucket:
-                    continue
-                hits += 1
-                for key_b, payload_b in bucket:
-                    key = key_a + rest_of_b(key_b)
-                    existing = out_get(key)
-                    total = (
-                        payload_a * payload_b
-                        if existing is None
-                        else existing + payload_a * payload_b
-                    )
-                    if total:
-                        out[key] = total
-                    elif existing is not None:
-                        del out[key]
-        else:
-            mul = ring.mul
-            add = ring.add
-            is_zero = ring.is_zero
-            for key_a, payload_a in self.data.items():
-                probes += 1
-                bucket = matches(hook_of_a(key_a))
-                if not bucket:
-                    continue
-                hits += 1
-                for key_b, payload_b in bucket:
-                    key = key_a + rest_of_b(key_b)
-                    product = mul(payload_a, payload_b)
-                    existing = out.get(key)
-                    total = product if existing is None else add(existing, product)
-                    if is_zero(total):
-                        out.pop(key, None)
-                    else:
-                        out[key] = total
-        index.probes += probes
-        index.hits += hits
         return result
 
     # ------------------------------------------------------------------

@@ -343,6 +343,10 @@ class SlotStore(_IndexCarrier):
         new_slots = [slot for key, payload in new for slot in self._insert([key], payload)]
         return self._keys_changed(dead_slots, [key for key, _ in new], new_slots)
 
+    #: The call row mode adds through into every view form (a dict view's
+    #: is ``Relation._add_rows``).
+    _add_rows = add_inplace
+
     def add_block(self, keys, block, distinct: bool = False) -> int:
         """Scatter ``block`` row ``i`` into ``keys[i]``'s row.
 

@@ -8,10 +8,10 @@ ages out. :class:`WindowedStream` keeps that promise: it wraps a stream
 of timed events and interleaves, at every window boundary, the negated
 deltas of the events that just expired. The output is a plain
 ``(relation, row, ±step)`` event stream, so every engine — either mode
-of the compiled program, the dict-view interpreter, sharded on either
-backend — maintains the windowed
-view without knowing windows exist, and bit-identically to a fresh batch
-evaluation over exactly the live window.
+of the compiled program, over slot stores or dict views, sharded on
+either backend — maintains the windowed view without knowing windows
+exist, and bit-identically to a fresh batch evaluation over exactly the
+live window.
 
 Semantics
 ---------
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import DataError
 

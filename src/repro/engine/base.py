@@ -33,38 +33,12 @@ __all__ = ["EngineStatistics", "MaintenanceEngine"]
 
 @dataclass
 class EngineStatistics:
-    """Counters engines update as they process deltas.
+    """Counters engines update as they process deltas."""
 
-    The ``ADAPTIVE_*`` class constants calibrate the probe-vs-scan
-    choice F-IVM's dict-view interpreter (count and sum views; slot
-    stores always probe) makes per maintenance step: a sibling is
-    *probed* through its persistent index (O(|delta| x matches)) unless
-    the running delta dwarfs the sibling — then one hash join that
-    indexes the small sibling per call beats per-entry probe dispatch.
-    Calibrated on the retailer stream benchmarks
-    (``bench_delta_latency.py`` / ``bench_sharded_ingest.py``): probes
-    win in every regime where the delta is at most about the sibling's
-    size (the persistent index amortizes the build a scan join pays per
-    call), so the crossover sits well above 1. The constants are
-    class-level so that no parameter is threaded through every engine.
-    """
-
-    #: Scan a sibling instead of probing it when
-    #: ``|delta| > ADAPTIVE_SCAN_RATIO * |sibling|``: the scan join then
-    #: rebuilds a hash index over the (much smaller) sibling and streams
-    #: the delta through it once. Measured on dense-match workloads the
-    #: two paths break even at ratio ~2 and the scan wins 20-30% per
-    #: step from ratio ~4 up (retailer V_Item step, 900-entry sibling).
-    ADAPTIVE_SCAN_RATIO: ClassVar[float] = 2.0
-    #: Never scan below this delta size: for small deltas the probe path
-    #: always wins regardless of the ratio (guards tiny views against
-    #: ratio noise and keeps the latency-critical single-tuple regime on
-    #: the O(|delta|) path unconditionally).
-    ADAPTIVE_SCAN_MIN_DELTA: ClassVar[int] = 512
     #: Deltas of at least this many keys take the compiled program's
-    #: columnar mode (when the path's lifts allow it); smaller ones take
-    #: its row mode, where no fixed numpy cost per kernel call needs
-    #: amortizing. Set from the crossover on retailer numeric COVAR (12
+    #: columnar mode (on slot stores whose path lifts allow it); smaller
+    #: ones take its row mode, where no fixed numpy cost per kernel call
+    #: needs amortizing. Set from the crossover on retailer numeric COVAR (12
     #: features, 40k inventory rows; µs/update, each cell the minimum of
     #: 5 x 4000 updates, ``engine.apply_many`` only, each mode pinned by
     #: patching this constant; the table holds the medians of five such
@@ -98,14 +72,15 @@ class EngineStatistics:
     #: those lookups found a non-empty bucket (F-IVM with view indexes).
     index_probes: int = 0
     index_hits: int = 0
-    #: Access-path decisions: sibling joins served one key at a time by
-    #: an index probe (row mode and the interpreter) vs. by a scan join
-    #: (the interpreter only), and sibling joins served by the columnar
-    #: bulk kernels. In columnar steps ``index_probes`` counts one probe
-    #: per *distinct* hook value of the delta (rows are grouped before
+    #: Access paths: sibling joins served one key at a time by an index
+    #: probe (row mode), and sibling joins served by the columnar bulk
+    #: kernels. In columnar steps ``index_probes`` counts one probe per
+    #: *distinct* hook value of the delta (rows are grouped before
     #: probing), so probe counts are lower than row mode's for the same
     #: data.
     probe_steps: int = 0
+    #: Always 0: no engine scan-joins a sibling any more. Kept only
+    #: because ``bench/harness.py`` reads it, until that harness changes.
     scan_steps: int = 0
     columnar_steps: int = 0
     #: Batches/sibling joins that took the fused columnar program of

@@ -1,23 +1,25 @@
-"""Compiled per-path programs: how a slot-store engine maintains a delta.
+"""Compiled per-path programs: how an engine maintains a delta.
 
 One :class:`FusedPath` per (relation, path), compiled from the static
-view tree at engine construction, maintains every delta of that
-relation, in one of two modes chosen by the delta's size
-(``EngineStatistics.COLUMNAR_MIN_DELTA``):
+view tree at engine construction for every payload ring, maintains
+every delta of that relation, in one of two modes chosen by the delta's
+size (``EngineStatistics.COLUMNAR_MIN_DELTA``):
 
-- **row mode** (small deltas, e.g. single-tuple updates): one payload
-  object per key, driven by the compiled hook / keep / group positions
-  and lift lists — lift and scale each delta row, probe each sibling
-  through its persistent index (``StoreIndex.matches``), multiply with
-  the ring's payload ``mul``, group-sum in dicts in row order, and add
-  into the stored views with ``SlotStore.add_inplace``. No
-  :class:`~repro.data.relation.Relation` is built;
-- **columnar mode** (larger deltas, when every lift on the path is
-  bulk-liftable): the running delta is key *column arrays* plus one
-  contiguous payload block, and lift -> probe-gather -> multiply ->
-  group-sum run as bulk ring kernels chained with numpy index
-  arithmetic — no payload object and no Python-level loop per delta
-  row.
+- **row mode** (small deltas, e.g. single-tuple updates, and every
+  delta on dict views): one payload object per key, driven by the
+  compiled hook / keep / group positions and lift lists — lift and scale
+  each delta row, probe each sibling through its persistent index
+  (``matches``), multiply with the ring's payload ``mul`` (plain ``*``
+  for scalar rings), group-sum in dicts in row order, and add into the
+  stored views (``SlotStore.add_inplace``, or a dict view's
+  ``Relation._add_rows``). No :class:`~repro.data.relation.Relation` is
+  built;
+- **columnar mode** (larger deltas on slot-store views, when every lift
+  on the path is bulk-liftable): the running delta is key *column
+  arrays* plus one contiguous payload block, and lift -> probe-gather ->
+  multiply -> group-sum run as bulk ring kernels chained with numpy
+  index arithmetic — no payload object and no Python-level loop per
+  delta row.
 
 Both modes issue the same payload products and leave the same views —
 bit for bit wherever the float sums are exact (a columnar group-sum,
@@ -50,6 +52,7 @@ mode's left-to-right adds). Columnar mode rests on:
 
 from __future__ import annotations
 
+import operator
 import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -505,11 +508,20 @@ def _match_reps(hook_cols, reps, arrays):
 # ----------------------------------------------------------------------
 
 
-def _lift_rows(ring, data, lifts) -> Dict[Tuple, Any]:
+def _row_ops(ring):
+    """``(mul, scale, copy, add_inplace, is_zero)`` of row mode: the
+    ring's own calls, or, for a scalar ring (plain numbers whose ``*`` /
+    ``+`` / truthiness agree with the ring, see ``Ring.is_scalar``), the
+    C-level operators — ``pos`` returns an ``int`` or ``float`` as it
+    is, ``not_`` is the truthiness zero test."""
+    if ring.is_scalar:
+        return operator.mul, operator.mul, operator.pos, operator.add, operator.not_
+    return ring.mul, ring.scale, ring.copy, ring.add_inplace, ring.is_zero
+
+
+def _lift_rows(one, mul, scale, data, lifts) -> Dict[Tuple, Any]:
     """Leaf lift of a Z-delta ``key -> multiplicity``, one payload per
     row: ``one`` times each lifted value, scaled by the multiplicity."""
-    one = ring.one()
-    mul, scale = ring.mul, ring.scale
     out = {}
     for key, multiplicity in data.items():
         payload = one
@@ -519,9 +531,8 @@ def _lift_rows(ring, data, lifts) -> Dict[Tuple, Any]:
     return out
 
 
-def _times_lifts(ring, rows, lifts) -> Dict[Tuple, Any]:
+def _times_lifts(mul, rows, lifts) -> Dict[Tuple, Any]:
     """Each payload times the lifted values of its key, in lift order."""
-    mul = ring.mul
     out = {}
     for key, payload in rows.items():
         for position, fn in lifts:
@@ -530,24 +541,19 @@ def _times_lifts(ring, rows, lifts) -> Dict[Tuple, Any]:
     return out
 
 
-def _sum_rows(ring, rows, group_of, prune: bool) -> Dict[Tuple, Any]:
+def _sum_rows(copy, add_inplace, is_zero, rows, group_of, prune: bool) -> Dict[Tuple, Any]:
     """Group-sum ``rows`` by ``group_of`` in row order (the first payload
     of a group is copied, later ones added into it); with ``prune``,
     groups that cancelled to the exact ring zero drop."""
-    copy, add_inplace = ring.copy, ring.add_inplace
     out: Dict[Tuple, Any] = {}
     get = out.get
     for key, payload in rows.items():
         group = group_of(key)
         existing = get(group)
         out[group] = copy(payload) if existing is None else add_inplace(existing, payload)
-    return _drop_zeros(ring, out) if prune else out
-
-
-def _drop_zeros(ring, out: Dict[Tuple, Any]) -> Dict[Tuple, Any]:
-    is_zero = ring.is_zero
-    for key in [key for key, payload in out.items() if is_zero(payload)]:
-        del out[key]
+    if prune:
+        for key in [key for key, payload in out.items() if is_zero(payload)]:
+            del out[key]
     return out
 
 
@@ -582,7 +588,7 @@ class _FusedProbe:
         self.hook_of = _hook_getter(hook_positions)
         self.rest_of = _key_getter(keep_positions)
 
-    def run_rows(self, rows, sibling, index, ring, stats):
+    def run_rows(self, rows, sibling, index, mul, is_zero, stats):
         """Row mode of :meth:`run`: join the running ``key -> payload``
         dict with the sibling through ``index``, delta rows outer and
         bucket entries inner. The running keys are distinct and a
@@ -592,7 +598,6 @@ class _FusedProbe:
             return {}  # no lookups, so none counted
         out = {}
         matches, hook_of, rest_of = index.matches, self.hook_of, self.rest_of
-        mul, is_zero = ring.mul, ring.is_zero
         hits = 0
         for key_a, payload_a in rows.items():
             bucket = matches(hook_of(key_a))
@@ -697,22 +702,24 @@ class FusedPath:
     grouping only) — in one of two modes, chosen by the delta's size:
 
     - **columnar** (:meth:`columnar`, from ``COLUMNAR_MIN_DELTA`` keys
-      on, and only when every lift on the path is bulk-liftable): the
-      delta travels as key columns plus one payload block through bulk
-      ring kernels; ``columnar_batches``/``columnar_steps`` advance
-      together with ``fused_batches``/``fused_steps``;
-    - **row** (:meth:`rows`, below that): one payload per key and the
-      ring calls a relation-at-a-time interpreter makes for it (lift,
-      ``mul`` per probe match, ``copy``/``add_inplace`` per group, in
-      row order), siblings probed through ``StoreIndex.matches`` and the
-      views added into through ``SlotStore.add_inplace``; it counts
+      on, and only when ``bulk``: slot-store views and every lift on
+      the path bulk-liftable): the delta travels as key columns plus
+      one payload block through bulk ring kernels;
+      ``columnar_batches``/``columnar_steps`` advance together with
+      ``fused_batches``/``fused_steps``;
+    - **row** (:meth:`rows`, every other delta): one payload per key
+      and one ring call per operation (lift, ``mul`` per probe match,
+      ``copy``/``add_inplace`` per group, in row order — the C-level
+      number operators for scalar rings), siblings probed through their
+      index's ``matches`` and the views added into through
+      ``_add_rows`` — slot stores and dict views alike; it counts
       ``probe_steps``, and builds no :class:`Relation`.
 
     Both modes read and write the same slot stores and leave the same
     views — bit for bit wherever the float sums are exact; otherwise a
     columnar group-sum may associate a group's rows differently.
     :meth:`derive` runs the columnar ladder over a stored view's whole
-    contents to recompute a view the engine dropped.
+    contents to recompute a view the engine dropped (``bulk`` only).
     """
 
     __slots__ = (
@@ -738,8 +745,8 @@ class FusedPath:
         self.leaf_group_positions = leaf_group_positions
         self.leaf_group_of = _key_getter(leaf_group_positions)
         self.steps = steps
-        #: Every lift on the path is bulk-liftable: columnar mode (and
-        #: :meth:`derive`) is available.
+        #: The views are slot stores and every lift on the path is
+        #: bulk-liftable: columnar mode (and :meth:`derive`) is available.
         self.bulk = bulk
         self._scratch = _Scratch()
 
@@ -756,22 +763,23 @@ class FusedPath:
         stats = engine.stats
         stats.record_batch(delta)
         ring = engine.plan.ring
+        mul, scale, copy, add_inplace, is_zero = _row_ops(ring)
         materialized = engine.materialized
         view_sizes = stats.view_sizes
         timer = time.perf_counter if engine.profile_stages else None
         if timer:
             t0 = timer()
-        lifted = _lift_rows(ring, delta.data, self.leaf_lifts)
+        lifted = _lift_rows(ring.one(), mul, scale, delta.data, self.leaf_lifts)
         if timer:
             t1 = timer()
             stats.record_stage("lift", t1 - t0)
-        current = _sum_rows(ring, lifted, self.leaf_group_of, True)
+        current = _sum_rows(copy, add_inplace, is_zero, lifted, self.leaf_group_of, True)
         if timer:
             stats.record_stage("group", timer() - t1)
         leaf_view = materialized[self.leaf_name]
         if timer:
             t0 = timer()
-        stats.mirror_invalidations += leaf_view.add_inplace(current)
+        stats.mirror_invalidations += leaf_view._add_rows(current)
         if timer:
             stats.record_stage("scatter", timer() - t0)
         view_sizes[self.leaf_name] = len(leaf_view)
@@ -784,7 +792,7 @@ class FusedPath:
                 index = sibling.ensure_index(probe.attrs)
                 if timer:
                     t0 = timer()
-                joined = probe.run_rows(joined, sibling, index, ring, stats)
+                joined = probe.run_rows(joined, sibling, index, mul, is_zero, stats)
                 if timer:
                     stats.record_stage("probe", timer() - t0)
                 stats.probe_steps += 1
@@ -796,13 +804,14 @@ class FusedPath:
             if step.lifts:
                 if timer:
                     t0 = timer()
-                joined = _times_lifts(ring, joined, step.lifts)
+                joined = _times_lifts(mul, joined, step.lifts)
                 if timer:
                     stats.record_stage("multiply", timer() - t0)
             if timer:
                 t0 = timer()
             current = _sum_rows(
-                ring, joined, step.group_of, bool(step.lifts) or ring.has_negation
+                copy, add_inplace, is_zero, joined, step.group_of,
+                bool(step.lifts) or ring.has_negation,
             )
             if timer:
                 stats.record_stage("group", timer() - t0)
@@ -812,7 +821,7 @@ class FusedPath:
                 continue  # not stored: the delta only passes through
             if timer:
                 t0 = timer()
-            stats.mirror_invalidations += target.add_inplace(current)
+            stats.mirror_invalidations += target._add_rows(current)
             if timer:
                 stats.record_stage("scatter", timer() - t0)
             view_sizes[step.view_name] = len(target)
@@ -977,12 +986,13 @@ def compile_fused_path(engine, relation_name: str) -> FusedPath:
     """Compile one relation's maintenance path.
 
     Pure function of the static view tree, compiled once at engine
-    construction. Row mode runs any path; columnar mode (``bulk``) needs
-    bulk metadata on every lifting function of the path.
+    construction. Row mode runs any path over any view form; columnar
+    mode (``bulk``) needs slot-store views and bulk metadata on every
+    lifting function of the path.
     """
     leaf, leaf_lifts, inner = engine._paths[relation_name]
     schema = tuple(engine.query.schema_of(relation_name).attributes)
-    bulk = all(map(bulk_liftable, leaf_lifts.values()))
+    bulk = engine._stored and all(map(bulk_liftable, leaf_lifts.values()))
     leaf_lift_items = tuple((schema.index(attr), fn) for attr, fn in leaf_lifts.items())
     leaf_group_positions = _positions(schema, tuple(leaf.key))
     schema_now = tuple(leaf.key)

@@ -7,15 +7,21 @@ views at each inner node, marginalized through the node's variable, and
 folded into the node's view when that view is stored — regardless of the
 payload ring.
 
+Every relation has one compiled maintenance program
+(:class:`~repro.engine.compile.FusedPath`), whatever the payload ring:
+an update is one call to it.
+
 Initialization stores every view. When every relation's compiled
 program can run columnar (every cofactor payload a spec builds) it is
 maintenance: every view starts empty, and each base relation's contents
 go up its own path as insert deltas of at most ``_LOAD_CHUNK_ROWS``
 rows, smallest relation first. The sum of the inserts is the database,
 so the views are the evaluated ones, and the transient blocks stay the
-size of one steady-state batch. Dict-view rings (count, sum) evaluate the tree
-instead: through their relation-at-a-time interpreter the same load
-measured 2.3-3.6x slower than evaluation.
+size of one steady-state batch. Dict-view engines (count, sum) evaluate
+the tree instead: their programs run row mode only, and the same chunked
+load through row mode measured 2.9-3.6x slower than evaluation
+(retailer, 40k Inventory rows, minimum of 5: count 0.068 -> 0.243 s,
+sum 0.089 -> 0.256 s).
 
 From then on the engine keeps a view stored only if it is the root, a
 leaf, or a sibling that the path of an *observed* relation probes — a
@@ -95,35 +101,27 @@ class FIVMEngine(MaintenanceEngine):
     COVAR over the sparse relational ring, decayed or not — every view
     is a :class:`~repro.data.store.SlotStore` (one ring block per view,
     both modes of the compiled program read and write its rows);
-    otherwise (counts, sums) views are dict relations, indexed where
-    probed.
+    otherwise (counts, sums, the semirings, the reference rings in
+    ``tests/``) views are dict relations, indexed where probed.
 
-    A delta is maintained by one of two programs, chosen only from what
-    the engine can observe:
+    Every delta is maintained by its relation's **compiled program**
+    (:class:`~repro.engine.compile.FusedPath`), which picks its mode by
+    the delta's size alone:
 
-    - on a slot-store engine (the payload ring has bulk kernels and is
-      not scalar), by its relation's **compiled program**
-      (:class:`~repro.engine.compile.FusedPath`), which picks its mode
-      by the delta's size: from ``EngineStatistics.COLUMNAR_MIN_DELTA``
-      keys on (and when every lifting function on the path is
-      bulk-liftable) **columnar** — key columns plus one payload block,
-      lift / probe / multiply / group-sum as whole-batch kernels — and
-      below that **row** mode — one payload per key, the compiled
-      positions driving index probes (``StoreIndex.matches``), ring
-      products and dict grouping, no :class:`Relation` built;
-    - on dict views (count, sum, and the reference rings in ``tests/``),
-      by the **interpreter** in :meth:`apply`: relation operations per
-      step, each sibling join an index probe (`Relation.join_probe`) or
-      — when the running delta dwarfs the sibling
-      (``EngineStatistics.ADAPTIVE_SCAN_*``) — one scan join.
+    - **columnar** — from ``EngineStatistics.COLUMNAR_MIN_DELTA`` keys
+      on, on slot stores only, and when every lifting function on the
+      path is bulk-liftable: key columns plus one payload block, lift /
+      probe / multiply / group-sum as whole-batch kernels;
+    - **row** — every other delta, on every engine: one payload per key,
+      the compiled positions driving index probes (``matches`` of the
+      sibling's index), ring products and dict grouping, no
+      :class:`Relation` built. Scalar rings run it on plain ``*`` / ``+``.
 
-    Scalar rings keep dict views: their dict fast paths beat the
-    kernels' fixed numpy cost at every batch size measured. For every
-    other payload the choice depends on the delta's size only, never on
-    the application. Both modes issue the same payload products and
-    produce the same views (bit for bit where the float sums are exact;
-    a columnar group-sum may associate differently, like any batch-size
-    change).
+    Scalar rings keep dict views: on them row mode beats slot stores in
+    either mode at every batch size measured (see ``_stored``). Both
+    modes issue the same payload products and produce the same views
+    (bit for bit where the float sums are exact; a columnar group-sum
+    may associate differently, like any batch-size change).
     Setting the engine's ``profile_stages`` attribute (default
     ``False``) accumulates per-stage wall-clock seconds
     (lift/probe/multiply/group/scatter) of both modes of the compiled
@@ -187,8 +185,13 @@ class FIVMEngine(MaintenanceEngine):
             slots.update(*(self._view_supports[c.name] for c in view.children))
             self._view_supports[view.name] = tuple(sorted(slots))
         ring = self.plan.ring
-        #: Whether views are slot stores — the predicate that also
-        #: gives every relation a compiled program.
+        #: Whether views are slot stores, and so whether the compiled
+        #: programs may run columnar. Not for scalar rings: on the count
+        #: sweep of ``benchmarks/bench_delta_latency.py`` (retailer, 40k
+        #: Inventory rows; µs/update at batch 1 / 10 / 100 / 1000, medians
+        #: of 10 sweeps, 2-core Xeon, Python 3.11) dict views in row mode
+        #: took 28.9 / 10.6 / 7.6 / 6.1, slot stores 44.1 / 61.1 / 13.3 /
+        #: 7.5, and slot stores pinned to row mode 44.9 / 18.1 / 11.9 / 10.8.
         self._stored = ring.has_bulk_kernels and not ring.is_scalar
         self.materialized: Dict[str, Any] = {}
         self.profile_stages = False
@@ -211,20 +214,19 @@ class FIVMEngine(MaintenanceEngine):
                 for view in path[1:]
             )
             self._paths[name] = (leaf, leaf_lifts, inner)
-        #: Compiled maintenance programs, one per relation path of a
-        #: slot-store engine — like the probe plan a pure function of the
-        #: static tree, so the schema evolution along each path is
-        #: compiled once here rather than per batch. Dict views (count,
-        #: sum) get none: the interpreter in :meth:`apply` serves them.
+        #: Compiled maintenance programs, one per relation path, for
+        #: every ring — like the probe plan a pure function of the static
+        #: tree, so the schema evolution along each path is compiled once
+        #: here rather than per batch.
         self._fused_paths: Dict[str, FusedPath] = {
             name: compile_fused_path(self, name) for name in self._paths
-        } if self._stored else {}
+        }
 
     # ------------------------------------------------------------------
 
     def initialize(self, database: Database) -> None:
         relations = self._base_relations(database)
-        if self._fused_paths and all(f.bulk for f in self._fused_paths.values()):
+        if all(fpath.bulk for fpath in self._fused_paths.values()):
             self._load(relations)
         else:
             self.materialized = {}
@@ -305,59 +307,7 @@ class FIVMEngine(MaintenanceEngine):
             return
         if relation_name not in self._observed:
             self._observe((relation_name,))
-        fpath = self._fused_paths.get(relation_name)
-        if fpath is not None:
-            fpath.apply(self, delta)
-            return
-        stats = self.stats
-        stats.record_batch(delta)
-        materialized = self.materialized
-        view_sizes = stats.view_sizes
-        leaf, leaf_lifts, inner = self._paths[relation_name]
-        current = delta.lift(self.plan.ring, leaf.key, leaf_lifts)
-        leaf_view = materialized[leaf.name]
-        leaf_view.add_inplace(current)
-        view_sizes[leaf.name] = len(leaf_view)
-        probe_steps = self.probe_plan.path_steps[relation_name]
-        scan_ratio = stats.ADAPTIVE_SCAN_RATIO
-        scan_min_delta = stats.ADAPTIVE_SCAN_MIN_DELTA
-        for position, (view, lifts) in enumerate(inner):
-            if not current.data:
-                break
-            joined = current
-            for step in probe_steps[position]:
-                sibling = materialized[step.sibling]
-                if (
-                    len(joined.data) >= scan_min_delta
-                    and len(joined.data) > scan_ratio * len(sibling)
-                ):
-                    # The delta dwarfs the sibling: one hash join over
-                    # the small sibling beats per-entry index probes.
-                    joined = joined.join(sibling)
-                    stats.scan_steps += 1
-                else:
-                    # O(|delta| x matches): probe the persistent index
-                    # (materialized lazily on the first probe).
-                    index = sibling.ensure_index(step.attrs)
-                    probes, hits = index.probes, index.hits
-                    joined = joined.join_probe(sibling, index)
-                    stats.index_probes += index.probes - probes
-                    stats.index_hits += index.hits - hits
-                    stats.probe_steps += 1
-                if not joined.data:
-                    break
-            if not joined.data:
-                # The delta annihilated mid-join: every view above receives
-                # nothing, so stop before marginalize — with 3+ children the
-                # partial join may not even carry all of view.key yet.
-                break
-            current = joined.marginalize(view.key, lifts)
-            stats.delta_tuples_propagated += len(current.data)
-            target = materialized.get(view.name)
-            if target is None:
-                continue  # not stored: the delta only passes through
-            target.add_inplace(current)
-            view_sizes[view.name] = len(target)
+        self._fused_paths[relation_name].apply(self, delta)
 
     def _before_many(self, relation_names) -> None:
         # A coalesced batch is observed as a whole: a view one relation's
@@ -423,10 +373,9 @@ class FIVMEngine(MaintenanceEngine):
         its children entry by entry.
         """
         for relation, (_leaf, _lifts, inner) in self._paths.items():
-            fpath = self._fused_paths.get(relation)
+            fpath = self._fused_paths[relation]
             if (
-                fpath is not None
-                and fpath.bulk
+                fpath.bulk
                 and relation in self._observed
                 and any(view.name == name for view, _ in inner)
             ):

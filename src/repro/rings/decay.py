@@ -23,8 +23,8 @@ the clock, and does so automatically whenever the boost would overflow
 unbounded streams.
 
 Because the boost rides the multiplicity entry points shared by the
-row and columnar modes of the compiled maintenance program and the
-dict-view interpreter, all of them produce bit-identical decayed state.
+row and columnar modes of the compiled maintenance program, both
+produce bit-identical decayed state.
 The wrapper delegates everything else — the full bulk-kernel contract
 and the slot stores' row kernels, each method spelt out — to the base
 ring, so it rides the compiled program at full speed. It requires

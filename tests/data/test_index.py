@@ -125,72 +125,48 @@ class TestIndexedRelationMaintenance:
         assert wrapped.schema == base.schema
 
 
-class TestJoinProbe:
-    def probe_pair(self, left_entries, right_entries, attrs=("A",), ring=Z):
-        left = z_relation(("A", "B"), left_entries, ring)
-        right = indexed(("A", "C"), right_entries, attrs, ring)
-        return left, right
+class TestMatches:
+    """``RelationIndex.matches`` — what row mode's sibling probe iterates —
+    yields exactly the live entries under a hook, whatever maintenance
+    the relation went through."""
+
+    def test_matches_yields_the_bucket_entries(self):
+        relation = indexed(("A", "C"), {("x", 10): 5, ("x", 11): 7, ("y", 12): -3}, ("A",))
+        index = relation.index_on(("A",))
+        assert dict(index.matches("x")) == {("x", 10): 5, ("x", 11): 7}
+        assert dict(index.matches("y")) == {("y", 12): -3}
+        assert not index.matches("w")
+
+    def test_cartesian_matches_every_entry(self):
+        relation = indexed(("C",), {(7,): 3, (8,): 4}, ())
+        assert dict(relation.index_on(()).matches(())) == relation.data
 
     @pytest.mark.parametrize("ring", [Z, GENERIC_Z], ids=["scalar", "generic"])
-    def test_matches_join(self, ring):
-        left, right = self.probe_pair(
-            {("x", 1): 2, ("y", 2): 3, ("w", 9): 1},
-            {("x", 10): 5, ("x", 11): 7, ("y", 12): -3},
-            ring=ring,
-        )
-        probed = left.join_probe(right, right.index_on(("A",)))
-        assert probed == left.join(right)
-        assert probed.schema == ("A", "B", "C")
-        # The scalar branches and the generic ring dispatch agree entry by entry.
-        assert probed.data == {
-            ("x", 1, 10): 10, ("x", 1, 11): 14, ("y", 2, 12): -9,
-        }
-
-    def test_cartesian_probe(self):
-        left = z_relation(("B",), {(1,): 2})
-        right = IndexedRelation(("C",), Z)
-        right.data = {(7,): 3, (8,): 4}
-        right.add_index(())
-        probed = left.join_probe(right, right.index_on(()))
-        assert probed == left.join(right)
-        assert len(probed) == 2
-
-    def test_mismatched_index_rejected(self):
-        left = z_relation(("A", "B"), {("x", 1): 1})
-        right = IndexedRelation(("A", "C"), Z)
-        right.data = {("x", 2): 1}
-        stale = right.add_index(("C",))  # not the shared attributes
-        with pytest.raises(DataError):
-            left.join_probe(right, stale)
-
-    def test_counters_advance(self):
-        left, right = self.probe_pair(
-            {("x", 1): 1, ("z", 2): 1}, {("x", 10): 1}
-        )
-        index = right.index_on(("A",))
-        left.join_probe(right, index)
-        assert index.probes == 2
-        assert index.hits == 1
-
-    def test_probe_after_maintenance_matches_fresh_join(self):
-        left, right = self.probe_pair({("x", 1): 1}, {("x", 10): 1})
-        right.add_inplace(z_relation(("A", "C"), {("x", 11): 4, ("x", 10): -1}))
-        probed = left.join_probe(right, right.index_on(("A",)))
-        assert probed == left.join(right)
+    def test_matches_after_maintenance_equal_the_live_entries(self, ring):
+        relation = indexed(("A", "C"), {("x", 10): 1}, ("A",), ring)
+        relation.add_inplace(z_relation(("A", "C"), {("x", 11): 4, ("x", 10): -1}, ring))
+        index = relation.index_on(("A",))
+        assert dict(index.matches("x")) == {("x", 11): 4}
+        relation.add_inplace(z_relation(("A", "C"), {("x", 11): -4}, ring))
+        assert not index.matches("x")
 
     @given(
-        st.dictionaries(
-            st.tuples(st.integers(0, 5), st.integers(0, 3)),
-            st.integers(-3, 3).filter(bool),
-            max_size=12,
+        st.lists(
+            st.dictionaries(
+                st.tuples(st.integers(0, 5), st.integers(0, 3)),
+                st.integers(-3, 3).filter(bool),
+                max_size=12,
+            ),
+            max_size=4,
         ),
-        st.dictionaries(
-            st.tuples(st.integers(0, 5), st.integers(0, 3)),
-            st.integers(-3, 3).filter(bool),
-            max_size=12,
-        ),
+        st.sampled_from([Z, GENERIC_Z]),
     )
-    def test_probe_equals_join_on_random_inputs(self, left_entries, right_entries):
-        left = z_relation(("A", "B"), left_entries)
-        right = indexed(("A", "C"), right_entries, ("A",))
-        assert left.join_probe(right, right.index_on(("A",))) == left.join(right)
+    def test_matches_equal_a_scan_on_random_streams(self, deltas, ring):
+        relation = indexed(("A", "C"), {}, ("A",), ring)
+        for entries in deltas:
+            relation.add_inplace(z_relation(("A", "C"), entries, ring))
+        index = relation.index_on(("A",))
+        for hook in range(6):
+            live = {key: p for key, p in relation.data.items() if key[0] == hook}
+            assert dict(index.matches(hook)) == live
+        assert index.entry_count() == len(relation)

@@ -62,30 +62,39 @@ def count_query():
 
 
 class TestColumnarPathSelection:
-    def test_compound_bulk_rings_compile_fused_paths_scalar_rings_do_not(self):
+    def test_every_ring_compiles_programs_compound_bulk_rings_run_columnar(self):
+        def columnar(engine):
+            assert set(engine._fused_paths) == set(engine.query.relation_names)
+            return all(fpath.bulk for fpath in engine._fused_paths.values())
+
         covar = FIVMEngine(covar_query(), order=retailer_variable_order())
-        assert covar._fused_paths  # numeric cofactor: vectorizable
-        # Scalar rings keep their dict fast paths at every batch size.
+        assert columnar(covar)  # numeric cofactor: vectorizable
+        # Scalar rings keep dict views: row mode at every batch size.
         count = FIVMEngine(count_query(), order=retailer_variable_order())
-        assert not count._fused_paths
+        assert not columnar(count)
         # DecayRing declares is_scalar = False even over a sum ring (its
-        # payloads carry a boost), so a decayed sum rides the fused path.
+        # payloads carry a boost), so a decayed sum runs columnar.
         decayed = FIVMEngine(
             retailer_query(SumSpec("inventoryunits")),
             order=retailer_variable_order(),
             config=EngineConfig(decay="0.99/100"),
         )
-        assert decayed._fused_paths
+        assert columnar(decayed)
 
-    def test_every_cofactor_payload_compiles_but_the_loop_fallback(self):
+    def test_every_cofactor_payload_runs_columnar_but_the_loop_fallback(self):
         # Mixed COVAR and MI ride the sparse ring's kernels; only the
-        # cross-validation backend (generic per-payload loops) does not.
+        # cross-validation backend (generic per-payload loops) does not:
+        # its programs run row mode only.
         for query in (toy_covar_categorical_query(), toy_mi_query()):
             engine = FIVMEngine(query, order=toy_variable_order())
             assert set(engine._fused_paths) == set(query.relation_names)
+            assert all(fpath.bulk for fpath in engine._fused_paths.values())
         features = (Feature.continuous("B"), Feature.continuous("D"))
-        fallback = toy_query(GeneralFloatCovarSpec(features))
-        assert not FIVMEngine(fallback, order=toy_variable_order())._fused_paths
+        fallback = FIVMEngine(
+            toy_query(GeneralFloatCovarSpec(features)), order=toy_variable_order()
+        )
+        assert set(fallback._fused_paths) == {"R", "S"}
+        assert not any(fpath.bulk for fpath in fallback._fused_paths.values())
 
     def test_loop_fallback_maintains_the_numeric_aggregates(self):
         # The dict-based reference ring has no kernels, so it takes the

@@ -199,14 +199,17 @@ def test_the_callers_database_is_left_alone(payload):
 @pytest.mark.parametrize(
     "payload, evaluates", [("count", True), ("covar", False), ("mi", False)]
 )
-def test_only_rings_without_fused_paths_evaluate_the_tree(payload, evaluates):
+def test_only_engines_whose_programs_cannot_run_columnar_evaluate_the_tree(
+    payload, evaluates
+):
     query = retailer_query(CountSpec() if payload == "count" else retailer_spec(payload))
     database = generate_retailer(CONFIG)
     engine = FIVMEngine(query, order=retailer_variable_order())
     with mock.patch.object(fivm, "evaluate_tree", wraps=fivm.evaluate_tree) as spy:
         engine.initialize(database)
     assert spy.called is evaluates
-    assert (len(engine._fused_paths) == len(engine._paths)) is not evaluates
+    assert len(engine._fused_paths) == len(engine._paths)
+    assert all(fpath.bulk for fpath in engine._fused_paths.values()) is not evaluates
     assert_views_equal_evaluation(engine, database, exact=payload != "covar")
 
 

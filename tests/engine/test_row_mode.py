@@ -1,13 +1,15 @@
-"""Row mode of the compiled program: small deltas on slot-store views.
+"""Row mode of the compiled program: small deltas, and dict views.
 
-Every relation of a slot-store engine (numeric COVAR, MI, mixed COVAR,
-decayed COVAR) has a compiled :class:`~repro.engine.compile.FusedPath`,
-and every delta goes through it: columnar from ``COLUMNAR_MIN_DELTA``
-keys on, row mode below. These tests pin that the two modes leave the
-same views bit for bit and the same counters (mode-named ones mapped),
-that row mode builds no :class:`~repro.data.relation.Relation`, that
-stage timing covers it, and that a path without bulk-liftable lifts runs
-row mode at every size.
+Every relation of every engine has a compiled
+:class:`~repro.engine.compile.FusedPath`, and every delta goes through
+it: on a slot-store engine (numeric COVAR, MI, mixed COVAR, decayed
+COVAR) columnar from ``COLUMNAR_MIN_DELTA`` keys on and row mode below;
+on dict views (count, sum, the semirings, the reference rings) row mode
+at every size. These tests pin that the two modes leave the same views
+bit for bit and the same counters (mode-named ones mapped), that row
+mode builds no :class:`~repro.data.relation.Relation`, that stage timing
+covers it, that a path without bulk-liftable lifts runs row mode at
+every size, and that every ring's programs match naive re-evaluation.
 """
 
 import pickle
@@ -32,17 +34,20 @@ from repro.datasets import (
     toy_covar_categorical_query,
     toy_covar_continuous_query,
     toy_database,
+    toy_count_query,
     toy_mi_query,
+    toy_query,
     toy_row_factories,
     toy_variable_order,
 )
-from repro.engine import FIVMEngine
+from repro.engine import FIVMEngine, NaiveEngine
 from repro.engine import compile as compiled
 from repro.engine.base import EngineStatistics
-from repro.rings import CountSpec, CovarSpec, Feature, MISpec
+from repro.rings import BoolRing, CountSpec, CovarSpec, Feature, MinPlusRing, MISpec, SumSpec
 from tests.conftest import row_mode
 from tests.engine.test_initialize import BENCH_SEED
 from tests.engine.test_stored_views import draw_delta
+from tests.rings.reference_cofactor import GeneralFloatCovarSpec
 
 CONFIG = RetailerConfig(locations=4, dates=6, items=20, inventory_rows=300, seed=11)
 
@@ -361,10 +366,83 @@ def test_every_slot_store_relation_has_a_program_and_no_relation_is_built():
     assert engine.stats.probe_steps == 15 and engine.stats.fused_batches == 0
 
 
-def test_count_views_get_no_program():
-    """Count views are dict relations: the interpreter serves them."""
+def test_count_views_get_a_row_mode_program_and_no_relation_is_built():
+    """Count views are dict relations, maintained by the same compiled
+    programs in row mode — at every batch size, building no Relation."""
+    database = generate_retailer(CONFIG)
     count = FIVMEngine(retailer_query(CountSpec()), order=retailer_variable_order())
-    assert not count._fused_paths
+    count.initialize(database)
+    assert set(count._fused_paths) == set(count.query.relation_names)
+    assert not any(fpath.bulk for fpath in count._fused_paths.values())
+    stream = inventory_stream(database, batch_size=100, seed=9)
+    batches = [stream.next_batch() for _ in range(3)]
+    with mock.patch.object(Relation, "__init__", side_effect=AssertionError):
+        for batch in batches:
+            count.apply(*batch)
+    assert count.stats.probe_steps == 9 and count.stats.fused_batches == 0
+
+
+#: ``name -> (query, config)`` over the toy schema, one per payload ring
+#: the engine runs: scalar (count, sum), the semirings, the cofactor
+#: rings on slot stores (numeric and sparse COVAR, MI, decayed) and the
+#: dict-based reference ring. Toy values are small integers, so every
+#: float sum is exact and every ring is compared with ``==``.
+EVERY_RING = {
+    "count": (toy_count_query, None),
+    "sum": (lambda: toy_query(SumSpec("D")), None),
+    "bool": (lambda: toy_query(CountSpec(ring=BoolRing())), None),
+    "minplus": (lambda: toy_query(CountSpec(ring=MinPlusRing())), None),
+    "covar": (toy_covar_continuous_query, None),
+    "mixed": (toy_covar_categorical_query, None),
+    "mi": (toy_mi_query, None),
+    "decay": (toy_covar_continuous_query, EngineConfig(decay=DECAY)),
+    "general": (
+        lambda: toy_query(
+            GeneralFloatCovarSpec(tuple(Feature.continuous(a) for a in "BCD"))
+        ),
+        None,
+    ),
+}
+
+SLOT_STORE_RINGS = {"covar", "mixed", "mi", "decay"}
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_RING))
+def test_every_ring_gets_one_program_per_relation_and_matches_naive(name):
+    """One compiled program per relation for every ring; it runs columnar
+    (from ``COLUMNAR_MIN_DELTA`` keys) only on slot stores, row mode
+    otherwise, and the root equals naive re-evaluation after every delta
+    of an insert/delete stream (insert-only for the semirings) whose
+    batches fall on both sides of that constant."""
+    make_query, config = EVERY_RING[name]
+    query, order = make_query(), toy_variable_order()
+    engine = create_engine(query, config=config, order=order)
+    naive = NaiveEngine(query, order=order)
+    database = toy_database()
+    for each in (engine, naive):
+        each.initialize(database)
+    assert set(engine._fused_paths) == set(query.relation_names)
+    columnar = name in SLOT_STORE_RINGS
+    assert all(f.bulk is columnar for f in engine._fused_paths.values())
+    shadow = database.copy()
+    factories = toy_row_factories()
+    inserts_only = not engine.plan.ring.has_negation
+    large = 0
+    for seed, size in enumerate([1, 3, 40, 2, 60, 1, 25, 4, 80, 1] * 2):
+        relation = "RS"[seed % 2]
+        delta = draw_delta(shadow, factories, relation, size, seed)
+        if delta is not None and inserts_only:
+            delta.data = {key: m for key, m in delta.data.items() if m > 0}
+        if delta is None or not delta.data:
+            continue
+        large += len(delta.data) >= EngineStatistics.COLUMNAR_MIN_DELTA
+        shadow.apply(relation, delta)
+        engine.apply(relation, delta)
+        naive.apply(relation, delta)
+        assert engine.result() == naive.result(), (name, seed)
+    assert large >= 3
+    assert engine.stats.fused_batches == (large if columnar else 0)
+    assert engine.stats.probe_steps > 0
 
 
 def test_a_path_without_bulk_lifts_runs_row_mode_at_every_size():

@@ -1,7 +1,4 @@
-"""The view-index subsystem: probe plans, O(delta) maintenance, probe vs scan."""
-
-import sys
-from unittest import mock
+"""The view-index subsystem: probe plans, O(delta) maintenance, probe counters."""
 
 from repro.data import IndexedRelation, deletes, inserts
 from repro.data.delta import delta_of
@@ -22,7 +19,6 @@ from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.data.schema import RelationSchema
 from repro.engine import FIVMEngine, FirstOrderEngine, NaiveEngine
-from repro.engine.base import EngineStatistics
 from repro.query.query import Query
 from repro.query.variable_order import VariableOrder, VONode
 from repro.rings import CountSpec
@@ -330,33 +326,18 @@ class TestCheckpointWithIndexes:
         assert clone.result() == plain.result() == oracle.result()
 
 
-class TestAdaptiveProbeVsScan:
-    """Per-step probe-vs-scan choice from |delta| vs sibling size."""
+class TestProbeCounters:
+    """Every sibling join is an index probe, counted once per step."""
 
     def small_engine(self):
-        # Probe-vs-scan is a per-tuple-path choice; the count ring is
-        # scalar, so even large batches stay on that path.
         engine = FIVMEngine(toy_count_query(), order=toy_variable_order())
         engine.initialize(toy_database())
         return engine
-
-    def probe_only(self):
-        """Test seam: no delta is ever large enough to scan."""
-        return mock.patch.object(
-            EngineStatistics, "ADAPTIVE_SCAN_MIN_DELTA", sys.maxsize
-        )
 
     def big_delta(self, n=1200):
         delta = Relation(R_SCHEMA, name="R")
         delta.data = {(f"a{i}", i): 1 for i in range(n)}
         return delta
-
-    def test_large_delta_takes_scan_path(self):
-        # |delta| = 1200 against a 2-key sibling: far past the ratio.
-        engine = self.small_engine()
-        engine.apply("R", self.big_delta())
-        assert engine.stats.scan_steps == 1
-        assert engine.stats.probe_steps == 0
 
     def test_small_delta_always_probes(self):
         engine = self.small_engine()
@@ -364,25 +345,17 @@ class TestAdaptiveProbeVsScan:
         assert engine.stats.scan_steps == 0
         assert engine.stats.probe_steps == 1
 
-    def test_adaptive_and_probe_only_agree(self):
-        adaptive = self.small_engine()
-        probe_only = self.small_engine()
+    def test_a_delta_that_dwarfs_its_sibling_probes_too(self):
+        # |delta| = 1200 against a 2-key sibling: one probe step, and the
+        # result is the oracle's through inserts and their cancellation.
+        engine = self.small_engine()
         oracle = NaiveEngine(toy_count_query(), order=toy_variable_order())
         oracle.initialize(toy_database())
-        deltas = [
-            ("R", self.big_delta()),
-            ("S", delta_of(S_SCHEMA, {("a5", 1, 1): 1, ("a6", 2, 2): 2}, name="S")),
-            ("R", self.big_delta().neg()),
-        ]
-        for name, delta in deltas:
-            adaptive.apply(name, delta.copy())
-            with self.probe_only():
-                probe_only.apply(name, delta.copy())
-            oracle.apply(name, delta.copy())
-        assert adaptive.result() == oracle.result()
-        assert probe_only.result() == oracle.result()
-        assert adaptive.stats.scan_steps >= 1
-        assert probe_only.stats.scan_steps == 0
+        for delta in (self.big_delta(), self.big_delta().neg()):
+            engine.apply("R", delta.copy())
+            oracle.apply("R", delta.copy())
+            assert engine.result() == oracle.result()
+        assert engine.stats.probe_steps == 2 and engine.stats.scan_steps == 0
 
     def test_counters_roundtrip_through_snapshot(self):
         engine = self.small_engine()

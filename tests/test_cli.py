@@ -140,6 +140,18 @@ class TestBench:
             assert f"{stage:>10} " in out
         assert "fused batches: 2" in out
 
+    def test_profile_times_the_count_run_in_row_mode(self, capsys):
+        # Count views are dict views: the same compiled programs maintain
+        # them in row mode, and --profile times those stages too.
+        code, out = run_cli(
+            capsys, ["bench", "--batches", "2", "--batch-size", "50", "--profile"] + SMALL
+        )
+        assert code == 0
+        assert "# fivm per-stage time (fused program)" in out
+        for stage in ("lift", "probe", "group", "scatter"):
+            assert f"{stage:>10} " in out
+        assert "fused batches: 0" in out
+
 
 class TestCheckpoint:
     def test_save_info_load_roundtrip_across_shard_counts(self, capsys, tmp_path):
