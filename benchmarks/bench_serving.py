@@ -45,9 +45,8 @@ from repro.serving import IngestThread, ServerThread, ServingApp
 from repro.serving.scenario import ServingScenario, build_serving_scenario
 
 #: Endpoints whose bodies are pure functions of the served snapshot and
-#: therefore must replay exactly. ``/model``/``/predict`` are excluded:
-#: the ridge fit warm-starts from whichever epoch a reader happened to
-#: request previously, so its exact floats depend on request order.
+#: therefore must replay exactly, one per payload kind (``/model`` and
+#: ``/predict`` are functions of the snapshot too, but not replayed here).
 VERIFY_ENDPOINT = {"count": "/result", "covar": "/covar", "mi": "/topk"}
 
 #: Fields that never replay (wall-clock) and are stripped before the

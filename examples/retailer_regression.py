@@ -3,8 +3,8 @@
 
 Maintains the COVAR matrix for the demo's feature set — ksn, price,
 subcategory, category, categoryCluster (features) and inventoryunits
-(label) — under bulks of updates, re-converging the ridge model after
-every bulk with warm-started conjugate gradients.
+(label) — under bulks of updates, refitting the ridge model after every
+bulk by one direct solve over the maintained matrix.
 
 Run:  python examples/retailer_regression.py
 """
@@ -53,13 +53,13 @@ def main() -> None:
     )
 
     print("\nProcessing bulks of updates (insert/delete mix on Inventory):")
-    print(f"{'bulk':>5} {'updates':>8} {'upd/s':>10} {'RMSE':>8} {'iters':>6}")
+    print(f"{'bulk':>5} {'updates':>8} {'upd/s':>10} {'RMSE':>8} {'gradient':>9}")
     for bulk in range(1, 6):
         report = app.process_bulk(stream.batches(4))
         model = app.refresh_model()
         print(
             f"{bulk:>5} {report.updates:>8} {report.throughput:>10.0f} "
-            f"{model.training_rmse:>8.3f} {model.iterations:>6}"
+            f"{model.training_rmse:>8.3f} {model.gradient_norm:>9.1e}"
         )
 
     print("\nFinal parameters (top weights by magnitude):")

@@ -1,9 +1,9 @@
 """Regression tab (Figure 2b).
 
 Maintains the COVAR matrix for the chosen features and label; after every
-bulk an iterative solver (conjugate gradients, :mod:`repro.ml.regression`)
-*resumes* convergence from the previous parameters against the refreshed
-matrix — the warm-start pattern of the demo (and ref [5]).
+bulk the ridge model is refit from the refreshed matrix by one direct solve
+(:mod:`repro.ml.regression`), so the refit costs the same whatever the
+previous model was and needs none.
 """
 
 from __future__ import annotations
@@ -56,20 +56,9 @@ class RegressionApp:
     def covar(self) -> CovarMatrix:
         return covar_from_payload(self.session.root_payload(), self.session.plan)
 
-    def refresh_model(self, max_iterations: int = 2000) -> RidgeModel:
-        """Re-converge parameters against the current COVAR matrix.
-
-        Warm-starts from the previous bulk's parameters, aligned by column:
-        a category that appeared under updates starts at weight 0, one that
-        disappeared drops out, every other column keeps its weight.
-        """
-        covar = self.covar()
-        theta0 = None
-        if self.model is not None:
-            theta0 = self.model.theta_over(self.solver.feature_columns(covar))
-        self.model = self.solver.fit(
-            covar, theta0=theta0, max_iterations=max_iterations
-        )
+    def refresh_model(self) -> RidgeModel:
+        """Refit the parameters against the current COVAR matrix."""
+        self.model = self.solver.fit(self.covar())
         return self.model
 
     def render(self) -> str:
@@ -79,7 +68,6 @@ class RegressionApp:
         lines = [
             f"ridge λ={self.solver.regularization:g}  "
             f"RMSE={self.model.training_rmse:.4f}  "
-            f"iterations={self.model.iterations}  "
             f"converged={self.model.converged}  "
             f"gradient={self.model.gradient_norm:.1e}",
             f"  intercept: {self.model.intercept:+.4f}",

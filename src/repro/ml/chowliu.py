@@ -68,22 +68,21 @@ def chow_liu_tree(mi: MIMatrix, root: Optional[str] = None) -> ChowLiuTree:
         root = attributes[0]
     elif root not in attributes:
         raise FIVMError(f"root {root!r} is not an attribute of the MI matrix")
+    index = {attr: i for i, attr in enumerate(attributes)}
+    values = mi.values.tolist()
     in_tree = {root}
     parent: Dict[str, Optional[str]] = {root: None}
     edges: List[Tuple[str, str, float]] = []
     while len(in_tree) < len(attributes):
         best: Optional[Tuple[float, str, str]] = None
         for u in sorted(in_tree):
+            row = values[index[u]]
             for v in attributes:
                 if v in in_tree:
                     continue
-                weight = mi.mi(u, v)
-                candidate = (weight, u, v)
-                if best is None or (
-                    candidate[0] > best[0]
-                    or (candidate[0] == best[0] and (candidate[1], candidate[2]) < (best[1], best[2]))
-                ):
-                    best = candidate
+                weight = row[index[v]]
+                if best is None or weight > best[0] or (weight == best[0] and (u, v) < best[1:]):
+                    best = (weight, u, v)
         weight, u, v = best
         in_tree.add(v)
         parent[v] = u

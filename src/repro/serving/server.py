@@ -174,11 +174,9 @@ class ServingApp:
             if feature.name != self.regression_label
         )
         solver = RidgeRegression(features, self.regression_label)
-        # Closed-form solve, not the warm-started conjugate gradients the
-        # Regression tab runs: under epoch churn a read can land on any
-        # epoch, and the direct solve is exact for it, needs no previous
-        # model, and at serving dimensionalities (d of tens) costs no more
-        # than CG's ~d matrix-vector steps.
+        # The Regression tab's own solve: one direct solve of the
+        # standardized system per epoch, needing no previous model, so a read
+        # that lands on any epoch gets that epoch's exact model.
         model = solver.fit_closed_form(covar)
         self._model_cache = (snapshot.epoch, model)
         return model

@@ -168,7 +168,7 @@ class TestRegressionApp:
         )
         assert model.training_rmse < 20.0
 
-    def test_warm_start_after_bulk(self, small_retailer_db_module, stream_factory):
+    def test_refit_after_bulk(self, small_retailer_db_module, stream_factory):
         app = RegressionApp(
             small_retailer_db_module,
             RETAILER_SCHEMAS,
@@ -181,7 +181,7 @@ class TestRegressionApp:
         second = app.refresh_model()
         assert first.converged and second.converged
         if second.theta.shape == first.theta.shape:
-            # warm start: parameters move but stay in the same region
+            # a small bulk moves the parameters but keeps them in one region
             assert np.linalg.norm(second.theta - first.theta) < max(
                 np.linalg.norm(first.theta), 1.0
             )
@@ -214,10 +214,10 @@ class TestRegressionApp:
         assert "intercept" in text and "prize" in text
         assert "converged=True" in text and "gradient=" in text
 
-    def test_warm_start_follows_columns_when_a_category_is_swapped(self):
+    def test_refit_follows_columns_when_a_category_is_swapped(self):
         """A bulk retires category 0 of C and introduces category 3: the
-        column count stays the same, but the warm start must carry each
-        surviving column's weight to that column and start C=3 at 0."""
+        column count stays the same, and the refit is a fresh solve over
+        the new columns that owes nothing to the previous model."""
         r_rows = [(a, a % 3 - 1) for a in range(6)]
         s_rows = [(a, c, 10 * c + a) for a in range(6) for c in range(3)]
         database = Database(
@@ -240,14 +240,10 @@ class TestRegressionApp:
         app.process_bulk([("S", swap)])
         with mock.patch.object(app.solver, "fit", wraps=app.solver.fit) as fit:
             second = app.refresh_model()
-        theta0 = fit.call_args.kwargs["theta0"]
-        assert len(theta0) == len(first.theta)  # the shape alone cannot tell
-        before = dict(zip(first.feature_columns, first.theta[1:]))
-        expected = [first.intercept] + [
-            before.get(column, 0.0) for column in second.feature_columns
-        ]
+        assert fit.call_args.kwargs == {}
+        assert len(second.theta) == len(first.theta)
         assert [c.label for c in second.feature_columns] == ["B", "C=1", "C=2", "C=3"]
-        assert theta0.tolist() == expected and theta0[-1] == 0.0
+        assert second.theta.tolist() == app.solver.fit(app.covar()).theta.tolist()
         assert second.converged
 
 

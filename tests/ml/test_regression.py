@@ -5,6 +5,8 @@ join — the whole point of F-IVM is that the two must coincide without ever
 building that join.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -102,8 +104,24 @@ def covar_matrix(x, y, columns, label="y"):
 def objective(solver, x, y, theta):
     """``J(theta)`` from explicit residuals (not from the moments)."""
     residual = theta[0] + x @ theta[1:] - y
-    penalty = theta @ theta - (0.0 if solver.penalize_intercept else theta[0] ** 2)
-    return residual @ residual / (2 * len(y)) + solver.regularization / 2 * penalty
+    return residual @ residual / (2 * len(y)) + solver.regularization / 2 * (
+        theta[1:] @ theta[1:]
+    )
+
+
+def explicit_ridge(solver, x, y):
+    """The ridge minimizer by least squares on the explicit rows, stacked
+    with ``sqrt(N lambda)`` times the identity over the weights: a solver
+    that never forms moments."""
+    n, width = x.shape
+    rows = np.vstack(
+        [
+            np.column_stack([np.ones(n), x]),
+            np.column_stack([np.zeros(width), np.sqrt(n * solver.regularization) * np.eye(width)]),
+        ]
+    )
+    theta, *_ = np.linalg.lstsq(rows, np.concatenate([y, np.zeros(width)]), rcond=None)
+    return theta
 
 
 @st.composite
@@ -144,95 +162,87 @@ def ridge_problems(draw):
     return covar, x, y, RidgeRegression(attributes, "y", regularization=regularization)
 
 
-class TestConjugateGradients:
-    def test_converges_to_closed_form(self):
-        covar = covar_of(make_db())
-        solver = RidgeRegression(["B", "C"], "D", regularization=0.05)
-        cg = solver.fit(covar, tolerance=1e-12)
-        closed = solver.fit_closed_form(covar)
-        assert cg.converged and cg.gradient_norm <= 1e-12
-        assert np.allclose(cg.theta, closed.theta, atol=1e-6)
-
-    def test_warm_start_resumes_faster(self):
-        covar = covar_of(make_db())
-        solver = RidgeRegression(["B", "C"], "D", regularization=0.05)
-        cold = solver.fit(covar, tolerance=1e-10)
-        warm = solver.fit(covar, theta0=cold.theta, tolerance=1e-10)
-        assert warm.iterations < cold.iterations
-
+class TestDirectSolve:
     def test_wrong_theta0_shape_rejected(self):
         covar = covar_of(make_db())
         solver = RidgeRegression(["B", "C"], "D")
         with pytest.raises(FIVMError):
             solver.fit(covar, theta0=np.zeros(7))
 
-    def test_learning_rate_is_gone(self):
+    def test_theta0_does_not_change_the_fit(self):
+        covar = covar_of(make_db())
+        solver = RidgeRegression(["B", "C"], "D", regularization=0.05)
+        cold = solver.fit(covar)
+        warm = solver.fit(covar, theta0=np.array([5.0, -3.0, 7.0]))
+        assert warm.theta.tolist() == cold.theta.tolist()
+        assert warm.iterations == cold.iterations == 0
+
+    def test_fit_on_a_maintained_covar_is_the_materialized_ridge(self):
+        """On an engine-maintained COVAR, ``fit`` is ``fit_closed_form`` bit
+        for bit, stationary, and the ridge solution over the join's rows."""
+        db = make_db(seed=7)
+        covar = covar_of(db)
+        solver = RidgeRegression(["B", "C"], "D", regularization=0.05)
+        model = solver.fit(covar)
+        closed = solver.fit_closed_form(covar)
+        assert model.theta.tolist() == closed.theta.tolist()
+        assert model.converged and model.gradient_norm <= 1e-9
+        x, y = materialized_design(db)
+        assert np.allclose(model.theta, explicit_ridge(solver, x[:, 1:], y), atol=1e-9)
+
+    @pytest.mark.parametrize("option", ["learning_rate", "max_iterations", "tolerance"])
+    def test_solver_options_are_gone(self, option):
         covar = covar_of(make_db())
         with pytest.raises(TypeError):
-            RidgeRegression(["B", "C"], "D").fit(covar, learning_rate=0.1)
+            RidgeRegression(["B", "C"], "D").fit(covar, **{option: 0.1})
 
-    @given(problem=ridge_problems(), start=st.sampled_from(["cold", "warm", "perturbed"]))
-    def test_generated_problems_converge_to_the_closed_form_objective(self, problem, start):
+    @given(problem=ridge_problems())
+    def test_generated_problems_fit_is_the_closed_form(self, problem):
+        """``fit`` and ``fit_closed_form`` are one solve, bit for bit; it is
+        stationary, and no worse than least squares on the explicit rows."""
         covar, x, y, solver = problem
+        model = solver.fit(covar)
         closed = solver.fit_closed_form(covar)
-        # Warm: a previous fit. Perturbed: a previous bulk's model, every
-        # weight off by ~30 %. (Not the direct solve's theta, nor an absolute
-        # shift: with a 1e5-scale collinear pair either can sit far along a
-        # direction only the ridge term curves, lambda/sigma^2 ~ 1e-13, where
-        # the standardized Hessian's curvature is rounding noise.)
-        previous = solver.fit(covar).theta
-        noise = np.random.default_rng(len(y)).standard_normal(len(previous))
-        theta0 = {
-            "cold": None,
-            "warm": previous,
-            "perturbed": previous * (1 + 0.3 * noise),
-        }[start]
-        model = solver.fit(covar, theta0=theta0)
-        d = len(model.theta)
+        assert model.theta.tolist() == closed.theta.tolist()
+        assert model.training_rmse == closed.training_rmse
         assert model.converged, model.gradient_norm
         assert model.gradient_norm <= 1e-9
-        assert model.iterations <= 2 * d + 10
-        # No worse than the direct solve. (That solve works in raw
-        # coordinates, and at these scales can itself sit ~1e-6 above the
-        # optimum: a two-sided check would test numpy, not CG.)
+        assert model.iterations == 0
+        # One-sided: with a 1e5-scale collinear pair the explicit solve can
+        # itself sit above the optimum, along a direction only the ridge term
+        # curves (lambda / sigma^2 ~ 1e-13).
+        reference = explicit_ridge(solver, x, y)
         assert objective(solver, x, y, model.theta) <= objective(
-            solver, x, y, closed.theta
+            solver, x, y, reference
         ) * (1 + 1e-9)
 
     @pytest.mark.parametrize("start", ["cold", "perturbed"])
-    def test_singular_system_without_ridge_is_reported_honestly(self, start):
-        """lambda = 0 and an exactly duplicated column: the normal equations
-        are singular. No exception, no NaN, and ``converged`` is what the
-        gradient norm says it is."""
+    def test_singular_system_without_ridge_falls_back_to_lstsq(self, start):
+        """lambda = 0 and an exactly duplicated column: the standardized
+        system is singular, so ``lstsq`` answers whatever ``theta0`` says.
+        No exception, no NaN, a stationary point, and the explicit rows'
+        least-squares RMSE."""
         rng = np.random.default_rng(4)
-        b = rng.standard_normal(50)
-        x = np.column_stack([b, b, rng.standard_normal(50)])
+        b = rng.integers(-4, 5, 50).astype(float)
+        x = np.column_stack([b, b, rng.integers(-4, 5, 50).astype(float)])
         y = x @ np.array([1.0, 2.0, -1.0]) + rng.standard_normal(50)
         covar = covar_matrix(x, y, (Column("B"), Column("B2"), Column("C")))
         solver = RidgeRegression(["B", "B2", "C"], "y", regularization=0.0)
         theta0 = None if start == "cold" else np.array([5.0, -3.0, 7.0, 1.0])
-        for model in (solver.fit(covar, theta0=theta0), solver.fit_closed_form(covar)):
-            assert np.all(np.isfinite(model.theta))
-            assert np.isfinite(model.gradient_norm)
-            assert model.converged == (model.gradient_norm <= 1e-9)
-        model = solver.fit(covar, theta0=theta0)
-        closed = solver.fit_closed_form(covar)
-        assert model.training_rmse == pytest.approx(closed.training_rmse, rel=1e-6)
+        with mock.patch("numpy.linalg.lstsq", wraps=np.linalg.lstsq) as lstsq:
+            model = solver.fit(covar, theta0=theta0)
+        assert lstsq.called
+        assert np.all(np.isfinite(model.theta))
+        assert model.converged and model.gradient_norm <= 1e-9
+        theta, *_ = np.linalg.lstsq(np.column_stack([np.ones(50), x]), y, rcond=None)
+        explicit = np.sqrt(np.mean((theta[0] + x @ theta[1:] - y) ** 2))
+        assert model.training_rmse == pytest.approx(explicit, rel=1e-9)
 
     def test_closed_form_reports_its_gradient_norm(self):
         covar = covar_of(make_db())
         closed = RidgeRegression(["B", "C"], "D", regularization=0.05).fit_closed_form(covar)
         assert closed.converged and 0.0 <= closed.gradient_norm <= 1e-9
         assert closed.iterations == 0
-
-    def test_iteration_cap_is_reported_honestly(self):
-        covar = covar_of(make_db())
-        solver = RidgeRegression(["B", "C"], "D", regularization=0.05)
-        capped = solver.fit(covar, max_iterations=1)
-        assert capped.iterations == 1
-        assert not capped.converged and capped.gradient_norm > 1e-9
-        resumed = solver.fit(covar, theta0=capped.theta)
-        assert resumed.converged and resumed.iterations <= len(capped.theta)
 
 
 class TestTrainingRmse:
@@ -313,7 +323,7 @@ class TestValidation:
         engine.initialize(db)
         covar = covar_from_payload(engine.result().payload(()), engine.plan)
         with pytest.raises(FIVMError):
-            RidgeRegression(["D"], "B").design(covar)
+            RidgeRegression(["D"], "B").fit(covar)
 
     def test_empty_dataset_rejected(self):
         db = Database(
@@ -328,20 +338,37 @@ class TestValidation:
 
 
 # ----------------------------------------------------------------------
-# A count guard on the bench's refresh, not a timing guard
+# An exactness guard on the bench's refresh, not a timing guard
 # ----------------------------------------------------------------------
 
 
-def ridge_refresh_iterations():
-    """CG steps of each warm-started ridge refresh on a small scenario
-    shaped like ``retailer_covar_bulk``'s: the same 12-feature continuous
-    COVAR query (``locn`` and ``zip`` exactly collinear, features up to
-    ~1e5), 1000-event Inventory batches, a refresh every two, each fit
-    starting from the previous one's parameters.
+def raw_normal_equations(solver, covar):
+    """``(theta, training RMSE)`` from the unstandardized normal equations
+    ``(A/N + lambda D) theta = b/N`` and ``theta^T A theta - 2 theta^T b +
+    sum y^2`` over the extended moment matrix: the solve ``/model`` served
+    before both solvers became the standardized one."""
+    extended = covar.extended()
+    take = [0] + [i + 1 for attr in solver.features for i in covar.columns_of(attr)]
+    label = covar.columns_of(solver.label)[0] + 1
+    a, b, n = extended[np.ix_(take, take)], extended[take, label], covar.count
+    ridge = np.full(len(take), solver.regularization)
+    ridge[0] = 0.0
+    theta = np.linalg.solve(a / n + np.diag(ridge), b / n)
+    sse = theta @ a @ theta - 2.0 * theta @ b + extended[label, label]
+    return theta, float(np.sqrt(max(sse, 0.0) / n))
 
-    Returns ``{"d", "iterations", "converged", "rmse_gap"}``: the model
-    dimension, steps per refresh, whether every refresh converged, and the
-    largest relative training-RMSE gap to the direct solve.
+
+def ridge_refresh_report():
+    """What each ridge refresh returns on a small scenario shaped like
+    ``retailer_covar_bulk``'s: the same 12-feature continuous COVAR query
+    (``locn`` and ``zip`` exactly collinear, features up to ~1e5),
+    1000-event Inventory batches, a refresh every two.
+
+    Returns ``{"d", "converged", "identical", "max_gradient_norm",
+    "rmse_gap"}``: the model dimension; whether every refresh converged;
+    whether ``fit`` and ``fit_closed_form`` agreed bit for bit on every
+    refresh; the largest standardized gradient norm; and the largest
+    relative training-RMSE gap to the raw normal equations.
     """
     config = RetailerConfig(
         locations=32, dates=90, items=900, inventory_rows=3000, seed=5
@@ -362,26 +389,27 @@ def ridge_refresh_iterations():
     )
     label = "inventoryunits"
     solver = RidgeRegression([f.name for f in features if f.name != label], label)
-    model, iterations, converged, gap = None, [], True, 0.0
+    model, converged, identical, gradient, gap = None, True, True, 0.0, 0.0
     for _ in range(6):
         for _ in range(2):
             engine.apply(*stream.next_batch())
         covar = covar_from_payload(engine.result().payload(()), engine.plan)
         model = solver.fit(covar, theta0=None if model is None else model.theta)
         closed = solver.fit_closed_form(covar)
-        iterations.append(model.iterations)
         converged = converged and model.converged
-        gap = max(gap, abs(model.training_rmse / closed.training_rmse - 1.0))
-    return {"d": len(model.theta), "iterations": iterations, "converged": converged,
-            "rmse_gap": gap}
+        identical = identical and model.theta.tolist() == closed.theta.tolist()
+        gradient = max(gradient, model.gradient_norm)
+        _theta, rmse = raw_normal_equations(solver, covar)
+        gap = max(gap, abs(model.training_rmse / rmse - 1.0))
+    return {"d": len(model.theta), "converged": converged, "identical": identical,
+            "max_gradient_norm": gradient, "rmse_gap": gap}
 
 
-def test_ridge_refresh_iterations():
-    """Every warm-started refresh converges within 2·d CG steps (the
-    fixed-step descent it replaced stopped at its 2000-step cap with the
-    gradient norm in the hundreds) and lands on the direct solve's RMSE."""
-    found = ridge_refresh_iterations()
+def test_ridge_refresh_is_one_exact_solve():
+    """Every refresh is the closed form bit for bit, stationary to 1e-9, and
+    lands on the raw normal equations' RMSE."""
+    found = ridge_refresh_report()
     assert found["d"] == 12
-    assert found["converged"]
-    assert max(found["iterations"]) <= 2 * found["d"]
+    assert found["converged"] and found["identical"]
+    assert found["max_gradient_norm"] <= 1e-9
     assert found["rmse_gap"] <= 1e-9
