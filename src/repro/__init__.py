@@ -67,7 +67,6 @@ from repro.engine import (
     PerAggregateEngine,
     ShardedEngine,
     available_backends,
-    evaluate_tree,
 )
 from repro.errors import (
     CheckpointError,
@@ -190,7 +189,6 @@ __all__ = [
     "NaiveEngine",
     "PerAggregateEngine",
     "ShardedEngine",
-    "evaluate_tree",
     # engine construction
     "EngineConfig",
     "create_engine",

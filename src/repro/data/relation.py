@@ -1,18 +1,15 @@
-"""Keyed relations with ring payloads and the operations F-IVM needs.
+"""Keyed relations with ring payloads.
 
 A :class:`Relation` maps key tuples (over a fixed attribute schema) to
 payloads from a ring — the paper's generalized relations. Base relations
-carry integer multiplicities (the Z ring); views carry whatever ring the
-application selected. The three operations the view-tree engine is built
-from are:
+and their deltas carry integer multiplicities (the Z ring); dict views
+carry whatever ring the application selected. A relation is a container:
+its union (:meth:`Relation.add_inplace`) and negation are all it
+computes. Joins, lifts and group-sums happen inside each relation's
+compiled maintenance program (:mod:`repro.engine.compile`), which adds
+into dict views through :meth:`Relation._add_rows`.
 
-- :meth:`Relation.join` — natural join, multiplying payloads;
-- :meth:`Relation.marginalize` — group-by that sums payloads, optionally
-  multiplying in a lifting function of the marginalized attribute(s);
-- :meth:`Relation.lift` — the leaf step that converts Z multiplicities into
-  the application ring while aggregating away non-key attributes.
-
-All operations prune zero payloads, so a delete that cancels an insert
+Additions prune zero payloads, so a delete that cancels an insert
 physically removes the key, and view sizes track live data.
 """
 
@@ -40,9 +37,9 @@ __all__ = ["Relation"]
 Key = Tuple
 
 
-# Every join, probe, marginalize and lift resolves attribute positions and
-# key extractors, always for one of the few (schema, attrs) pairs the view
-# tree defines; results are immutable and stateless, so they are shared.
+# The compiled programs resolve attribute positions and key extractors,
+# always for one of the few (schema, attrs) pairs the view tree defines;
+# results are immutable and stateless, so they are shared.
 _memo = lru_cache(maxsize=1024)
 
 
@@ -138,22 +135,6 @@ class Relation:
                 raise DataError(f"row {row!r} does not match schema {schema!r}")
             data[row] = data.get(row, 0) + 1
         return relation
-
-    @classmethod
-    def from_columns(
-        cls,
-        schema: Tuple[str, ...],
-        columns: Tuple[Iterable, ...],
-        counts: Iterable[int],
-        name: str = "",
-    ) -> "Relation":
-        """Build a Z-delta from key columns plus a multiplicity column.
-
-        The inverse of :meth:`columnar`: duplicate keys sum-merge and
-        zero multiplicities drop, and the columnar form stays attached so
-        a later :meth:`columnar` call is free.
-        """
-        return ColumnarDelta(tuple(schema), counts, columns=tuple(columns), name=name).to_relation()
 
     def columnar(self) -> "ColumnarDelta":
         """Columnar (struct-of-arrays) form of this Z-delta, built once.
@@ -256,6 +237,11 @@ class Relation:
         data = self.data
         if ring.is_scalar:
             # Numeric payloads: plain +, truthiness as the zero test.
+            if not data:  # an empty view (a load) takes the rows whole
+                data.update(rows)
+                for key in [key for key, payload in rows.items() if not payload]:
+                    del data[key]
+                return 0
             for key, payload in rows.items():
                 existing = data.get(key)
                 total = payload if existing is None else existing + payload
@@ -285,283 +271,6 @@ class Relation:
         result = self.empty_like()
         result.data = {key: ring.neg(payload) for key, payload in self.data.items()}
         return result
-
-    def scale(self, n: int) -> "Relation":
-        """Multiply every payload by the integer ``n``."""
-        if n == 0:
-            return self.empty_like()
-        ring = self.ring
-        result = self.empty_like()
-        result.data = {key: ring.scale(payload, n) for key, payload in self.data.items()}
-        return result
-
-    def filter(self, predicate: Callable[[Key], bool]) -> "Relation":
-        """Keep keys satisfying ``predicate`` (selection)."""
-        result = self.empty_like()
-        result.data = {
-            key: payload for key, payload in self.data.items() if predicate(key)
-        }
-        return result
-
-    # ------------------------------------------------------------------
-    # Join
-    # ------------------------------------------------------------------
-
-    def join(self, other: "Relation") -> "Relation":
-        """Natural join on shared attributes; payloads multiply in the ring.
-
-        The result schema is this relation's schema followed by the other's
-        non-shared attributes. The smaller side is indexed and the larger
-        side probes, so cost is O(|smaller| + |larger| + |output|).
-        """
-        if self.ring is not other.ring and type(self.ring) is not type(other.ring):
-            raise DataError(
-                f"cannot join relations over rings {self.ring.name!r} and {other.ring.name!r}"
-            )
-        ring = self.ring
-        schema_a, schema_b = self.schema, other.schema
-        shared = tuple(attr for attr in schema_b if attr in schema_a)
-        keep_b = tuple(i for i, attr in enumerate(schema_b) if attr not in schema_a)
-        result_schema = schema_a + tuple(schema_b[i] for i in keep_b)
-        result = Relation(result_schema, ring)
-        out = result.data
-        if not self.data or not other.data:
-            return result
-        pos_a = _positions(schema_a, shared)
-        pos_b = _positions(schema_b, shared)
-        if ring.is_scalar:
-            # Tight loops for numeric payloads: native * and +, truthiness
-            # as the zero test, compiled key extractors, no ring dispatch
-            # per output tuple. Same index-the-smaller-side strategy as
-            # the generic path below.
-            hook_of_a = _hook_getter(pos_a)
-            hook_of_b = _hook_getter(pos_b)
-            rest_of_b = _key_getter(keep_b)
-            out_get = out.get
-            index: Dict[Key, list] = {}
-            if len(self.data) <= len(other.data):
-                for key_a, payload_a in self.data.items():
-                    index.setdefault(hook_of_a(key_a), []).append((key_a, payload_a))
-                for key_b, payload_b in other.data.items():
-                    matches = index.get(hook_of_b(key_b))
-                    if matches is None:
-                        continue
-                    rest_b = rest_of_b(key_b)
-                    for key_a, payload_a in matches:
-                        key = key_a + rest_b
-                        existing = out_get(key)
-                        total = (
-                            payload_a * payload_b
-                            if existing is None
-                            else existing + payload_a * payload_b
-                        )
-                        if total:
-                            out[key] = total
-                        elif existing is not None:
-                            del out[key]
-            else:
-                for key_b, payload_b in other.data.items():
-                    index.setdefault(hook_of_b(key_b), []).append(
-                        (rest_of_b(key_b), payload_b)
-                    )
-                for key_a, payload_a in self.data.items():
-                    matches = index.get(hook_of_a(key_a))
-                    if matches is None:
-                        continue
-                    for rest_b, payload_b in matches:
-                        key = key_a + rest_b
-                        existing = out_get(key)
-                        total = (
-                            payload_a * payload_b
-                            if existing is None
-                            else existing + payload_a * payload_b
-                        )
-                        if total:
-                            out[key] = total
-                        elif existing is not None:
-                            del out[key]
-            return result
-        # Index the smaller input on the shared attributes; probe the larger.
-        if len(self.data) <= len(other.data):
-            index: Dict[Key, list] = {}
-            for key_a, payload_a in self.data.items():
-                hook = tuple(key_a[i] for i in pos_a)
-                index.setdefault(hook, []).append((key_a, payload_a))
-            for key_b, payload_b in other.data.items():
-                hook = tuple(key_b[i] for i in pos_b)
-                matches = index.get(hook)
-                if not matches:
-                    continue
-                rest_b = tuple(key_b[i] for i in keep_b)
-                for key_a, payload_a in matches:
-                    key = key_a + rest_b
-                    product = ring.mul(payload_a, payload_b)
-                    existing = out.get(key)
-                    total = product if existing is None else ring.add(existing, product)
-                    if ring.is_zero(total):
-                        out.pop(key, None)
-                    else:
-                        out[key] = total
-        else:
-            index = {}
-            for key_b, payload_b in other.data.items():
-                hook = tuple(key_b[i] for i in pos_b)
-                index.setdefault(hook, []).append(
-                    (tuple(key_b[i] for i in keep_b), payload_b)
-                )
-            for key_a, payload_a in self.data.items():
-                hook = tuple(key_a[i] for i in pos_a)
-                for rest_b, payload_b in index.get(hook, ()):
-                    key = key_a + rest_b
-                    product = ring.mul(payload_a, payload_b)
-                    existing = out.get(key)
-                    total = product if existing is None else ring.add(existing, product)
-                    if ring.is_zero(total):
-                        out.pop(key, None)
-                    else:
-                        out[key] = total
-        return result
-
-    # ------------------------------------------------------------------
-    # Aggregation
-    # ------------------------------------------------------------------
-
-    def marginalize(
-        self,
-        keep: Tuple[str, ...],
-        lifts: Optional[Mapping[str, Callable[[Any], Any]]] = None,
-    ) -> "Relation":
-        """Group by ``keep``; payloads of each group sum in the ring.
-
-        ``lifts`` maps *marginalized* attributes to their lifting functions
-        g_X; each row's payload is multiplied by the product of its lifted
-        values before summation. Attributes in ``keep`` must not be lifted
-        (their lift applies when they are marginalized higher in the tree).
-        """
-        ring = self.ring
-        keep = tuple(keep)
-        keep_pos = _positions(self.schema, keep)
-        lift_items: Tuple[Tuple[int, Callable], ...] = ()
-        if lifts:
-            for attr in lifts:
-                if attr in keep:
-                    raise SchemaError(
-                        f"cannot lift attribute {attr!r}: it is kept as a key"
-                    )
-            lift_items = tuple(
-                (self.schema.index(attr), fn) for attr, fn in lifts.items()
-            )
-        result = Relation(keep, ring)
-        out = result.data
-        if ring.is_scalar:
-            group_of = _key_getter(keep_pos)
-            out_get = out.get
-            if lift_items:
-                for key, payload in self.data.items():
-                    for position, lift_fn in lift_items:
-                        payload = payload * lift_fn(key[position])
-                    group = group_of(key)
-                    existing = out_get(group)
-                    out[group] = payload if existing is None else existing + payload
-            else:
-                for key, payload in self.data.items():
-                    group = group_of(key)
-                    existing = out_get(group)
-                    out[group] = payload if existing is None else existing + payload
-            zero_keys = [key for key, payload in out.items() if not payload]
-            for key in zero_keys:
-                del out[key]
-            return result
-        add_inplace = ring.add_inplace
-        copy = ring.copy
-        mul = ring.mul
-        for key, payload in self.data.items():
-            for position, lift_fn in lift_items:
-                payload = mul(payload, lift_fn(key[position]))
-            group = tuple(key[i] for i in keep_pos)
-            existing = out.get(group)
-            if existing is None:
-                out[group] = copy(payload)
-            else:
-                out[group] = add_inplace(existing, payload)
-        if lift_items or ring.has_negation:
-            # Lifted/negative payloads can cancel within a group.
-            is_zero = ring.is_zero
-            zero_keys = [key for key, payload in out.items() if is_zero(payload)]
-            for key in zero_keys:
-                del out[key]
-        return result
-
-    def lift(
-        self,
-        ring: Ring,
-        keep: Tuple[str, ...],
-        lifts: Optional[Mapping[str, Callable[[Any], Any]]] = None,
-    ) -> "Relation":
-        """Leaf view step: convert Z multiplicities into ``ring`` payloads.
-
-        Groups by ``keep``; each row contributes the product of its lifted
-        attribute values (ring one when ``lifts`` is empty), scaled by the
-        row's integer multiplicity. This is how base-relation deltas — with
-        positive and negative multiplicities — enter payload space.
-        """
-        if self.ring is not Z and not isinstance(self.ring, type(Z)):
-            raise DataError("lift applies to Z-payload (base) relations")
-        keep = tuple(keep)
-        keep_pos = _positions(self.schema, keep)
-        lift_items: Tuple[Tuple[int, Callable], ...] = ()
-        if lifts:
-            lift_items = tuple(
-                (self.schema.index(attr), fn) for attr, fn in lifts.items()
-            )
-        result = Relation(keep, ring)
-        out = result.data
-        one = ring.one()
-        if ring.is_scalar:
-            group_of = _key_getter(keep_pos)
-            out_get = out.get
-            for key, multiplicity in self.data.items():
-                payload = one
-                for position, lift_fn in lift_items:
-                    payload = payload * lift_fn(key[position])
-                payload = payload * multiplicity
-                group = group_of(key)
-                existing = out_get(group)
-                out[group] = payload if existing is None else existing + payload
-            zero_keys = [key for key, payload in out.items() if not payload]
-            for key in zero_keys:
-                del out[key]
-            return result
-        mul = ring.mul
-        scale = ring.scale
-        add_inplace = ring.add_inplace
-        copy = ring.copy
-        for key, multiplicity in self.data.items():
-            payload = one
-            for position, lift_fn in lift_items:
-                payload = mul(payload, lift_fn(key[position]))
-            payload = scale(payload, multiplicity)
-            group = tuple(key[i] for i in keep_pos)
-            existing = out.get(group)
-            if existing is None:
-                out[group] = copy(payload)
-            else:
-                out[group] = add_inplace(existing, payload)
-        is_zero = ring.is_zero
-        zero_keys = [key for key, payload in out.items() if is_zero(payload)]
-        for key in zero_keys:
-            del out[key]
-        return result
-
-    def project(self, keep: Tuple[str, ...]) -> "Relation":
-        """Projection with payload summation (marginalize without lifts)."""
-        return self.marginalize(keep)
-
-    def total(self) -> Any:
-        """Sum of all payloads — the full aggregate over the relation."""
-        return self.ring.sum(
-            self.ring.copy(payload) for payload in self.data.values()
-        )
 
     # ------------------------------------------------------------------
 

@@ -1,7 +1,6 @@
 """Maintenance engines: F-IVM and the baselines it is evaluated against."""
 
 from repro.engine.base import EngineStatistics, MaintenanceEngine
-from repro.engine.evaluation import evaluate_tree, evaluate_view
 from repro.engine.firstorder import FirstOrderEngine
 from repro.engine.fivm import FIVMEngine
 from repro.engine.naive import NaiveEngine
@@ -18,6 +17,4 @@ __all__ = [
     "ShardedEngine",
     "ShardBackend",
     "available_backends",
-    "evaluate_tree",
-    "evaluate_view",
 ]

@@ -557,6 +557,45 @@ def _sum_rows(copy, add_inplace, is_zero, rows, group_of, prune: bool) -> Dict[T
     return out
 
 
+def _row_ladder(ring, materialized, steps, current, stats, timer):
+    """Row mode up ``steps`` from the running ``key -> payload`` dict
+    ``current``: probe each step's siblings, multiply in its lifts and
+    group-sum by its view key, yielding ``(step, grouped delta)`` — the
+    step loop :meth:`FusedPath.rows` scatters from and
+    :meth:`FusedPath.derive` collects. Stops once the rows annihilate."""
+    mul, _scale, copy, add_inplace, is_zero = _row_ops(ring)
+    for step in steps:
+        if not current:
+            return
+        joined = current
+        for probe in step.probes:
+            sibling = materialized[probe.sibling]
+            index = sibling.ensure_index(probe.attrs)
+            if timer:
+                t0 = timer()
+            joined = probe.run_rows(joined, sibling, index, mul, is_zero, stats)
+            if timer:
+                stats.record_stage("probe", timer() - t0)
+            stats.probe_steps += 1
+            if not joined:
+                return  # annihilated mid-join: nothing propagates further up
+        if step.lifts:
+            if timer:
+                t0 = timer()
+            joined = _times_lifts(mul, joined, step.lifts)
+            if timer:
+                stats.record_stage("multiply", timer() - t0)
+        if timer:
+            t0 = timer()
+        current = _sum_rows(
+            copy, add_inplace, is_zero, joined, step.group_of,
+            bool(step.lifts) or ring.has_negation,
+        )
+        if timer:
+            stats.record_stage("group", timer() - t0)
+        yield step, current
+
+
 # ----------------------------------------------------------------------
 # Compiled path
 # ----------------------------------------------------------------------
@@ -718,8 +757,8 @@ class FusedPath:
     Both modes read and write the same slot stores and leave the same
     views — bit for bit wherever the float sums are exact; otherwise a
     columnar group-sum may associate a group's rows differently.
-    :meth:`derive` runs the columnar ladder over a stored view's whole
-    contents to recompute a view the engine dropped (``bulk`` only).
+    :meth:`derive` runs the same ladder over a stored view's whole
+    contents to recompute a view the engine dropped.
     """
 
     __slots__ = (
@@ -746,7 +785,7 @@ class FusedPath:
         self.leaf_group_of = _key_getter(leaf_group_positions)
         self.steps = steps
         #: The views are slot stores and every lift on the path is
-        #: bulk-liftable: columnar mode (and :meth:`derive`) is available.
+        #: bulk-liftable: columnar mode is available.
         self.bulk = bulk
         self._scratch = _Scratch()
 
@@ -783,38 +822,9 @@ class FusedPath:
         if timer:
             stats.record_stage("scatter", timer() - t0)
         view_sizes[self.leaf_name] = len(leaf_view)
-        for step in self.steps:
-            if not current:
-                break
-            joined = current
-            for probe in step.probes:
-                sibling = materialized[probe.sibling]
-                index = sibling.ensure_index(probe.attrs)
-                if timer:
-                    t0 = timer()
-                joined = probe.run_rows(joined, sibling, index, mul, is_zero, stats)
-                if timer:
-                    stats.record_stage("probe", timer() - t0)
-                stats.probe_steps += 1
-                if not joined:
-                    break
-            if not joined:
-                # Annihilated mid-join: nothing propagates further up.
-                break
-            if step.lifts:
-                if timer:
-                    t0 = timer()
-                joined = _times_lifts(mul, joined, step.lifts)
-                if timer:
-                    stats.record_stage("multiply", timer() - t0)
-            if timer:
-                t0 = timer()
-            current = _sum_rows(
-                copy, add_inplace, is_zero, joined, step.group_of,
-                bool(step.lifts) or ring.has_negation,
-            )
-            if timer:
-                stats.record_stage("group", timer() - t0)
+        for step, current in _row_ladder(
+            ring, materialized, self.steps, current, stats, timer
+        ):
             stats.delta_tuples_propagated += len(current)
             target = materialized.get(step.view_name)
             if target is None:
@@ -891,11 +901,12 @@ class FusedPath:
         not store, with the ladder :meth:`apply` runs.
 
         The whole contents of the stored view nearest below it on the
-        path (the leaf at worst) go up as one block, as a delta would:
-        every view is its child joined with its siblings, linear in each,
-        so the child's contents give the view itself. The siblings must
-        be stored. Returns the views the block passed — all dropped ones,
-        ``view_name`` last — and leaves the engine's counters alone.
+        path (the leaf at worst) go up as one delta would — as one block
+        on a ``bulk`` path, else in row mode: every view is its child
+        joined with its siblings, linear in each, so the child's contents
+        give the view itself. The siblings must be stored. Returns the
+        views the contents passed — all dropped ones, ``view_name`` last
+        — and leaves the engine's counters alone.
         """
         ring = engine.plan.ring
         materialized = engine.materialized
@@ -904,16 +915,24 @@ class FusedPath:
         while start > 1 and names[start - 2] not in materialized:
             start -= 1
         below = materialized[names[start - 2] if start > 1 else self.leaf_name]
+        steps = self.steps[start - 1 : stop]
+        stats = EngineStatistics()
+        derived: Dict[str, Relation] = {
+            step.view_name: Relation(
+                engine.tree.views[step.view_name].key, ring, name=step.view_name
+            )
+            for step in steps
+        }
+        if not self.bulk:
+            for step, rows in _row_ladder(ring, materialized, steps, below.data, stats, None):
+                derived[step.view_name].data = rows
+            return derived
         keys = list(below.slots)
         n = len(keys)
         cols = [column_array(list(col)) for col in zip(*keys)]
         rows = np.fromiter(below.slots.values(), dtype=np.intp, count=n)
         block = ring.take(below.block, rows)
-        stats = EngineStatistics()
-        derived: Dict[str, Relation] = {}
-        for step in self.steps[start - 1 : stop]:
-            view = engine.tree.views[step.view_name]
-            relation = derived[view.name] = Relation(view.key, ring, name=view.name)
+        for step in steps:
             if n:
                 cols, block, n = self._join(
                     ring, materialized, step, cols, block, n, stats, None
@@ -922,7 +941,7 @@ class FusedPath:
                 cols, keys, block, n = self._group_compact(
                     ring, cols, step.group_positions, block, n, stats, None
                 )
-                relation.data = dict(zip(keys, ring.block_payloads(block)))
+                derived[step.view_name].data = dict(zip(keys, ring.block_payloads(block)))
         return derived
 
     def _join(self, ring, materialized, step, cols, block, n, stats, timer):

@@ -11,17 +11,13 @@ Every relation has one compiled maintenance program
 (:class:`~repro.engine.compile.FusedPath`), whatever the payload ring:
 an update is one call to it.
 
-Initialization stores every view. When every relation's compiled
-program can run columnar (every cofactor payload a spec builds) it is
-maintenance: every view starts empty, and each base relation's contents
-go up its own path as insert deltas of at most ``_LOAD_CHUNK_ROWS``
-rows, smallest relation first. The sum of the inserts is the database,
-so the views are the evaluated ones, and the transient blocks stay the
-size of one steady-state batch. Dict-view engines (count, sum) evaluate
-the tree instead: their programs run row mode only, and the same chunked
-load through row mode measured 2.9-3.6x slower than evaluation
-(retailer, 40k Inventory rows, minimum of 5: count 0.068 -> 0.243 s,
-sum 0.089 -> 0.256 s).
+Initialization stores every view, and it is maintenance: every view
+starts empty, and each base relation's contents go up its own compiled
+program as insert deltas, smallest relation first. The sum of the
+inserts is the database, so the views are the join of their children
+with their variables summed out — the compiled programs are the only
+code that computes a view (:meth:`FIVMEngine._load` says which mode
+loads which ring).
 
 From then on the engine keeps a view stored only if it is the root, a
 leaf, or a sibling that the path of an *observed* relation probes — a
@@ -36,8 +32,8 @@ probing it. A rebuild is exact: leaves always stay current, every view is
 the join of its children with its variable summed out, and a dropped
 view's stored descendants were maintained all along. Rebuilds, reads and
 exports re-derive a dropped view the way a delta travels: the contents of
-the stored view below it run up an observed path's columnar ladder as
-one block, or, for dict views, its children join entry by entry.
+the stored view below it run up an observed path's program as one delta
+(:meth:`~repro.engine.compile.FusedPath.derive`).
 
 Compared to re-evaluation the work per update is bounded by the sizes of
 the deltas and sibling views along one path; compared to first-order IVM
@@ -57,7 +53,6 @@ from repro.data.relation import Relation
 from repro.data.store import SlotStore
 from repro.engine.base import EngineStatistics, MaintenanceEngine
 from repro.engine.compile import FusedPath, compile_fused_path
-from repro.engine.evaluation import evaluate_tree, evaluate_view
 from repro.errors import CheckpointError, EngineError, RingError
 from repro.query.query import Query
 from repro.rings.decay import DecayRing
@@ -66,22 +61,21 @@ from repro.viewtree.builder import ViewTree, build_probe_plan, build_view_tree
 
 __all__ = ["FIVMEngine"]
 
-#: Rows per insert delta when initialization loads a relation up its
+#: Rows per insert delta when a slot-store engine loads a relation up its
 #: compiled program (see :meth:`FIVMEngine._load`) — the paper's flush size.
 #: Smaller chunks lower the load's memory peak and cost time: on the
 #: benchmark's MI scenario VmHWM read 53.9 / 55.7 / 57.2 / 59.6 MB at
-#: 250 / 500 / 1000 / 2000 rows (evaluating the tree: 58.9), while the
-#: bulk COVAR load took 0.21 / 0.20 / 0.13 / 0.13 s at flat VmHWM
-#: (medians of 3, 2-core Xeon, Python 3.11).
+#: 250 / 500 / 1000 / 2000 rows, while the bulk COVAR load took 0.21 /
+#: 0.20 / 0.13 / 0.13 s at flat VmHWM (medians of 3, 2-core Xeon, Python
+#: 3.11). Dict-view engines load each relation as one row-mode delta.
 _LOAD_CHUNK_ROWS = 1000
 
 
 class FIVMEngine(MaintenanceEngine):
     """Higher-order factorized incremental view maintenance.
 
-    :meth:`initialize` stores every view: on slot-store engines whose
-    programs all run columnar by loading the database up those paths
-    (:meth:`_load`), otherwise by :func:`evaluate_tree`.
+    :meth:`initialize` stores every view by loading the database up the
+    compiled programs (:meth:`_load`), whatever the ring.
 
     ``materialized`` holds the stored views: after initialization every
     view, then — as relations are observed — the root, the leaves, the
@@ -199,7 +193,7 @@ class FIVMEngine(MaintenanceEngine):
         #: Relations observed since initialize / restore.
         self._observed: Set[str] = set()
         #: View names children before parents: reports, exports and the
-        #: load list views in the order evaluation visits them.
+        #: load list views in this order.
         self._view_order = tuple(view.name for view in self.tree.all_views())
         # Maintenance paths and per-view lifting dicts are pure functions
         # of the static tree; precompute them so apply() does no per-update
@@ -225,16 +219,7 @@ class FIVMEngine(MaintenanceEngine):
     # ------------------------------------------------------------------
 
     def initialize(self, database: Database) -> None:
-        relations = self._base_relations(database)
-        if all(fpath.bulk for fpath in self._fused_paths.values()):
-            self._load(relations)
-        else:
-            self.materialized = {}
-            # Views come out of evaluate_tree in their long-lived form, so
-            # there is no second pass over the freshly materialized data.
-            evaluate_tree(
-                self.tree, relations, self.materialized, install=self._install_view
-            )
+        self._load(self._base_relations(database))
         self._initialized = True
         self._after_restore()
 
@@ -260,18 +245,24 @@ class FIVMEngine(MaintenanceEngine):
 
     def _load(self, relations: Dict[str, Relation]) -> None:
         """Initialization as maintenance: every view starts empty, and each
-        relation's contents go up its own program, columnar, as insert
-        deltas of ``_LOAD_CHUNK_ROWS`` rows, smallest relation first.
+        relation's contents go up its own program as insert deltas,
+        smallest relation first.
 
         The sum of the inserts is the database, so the views come out as
-        :func:`evaluate_tree` would evaluate them (float group sums may
-        associate differently). Dimension relations load before the
-        facts that join them, so a fact chunk's transient blocks stay the
-        size of one batch's. The load counts into scratch statistics and
-        each relation's probes build indexes only for its own load: no
-        counter moves, nothing is observed and every index is
-        registered, not built, as after :func:`evaluate_tree`.
+        the join of their children with their variables summed out (float
+        group sums may associate differently from another load order).
+        Dimension relations load before the facts that join them. When
+        every program runs columnar (slot stores) the deltas are
+        ``_LOAD_CHUNK_ROWS`` rows, so a fact chunk's transient blocks stay
+        the size of one batch's; otherwise (dict views: count, sum, the
+        semirings, the reference rings) each relation is one row-mode
+        delta. The load counts into scratch statistics and each
+        relation's probes build indexes only for its own load: no counter
+        moves, nothing is observed and every index is registered, not
+        built.
         """
+        fpaths = self._fused_paths
+        columnar = all(fpath.bulk for fpath in fpaths.values())
         ring = self.plan.ring
         self.materialized = {
             name: self._install_view(
@@ -282,21 +273,27 @@ class FIVMEngine(MaintenanceEngine):
         stats, self.stats = self.stats, EngineStatistics()
         try:
             for name in sorted(relations, key=lambda name: len(relations[name])):
-                base, fpath = relations[name], self._fused_paths[name]
-                rows = iter(base.data.items())
-                while True:
+                base, fpath = relations[name], fpaths[name]
+                if columnar:
+                    load = fpath.columnar
+                    items = iter(base.data.items())
+                    chunks = iter(lambda: dict(islice(items, _LOAD_CHUNK_ROWS)), {})
+                else:  # the whole relation as one delta, not copied
+                    load = fpath.rows
+                    chunks = (base.data,) if base.data else ()
+                for data in chunks:
                     # Our own chunk relations: the caller's keep no
                     # columnar cache.
                     chunk = Relation(base.schema, base.ring, name=name)
-                    chunk.data = dict(islice(rows, _LOAD_CHUNK_ROWS))
-                    if not chunk.data:
-                        break
-                    fpath.columnar(self, chunk)
+                    chunk.data = data
+                    load(self, chunk)
                 # A path never writes the siblings it probes, so no index
                 # is maintained while a relation loads.
                 for view in self.materialized.values():
-                    view.pending.update(view.indexes)
-                    view.indexes.clear()
+                    indexes = getattr(view, "indexes", None)
+                    if indexes:
+                        view.pending.update(indexes)
+                        indexes.clear()
         finally:
             self.stats = stats
 
@@ -367,24 +364,15 @@ class FIVMEngine(MaintenanceEngine):
 
         Returns it with the dropped views below it the derivation passed.
         A view is dropped only from an observed relation's path, and
-        every sibling such a path probes is stored: with a program that
-        runs columnar, that path's ladder recomputes the view in bulk
-        (:meth:`FusedPath.derive`); otherwise :func:`evaluate_view` joins
-        its children entry by entry.
+        every sibling such a path probes is stored: that path's program
+        recomputes the view (:meth:`FusedPath.derive`).
         """
         for relation, (_leaf, _lifts, inner) in self._paths.items():
-            fpath = self._fused_paths[relation]
-            if (
-                fpath.bulk
-                and relation in self._observed
-                and any(view.name == name for view, _ in inner)
+            if relation in self._observed and any(
+                view.name == name for view, _ in inner
             ):
-                return fpath.derive(self, name)
-        derived: Dict[str, Relation] = {}
-        evaluate_view(
-            self.tree, self.tree.views[name], {}, derived, stored=self.materialized
-        )
-        return derived
+                return self._fused_paths[relation].derive(self, name)
+        raise EngineError(f"view {name!r} is on no observed relation's path")
 
     def result(self) -> Relation:
         """The root view; for a stored view, a relation of payload copies
@@ -576,22 +564,26 @@ class FIVMEngine(MaintenanceEngine):
                 f"snapshot does not match the view tree "
                 f"(missing={sorted(missing)}, unexpected={sorted(unexpected)})"
             )
-        self.materialized = {}
+        self.materialized = {
+            name: self._restored_view(name, data) for name, data in views.items()
+        }
+
+    def _restored_view(self, name: str, data):
+        """The long-lived form of view ``name`` from its snapshot payloads
+        ``key -> payload`` (see :meth:`_import_payload`)."""
         project = getattr(self.plan.ring, "project", None)
-        for name, data in views.items():
-            view = self.tree.views[name]
-            if project is not None:
-                support = self._view_supports[name]
-                try:
-                    data = {key: project(p, support) for key, p in data.items()}
-                except RingError as exc:
-                    raise CheckpointError(
-                        f"snapshot view {name!r} does not fit its subtree's features: {exc}"
-                    ) from exc
-            # The constructor validates keys and filters ring-zero payloads.
-            self.materialized[name] = self._install_view(
-                Relation(view.key, self.plan.ring, data=data, name=name)
-            )
+        if project is not None:
+            support = self._view_supports[name]
+            try:
+                data = {key: project(p, support) for key, p in data.items()}
+            except RingError as exc:
+                raise CheckpointError(
+                    f"snapshot view {name!r} does not fit its subtree's features: {exc}"
+                ) from exc
+        # The constructor validates keys and filters ring-zero payloads.
+        return self._install_view(
+            Relation(self.tree.views[name].key, self.plan.ring, data=data, name=name)
+        )
 
     def _after_restore(self) -> None:
         """Every view is stored again and nothing is observed yet."""
@@ -601,7 +593,7 @@ class FIVMEngine(MaintenanceEngine):
     # ------------------------------------------------------------------
 
     def _install_view(self, relation: Relation):
-        """The long-lived form of one evaluated or restored view.
+        """The long-lived form of one loaded or restored view.
 
         A slot store for bulk non-scalar rings; otherwise an
         :class:`IndexedRelation` when some maintenance path probes the

@@ -1,7 +1,11 @@
 """Naive baseline: re-evaluate the query after every update batch.
 
 The floor of the comparison: correctness is trivial, cost scales with the
-full database size on every batch. ``refresh_on_apply=False`` defers the
+full database size on every batch. Re-evaluation is F-IVM's own
+initialization over the current relations: an inner
+:class:`~repro.engine.fivm.FIVMEngine` loads them up the same compiled
+programs F-IVM maintains deltas with, and keeps only the root between
+refreshes. ``refresh_on_apply=False`` defers the
 recomputation to :meth:`result` (useful when a caller applies many batches
 and reads once; the default models the demo's refresh-per-bulk behaviour).
 """
@@ -13,11 +17,11 @@ from typing import Dict, Optional
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.engine.base import MaintenanceEngine
-from repro.engine.evaluation import evaluate_tree
+from repro.engine.fivm import FIVMEngine
 from repro.errors import EngineError
 from repro.query.query import Query
 from repro.query.variable_order import VariableOrder
-from repro.viewtree.builder import ViewTree, build_view_tree
+from repro.viewtree.builder import ViewTree
 
 __all__ = ["NaiveEngine"]
 
@@ -34,8 +38,9 @@ class NaiveEngine(MaintenanceEngine):
         refresh_on_apply: bool = True,
     ):
         super().__init__(query)
-        self.plan = query.build_plan()
-        self.tree: ViewTree = build_view_tree(query, order=order, plan=self.plan)
+        self._evaluator = FIVMEngine(query, order=order)
+        self.plan = self._evaluator.plan
+        self.tree: ViewTree = self._evaluator.tree
         self.refresh_on_apply = refresh_on_apply
         self._relations: Dict[str, Relation] = {}
         self._result: Optional[Relation] = None
@@ -46,7 +51,7 @@ class NaiveEngine(MaintenanceEngine):
             name: database.relation(name).copy()
             for name in self.query.relation_names
         }
-        self._result = evaluate_tree(self.tree, self._relations)
+        self._result = evaluate(self._evaluator, self._relations)
         self._stale = False
         self._initialized = True
 
@@ -58,7 +63,7 @@ class NaiveEngine(MaintenanceEngine):
         self.stats.record_batch(delta)
         self._relations[relation_name].add_inplace(delta)
         if self.refresh_on_apply:
-            self._result = evaluate_tree(self.tree, self._relations)
+            self._result = evaluate(self._evaluator, self._relations)
             self._stale = False
         else:
             self._stale = True
@@ -77,13 +82,13 @@ class NaiveEngine(MaintenanceEngine):
         finally:
             self.refresh_on_apply = refresh
         if refresh and self._stale:
-            self._result = evaluate_tree(self.tree, self._relations)
+            self._result = evaluate(self._evaluator, self._relations)
             self._stale = False
 
     def result(self) -> Relation:
         self._require_initialized()
         if self._stale:
-            self._result = evaluate_tree(self.tree, self._relations)
+            self._result = evaluate(self._evaluator, self._relations)
             self._stale = False
         return self._result
 
@@ -108,8 +113,17 @@ class NaiveEngine(MaintenanceEngine):
         self._relations = _restore_relations(self.query, state["relations"])
         self._result = _restore_result(self.tree, state.get("result"))
         if self._result is None:
-            self._result = evaluate_tree(self.tree, self._relations)
+            self._result = evaluate(self._evaluator, self._relations)
         self._stale = False
+
+
+def evaluate(engine: FIVMEngine, relations: Dict[str, Relation]) -> Relation:
+    """The query's result over ``relations`` (name -> relation):
+    ``engine`` initialized over them, keeping only its root."""
+    engine.initialize(Database.from_dict(relations))
+    root = engine.tree.root.name
+    engine.materialized = {root: engine.materialized[root]}
+    return engine.result()
 
 
 def _restore_relations(query, relations) -> Dict[str, Relation]:

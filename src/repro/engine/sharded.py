@@ -55,7 +55,6 @@ from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.data.sharding import ShardRouter, shard_hash
 from repro.engine.base import EngineStatistics, MaintenanceEngine
-from repro.engine.evaluation import evaluate_view
 from repro.engine.fivm import FIVMEngine
 from repro.engine.supervisor import WorkerSupervisor
 from repro.errors import EngineError, SupervisionError
@@ -1248,10 +1247,12 @@ class ShardedEngine(MaintenanceEngine):
 
     def _partition_views(self, views: Dict[str, Dict]) -> List[Dict[str, Dict]]:
         """Split global view materializations into per-shard slices."""
-        ring = self.tree.plan.ring
         attrs = self.router.attrs
         broadcast_only = set(self._broadcast_only_views)
         per_shard: List[Dict[str, Dict]] = [{} for _ in range(self.shards)]
+        # Computes the views above the shard attributes (see below).
+        scratch: Optional[FIVMEngine] = None
+        view_relations = self._view_relations()
         for node in self.tree.all_views():  # children before parents
             name = node.name
             data = views[name]
@@ -1284,18 +1285,21 @@ class ShardedEngine(MaintenanceEngine):
             else:
                 # The shard attributes were marginalized at or below this
                 # node, so per-shard values are not determined by the key.
-                # Recompute from the already-partitioned children — the
-                # same join+marginalize step evaluation uses, exact per
-                # shard and cheap: these views sit at/above the shard
-                # variable, the smallest materializations of the tree.
+                # Recompute from the already-partitioned children with the
+                # program a delta runs — exact per shard and cheap: these
+                # views sit at/above the shard variable, the smallest
+                # materializations of the tree.
+                if scratch is None:
+                    scratch = self._engine_factory()()
+                fpath = scratch._fused_paths[min(view_relations[name])]
                 for shard in range(self.shards):
-                    children = {}
-                    for child in node.children:
-                        relation = children[child.name] = Relation(child.key, ring)
-                        relation.data = per_shard[shard][child.name]
-                    per_shard[shard][name] = evaluate_view(
-                        self.tree, node, {}, stored=children
-                    ).data
+                    scratch.materialized = {
+                        child.name: scratch._restored_view(
+                            child.name, per_shard[shard][child.name]
+                        )
+                        for child in node.children
+                    }
+                    per_shard[shard][name] = fpath.derive(scratch, name)[name].data
         return per_shard
 
     # ------------------------------------------------------------------

@@ -10,7 +10,7 @@ import hypothesis
 import pytest
 from hypothesis import strategies as st
 
-from repro.data import Database, Relation
+from repro.data import Database
 from repro.datasets import (
     RetailerConfig,
     generate_retailer,
@@ -143,24 +143,3 @@ def rows_strategy(arity: int, domain: int = 4, max_rows: int = 8):
     """Random rows over a small integer domain."""
     row = st.tuples(*[st.integers(min_value=0, max_value=domain - 1)] * arity)
     return st.lists(row, max_size=max_rows)
-
-
-def z_relation_strategy(schema, domain: int = 4, max_rows: int = 8):
-    """Random Z-relations (possibly with signed multiplicities)."""
-
-    def build(entries):
-        relation = Relation(schema)
-        for key, multiplicity in entries:
-            if multiplicity:
-                relation.data[key] = (
-                    relation.data.get(key, 0) + multiplicity
-                )
-                if relation.data[key] == 0:
-                    del relation.data[key]
-        return relation
-
-    key = st.tuples(
-        *[st.integers(min_value=0, max_value=domain - 1)] * len(schema)
-    )
-    entry = st.tuples(key, st.integers(min_value=-2, max_value=3))
-    return st.lists(entry, max_size=max_rows).map(build)

@@ -88,12 +88,6 @@ class TestRelationColumnarCache:
         cached = delta.columnar()
         assert delta.copy().columnar() is cached
 
-    def test_from_columns_builds_and_caches(self):
-        relation = Relation.from_columns(SCHEMA, ([1, 2], ["a", "b"]), [1, -2])
-        assert relation.data == {(1, "a"): 1, (2, "b"): -2}
-        assert relation._columnar is not None
-        assert relation.columnar().rows == [(1, "a"), (2, "b")]
-
 
 class TestStoreBlockScatter:
     """SlotStore.add_block is the block form of Relation.add_inplace."""

@@ -1,13 +1,12 @@
-"""Relations: join, marginalize, lift, union and deltas."""
+"""Relations: construction, union, negation and comparison."""
 
 import pytest
-from hypothesis import given
 
 from repro.data import Relation
 from repro.errors import DataError, SchemaError
-from repro.rings import CofactorLayout, FloatRing, NumericCofactorRing, Z
+from repro.rings import FloatRing, Z
 
-from tests.conftest import GENERIC_Z, z_relation_strategy
+from tests.conftest import GENERIC_Z
 
 
 @pytest.fixture
@@ -66,123 +65,6 @@ class TestUnionAndNegation:
     def test_neg(self, r):
         assert r.neg().data == {("a1", 1): -2, ("a2", 2): -1}
 
-    def test_scale(self, r):
-        assert r.scale(3).data == {("a1", 1): 6, ("a2", 2): 3}
-        assert r.scale(0).data == {}
-
-    def test_filter(self, r):
-        kept = r.filter(lambda key: key[0] == "a1")
-        assert kept.data == {("a1", 1): 2}
-
-
-class TestJoin:
-    def test_natural_join_multiplies_payloads(self):
-        r = Relation(("A", "B"), Z, {("a1", "b1"): 2, ("a2", "b2"): 1})
-        s = Relation(("A", "C"), Z, {("a1", "c1"): 3, ("a3", "c3"): 1})
-        j = r.join(s)
-        assert j.schema == ("A", "B", "C")
-        assert j.data == {("a1", "b1", "c1"): 6}
-
-    def test_join_without_shared_attrs_is_product(self):
-        r = Relation(("A",), Z, {("a1",): 2})
-        s = Relation(("B",), Z, {("b1",): 3, ("b2",): 1})
-        j = r.join(s)
-        assert j.data == {("a1", "b1"): 6, ("a1", "b2"): 2}
-
-    def test_join_both_probe_directions_agree(self):
-        # r smaller than s and vice versa exercise both code paths.
-        r = Relation(("A", "B"), Z, {("a1", "b1"): 2})
-        s = Relation(
-            ("A", "C"), Z, {("a1", "c1"): 1, ("a1", "c2"): 4, ("a2", "c1"): 5}
-        )
-        forward = r.join(s)
-        backward = s.join(r)
-        assert forward.data.keys() == {("a1", "b1", "c1"), ("a1", "b1", "c2")}
-        # same content modulo column order
-        assert forward.marginalize(()).payload(()) == backward.marginalize(()).payload(())
-
-    def test_join_empty(self):
-        r = Relation(("A",), Z, {("a1",): 1})
-        assert r.join(Relation(("A",))).data == {}
-
-    def test_join_ring_mismatch(self):
-        r = Relation(("A",), Z, {("a1",): 1})
-        s = Relation(("A",), FloatRing(), {("a1",): 1.0})
-        with pytest.raises(DataError):
-            r.join(s)
-
-    def test_join_negative_payload_cancellation(self):
-        r = Relation(("A", "B"), Z, {("a1", "b1"): 1, ("a1", "b2"): -1})
-        s = Relation(("A",), Z, {("a1",): 1})
-        j = r.join(s).marginalize(("A",))
-        assert j.data == {}
-
-
-class TestMarginalize:
-    def test_group_by_sums_payloads(self, r):
-        m = r.marginalize(("A",))
-        assert m.data == {("a1",): 2, ("a2",): 1}
-
-    def test_full_aggregation(self, r):
-        m = r.marginalize(())
-        assert m.data == {(): 3}
-
-    def test_lift_applied_to_marginalized_attr(self):
-        ring = FloatRing()
-        rel = Relation(("A", "B"), ring, {("a1", 2): 1.0, ("a1", 3): 1.0})
-        m = rel.marginalize(("A",), {"B": lambda b: float(b) * 10})
-        assert m.data == {("a1",): 50.0}
-
-    def test_lifting_kept_attr_rejected(self, r):
-        with pytest.raises(SchemaError):
-            r.marginalize(("A",), {"A": lambda a: 1})
-
-    def test_unknown_keep_attr(self, r):
-        with pytest.raises(SchemaError):
-            r.marginalize(("Z",))
-
-    def test_project_alias(self, r):
-        assert r.project(("A",)) == r.marginalize(("A",))
-
-    def test_total(self, r):
-        assert r.total() == 3
-
-
-class TestLift:
-    def test_lift_to_cofactor_ring(self):
-        layout = CofactorLayout(("B",))
-        ring = NumericCofactorRing(layout)
-        base = Relation.from_tuples(("A", "B"), [("a1", 2), ("a1", 3), ("a2", 5)])
-        lifted = base.lift(ring, ("A",), {"B": lambda b: ring.lift(0, float(b))})
-        a1 = lifted.payload(("a1",))
-        assert a1.c == 2.0
-        assert a1.s[0] == 5.0
-        assert a1.q[0, 0] == 13.0
-
-    def test_lift_scales_by_multiplicity(self):
-        ring = FloatRing()
-        base = Relation(("A",), Z, {("a1",): 3})
-        lifted = base.lift(ring, ("A",))
-        assert lifted.payload(("a1",)) == 3.0
-
-    def test_lift_negative_multiplicity(self):
-        ring = FloatRing()
-        base = Relation(("A",), Z, {("a1",): -2})
-        lifted = base.lift(ring, ())
-        assert lifted.payload(()) == -2.0
-
-    def test_lift_cancellation_prunes(self):
-        ring = FloatRing()
-        base = Relation(("A", "B"), Z, {("a1", 1): 1, ("a1", -1): 1})
-        lifted = base.lift(ring, ("A",), {"B": float})
-        assert lifted.data == {}
-
-    def test_lift_requires_z_payloads(self):
-        rel = Relation(("A",), FloatRing(), {("a1",): 1.0})
-        with pytest.raises(DataError):
-            rel.lift(FloatRing(), ())
-
-
 class TestComparison:
     def test_eq(self, r):
         assert r == r.copy()
@@ -197,60 +79,6 @@ class TestComparison:
 
     def test_close_to_int_falls_back_to_eq(self, r):
         assert r.close_to(r.copy())
-
-
-# ----------------------------------------------------------------------
-# Algebraic properties of the relation operations
-# ----------------------------------------------------------------------
-
-
-@given(
-    z_relation_strategy(("A", "B")),
-    z_relation_strategy(("A", "C")),
-)
-def test_join_total_commutes(r, s):
-    """Total aggregate of r ⋈ s is independent of operand order."""
-    left = r.join(s).marginalize(()).payload(())
-    right = s.join(r).marginalize(()).payload(())
-    assert left == right
-
-
-@given(
-    z_relation_strategy(("A", "B")),
-    z_relation_strategy(("A", "C")),
-    z_relation_strategy(("C", "D")),
-)
-def test_join_associative_on_totals(r, s, t):
-    left = r.join(s.join(t)).marginalize(()).payload(())
-    right = r.join(s).join(t).marginalize(()).payload(())
-    assert left == right
-
-
-@given(z_relation_strategy(("A", "B")), z_relation_strategy(("A", "B")))
-def test_join_distributes_over_union(r1, r2):
-    """(r1 + r2) ⋈ s == r1 ⋈ s + r2 ⋈ s — the linearity delta processing
-    relies on."""
-    s = Relation(("A", "C"), Z, {(0, 1): 2, (1, 0): -1, (2, 2): 3})
-    combined = r1.add(r2).join(s)
-    separate = r1.join(s).add(r2.join(s))
-    assert combined == separate
-
-
-@given(z_relation_strategy(("A", "B")))
-def test_marginalize_then_total_matches_direct_total(r):
-    assert r.marginalize(("A",)).total() == r.total()
-
-
-@given(z_relation_strategy(("A", "B")), z_relation_strategy(("A", "B")))
-def test_lift_distributes_over_union(r1, r2):
-    """lift(r1 + r2) == lift(r1) + lift(r2) — the leaf-level linearity
-    that makes delta lifting correct for mixed insert/delete batches."""
-    layout = CofactorLayout(("B",))
-    ring = NumericCofactorRing(layout)
-    lifts = {"B": lambda b: ring.lift(0, float(b))}
-    combined = r1.add(r2).lift(ring, ("A",), lifts)
-    separate = r1.lift(ring, ("A",), lifts).add(r2.lift(ring, ("A",), lifts))
-    assert combined.close_to(separate, 1e-9)
 
 
 class TestZeroDropRegression:

@@ -9,6 +9,8 @@ from repro.datasets import (
     toy_variable_order,
 )
 
+from tests.sql_oracle import SqlOracle
+
 
 class TestToyDatabase:
     def test_contents_match_figure(self):
@@ -26,8 +28,7 @@ class TestToyDatabase:
         assert len(toy_database().relation("R").data) == 2
 
     def test_join_size_is_3(self):
-        db = toy_database()
-        assert db.relation("R").join(db.relation("S")).total() == 3
+        assert SqlOracle(toy_database()).count() == {(): 3}
 
 
 class TestToyQueries:

@@ -1,9 +1,10 @@
 """The master invariant: all engines compute the same result.
 
 Random databases and random insert/delete sequences; F-IVM, first-order
-IVM and naive re-evaluation must agree with each other and with offline
-recomputation — for the count ring exactly and for the COVAR ring up to
-float tolerance. This is the paper's implicit correctness claim: the
+IVM and naive re-evaluation must agree with each other and with the
+query run in sqlite over the final database (``tests/sql_oracle.py``) —
+for the count ring exactly and for the COVAR ring up to float
+tolerance. This is the paper's implicit correctness claim: the
 maintenance strategy never changes the query semantics, only the cost.
 """
 
@@ -11,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import Database, Relation, RelationSchema
-from repro.engine import FIVMEngine, FirstOrderEngine, NaiveEngine, evaluate_tree
+from repro.engine import FIVMEngine, FirstOrderEngine, NaiveEngine
 from repro.query import Query, plan_variable_order
 from repro.rings import CountSpec, CovarSpec, Feature
-from repro.viewtree import build_view_tree
+
+from tests.sql_oracle import COVAR_RTOL, SqlOracle, engine_covar_gap
 
 R = RelationSchema("R", ("A", "B"))
 S = RelationSchema("S", ("A", "C", "D"))
@@ -68,6 +70,7 @@ def run_scenario(query, db, update_list, tolerance=None):
     order = plan_variable_order(query)
     engines = make_engines(query, order)
     shadow = db.copy()
+    oracle = SqlOracle(db)
     for engine in engines:
         engine.initialize(db)
     for name, template_index, is_insert in update_list:
@@ -81,23 +84,21 @@ def run_scenario(query, db, update_list, tolerance=None):
                 continue  # nothing to delete
             delta.data[row] = -1
         shadow.apply(name, delta)
+        oracle.apply(name, delta)
         for engine in engines:
             engine.apply(name, delta)
-    # offline recomputation over the final database state
-    tree = build_view_tree(query, order=order, plan=engines[0].plan)
-    offline = evaluate_tree(
-        tree, {name: shadow.relation(name) for name in query.relation_names}
-    )
     reference = engines[0].result()
     for engine in engines[1:]:
         if tolerance is None:
             assert reference == engine.result(), engine.strategy
         else:
             assert reference.close_to(engine.result(), tolerance), engine.strategy
-    if tolerance is None:
-        assert reference == offline
-    else:
-        assert reference.close_to(offline, tolerance)
+    # sqlite over the final database state
+    for engine in engines:
+        if tolerance is None:
+            assert engine.result().data == oracle.count(query.free), engine.strategy
+        else:
+            assert engine_covar_gap(engine, oracle) <= COVAR_RTOL, engine.strategy
 
 
 @given(rows(2), rows(3), rows(2), updates_strategy)
@@ -138,6 +139,7 @@ def test_group_by_query_engines_agree(r_rows, s_rows, update_list):
     order = plan_variable_order(query)
     engines = make_engines(query, order)
     shadow = db.copy()
+    oracle = SqlOracle(db)
     for engine in engines:
         engine.initialize(db)
     for name, template_index, is_insert in update_list:
@@ -150,11 +152,11 @@ def test_group_by_query_engines_agree(r_rows, s_rows, update_list):
         else:
             continue
         shadow.apply(name, delta)
+        oracle.apply(name, delta)
         for engine in engines:
             engine.apply(name, delta)
-    reference = engines[0].result()
-    for engine in engines[1:]:
-        assert reference == engine.result(), engine.strategy
+    for engine in engines:
+        assert engine.result().data == oracle.count(("A",)), engine.strategy
 
 
 @settings(max_examples=10)
@@ -180,8 +182,9 @@ def test_cyclic_query_engines_agree(r_rows, s_rows):
         engine.initialize(db)
     delta = Relation(("A", "B"), name="R")
     delta.data[(0, 0)] = 1
+    oracle = SqlOracle(db)
+    oracle.apply("R", delta)
     for engine in engines:
         engine.apply("R", delta)
-    reference = engines[0].result()
-    for engine in engines[1:]:
-        assert reference == engine.result(), engine.strategy
+    for engine in engines:
+        assert engine.result().data == oracle.count(), engine.strategy

@@ -1,13 +1,15 @@
 """Initialization by maintenance.
 
-When every relation of the query has a compiled fused path, F-IVM
-initializes by installing empty views and loading each base relation up
-its own path as insert deltas of ``_LOAD_CHUNK_ROWS`` rows, smallest
-relation first. These tests pin that the loaded views are the evaluated
-ones, that nothing of the load is visible afterwards (counters, observed
-relations, built indexes, the caller's database), that rings without
-fused paths still evaluate the tree, and what a load costs on the
-benchmark's bulk and MI scenarios.
+F-IVM initializes by installing empty views and loading each base
+relation up its own compiled program, smallest relation first: slot-store
+engines columnar in deltas of ``_LOAD_CHUNK_ROWS`` rows, dict-view
+engines (count, sum, the semirings) in row mode, one delta per
+relation. These tests pin that the loaded views equal the query's views
+computed in sqlite (``tests/sql_oracle.py``), that nothing of the load
+is visible afterwards (counters, observed relations, built indexes, the
+caller's database), that every ring's load runs the relations'
+programs, and what a load costs on the benchmark's bulk and MI
+scenarios.
 """
 
 import pickle
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 import repro.engine.fivm as fivm
 from repro import EngineConfig, build_serving_scenario, create_engine
 from repro.data import Database, Relation
+from repro.engine.compile import FusedPath
 from repro.datasets import (
     RetailerConfig,
     continuous_covar_features,
@@ -36,9 +39,11 @@ from repro.datasets import (
     toy_mi_query,
     toy_variable_order,
 )
-from repro.engine import FIVMEngine, NaiveEngine, available_backends, evaluate_tree
+from repro.engine import FIVMEngine, available_backends
 from repro.errors import EngineError
-from repro.rings import CountSpec, CovarSpec, Feature, MISpec
+from repro.rings import BoolRing, CountSpec, CovarSpec, Feature, MISpec, SumSpec
+
+from tests.sql_oracle import COVAR_RTOL, SqlOracle, engine_covar_gap
 
 needs_process = pytest.mark.skipif(
     "process" not in available_backends(), reason="fork unavailable"
@@ -95,18 +100,12 @@ def truncated(database, sizes):
     return copy
 
 
-def evaluated_views(engine, database):
-    expected = {}
-    relations = {name: database.relation(name) for name in engine.query.relation_names}
-    evaluate_tree(engine.tree, relations, expected)
-    return expected
-
-
-def assert_views_equal_evaluation(engine, database, exact):
-    for name, want in evaluated_views(engine, database).items():
+def assert_views_equal_oracle(engine, database, exact):
+    """Every view equals sqlite's joined rows folded in the engine's ring."""
+    for name, want in SqlOracle(database).views(engine.tree).items():
         got = engine.view(name).copy()
         assert set(got.data) == set(want.data), name
-        assert got == want if exact else got.close_to(want, 1e-9), name
+        assert got == want if exact else got.close_to(want, COVAR_RTOL), name
 
 
 def counters(engine):
@@ -161,7 +160,7 @@ def test_a_chunked_load_is_the_evaluated_database(dataset, payload, data):
     assert len(engine._fused_paths) == len(engine._paths)
     with mock.patch.object(fivm, "_LOAD_CHUNK_ROWS", chunk):
         engine.initialize(database)
-    assert_views_equal_evaluation(engine, database, exact=payload == "mi")
+    assert_views_equal_oracle(engine, database, exact=payload == "mi")
     assert_nothing_of_the_load_shows(engine, build())
     # A restore of the loaded engine continues as the loaded engine does.
     restored = build()
@@ -196,21 +195,47 @@ def test_the_callers_database_is_left_alone(payload):
     assert engine.result() == root
 
 
+def query_of(payload):
+    if payload == "count":
+        return retailer_query(CountSpec())
+    if payload == "sum":
+        return retailer_query(SumSpec("inventoryunits"))
+    if payload == "bool":
+        return retailer_query(CountSpec(ring=BoolRing()))
+    return retailer_query(retailer_spec(payload))
+
+
 @pytest.mark.parametrize(
-    "payload, evaluates", [("count", True), ("covar", False), ("mi", False)]
+    "payload, columnar",
+    [("count", False), ("sum", False), ("bool", False), ("covar", True), ("mi", True)],
 )
-def test_only_engines_whose_programs_cannot_run_columnar_evaluate_the_tree(
-    payload, evaluates
-):
-    query = retailer_query(CountSpec() if payload == "count" else retailer_spec(payload))
+def test_every_ring_initializes_by_running_each_relations_program(payload, columnar):
+    """Slot-store engines load columnar; dict-view engines (count, sum,
+    the boolean semiring) in row mode. Either way each relation's own
+    program runs, and the views equal sqlite's."""
+    query = query_of(payload)
     database = generate_retailer(CONFIG)
     engine = FIVMEngine(query, order=retailer_variable_order())
-    with mock.patch.object(fivm, "evaluate_tree", wraps=fivm.evaluate_tree) as spy:
+    ran = {"columnar": [], "rows": []}
+
+    def spy(mode):
+        original = getattr(FusedPath, mode)
+
+        def run(fpath, owner, delta):
+            ran[mode].append(fpath.leaf_name)
+            return original(fpath, owner, delta)
+
+        return mock.patch.object(FusedPath, mode, run)
+
+    with spy("columnar"), spy("rows"):
         engine.initialize(database)
-    assert spy.called is evaluates
-    assert len(engine._fused_paths) == len(engine._paths)
-    assert all(fpath.bulk for fpath in engine._fused_paths.values()) is not evaluates
-    assert_views_equal_evaluation(engine, database, exact=payload != "covar")
+    leaves = {view.name for view in engine.tree.leaf_of.values()}
+    assert set(ran["columnar" if columnar else "rows"]) == leaves
+    assert ran["rows" if columnar else "columnar"] == []
+    if not columnar:
+        # One delta per relation: dict views load whole relations.
+        assert sorted(ran["rows"]) == sorted(leaves)
+    assert_views_equal_oracle(engine, database, exact=payload != "covar")
 
 
 @pytest.mark.parametrize("payload", ["count", "covar"])
@@ -267,27 +292,30 @@ def bench_scenarios():
     }
 
 
-def test_loaded_roots_equal_naive_re_evaluation():
+def test_loaded_roots_equal_sqlite():
     """An oracle independent of F-IVM's ``initialize`` (which the bench's
-    reference check also runs): exact on MI, ``1e-9`` on COVAR."""
+    reference check and both baselines also run): exact on MI,
+    :data:`COVAR_RTOL` on COVAR."""
     for name, (query, order, database) in bench_scenarios().items():
         engine = FIVMEngine(query, order=order)
         engine.initialize(database)
-        assert len(engine._fused_paths) == len(engine._paths), name
-        naive = NaiveEngine(query, order=order)
-        naive.initialize(database)
-        if name == "retailer_mi_mixed":
-            assert engine.result() == naive.result()
-        else:
-            assert engine.result().close_to(naive.result(), 1e-9)
+        gap = engine_covar_gap(engine, SqlOracle(database))
+        assert gap == 0.0 if name == "retailer_mi_mixed" else gap <= COVAR_RTOL, name
 
 
 def initialize_cost_on_bench_scenarios():
-    """Per bench scenario, what ``initialize`` costs: the payload-at-a-time
-    ``lift`` / ``mul`` / ``add`` calls on the engine's ring, and the
-    tracemalloc peak in MB."""
+    """Per bench scenario — plus count and sum over the bulk scenario's
+    database — what ``initialize`` costs: the payload-at-a-time ``lift`` /
+    ``mul`` / ``add`` calls on the engine's ring (row mode on a scalar
+    ring makes none: it multiplies and adds numbers), how many deltas
+    each mode of the compiled programs loaded, and the tracemalloc peak
+    in MB."""
+    scenarios = bench_scenarios()
+    _query, order, database = scenarios["retailer_covar_bulk"]
+    scenarios["retailer_count"] = (retailer_query(CountSpec()), order, database)
+    scenarios["retailer_sum"] = (retailer_query(SumSpec("inventoryunits")), order, database)
     out = {}
-    for name, (query, order, database) in bench_scenarios().items():
+    for name, (query, order, database) in scenarios.items():
         engine = FIVMEngine(query, order=order)
         ring_type = type(engine.plan.ring)
         calls = Counter()
@@ -300,11 +328,14 @@ def initialize_cost_on_bench_scenarios():
             return counted
 
         with ExitStack() as stack:
-            for method in ("lift", "mul", "add"):
-                original = getattr(ring_type, method)
-                stack.enter_context(
-                    mock.patch.object(ring_type, method, counting(method, original))
-                )
+            spied = ((ring_type, ("lift", "mul", "add")), (FusedPath, ("columnar", "rows")))
+            for owner, methods in spied:
+                for method in methods:
+                    original = getattr(owner, method, None)
+                    if original is not None:  # scalar rings lift no payload
+                        stack.enter_context(
+                            mock.patch.object(owner, method, counting(method, original))
+                        )
             tracemalloc.start()
             try:
                 engine.initialize(database)
@@ -312,7 +343,9 @@ def initialize_cost_on_bench_scenarios():
             finally:
                 tracemalloc.stop()
         out[name] = {
-            "scalar_ring_calls": sum(calls.values()),
+            "scalar_ring_calls": calls["lift"] + calls["mul"] + calls["add"],
+            "columnar_loads": calls["columnar"],
+            "row_loads": calls["rows"],
             "tracemalloc_peak_mb": round(peak / 2**20, 1),
         }
     return out
@@ -326,13 +359,24 @@ MI_PEAK_MB = 12.0
 
 
 def test_initialize_cost_on_bench_scenarios():
-    """Pinned: no payload object is lifted, multiplied or added one at a
-    time (evaluating the tree made 157,649 such calls on bulk and 34,240
-    on MI), and the load's allocation peak stays bounded."""
+    """Pinned: on bulk and MI no payload object is lifted, multiplied or
+    added one at a time (evaluating the tree made 157,649 such calls on
+    bulk and 34,240 on MI) and every delta loads columnar; count and sum
+    load one row-mode delta per relation; the bulk and MI allocation
+    peaks stay bounded."""
     cost = initialize_cost_on_bench_scenarios()
     assert {name: c["scalar_ring_calls"] for name, c in cost.items()} == {
         "retailer_covar_bulk": 0,
         "retailer_mi_mixed": 0,
+        "retailer_count": 0,
+        "retailer_sum": 0,
+    }
+    relations = len(retailer_query(CountSpec()).relation_names)
+    assert {name: (c["columnar_loads"] > 0, c["row_loads"]) for name, c in cost.items()} == {
+        "retailer_covar_bulk": (True, 0),
+        "retailer_mi_mixed": (True, 0),
+        "retailer_count": (False, relations),
+        "retailer_sum": (False, relations),
     }
     assert cost["retailer_covar_bulk"]["tracemalloc_peak_mb"] < BULK_PEAK_MB
     assert cost["retailer_mi_mixed"]["tracemalloc_peak_mb"] < MI_PEAK_MB

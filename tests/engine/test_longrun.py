@@ -2,7 +2,8 @@
 
 Where the hypothesis suite covers breadth (random shapes), this covers
 depth: a seeded 200-batch stream over the Retailer join, with periodic
-cross-checks of F-IVM against full re-evaluation, view-size sanity and
+cross-checks of F-IVM against full re-evaluation and against the query
+run in sqlite (``tests/sql_oracle.py``), view-size sanity and
 delete-dominated phases that shrink the database back down.
 """
 
@@ -18,6 +19,8 @@ from repro.datasets import (
 )
 from repro.engine import FIVMEngine, NaiveEngine
 from repro.rings import CountSpec, CovarSpec, Feature
+
+from tests.sql_oracle import COVAR_RTOL, SqlOracle, engine_covar_gap
 
 pytestmark = pytest.mark.slow
 
@@ -43,6 +46,7 @@ def test_200_batches_with_periodic_crosscheck(payload_spec, tolerance):
     fivm.initialize(db)
     naive = NaiveEngine(query, order=order, refresh_on_apply=False)
     naive.initialize(db)
+    oracle = SqlOracle(db)
     stream = UpdateStream(
         db,
         retailer_row_factories(CONFIG, db),
@@ -54,23 +58,19 @@ def test_200_batches_with_periodic_crosscheck(payload_spec, tolerance):
     for index, (name, delta) in enumerate(stream.batches(200)):
         fivm.apply(name, delta)
         naive.apply(name, delta)
+        oracle.apply(name, delta)
         if index % 50 == 49:
             if tolerance is None:
                 assert fivm.result() == naive.result(), f"diverged at batch {index}"
+                assert fivm.result().data == oracle.count(), f"sqlite at batch {index}"
             else:
                 assert fivm.result().close_to(
                     naive.result(), tolerance
                 ), f"diverged at batch {index}"
+                gap = engine_covar_gap(fivm, oracle)
+                assert gap <= COVAR_RTOL, f"sqlite at batch {index}"
     # Final state: the leaf view tracks the live shadow database exactly.
-    expected_leaf = stream.shadow.relation("Inventory").lift(
-        fivm.plan.ring,
-        ("locn", "dateid", "ksn"),
-        {
-            attr: fivm.plan.lifts[attr]
-            for attr in ("inventoryunits",)
-            if attr in fivm.plan.lifts
-        },
-    )
+    expected_leaf = oracle.view(fivm.tree, "V_Inventory")
     assert fivm.view("V_Inventory").close_to(expected_leaf, 1e-6)
 
 
@@ -109,3 +109,4 @@ def test_delete_phase_shrinks_views():
     naive = NaiveEngine(query, order=order)
     naive.initialize(shrink.shadow)
     assert engine.result() == naive.result()
+    assert engine.result().data == SqlOracle(shrink.shadow).count()

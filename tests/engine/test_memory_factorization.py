@@ -17,16 +17,17 @@ from repro.datasets import (
 from repro.engine import FIVMEngine
 from repro.rings import CovarSpec, Feature
 
+from tests.sql_oracle import SqlOracle
+
 CONFIG = RetailerConfig(locations=6, dates=10, items=40, inventory_rows=800, seed=31)
 
 
 def join_listing_cells(db):
-    """Rows x columns of the materialized 5-way join (bag semantics)."""
-    joined = db.relation("Inventory")
-    for name in ("Item", "Weather", "Location", "Census"):
-        joined = joined.join(db.relation(name))
-    rows = sum(joined.data.values())
-    return rows, rows * len(joined.schema)
+    """Rows x columns of the materialized 5-way join (bag semantics),
+    counted in sqlite."""
+    rows = SqlOracle(db).count()[()]
+    columns = {attr for relation in db for attr in relation.schema}
+    return rows, rows * len(columns)
 
 
 class TestFactorizedStateSize:

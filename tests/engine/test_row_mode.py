@@ -48,6 +48,7 @@ from tests.conftest import row_mode
 from tests.engine.test_initialize import BENCH_SEED
 from tests.engine.test_stored_views import draw_delta
 from tests.rings.reference_cofactor import GeneralFloatCovarSpec
+from tests.sql_oracle import SqlOracle
 
 CONFIG = RetailerConfig(locations=4, dates=6, items=20, inventory_rows=300, seed=11)
 
@@ -440,6 +441,9 @@ def test_every_ring_gets_one_program_per_relation_and_matches_naive(name):
         engine.apply(relation, delta)
         naive.apply(relation, delta)
         assert engine.result() == naive.result(), (name, seed)
+    # sqlite's joined rows folded in the ring: a reference that shares no
+    # code with the engines (naive re-evaluation loads the same programs).
+    assert engine.result() == SqlOracle(shadow).result(engine), name
     assert large >= 3
     assert engine.stats.fused_batches == (large if columnar else 0)
     assert engine.stats.probe_steps > 0
@@ -447,9 +451,9 @@ def test_every_ring_gets_one_program_per_relation_and_matches_naive(name):
 
 def test_a_path_without_bulk_lifts_runs_row_mode_at_every_size():
     """Without bulk metadata on a lift there is no columnar mode: the
-    engine evaluates the tree at initialize, applies 100-key deltas in
-    row mode, and re-derives dropped views entry by entry — and ends
-    where the columnar engine ends."""
+    engine loads the database in row mode, applies 100-key deltas in row
+    mode, and re-derives dropped views in row mode — and ends where the
+    columnar engine ends."""
     with mock.patch.object(compiled, "bulk_liftable", lambda fn: False):
         engine, _ = small_retailer_engine()
     reference, _ = small_retailer_engine()

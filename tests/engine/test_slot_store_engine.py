@@ -435,8 +435,8 @@ class TestRelationalPayloads:
             ours, theirs = straight.export_state()["views"], other.export_state()["views"]
             if other is again:
                 # Key order too: its own export. The legacy engine's views
-                # are in evaluation order, a loaded engine's in arrival
-                # order — only float association depends on it.
+                # come from a row-mode load, a slot-store engine's from a
+                # columnar one — only float association depends on it.
                 assert {n: list(d) for n, d in ours.items()} == {n: list(d) for n, d in theirs.items()}
             assert {n: set(d) for n, d in ours.items()} == {n: set(d) for n, d in theirs.items()}
             assert all(ours[n][k] == theirs[n][k] for n in ours for k in ours[n])

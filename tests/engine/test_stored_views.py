@@ -6,8 +6,9 @@ is the root, a leaf, or a sibling some observed relation's path probes;
 the inner views on an observed path that no such path probes are
 dropped, and re-derived from their children whenever something reads
 them. These tests pin that rule on the retailer tree, check every read
-of a dropped view against re-evaluation over the current database, and
-check that the rebuild a newly observed relation triggers happens once.
+of a dropped view against the view computed in sqlite over the current
+database (``tests/sql_oracle.py``), and check that the rebuild a newly
+observed relation triggers happens once.
 """
 
 import pickle
@@ -34,16 +35,12 @@ from repro.datasets import (
     toy_row_factories,
     toy_variable_order,
 )
-from repro.engine import (
-    FIVMEngine,
-    PerAggregateEngine,
-    available_backends,
-    evaluate_tree,
-    evaluate_view,
-)
-from repro.rings import CountSpec, CovarSpec, Feature, MISpec
+from repro.engine import FIVMEngine, PerAggregateEngine, available_backends
+from repro.rings import CountSpec, CovarSpec, Feature, MISpec, SumSpec
 from repro.testing import FaultInjector, FaultSpec, clear_injector, install_injector
 from repro.viewtree import build_view_tree
+
+from tests.sql_oracle import COVAR_RTOL, SqlOracle
 
 needs_process = pytest.mark.skipif(
     "process" not in available_backends(), reason="fork unavailable"
@@ -52,7 +49,7 @@ needs_process = pytest.mark.skipif(
 CONFIG = RetailerConfig(locations=4, dates=6, items=20, inventory_rows=300, seed=11)
 DECAY_RATE = 0.9
 #: Rings whose arithmetic is exact on these data (counts; MI counts are
-#: integer-valued floats): every read must equal re-evaluation exactly.
+#: integer-valued floats): every read must equal sqlite's exactly.
 EXACT = ("count", "mi")
 
 
@@ -150,10 +147,10 @@ def assert_stored_set(engine, observed):
             assert entry == {"entries": 0, "stored": False}
 
 
-def assert_matches_reevaluation(engine, relations, reference_tree, exact):
-    """Root and every view read through ``view()`` equal re-evaluation."""
-    expected = {}
-    evaluate_tree(reference_tree, relations, expected)
+def assert_matches_oracle(engine, relations, reference_tree, exact):
+    """Root and every view read through ``view()`` equal the view computed
+    from sqlite's joined rows over ``relations``."""
+    expected = SqlOracle(relations).views(reference_tree)
     engine.result()  # settles pending decay into the stored views
     for name, want in expected.items():
         got = engine.view(name).copy()
@@ -181,7 +178,7 @@ STEP = st.one_of(
 @pytest.mark.parametrize("dataset", ["toy", "retailer"])
 @settings(max_examples=15)
 @given(data=st.data())
-def test_reads_equal_reevaluation_whatever_the_observation_order(dataset, payload, data):
+def test_reads_equal_sqlite_whatever_the_observation_order(dataset, payload, data):
     query, order, database, factories, config = scenario(dataset, payload)
     first_deltas = data.draw(st.permutations(sorted(query.relation_names)))
     steps = data.draw(st.lists(STEP, min_size=1, max_size=8))
@@ -226,7 +223,7 @@ def test_reads_equal_reevaluation_whatever_the_observation_order(dataset, payloa
             observed = []  # a restore stores every view again
         # Every step ends in reads: memory report, view() of every view.
         assert_stored_set(engine, observed)
-        assert_matches_reevaluation(engine, weights, reference_tree, exact)
+        assert_matches_oracle(engine, weights, reference_tree, exact)
         assert engine.stats.views_rebuilt <= inner_view_count(engine)
 
 
@@ -316,12 +313,7 @@ class TestStoredSet:
         shadow = stream.shadow.copy()
         for _ in range(3):
             shadow.apply("Location", location)
-        expected = {}
-        evaluate_tree(
-            engine.tree,
-            {name: shadow.relation(name) for name in query.relation_names},
-            expected,
-        )
+        expected = SqlOracle(shadow).views(engine.tree)
         assert engine.view("V@dateid") == expected["V@dateid"]
         assert engine.result() == expected[engine.tree.root.name]
 
@@ -411,28 +403,34 @@ class TestSnapshots:
             straight.export_state()["views"]
         )
 
-    def test_bulk_re_derivation_matches_entry_by_entry_and_counts_nothing(self):
-        """Exports re-derive dropped views up the fused ladder of an
-        observed path; that agrees with joining the children entry by
-        entry and leaves the maintenance counters where they were."""
+    @pytest.mark.parametrize("payload", ["covar", "count", "sum"])
+    def test_re_derivation_equals_sqlite_and_counts_nothing(self, payload):
+        """Exports and reads re-derive dropped views up an observed path's
+        program — one block on slot stores, row mode on the dict views
+        of count and sum — equal to the views computed in sqlite, and
+        leave the maintenance counters where they were."""
         database = generate_retailer(CONFIG)
-        engine = FIVMEngine(retailer_query(retailer_spec("covar")), order=retailer_variable_order())
+        spec = SumSpec("inventoryunits") if payload == "sum" else retailer_spec(payload)
+        engine = FIVMEngine(retailer_query(spec), order=retailer_variable_order())
         engine.initialize(database)
-        for name, delta in inventory_stream(database, batch_size=40).batches(3):
+        stream = inventory_stream(database, batch_size=40)
+        for name, delta in stream.batches(3):
             engine.apply(name, delta)
-        assert engine.stats.fused_batches == 3
+        assert engine.stats.fused_batches == (3 if payload == "covar" else 0)
+        assert {"V@ksn", "V@dateid"}.isdisjoint(engine.materialized)
         before = engine.stats.snapshot()
         views = engine.export_state()["views"]
+        assert set(engine._derive("V@dateid")) == {"V@ksn", "V@dateid"}
         assert engine.stats.snapshot() == before
-        slow = {}
-        evaluate_view(
-            engine.tree, engine.tree.views["V@dateid"], {}, slow, stored=engine.materialized
-        )
-        assert set(slow) == {"V@ksn", "V@dateid"}
-        for name, want in slow.items():
-            got = Relation(want.schema, engine.plan.ring, data=views[name])
-            assert len(got) == len(want) and got.close_to(want, 1e-9), name
-            assert engine.view(name).close_to(want, 1e-9), name
+        expected = SqlOracle(stream.shadow).views(engine.tree)
+        # Count and sum over the integer inventoryunits are exact.
+        exact = payload != "covar"
+        for name in ("V@ksn", "V@dateid"):
+            want = expected[name]
+            exported = Relation(want.schema, engine.plan.ring, data=views[name])
+            for got in (exported, engine.view(name)):
+                assert len(got) == len(want), name
+                assert got == want if exact else got.close_to(want, COVAR_RTOL), name
 
     def test_export_lists_views_in_evaluation_order(self):
         database = generate_retailer(CONFIG)

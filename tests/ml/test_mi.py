@@ -13,6 +13,8 @@ from repro.ml import mutual_information_matrix
 from repro.query import Query
 from repro.rings import CountSpec, Feature, MISpec
 
+from tests.sql_oracle import SqlOracle
+
 R = RelationSchema("R", ("A", "B"))
 S = RelationSchema("S", ("A", "C", "D"))
 
@@ -40,10 +42,10 @@ def direct_entropy(rows, i):
 
 
 def join_rows(db):
-    joined = db.relation("R").join(db.relation("S"))
+    """The join's rows over (A, B, C, D), repeated by multiplicity (sqlite)."""
     rows = []
-    for key, multiplicity in joined.data.items():
-        rows.extend([key] * multiplicity)
+    for *key, multiplicity in SqlOracle(db).rows(("A", "B", "C", "D")):
+        rows.extend([tuple(key)] * multiplicity)
     return rows
 
 

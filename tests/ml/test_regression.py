@@ -28,6 +28,8 @@ from repro.ml import Column, CovarMatrix, RidgeRegression, covar_from_payload
 from repro.query import Query
 from repro.rings import CovarSpec, Feature
 
+from tests.sql_oracle import SqlOracle
+
 R = RelationSchema("R", ("A", "B"))
 S = RelationSchema("S", ("A", "C", "D"))
 
@@ -49,9 +51,8 @@ def make_db(seed=3, n=40):
 
 def materialized_design(db):
     """[1, B, C] rows and D labels of the explicit join (bag semantics)."""
-    joined = db.relation("R").join(db.relation("S"))
     xs, ys = [], []
-    for (a, b, c, d), multiplicity in joined.data.items():
+    for _a, b, c, d, multiplicity in SqlOracle(db).rows(("A", "B", "C", "D")):
         for _ in range(multiplicity):
             xs.append([1.0, float(b), float(c)])
             ys.append(float(d))
