@@ -1,4 +1,4 @@
-"""Ablations on F-IVM's design choices (DESIGN.md §3, last row).
+"""Ablations on F-IVM's design choices (README, *How a delta is maintained*).
 
 1. Variable-order quality: the Figure-2d tree vs a single-path chain —
    the chain widens dependency sets (e.g. Census keyed by the whole path),

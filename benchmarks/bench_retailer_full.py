@@ -5,7 +5,7 @@ Full 43-attribute continuous COVAR over the Retailer join: 990 aggregates
 of 1000 updates — the configuration behind the paper's "average throughput
 of 10K updates per second ... for batches of up to thousands of aggregates
 over joins of five relations on one thread". Absolute numbers are CPython,
-not the authors' compiled C++; see EXPERIMENTS.md.
+not the authors' compiled C++; see README, *Datasets*.
 """
 
 

@@ -8,7 +8,8 @@ Two claims behind time-aware maintenance:
    only for the extra retraction deltas — no new maintenance machinery.
    Measured as per-*source*-update latency for full-history vs tumbling
    vs sliding ingest on the count ring, plus the numeric covar ring with
-   and without exponential decay (:class:`~repro.rings.decay.DecayRing`).
+   and without exponential decay (the engine's leaf boost,
+   :mod:`repro.rings.decay`).
    Windowed equivalence is asserted against a fresh batch evaluation
    over exactly the live window.
 

@@ -2,7 +2,7 @@
 
 Sizes are chosen so the whole suite finishes in minutes under CPython
 while preserving the relative behaviour the paper's experiments measure
-(see DESIGN.md's substitution table).
+(see README, *Datasets*).
 """
 
 from __future__ import annotations

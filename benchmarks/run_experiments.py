@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Full experiment harness: regenerates every table/series in EXPERIMENTS.md.
+"""Full experiment harness: prints every experiment's table/series.
 
 Each experiment prints the paper claim it reproduces and a measured table.
 Absolute numbers are CPython on the synthetic datasets; the *shapes*
-(who wins, how gaps scale) are the reproduction targets — see DESIGN.md.
+(who wins, how gaps scale) are the reproduction targets — see README,
+*Datasets*.
 
 Run:  python benchmarks/run_experiments.py [--quick]
 """

@@ -29,7 +29,8 @@ Quickstart::
     payload = engine.result().payload(())   # (c, s, Q) — the COVAR matrix
 
 See ``examples/`` for the demo applications (model selection, ridge
-regression, Chow-Liu trees) and ``DESIGN.md`` for the system inventory.
+regression, Chow-Liu trees) and ``README.md`` (*Layout*) for the system
+inventory.
 """
 
 from repro.apps import (

@@ -59,9 +59,11 @@ class EngineConfig:
     #: carry the window bounds as provenance. ``None`` = full history.
     window: Optional[str] = None
     #: Exponential decay: ``"RATE/EVERY"`` (e.g. ``"0.99/1000"``: multiply
-    #: history by 0.99 per 1000 events). Wraps the payload ring in a
-    #: :class:`~repro.rings.decay.DecayRing`; requires a float-weighted
-    #: ring (sum/covar). Mutually exclusive with ``window``.
+    #: history by 0.99 per 1000 events). The engine boosts each delta's
+    #: leaf payloads by its decay clock and settles the views at read
+    #: time (:mod:`repro.rings.decay`); the ring, and so the view form,
+    #: stays the query's. Requires a float-weighted ring (sum/covar).
+    #: Mutually exclusive with ``window``.
     decay: Optional[str] = None
     #: Self-healing shards: keep a coordinator-side replay log and
     #: respawn dead/hung workers from the last baseline instead of

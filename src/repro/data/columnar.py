@@ -14,16 +14,16 @@ contiguous ``int64`` multiplicity array. Two consumers want that layout:
 Rows and columns are two views of the same batch; whichever the delta was
 built from is stored and the other is derived lazily, at most once.
 :func:`lift_column` is the bridge between the per-attribute lifting
-closures of a payload plan and the bulk kernels: closures built by
-:func:`~repro.rings.lifting.numeric_cofactor_lift` (and the scalar sum
-specs) carry ``bulk_slot``/``bulk_scalar`` metadata describing how to
-lift a whole value column in one kernel call.
+closures of a payload plan and the bulk kernels: the closures the
+cofactor lifts build (:mod:`repro.rings.lifting`) carry
+``bulk_slot``/``bulk_transform`` metadata describing how to lift a whole
+value column in one ``lift_many`` call.
 """
 
 from __future__ import annotations
 
 import pickle
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -259,28 +259,23 @@ class ColumnarBlocks:
 
 def bulk_liftable(fn) -> bool:
     """Whether a lifting closure carries bulk (column-wise) metadata."""
-    return (
-        getattr(fn, "bulk_slot", None) is not None
-        or getattr(fn, "bulk_scalar", None) is not None
-    )
+    return getattr(fn, "bulk_slot", None) is not None
 
 
-def lift_column(ring: Ring, fn, values: Sequence[Any]):
-    """Lift one attribute column into a payload block.
+def lift_column(ring: Ring, fn, column: np.ndarray):
+    """Lift one attribute column (an ndarray) into a payload block with
+    ``ring.lift_many`` at the closure's ``bulk_slot``.
 
-    ``fn`` is a lifting closure from a payload plan; its bulk metadata
-    selects the kernel: ``bulk_slot`` routes through ``ring.lift_many``
-    (cofactor rings), ``bulk_scalar`` packs the transformed column as the
-    scalar block itself. Returns ``None`` for closures without metadata —
-    the caller must fall back to row mode.
+    A numeric column whose ``bulk_transform`` is ``float`` (or absent)
+    goes in as the array — ``np.asarray(..., float64)`` inside the kernel
+    produces the values of the per-element ``float(v)`` loop, bit for
+    bit; any other column round-trips through its Python objects, each
+    transformed one by one.
     """
-    slot = getattr(fn, "bulk_slot", None)
-    if slot is not None:
-        transform = getattr(fn, "bulk_transform", None)
-        if transform is not None:
-            values = [transform(value) for value in values]
-        return ring.lift_many(slot, values)
-    scalar = getattr(fn, "bulk_scalar", None)
-    if scalar is not None:
-        return ring.make_block(scalar(value) for value in values)
-    return None
+    transform = getattr(fn, "bulk_transform", None)
+    if transform in (None, float) and column.dtype.kind in "iufb":
+        return ring.lift_many(fn.bulk_slot, column)
+    values = column.tolist()
+    if transform is not None:
+        values = [transform(value) for value in values]
+    return ring.lift_many(fn.bulk_slot, values)

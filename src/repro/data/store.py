@@ -1,7 +1,7 @@
 """Slot stores: a bulk-ring view kept as one ring block, not as objects.
 
-A materialized view whose ring has bulk kernels and is not scalar
-(numeric COVAR, :class:`~repro.rings.decay.DecayRing` over a bulk ring)
+A materialized view whose ring has bulk kernels (``has_bulk_kernels``:
+the cofactor rings — numeric COVAR, MI and mixed COVAR — decayed or not)
 is a :class:`SlotStore`: an insertion-ordered ``key -> slot`` dict — its
 order *is* the view order, so every downstream float sum associates as
 it would over a dict relation — plus one growing payload block whose row
@@ -229,7 +229,7 @@ class SlotStore(_IndexCarrier):
     addition, a sum that is the exact ring zero deletes its key, a
     ring-zero delta for an absent key is skipped — and keep every built
     index in step. ``support`` is the view's static feature support (the
-    block is allocated over it; scalar-block rings ignore it).
+    block is allocated over it; the sparse cofactor ring ignores it).
     """
 
     __slots__ = (

@@ -3,7 +3,7 @@
 The Kaggle "Corporación Favorita Grocery Sales Forecasting" data joins a
 sales fact table with items, stores, daily transactions, the oil price and
 a holiday calendar on ``date``, ``store`` and ``item``. As with Retailer
-(see DESIGN.md), we reproduce the schema, join keys and value correlations
+(see README, *Datasets*), we reproduce the schema, join keys and value correlations
 synthetically: unit sales depend on the item family, promotions, the oil
 price (fuel costs) and holidays, so the learned models have real signal.
 """

@@ -1,6 +1,6 @@
 """Synthetic Retailer database (the paper's primary demo dataset).
 
-Substitution note (see DESIGN.md): the real Retailer dataset is
+Substitution note (see README, *Datasets*): the real Retailer dataset is
 proprietary. This generator reproduces its published *shape* — the five
 relations, the 43 attributes listed in the demo's Figure 2c, the join keys
 (``locn``, ``dateid``, ``ksn``, ``zip``) and a skewed fact table — with

@@ -408,8 +408,9 @@ class MaintenanceEngine(ABC):
     def _decay_interval(self) -> int:
         """Events per decay tick (0 = engine has no decay configured).
 
-        Drives the auto-advance in :meth:`apply_stream`; engines wrapping
-        their ring in a :class:`~repro.rings.decay.DecayRing` override it.
+        Drives the auto-advance in :meth:`apply_stream`; engines that keep
+        a decay clock (:class:`~repro.engine.fivm.FIVMEngine`, and the
+        sharded coordinator for its shards) override it.
         """
         return 0
 

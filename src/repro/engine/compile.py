@@ -8,18 +8,23 @@ size (``EngineStatistics.COLUMNAR_MIN_DELTA``):
 - **row mode** (small deltas, e.g. single-tuple updates, and every
   delta on dict views): one payload object per key, driven by the
   compiled hook / keep / group positions and lift lists — lift and scale
-  each delta row, probe each sibling through its persistent index
-  (``matches``), multiply with the ring's payload ``mul`` (plain ``*``
-  for scalar rings), group-sum in dicts in row order, and add into the
-  stored views (``SlotStore.add_inplace``, or a dict view's
-  ``Relation._add_rows``). No :class:`~repro.data.relation.Relation` is
-  built;
+  each delta row (times the decay boost, below), probe each sibling
+  through its persistent index (``matches``), multiply with the ring's
+  payload ``mul`` (plain ``*`` for scalar rings), group-sum in dicts in
+  row order, and add into the stored views (``SlotStore.add_inplace``,
+  or a dict view's ``Relation._add_rows``). No
+  :class:`~repro.data.relation.Relation` is built;
 - **columnar mode** (larger deltas on slot-store views, when every lift
   on the path is bulk-liftable): the running delta is key *column
   arrays* plus one contiguous payload block, and lift -> probe-gather ->
   multiply -> group-sum run as bulk ring kernels chained with numpy
   index arithmetic — no payload object and no Python-level loop per
   delta row.
+
+On a decayed engine the leaf lift of either mode multiplies the scaled
+payloads by the engine's boost ``λ^(-ticks)`` (``scale_float`` after
+``scale``; see :mod:`repro.rings.decay`) — the one place a delta's
+multiplicities become payloads, so no other step knows about decay.
 
 Both modes issue the same payload products and leave the same views —
 bit for bit wherever the float sums are exact (a columnar group-sum,
@@ -293,25 +298,8 @@ def _keys_of(cols, n: int) -> List[Tuple]:
 
 
 # ----------------------------------------------------------------------
-# Lifting
+# Hook matching
 # ----------------------------------------------------------------------
-
-
-def _lift_block(ring, fn, arr: np.ndarray):
-    """Bulk-lift one attribute column (as an ndarray) into a payload block.
-
-    Numeric columns whose lift transform is ``float`` (or absent) feed
-    ``ring.lift_many`` the array directly — ``np.asarray(..., float64)``
-    inside the kernel produces bit-identical values to the per-element
-    ``float(v)`` loop. Everything else round-trips through the original
-    Python objects via ``tolist``.
-    """
-    slot = getattr(fn, "bulk_slot", None)
-    if slot is not None:
-        transform = getattr(fn, "bulk_transform", None)
-        if transform in (None, float) and arr.dtype.kind in "iufb":
-            return ring.lift_many(slot, arr)
-    return lift_column(ring, fn, arr.tolist())
 
 
 _EMPTY_IDX = np.empty(0, dtype=np.intp)
@@ -809,6 +797,10 @@ class FusedPath:
         if timer:
             t0 = timer()
         lifted = _lift_rows(ring.one(), mul, scale, delta.data, self.leaf_lifts)
+        boost = engine.boost
+        if boost != 1.0:
+            scale_float = ring.scale_float
+            lifted = {key: scale_float(p, boost) for key, p in lifted.items()}
         if timer:
             t1 = timer()
             stats.record_stage("lift", t1 - t0)
@@ -855,11 +847,13 @@ class FusedPath:
         if self.leaf_lifts:
             block = None
             for position, fn in self.leaf_lifts:
-                lifted = _lift_block(ring, fn, cols[position])
+                lifted = lift_column(ring, fn, cols[position])
                 block = lifted if block is None else ring.mul_many(block, lifted)
             block = ring.scale_many(block, columnar.counts)
         else:
             block = ring.from_int_many(columnar.counts)
+        if engine.boost != 1.0:
+            block = ring.scale_float_many(block, engine.boost)
         if timer:
             stats.record_stage("lift", timer() - t0)
         cols, keys, block, n = self._group_compact(
@@ -966,7 +960,7 @@ class FusedPath:
             if timer:
                 t0 = timer()
             for position, fn in step.lifts:
-                block = ring.mul_many(block, _lift_block(ring, fn, cols[position]))
+                block = ring.mul_many(block, lift_column(ring, fn, cols[position]))
             if timer:
                 stats.record_stage("multiply", timer() - t0)
         return cols, block, n

@@ -55,7 +55,6 @@ from repro.engine.base import EngineStatistics, MaintenanceEngine
 from repro.engine.compile import FusedPath, compile_fused_path
 from repro.errors import CheckpointError, EngineError, RingError
 from repro.query.query import Query
-from repro.rings.decay import DecayRing
 from repro.query.variable_order import VariableOrder
 from repro.viewtree.builder import ViewTree, build_probe_plan, build_view_tree
 
@@ -90,13 +89,13 @@ class FIVMEngine(MaintenanceEngine):
     attribute sets those paths probe — the probe plan is computed once
     from the view tree at construction, and index maintenance is folded
     into the same ``add_inplace`` calls that refresh the views. When the
-    payload ring has bulk kernels and is not scalar — every cofactor
-    payload a spec builds by default: numeric COVAR, and MI / mixed
-    COVAR over the sparse relational ring, decayed or not — every view
-    is a :class:`~repro.data.store.SlotStore` (one ring block per view,
+    payload ring has bulk kernels — the cofactor rings: numeric COVAR,
+    and MI / mixed COVAR over the sparse relational ring — every view is
+    a :class:`~repro.data.store.SlotStore` (one ring block per view,
     both modes of the compiled program read and write its rows);
     otherwise (counts, sums, the semirings, the reference rings in
-    ``tests/``) views are dict relations, indexed where probed.
+    ``tests/``) views are dict relations, indexed where probed. Decay
+    does not change the ring, so it does not change the view form.
 
     Every delta is maintained by its relation's **compiled program**
     (:class:`~repro.engine.compile.FusedPath`), which picks its mode by
@@ -125,6 +124,10 @@ class FIVMEngine(MaintenanceEngine):
 
     strategy = "fivm"
 
+    #: Pending decay is settled into the views before the boost exceeds
+    #: this (well inside the float range): rescale-on-overflow.
+    BOOST_LIMIT = 1e100
+
     def __init__(
         self,
         query: Query,
@@ -141,21 +144,25 @@ class FIVMEngine(MaintenanceEngine):
             )
         self.config = config
         self.plan = query.build_plan()
-        #: Decay clock (None unless built with ``decay=RATE/EVERY``). The
-        #: wrap must happen *before* the view tree is built so every
-        #: lifting closure and compiled kernel sees the decayed ring.
-        self.decay_ring: Optional[DecayRing] = None
+        ring = self.plan.ring
+        #: Decay clock (:mod:`repro.rings.decay`): the rate (``None``
+        #: unless built with ``decay=RATE/EVERY``), the ticks since the
+        #: views were last settled, and the boost ``rate ** -pending_ticks``
+        #: the compiled leaf lifts multiply every new payload by.
+        self.decay_rate: Optional[float] = None
+        self.pending_ticks = 0
+        self.boost = 1.0
         self._decay_every = 0
         decay_spec = config.decay_spec()
         if decay_spec is not None:
-            try:
-                self.plan.ring = DecayRing(self.plan.ring, decay_spec.rate)
-            except RingError as exc:
+            if not ring.has_float_scaling:
                 raise EngineError(
                     f"decay={decay_spec.describe()!r} cannot run query "
-                    f"{query.name!r}: {exc}"
-                ) from exc
-            self.decay_ring = self.plan.ring
+                    f"{query.name!r}: ring {ring.name!r} cannot scale payloads "
+                    "by a float — exponential decay needs a float-weighted "
+                    "ring (sum/covar)"
+                )
+            self.decay_rate = decay_spec.rate
             self._decay_every = decay_spec.every
         self.tree: ViewTree = build_view_tree(query, order=order, plan=self.plan)
         #: Leaf relations under each view's subtree: each summand of view
@@ -166,7 +173,7 @@ class FIVMEngine(MaintenanceEngine):
                 name: _subtree_leaf_count(view)
                 for name, view in self.tree.views.items()
             }
-            if self.decay_ring is not None
+            if self.decay_rate is not None
             else {}
         )
         #: Cofactor plans: layout slots of the features lifted in each
@@ -178,15 +185,15 @@ class FIVMEngine(MaintenanceEngine):
             slots = {layout.index(attr) for attr in view.lifted}
             slots.update(*(self._view_supports[c.name] for c in view.children))
             self._view_supports[view.name] = tuple(sorted(slots))
-        ring = self.plan.ring
         #: Whether views are slot stores, and so whether the compiled
-        #: programs may run columnar. Not for scalar rings: on the count
-        #: sweep of ``benchmarks/bench_delta_latency.py`` (retailer, 40k
-        #: Inventory rows; µs/update at batch 1 / 10 / 100 / 1000, medians
-        #: of 10 sweeps, 2-core Xeon, Python 3.11) dict views in row mode
-        #: took 28.9 / 10.6 / 7.6 / 6.1, slot stores 44.1 / 61.1 / 13.3 /
-        #: 7.5, and slot stores pinned to row mode 44.9 / 18.1 / 11.9 / 10.8.
-        self._stored = ring.has_bulk_kernels and not ring.is_scalar
+        #: programs may run columnar: the cofactor rings. Scalar rings
+        #: have no block kernels — on the count sweep of
+        #: ``benchmarks/bench_delta_latency.py`` (retailer, 40k Inventory
+        #: rows; µs/update at batch 1 / 10 / 100 / 1000, medians of 10
+        #: sweeps, 2-core Xeon, Python 3.11) dict views in row mode took
+        #: 28.9 / 10.6 / 7.6 / 6.1, slot stores 44.1 / 61.1 / 13.3 / 7.5,
+        #: and slot stores pinned to row mode 44.9 / 18.1 / 11.9 / 10.8.
+        self._stored = ring.has_bulk_kernels
         self.materialized: Dict[str, Any] = {}
         self.profile_stages = False
         self.probe_plan = build_probe_plan(self.tree)
@@ -393,17 +400,19 @@ class FIVMEngine(MaintenanceEngine):
     def advance_decay(self, ticks: int = 1) -> None:
         """Advance the decay clock; settles automatically on boost overflow.
 
-        Stored payloads are untouched — only the ring's entry boost moves —
-        unless the boost would exceed the ring's limit, in which case the
+        Stored payloads are untouched — only the leaf lifts' boost moves —
+        unless the boost exceeds ``BOOST_LIMIT``, in which case the
         pending decay is folded into every view (rescale-on-overflow) and
         the clock rebases to zero.
         """
-        ring = self.decay_ring
-        if ring is None:
+        if self.decay_rate is None:
             super().advance_decay(ticks)
-        ring.advance(ticks)
+        if ticks < 0:
+            raise EngineError("decay clock cannot run backwards")
+        self.pending_ticks += ticks
+        self.boost = self.decay_rate ** (-self.pending_ticks)
         self.stats.decay_ticks += ticks
-        if ring.needs_rescale:
+        if self.boost > self.BOOST_LIMIT:
             self._settle_decay()
             self.stats.decay_rescales += 1
 
@@ -418,12 +427,12 @@ class FIVMEngine(MaintenanceEngine):
         undecayed engines and at tick zero, so :meth:`result` and
         :meth:`_export_payload` call it unconditionally.
         """
-        ring = self.decay_ring
-        if ring is None or ring.ticks == 0:
+        ticks = self.pending_ticks
+        if not ticks:
             return
-        scale_float = ring.base.scale_float
+        scale_float = self.plan.ring.scale_float
         for name, view in self.materialized.items():
-            factor = ring.settle_factor(self._decay_leaf_counts[name])
+            factor = self.decay_rate ** (ticks * self._decay_leaf_counts[name])
             if factor == 1.0:
                 continue
             if self._stored:
@@ -437,7 +446,8 @@ class FIVMEngine(MaintenanceEngine):
             # in view order, so rebuilding from the view keeps that order.
             for index in getattr(view, "indexes", {}).values():
                 index.build(data)
-        ring.reset()
+        self.pending_ticks = 0
+        self.boost = 1.0
         self.stats.decay_settles += 1
 
     # ------------------------------------------------------------------
@@ -554,7 +564,8 @@ class FIVMEngine(MaintenanceEngine):
         support (``ring.project``) get every payload re-expressed over
         its view's subtree support — snapshots from when every view held
         dense payloads still restore — and a non-zero aggregate outside
-        it is a :class:`CheckpointError` naming the view.
+        it is a :class:`CheckpointError` naming the view. Snapshots hold
+        settled (tick-zero) state, so the decay clock restarts at zero.
         """
         views = state["views"]
         missing = set(self.tree.views) - set(views)
@@ -567,6 +578,8 @@ class FIVMEngine(MaintenanceEngine):
         self.materialized = {
             name: self._restored_view(name, data) for name, data in views.items()
         }
+        self.pending_ticks = 0
+        self.boost = 1.0
 
     def _restored_view(self, name: str, data):
         """The long-lived form of view ``name`` from its snapshot payloads
@@ -595,7 +608,7 @@ class FIVMEngine(MaintenanceEngine):
     def _install_view(self, relation: Relation):
         """The long-lived form of one loaded or restored view.
 
-        A slot store for bulk non-scalar rings; otherwise an
+        A slot store for the bulk (cofactor) rings; otherwise an
         :class:`IndexedRelation` when some maintenance path probes the
         view (the probe plan names exactly those attribute tuples) and
         the plain relation when none does (e.g. the root). Indexes are

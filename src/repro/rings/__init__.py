@@ -6,7 +6,7 @@ interface and :mod:`repro.rings.specs` for application-level bundles.
 """
 
 from repro.rings.base import Ring, check_ring_axioms
-from repro.rings.decay import DecayRing, DecaySpec, payload_drift, result_drift
+from repro.rings.decay import DecaySpec, payload_drift, result_drift
 from repro.rings.cofactor import (
     CofactorLayout,
     GeneralCofactor,
@@ -44,7 +44,6 @@ from repro.rings.specs import (
 __all__ = [
     "Ring",
     "check_ring_axioms",
-    "DecayRing",
     "DecaySpec",
     "payload_drift",
     "result_drift",

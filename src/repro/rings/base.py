@@ -11,8 +11,8 @@ Keeping operations on a ring *object* (rather than requiring payloads to be
 instances of some value class) lets the hot loops of the engine work on
 unboxed Python ints in the common counting case.
 
-Semirings without additive inverses (:class:`~repro.rings.boolean.BoolRing`,
-:class:`~repro.rings.minplus.MinPlusRing`) implement the same interface but
+Semirings without additive inverses (:class:`~repro.rings.scalar.BoolRing`,
+:class:`~repro.rings.scalar.MinPlusRing`) implement the same interface but
 raise :class:`~repro.errors.RingError` from :meth:`Ring.neg`; they support
 insert-only maintenance.
 """
@@ -47,10 +47,11 @@ class Ring(ABC):
     has_negation: bool = True
 
     #: True when the ``*_many`` bulk kernels below operate on contiguous
-    #: array blocks instead of the generic per-element loop fallback. The
-    #: columnar maintenance path only engages for such rings; every other
-    #: ring keeps working through the loop fallbacks (used by the tests
-    #: and by callers that want one code path regardless of ring).
+    #: array blocks and the slot-store row kernels (``alloc_block``,
+    #: ``add_at``, ``add_row``, ``set_rows``, ``row``) exist — the cofactor
+    #: rings. Exactly these rings' views are slot stores and run the
+    #: columnar mode. The per-element loop fallbacks below are the tests'
+    #: reference for the bulk kernels; no engine path runs them.
     has_bulk_kernels: bool = False
 
     #: True when payloads are plain Python numbers whose ``+``/``*`` agree
@@ -62,7 +63,8 @@ class Ring(ABC):
 
     #: True when :meth:`scale_float` is implemented — payloads form a
     #: module over the reals, not just over Z. Exponential decay
-    #: (:class:`~repro.rings.decay.DecayRing`) requires this.
+    #: (:mod:`repro.rings.decay`: the engine boosts leaf payloads and
+    #: settles views with it) requires this.
     has_float_scaling: bool = False
 
     @abstractmethod
@@ -189,8 +191,8 @@ class Ring(ABC):
     # Bulk kernels over payload *blocks*.
     #
     # A block holds n payloads in whatever layout the ring chooses: the
-    # generic fallbacks below use a plain Python list, scalar rings use a
-    # 1-d numpy array, the numeric cofactor ring uses contiguous
+    # generic fallbacks below use a plain Python list, the numeric
+    # cofactor ring uses contiguous
     # ``(c[n], s[n, k], q[n, k, k])`` column arrays over the block's
     # k-feature support, and the sparse cofactor ring CSR arrays of
     # packed aggregate codes. Blocks are opaque to

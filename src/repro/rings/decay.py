@@ -1,36 +1,25 @@
-"""Exponential decay as a ring wrapper: recency-weighted aggregates.
+"""Exponential decay: the schedule and drift measurements.
 
 Windowed maintenance (:mod:`repro.data.windows`) forgets events sharply;
-:class:`DecayRing` forgets them smoothly. Every base-relation event
-carries the weight ``λ^(T - t)`` where ``t`` is the decay tick at which
-it arrived and ``T`` the current tick, so COVAR/regression/sum payloads
-track the recent stream; joined tuples multiply the weights of their
-contributing events (weights ride the ring's multilinearity like any
-other payload factor).
+decay forgets them smoothly. Every base-relation event carries the
+weight ``λ^(T - t)`` where ``t`` is the decay tick at which it arrived
+and ``T`` the current tick, so COVAR/regression/sum payloads track the
+recent stream; joined tuples multiply the weights of their contributing
+events (weights ride the ring's multilinearity like any other payload
+factor).
 
-The trick that keeps maintenance *incremental* — no stored payload is
-ever touched when the clock ticks — is to run the clock backwards on the
-way in: an event arriving at tick ``t`` is scaled by the **boost**
-``λ^(-t)`` at the only points where integer multiplicities enter payload
-space (:meth:`scale`, :meth:`from_int` and their bulk forms). Every
-stored payload then holds its value *as of tick 0*, and a single lazy
-multiplication by ``λ^(T·k)`` at read time (``k`` = number of base
-relations contributing to the view — each summand carries exactly ``k``
-boosted leaf factors) yields the correctly decayed value. That read-time
-rebase is :meth:`settle_factor`; the engine applies it per view, resets
-the clock, and does so automatically whenever the boost would overflow
-(``rescale-on-overflow``), so the scheme is numerically stable over
-unbounded streams.
-
-Because the boost rides the multiplicity entry points shared by the
-row and columnar modes of the compiled maintenance program, both
-produce bit-identical decayed state.
-The wrapper delegates everything else — the full bulk-kernel contract
-and the slot stores' row kernels, each method spelt out — to the base
-ring, so it rides the compiled program at full speed. It requires
-``has_float_scaling`` on the base ring (sum/covar payloads); exact
-rings (Z, bool, min-plus) raise a descriptive error, as decayed exact
-counts are not meaningful.
+Decay is not a ring: it is a per-event weight, and it enters where
+multiplicities become payloads — the leaf lift of each compiled
+maintenance program (:class:`~repro.engine.compile.FusedPath`), which
+multiplies the scaled payloads by the engine's **boost** ``λ^(-T)``.
+Stored payloads then hold their value *as of tick 0*, and one lazy
+multiplication by ``λ^(T·k)`` per view at read time (``k`` = leaf
+relations under the view — each summand carries exactly ``k`` boosted
+leaf factors) yields the decayed value. The clock, the read-time settle
+and the rescale-on-overflow live on
+:class:`~repro.engine.fivm.FIVMEngine`. Decay needs a ring with
+``has_float_scaling`` (sum/covar payloads); exact rings (Z, bool,
+min-plus) are refused descriptively.
 """
 
 from __future__ import annotations
@@ -41,10 +30,9 @@ from typing import Any
 import numpy as np
 
 from repro.errors import RingError
-from repro.rings.base import Ring
 from repro.rings.cofactor import NumericCofactor, aligned
 
-__all__ = ["DecaySpec", "DecayRing", "payload_drift", "result_drift"]
+__all__ = ["DecaySpec", "payload_drift", "result_drift"]
 
 
 @dataclass(frozen=True)
@@ -88,224 +76,6 @@ class DecaySpec:
 
     def describe(self) -> str:
         return f"{self.rate}/{self.every}"
-
-
-class DecayRing(Ring):
-    """Wrap a base ring so multiplicities enter pre-boosted by ``λ^(-T)``.
-
-    Mutable by design: :meth:`advance` moves the shared decay clock that
-    every subsequent lift observes. State (``ticks``/``boost``) lives on
-    the ring because the ring is the one object every maintenance path
-    already shares.
-
-    ``is_scalar`` is forced ``False`` even over scalar bases: the scalar
-    fast paths use native ``+``/``*`` and would bypass the boost.
-    """
-
-    #: Settle before the boost exceeds this (well inside float range).
-    DEFAULT_BOOST_LIMIT = 1e100
-
-    def __init__(self, base: Ring, rate: float, boost_limit: float = DEFAULT_BOOST_LIMIT):
-        if not 0.0 < rate < 1.0:
-            raise RingError(f"decay rate must be in (0, 1), got {rate!r}")
-        if not base.has_float_scaling:
-            raise RingError(
-                f"ring {base.name!r} cannot scale payloads by a float — "
-                "exponential decay needs a float-weighted ring (sum/covar)"
-            )
-        self.base = base
-        self.rate = float(rate)
-        self.boost_limit = float(boost_limit)
-        self.ticks = 0
-        self.boost = 1.0
-        self.name = f"Decay<{base.name}, rate={rate}>"
-
-    # -- clock ---------------------------------------------------------
-
-    def advance(self, ticks: int = 1) -> None:
-        """Move the decay clock forward; past events lose ``rate`` per tick."""
-        if ticks < 0:
-            raise RingError("decay clock cannot run backwards")
-        self.ticks += ticks
-        self.boost = self.rate ** (-self.ticks)
-
-    @property
-    def needs_rescale(self) -> bool:
-        """Whether the boost overflowed the limit and a settle is due."""
-        return self.boost > self.boost_limit
-
-    def settle_factor(self, leaf_count: int) -> float:
-        """``λ^(ticks · k)`` — the read-time rebase for a ``k``-leaf view."""
-        return self.rate ** (self.ticks * leaf_count)
-
-    def reset(self) -> None:
-        """Rebase the clock to 0 after the caller settled every view."""
-        self.ticks = 0
-        self.boost = 1.0
-
-    # -- boosted multiplicity entry points -----------------------------
-
-    def scale(self, a: Any, n: int) -> Any:
-        scaled = self.base.scale(a, n)
-        if self.boost != 1.0:
-            scaled = self.base.scale_float(scaled, self.boost)
-        return scaled
-
-    def from_int(self, n: int) -> Any:
-        value = self.base.from_int(n)
-        if self.boost != 1.0:
-            value = self.base.scale_float(value, self.boost)
-        return value
-
-    def scale_many(self, block: Any, counts) -> Any:
-        scaled = self.base.scale_many(block, counts)
-        if self.boost != 1.0:
-            scaled = self.base.scale_float_many(scaled, self.boost)
-        return scaled
-
-    def from_int_many(self, counts) -> Any:
-        block = self.base.from_int_many(counts)
-        if self.boost != 1.0:
-            block = self.base.scale_float_many(block, self.boost)
-        return block
-
-    # -- pure delegation -----------------------------------------------
-
-    @property
-    def has_negation(self) -> bool:
-        return self.base.has_negation
-
-    @property
-    def has_bulk_kernels(self) -> bool:
-        return self.base.has_bulk_kernels
-
-    is_scalar = False
-    has_float_scaling = True
-
-    def zero(self):
-        return self.base.zero()
-
-    def one(self):
-        return self.base.one()
-
-    def add(self, a, b):
-        return self.base.add(a, b)
-
-    def mul(self, a, b):
-        return self.base.mul(a, b)
-
-    def neg(self, a):
-        return self.base.neg(a)
-
-    def sub(self, a, b):
-        return self.base.sub(a, b)
-
-    def add_inplace(self, a, b):
-        return self.base.add_inplace(a, b)
-
-    def eq(self, a, b):
-        return self.base.eq(a, b)
-
-    def is_zero(self, a):
-        return self.base.is_zero(a)
-
-    def copy(self, a):
-        return self.base.copy(a)
-
-    def sum(self, values):
-        return self.base.sum(values)
-
-    def prod(self, values):
-        return self.base.prod(values)
-
-    def scale_float(self, a, factor):
-        return self.base.scale_float(a, factor)
-
-    def scale_float_many(self, block, factor):
-        return self.base.scale_float_many(block, factor)
-
-    def make_block(self, payloads):
-        return self.base.make_block(payloads)
-
-    def zero_block(self, n):
-        return self.base.zero_block(n)
-
-    def block_size(self, block):
-        return self.base.block_size(block)
-
-    def block_payloads(self, block):
-        return self.base.block_payloads(block)
-
-    def take(self, block, indices):
-        return self.base.take(block, indices)
-
-    def add_many(self, a, b):
-        return self.base.add_many(a, b)
-
-    def mul_many(self, a, b):
-        return self.base.mul_many(a, b)
-
-    def neg_many(self, a):
-        return self.base.neg_many(a)
-
-    def lift_many(self, index, *columns):
-        return self.base.lift_many(index, *columns)
-
-    def is_zero_many(self, block):
-        return self.base.is_zero_many(block)
-
-    def sum_segments(self, block, segment_ids, count):
-        return self.base.sum_segments(block, segment_ids, count)
-
-    def nonzero_cells(self, block):
-        return self.base.nonzero_cells(block)
-
-    # Row kernels of slot-store views (the maintenance program's row mode
-    # and every store mutation) and the cofactor extras. Spelled out, so
-    # that a kernel that must be boosted is never reached through
-    # ``__getattr__`` by accident: tests/rings/test_decay.py fails when
-    # a base ring grows a public method this class does not define.
-
-    def alloc_block(self, n, *support):
-        return self.base.alloc_block(n, *support)
-
-    def add_at(self, block, at, delta):
-        return self.base.add_at(block, at, delta)
-
-    def add_row(self, block, i, a):
-        return self.base.add_row(block, i, a)
-
-    def set_rows(self, block, at, rows):
-        return self.base.set_rows(block, at, rows)
-
-    def row(self, block, i):
-        return self.base.row(block, i)
-
-    def lift(self, index, x):
-        return self.base.lift(index, x)
-
-    def close(self, a, b, *tol):
-        return self.base.close(a, b, *tol)
-
-    def dense(self, a):
-        return self.base.dense(a)
-
-    def project(self, a, support):
-        return self.base.project(a, support)
-
-    def support(self, indices):
-        return self.base.support(indices)
-
-    def linear(self, a, i):
-        return self.base.linear(a, i)
-
-    def entry(self, a, i, j):
-        return self.base.entry(a, i, j)
-
-    def __getattr__(self, attr):
-        # Data attributes of the base ring (layout, degree, ...) pass
-        # through, so model extraction sees the base interface.
-        return getattr(self.base, attr)
 
 
 # ----------------------------------------------------------------------

@@ -17,94 +17,17 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.errors import RingError
 from repro.rings.base import Ring
 
 __all__ = ["IntegerRing", "FloatRing", "BoolRing", "MinPlusRing", "Z", "R_FLOAT"]
 
 
-class _ArrayBlockKernels:
-    """Bulk kernels over 1-d numpy blocks, shared by the scalar rings.
-
-    Blocks are plain arrays of ``_block_dtype``; :meth:`block_payloads`
-    converts back to native Python scalars (via ``tolist``) so payloads
-    scattered into relations are indistinguishable from the per-element
-    path's. The Z block dtype is ``int64`` — far beyond any realistic
-    multiplicity, but unlike Python ints not arbitrary-precision.
-    """
-
-    _block_dtype: type = np.float64
-
-    def make_block(self, payloads):
-        return np.array(list(payloads), dtype=self._block_dtype)
-
-    def zero_block(self, n):
-        return np.zeros(n, dtype=self._block_dtype)
-
-    def block_size(self, block):
-        return len(block)
-
-    def block_payloads(self, block):
-        return iter(block.tolist())
-
-    def take(self, block, indices):
-        return block[np.asarray(indices, dtype=np.intp)]
-
-    def add_many(self, a, b):
-        return a + b
-
-    def mul_many(self, a, b):
-        return a * b
-
-    def neg_many(self, a):
-        return -a
-
-    def scale_many(self, block, counts):
-        return block * np.asarray(counts, dtype=self._block_dtype)
-
-    def from_int_many(self, counts):
-        return np.asarray(counts, dtype=self._block_dtype)
-
-    def is_zero_many(self, block):
-        return block == 0
-
-    def sum_segments(self, block, segment_ids, count):
-        # np.add.at is an exact unordered scatter-add for both dtypes
-        # (bincount would round-trip int64 through float64).
-        totals = np.zeros(count, dtype=self._block_dtype)
-        np.add.at(totals, np.asarray(segment_ids, dtype=np.intp), block)
-        return totals
-
-    # Row kernels of a view's slot store (see NumericCofactorRing): scalar
-    # payloads span no features, so ``support`` is ignored.
-
-    def alloc_block(self, n, support=()):
-        return np.zeros(n, dtype=self._block_dtype)
-
-    def add_at(self, block, at, delta):
-        block[at] += delta
-        return block[at]
-
-    def add_row(self, block, i, a):
-        block[i] += a
-        return bool(self.is_zero(block.item(i)))
-
-    def set_rows(self, block, at, rows):
-        block[at] = rows
-
-    def row(self, block, i):
-        return block.item(i)
-
-
-class IntegerRing(_ArrayBlockKernels, Ring):
+class IntegerRing(Ring):
     """The ring of integers Z; payloads are plain ``int``."""
 
     name = "Z"
     is_scalar = True
-    has_bulk_kernels = True
-    _block_dtype = np.int64
 
     def zero(self) -> int:
         return 0
@@ -131,31 +54,15 @@ class IntegerRing(_ArrayBlockKernels, Ring):
         return a == 0
 
 
-class FloatRing(_ArrayBlockKernels, Ring):
+class FloatRing(Ring):
     """The field of (floating point) reals; payloads are ``float``.
 
-    Equality is exact by default; :meth:`close` offers a tolerance-based
-    comparison for tests that accumulate rounding error.
+    Equality is exact; :meth:`close` offers a tolerance-based comparison
+    for tests that accumulate rounding error.
     """
 
     name = "R"
-    has_bulk_kernels = True
-    _block_dtype = np.float64
-
-    def __init__(self, zero_tolerance: float = 0.0):
-        #: Magnitudes at or below this are considered zero when pruning.
-        self.zero_tolerance = zero_tolerance
-
-    def is_zero_many(self, block):
-        if self.zero_tolerance == 0.0:
-            return block == 0.0
-        return np.abs(block) <= self.zero_tolerance
-
-    @property
-    def is_scalar(self) -> bool:
-        # Truthiness-based zero pruning in the fast paths only matches
-        # is_zero when the tolerance is exactly 0.
-        return self.zero_tolerance == 0.0
+    is_scalar = True
 
     def zero(self) -> float:
         return 0.0
@@ -183,11 +90,8 @@ class FloatRing(_ArrayBlockKernels, Ring):
     def scale_float(self, a: float, factor: float) -> float:
         return a * factor
 
-    def scale_float_many(self, block, factor: float):
-        return block * factor
-
     def is_zero(self, a: float) -> bool:
-        return abs(a) <= self.zero_tolerance
+        return a == 0.0
 
     def close(self, a: float, b: float, tol: float = 1e-9) -> bool:
         """Tolerant comparison for accumulated floating-point payloads."""

@@ -87,11 +87,8 @@ class CountSpec(PayloadSpec):
 
 @dataclass(frozen=True)
 class SumSpec(PayloadSpec):
-    """A single ``SUM(expr(X))`` over floats for one attribute ``X``.
-
-    The optional ``transform`` maps each attribute value before summation,
-    default identity — e.g. ``SumSpec("price")`` maintains ``SUM(price)``.
-    """
+    """A single ``SUM(X)`` over floats for one attribute ``X`` — e.g.
+    ``SumSpec("price")`` maintains ``SUM(price)``."""
 
     attribute: str
 
@@ -101,9 +98,6 @@ class SumSpec(PayloadSpec):
         def lift(value) -> float:
             return float(value)
 
-        # The payload IS the lifted scalar, so the columnar path can run
-        # the transform column-wise (repro.data.columnar.lift_column).
-        lift.bulk_scalar = lift
         return PayloadPlan(ring=ring, lifts={self.attribute: lift})
 
     @property
@@ -138,7 +132,6 @@ class SumProductSpec(PayloadSpec):
                 lift: LiftFunction = lambda value: float(value)  # noqa: E731
             else:
                 lift = lambda value, _power=power: float(value) ** _power  # noqa: E731
-            lift.bulk_scalar = lift
             lifts[attr] = lift
         return PayloadPlan(ring=ring, lifts=lifts)
 

@@ -99,7 +99,6 @@ class _GenericIntegerRing(IntegerRing):
 
     name = "Z-generic"
     is_scalar = False
-    has_bulk_kernels = False
 
 
 GENERIC_Z = _GenericIntegerRing()

@@ -8,9 +8,16 @@ import pytest
 from repro.data import ColumnarDelta, Relation, SlotStore, UpdateBatcher
 from repro.data.delta import delta_of
 from repro.errors import DataError
-from repro.rings import CofactorLayout, FloatRing, NumericCofactorRing
+from repro.rings import CofactorLayout, NumericCofactorRing
 
 SCHEMA = ("A", "B")
+#: Slot stores hold cofactor payloads; ``count(v)`` is the count-only
+#: payload ``v`` (empty support), so a value reads like a scalar.
+COUNTS = NumericCofactorRing(CofactorLayout(("x",)))
+
+
+def count(value):
+    return COUNTS.scale_float(COUNTS.one(), value)
 
 
 def sample_delta():
@@ -92,14 +99,13 @@ class TestRelationColumnarCache:
 class TestStoreBlockScatter:
     """SlotStore.add_block is the block form of Relation.add_inplace."""
 
-    def test_matches_add_inplace_on_scalar_block_ring(self):
-        # FloatRing blocks are 1-d arrays (the DecayRing-over-sum case).
-        ring = FloatRing()
-        base = Relation(("A",), ring, data={(1,): 1.0, (2,): 2.0})
+    def test_matches_add_inplace_with_cancellation_and_parked_zero(self):
+        ring = COUNTS
+        base = Relation(("A",), ring, data={(1,): count(1.0), (2,): count(2.0)})
         via_block = SlotStore.from_relation(base)
         via_dict = base.copy()
         keys = [(1,), (2,), (3,), (4,)]
-        values = [0.5, -2.0, 0.0, 3.0]
+        values = [count(v) for v in (0.5, -2.0, 0.0, 3.0)]
         via_block.add_block(keys, ring.make_block(values))
         other = Relation(("A",), ring)
         other.data = dict(zip(keys, values))
@@ -120,25 +126,25 @@ class TestStoreBlockScatter:
         assert ring.eq(target.payload((2,)), payloads[1])
 
     def test_store_keeps_built_indexes_consistent(self):
-        ring = FloatRing()
+        ring = COUNTS
         view = SlotStore.from_relation(
-            Relation(("A", "B"), ring, data={(1, "a"): 1.0})
+            Relation(("A", "B"), ring, data={(1, "a"): count(1.0)})
         )
         index = view.add_index(("A",))
         keys = [(1, "a"), (2, "b"), (2, "c")]
-        view.add_block(keys, ring.make_block([-1.0, 4.0, 5.0]))
-        assert dict(view.data) == {(2, "b"): 4.0, (2, "c"): 5.0}
+        view.add_block(keys, ring.make_block([count(v) for v in (-1.0, 4.0, 5.0)]))
+        assert dict(view.data) == {(2, "b"): count(4.0), (2, "c"): count(5.0)}
         assert index.entry_count() == 2
         assert index.get(1) is None
         assert list(index.get(2)) == [(2, "b"), (2, "c")]
         assert [key for key, _ in index.matches(2)] == [(2, "b"), (2, "c")]
-        assert [payload for _, payload in index.matches(2)] == [4.0, 5.0]
+        assert [payload for _, payload in index.matches(2)] == [count(4.0), count(5.0)]
 
     def test_lazy_indexes_stay_pending_through_block_scatter(self):
-        ring = FloatRing()
+        ring = COUNTS
         view = SlotStore(("A",), ring)
         view.register_index(("A",))
-        view.add_block([(1,)], ring.make_block([2.0]))
+        view.add_block([(1,)], ring.make_block([count(2.0)]))
         assert view.pending == {("A",)} and not view.indexes
         index = view.ensure_index(("A",))
         assert index.entry_count() == 1

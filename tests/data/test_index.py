@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.data import IndexedRelation, Relation, RelationIndex
 from repro.errors import DataError, SchemaError
-from repro.rings.scalar import FloatRing, Z
+from repro.rings.scalar import Z
 
 from tests.conftest import GENERIC_Z
 
@@ -88,16 +88,6 @@ class TestIndexedRelationMaintenance:
         assert index.get("x") is None  # cancelled
         assert index.get("y") is None  # ring-zero payload never parked
         assert index.get("z") == {("z", 4): 5}
-
-    def test_tolerance_ring_drops_near_zero_from_index(self):
-        ring = FloatRing(zero_tolerance=1e-9)
-        relation = IndexedRelation(("A",), ring)
-        relation.data = {("x",): 1.0}
-        relation.add_index(("A",))
-        delta = Relation(("A",), ring)
-        delta.data = {("x",): -1.0 + 1e-12}
-        relation.add_inplace(delta)
-        assert relation.index_on(("A",)).entry_count() == 0
 
     def test_multiple_indexes_updated_together(self):
         relation = IndexedRelation(("A", "B"), Z)

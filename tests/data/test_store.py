@@ -23,7 +23,6 @@ from repro.errors import RingError
 from repro.rings import (
     CofactorLayout,
     Feature,
-    FloatRing,
     NumericCofactorRing,
     SparseCofactorRing,
 )
@@ -193,15 +192,6 @@ class TestSlotReuse:
         # A deleted key that comes back lands at the end of the view order.
         store.add_block([(0,)], RING.make_block([one]))
         assert list(store.slots)[-1] == (0,)
-
-    def test_scalar_block_ring_store(self):
-        ring = FloatRing(zero_tolerance=1e-9)  # bulk kernels, not scalar
-        store = SlotStore(("A",), ring)
-        store.add_block([(1,), (2,)], ring.make_block([1.0, 2.0]))
-        delta = Relation(("A",), ring)
-        delta.data = {(1,): -1.0 + 1e-12, (3,): 4.0}
-        store.add_inplace(delta.data)
-        assert dict(store.data) == {(2,): 2.0, (3,): 4.0}
 
     def test_misfits_are_refused(self):
         store = SlotStore(("A",), RING, support=(0,))

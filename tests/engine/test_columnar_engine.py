@@ -72,14 +72,19 @@ class TestColumnarPathSelection:
         # Scalar rings keep dict views: row mode at every batch size.
         count = FIVMEngine(count_query(), order=retailer_variable_order())
         assert not columnar(count)
-        # DecayRing declares is_scalar = False even over a sum ring (its
-        # payloads carry a boost), so a decayed sum runs columnar.
-        decayed = FIVMEngine(
+        # Decay boosts the leaf lifts and leaves the ring alone: a decayed
+        # sum keeps dict views, a decayed COVAR slot stores.
+        decayed_sum = FIVMEngine(
             retailer_query(SumSpec("inventoryunits")),
             order=retailer_variable_order(),
             config=EngineConfig(decay="0.99/100"),
         )
-        assert columnar(decayed)
+        assert not columnar(decayed_sum) and not decayed_sum._stored
+        decayed_covar = FIVMEngine(
+            covar_query(), order=retailer_variable_order(),
+            config=EngineConfig(decay="0.99/100"),
+        )
+        assert columnar(decayed_covar) and decayed_covar._stored
 
     def test_every_cofactor_payload_runs_columnar_but_the_loop_fallback(self):
         # Mixed COVAR and MI ride the sparse ring's kernels; only the

@@ -385,9 +385,10 @@ def test_count_views_get_a_row_mode_program_and_no_relation_is_built():
 
 #: ``name -> (query, config)`` over the toy schema, one per payload ring
 #: the engine runs: scalar (count, sum), the semirings, the cofactor
-#: rings on slot stores (numeric and sparse COVAR, MI, decayed) and the
-#: dict-based reference ring. Toy values are small integers, so every
-#: float sum is exact and every ring is compared with ``==``.
+#: rings on slot stores (numeric and sparse COVAR, MI, decayed COVAR) and
+#: the dict-based reference ring — plus a decayed sum, which keeps the
+#: sum's dict views. Toy values are small integers, so every float sum is
+#: exact and every ring is compared with ``==``.
 EVERY_RING = {
     "count": (toy_count_query, None),
     "sum": (lambda: toy_query(SumSpec("D")), None),
@@ -397,6 +398,7 @@ EVERY_RING = {
     "mixed": (toy_covar_categorical_query, None),
     "mi": (toy_mi_query, None),
     "decay": (toy_covar_continuous_query, EngineConfig(decay=DECAY)),
+    "decay-sum": (lambda: toy_query(SumSpec("D")), EngineConfig(decay=DECAY)),
     "general": (
         lambda: toy_query(
             GeneralFloatCovarSpec(tuple(Feature.continuous(a) for a in "BCD"))

@@ -1,10 +1,10 @@
 """Bulk ring kernels cross-validated against the per-element operations.
 
-Property-style: random payload blocks for every ring implementing the
-kernels on arrays (scalar rings, the numeric cofactor ring) and for the
-generic loop fallback (``GeneralCofactorRing(FloatRing())``), checked
-element-wise against loops of ``add``/``mul``/``neg``/``scale``/``lift``,
-including ±-cancellation to the exact ring zero.
+Property-style: random payload blocks for the numeric cofactor ring's
+array kernels and for ``Ring``'s generic list kernels — over scalar
+payloads (Z, floats) and over ``GeneralCofactorRing(FloatRing())`` —
+checked element-wise against loops of ``add``/``mul``/``neg``/``scale``/
+``lift``, including ±-cancellation to the exact ring zero.
 """
 
 import random

@@ -58,13 +58,6 @@ class TestFloatRing:
         assert self.ring.neg(1.25) == -1.25
         assert self.ring.from_int(2) == 2.0
 
-    def test_zero_tolerance(self):
-        tolerant = FloatRing(zero_tolerance=1e-9)
-        assert tolerant.is_zero(5e-10)
-        assert not tolerant.is_zero(1e-3)
-        strict = FloatRing()
-        assert not strict.is_zero(5e-10)
-
     def test_close(self):
         assert self.ring.close(1.0, 1.0 + 1e-12)
         assert not self.ring.close(1.0, 1.1)
