@@ -1,21 +1,30 @@
 """Figure 2 tabs: per-bulk refresh latency of the three applications.
 
 The demo refreshes each application after every bulk of updates; these
-benchmarks measure (a) pushing a bulk through the maintained payload and
-(b) recomputing the application output (ranking / model / tree) from it.
+benchmarks measure (a) pushing a bulk through the engine that maintains
+the tab's payload and (b) recomputing the application output (ranking /
+model / tree) from its root payload.
 """
 
 import pytest
 
-from repro.apps import ChowLiuApp, ModelSelectionApp, RegressionApp
 from repro.datasets import (
     RETAILER_SCHEMAS,
     UpdateStream,
     regression_features,
     retailer_row_factories,
 )
+from repro.engine import FIVMEngine
+from repro.ml import (
+    RidgeRegression,
+    chow_liu_tree,
+    covar_from_payload,
+    mutual_information_matrix,
+    rank_features,
+)
 from repro.ml.discretize import binning_for_attribute
-from repro.rings import Feature
+from repro.query import Query
+from repro.rings import CovarSpec, Feature, MISpec
 
 from benchmarks.conftest import RETAILER_CONFIG
 
@@ -49,70 +58,69 @@ def bulk_slices(database, n_slices, batches_per_slice=2, batch_size=100, seed=31
     return [list(stream.batches(batches_per_slice)) for _ in range(n_slices)]
 
 
-@pytest.fixture(scope="module")
-def model_selection_app(retailer_db, retailer_order):
-    return ModelSelectionApp(
-        retailer_db,
-        RETAILER_SCHEMAS,
-        mi_features_subset(retailer_db),
-        label="inventoryunits",
-        threshold=0.05,
-        order=retailer_order,
-    )
+def maintained(database, spec, order):
+    engine = FIVMEngine(Query("Retailer", RETAILER_SCHEMAS, spec=spec), order=order)
+    engine.initialize(database)
+    return engine
+
+
+def mi_matrix(engine):
+    return mutual_information_matrix(engine.result().payload(()), engine.plan)
 
 
 @pytest.fixture(scope="module")
-def regression_app(retailer_db, retailer_order):
-    features, label = regression_features()
-    return RegressionApp(
-        retailer_db, RETAILER_SCHEMAS, features, label, order=retailer_order
-    )
+def mi_engine(retailer_db, retailer_order):
+    return maintained(retailer_db, MISpec(mi_features_subset(retailer_db)), retailer_order)
 
 
 @pytest.fixture(scope="module")
-def chowliu_app(retailer_db, retailer_order):
-    return ChowLiuApp(
-        retailer_db,
-        RETAILER_SCHEMAS,
-        mi_features_subset(retailer_db),
-        order=retailer_order,
-    )
+def covar_engine(retailer_db, retailer_order):
+    features, _label = regression_features()
+    return maintained(retailer_db, CovarSpec(features), retailer_order)
+
+
+def bulk_benchmark(benchmark, engine, slices):
+    iterator = iter(slices)
+
+    def process():
+        engine.apply_batch(next(iterator))
+
+    benchmark.pedantic(process, rounds=3)
 
 
 class TestModelSelectionTab:
-    def test_model_selection_refresh(self, benchmark, model_selection_app):
+    def test_model_selection_refresh(self, benchmark, mi_engine):
         """MI matrix + ranking from the maintained payload (read-only)."""
-        ranking = benchmark(model_selection_app.ranking)
+        ranking = benchmark(lambda: rank_features(mi_matrix(mi_engine), "inventoryunits"))
         assert len(ranking.ranked) == 5
 
-    def test_model_selection_bulk(self, benchmark, model_selection_app, retailer_db):
-        slices = bulk_slices(retailer_db, 12)
-        iterator = iter(slices)
-
-        def process():
-            model_selection_app.process_bulk(next(iterator))
-
-        benchmark.pedantic(process, rounds=3)
+    def test_model_selection_bulk(self, benchmark, mi_engine, retailer_db):
+        bulk_benchmark(benchmark, mi_engine, bulk_slices(retailer_db, 12))
 
 
 class TestRegressionTab:
-    def test_regression_refresh(self, benchmark, regression_app):
+    def test_regression_refresh(self, benchmark, covar_engine):
         """One direct ridge solve against the current COVAR."""
-        model = benchmark(regression_app.refresh_model)
+        _features, label = regression_features()
+        solver = RidgeRegression(
+            [f.name for f in covar_engine.plan.features if f.name != label],
+            label,
+            regularization=1e-2,
+        )
+
+        def refresh():
+            payload = covar_engine.result().payload(())
+            return solver.fit(covar_from_payload(payload, covar_engine.plan))
+
+        model = benchmark(refresh)
         assert model.training_rmse < 50.0
 
-    def test_regression_bulk(self, benchmark, regression_app, retailer_db):
-        slices = bulk_slices(retailer_db, 12, seed=32)
-        iterator = iter(slices)
-
-        def process():
-            regression_app.process_bulk(next(iterator))
-
-        benchmark.pedantic(process, rounds=3)
+    def test_regression_bulk(self, benchmark, covar_engine, retailer_db):
+        bulk_benchmark(benchmark, covar_engine, bulk_slices(retailer_db, 12, seed=32))
 
 
 class TestChowLiuTab:
-    def test_chowliu_refresh(self, benchmark, chowliu_app):
+    def test_chowliu_refresh(self, benchmark, mi_engine):
         """MI matrix + maximum spanning tree."""
-        tree = benchmark(chowliu_app.tree)
+        tree = benchmark(lambda: chow_liu_tree(mi_matrix(mi_engine)))
         assert len(tree.edges) == 5

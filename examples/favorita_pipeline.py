@@ -8,7 +8,8 @@ of Sales updates.
 Run:  python examples/favorita_pipeline.py
 """
 
-from repro.apps import ModelSelectionApp, RegressionApp
+import time
+
 from repro.datasets import (
     FAVORITA_SCHEMAS,
     FavoritaConfig,
@@ -18,8 +19,25 @@ from repro.datasets import (
     favorita_variable_order,
     generate_favorita,
 )
+from repro.engine import FIVMEngine
+from repro.ml import (
+    RidgeRegression,
+    covar_from_payload,
+    mutual_information_matrix,
+    rank_features,
+)
 from repro.ml.discretize import binning_for_attribute
-from repro.rings import Feature
+from repro.query import Query
+from repro.rings import CovarSpec, Feature, MISpec
+
+
+def maintained(database, spec):
+    """An F-IVM engine over ``database`` maintaining ``spec``'s payload."""
+    engine = FIVMEngine(
+        Query("Favorita", FAVORITA_SCHEMAS, spec=spec), order=favorita_variable_order()
+    )
+    engine.initialize(database)
+    return engine
 
 
 def main() -> None:
@@ -45,39 +63,35 @@ def main() -> None:
             binning_for_attribute(sales, "unitsales", 8),
         ),
     )
-    selection = ModelSelectionApp(
-        database,
-        FAVORITA_SCHEMAS,
-        mi_features,
-        label="unitsales",
-        threshold=0.02,
-        order=favorita_variable_order(),
-    )
+    selection = maintained(database, MISpec(mi_features))
+    mi = mutual_information_matrix(selection.result().payload(()), selection.plan)
+    ranking = rank_features(mi, "unitsales")
     print("\nMI ranking against unitsales:")
-    print(selection.render())
-    print(f"selected: {selection.selected_features()}")
+    print(ranking.render(0.02))
+    print(f"selected: {ranking.selected(0.02)}")
 
     # ------------------------------------------------------------------
     # Step 2: ridge regression over the demo's feature set
     # ------------------------------------------------------------------
     features, label = favorita_regression_features()
-    regression = RegressionApp(
-        database,
-        FAVORITA_SCHEMAS,
-        features,
-        label,
-        regularization=1e-2,
-        order=favorita_variable_order(),
+    regression = maintained(database, CovarSpec(features))
+    solver = RidgeRegression(
+        [f.name for f in features if f.name != label], label, regularization=1e-2
     )
-    model = regression.refresh_model()
+
+    def refit():
+        payload = regression.result().payload(())
+        return solver.fit(covar_from_payload(payload, regression.plan))
+
+    model = refit()
     print("\nInitial regression model:")
-    print(regression.render())
+    print(model.render())
 
     # ------------------------------------------------------------------
     # Step 3: maintain both under a stream of Sales updates
     # ------------------------------------------------------------------
     stream = UpdateStream(
-        regression.session.database,
+        database,
         favorita_row_factories(config, database),
         batch_size=400,
         insert_ratio=0.8,
@@ -85,10 +99,14 @@ def main() -> None:
     )
     print(f"\n{'bulk':>5} {'updates':>8} {'upd/s':>10} {'RMSE':>8}")
     for bulk in range(1, 5):
-        report = regression.process_bulk(stream.batches(3))
-        model = regression.refresh_model()
+        batches = list(stream.batches(3))
+        updates = sum(sum(map(abs, delta.data.values())) for _, delta in batches)
+        started = time.perf_counter()
+        regression.apply_batch(batches)
+        seconds = time.perf_counter() - started
+        model = refit()
         print(
-            f"{bulk:>5} {report.updates:>8} {report.throughput:>10.0f} "
+            f"{bulk:>5} {updates:>8} {updates / seconds:>10.0f} "
             f"{model.training_rmse:>8.3f}"
         )
 

@@ -8,7 +8,6 @@ and the generated M3-style code for each view — including the
 Run:  python examples/maintenance_strategy.py
 """
 
-from repro.apps import MaintenanceStrategyApp
 from repro.datasets import (
     favorita_query,
     favorita_variable_order,
@@ -17,6 +16,12 @@ from repro.datasets import (
     retailer_variable_order,
 )
 from repro.rings import CountSpec, CovarSpec
+from repro.viewtree import (
+    build_view_tree,
+    render_tree_dot,
+    render_tree_m3,
+    render_view_m3,
+)
 
 
 def main() -> None:
@@ -24,27 +29,25 @@ def main() -> None:
     print("Retailer: SUM over Inventory ⋈ Location ⋈ Census ⋈ Item ⋈ Weather")
     print("=" * 72)
     features, _label = regression_features()
-    app = MaintenanceStrategyApp(
+    tree = build_view_tree(
         retailer_query(CovarSpec(features)), order=retailer_variable_order()
     )
     print("\nView tree (cf. Figure 2d):")
-    print(app.render_tree())
+    print(tree.render())
     print("\nM3 code for V@ksn (the view shown in the paper):")
-    print(app.render_view("V@ksn"))
-    print("\nGraphviz rendering available via render_dot(); first lines:")
-    print("\n".join(app.render_dot().splitlines()[:6]))
+    print(render_view_m3(tree, tree.views["V@ksn"]))
+    print("\nGraphviz rendering available via render_tree_dot(); first lines:")
+    print("\n".join(render_tree_dot(tree).splitlines()[:6]))
 
     print()
     print("=" * 72)
     print("Favorita: SUM over Sales ⋈ Items ⋈ Stores ⋈ Transactions ⋈ Oil ⋈ Holiday")
     print("=" * 72)
-    app = MaintenanceStrategyApp(
-        favorita_query(CountSpec()), order=favorita_variable_order()
-    )
+    tree = build_view_tree(favorita_query(CountSpec()), order=favorita_variable_order())
     print("\nView tree:")
-    print(app.render_tree())
+    print(tree.render())
     print("\nFull M3 program:")
-    print(app.render_m3())
+    print(render_tree_m3(tree))
 
 
 if __name__ == "__main__":

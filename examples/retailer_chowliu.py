@@ -7,7 +7,8 @@ Bayesian network after every bulk of updates.
 Run:  python examples/retailer_chowliu.py
 """
 
-from repro.apps import ChowLiuApp
+import time
+
 from repro.datasets import (
     RETAILER_SCHEMAS,
     RetailerConfig,
@@ -16,8 +17,11 @@ from repro.datasets import (
     retailer_row_factories,
     retailer_variable_order,
 )
+from repro.engine import FIVMEngine
+from repro.ml import chow_liu_tree, mutual_information_matrix
 from repro.ml.discretize import binning_for_attribute
-from repro.rings import Feature
+from repro.query import Query
+from repro.rings import Feature, MISpec
 
 
 def main() -> None:
@@ -43,19 +47,23 @@ def main() -> None:
         Feature.categorical("rain"),
     )
 
-    app = ChowLiuApp(
-        database,
-        RETAILER_SCHEMAS,
-        features,
-        root="inventoryunits",
-        order=retailer_variable_order(),
-    )
+    # One engine maintains the MI counts over all attribute pairs; the tree
+    # is rebuilt from its root payload.
+    query = Query("ChowLiu", RETAILER_SCHEMAS, spec=MISpec(features))
+    engine = FIVMEngine(query, order=retailer_variable_order())
+    engine.initialize(database)
 
+    def mi_matrix():
+        return mutual_information_matrix(engine.result().payload(()), engine.plan)
+
+    mi = mi_matrix()
     print("\nInitial MI matrix and Chow-Liu tree:")
-    print(app.render())
+    print(mi.render())
+    print()
+    print(chow_liu_tree(mi, root="inventoryunits").render())
 
     stream = UpdateStream(
-        app.session.database,
+        database,
         retailer_row_factories(config, database),
         targets=("Inventory", "Weather"),
         batch_size=500,
@@ -64,12 +72,13 @@ def main() -> None:
     )
 
     for bulk in range(1, 3):
-        report = app.process_bulk(stream.batches(4))
-        print(
-            f"\nAfter bulk {bulk} "
-            f"({report.updates} updates, {report.throughput:.0f} upd/s):"
-        )
-        print(app.tree().render())
+        batches = list(stream.batches(4))
+        updates = sum(sum(map(abs, delta.data.values())) for _, delta in batches)
+        started = time.perf_counter()
+        engine.apply_batch(batches)
+        seconds = time.perf_counter() - started
+        print(f"\nAfter bulk {bulk} ({updates} updates, {updates / seconds:.0f} upd/s):")
+        print(chow_liu_tree(mi_matrix(), root="inventoryunits").render())
 
 
 if __name__ == "__main__":

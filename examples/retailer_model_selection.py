@@ -8,7 +8,8 @@ every bulk of 10K updates exactly like the demo.
 Run:  python examples/retailer_model_selection.py
 """
 
-from repro.apps import ModelSelectionApp
+import time
+
 from repro.datasets import (
     RETAILER_SCHEMAS,
     RetailerConfig,
@@ -17,8 +18,13 @@ from repro.datasets import (
     retailer_row_factories,
     retailer_variable_order,
 )
+from repro.engine import FIVMEngine
+from repro.ml import mutual_information_matrix, rank_features
 from repro.ml.discretize import binning_for_attribute
-from repro.rings import Feature
+from repro.query import Query
+from repro.rings import Feature, MISpec
+
+THRESHOLD = 0.10
 
 
 def main() -> None:
@@ -50,20 +56,21 @@ def main() -> None:
         Feature.categorical("snow"),
     )
 
-    app = ModelSelectionApp(
-        database,
-        RETAILER_SCHEMAS,
-        features,
-        label="inventoryunits",
-        threshold=0.10,
-        order=retailer_variable_order(),
-    )
+    # One engine maintains the MI counts; the ranking is read off its root
+    # payload whenever the tab refreshes.
+    query = Query("ModelSelection", RETAILER_SCHEMAS, spec=MISpec(features))
+    engine = FIVMEngine(query, order=retailer_variable_order())
+    engine.initialize(database)
+
+    def ranking():
+        mi = mutual_information_matrix(engine.result().payload(()), engine.plan)
+        return rank_features(mi, "inventoryunits")
 
     print("\nInitial ranking:")
-    print(app.render())
+    print(ranking().render(THRESHOLD))
 
     stream = UpdateStream(
-        app.session.database,
+        database,
         retailer_row_factories(config, database),
         targets=("Inventory",),
         batch_size=1000,
@@ -72,13 +79,15 @@ def main() -> None:
     )
 
     for bulk in range(1, 4):
-        report = app.process_bulk(stream.bulk(10_000))
-        print(
-            f"\nAfter bulk {bulk} "
-            f"({report.updates} updates, {report.throughput:.0f} upd/s):"
-        )
-        print(app.render())
-        print(f"selected features: {app.selected_features()}")
+        batches = list(stream.bulk(10_000))
+        updates = sum(sum(map(abs, delta.data.values())) for _, delta in batches)
+        started = time.perf_counter()
+        engine.apply_batch(batches)
+        seconds = time.perf_counter() - started
+        print(f"\nAfter bulk {bulk} ({updates} updates, {updates / seconds:.0f} upd/s):")
+        refreshed = ranking()
+        print(refreshed.render(THRESHOLD))
+        print(f"selected features: {refreshed.selected(THRESHOLD)}")
 
 
 if __name__ == "__main__":

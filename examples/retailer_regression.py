@@ -9,7 +9,8 @@ bulk by one direct solve over the maintained matrix.
 Run:  python examples/retailer_regression.py
 """
 
-from repro.apps import RegressionApp
+import time
+
 from repro.datasets import (
     RETAILER_SCHEMAS,
     RetailerConfig,
@@ -19,6 +20,10 @@ from repro.datasets import (
     retailer_row_factories,
     retailer_variable_order,
 )
+from repro.engine import FIVMEngine
+from repro.ml import RidgeRegression, covar_from_payload
+from repro.query import Query
+from repro.rings import CovarSpec
 
 
 def main() -> None:
@@ -27,24 +32,29 @@ def main() -> None:
     print(f"Retailer database: {database}")
 
     features, label = regression_features()
-    app = RegressionApp(
-        database,
-        RETAILER_SCHEMAS,
-        features,
-        label,
-        regularization=1e-2,
+    # One engine maintains the COVAR matrix; every refit is one direct solve
+    # over its root payload.
+    engine = FIVMEngine(
+        Query("Regression", RETAILER_SCHEMAS, spec=CovarSpec(features)),
         order=retailer_variable_order(),
     )
-    model = app.refresh_model()
-    covar = app.covar()
+    engine.initialize(database)
+    solver = RidgeRegression(
+        [f.name for f in features if f.name != label], label, regularization=1e-2
+    )
+
+    def covar():
+        return covar_from_payload(engine.result().payload(()), engine.plan)
+
+    model = solver.fit(covar())
     print(
-        f"\nInitial model over {covar.dimension} one-hot columns "
+        f"\nInitial model over {covar().dimension} one-hot columns "
         f"({len(model.feature_columns)} feature columns):"
     )
-    print(app.render())
+    print(model.render())
 
     stream = UpdateStream(
-        app.session.database,
+        database,
         retailer_row_factories(config, database),
         targets=("Inventory",),
         batch_size=500,
@@ -55,10 +65,14 @@ def main() -> None:
     print("\nProcessing bulks of updates (insert/delete mix on Inventory):")
     print(f"{'bulk':>5} {'updates':>8} {'upd/s':>10} {'RMSE':>8} {'gradient':>9}")
     for bulk in range(1, 6):
-        report = app.process_bulk(stream.batches(4))
-        model = app.refresh_model()
+        batches = list(stream.batches(4))
+        updates = sum(sum(map(abs, delta.data.values())) for _, delta in batches)
+        started = time.perf_counter()
+        engine.apply_batch(batches)
+        seconds = time.perf_counter() - started
+        model = solver.fit(covar())
         print(
-            f"{bulk:>5} {report.updates:>8} {report.throughput:>10.0f} "
+            f"{bulk:>5} {updates:>8} {updates / seconds:>10.0f} "
             f"{model.training_rmse:>8.3f} {model.gradient_norm:>9.1e}"
         )
 

@@ -33,14 +33,6 @@ regression, Chow-Liu trees) and ``README.md`` (*Layout*) for the system
 inventory.
 """
 
-from repro.apps import (
-    BulkReport,
-    ChowLiuApp,
-    MaintenanceSession,
-    MaintenanceStrategyApp,
-    ModelSelectionApp,
-    RegressionApp,
-)
 from repro.config import EngineConfig, create_engine
 from repro.checkpoint import (
     CheckpointInfo,
@@ -216,11 +208,4 @@ __all__ = [
     "FeatureRanking",
     "ChowLiuTree",
     "chow_liu_tree",
-    # apps
-    "MaintenanceSession",
-    "BulkReport",
-    "ModelSelectionApp",
-    "RegressionApp",
-    "ChowLiuApp",
-    "MaintenanceStrategyApp",
 ]

@@ -5,20 +5,23 @@ its scriptable equivalent:
 
 - ``repro info``    — the Maintenance Strategy tab: view tree + M3 code;
 - ``repro run``     — Model Selection / Regression / Chow-Liu over bulks
-  of updates on a chosen dataset;
-- ``repro bench``   — a one-command engine comparison;
+  of updates on a chosen dataset: one engine, and after each bulk the
+  same reads of its root payload ``repro serve`` answers ``/topk`` and
+  ``/model`` with;
 - ``repro checkpoint`` — save/restore engine state mid-stream
   (``save``/``load``/``info``), including across shard counts;
 - ``repro serve``   — the demo's web serving loop: an HTTP endpoint
   answering model reads from epoch snapshots while a writer thread
   ingests a seeded update stream.
 
+Engine comparisons and stage timings are the benchmarks' job:
+``bench/run.py --trace 1`` and the scripts under ``benchmarks/``.
+
 Usage (installed entry point or module)::
 
     python -m repro info --dataset retailer --payload covar
     python -m repro run --dataset retailer --app regression --bulks 3
     python -m repro run --dataset favorita --app model-selection
-    python -m repro bench --dataset retailer --batches 5
     python -m repro checkpoint save ckpt.fivm --updates 2000 --engine-shards 4
     python -m repro checkpoint load ckpt.fivm --engine-shards 2 --verify
     python -m repro serve --dataset toy --payload covar --port 8321
@@ -29,7 +32,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
-import itertools
 import signal
 import sys
 import time
@@ -44,30 +46,29 @@ from repro.checkpoint import (
     write_checkpoint,
 )
 
-from repro.apps import (
-    ChowLiuApp,
-    MaintenanceStrategyApp,
-    ModelSelectionApp,
-    RegressionApp,
-)
 from repro.config import (
     EngineConfig,
     add_engine_cli_args,
     create_engine,
     engine_config_from_args,
 )
-from repro.data import WindowedStream, single, tuple_events
-from repro.datasets import UpdateStream
-from repro.engine import FIVMEngine, FirstOrderEngine, NaiveEngine, ShardedEngine
+from repro.data import WindowedStream
+from repro.engine import FIVMEngine, ShardedEngine
 from repro.errors import FIVMError
-from repro.query.query import Query
-from repro.rings import CovarSpec, result_drift
+from repro.ml import (
+    RidgeRegression,
+    chow_liu_tree,
+    covar_from_payload,
+    mutual_information_matrix,
+    rank_features,
+)
 from repro.serving import (
     IngestThread,
     ServerThread,
     ServingApp,
     build_serving_scenario,
 )
+from repro.viewtree import build_view_tree, render_tree_dot, render_tree_m3
 
 __all__ = ["main", "build_parser"]
 
@@ -76,7 +77,7 @@ __all__ = ["main", "build_parser"]
 def _graceful_sigterm():
     """Route SIGTERM through the KeyboardInterrupt unwind path.
 
-    The long-running commands (serve, bench, checkpoint save) already
+    The long-running commands (serve, checkpoint save) already
     shut down cleanly on Ctrl-C — engines closed, shard workers
     stopped, final checkpoints flushed. `kill` and container stops
     send SIGTERM, which would otherwise bypass all of that; translating
@@ -111,234 +112,51 @@ def _scenario(args, payload: str):
 
 def cmd_info(args) -> int:
     scenario = _scenario(args, args.payload)
-    app = MaintenanceStrategyApp(scenario.query, order=scenario.order)
+    tree = build_view_tree(scenario.query, order=scenario.order)
     print(f"# dataset: {args.dataset}   payload: {args.payload}")
     print("\n## View tree\n")
-    print(app.render_tree())
+    print(tree.render())
     print("\n## M3 code\n")
-    print(app.render_m3())
+    print(render_tree_m3(tree))
     if args.dot:
         print("\n## DOT\n")
-        print(app.render_dot())
+        print(render_tree_dot(tree))
     return 0
 
 
 def cmd_run(args) -> int:
     scenario = _scenario(args, "covar" if args.app == "regression" else "mi")
-    db, schemas, order = scenario.database, scenario.query.relations, scenario.order
-    features = scenario.query.spec.features
-    if args.app == "model-selection":
-        app = ModelSelectionApp(
-            db, schemas, features, label=scenario.mi_label,
-            threshold=args.threshold, order=order,
-        )
-        render = app.render
-    elif args.app == "regression":
-        app = RegressionApp(db, schemas, features, scenario.regression_label, order=order)
-        app.refresh_model()
+    engine = scenario.engine()
+    plan = engine.plan
 
-        def render():
-            app.refresh_model()
-            return app.render()
-
-    else:
-        app = ChowLiuApp(db, schemas, features, order=order)
-
-        def render():
-            return app.tree().render()
+    def render() -> str:
+        # The reads ServingApp answers /topk and /model with, on the root
+        # payload of the live engine.
+        payload = engine.result().payload(())
+        if args.app == "regression":
+            label = scenario.regression_label
+            features = [f.name for f in plan.features if f.name != label]
+            solver = RidgeRegression(features, label)
+            return solver.fit(covar_from_payload(payload, plan)).render()
+        mi = mutual_information_matrix(payload, plan)
+        if args.app == "model-selection":
+            return rank_features(mi, scenario.mi_label).render(args.threshold)
+        return chow_liu_tree(mi).render()
 
     print(f"# {args.app} on {args.dataset}\n")
     print(render())
-    stream = UpdateStream(
-        app.session.database,
-        scenario.factories,
-        targets=scenario.targets,
-        batch_size=args.batch_size,
-        insert_ratio=args.insert_ratio,
-        seed=args.seed,
-    )
+    stream = scenario.stream(batch_size=args.batch_size, insert_ratio=args.insert_ratio)
     for bulk in range(1, args.bulks + 1):
-        report = app.process_bulk(stream.bulk(args.bulk_updates))
+        batches = list(stream.bulk(args.bulk_updates))
+        updates = sum(sum(map(abs, delta.data.values())) for _name, delta in batches)
+        started = time.perf_counter()
+        engine.apply_batch(batches)
+        seconds = time.perf_counter() - started
         print(
-            f"\n--- bulk {bulk}: {report.updates} updates, "
-            f"{report.throughput:.0f} updates/s ---\n"
+            f"\n--- bulk {bulk}: {updates} updates, "
+            f"{updates / seconds:.0f} updates/s ---\n"
         )
         print(render())
-    return 0
-
-
-def _bench_query(args, config):
-    """Scenario and query for the engine comparison: the count ring by
-    default, the numeric covar ring over the continuous regression
-    features when decay is on — decay needs float-weighted payloads,
-    exact count rings refuse it. Either ring runs F-IVM's compiled
-    programs, so ``--profile`` times both: count views in row mode,
-    covar batches of ``COLUMNAR_MIN_DELTA`` keys or more columnar."""
-    if config.decay is None:
-        scenario = _scenario(args, "count")
-        return scenario, scenario.query, "count ring"
-    scenario = _scenario(args, "covar")
-    query = scenario.query
-    continuous = tuple(f for f in query.spec.features if not f.is_categorical)
-    return (
-        scenario,
-        Query(query.name, query.relations, spec=CovarSpec(continuous)),
-        "numeric covar ring",
-    )
-
-
-def cmd_bench(args) -> int:
-    try:
-        with _graceful_sigterm():
-            return _run_bench(args)
-    except KeyboardInterrupt:
-        # The per-contender finally already closed the live engine (and
-        # its shard workers) on the way out.
-        print("\ninterrupted; engines closed", file=sys.stderr)
-        return 130
-
-
-def _run_bench(args) -> int:
-    config = engine_config_from_args(args)
-    scenario, query, ring_label = _bench_query(args, config)
-    db, order = scenario.database, scenario.order
-    window_spec = config.window_spec()
-    if (window_spec is not None or config.decay is not None) and args.ingest != "stream":
-        # Windows fire retractions on the event clock and decay ticks on
-        # it; pre-built batches have no clock.
-        print("# note: window/decay ride the event stream; using --ingest stream")
-        args.ingest = "stream"
-    stream = scenario.stream(batch_size=args.batch_size, insert_ratio=args.insert_ratio)
-    batches = list(stream.batches(args.batches))
-    n_updates = sum(
-        sum(abs(m) for m in delta.data.values()) for _n, delta in batches
-    )
-    if args.ingest == "tuple":
-        # Tuple-at-a-time baseline: one apply() per single ±1 update.
-        schemas = {name: delta.schema for name, delta in batches}
-        updates = [
-            (name, single(schemas[name], row, step))
-            for name, row, step in tuple_events(batches)
-        ]
-    else:
-        updates = batches
-    print(
-        f"# engine comparison on {args.dataset} "
-        f"({ring_label}, ingest={args.ingest}, batch size {args.batch_size}"
-        + (f", shards={config.shards}" if config.shards > 1 else "")
-        + (f", window={config.window}" if config.window else "")
-        + (f", decay={config.decay}" if config.decay else "")
-        + ")"
-    )
-    print(f"{'engine':>14} {'init (s)':>9} {'maintain (s)':>13} {'updates/s':>11}")
-
-    def fivm():
-        engine = FIVMEngine(query, order=order, config=config.replace(shards=1))
-        engine.profile_stages = args.profile
-        return engine
-
-    contenders = [(FIVMEngine.strategy, fivm)]
-    if config.decay is None:
-        # First-order/naive engines take no EngineConfig, so they cannot
-        # decay — windowed streams are fine (retractions are plain deltas).
-        contenders += [
-            (
-                FirstOrderEngine.strategy,
-                lambda: FirstOrderEngine(query, order=order),
-            ),
-            (
-                NaiveEngine.strategy,
-                lambda: NaiveEngine(query, order=order),
-            ),
-        ]
-    if config.shards > 1:
-        contenders.insert(
-            0,
-            (
-                f"fivm x{config.shards}",
-                lambda: ShardedEngine(
-                    query, order=order, config=config
-                ),
-            ),
-        )
-    results = []
-    profiled = None
-    for label, factory in contenders:
-        engine = factory()
-        try:
-            started = time.perf_counter()
-            engine.initialize(db)
-            init_s = time.perf_counter() - started
-            started = time.perf_counter()
-            if args.ingest == "stream":
-                # Decompose to single-tuple events; the engine's
-                # UpdateBatcher coalesces them back into --batch-size
-                # batches. A fresh WindowedStream per engine: its
-                # retraction queue is stateful.
-                events = tuple_events(batches)
-                if window_spec is not None:
-                    events = WindowedStream(window_spec, events)
-                engine.apply_stream(events, batch_size=args.batch_size)
-            else:
-                engine.apply_batch(updates)
-            # result() before stopping the clock: on the sharded process
-            # backend applies are fire-and-forget, so this is the barrier
-            # that waits for in-flight worker maintenance (trivial for
-            # the in-process engines).
-            results.append(engine.result())
-            seconds = time.perf_counter() - started
-            if getattr(engine, "profile_stages", False):
-                profiled = engine.stats
-        finally:
-            if isinstance(engine, ShardedEngine):
-                engine.close()
-        print(
-            f"{label:>14} {init_s:>9.3f} {seconds:>13.3f} "
-            f"{n_updates / seconds:>11.0f}"
-        )
-    if config.decay is not None and config.shards > 1:
-        # Sharded decay settles per shard before merging; float multiply
-        # does not distribute bit-exactly over add, so sharded vs
-        # unsharded agree to rounding, not bit-for-bit.
-        assert all(
-            results[0].close_to(other, 1e-9) for other in results[1:]
-        ), "engines disagree"
-        print("all engines agree on the final result (within 1e-9) ✓")
-    else:
-        assert all(results[0] == other for other in results[1:]), "engines disagree"
-        print("all engines agree on the final result ✓")
-    if config.decay is not None and args.profile:
-        # Quantify what decay is doing: distance of the recency-weighted
-        # result from the same stream aggregated without decay.
-        reference = FIVMEngine(
-            query, order=order,
-            config=config.replace(shards=1, decay=None),
-        )
-        reference.initialize(db)
-        events = tuple_events(batches)
-        if window_spec is not None:
-            events = WindowedStream(window_spec, events)
-        reference.apply_stream(events, batch_size=args.batch_size)
-        drift = result_drift(results[-1], reference.result())
-        stats = profiled
-        print(
-            f"\n# decay: drift vs undecayed run {drift:.6g} "
-            f"(ticks {stats.decay_ticks}, settles {stats.decay_settles}, "
-            f"rescales {stats.decay_rescales})"
-        )
-    if profiled is not None:
-        stages = profiled.stage_seconds
-        total = sum(stages.values())
-        print("\n# fivm per-stage time (fused program)")
-        for stage in ("lift", "probe", "multiply", "group", "scatter"):
-            if stage in stages:
-                spent = stages[stage]
-                print(f"{stage:>10} {spent:>9.4f}s {100 * spent / total:>5.1f}%")
-        print(
-            f"  (fused batches: {profiled.fused_batches}, "
-            f"mirror hits/builds: "
-            f"{profiled.mirror_hits}/{profiled.mirror_builds})"
-        )
     return 0
 
 
@@ -440,19 +258,18 @@ def _run_checkpoint_save(args) -> int:
     return 0
 
 
-def _skip_windowed_prefix(windowed: WindowedStream, counter, position: int):
-    """Replay a windowed stream, dropping the outputs the engine already
-    holds.
+def _skip_windowed_prefix(events, counter, position: int):
+    """Replay a stream, dropping the outputs the engine already holds.
 
-    The restored engine consumed the windowed compilation of the first
-    ``position`` *source* events, including the retractions those events
-    triggered. Draining the wrapper while ``counter`` (which counts
-    source events) is within the prefix rebuilds the retraction
-    scheduler without touching the engine; everything after flows
-    through, starting with the boundary retractions the checkpointed run
-    had not yet fired.
+    The restored engine consumed the first ``position`` *source* events —
+    with a window, their windowed compilation, including the retractions
+    those events triggered. Draining ``events`` while ``counter`` (which
+    counts source events) is within the prefix rebuilds a window's
+    retraction scheduler without touching the engine; everything after
+    flows through, starting with the boundary retractions the
+    checkpointed run had not yet fired.
     """
-    for event in windowed:
+    for event in events:
         if counter[0] <= position:
             continue
         yield event
@@ -503,19 +320,13 @@ def cmd_checkpoint_load(args) -> int:
             # prefix lazily — memory stays O(batch), not O(stream).
             stream = _checkpoint_stream(scenario, meta)
             counter = [0]
-            window_spec = config.window_spec()
-            if window_spec is not None:
-                windowed = WindowedStream(
-                    window_spec, _counting(stream.tuples(total), counter)
-                )
-                remaining = _skip_windowed_prefix(windowed, counter, position)
-            else:
-                remaining = _counting(
-                    itertools.islice(stream.tuples(total), position, None),
-                    counter,
-                )
+            remaining = _skip_windowed_prefix(
+                _windowed(_counting(stream.tuples(total), counter), config),
+                counter,
+                position,
+            )
             engine.apply_stream(remaining, batch_size=int(meta["batch_size"]))
-            resumed = counter[0] - position if window_spec is not None else counter[0]
+            resumed = counter[0] - position
             print(f"resumed {resumed} updates from the stream")
             if args.verify:
                 reference = FIVMEngine(
@@ -731,31 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--insert-ratio", type=float, default=0.75)
     run.add_argument("--threshold", type=float, default=0.1)
     run.set_defaults(func=cmd_run)
-
-    bench = sub.add_parser("bench", help="quick engine comparison")
-    common(bench)
-    bench.add_argument("--batches", type=int, default=5)
-    bench.add_argument("--batch-size", type=int, default=100)
-    bench.add_argument("--insert-ratio", type=float, default=0.7)
-    bench.add_argument(
-        "--ingest",
-        choices=("batch", "tuple", "stream"),
-        default="batch",
-        help=(
-            "batch: apply pre-built batches; tuple: one apply per tuple; "
-            "stream: single-tuple events re-coalesced by the UpdateBatcher"
-        ),
-    )
-    bench.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "print the F-IVM engine's per-stage wall time "
-            "(lift/probe/multiply/group/scatter) of the fused program"
-        ),
-    )
-    add_engine_cli_args(bench)
-    bench.set_defaults(func=cmd_bench)
 
     ckpt = sub.add_parser(
         "checkpoint", help="save/restore engine state (incl. across shard counts)"

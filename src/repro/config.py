@@ -13,8 +13,7 @@ access-path or shard-key switch to set.
   plain F-IVM) from a config;
 - :func:`add_engine_cli_args` / :func:`engine_config_from_args` derive
   the CLI's ``--engine-*`` flag namespace from the config fields, so
-  ``repro bench``, ``repro checkpoint`` and ``repro serve`` share one
-  source of truth;
+  ``repro checkpoint`` and ``repro serve`` share one source of truth;
 - ``export_state`` / checkpoint headers record ``EngineConfig.to_dict``
   for provenance, so a snapshot knows how its engine was built.
 """

@@ -118,7 +118,7 @@ class EngineStatistics:
     view_sizes: Dict[str, int] = field(default_factory=dict)
     #: Per-stage wall-clock seconds of the fused kernels (lift / probe /
     #: multiply / group / scatter), accumulated only while F-IVM's
-    #: ``profile_stages`` attribute is set (``repro bench --profile``).
+    #: ``profile_stages`` attribute is set (``bench/run.py --trace 1``).
     #: Not checkpoint-carried, and not in :meth:`snapshot` (so not in
     #: ``/stats``): timings describe one process's run.
     stage_seconds: Dict[str, float] = field(default_factory=dict)

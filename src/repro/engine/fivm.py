@@ -118,8 +118,8 @@ class FIVMEngine(MaintenanceEngine):
     Setting the engine's ``profile_stages`` attribute (default
     ``False``) accumulates per-stage wall-clock seconds
     (lift/probe/multiply/group/scatter) of both modes of the compiled
-    program into ``stats.stage_seconds`` — the ``repro bench --profile``
-    breakdown.
+    program into ``stats.stage_seconds`` — the per-stage breakdown
+    ``bench/run.py --trace 1`` reports.
     """
 
     strategy = "fivm"

@@ -86,6 +86,18 @@ class RidgeModel:
             for column, weight in zip(self.feature_columns, self.theta[1:])
         }
 
+    def render(self) -> str:
+        """Parameters and training RMSE (the Regression tab's right-hand
+        panel)."""
+        lines = [
+            f"ridge model of {self.label}  RMSE={self.training_rmse:.4f}  "
+            f"converged={self.converged}  gradient={self.gradient_norm:.1e}",
+            f"  intercept: {self.intercept:+.4f}",
+        ]
+        for label, weight in self.coefficients().items():
+            lines.append(f"  {label:<28} {weight:+.4f}")
+        return "\n".join(lines)
+
     def predict(self, row: Mapping[str, Any]) -> float:
         """Predict the label for a feature assignment.
 

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.data import Database, Relation, RelationSchema
@@ -125,23 +125,15 @@ def explicit_ridge(solver, x, y):
     return theta
 
 
-@st.composite
-def ridge_problems(draw):
+def ridge_problem(seed, log_scales, offsets, collinear, groups, regularization):
     """Explicit training data and its COVAR matrix: continuous features at
-    scales 1e-3..1e5 with mean offsets, optionally an exactly collinear
-    (affine) copy of one of them, and one-hot groups whose columns sum to
-    the intercept's. lambda = 0 only when the system has full rank.
+    scales ``10 ** log_scales`` with mean ``offsets`` (in standard
+    deviations), optionally an exactly collinear (affine) copy of the
+    first, and one-hot groups whose columns sum to the intercept's.
 
     The label carries noise of standard deviation 2, which keeps the
     optimal objective away from 0: a gradient test bounds the objective gap
     only to ``|grad| * |theta - theta*| / 2``, and the check is relative."""
-    seed = draw(st.integers(0, 2**32 - 1))
-    log_scales = draw(st.lists(st.integers(-3, 5), min_size=1, max_size=4))
-    offsets = draw(st.lists(st.sampled_from([0.0, 3.0, 1000.0]), min_size=4, max_size=4))
-    collinear = draw(st.booleans())
-    groups = draw(st.lists(st.integers(2, 4), max_size=2))
-    singular = collinear or bool(groups)
-    regularization = draw(st.sampled_from([1e-3, 0.1] if singular else [0.0, 1e-3, 0.1]))
     rng = np.random.default_rng(seed)
     width = len(log_scales) + collinear + sum(groups)
     n = 6 * (width + 1) + 10
@@ -161,6 +153,55 @@ def ridge_problems(draw):
     covar = covar_matrix(x, y, columns)
     attributes = list(dict.fromkeys(column.attribute for column in columns))
     return covar, x, y, RidgeRegression(attributes, "y", regularization=regularization)
+
+
+@st.composite
+def ridge_problems(draw):
+    """:func:`ridge_problem` at scales 1e-3..1e5, offsets of 0, 3 or 1000
+    standard deviations, lambda = 0 only when the system has full rank."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    log_scales = draw(st.lists(st.integers(-3, 5), min_size=1, max_size=4))
+    offsets = draw(st.lists(st.sampled_from([0.0, 3.0, 1000.0]), min_size=4, max_size=4))
+    collinear = draw(st.booleans())
+    groups = draw(st.lists(st.integers(2, 4), max_size=2))
+    singular = collinear or bool(groups)
+    regularization = draw(st.sampled_from([1e-3, 0.1] if singular else [0.0, 1e-3, 0.1]))
+    return ridge_problem(seed, log_scales, offsets, collinear, groups, regularization)
+
+
+def rounding_allowance(solver, x, y, theta):
+    """How far above the optimum float64 moments can put any solve.
+
+    The solve sees the centered moments ``C = E[z z^T] - mu mu^T``. Forming
+    the raw moments from ``n`` rows and centering them rounds each entry by
+    at most ``u (E|z_j z_k| + |mu_j mu_k|)``, ``u = (n + 4) eps``: relative
+    to ``sigma_j sigma_k`` that is ``u rho_jk``, and ``rho`` grows with
+    ``(mu / sigma)^2`` — 1e6 for a feature offset by 1000 standard
+    deviations. In standardized units the solve's gradient at the optimum
+    ``x*`` is then off by at most ``g = u rho |[x*, -1]|``, which moves the
+    solution by ``H^-1 g`` and the objective by ``g^T H^-1 g / 2``, at most
+    ``sum_i (|v_i|^T g)^2 / (2 lambda_i)`` over the eigenpairs of ``H``, the
+    standardized ridge Hessian (a correlation matrix plus ``lambda /
+    sigma_j^2``). Here ``H``, ``mu`` and ``sigma`` come from the explicit
+    rows, and ``theta`` stands in for the optimum. Well-conditioned problems get ~1e-14 relative; a collinear
+    pair 1000 standard deviations off zero, whose null direction only the
+    ridge term curves, gets ~1e-6."""
+    n = len(y)
+    z = np.column_stack([x, y])
+    mu = z.mean(axis=0)
+    centered = z - mu
+    sigma = np.sqrt((centered**2).mean(axis=0))
+    rho = (np.abs(z).T @ np.abs(z) / n + np.abs(np.outer(mu, mu))) / np.outer(sigma, sigma)
+    optimum = np.append(theta[1:] * sigma[:-1] / sigma[-1], -1.0)
+    g = (n + 4) * np.finfo(float).eps * rho[:-1] @ np.abs(optimum)
+    h = centered[:, :-1].T @ centered[:, :-1] / n / np.outer(sigma[:-1], sigma[:-1])
+    ridge = solver.regularization / sigma[:-1] ** 2
+    eigenvalues, vectors = np.linalg.eigh(h + np.diag(ridge))
+    # |v^T g| <= |v|^T g per eigenvector, and v^T H v >= v^T diag(ridge) v
+    # bounds each eigenvalue from below where rounding the correlations
+    # hides it.
+    spread = np.maximum(eigenvalues, ridge @ vectors**2)
+    return sigma[-1] ** 2 * np.sum((np.abs(vectors).T @ g) ** 2 / spread) / 2
 
 
 class TestDirectSolve:
@@ -198,9 +239,16 @@ class TestDirectSolve:
             RidgeRegression(["B", "C"], "D").fit(covar, **{option: 0.1})
 
     @given(problem=ridge_problems())
+    @example(
+        # A collinear pair 1000 standard deviations off zero: the exact solve
+        # of these float64 moments is already 4e-8 above the optimum, so no
+        # fixed relative bound near 1e-9 holds (the fit is 6e-7 above it).
+        problem=ridge_problem(1626704, [4, 0], [1000.0] * 4, True, [2], 0.1)
+    )
     def test_generated_problems_fit_is_the_closed_form(self, problem):
         """``fit`` and ``fit_closed_form`` are one solve, bit for bit; it is
-        stationary, and no worse than least squares on the explicit rows."""
+        stationary, and no worse than least squares on the explicit rows up
+        to what rounding the moments allows."""
         covar, x, y, solver = problem
         model = solver.fit(covar)
         closed = solver.fit_closed_form(covar)
@@ -209,13 +257,12 @@ class TestDirectSolve:
         assert model.converged, model.gradient_norm
         assert model.gradient_norm <= 1e-9
         assert model.iterations == 0
-        # One-sided: with a 1e5-scale collinear pair the explicit solve can
-        # itself sit above the optimum, along a direction only the ridge term
-        # curves (lambda / sigma^2 ~ 1e-13).
+        # One-sided: the explicit solve can itself sit above the optimum,
+        # along a direction only the ridge term curves.
         reference = explicit_ridge(solver, x, y)
         assert objective(solver, x, y, model.theta) <= objective(
             solver, x, y, reference
-        ) * (1 + 1e-9)
+        ) * (1 + 1e-9) + rounding_allowance(solver, x, y, reference)
 
     @pytest.mark.parametrize("start", ["cold", "perturbed"])
     def test_singular_system_without_ridge_falls_back_to_lstsq(self, start):
@@ -274,6 +321,17 @@ class TestPredictAndCoefficients:
         covar = covar_of(make_db())
         model = RidgeRegression(["B", "C"], "D").fit_closed_form(covar)
         assert set(model.coefficients()) == {"B", "C"}
+
+    def test_render_lists_every_weight(self):
+        covar = covar_of(make_db())
+        model = RidgeRegression(["B", "C"], "D").fit(covar)
+        lines = model.render().splitlines()
+        assert lines[0].startswith("ridge model of D  RMSE=")
+        assert "converged=True" in lines[0]
+        assert lines[1] == f"  intercept: {model.intercept:+.4f}"
+        assert lines[2:] == [
+            f"  {label:<28} {weight:+.4f}" for label, weight in model.coefficients().items()
+        ]
 
 
 class TestCategoricalRegression:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.serving import ServingApp, build_serving_scenario
 
 
 def run_cli(capsys, argv):
@@ -96,61 +97,47 @@ class TestRun:
         assert "MI=" in out
 
 
-class TestBench:
-    def test_engine_comparison(self, capsys):
-        code, out = run_cli(
-            capsys, ["bench", "--batches", "2", "--batch-size", "50"] + SMALL
-        )
-        assert code == 0
-        assert "fivm" in out and "naive" in out
-        assert "all engines agree" in out
+class TestRunAgreesWithServing:
+    """After each bulk, ``repro run`` prints what ``repro serve`` answers on
+    ``/topk`` and ``/model`` for the same engine state."""
 
-    def test_sharded_engine_row(self, capsys):
+    @pytest.mark.parametrize("app, payload", [("model-selection", "mi"), ("regression", "covar")])
+    def test_each_bulk_prints_the_served_reads(self, capsys, app, payload):
         code, out = run_cli(
             capsys,
-            [
-                "bench",
-                "--batches",
-                "2",
-                "--batch-size",
-                "50",
-                "--engine-shards",
-                "2",
-                "--engine-backend",
-                "serial",
-            ]
-            + SMALL,
+            ["run", "--app", app, "--bulks", "2", "--bulk-updates", "200",
+             "--batch-size", "100"] + SMALL,
         )
         assert code == 0
-        assert "fivm x2" in out and "shards=2" in out
-        assert "all engines agree" in out
-
-
-    def test_profile_prints_the_stage_breakdown(self, capsys):
-        # Decay runs the numeric covar ring, whose batches take the fused
-        # program that --profile times stage by stage.
-        code, out = run_cli(
-            capsys,
-            ["bench", "--batches", "2", "--batch-size", "50", "--engine-decay", "0.98/50",
-             "--profile"] + SMALL,
+        sections = out.split("\n--- bulk ")
+        assert len(sections) == 3
+        scenario = build_serving_scenario("retailer", payload, scale=1, seed=3)
+        engine = scenario.engine()
+        server = ServingApp(
+            engine,
+            regression_label=scenario.regression_label,
+            mi_label=scenario.mi_label,
         )
-        assert code == 0
-        assert "# fivm per-stage time (fused program)" in out
-        for stage in ("lift", "probe", "scatter"):
-            assert f"{stage:>10} " in out
-        assert "fused batches: 2" in out
-
-    def test_profile_times_the_count_run_in_row_mode(self, capsys):
-        # Count views are dict views: the same compiled programs maintain
-        # them in row mode, and --profile times those stages too.
-        code, out = run_cli(
-            capsys, ["bench", "--batches", "2", "--batch-size", "50", "--profile"] + SMALL
-        )
-        assert code == 0
-        assert "# fivm per-stage time (fused program)" in out
-        for stage in ("lift", "probe", "group", "scatter"):
-            assert f"{stage:>10} " in out
-        assert "fused batches: 0" in out
+        stream = scenario.stream(batch_size=100, insert_ratio=0.75)
+        for bulk, section in enumerate(sections):
+            if bulk:
+                engine.apply_batch(list(stream.bulk(200)))
+            engine.publish(event_offset=bulk)
+            if app == "model-selection":
+                status, body = server.handle("/topk")
+                served = [
+                    f"  [{'✔' if mi >= 0.1 else ' '}] {attribute:<28} MI={mi:.4f}"
+                    for attribute, mi in body["ranking"]
+                ]
+            else:
+                status, body = server.handle("/model")
+                served = [f"  intercept: {body['intercept']:+.4f}"] + [
+                    f"  {label:<28} {weight:+.4f}"
+                    for label, weight in body["coefficients"].items()
+                ]
+            assert status == 200 and body["epoch"] == bulk + 1
+            printed = [line for line in section.splitlines() if line.startswith("  ")]
+            assert printed == served
 
 
 class TestCheckpoint:
@@ -206,6 +193,31 @@ class TestCheckpoint:
         assert code == 0
         assert "identical to uninterrupted ingestion ✓" in out
 
+    def test_windowed_save_then_resume_and_verify(self, capsys, tmp_path):
+        # A windowed resume replays the source prefix through a fresh window
+        # to rebuild its retraction schedule before any event reaches the
+        # restored engine.
+        path = str(tmp_path / "windowed.ckpt")
+        code, out = run_cli(
+            capsys,
+            [
+                "checkpoint", "save", path,
+                "--updates", "600",
+                "--batch-size", "50",
+                "--engine-window", "sliding:200/100",
+                "--every", "300",
+            ]
+            + SMALL,
+        )
+        assert code == 0
+        code, out = run_cli(
+            capsys,
+            ["checkpoint", "load", path, "--resume-updates", "300", "--verify"],
+        )
+        assert code == 0
+        assert "resumed 300 updates from the stream" in out
+        assert "identical to uninterrupted ingestion ✓" in out
+
     def test_load_rejects_non_checkpoint(self, capsys, tmp_path):
         bogus = tmp_path / "bogus.ckpt"
         bogus.write_bytes(b"not a checkpoint")
@@ -239,3 +251,8 @@ class TestParser:
     def test_unknown_app_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--app", "nope"])
+
+    def test_bench_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench"])
+        assert "invalid choice: 'bench'" in capsys.readouterr().err

@@ -192,12 +192,13 @@ class TestCliDerivation:
     def _config(self, argv):
         return engine_config_from_args(build_parser().parse_args(argv))
 
-    def test_bench_defaults(self):
-        assert self._config(["bench"]) == EngineConfig()
+    def test_serve_defaults(self):
+        assert self._config(["serve"]) == EngineConfig()
+        assert self._config(["checkpoint", "save", "x.fivm"]) == EngineConfig()
 
     def test_engine_flags_reach_the_config(self):
         config = self._config(
-            ["bench", "--engine-shards", "2", "--engine-backend", "serial"]
+            ["serve", "--engine-shards", "2", "--engine-backend", "serial"]
         )
         assert config.shards == 2 and config.backend == "serial"
 
@@ -212,10 +213,10 @@ class TestCliDerivation:
     )
     def test_removed_flags_are_rejected(self, flag, capsys):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", flag])
+            build_parser().parse_args(["serve", flag])
         capsys.readouterr()
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--help"])
+            build_parser().parse_args(["serve", "--help"])
         assert flag not in capsys.readouterr().out
 
     def test_one_flag_per_config_field(self):
@@ -240,21 +241,21 @@ class TestCliDerivation:
 
     def test_window_and_decay_flags_shared_across_commands(self):
         for argv in (
-            ["bench", "--engine-window", "sliding:400/200"],
             ["serve", "--engine-window", "sliding:400/200"],
             ["checkpoint", "save", "x.fivm", "--engine-window", "sliding:400/200"],
+            ["checkpoint", "load", "x.fivm", "--engine-window", "sliding:400/200"],
         ):
             assert self._config(argv).window == "sliding:400/200"
         for argv in (
-            ["bench", "--engine-decay", "0.99/500"],
             ["serve", "--engine-decay", "0.99/500"],
+            ["checkpoint", "save", "x.fivm", "--engine-decay", "0.99/500"],
             ["checkpoint", "load", "x.fivm", "--engine-decay", "0.99/500"],
         ):
             assert self._config(argv).decay == "0.99/500"
 
     def test_bad_window_flag_fails_config_derivation(self):
         with pytest.raises(EngineError, match="window"):
-            self._config(["bench", "--engine-window", "spinning:9"])
+            self._config(["checkpoint", "save", "x.fivm", "--engine-window", "spinning:9"])
 
 
 class TestConfigProvenance:
@@ -412,7 +413,7 @@ class TestConfigProvenance:
 
     def test_removed_transport_flag_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            main(["bench", "--engine-transport", "shm"])
+            main(["serve", "--engine-transport", "shm"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --engine-transport" in (
             capsys.readouterr().err

@@ -20,9 +20,21 @@ class TestPublicAPI:
             assert name not in repro.__all__ and not hasattr(repro, name)
             assert not hasattr(repro.engine, name)
 
+    def test_removed_app_names_are_gone(self):
+        # The demo tabs are the engine's root payload read through ml/:
+        # there is no session or app wrapper to export.
+        import importlib.util
+
+        for name in (
+            "MaintenanceSession", "BulkReport", "ModelSelectionApp",
+            "RegressionApp", "ChowLiuApp", "MaintenanceStrategyApp",
+        ):
+            assert name not in repro.__all__ and not hasattr(repro, name)
+        assert importlib.util.find_spec("repro.apps") is None
+
     def test_settings_the_inputs_decide_are_not_fields(self):
         # The features choose the COVAR ring, the view tree the shard key;
-        # stage timing is an engine attribute `repro bench --profile` sets.
+        # stage timing is an engine attribute `bench/run.py --trace 1` sets.
         assert [f.name for f in dataclasses.fields(repro.EngineConfig)] == [
             "shards", "backend", "window", "decay", "supervise",
             "replay_log_limit", "heartbeat_timeout",
@@ -42,7 +54,6 @@ class TestPublicAPI:
         assert repro.__version__ == "1.0.0"
 
     def test_module_docstrings(self):
-        import repro.apps
         import repro.data
         import repro.datasets
         import repro.engine
@@ -60,7 +71,6 @@ class TestPublicAPI:
             repro.engine,
             repro.ml,
             repro.datasets,
-            repro.apps,
         ):
             assert module.__doc__, module.__name__
 

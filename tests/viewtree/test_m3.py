@@ -71,6 +71,13 @@ class TestM3Rendering:
         assert "DECLARE MAP V_ksn(long)[][locn: key, dateid: key]" in text
         assert "V_Inventory" in text and "V_Census" in text
 
+    def test_retailer_single_view_lookup(self):
+        query = Query("Retailer", RETAILER_SCHEMAS, spec=CountSpec())
+        tree = build_view_tree(query, retailer_variable_order())
+        block = render_view_m3(tree, tree.views["V@ksn"])
+        assert block.count("DECLARE MAP") == 1
+        assert "V_ksn" in block and block in render_tree_m3(tree)
+
 
 class TestDotRendering:
     def test_digraph_with_relations_and_views(self):
