@@ -14,10 +14,10 @@ and write these rows: columnar mode scatters with
 :meth:`StoreIndex.matches`. There is no second copy of a payload to keep
 coherent.
 
-Who may alias what: row views from ``matches`` alias the block and are
-for immediate use inside one join; everything the read API returns
-(:attr:`SlotStore.data`, :meth:`~SlotStore.payload`,
-:meth:`~SlotStore.copy`) is a copy that later maintenance cannot touch.
+Who may alias what: row views from ``matches`` may alias the block (the
+sparse ring's rows, rewritten in place, come as copies) and are for use
+inside one join; everything the read API returns (:attr:`SlotStore.data`,
+:meth:`~SlotStore.payload`, :meth:`~SlotStore.copy`) is a copy maintenance cannot touch.
 """
 
 from __future__ import annotations
@@ -51,6 +51,9 @@ class ProbeArrays:
     row-mode probe's order bit for bit. Nothing here depends on payload
     values: a payload update leaves the arrays alone, and a key insert or
     delete is patched in (:meth:`StoreIndex.patch`), not rebuilt.
+    With one key per bucket (:attr:`StoreIndex.unique`) bucket ``b`` is
+    slot ``b``, ``counts[b]`` 0 while the slot is free: a key change
+    writes its own slot's cells and nothing else moves.
     """
 
     __slots__ = ("slots", "key_cols", "hook_cols", "starts", "counts", "match")
@@ -61,15 +64,22 @@ class ProbeArrays:
         self.hook_cols = hook_cols
         self.starts = starts
         self.counts = counts
-        #: Lazily built hook-matching structure (owned by the fused probe);
-        #: dropped when a bucket appears or vanishes.
+        #: Lazily built hook-matching structure (owned by the fused probe,
+        #: built over :meth:`live_hooks`); dropped when a bucket appears or
+        #: vanishes, unless the layout by slot can ``repoint`` it.
         self.match = None
+
+    def live_hooks(self):
+        """Positions and hook columns of the buckets that hold keys: all of
+        them, unless laid out by slot (a free slot's bucket is empty)."""
+        live = np.flatnonzero(self.counts)
+        return live, [col[live] for col in self.hook_cols]
 
 
 class StoreIndex(RelationIndex):
     """Index of a :class:`SlotStore`: buckets map ``key -> slot``."""
 
-    __slots__ = ("store", "cache")
+    __slots__ = ("store", "cache", "unique")
 
     def __init__(self, store: "SlotStore", attrs):
         super().__init__(store.schema, attrs)
@@ -77,9 +87,11 @@ class StoreIndex(RelationIndex):
         #: Cached :class:`ProbeArrays`; the store patches it when a key is
         #: inserted or deleted and never touches it on a payload update.
         self.cache = None
+        #: Every key attribute is hashed: each bucket holds one key.
+        self.unique = bool(store.schema) and set(self.attrs) == set(store.schema)
 
     def matches(self, hook: Any):
-        """``(key, row view)`` pairs under ``hook``; the views alias the
+        """``(key, row view)`` pairs under ``hook``; the views may alias the
         store's block, so consume them before the next mutation."""
         bucket = self.buckets.get(hook)
         if not bucket:
@@ -91,7 +103,9 @@ class StoreIndex(RelationIndex):
     def probe_arrays(self) -> ProbeArrays:
         """The index in columnar form, (re)built when the cache is stale."""
         cache = self.cache
-        if cache is None:
+        if cache is None and self.unique:
+            cache = self.cache = ProbeArrays(*self._by_slot())
+        elif cache is None:
             buckets = self.buckets
             slots: List[int] = []
             keys: List[Key] = []
@@ -124,6 +138,8 @@ class StoreIndex(RelationIndex):
         cache.
         """
         arrays = self.cache
+        if self.unique:
+            return self._patch_unique(arrays, dead_slots, new_keys, new_slots)
         slots, counts = arrays.slots, arrays.counts
         key_cols, hook_cols = arrays.key_cols, arrays.hook_cols
         high = self.store.high
@@ -188,6 +204,44 @@ class StoreIndex(RelationIndex):
         arrays.key_cols, arrays.hook_cols = key_cols, hook_cols
         if regrouped:
             arrays.match = None
+        return True
+
+    def _by_slot(self):
+        """Probe-array fields laid out by slot, with room for twice the slots."""
+        live = np.fromiter(self.store.slots.values(), dtype=np.intp, count=len(self.store))
+        size = 2 * self.store.high if len(live) else 0
+        counts = np.zeros(size, dtype=np.intp)
+        counts[live] = 1
+        cols = _columns(list(self.store.slots), len(self.store.schema))
+        key_cols = tuple(np.zeros(size, dtype=col.dtype) for col in cols)
+        for full, col in zip(key_cols, cols):
+            full[live] = col
+        slots = np.arange(size, dtype=np.intp)
+        return slots, key_cols, tuple(key_cols[p] for p in self.positions), slots, counts
+
+    def _patch_unique(self, arrays, dead_slots, new_keys, new_slots) -> bool:
+        """:meth:`patch` on the layout by slot, in amortized O(keys changed)."""
+        fitted = _fit(arrays.key_cols, new_keys) if new_keys else ()
+        if fitted is None:
+            return False
+        if not len(self.store) or len(arrays.counts) < self.store.high:
+            self.cache = ProbeArrays(*self._by_slot())
+            return True
+        match = arrays.match
+        for slots, live in ((dead_slots, 0), (new_slots, 1)):
+            if not slots:
+                continue
+            slots = np.array(slots, dtype=np.intp)
+            arrays.counts[slots] = live
+            if live:
+                for col, new in fitted:
+                    col[slots] = new
+                arrays.key_cols = tuple(col for col, _ in fitted)
+                arrays.hook_cols = tuple(arrays.key_cols[p] for p in self.positions)
+            hooks = [col[slots] for col in arrays.hook_cols]
+            if match is not None and not match.repoint(hooks, slots if live else -1):
+                match = None
+        arrays.match = match
         return True
 
 

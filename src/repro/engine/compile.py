@@ -308,8 +308,10 @@ _EMPTY_IDX = np.empty(0, dtype=np.intp)
 class _HookMatch:
     """Cached hook-matching structures for one index's probe arrays.
 
-    ``table`` maps a packed hook code to its bucket position (-1: no
-    bucket) and ``ranges`` holds each hook column's ``(min, span)``
+    All three forms cover the buckets that hold keys
+    (:meth:`~repro.data.store.ProbeArrays.live_hooks`). ``table`` maps a
+    packed hook code to its bucket position (-1: no bucket) and
+    ``ranges`` holds each hook column's ``(min, span)``
     the codes are packed with; both are ``None`` unless every hook
     column is an integer column and the packed range fits
     ``_DIRECT_LIMIT``. The sorted form serves every other typed input
@@ -330,18 +332,32 @@ class _HookMatch:
         "hook_index",
     )
 
-    def __init__(self, table, ranges):
-        self.table = table
-        self.ranges = ranges
+    def __init__(self, arrays):
+        self.table, self.ranges = _hook_table(*arrays.live_hooks())
         self.sorted_built = False
         self.col_uniques = self.m_sorted = self.m_order = None
         self.hook_index: Optional[Dict[Any, int]] = None
 
+    def repoint(self, hook_cols, positions) -> bool:
+        """Point the table at bucket ``positions`` (-1: none) for the hooks
+        in ``hook_cols`` — how the store moves buckets it keeps in place;
+        False if a hook is out of range or another form is built."""
+        if self.table is None or self.sorted_built or self.hook_index is not None:
+            return False
+        packed = None
+        for col, (lo, span) in zip(hook_cols, self.ranges):
+            if len(col) and (col.dtype.kind not in "iu" or col.min() < lo or col.max() >= lo + span):
+                return False
+            packed = _pack(packed, _offsets(col, lo), span)
+        if packed is not None:
+            self.table[packed] = positions
+        return True
 
-def _hook_table(cols):
-    """``(table, ranges)`` of :class:`_HookMatch` for an index's hook
-    columns, ``(None, None)`` when they are not integers of a packed
-    range within ``_DIRECT_LIMIT``."""
+
+def _hook_table(live, cols):
+    """``(table, ranges)`` of :class:`_HookMatch` for the hook columns of
+    the buckets at positions ``live``, ``(None, None)`` when they are not
+    integers of a packed range within ``_DIRECT_LIMIT``."""
     ranges: List[Tuple[int, int]] = []
     packed = None
     space = 1
@@ -356,16 +372,16 @@ def _hook_table(cols):
         ranges.append((lo, span))
         packed = _pack(packed, _offsets(col, lo), span)
     table = np.full(space, -1, dtype=np.intp)
-    table[packed] = np.arange(len(packed), dtype=np.intp)
+    table[packed] = live
     return table, ranges
 
 
 def _hook_match(arrays) -> _HookMatch:
     """The index's matching structures, rebuilt after ``StoreIndex.patch``
-    reset them (a bucket appeared or vanished)."""
+    reset them."""
     match = arrays.match
     if match is None:
-        match = arrays.match = _HookMatch(*_hook_table(arrays.hook_cols))
+        match = arrays.match = _HookMatch(arrays)
     return match
 
 
@@ -377,7 +393,8 @@ def _sorted_codes(arrays, match: _HookMatch) -> Optional[List[np.ndarray]]:
         col_uniques: List[np.ndarray] = []
         comb = None
         card = 1
-        for col in arrays.hook_cols:
+        live, cols = arrays.live_hooks()
+        for col in cols:
             if col.dtype.kind not in "iufbUS":
                 return None
             uniques = np.unique(col)
@@ -390,21 +407,19 @@ def _sorted_codes(arrays, match: _HookMatch) -> Optional[List[np.ndarray]]:
             comb = codes if comb is None else comb * base + codes
         order = np.argsort(comb)
         match.col_uniques = col_uniques
-        match.m_sorted, match.m_order = comb[order], order
+        match.m_sorted, match.m_order = comb[order], live[order]
     return match.col_uniques
 
 
 def _hook_index_of(arrays, match: _HookMatch) -> Dict[Any, int]:
     hook_index = match.hook_index
     if hook_index is None:
-        cols = arrays.hook_cols
+        live, cols = arrays.live_hooks()
         if len(cols) == 1:
             hooks: Iterable = cols[0].tolist()
         else:
             hooks = zip(*(col.tolist() for col in cols))
-        hook_index = match.hook_index = {
-            hook: b for b, hook in enumerate(hooks)
-        }
+        hook_index = match.hook_index = dict(zip(hooks, live.tolist()))
     return hook_index
 
 

@@ -483,8 +483,9 @@ class FIVMEngine(MaintenanceEngine):
         ``index_entries`` (one per live key per index; payloads are
         shared, not copied) and ``index_buckets``. Stored views add
         ``capacity`` (rows allocated) and ``free_slots`` (rows deletes
-        gave back). ``stored`` tells the views the engine keeps from the
-        ones it dropped; a dropped view is listed as
+        gave back), sparse cofactor views ``arena_cells`` (their row
+        arena's cells, live or not). ``stored`` tells the views the engine
+        keeps from the ones it dropped; a dropped view is listed as
         ``{"entries": 0, "stored": False}``.
         """
         report: Dict[str, Dict[str, Any]] = {}
@@ -502,6 +503,9 @@ class FIVMEngine(MaintenanceEngine):
                     "capacity": relation.capacity,
                     "free_slots": len(relation.free),
                 }
+                arena = getattr(relation.block, "codes", None)
+                if arena is not None:
+                    entry["arena_cells"] = len(arena)
             else:
                 # Spec-built dict views hold scalar payloads: one cell each.
                 entry = {"entries": len(relation), "payload_weight": len(relation)}

@@ -27,11 +27,15 @@ aggregates per layout (``m <= 254``); exceeding either raises
 The ring has the full bulk-kernel contract of
 :class:`~repro.rings.cofactor.NumericCofactorRing`. A delta block is the
 payloads in CSR form (:class:`SparseCofactorBlock`); a view's slot store
-holds :class:`SparseCofactorRows` — ``c[capacity]`` plus one
-``(codes, vals)`` pair per slot — so row kernels cost O(rows touched).
-Arrays inside payloads, blocks and rows are never written after they are
-built: every operation makes new ones, which is what lets payloads, row
-views and published snapshots share them.
+holds :class:`SparseCofactorRows` — per slot a count and a run of cells
+in one ``codes``/``vals`` arena — so a gather or a scatter of any rows is
+one numpy call per array. ``mul_many`` leaves its product unsorted, so a
+maintenance step sorts cells by ``(row, code)`` once.
+
+**Who may alias what.** Arrays inside payloads and blocks are never
+written after they are built, so they share them freely. The arena is
+rewritten in place, so ``row`` and ``take`` copy what they read, and no
+payload of a store's read API, an index probe or a snapshot aliases it.
 
 **Where codes may not travel.** Vocabularies are per process (shard
 workers intern independently), so nothing that leaves a ring carries
@@ -48,7 +52,6 @@ and append-only, so payloads of two engine instances compare with
 from __future__ import annotations
 
 import threading
-from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Tuple
 
 import numpy as np
@@ -198,16 +201,22 @@ class SparseCofactor:
 
 class SparseCofactorBlock:
     """``n`` payloads in CSR form: row ``r`` owns the entries
-    ``indptr[r] : indptr[r + 1]`` of ``codes``/``vals``, sorted by code."""
+    ``indptr[r] : indptr[r + 1]`` of ``codes``/``vals``, sorted by code.
 
-    __slots__ = ("c", "indptr", "codes", "vals", "ring")
+    A product of ``mul_many`` holds its cells unsorted instead: ``rows``
+    gives each cell's row and ``indptr`` is None. The ring sorts it in
+    place on its first row-wise read (``sum_segments`` sorts anyway).
+    """
 
-    def __init__(self, c, indptr, codes, vals, ring: "SparseCofactorRing"):
+    __slots__ = ("c", "indptr", "codes", "vals", "ring", "rows")
+
+    def __init__(self, c, indptr, codes, vals, ring: "SparseCofactorRing", rows=None):
         self.c = c
         self.indptr = indptr
         self.codes = codes
         self.vals = vals
         self.ring = ring
+        self.rows = rows
 
     def __len__(self) -> int:
         return len(self.c)
@@ -217,15 +226,19 @@ class SparseCofactorBlock:
 
 
 class SparseCofactorRows:
-    """The rows of one slot store: ``c[capacity]`` and, per slot, the
-    ``(codes, vals)`` arrays of its payload (replaced, never written)."""
+    """The rows of one slot store: per slot a count ``c[slot]`` and the
+    cells ``start[slot] : start[slot] + length[slot]`` of one
+    ``codes``/``vals`` arena. Cells below ``top`` are taken, ``live`` of
+    them by rows; ``burst`` is the most cells one write brought, forgotten
+    by an eighth per write (see :meth:`SparseCofactorRing.set_rows`)."""
 
-    __slots__ = ("c", "codes", "vals", "ring")
+    __slots__ = ("c", "start", "length", "codes", "vals", "top", "live", "burst", "ring")
 
-    def __init__(self, c, codes: List[np.ndarray], vals: List[np.ndarray], ring):
-        self.c = c
-        self.codes = codes
-        self.vals = vals
+    def __init__(self, n: int, ring):
+        self.c = np.zeros(n)
+        self.start, self.length = np.zeros((2, n), dtype=np.intp)
+        self.codes, self.vals = _NO_CODES, _NO_VALS
+        self.top = self.live = self.burst = 0
         self.ring = ring
 
     def __len__(self) -> int:
@@ -235,15 +248,13 @@ class SparseCofactorRows:
         return self.ring._rows_of, (self.ring.take(self, np.arange(len(self))),)
 
 
-def _gather(items: List[np.ndarray], slots: List[int]) -> Tuple[np.ndarray, ...]:
-    if len(slots) == 1:
-        return (items[slots[0]],)
-    return itemgetter(*slots)(items) if slots else ()
-
-
-def _entry_rows(indptr: np.ndarray) -> np.ndarray:
-    """Row number of every entry of a CSR block."""
-    return np.repeat(np.arange(len(indptr) - 1, dtype=np.intp), np.diff(indptr))
+def _cells(block: SparseCofactorBlock):
+    """``(row, code, value)`` arrays of a block's cells, sorted or not."""
+    rows = block.rows
+    if rows is None:
+        indptr = block.indptr
+        rows = np.arange(len(indptr) - 1, dtype=np.intp).repeat(indptr[1:] - indptr[:-1])
+    return rows, block.codes, block.vals
 
 
 def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
@@ -368,8 +379,8 @@ class SparseCofactorRing(Ring):
     def _payload(self, c, codes, vals) -> SparseCofactor:
         return SparseCofactor(c, codes, vals, self)
 
-    def _block(self, c, indptr, codes, vals) -> SparseCofactorBlock:
-        return SparseCofactorBlock(c, indptr, codes, vals, self)
+    def _block(self, c, indptr, codes, vals, rows=None) -> SparseCofactorBlock:
+        return SparseCofactorBlock(c, indptr, codes, vals, self, rows)
 
     @staticmethod
     def unpack(codes: np.ndarray):
@@ -390,33 +401,40 @@ class SparseCofactorRing(Ring):
         back as the ``(indptr, codes, vals)`` of an ``n``-row CSR block.
 
         Sorting by ``(row, code)`` is the cost of every kernel that
-        merges entries. The code fields are mostly air (a vocabulary
-        rarely needs its 24 bits), so row and fields are squeezed into
-        one int64 whenever they fit — one stable sort, which numpy runs
-        in near-linear time over the few sorted runs the kernels
-        concatenate — with a two-key ``lexsort`` when they do not.
+        merges entries. The key is ``row << (48 + tag bits) | code`` when
+        the row fits above a code, else the row over the code fields
+        squeezed (they are mostly air: a vocabulary rarely needs its 24
+        bits), else the row over the codes' ranks — one stable sort,
+        near-linear over the few sorted runs the kernels concatenate.
         """
-        width = self._packing_width()
-        shift = self._tag_bits + 2 * width
-        if (n - 1).bit_length() + shift > 63:
-            return self._canonical_rows_wide(rows, codes, vals, n)
-        key = (rows << self._tag_bits) | (codes >> _TAG_SHIFT)
-        key = (key << width) | ((codes >> _CATEGORY_BITS) & _MASK)
-        key = (key << width) | (codes & _MASK)
+        shift = _TAG_SHIFT + self._tag_bits
+        if n.bit_length() + shift <= 63:
+            key = (rows << shift) | codes
+        else:
+            width = self._packing_width()
+            shift = self._tag_bits + 2 * width
+            if n.bit_length() + shift <= 63:
+                key = (rows << self._tag_bits) | (codes >> _TAG_SHIFT)
+                key = (key << width) | ((codes >> _CATEGORY_BITS) & _MASK)
+                key = (key << width) | (codes & _MASK)
+            else:  # neither fits: rank the codes (one more sort)
+                ranks = np.unique(codes, return_inverse=True)[1].reshape(-1)
+                shift = int(ranks.max(initial=0)).bit_length()
+                key = (rows << shift) | ranks
         if len(key) > 1:
-            order = np.argsort(key, kind="stable")
+            order = key.argsort(kind="stable")
             key, codes, vals = key[order], codes[order], vals[order]
             fresh = np.empty(len(key), dtype=bool)
             fresh[0] = True
             np.not_equal(key[1:], key[:-1], out=fresh[1:])
             if not fresh.all():
                 # bincount adds left to right: within one cell, arrival order.
-                vals = np.bincount(np.cumsum(fresh) - 1, weights=vals)
+                vals = np.bincount(fresh.cumsum() - 1, weights=vals)
                 key, codes = key[fresh], codes[fresh]
         live = vals != 0.0
         if not live.all():
             key, codes, vals = key[live], codes[live], vals[live]
-        indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) << shift)
+        indptr = key.searchsorted(np.arange(n + 1, dtype=np.int64) << shift)
         return indptr, codes, vals
 
     def _packing_width(self) -> int:
@@ -431,24 +449,6 @@ class SparseCofactorRing(Ring):
             )
             self._width_at = interned
         return self._width
-
-    @staticmethod
-    def _canonical_rows_wide(rows, codes, vals, n: int):
-        """:meth:`_canonical_rows` when row and code do not fit one word."""
-        if len(codes) > 1:
-            order = np.lexsort((codes, rows))
-            rows, codes, vals = rows[order], codes[order], vals[order]
-            fresh = np.empty(len(codes), dtype=bool)
-            fresh[0] = True
-            np.not_equal(codes[1:], codes[:-1], out=fresh[1:])
-            fresh[1:] |= rows[1:] != rows[:-1]
-            if not fresh.all():
-                vals = np.bincount(np.cumsum(fresh) - 1, weights=vals)
-                rows, codes = rows[fresh], codes[fresh]
-        live = vals != 0.0
-        if not live.all():
-            rows, codes, vals = rows[live], codes[live], vals[live]
-        return _indptr(rows, n), codes, vals
 
     # -- ring interface -----------------------------------------------------
 
@@ -733,85 +733,104 @@ class SparseCofactorRing(Ring):
         return self._block(c, np.zeros(len(c) + 1, dtype=np.intp), _NO_CODES, _NO_VALS)
 
     def block_payloads(self, block):
-        c = block.c.tolist()
         if isinstance(block, SparseCofactorRows):
-            return map(self._payload, c, block.codes, block.vals)
-        cuts = block.indptr[1:-1]
-        return map(
-            self._payload, c, np.split(block.codes, cuts), np.split(block.vals, cuts)
-        )
+            block = self.take(block, np.arange(len(block)))
+        cuts = self._settle(block).indptr[1:-1]
+        codes, vals = np.split(block.codes, cuts), np.split(block.vals, cuts)
+        return map(self._payload, block.c.tolist(), codes, vals)
+
+    def _settle(self, block: SparseCofactorBlock) -> SparseCofactorBlock:
+        """``block`` with its cells sorted into CSR form, in place."""
+        if block.rows is not None:
+            block.indptr, block.codes, block.vals = self._canonical_rows(
+                block.rows, block.codes, block.vals, len(block.c)
+            )
+            block.rows = None
+        return block
 
     def take(self, block, indices) -> SparseCofactorBlock:
         idx = np.asarray(indices, dtype=np.intp)
-        indptr = np.zeros(len(idx) + 1, dtype=np.intp)
         if isinstance(block, SparseCofactorRows):
-            slots = idx.tolist()
-            codes = _gather(block.codes, slots)
-            np.cumsum(np.fromiter(map(len, codes), np.intp, len(slots)), out=indptr[1:])
-            if not indptr[-1]:
-                return self._block(block.c[idx], indptr, _NO_CODES, _NO_VALS)
-            return self._block(
-                block.c[idx],
-                indptr,
-                np.concatenate(codes),
-                np.concatenate(_gather(block.vals, slots)),
-            )
-        starts = block.indptr[idx]
-        lengths = block.indptr[idx + 1] - starts
-        np.cumsum(lengths, out=indptr[1:])
-        at = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+            starts, lengths = block.start[idx], block.length[idx]
+        else:
+            indptr = self._settle(block).indptr
+            starts = indptr[idx]
+            lengths = indptr[idx + 1] - starts
+        indptr = np.zeros(len(idx) + 1, dtype=np.intp)
+        lengths.cumsum(out=indptr[1:])
+        total = indptr[-1]
+        if not total:
+            return self._block(block.c[idx], indptr, _NO_CODES, _NO_VALS)
+        at = (starts - indptr[:-1]).repeat(lengths) + np.arange(total)
         return self._block(block.c[idx], indptr, block.codes[at], block.vals[at])
 
     def add_many(self, a: SparseCofactorBlock, b: SparseCofactorBlock) -> SparseCofactorBlock:
-        n = len(a.c)
+        rows_a, codes_a, vals_a = _cells(a)
+        rows_b, codes_b, vals_b = _cells(b)
         indptr, codes, vals = self._canonical_rows(
-            np.concatenate((_entry_rows(a.indptr), _entry_rows(b.indptr))),
-            np.concatenate((a.codes, b.codes)),
-            np.concatenate((a.vals, b.vals)),
-            n,
+            np.concatenate((rows_a, rows_b)),
+            np.concatenate((codes_a, codes_b)),
+            np.concatenate((vals_a, vals_b)),
+            len(a.c),
         )
         return self._block(a.c + b.c, indptr, codes, vals)
 
     def mul_many(self, a: SparseCofactorBlock, b: SparseCofactorBlock) -> SparseCofactorBlock:
+        """The products, as unsorted cells (see :class:`SparseCofactorBlock`)."""
+        if not len(b.codes):
+            return self.scale_many(a, b.c)
+        if not len(a.codes):
+            return self.scale_many(b, a.c)
         n = len(a.c)
-        rows_a, rows_b = _entry_rows(a.indptr), _entry_rows(b.indptr)
+        rows_a, codes_a, vals_a = _cells(a)
+        rows_b, codes_b, vals_b = _cells(b)
         rows = [rows_a, rows_b]
-        codes = [a.codes, b.codes]
-        vals = [a.vals * b.c[rows_a], b.vals * a.c[rows_b]]
-        # Linear entries are each row's prefix; pair them up row by row.
-        linear_a = np.bincount(rows_a[a.codes < self._linear_end], minlength=n)
-        linear_b = np.bincount(rows_b[b.codes < self._linear_end], minlength=n)
-        pairs = linear_a * linear_b
+        codes = [codes_a, codes_b]
+        vals = [vals_a * b.c[rows_a], vals_b * a.c[rows_b]]
+        # Pair up the linear entries of each row.
+        linear_a, count_a = self._linear_cells(a, rows_a, n)
+        linear_b, count_b = self._linear_cells(b, rows_b, n)
+        pairs = count_a * count_b
         total = int(pairs.sum())
         if total:
-            row = np.repeat(np.arange(n, dtype=np.intp), pairs)
-            position = np.arange(total) - np.repeat(np.cumsum(pairs) - pairs, pairs)
-            width = linear_b[row]
-            ia = a.indptr[row] + position // width
-            ib = b.indptr[row] + position % width
+            row = np.arange(n, dtype=np.intp).repeat(pairs)
+            position = np.arange(total) - (pairs.cumsum() - pairs).repeat(pairs)
+            width = count_b[row]
+            ia = linear_a[(count_a.cumsum() - count_a)[row] + position // width]
+            ib = linear_b[(count_b.cumsum() - count_b)[row] + position % width]
             cross_codes, cross_vals, kept = self._cross(
-                a.codes[ia], a.vals[ia], b.codes[ib], b.vals[ib]
+                codes_a[ia], vals_a[ia], codes_b[ib], vals_b[ib]
             )
             rows.append(row if kept is None else row[kept])
             codes.append(cross_codes)
             vals.append(cross_vals)
-        indptr, codes, vals = self._canonical_rows(
-            np.concatenate(rows), np.concatenate(codes), np.concatenate(vals), n
-        )
-        return self._block(a.c * b.c, indptr, codes, vals)
+        rows, codes, vals = map(np.concatenate, (rows, codes, vals))
+        return self._block(a.c * b.c, None, codes, vals, rows)
+
+    def _linear_cells(self, block: SparseCofactorBlock, rows: np.ndarray, n: int):
+        """Positions of ``block``'s linear cells grouped by row (a sorted
+        row's prefix already), and each row's count."""
+        at = (block.codes < self._linear_end).nonzero()[0]
+        owner = rows[at]
+        if block.rows is not None:
+            order = owner.argsort(kind="stable")
+            at, owner = at[order], owner[order]
+        return at, np.bincount(owner, minlength=n)
 
     def neg_many(self, a: SparseCofactorBlock) -> SparseCofactorBlock:
-        return self._block(-a.c, a.indptr, a.codes, -a.vals)
+        return self._block(-a.c, a.indptr, a.codes, -a.vals, a.rows)
 
     def scale_many(self, block: SparseCofactorBlock, counts) -> SparseCofactorBlock:
         factors = np.asarray(counts, dtype=np.float64)
-        rows = _entry_rows(block.indptr)
-        vals = block.vals * factors[rows]
+        rows, codes, vals = _cells(block)
+        vals = vals * factors[rows]
+        if block.rows is not None:  # unsorted: zeros drop when it is sorted
+            return self._block(block.c * factors, None, codes, vals, rows)
         live = vals != 0.0
         if live.all():
-            return self._block(block.c * factors, block.indptr, block.codes, vals)
+            return self._block(block.c * factors, block.indptr, codes, vals)
         return self._block(
-            block.c * factors, _indptr(rows[live], len(factors)), block.codes[live], vals[live]
+            block.c * factors, _indptr(rows[live], len(factors)), codes[live], vals[live]
         )
 
     def lift_many(self, index: int, values) -> SparseCofactorBlock:
@@ -840,13 +859,13 @@ class SparseCofactorRing(Ring):
         return self._block(np.ones(n), indptr, codes, vals)
 
     def is_zero_many(self, block: SparseCofactorBlock) -> np.ndarray:
-        return (block.c == 0.0) & (block.indptr[1:] == block.indptr[:-1])
+        indptr = self._settle(block).indptr
+        return (block.c == 0.0) & (indptr[1:] == indptr[:-1])
 
     def sum_segments(self, block: SparseCofactorBlock, segment_ids, count: int) -> SparseCofactorBlock:
         ids = np.asarray(segment_ids, dtype=np.intp)
-        indptr, codes, vals = self._canonical_rows(
-            ids[_entry_rows(block.indptr)], block.codes, block.vals, count
-        )
+        rows, codes, vals = _cells(block)
+        indptr, codes, vals = self._canonical_rows(ids[rows], codes, vals, count)
         c = np.bincount(ids, weights=block.c, minlength=count)
         return self._block(c, indptr, codes, vals)
 
@@ -854,7 +873,7 @@ class SparseCofactorRing(Ring):
 
     def alloc_block(self, n: int, support=()) -> SparseCofactorRows:
         """``n`` ring zeros as store rows (rows are ragged: no support)."""
-        return SparseCofactorRows(np.zeros(n), [_NO_CODES] * n, [_NO_VALS] * n, self)
+        return SparseCofactorRows(n, self)
 
     def _rows_of(self, block: SparseCofactorBlock) -> SparseCofactorRows:
         rows = self.alloc_block(len(block))
@@ -870,29 +889,78 @@ class SparseCofactorRing(Ring):
     def add_row(self, rows: SparseCofactorRows, i: int, a: SparseCofactor) -> bool:
         """``rows[i] += a``; whether the row is now the ring zero."""
         total = self.add(self.row(rows, i), a)
-        rows.c[i], rows.codes[i], rows.vals[i] = total.c, total.codes, total.vals
+        self.set_rows(rows, [i], total)
         return self.is_zero(total)
 
     def set_rows(self, rows: SparseCofactorRows, at, values) -> None:
-        """``rows[at] = values`` — a block (each row gets arrays of exactly
-        its own size, so no row pins a whole batch) or one payload."""
-        rows.c[at] = values.c
-        slots = np.asarray(at).tolist()
+        """``rows[at] = values`` (distinct slots; a block, or one payload).
+
+        A row that fits its cells is written over them, a longer one at
+        the arena's ``top`` (where the row ending there just resizes).
+        When ``top`` would pass the end, or the arena exceeds the live
+        cells plus a quarter plus ``burst``, the other rows are packed
+        into a fresh arena of the live cells plus a quarter.
+        """
+        at = np.asarray(at, dtype=np.intp)
         if isinstance(values, SparseCofactor):
-            for slot in slots:
-                rows.codes[slot], rows.vals[slot] = values.codes, values.vals
-            return
-        bounds = values.indptr.tolist()
-        codes, vals = values.codes, values.vals
-        for k, slot in enumerate(slots):
-            lo, hi = bounds[k], bounds[k + 1]
-            rows.codes[slot] = codes[lo:hi].copy()
-            rows.vals[slot] = vals[lo:hi].copy()
+            values = self.make_block([values] * len(at))
+        indptr = self._settle(values).indptr
+        lengths = indptr[1:] - indptr[:-1]
+        total = int(indptr[-1])
+        old = rows.length[at]
+        live = rows.live + total - int(old.sum())
+        start = rows.start[at]
+        top = rows.top
+        last = (start + old == top) & (old > 0)
+        top += int((lengths - old)[last].sum())
+        moved = (lengths > old) & ~last
+        if moved.any():
+            start[moved] = top + lengths[moved].cumsum() - lengths[moved]
+            top += int(lengths[moved].sum())
+        size = len(rows.codes)
+        burst = max(rows.burst - (rows.burst >> 3), total)
+        if top > size or size > live + live // 4 + burst:
+            self._pack(rows, at, live)
+            start = rows.top + indptr[:-1]
+            top = rows.top + total
+            rows.codes[rows.top : top] = values.codes
+            rows.vals[rows.top : top] = values.vals
+            burst = total
+        elif total:
+            cell = (start - indptr[:-1]).repeat(lengths) + np.arange(total)
+            rows.codes[cell] = values.codes
+            rows.vals[cell] = values.vals
+        rows.c[at] = values.c
+        rows.start[at] = start
+        rows.length[at] = lengths
+        rows.top, rows.live, rows.burst = top, live, burst
+
+    @staticmethod
+    def _pack(rows: SparseCofactorRows, at: np.ndarray, live: int) -> None:
+        """Gather the rows not at ``at`` into fresh arenas of ``live`` cells
+        plus a quarter, one at a time (the old one goes before the next)."""
+        length = rows.length.copy()
+        length[at] = 0
+        keep = np.flatnonzero(length)
+        lengths = length[keep]
+        start = lengths.cumsum() - lengths
+        rows.top = top = int(lengths.sum())
+        cell = (rows.start[keep] - start).repeat(lengths)
+        cell += np.arange(top)
+        for name, dtype in (("codes", np.int64), ("vals", np.float64)):
+            arena = np.empty(live + live // 4, dtype=dtype)
+            getattr(rows, name).take(cell, out=arena[:top], mode="clip")
+            setattr(rows, name, arena)
+        rows.start[keep] = start
 
     def row(self, rows: SparseCofactorRows, i: int) -> SparseCofactor:
-        return self._payload(rows.c.item(i), rows.codes[i], rows.vals[i])
+        """Row ``i`` as a payload of its own (a copy: rows are rewritten
+        in place)."""
+        lo = rows.start.item(i)
+        hi = lo + rows.length.item(i)
+        return self._payload(rows.c.item(i), rows.codes[lo:hi].copy(), rows.vals[lo:hi].copy())
 
     def nonzero_cells(self, block) -> int:
         if isinstance(block, SparseCofactorRows):
-            return sum(map(len, block.vals))
-        return len(block.vals)
+            return block.live
+        return len(self._settle(block).vals)

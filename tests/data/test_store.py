@@ -26,7 +26,7 @@ from repro.rings import (
     NumericCofactorRing,
     SparseCofactorRing,
 )
-from tests.conftest import assert_same_as_rebuilt
+from tests.conftest import assert_same_as_rebuilt, probe_entries
 
 SCHEMA = ("A", "B")
 RING = NumericCofactorRing(CofactorLayout(("x", "y")))
@@ -161,7 +161,8 @@ def store_machine(ring, support, payloads, rows_equal, grown):
                     }
                 if index.cache is not None:
                     assert_same_as_rebuilt(index)
-                    assert sorted(index.cache.slots.tolist()) == sorted(store.slots.values())
+                    live = [s for *_, slots in probe_entries(index.cache) for s in slots]
+                    assert sorted(live) == sorted(store.slots.values())
 
     StoreVersusDictModel.TestCase.settings = settings(
         max_examples=60, stateful_step_count=30, deadline=None

@@ -11,6 +11,7 @@ and fused counters survive checkpoint round-trips.
 """
 
 import pickle
+import sys
 from collections import Counter
 from unittest import mock
 
@@ -19,7 +20,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.data import Relation, inserts
+from repro import build_serving_scenario
+from repro.data import Relation, UpdateBatcher, inserts
 from repro.data.columnar import column_array
 from repro.data.index import IndexedRelation
 from repro.data.store import ProbeArrays, SlotStore
@@ -45,9 +47,10 @@ from repro.engine.compile import (
     _Scratch,
     compile_fused_path,
 )
-from repro.rings import CountSpec, CovarSpec
+from repro.rings import CountSpec, CovarSpec, SparseCofactorRing, cofactor_sparse
 from repro.rings.cofactor import CofactorLayout, NumericCofactorRing
 from tests.conftest import assert_same_as_rebuilt, row_mode
+from tests.engine.test_initialize import BENCH_SEED
 
 R_SCHEMA = ("A", "B")
 
@@ -482,6 +485,11 @@ def match_three_ways(hook_cols, reps, arrays):
     return found
 
 
+def hook_arrays(hook_cols):
+    """Probe arrays holding just the hook columns of live buckets."""
+    return ProbeArrays(None, None, hook_cols, None, np.ones(len(hook_cols[0]), dtype=np.intp))
+
+
 class TestHookMatchingPaths:
     @given(st.data())
     def test_table_sorted_codes_and_dict_agree(self, data):
@@ -492,7 +500,7 @@ class TestHookMatchingPaths:
             st.lists(st.tuples(*[values] * width), min_size=1, max_size=12, unique=True)
         )
         index_cols = tuple(np.array(col, dtype=np.int64) for col in zip(*index_hooks))
-        arrays = ProbeArrays(None, None, index_cols, None, None)
+        arrays = hook_arrays(index_cols)
         # Probe values below, between and above the index's, in a column
         # of another width or signedness wherever the values fit it.
         n = data.draw(st.integers(1, 10))
@@ -512,17 +520,17 @@ class TestHookMatchingPaths:
             assert got == want
 
     def test_probe_dtype_that_cannot_hold_the_index_range_matches_nothing(self):
-        arrays = ProbeArrays(None, None, (np.array([30000, 30001]),), None, None)
+        arrays = hook_arrays((np.array([30000, 30001]),))
         probes = [np.array([7, 120], dtype=np.int8)]
         for got in match_three_ways(probes, np.arange(2), arrays):
             assert got == ([], [])
         # ... and unsigned probes against negative hooks, signed against
         # hooks past the intp range.
-        arrays = ProbeArrays(None, None, (np.array([-2, -1]),), None, None)
+        arrays = hook_arrays((np.array([-2, -1]),))
         for got in match_three_ways([np.array([254, 255], dtype=np.uint8)], np.arange(2), arrays):
             assert got == ([], [])
         top = 2**64 - 1
-        arrays = ProbeArrays(None, None, (np.array([top - 1, top], dtype=np.uint64),), None, None)
+        arrays = hook_arrays((np.array([top - 1, top], dtype=np.uint64),))
         for got in match_three_ways([np.array([-1, -2])], np.arange(2), arrays):
             assert got == ([], [])
         same = [np.array([top, 5, top - 1], dtype=np.uint64)]
@@ -531,10 +539,57 @@ class TestHookMatchingPaths:
 
     def test_float_probes_take_the_sorted_codes(self):
         """3.0 matches the integer hook 3 — by comparison, not by table."""
-        arrays = ProbeArrays(None, None, (np.array([1, 3]),), None, None)
+        arrays = hook_arrays((np.array([1, 3]),))
         keep, buckets = _match_reps([np.array([3.0, 2.5, 1.0])], np.arange(3), arrays)
         assert arrays.match.table is not None and arrays.match.sorted_built
         assert (keep.tolist(), buckets.tolist()) == ([0, 2], [1, 0])
+
+    def test_a_one_key_per_bucket_index_repoints_its_table(self):
+        """Hashing every key attribute, an index lays its buckets out by
+        slot: a delete or an insert writes its own slot's count, key and
+        table cell — the table object survives — unless a new hook falls
+        outside the table's ranges, which drops it for a rebuild. Every
+        matching path agrees throughout."""
+        ring = NumericCofactorRing(CofactorLayout(("x",)))
+        store = SlotStore(("A", "B"), ring, support=(0,))
+        one = ring.lift(0, 1.0)
+
+        def add(keys, payload=one):
+            store.add_block(keys, ring.make_block([payload] * len(keys)))
+
+        add([(1, 10), (2, 20), (3, 30)])
+        index = store.ensure_index(("B", "A"))
+        assert index.unique
+        arrays = index.probe_arrays()
+        probes = [np.array([20, 21, 10, 30, 40, 20]), np.array([2, 2, 1, 3, 4, 2], dtype=np.int16)]
+        reps = np.arange(6)
+
+        def check():
+            want = ([], [])
+            for g, hook in enumerate(zip(*(col.tolist() for col in probes))):
+                slot = store.slots.get(hook[::-1])
+                if slot is not None:
+                    want[0].append(g)
+                    want[1].append(slot)
+            keep, buckets = _match_reps(probes, reps, arrays)
+            assert (keep.tolist(), arrays.slots[buckets].tolist()) == want
+            return arrays.match
+
+        table = check()
+        assert table.table is not None
+        add([(2, 20)], ring.neg(one))  # a delete: its slot is free
+        add([(2, 21)])  # an insert inside the ranges, into that slot
+        assert index.cache is arrays and check() is table
+        # A float probe takes the sorted form, built from the live keys now.
+        keep, buckets = _match_reps([probes[0].astype(float), probes[1]], reps, arrays)
+        assert (keep.tolist(), buckets.tolist()) == ([1, 2, 3], [1, 0, 2])
+        assert table.sorted_built and arrays.match is table
+        add([(4, 40)])  # outside them
+        assert arrays.match is None and check().table is not None
+        add([(3, 30), (1, 10)], ring.neg(one))
+        for got in match_three_ways(probes, reps, arrays):
+            assert got == ([1, 4], [store.slots[(2, 21)], store.slots[(4, 40)]])
+        assert_same_as_rebuilt(index)
 
     def test_buckets_added_and_removed_by_patch_reach_every_path(self):
         ring = NumericCofactorRing(CofactorLayout(("x",)))
@@ -630,6 +685,76 @@ def test_sort_calls_in_a_bulk_batch():
     5 ``np.argsort`` and 7 ``np.searchsorted``. A silent fall back from
     addressing to sorting changes these numbers — no clock involved."""
     assert sort_calls_in_a_bulk_batch() == {"unique": 1, "argsort": 2}
+
+
+def sparse_sorts_in_an_mi_batch():
+    """What the sparse cofactor ring does in one warm 100-event flush
+    shaped like ``retailer_mi_mixed``'s — Inventory and Weather events
+    over the scale-4 retailer MI scenario: how many times it sorts cells
+    into rows (``_canonical_rows``), and how many of its calls loop in
+    Python (jump back in their bytecode: a ``for``, ``while`` or
+    comprehension of ``cofactor_sparse.py`` runs)."""
+    scenario = build_serving_scenario("retailer", "mi", scale=4, seed=BENCH_SEED)
+    engine = scenario.engine()
+    stream = UpdateStream(
+        scenario.database,
+        scenario.factories,
+        targets=("Inventory", "Weather"),
+        batch_size=10,
+        insert_ratio=0.5,
+        seed=1,
+    )
+    query = scenario.query
+    batcher = UpdateBatcher(
+        {name: query.schema_of(name).attributes for name in query.relation_names},
+        batch_size=100,
+    )
+    flushes = filter(None, (batcher.add(*event) for event in stream.tuples(10_000)))
+    for _ in range(24):  # indexes, probe arrays and hook tables built
+        engine.apply_many(next(flushes))
+    batch = next(flushes)
+    assert {name for name, _ in batch} == {"Inventory", "Weather"}
+    sorts = 0
+    canonical_rows = SparseCofactorRing._canonical_rows
+
+    def counted(self, *args):
+        nonlocal sorts
+        sorts += 1
+        return canonical_rows(self, *args)
+
+    offsets = {}  # frame -> bytecode offset of each line it ran (ring frames)
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_filename != cofactor_sparse.__file__:
+            return None
+        ran = offsets.setdefault(frame, [])
+
+        def line(frame, event, arg):
+            if event == "line":
+                ran.append(frame.f_lasti)
+            return line
+
+        return line
+
+    previous = sys.gettrace()
+    with mock.patch.object(SparseCofactorRing, "_canonical_rows", counted):
+        sys.settrace(trace)
+        try:
+            engine.apply_many(batch)
+        finally:
+            sys.settrace(previous)
+    loops = sum(any(b < a for a, b in zip(ran, ran[1:])) for ran in offsets.values())
+    return {"canonicalizations": sorts, "python_loops": loops}
+
+
+def test_sparse_sorts_in_an_mi_batch():
+    """Pinned: one sort per maintenance step — the merge of a view's rows
+    with its delta, or a step's group-sum or zero test, which also
+    settles the unsorted product ``mul_many`` left — and no Python loop
+    in the ring. Sorting every product and sum, and copying each
+    scattered row out one by one, the same flush took 16 sorts and 9
+    looping calls. No clock involved."""
+    assert sparse_sorts_in_an_mi_batch() == {"canonicalizations": 10, "python_loops": 0}
 
 
 class TestCheckpointRoundTrip:

@@ -8,8 +8,10 @@ join it summarizes.
 """
 
 
+from repro import build_serving_scenario
 from repro.datasets import (
     RetailerConfig,
+    UpdateStream,
     generate_retailer,
     retailer_query,
     retailer_variable_order,
@@ -78,3 +80,37 @@ class TestFactorizedStateSize:
         after = engine.memory_report()[root]
         assert after["entries"] == before["entries"] == 1
         assert after["payload_weight"] == before["payload_weight"]
+
+
+class TestSparseArenaMemory:
+    def test_arenas_stay_near_their_live_cells_after_a_delete_heavy_stream(self):
+        """Every MI view's row arena (``arena_cells``) holds at most its
+        live cells plus a quarter, plus one batch: the cells one write
+        brings, at most the batch's keys times the view's widest row.
+        Deletes outnumber inserts four to one, so views shrink well below
+        the sizes their arenas were packed at."""
+        scenario = build_serving_scenario("retailer", "mi", scale=1, seed=5)
+        engine = scenario.engine()
+        stream = UpdateStream(
+            scenario.database,
+            scenario.factories,
+            targets=("Inventory", "Weather"),
+            batch_size=BATCH,
+            insert_ratio=0.2,
+            seed=5,
+        )
+        first = engine.memory_report()
+        for _ in range(30):
+            engine.apply_many([stream.next_batch()])
+        report = engine.memory_report()
+        shrunk = 0
+        for name, view in engine.materialized.items():
+            entry = report[name]
+            live = entry["payload_weight"] - entry["entries"]
+            widest = max((len(p.codes) for p in view.copy().data.values()), default=0)
+            assert entry["arena_cells"] <= live + live / 4 + BATCH * widest, name
+            shrunk += live < (first[name]["payload_weight"] - first[name]["entries"]) / 2
+        assert shrunk >= 2
+
+
+BATCH = 40

@@ -12,7 +12,9 @@ wholesale, so it is pinned from three sides on drawn expressions:
   ``{slot: {category: value}}``;
 - every bulk and row kernel equals the ``Ring`` base class's
   per-payload loop over the scalar operations, on ragged blocks with
-  rows that cancel to the exact zero, ``c == 0`` factors and no rows.
+  rows that cancel to the exact zero, ``c == 0`` factors and no rows;
+  and a view's row arena, driven through its whole life, holds what a
+  ``{slot: payload}`` dict holds, under each of the three sort keys.
 
 Plus the places a code can go wrong silently: pickles carry category
 values and re-intern, code-width overflows raise, bad categories fail
@@ -24,8 +26,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.errors import RingError
 from repro.rings import Binning, Feature, Ring, SparseCofactor, SparseCofactorRing
@@ -210,7 +213,7 @@ def test_bulk_kernels_equal_the_scalar_loops(left, right, data):
     groups = data.draw(st.integers(1, 4))
     ids = data.draw(st.lists(st.integers(0, groups - 1), min_size=n, max_size=n))
     assert_rows(RING.sum_segments(a, ids, groups), LOOPS.sum_segments(left, ids, groups))
-    with mock.patch.object(RING, "_tag_bits", 64):  # the two-key sort
+    with mock.patch.object(RING, "_tag_bits", 64):  # the ranked-code key
         assert_rows(RING.mul_many(a, b), LOOPS.mul_many(left, right))
         assert_rows(RING.sum_segments(a, ids, groups), LOOPS.sum_segments(left, ids, groups))
 
@@ -264,6 +267,144 @@ def test_a_zero_count_factor_annihilates_the_other_side():
     assert product.c == 0.0 and RING.linear(product, 1).is_empty
     block = RING.mul_many(RING.make_block([no_count, other]), RING.make_block([other, RING.zero()]))
     assert_rows(block, [product, RING.zero()])
+
+
+# ----------------------------------------------------------------------
+# The row arena against a {slot: payload} model
+# ----------------------------------------------------------------------
+
+#: ``_tag_bits`` per sort-key form: as built (the row above a whole code),
+#: wide enough that only a row of 0 or 1 fits above a code (the squeezed
+#: fields), and too wide for either (the row above the codes' ranks).
+KEY_FORMS = {"direct": None, "squeezed": 14, "ranked": 64}
+
+
+def key_form_ring(form: str) -> SparseCofactorRing:
+    ring = SparseCofactorRing(FEATURES)
+    if KEY_FORMS[form] is not None:
+        ring._tag_bits = KEY_FORMS[form]
+    return ring
+
+
+@pytest.mark.parametrize("form", KEY_FORMS)
+def test_each_form_sorts_its_own_way(form):
+    ring = key_form_ring(form)
+    block = ring.make_block([RING.lift(0, "red"), RING.lift(1, 2.0), RING.lift(3, 7)])
+    with mock.patch.object(ring, "_packing_width", wraps=ring._packing_width) as squeezed, \
+            mock.patch.object(cofactor_sparse.np, "unique", wraps=np.unique) as ranked:
+        assert_rows(ring.add_many(block, block), [RING.scale(p, 2) for p in rows_of(block)])
+    assert (squeezed.called, ranked.called) == {
+        "direct": (False, False), "squeezed": (True, False), "ranked": (True, True)
+    }[form]
+
+
+def arena_machine(form: str):
+    """One ``SparseCofactorRows`` driven through set, add, cancel, take,
+    pickle and the doubling ``SlotStore._insert`` does, beside a
+    ``{slot: payload}`` dict: rows grow (moving to the arena's top, or
+    growing in place at it), shrink, cancel to the exact zero and get
+    packed."""
+    ring = key_form_ring(form)
+
+    class ArenaVersusModel(RuleBasedStateMachine):
+        def __init__(self):
+            super().__init__()
+            self.rows = ring.alloc_block(3)
+            self.model = [RING.zero()] * 3
+
+        def slots(self, data):
+            return np.array(
+                data.draw(st.lists(st.integers(0, len(self.model) - 1), unique=True, max_size=4)),
+                dtype=np.intp,
+            )
+
+        @rule(data=st.data())
+        def set_rows(self, data):
+            at = self.slots(data)
+            values = data.draw(st.lists(payloads, min_size=len(at), max_size=len(at)))
+            ring.set_rows(self.rows, at, ring.make_block(values))
+            for slot, value in zip(at.tolist(), values):
+                self.model[slot] = value
+
+        @rule(data=st.data(), value=payloads)
+        def set_one_payload_at_many_slots(self, data, value):
+            at = self.slots(data)
+            ring.set_rows(self.rows, at, value)
+            for slot in at.tolist():
+                self.model[slot] = value
+
+        @rule(data=st.data())
+        def add_at(self, data):
+            at = self.slots(data)
+            deltas = data.draw(st.lists(payloads, min_size=len(at), max_size=len(at)))
+            summed = ring.add_at(self.rows, at, ring.make_block(deltas))
+            expected = [RING.add(self.model[slot], d) for slot, d in zip(at.tolist(), deltas)]
+            assert_rows(summed, expected)
+            for slot, value in zip(at.tolist(), expected):
+                self.model[slot] = value
+
+        @rule(data=st.data())
+        def cancel_to_zero(self, data):
+            at = self.slots(data)
+            gone = ring.make_block([RING.neg(self.model[slot]) for slot in at.tolist()])
+            assert ring.is_zero_many(ring.add_at(self.rows, at, gone)).all()
+            for slot in at.tolist():
+                self.model[slot] = RING.zero()
+
+        @rule(data=st.data(), value=payloads)
+        def add_row(self, data, value):
+            slot = data.draw(st.integers(0, len(self.model) - 1))
+            expected = RING.add(self.model[slot], value)
+            assert ring.add_row(self.rows, slot, value) == RING.is_zero(expected)
+            self.model[slot] = expected
+
+        @precondition(lambda self: len(self.model) < 40)
+        @rule(extra=st.integers(0, 5))
+        def double(self, extra):
+            """What ``SlotStore._insert`` does when it runs out of rows."""
+            used = np.arange(len(self.rows))
+            grown = ring.alloc_block(2 * len(self.rows) + extra)
+            ring.set_rows(grown, used, ring.take(self.rows, used))
+            self.rows = grown
+            self.model += [RING.zero()] * (len(grown) - len(used))
+
+        @rule(data=st.data())
+        def take(self, data):
+            picks = data.draw(st.lists(st.integers(0, len(self.model) - 1), max_size=6))
+            assert_rows(ring.take(self.rows, picks), [self.model[slot] for slot in picks])
+
+        @rule()
+        def pickle_round_trip(self):
+            assert_rows(pickle.loads(pickle.dumps(self.rows)), self.model)
+
+        @invariant()
+        def rows_are_the_model(self):
+            rows = self.rows
+            assert_rows(rows, self.model)
+            for slot, payload in enumerate(self.model):
+                assert same(ring.row(rows, slot), payload)
+            assert ring.nonzero_cells(rows) == sum(len(p.codes) for p in self.model)
+
+        @invariant()
+        def arena_bookkeeping(self):
+            rows = self.rows
+            assert rows.live == rows.length.sum() <= rows.top <= len(rows.codes)
+            assert len(rows.codes) <= rows.live + rows.live // 4 + rows.burst
+            # Live rows own disjoint cells below top.
+            owned = np.zeros(rows.top, dtype=np.intp)
+            for start, length in zip(rows.start.tolist(), rows.length.tolist()):
+                owned[start : start + length] += 1
+            assert owned.max(initial=0) <= 1
+
+    ArenaVersusModel.TestCase.settings = settings(
+        max_examples=40, stateful_step_count=25, deadline=None
+    )
+    return ArenaVersusModel.TestCase
+
+
+TestArenaDirectKey = arena_machine("direct")
+TestArenaSqueezedKey = arena_machine("squeezed")
+TestArenaRankedKey = arena_machine("ranked")
 
 
 # ----------------------------------------------------------------------
