@@ -59,9 +59,12 @@ def banner(title: str, claim: str) -> None:
 
 
 def timed_apply(engine, batches) -> float:
+    """Seconds to apply every batch and read the result after each
+    (re-evaluation derives it on read)."""
     started = time.perf_counter()
     for name, delta in batches:
         engine.apply(name, delta)
+        engine.result()
     return time.perf_counter() - started
 
 

@@ -556,8 +556,7 @@ def _diff_states(
     if not isinstance(views, dict) or not isinstance(base_views, dict):
         raise CheckpointError(
             f"incremental checkpoint {path!r} needs 'views' snapshots on "
-            "both sides (naive/first-order engines checkpoint full state "
-            "only)"
+            "both sides"
         )
     for field_name in ("query", "payload", "format_version"):
         if state.get(field_name) != base_state.get(field_name):

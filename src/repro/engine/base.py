@@ -179,11 +179,11 @@ class MaintenanceEngine(ABC):
     #: versions it does not read with a clear error.
     STATE_FORMAT_VERSION: ClassVar[int] = 1
 
-    #: What kind of state this engine snapshots: ``"views"`` (materialized
-    #: view tree — F-IVM and the sharded coordinator, mutually restorable),
-    #: ``"relations"`` (base relations + result — naive and first-order,
-    #: mutually restorable) or ``"aggregates"`` (nested per-aggregate view
-    #: states). Import rejects a snapshot of a different kind.
+    #: What kind of state this engine snapshots: ``"views"`` (every view
+    #: of the tree — F-IVM, its first-order and re-evaluation policies and
+    #: the sharded coordinator, mutually restorable) or ``"aggregates"``
+    #: (nested per-aggregate view states). Import rejects a snapshot of a
+    #: different kind.
     state_payload: ClassVar[str] = ""
 
     def __init__(self, query: Query):

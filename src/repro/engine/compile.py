@@ -741,7 +741,8 @@ class FusedPath:
 
     :meth:`apply` runs F-IVM's ladder — lift, sibling joins, marginalize,
     fold into the views the engine stores (a dropped view costs its
-    grouping only) — in one of two modes, chosen by the delta's size:
+    grouping only) — up the ``maintained`` steps, in one of two modes,
+    chosen by the delta's size:
 
     - **columnar** (:meth:`columnar`, from ``COLUMNAR_MIN_DELTA`` keys
       on, and only when ``bulk``: slot-store views and every lift on
@@ -770,6 +771,7 @@ class FusedPath:
         "leaf_group_positions",
         "leaf_group_of",
         "steps",
+        "maintained",
         "bulk",
         "_scratch",
     )
@@ -780,6 +782,7 @@ class FusedPath:
         leaf_lifts: Tuple[Tuple[int, Callable], ...],
         leaf_group_positions: Tuple[int, ...],
         steps: Tuple[_FusedStep, ...],
+        maintained: Tuple[_FusedStep, ...],
         bulk: bool,
     ):
         self.leaf_name = leaf_name
@@ -787,6 +790,9 @@ class FusedPath:
         self.leaf_group_positions = leaf_group_positions
         self.leaf_group_of = _key_getter(leaf_group_positions)
         self.steps = steps
+        #: The steps :meth:`apply` runs: every step, or none when the
+        #: engine keeps only the leaves (its deltas stop at the leaf).
+        self.maintained = maintained
         #: The views are slot stores and every lift on the path is
         #: bulk-liftable: columnar mode is available.
         self.bulk = bulk
@@ -830,7 +836,7 @@ class FusedPath:
             stats.record_stage("scatter", timer() - t0)
         view_sizes[self.leaf_name] = len(leaf_view)
         for step, current in _row_ladder(
-            ring, materialized, self.steps, current, stats, timer
+            ring, materialized, self.maintained, current, stats, timer
         ):
             stats.delta_tuples_propagated += len(current)
             target = materialized.get(step.view_name)
@@ -881,7 +887,7 @@ class FusedPath:
         if timer:
             stats.record_stage("scatter", timer() - t0)
         view_sizes[self.leaf_name] = len(leaf_view)
-        for step in self.steps:
+        for step in self.maintained:
             if not n:
                 break
             cols, block, n = self._join(
@@ -1016,7 +1022,8 @@ def compile_fused_path(engine, relation_name: str) -> FusedPath:
     Pure function of the static view tree, compiled once at engine
     construction. Row mode runs any path over any view form; columnar
     mode (``bulk``) needs slot-store views and bulk metadata on every
-    lifting function of the path.
+    lifting function of the path. An engine that keeps only the leaves
+    (``engine.keeps``) maintains no step above the leaf.
     """
     leaf, leaf_lifts, inner = engine._paths[relation_name]
     schema = tuple(engine.query.schema_of(relation_name).attributes)
@@ -1050,6 +1057,8 @@ def compile_fused_path(engine, relation_name: str) -> FusedPath:
             )
         )
         schema_now = tuple(view.key)
+    steps = tuple(steps)
+    maintained = () if engine.keeps == "leaves" else steps
     return FusedPath(
-        leaf.name, leaf_lift_items, leaf_group_positions, tuple(steps), bulk
+        leaf.name, leaf_lift_items, leaf_group_positions, steps, maintained, bulk
     )

@@ -1,4 +1,5 @@
-"""The F-IVM engine: factorized higher-order IVM over a view tree.
+"""The F-IVM engine — factorized higher-order IVM over a view tree — and
+the baselines it is evaluated against, as storage policies of it.
 
 This is the paper's primary contribution. An update δR touches only the
 views on the leaf-to-root path of R (Figure 1, right): the delta is lifted
@@ -35,16 +36,33 @@ exports re-derive a dropped view the way a delta travels: the contents of
 the stored view below it run up an observed path's program as one delta
 (:meth:`~repro.engine.compile.FusedPath.derive`).
 
-Compared to re-evaluation the work per update is bounded by the sizes of
-the deltas and sibling views along one path; compared to first-order IVM
-the sibling aggregates are already materialized instead of being recomputed
-from base relations on every update.
+The baselines are the same engine with another storage policy, the
+class attribute ``keeps`` (decided at construction, restore and
+observation, never per delta):
+
+- :class:`FIVMEngine` (``"probed"``) stores the root, the leaves and the
+  siblings an observed path probes, as above;
+- :class:`FirstOrderEngine` (``"root"``), first-order IVM, stores the
+  leaves and the root. Before each delta it derives the siblings the
+  delta's path probes from the leaves, runs the same compiled program
+  (the inner views only pass the delta through) and drops them again:
+  every update pays to re-aggregate the other relations along its path,
+  the cost F-IVM's stored siblings save;
+- :class:`NaiveEngine` (``"leaves"``), re-evaluation, stores only the
+  leaves. Its programs stop at the leaf, and :meth:`~FIVMEngine.result`
+  and exports derive the root from the leaves on every read.
+
+Deriving a view the engine does not store (:meth:`FIVMEngine._derive`)
+recurses: a sibling the derivation probes that is not stored is derived
+first. Leaves are always stored, so it ends. Every policy snapshots every
+view (``"views"``), so each restores the others' checkpoints.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from itertools import islice
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, ClassVar, Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
 
 from repro.config import EngineConfig
 from repro.data.database import Database
@@ -58,7 +76,7 @@ from repro.query.query import Query
 from repro.query.variable_order import VariableOrder
 from repro.viewtree.builder import ViewTree, build_probe_plan, build_view_tree
 
-__all__ = ["FIVMEngine"]
+__all__ = ["FIVMEngine", "FirstOrderEngine", "NaiveEngine"]
 
 #: Rows per insert delta when a slot-store engine loads a relation up its
 #: compiled program (see :meth:`FIVMEngine._load`) — the paper's flush size.
@@ -123,6 +141,12 @@ class FIVMEngine(MaintenanceEngine):
     """
 
     strategy = "fivm"
+
+    #: Storage policy (see the module docstring): ``"probed"`` stores the
+    #: root, the leaves and the siblings observed paths probe; the
+    #: baseline subclasses set ``"root"`` (leaves and root) or
+    #: ``"leaves"``.
+    keeps: ClassVar[str] = "probed"
 
     #: Pending decay is settled into the views before the boost exceeds
     #: this (well inside the float range): rescale-on-overflow.
@@ -222,6 +246,14 @@ class FIVMEngine(MaintenanceEngine):
         self._fused_paths: Dict[str, FusedPath] = {
             name: compile_fused_path(self, name) for name in self._paths
         }
+        #: The views a baseline policy stores between deltas; ``None``
+        #: under F-IVM, whose stored set follows the observed relations.
+        self._kept: Optional[FrozenSet[str]] = None
+        if self.keeps != "probed":
+            kept = {view.name for view in self.tree.leaf_of.values()}
+            if self.keeps == "root":
+                kept.add(self.tree.root.name)
+            self._kept = frozenset(kept)
 
     # ------------------------------------------------------------------
 
@@ -334,19 +366,13 @@ class FIVMEngine(MaintenanceEngine):
         new = [name for name in relation_names if name not in self._observed]
         if not new:
             return
-        path_steps = self.probe_plan.path_steps
-
-        def probed(relations):
-            return {
-                step.sibling
-                for relation in relations
-                for steps in path_steps[relation]
-                for step in steps
-            }
-
+        if self._kept is not None:
+            # A baseline's stored set does not depend on what it observes.
+            self._observed.update(new)
+            return
         materialized = self.materialized
         stats = self.stats
-        wanted = probed(new)
+        wanted = self._probed(new)
         missing = [
             name for name in self._view_order
             if name in wanted and name not in materialized
@@ -359,35 +385,82 @@ class FIVMEngine(MaintenanceEngine):
             stats.view_sizes[name] = len(rebuilt)
             stats.views_rebuilt += 1
         self._observed.update(new)
-        kept = probed(self._observed) | {self.tree.root.name}
+        kept = self._probed(self._observed) | {self.tree.root.name}
         for name in new:
             for view, _lifts in self._paths[name][2]:
                 if view.name not in kept:
                     materialized.pop(view.name, None)
                     stats.view_sizes.pop(view.name, None)
 
-    def _derive(self, name: str) -> Dict[str, Relation]:
-        """Re-derive the dropped view ``name`` from the stored views.
+    def _probed(self, relations: Iterable[str]) -> Set[str]:
+        """The siblings the paths of ``relations`` probe."""
+        path_steps = self.probe_plan.path_steps
+        return {
+            step.sibling
+            for relation in relations
+            for steps in path_steps[relation]
+            for step in steps
+        }
 
-        Returns it with the dropped views below it the derivation passed.
-        A view is dropped only from an observed relation's path, and
-        every sibling such a path probes is stored: that path's program
-        recomputes the view (:meth:`FusedPath.derive`).
+    def _derive(self, name: str) -> Dict[str, Relation]:
+        """Re-derive the view ``name``, which the engine does not store.
+
+        Returns it with the unstored views its derivation passed or
+        probed. The program of a relation below the view — an observed
+        one when there is one — recomputes it from the stored view
+        nearest below it (:meth:`FusedPath.derive`); each sibling that
+        program probes and the engine does not store is derived first,
+        the same way, and stored while it is probed. F-IVM drops a view
+        only from an observed path, and stores every sibling such a path
+        probes, so its derivations never recurse; the baselines' recurse
+        down to the leaves, which every policy stores.
         """
-        for relation, (_leaf, _lifts, inner) in self._paths.items():
-            if relation in self._observed and any(
-                view.name == name for view, _ in inner
-            ):
-                return self._fused_paths[relation].derive(self, name)
-        raise EngineError(f"view {name!r} is on no observed relation's path")
+        relations = [
+            relation
+            for relation, (_leaf, _lifts, inner) in self._paths.items()
+            if any(view.name == name for view, _ in inner)
+        ]
+        if not relations:
+            raise EngineError(f"view {name!r} is on no relation's path")
+        relation = next((r for r in relations if r in self._observed), relations[0])
+        fpath = self._fused_paths[relation]
+        stop = [step.view_name for step in fpath.steps].index(name) + 1
+        siblings = [probe.sibling for step in fpath.steps[:stop] for probe in step.probes]
+        with self._storing(siblings) as derived:
+            derived.update(fpath.derive(self, name))
+        return derived
+
+    @contextmanager
+    def _storing(self, names: Iterable[str]) -> Iterator[Dict[str, Relation]]:
+        """Store the views ``names`` for the duration of the block: each
+        one the engine does not store is derived (:meth:`_derive`),
+        installed with its indexes, and dropped again on exit. Yields the
+        views derived on the way."""
+        materialized = self.materialized
+        derived: Dict[str, Relation] = {}
+        added = [name for name in dict.fromkeys(names) if name not in materialized]
+        for name in added:
+            if name not in derived:
+                derived.update(self._derive(name))
+        for name in added:
+            materialized[name] = self._install_view(derived[name])
+        try:
+            yield derived
+        finally:
+            for name in added:
+                materialized.pop(name, None)
 
     def result(self) -> Relation:
         """The root view; for a stored view, a relation of payload copies
         (the root holds a few rows), so callers never alias a row that
-        maintenance later adds into."""
+        maintenance later adds into. An engine that does not store the
+        root derives it."""
         self._require_initialized()
         self._settle_decay()
-        root = self.materialized[self.tree.root.name]
+        name = self.tree.root.name
+        root = self.materialized.get(name)
+        if root is None:
+            return self._derive(name)[name]
         return root.copy() if self._stored else root
 
     # ------------------------------------------------------------------
@@ -603,8 +676,13 @@ class FIVMEngine(MaintenanceEngine):
         )
 
     def _after_restore(self) -> None:
-        """Every view is stored again and nothing is observed yet."""
+        """Nothing is observed yet: F-IVM stores every view again, a
+        baseline the views its policy keeps."""
         self._observed = set()
+        if self._kept is not None:
+            self.materialized = {
+                name: view for name, view in self.materialized.items() if name in self._kept
+            }
         self._refresh_view_sizes()
 
     # ------------------------------------------------------------------
@@ -644,3 +722,36 @@ def _subtree_leaf_count(view) -> int:
     if view.is_leaf:
         return 1
     return sum(_subtree_leaf_count(child) for child in view.children)
+
+
+class FirstOrderEngine(FIVMEngine):
+    """First-order IVM: the leaves and the root are stored, and each delta
+    joins siblings derived from the leaves for it alone.
+
+    Classical incremental view maintenance keeps only the result. An
+    update δR is folded in through the *delta query*
+    ``Q(R1, ..., δR, ..., Rn)`` — joins are linear in each input — here
+    R's compiled program run against siblings re-aggregated from the
+    leaves before the delta and dropped after it. No intermediate
+    aggregate outlives a delta, which is the cost the paper's DBToaster
+    comparison measures.
+    """
+
+    strategy = "first-order"
+    keeps = "root"
+
+    def apply(self, relation_name: str, delta: Relation) -> None:
+        self._require_initialized()
+        self._check_delta(relation_name, delta)
+        if not delta.data:
+            return
+        with self._storing(self._probed((relation_name,))):
+            super().apply(relation_name, delta)
+
+
+class NaiveEngine(FIVMEngine):
+    """Re-evaluation: only the leaves are stored, deltas stop there, and
+    every read of the result derives the root from the leaves."""
+
+    strategy = "naive"
+    keeps = "leaves"

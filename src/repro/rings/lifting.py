@@ -61,13 +61,23 @@ class Binning:
             raise RingError("binning needs at least one bin")
         if not self.high > self.low:
             raise RingError("binning needs high > low")
+        # Past these a bin's width is infinite or zero, and every value
+        # would land in one bin (or divide by zero).
+        if not math.isfinite(self.high - self.low):
+            raise RingError(
+                f"binning range [{self.low}, {self.high}] is not finite or "
+                "wider than a float holds"
+            )
+        if not (self.high - self.low) / self.count > 0:
+            raise RingError(f"binning range [{self.low}, {self.high}] is too narrow")
 
     def bin(self, value: float) -> int:
         """Bin index of ``value`` in ``0 .. count-1``."""
         if value != value:  # NaN guard: math.isnan without the import cost
             raise RingError("cannot bin NaN")
         width = (self.high - self.low) / self.count
-        offset = (value - self.low) / width
+        # Clamped first, so the quotient stays within [0, count].
+        offset = (min(max(value, self.low), self.high) - self.low) / width
         if offset < 0:
             return 0
         if offset >= self.count:
@@ -80,7 +90,7 @@ class Binning:
         if np.isnan(x).any():
             raise RingError("cannot bin NaN")
         width = (self.high - self.low) / self.count
-        offset = np.floor((x - self.low) / width)
+        offset = np.floor((np.clip(x, self.low, self.high) - self.low) / width)
         return np.clip(offset, 0, self.count - 1).astype(np.int64)
 
 

@@ -4,12 +4,15 @@ import pickle
 
 import pytest
 
+from repro.checkpoint import restore_checkpoint, write_checkpoint
 from repro.data import inserts
 from repro.datasets import (
+    UpdateStream,
     toy_count_query,
     toy_covar_categorical_query,
     toy_database,
     toy_query,
+    toy_row_factories,
     toy_variable_order,
 )
 from repro.engine import (
@@ -20,6 +23,9 @@ from repro.engine import (
 )
 from repro.errors import EngineError
 from repro.rings import CountSpec, CovarSpec, Feature
+
+#: The storage policies of the one view-tree engine.
+POLICIES = (FIVMEngine, FirstOrderEngine, NaiveEngine)
 
 
 def fresh_engine(query=None):
@@ -129,15 +135,18 @@ class TestStateProvenance:
             clone.import_state(snapshot)
 
     def test_wrong_payload_kind_rejected(self):
-        naive = NaiveEngine(toy_count_query(), order=toy_variable_order())
-        naive.initialize(toy_database())
-        clone = FIVMEngine(toy_count_query(), order=toy_variable_order())
-        with pytest.raises(EngineError, match="relations"):
-            clone.import_state(naive.export_state())
+        features = (Feature.continuous("B"),)
+        query = toy_query(CovarSpec(features), name="Q_peragg")
+        peragg = PerAggregateEngine(query, features, order=toy_variable_order())
+        peragg.initialize(toy_database())
+        clone = FIVMEngine(query, order=toy_variable_order())
+        with pytest.raises(EngineError, match="aggregates"):
+            clone.import_state(peragg.export_state())
 
 
 class TestBaselineEngineCheckpoints:
-    """Naive / first-order / per-aggregate implement the same interface."""
+    """Naive / first-order / per-aggregate implement the same interface;
+    the first two snapshot the same views as F-IVM."""
 
     @pytest.mark.parametrize("engine_cls", [NaiveEngine, FirstOrderEngine])
     def test_roundtrip_and_resume(self, engine_cls):
@@ -154,22 +163,54 @@ class TestBaselineEngineCheckpoints:
         assert clone.result() == engine.result()
         assert clone.stats.updates_applied == engine.stats.updates_applied
 
-    def test_naive_and_firstorder_share_payload_kind(self):
-        naive = NaiveEngine(toy_count_query(), order=toy_variable_order())
-        naive.initialize(toy_database())
-        naive.apply("R", inserts(("A", "B"), [("a3", 3)]))
-        clone = FirstOrderEngine(toy_count_query(), order=toy_variable_order())
-        clone.import_state(naive.export_state())
-        assert clone.result() == naive.result()
+    @pytest.mark.parametrize("writer_cls", POLICIES, ids=lambda cls: cls.strategy)
+    @pytest.mark.parametrize("reader_cls", POLICIES, ids=lambda cls: cls.strategy)
+    def test_every_policy_restores_every_policys_snapshot(self, writer_cls, reader_cls):
+        writer = writer_cls(toy_count_query(), order=toy_variable_order())
+        writer.initialize(toy_database())
+        writer.apply("R", inserts(("A", "B"), [("a3", 3)]))
+        snapshot = pickle.loads(pickle.dumps(writer.export_state()))
+        assert snapshot["payload"] == "views"
+        reader = reader_cls(toy_count_query(), order=toy_variable_order())
+        reader.import_state(snapshot)
+        assert reader.result() == writer.result()
+        delta = inserts(("A", "C", "D"), [("a3", 1, 1)])
+        writer.apply("S", delta)
+        reader.apply("S", delta)
+        assert reader.result() == writer.result()
+        assert reader.export_state()["views"] == writer.export_state()["views"]
 
-    def test_relations_snapshot_rejects_missing_relation(self):
-        naive = NaiveEngine(toy_count_query(), order=toy_variable_order())
-        naive.initialize(toy_database())
-        snapshot = naive.export_state()
-        del snapshot["relations"]["S"]
-        clone = NaiveEngine(toy_count_query(), order=toy_variable_order())
-        with pytest.raises(EngineError, match="relations"):
+    @pytest.mark.parametrize("engine_cls", POLICIES, ids=lambda cls: cls.strategy)
+    def test_snapshot_missing_a_view_rejected(self, engine_cls):
+        engine = engine_cls(toy_count_query(), order=toy_variable_order())
+        engine.initialize(toy_database())
+        snapshot = engine.export_state()
+        del snapshot["views"]["V_S"]
+        clone = engine_cls(toy_count_query(), order=toy_variable_order())
+        with pytest.raises(EngineError, match="does not match the view tree"):
             clone.import_state(snapshot)
+
+    def test_first_order_incremental_chain_restores_equal(self, tmp_path):
+        engine = FirstOrderEngine(toy_count_query(), order=toy_variable_order())
+        engine.initialize(toy_database())
+        stream = UpdateStream(
+            toy_database(), toy_row_factories(), targets=("R", "S"),
+            batch_size=10, insert_ratio=0.6, seed=31,
+        )
+        events = list(stream.tuples(120))
+        prev = None
+        for i in range(4):
+            engine.apply_stream(iter(events[i * 30:(i + 1) * 30]), batch_size=10)
+            path = str(tmp_path / ("c.ckpt" if i == 0 else f"c.ckpt.inc{i}"))
+            state = engine.export_state()
+            info = write_checkpoint(engine, path, base=prev, state=state)
+            prev = (info, state)
+        assert info.incremental and info.chain_seq == 3
+        for cls in POLICIES:
+            clone = cls(toy_count_query(), order=toy_variable_order())
+            restore_checkpoint(clone, path)
+            assert clone.result() == engine.result()
+            assert clone.export_state()["views"] == engine.export_state()["views"]
 
     def test_peragg_roundtrip(self):
         query = toy_query(

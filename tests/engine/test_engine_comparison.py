@@ -4,8 +4,7 @@ F-IVM, the first-order and the naive baselines, and a sharded F-IVM
 maintain the Retailer count query of ``build_serving_scenario`` under the
 same seeded batches: applied as batches, one single-tuple delta at a
 time, or as single-tuple events the engine's batcher coalesces again —
-and under a sliding window. Decayed COVAR runs only on F-IVM, sharded
-and unsharded. What the benchmarks time (``bench/run.py --trace 1``,
+and under a sliding window. Decayed COVAR runs on every engine. What the benchmarks time (``bench/run.py --trace 1``,
 ``benchmarks/``) is checked here for agreement and for the stage
 counters a profiled run records.
 """
@@ -105,8 +104,8 @@ def decayed_covar():
     return scenario, query, batches
 
 
-def decayed(scenario, query, batches, config):
-    engine = FIVMEngine(query, order=scenario.order, config=config)
+def decayed(scenario, query, batches, config, cls=FIVMEngine):
+    engine = cls(query, order=scenario.order, config=config)
     engine.profile_stages = True
     engine.initialize(scenario.database)
     engine.apply_stream(tuple_events(batches), batch_size=BATCH)
@@ -134,6 +133,18 @@ def test_sharded_decay_matches_unsharded_to_rounding(decayed_covar):
         engine.initialize(scenario.database)
         engine.apply_stream(tuple_events(batches), batch_size=BATCH)
         assert engine.result().close_to(single_engine.result(), 1e-9)
+
+
+@pytest.mark.parametrize("cls", ENGINES[1:], ids=lambda cls: cls.strategy)
+def test_baseline_decay_matches_fivm_to_rounding(decayed_covar, cls):
+    # The baselines derive what F-IVM stores, so their float sums may
+    # associate differently.
+    scenario, query, batches = decayed_covar
+    config = EngineConfig(decay="0.98/50")
+    fivm = decayed(scenario, query, batches, config)
+    baseline = decayed(scenario, query, batches, config, cls)
+    assert baseline.stats.decay_ticks == fivm.stats.decay_ticks > 0
+    assert baseline.result().close_to(fivm.result(), 1e-9)
 
 
 @pytest.mark.parametrize("cls", ENGINES, ids=lambda cls: cls.strategy)

@@ -104,14 +104,16 @@ class TestFIVMSpecifics:
 
 
 class TestNaiveSpecifics:
-    def test_deferred_refresh(self):
-        engine = NaiveEngine(QUERY, order=ORDER, refresh_on_apply=False)
+    def test_result_is_derived_on_read(self):
+        engine = NaiveEngine(QUERY, order=ORDER)
         engine.initialize(toy_database())
         engine.apply("R", inserts(("A", "B"), [("a1", 1)]))
-        # result() triggers the deferred recomputation
+        # The delta stopped at the leaf; result() derives the root.
+        assert set(engine.materialized) == {"V_R", "V_S"}
+        assert engine.stats.delta_tuples_propagated == 0
         assert engine.result().payload(()) == 5
-        # second read is cached
         assert engine.result().payload(()) == 5
+        assert set(engine.materialized) == {"V_R", "V_S"}
 
 
 class TestMultiRelationUpdateInterleaving:

@@ -44,7 +44,7 @@ def test_200_batches_with_periodic_crosscheck(payload_spec, tolerance):
     query = retailer_query(payload_spec)
     fivm = FIVMEngine(query, order=order)
     fivm.initialize(db)
-    naive = NaiveEngine(query, order=order, refresh_on_apply=False)
+    naive = NaiveEngine(query, order=order)
     naive.initialize(db)
     oracle = SqlOracle(db)
     stream = UpdateStream(

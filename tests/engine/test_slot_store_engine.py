@@ -499,9 +499,8 @@ def test_relational_fused_per_tuple_naive_and_dict_ring_agree(kind, seed, batch_
     to live in — exactly for MI counts."""
     database, batches = three_relation_batches(seed, 500, batch_size, insert_ratio)
     fused, per_tuple = relational_engine(kind), relational_engine(kind)
-    naive = NaiveEngine(  # re-evaluates once, when its result is read
+    naive = NaiveEngine(  # re-evaluates when its result is read
         retailer_query(relational_spec(kind)), order=retailer_variable_order(),
-        refresh_on_apply=False,
     )
     old = relational_engine(kind, reference=True)
     for engine in (fused, per_tuple, naive, old):

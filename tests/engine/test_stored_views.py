@@ -1,4 +1,5 @@
-"""Which views F-IVM stores, and that dropping the others changes nothing.
+"""Which views F-IVM and its baseline policies store, and that dropping
+the others changes nothing.
 
 After initialization the engine stores every view. Once a relation has
 received a delta ("observed"), the engine keeps a view stored only if it
@@ -8,7 +9,9 @@ dropped, and re-derived from their children whenever something reads
 them. These tests pin that rule on the retailer tree, check every read
 of a dropped view against the view computed in sqlite over the current
 database (``tests/sql_oracle.py``), and check that the rebuild a newly
-observed relation triggers happens once.
+observed relation triggers happens once. First-order IVM stores only the
+leaves and the root, re-evaluation only the leaves; their reads derive
+the rest recursively.
 """
 
 import pickle
@@ -35,7 +38,13 @@ from repro.datasets import (
     toy_row_factories,
     toy_variable_order,
 )
-from repro.engine import FIVMEngine, PerAggregateEngine, available_backends
+from repro.engine import (
+    FirstOrderEngine,
+    FIVMEngine,
+    NaiveEngine,
+    PerAggregateEngine,
+    available_backends,
+)
 from repro.rings import CountSpec, CovarSpec, Feature, MISpec, SumSpec
 from repro.testing import FaultInjector, FaultSpec, clear_injector, install_injector
 from repro.viewtree import build_view_tree
@@ -119,23 +128,29 @@ def inner_view_count(engine):
 
 
 def assert_stored_set(engine, observed):
-    """The stored-set rule, view by view."""
+    """The stored-set rule of the engine's policy, view by view."""
     stored = set(engine.materialized)
     tree = engine.tree
-    plan = engine.probe_plan
-    probed = {
-        step.sibling
-        for name in observed
-        for steps in plan.path_steps[name]
-        for step in steps
-    }
-    on_paths = {
-        view.name for name in observed for view in tree.path_to_root(name)[1:]
-    }
-    assert tree.root.name in stored
-    assert {view.name for view in tree.leaf_of.values()} <= stored
-    assert probed <= stored
-    assert not (on_paths - probed - {tree.root.name}) & stored
+    leaves = {view.name for view in tree.leaf_of.values()}
+    if engine.keeps == "probed":
+        plan = engine.probe_plan
+        probed = {
+            step.sibling
+            for name in observed
+            for steps in plan.path_steps[name]
+            for step in steps
+        }
+        on_paths = {
+            view.name for name in observed for view in tree.path_to_root(name)[1:]
+        }
+        assert tree.root.name in stored
+        assert leaves <= stored
+        assert probed <= stored
+        assert not (on_paths - probed - {tree.root.name}) & stored
+    elif engine.keeps == "root":
+        assert stored == leaves | {tree.root.name}
+    else:
+        assert stored == leaves
     assert set(engine.stats.view_sizes) == stored
     assert engine.total_view_tuples() == sum(len(v) for v in engine.materialized.values())
     report = engine.memory_report()
@@ -179,12 +194,30 @@ STEP = st.one_of(
 @settings(max_examples=15)
 @given(data=st.data())
 def test_reads_equal_sqlite_whatever_the_observation_order(dataset, payload, data):
+    check_reads_against_sqlite(create_engine, dataset, payload, data)
+
+
+@pytest.mark.parametrize("policy", [FirstOrderEngine, NaiveEngine], ids=lambda cls: cls.strategy)
+@pytest.mark.parametrize("payload", ["count", "covar", "mi", "decay"])
+@pytest.mark.parametrize("dataset", ["toy", "retailer"])
+@settings(max_examples=10)
+@given(data=st.data())
+def test_baseline_reads_equal_sqlite(policy, dataset, payload, data):
+    """The baselines derive every view they do not store, recursively
+    down to the leaves, decayed or not, across restores."""
+    check_reads_against_sqlite(policy, dataset, payload, data)
+
+
+def check_reads_against_sqlite(factory, dataset, payload, data):
+    """Drawn deltas, restores and decay ticks; after each step the
+    stored set follows the engine's policy and every read equals
+    sqlite. ``factory(query, config=, order=)`` builds the engine."""
     query, order, database, factories, config = scenario(dataset, payload)
     first_deltas = data.draw(st.permutations(sorted(query.relation_names)))
     steps = data.draw(st.lists(STEP, min_size=1, max_size=8))
 
     def build():
-        return create_engine(query, config=config, order=order)
+        return factory(query, config=config, order=order)
 
     engine = build()
     engine.initialize(database)
@@ -473,15 +506,15 @@ class TestSnapshots:
 # ----------------------------------------------------------------------
 
 
-def stored_views_in_a_bulk_run():
+def stored_views_in_a_bulk_run(engine_cls=FIVMEngine):
     """Stored and dropped views after two warm ~1000-row Inventory
     batches shaped like ``retailer_covar_bulk``'s (32 locations x 90
-    dates x 900 items)."""
+    dates x 900 items), on an engine of the given storage policy."""
     config = RetailerConfig(
         locations=32, dates=90, items=900, inventory_rows=3000, seed=5
     )
     database = generate_retailer(config)
-    engine = FIVMEngine(
+    engine = engine_cls(
         retailer_query(CovarSpec(continuous_covar_features(limit=3))),
         order=retailer_variable_order(),
     )
@@ -504,15 +537,41 @@ def stored_views_in_a_bulk_run():
     }
 
 
+LEAVES = ("V_Weather", "V_Inventory", "V_Item", "V_Location", "V_Census")
+#: F-IVM's stored set after an Inventory-only bulk run.
+FIVM_BULK_SET = {
+    "stored": LEAVES + ("V@zip", "V@locn"),
+    "dropped": ("V@ksn", "V@dateid"),
+}
+
+
 def test_stored_views_in_a_bulk_run():
     """Pinned: an Inventory-only run keeps the root, the five leaves and
     V@zip (probed by Inventory's path) and drops V@ksn and V@dateid,
     which no Inventory path step probes. A view that starts being
     scattered into on the bulk path again shows here."""
-    assert stored_views_in_a_bulk_run() == {
-        "stored": (
-            "V_Weather", "V_Inventory", "V_Item", "V_Location", "V_Census",
-            "V@zip", "V@locn",
-        ),
-        "dropped": ("V@ksn", "V@dateid"),
+    assert stored_views_in_a_bulk_run() == FIVM_BULK_SET
+
+
+def stored_views_per_policy():
+    """:func:`stored_views_in_a_bulk_run` of every storage policy, by
+    strategy name."""
+    return {
+        cls.strategy: stored_views_in_a_bulk_run(cls)
+        for cls in (FIVMEngine, FirstOrderEngine, NaiveEngine)
+    }
+
+
+def test_stored_views_per_policy():
+    """Pinned: F-IVM's set as above; first-order stores exactly the
+    leaves and the root, re-evaluation exactly the leaves."""
+    report = stored_views_per_policy()
+    assert report["fivm"] == FIVM_BULK_SET
+    assert report["first-order"] == {
+        "stored": LEAVES + ("V@locn",),
+        "dropped": ("V@ksn", "V@dateid", "V@zip"),
+    }
+    assert report["naive"] == {
+        "stored": LEAVES,
+        "dropped": ("V@ksn", "V@dateid", "V@zip", "V@locn"),
     }

@@ -489,6 +489,7 @@ class TestBadCategories:
                 lift()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestBinning:
     BINNING = Binning(-1.0, 3.0, 8)
     VALUES = [
@@ -511,6 +512,18 @@ class TestBinning:
     def test_bin_many_equals_bin_on_drawn_binnings(self, value, low, span, count):
         binning = Binning(low, low + span, count)
         assert binning.bin_many([value]).tolist() == [binning.bin(value)]
+
+    def test_a_range_wider_than_a_float_is_rejected(self):
+        for low, high in ((-1e308, 1.7e308), (float("-inf"), 0.0), (0.0, float("inf"))):
+            with pytest.raises(RingError, match="not finite"):
+                Binning(low, high, 2)
+        with pytest.raises(RingError, match="too narrow"):
+            Binning(0.0, 5e-324, 2)
+
+    def test_a_value_far_outside_a_narrow_range_clamps_without_overflow(self):
+        binning = Binning(0.0, 0.001, 50)
+        assert binning.bin_many([1.7e308, -1.7e308]).tolist() == [49, 0]
+        assert [binning.bin(1.7e308), binning.bin(-1.7e308)] == [49, 0]
 
     def test_nan_raises_the_same_error(self):
         with pytest.raises(RingError, match="cannot bin NaN"):
