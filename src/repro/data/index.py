@@ -1,22 +1,23 @@
-"""Persistent hash indexes over relations (the view-index subsystem).
+"""Persistent hash indexes over views (the view-index subsystem).
 
 F-IVM's complexity claim — an update costs O(|delta| x matching sibling
 entries) along one leaf-to-root path — needs the materialized sibling
 views to be *permanently* indexed on the attributes the maintenance
-triggers probe. :class:`RelationIndex` is that index: a hash map from a
-projection of the key (the "hook") to the bucket of live entries sharing
-it. :class:`IndexedRelation` is a :class:`~repro.data.relation.Relation`
-that carries any number of such indexes and keeps them consistent through
-:meth:`~repro.data.relation.Relation.add_inplace` (row mode's
-``_add_rows``), the only mutation the engines perform on materialized
-views.
+triggers probe. :class:`RelationIndex` is that index, from the projection
+of a key (the "hook") to the live keys sharing it. A delta mostly
+carries a sibling's whole key, in key order: such a *whole-key* index
+is the view's own key map (``Relation.data``, ``SlotStore.slots``) and
+keeps nothing of its own. Only a *partial* index — some of the key
+attributes, as when a dimension update probes its fact leaf or a free
+variable sits above a bound one — keeps buckets, ``hook -> keys`` in
+the order they arrived, and a bucket that empties goes.
+Buckets hold keys, never payloads: a payload update touches no index, a
+key insert or delete adds or removes its key in every partial index.
 
-Buckets hold ``key -> payload`` entries, so a probe iterates matches
-without touching the relation's main dict, and a delete that cancels the
-last entry of a bucket removes the bucket itself — index memory tracks
-live data exactly as view memory does. Views of bulk non-scalar rings
-are kept in a :class:`~repro.data.store.SlotStore` instead, whose
-indexes reuse :class:`RelationIndex` with row slots as the bucket values.
+:class:`IndexedRelation` is a :class:`~repro.data.relation.Relation`
+carrying any number of such indexes, for dict views; a view of a bulk
+ring is a :class:`~repro.data.store.SlotStore`, whose
+:class:`~repro.data.store.StoreIndex` adds the columnar probe arrays.
 """
 
 from __future__ import annotations
@@ -32,60 +33,57 @@ Key = Tuple
 
 
 class RelationIndex:
-    """Hash index from a key projection to the bucket of matching entries.
+    """Hash index of one view on a projection of its key.
 
     Parameters
     ----------
-    schema:
-        The indexed relation's key schema.
+    view:
+        The indexed view (an :class:`IndexedRelation` or a slot store).
     attrs:
-        Attributes the index hashes on, a subset of ``schema``. The hook
-        of a key is its projection onto ``attrs`` in this order (a bare
-        scalar when unary, mirroring the join hot paths). ``attrs`` may
-        be empty: every entry then lives in one bucket, which is how a
+        Attributes the index hashes on, a subset of the view's schema.
+        The hook of a key is its projection onto ``attrs`` in this order
+        (a bare scalar when unary, mirroring the join hot paths). When
+        ``attrs`` is the view's whole (non-empty) key in key order the
+        index is ``whole`` and answers from the view's key map;
+        otherwise ``buckets`` maps each hook to its keys. ``attrs`` may
+        be empty: every key then lives in one bucket, which is how a
         sibling with no shared attributes (a cartesian step) is probed.
     """
 
-    __slots__ = ("attrs", "positions", "hook_of", "buckets", "probes", "hits")
+    __slots__ = ("view", "attrs", "positions", "hook_of", "whole", "buckets")
 
-    def __init__(self, schema: Tuple[str, ...], attrs: Iterable[str]):
+    def __init__(self, view, attrs: Iterable[str]):
+        self.view = view
         self.attrs = tuple(attrs)
         if len(set(self.attrs)) != len(self.attrs):
             raise DataError(f"duplicate attribute in index attrs {self.attrs!r}")
-        self.positions = _positions(tuple(schema), self.attrs)
+        self.positions = _positions(view.schema, self.attrs)
         self.hook_of = _hook_getter(self.positions)
-        self.buckets: Dict[Any, Dict[Key, Any]] = {}
-        #: Probe-side counters (filled by the compiled program's probes).
-        self.probes = 0
-        self.hits = 0
+        self.whole = bool(view.schema) and self.attrs == view.schema
+        #: ``hook -> {key: None}`` of a partial index, None when whole.
+        self.buckets: Optional[Dict[Any, Dict[Key, None]]] = None
+        if not self.whole:
+            self.buckets = {}
+            for key in self.key_map():
+                self.add(key)
+
+    def key_map(self) -> Mapping[Key, Any]:
+        """The view's own map from its live keys."""
+        return self.view.data
 
     # ------------------------------------------------------------------
 
-    def build(self, data: Mapping[Key, Any]) -> "RelationIndex":
-        """(Re)populate the index from a relation's live entries."""
-        hook_of = self.hook_of
-        buckets: Dict[Any, Dict[Key, Any]] = {}
-        for key, payload in data.items():
-            hook = hook_of(key)
-            bucket = buckets.get(hook)
-            if bucket is None:
-                buckets[hook] = {key: payload}
-            else:
-                bucket[key] = payload
-        self.buckets = buckets
-        return self
-
-    def set(self, key: Key, payload: Any) -> None:
-        """Insert or refresh one live entry."""
+    def add(self, key: Key) -> None:
+        """Put a newly live key at the end of its bucket (partial only)."""
         hook = self.hook_of(key)
         bucket = self.buckets.get(hook)
         if bucket is None:
-            self.buckets[hook] = {key: payload}
+            self.buckets[hook] = {key: None}
         else:
-            bucket[key] = payload
+            bucket[key] = None
 
     def discard(self, key: Key) -> None:
-        """Remove one entry; the bucket vanishes when it empties."""
+        """Remove a key (partial only); the bucket vanishes when it empties."""
         hook = self.hook_of(key)
         bucket = self.buckets.get(hook)
         if bucket is not None:
@@ -93,24 +91,31 @@ class RelationIndex:
             if not bucket:
                 del self.buckets[hook]
 
-    def get(self, hook: Any) -> Optional[Dict[Key, Any]]:
-        """Bucket of entries whose keys project to ``hook`` (None if empty)."""
-        return self.buckets.get(hook)
+    def keys(self, hook: Any) -> Tuple[Key, ...]:
+        """The live keys whose projection is ``hook``, in bucket order."""
+        if self.whole:
+            key = hook if len(self.positions) > 1 else (hook,)
+            return (key,) if key in self.key_map() else ()
+        bucket = self.buckets.get(hook)
+        return tuple(bucket) if bucket else ()
 
     def matches(self, hook: Any):
         """``(key, payload)`` pairs of the entries under ``hook`` (falsy
-        when there are none) — what row mode's sibling probe iterates."""
-        bucket = self.buckets.get(hook)
-        return bucket.items() if bucket else ()
+        when there are none) — what row mode's partial probe iterates."""
+        data = self.view.data
+        return [(key, data[key]) for key in self.keys(hook)]
 
     # ------------------------------------------------------------------
 
     def entry_count(self) -> int:
-        """Live entries across all buckets (equals the relation's size)."""
+        """Keys across all buckets (equals the view's size)."""
+        if self.whole:
+            return len(self.view)
         return sum(len(bucket) for bucket in self.buckets.values())
 
     def bucket_count(self) -> int:
-        return len(self.buckets)
+        """Distinct hooks: one per key when whole."""
+        return len(self.view) if self.whole else len(self.buckets)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -169,20 +174,17 @@ class IndexedRelation(_IndexCarrier, Relation):
     """A relation carrying persistent indexes kept consistent on mutation.
 
     The engines mutate materialized views exclusively through
-    :meth:`add_inplace` (``_add_rows``); this subclass folds index
-    maintenance into that call, so an indexed view costs one extra dict
-    write per index per changed key — never a rebuild.
+    :meth:`add_inplace` (``_add_rows``); here that is
+    ``Relation._add_rows`` plus, when a partial index is built, one
+    bucket write per partial index per key inserted or deleted.
     ``copy``/``empty_like`` intentionally return plain (unindexed)
     relations: indexes belong to the long-lived materialization, not to
     transient deltas derived from it.
 
     Indexes materialize *lazily*: :meth:`register_index` only records
     that an attribute tuple may be probed, and :meth:`ensure_index`
-    builds the hash map the first time a maintenance path actually
-    probes it. A view that is updated but never probed (e.g. a leaf view
-    whose sibling relation receives no updates) therefore pays no index
-    maintenance at all — only *built* indexes are folded into
-    :meth:`add_inplace`.
+    builds the index the first time a maintenance path actually probes
+    it.
     """
 
     __slots__ = ("indexes", "pending")
@@ -202,61 +204,22 @@ class IndexedRelation(_IndexCarrier, Relation):
         return indexed
 
     def _build_index(self, attrs: Tuple[str, ...]) -> RelationIndex:
-        return RelationIndex(self.schema, attrs).build(self.data)
+        return RelationIndex(self, attrs)
 
     def _add_rows(self, rows: Mapping[Key, Any]) -> int:
-        """:meth:`add_inplace`'s union, updating every index in the same pass."""
-        indexes = tuple(self.indexes.values())
-        if not indexes:
+        """:meth:`add_inplace`'s union, then the keys it inserted or
+        deleted, in row order, into or out of every partial index."""
+        partial = [index for index in self.indexes.values() if not index.whole]
+        if not partial:
             return super()._add_rows(rows)
-        self._columnar = None
-        ring = self.ring
         data = self.data
-        if ring.is_scalar:
-            # Inlined index writes: one (hook_of, buckets) pair per index saves
-            # a method call per index per changed key — index maintenance is
-            # the dominant per-update cost of the indexed path at large batches.
-            index_ops = tuple((index.hook_of, index.buckets) for index in indexes)
-            for key, payload in rows.items():
-                existing = data.get(key)
-                total = payload if existing is None else existing + payload
-                if total:
-                    data[key] = total
-                    for hook_of, buckets in index_ops:
-                        hook = hook_of(key)
-                        bucket = buckets.get(hook)
-                        if bucket is None:
-                            buckets[hook] = {key: total}
-                        else:
-                            bucket[key] = total
-                elif existing is not None:
-                    del data[key]
-                    for hook_of, buckets in index_ops:
-                        hook = hook_of(key)
-                        bucket = buckets.get(hook)
-                        if bucket is not None:
-                            bucket.pop(key, None)
-                            if not bucket:
-                                del buckets[hook]
-            return 0
-        is_zero = ring.is_zero
-        add = ring.add
-        for key, payload in rows.items():
-            existing = data.get(key)
-            if existing is None:
-                # Mirror Relation._add_rows: never park ring-zero payloads.
-                if not is_zero(payload):
-                    data[key] = payload
-                    for index in indexes:
-                        index.set(key, payload)
-            else:
-                total = add(existing, payload)
-                if is_zero(total):
-                    del data[key]
-                    for index in indexes:
+        was = [key in data for key in rows]
+        super()._add_rows(rows)
+        for key, old in zip(rows, was):
+            if old != (key in data):
+                for index in partial:
+                    if old:
                         index.discard(key)
-                else:
-                    data[key] = total
-                    for index in indexes:
-                        index.set(key, total)
+                    else:
+                        index.add(key)
         return 0

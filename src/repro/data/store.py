@@ -10,14 +10,17 @@ deletes gave back. Both modes of the compiled maintenance program read
 and write these rows: columnar mode scatters with
 :meth:`SlotStore.add_block` and gathers probe matches with
 ``ring.take(store.block, slots)``; row mode adds small deltas with
-:meth:`SlotStore.add_inplace` and joins against row views handed out by
-:meth:`StoreIndex.matches`. There is no second copy of a payload to keep
-coherent.
+:meth:`SlotStore.add_inplace` and joins against row views — of one key
+(:meth:`SlotStore.get`) when it probes the whole key, of a partial
+index's bucket (:meth:`StoreIndex.matches`) otherwise. There is no
+second copy of a payload to keep coherent, and the only copy of a key
+outside ``slots`` is a partial index's bucket.
 
-Who may alias what: row views from ``matches`` may alias the block (the
-sparse ring's rows, rewritten in place, come as copies) and are for use
-inside one join; everything the read API returns (:attr:`SlotStore.data`,
-:meth:`~SlotStore.payload`, :meth:`~SlotStore.copy`) is a copy maintenance cannot touch.
+Who may alias what: row views from ``get`` and ``matches`` may alias the
+block (the sparse ring's rows, rewritten in place, come as copies) and
+are for use inside one join; everything the read API returns
+(:attr:`SlotStore.data`, :meth:`~SlotStore.payload`,
+:meth:`~SlotStore.copy`) is a copy maintenance cannot touch.
 """
 
 from __future__ import annotations
@@ -40,20 +43,19 @@ Key = Tuple
 class ProbeArrays:
     """Columnar description of one store index, for the fused probe.
 
-    Buckets are laid out back to back in ``buckets`` dict order: bucket
-    ``b`` occupies positions ``starts[b] : starts[b] + counts[b]``, its
-    hook value is ``tuple(col[b] for col in hook_cols)`` (one column per
-    index attribute, so hooks match numerically instead of by hashing
+    Bucket ``b`` occupies positions ``starts[b] : starts[b] + counts[b]``,
+    its hook value is ``tuple(col[b] for col in hook_cols)`` (one column
+    per index attribute, so hooks match numerically instead of by hashing
     tuples), and position ``p`` holds the entry whose key is
     ``tuple(col[p] for col in key_cols)`` and whose payload is row
-    ``slots[p]`` of the store's block. Entries appear in exactly the
-    order the bucket yields them, so a columnar probe emits matches in the
-    row-mode probe's order bit for bit. Nothing here depends on payload
-    values: a payload update leaves the arrays alone, and a key insert or
-    delete is patched in (:meth:`StoreIndex.patch`), not rebuilt.
-    With one key per bucket (:attr:`StoreIndex.unique`) bucket ``b`` is
-    slot ``b``, ``counts[b]`` 0 while the slot is free: a key change
-    writes its own slot's cells and nothing else moves.
+    ``slots[p]`` of the store's block. Nothing here depends on payload
+    values: a payload update leaves the arrays alone. A whole-key index
+    lays them out by slot — bucket ``b`` is slot ``b``, ``counts[b]`` 0
+    while the slot is free — so a key insert or delete writes its own
+    slot's cells (:meth:`StoreIndex.patch`). A partial index lays its
+    buckets out back to back in bucket order, each listing its keys in
+    the order row mode's probe yields them, and a key insert or delete
+    drops the arrays for the next columnar probe to build again.
     """
 
     __slots__ = ("slots", "key_cols", "hook_cols", "starts", "counts", "match")
@@ -77,154 +79,79 @@ class ProbeArrays:
 
 
 class StoreIndex(RelationIndex):
-    """Index of a :class:`SlotStore`: buckets map ``key -> slot``."""
+    """Index of a :class:`SlotStore`, with its probe arrays cached."""
 
-    __slots__ = ("store", "cache", "unique")
+    __slots__ = ("cache",)
 
     def __init__(self, store: "SlotStore", attrs):
-        super().__init__(store.schema, attrs)
-        self.store = store
-        #: Cached :class:`ProbeArrays`; the store patches it when a key is
-        #: inserted or deleted and never touches it on a payload update.
+        super().__init__(store, attrs)
+        #: Cached :class:`ProbeArrays`; the store patches a whole-key
+        #: index's and drops a partial one's when a key is inserted or
+        #: deleted, and never touches them on a payload update.
         self.cache = None
-        #: Every key attribute is hashed: each bucket holds one key.
-        self.unique = bool(store.schema) and set(self.attrs) == set(store.schema)
+
+    def key_map(self) -> Mapping[Key, int]:
+        return self.view.slots
 
     def matches(self, hook: Any):
         """``(key, row view)`` pairs under ``hook``; the views may alias the
         store's block, so consume them before the next mutation."""
-        bucket = self.buckets.get(hook)
-        if not bucket:
-            return ()
-        store = self.store
-        row, block = store.ring.row, store.block
-        return [(key, row(block, slot)) for key, slot in bucket.items()]
+        store = self.view
+        row, block, slots = store.ring.row, store.block, store.slots
+        return [(key, row(block, slots[key])) for key in self.keys(hook)]
 
     def probe_arrays(self) -> ProbeArrays:
-        """The index in columnar form, (re)built when the cache is stale."""
-        cache = self.cache
-        if cache is None and self.unique:
-            cache = self.cache = ProbeArrays(*self._by_slot())
-        elif cache is None:
-            buckets = self.buckets
-            slots: List[int] = []
-            keys: List[Key] = []
-            starts = np.empty(len(buckets), dtype=np.intp)
-            counts = np.empty(len(buckets), dtype=np.intp)
-            for b, bucket in enumerate(buckets.values()):
-                starts[b] = len(slots)
-                counts[b] = len(bucket)
-                slots.extend(bucket.values())
-                keys.extend(bucket)
-            if len(self.positions) == 1:
-                hooks: List[Key] = [(hook,) for hook in buckets]
-            else:
-                hooks = list(buckets)
-            cache = self.cache = ProbeArrays(
-                np.array(slots, dtype=np.intp),
-                _columns(keys, len(self.store.schema)),
-                _columns(hooks, len(self.positions)),
-                starts,
-                counts,
-            )
-        return cache
+        """The index in columnar form, built when none is cached."""
+        if self.cache is None:
+            fields = self._by_slot() if self.whole else self._by_bucket()
+            self.cache = ProbeArrays(*fields)
+        return self.cache
 
-    def patch(self, dead_slots: List[int], new_keys: List[Key], new_slots: List[int]) -> bool:
-        """Bring the cached arrays in step with the buckets, which first
-        lost the keys at ``dead_slots`` and then gained ``new_keys`` (at
-        ``new_slots``, in that order): entries leave and join at the
-        positions a rebuild would choose. False when a new key's values
-        do not fit the cached column types — the caller then drops the
-        cache.
-        """
-        arrays = self.cache
-        if self.unique:
-            return self._patch_unique(arrays, dead_slots, new_keys, new_slots)
-        slots, counts = arrays.slots, arrays.counts
-        key_cols, hook_cols = arrays.key_cols, arrays.hook_cols
-        high = self.store.high
-        regrouped = False
-        if dead_slots:
-            dead = np.zeros(high, dtype=bool)
-            dead[dead_slots] = True
-            keep = ~dead[slots]
-            owner = np.searchsorted(arrays.starts, np.flatnonzero(~keep), side="right") - 1
-            counts = counts - np.bincount(owner, minlength=len(counts))
-            slots = slots[keep]
-            key_cols = tuple(col[keep] for col in key_cols)
-            live = counts > 0
-            if not live.all():  # a bucket that empties leaves the dict
-                regrouped = True
-                counts = counts[live]
-                hook_cols = tuple(col[live] for col in hook_cols)
-        if new_keys:
-            # A key joins the end of its bucket, which is found through the
-            # bucket's first entry. A key that is its own bucket's first
-            # entry opened the bucket: those follow the old buckets, in
-            # the order they were opened (the dict's).
-            buckets, hook_of = self.buckets, self.hook_of
-            anchor = np.fromiter(
-                (next(iter(buckets[hook_of(key)].values())) for key in new_keys),
-                dtype=np.intp, count=len(new_keys),
-            )
-            joined = np.array(new_slots, dtype=np.intp)
-            opened = np.flatnonzero(anchor == joined)
-            kept = len(counts)
-            bucket_of = np.empty(high, dtype=np.intp)
-            bucket_of[slots] = np.repeat(np.arange(kept), counts)
-            bucket_of[joined[opened]] = kept + np.arange(len(opened))
-            owner = bucket_of[anchor]
-            ends = np.cumsum(counts)
-            if len(opened):
-                regrouped = True
-                hooks = [hook_of(new_keys[i]) for i in opened.tolist()]
-                if len(self.positions) == 1:
-                    hooks = [(hook,) for hook in hooks]
-                fitted = _fit(hook_cols, hooks)
-                if fitted is None:
-                    return False
-                hook_cols = tuple(np.concatenate(pair) for pair in fitted)
-                counts = np.concatenate((counts, np.zeros(len(opened), dtype=np.intp)))
-                ends = np.concatenate((ends, np.full(len(opened), len(slots))))
-            order = np.argsort(owner, kind="stable")
-            fitted = _fit(key_cols, [new_keys[i] for i in order.tolist()])
-            if fitted is None:
-                return False
-            # One merge order for every column: old entry k sorts at k, a
-            # new one just before the position it is inserted at.
-            merge = np.argsort(
-                np.concatenate((np.arange(len(slots)), ends[owner[order]] - 0.5)),
-                kind="stable",
-            )
-            key_cols = tuple(np.concatenate(pair)[merge] for pair in fitted)
-            slots = np.concatenate((slots, joined[order]))[merge]
-            counts = counts + np.bincount(owner, minlength=len(counts))
-        arrays.slots, arrays.counts = slots, counts
-        arrays.starts = np.cumsum(counts) - counts
-        arrays.key_cols, arrays.hook_cols = key_cols, hook_cols
-        if regrouped:
-            arrays.match = None
-        return True
+    def _by_bucket(self):
+        """Probe-array fields of a partial index, buckets back to back."""
+        buckets = self.buckets
+        keys = [key for bucket in buckets.values() for key in bucket]
+        counts = np.fromiter(map(len, buckets.values()), dtype=np.intp, count=len(buckets))
+        hooks = [(hook,) for hook in buckets] if len(self.positions) == 1 else list(buckets)
+        slots = np.fromiter(
+            map(self.view.slots.__getitem__, keys), dtype=np.intp, count=len(keys)
+        )
+        return (
+            slots,
+            _columns(keys, len(self.view.schema)),
+            _columns(hooks, len(self.positions)),
+            np.cumsum(counts) - counts,
+            counts,
+        )
 
     def _by_slot(self):
-        """Probe-array fields laid out by slot, with room for twice the slots."""
-        live = np.fromiter(self.store.slots.values(), dtype=np.intp, count=len(self.store))
-        size = 2 * self.store.high if len(live) else 0
+        """Probe-array fields of a whole-key index, laid out by slot, with
+        room for twice the slots."""
+        store = self.view
+        live = np.fromiter(store.slots.values(), dtype=np.intp, count=len(store))
+        size = 2 * store.high if len(live) else 0
         counts = np.zeros(size, dtype=np.intp)
         counts[live] = 1
-        cols = _columns(list(self.store.slots), len(self.store.schema))
+        cols = _columns(list(store.slots), len(store.schema))
         key_cols = tuple(np.zeros(size, dtype=col.dtype) for col in cols)
         for full, col in zip(key_cols, cols):
             full[live] = col
         slots = np.arange(size, dtype=np.intp)
-        return slots, key_cols, tuple(key_cols[p] for p in self.positions), slots, counts
+        return slots, key_cols, key_cols, slots, counts
 
-    def _patch_unique(self, arrays, dead_slots, new_keys, new_slots) -> bool:
-        """:meth:`patch` on the layout by slot, in amortized O(keys changed)."""
+    def patch(self, dead_slots: List[int], new_keys: List[Key], new_slots: List[int]) -> bool:
+        """Bring a whole-key index's cached arrays in step with the store,
+        which first lost the keys at ``dead_slots`` and then gained
+        ``new_keys`` (at ``new_slots``, in that order), in amortized
+        O(keys changed). False when a new key's values do not fit the
+        cached column types — the caller then drops the cache.
+        """
+        arrays = self.cache
         fitted = _fit(arrays.key_cols, new_keys) if new_keys else ()
         if fitted is None:
             return False
-        if not len(self.store) or len(arrays.counts) < self.store.high:
+        store = self.view
+        if not len(store) or len(arrays.counts) < store.high:
             self.cache = ProbeArrays(*self._by_slot())
             return True
         match = arrays.match
@@ -236,8 +163,7 @@ class StoreIndex(RelationIndex):
             if live:
                 for col, new in fitted:
                     col[slots] = new
-                arrays.key_cols = tuple(col for col, _ in fitted)
-                arrays.hook_cols = tuple(arrays.key_cols[p] for p in self.positions)
+                arrays.key_cols = arrays.hook_cols = tuple(col for col, _ in fitted)
             hooks = [col[slots] for col in arrays.hook_cols]
             if match is not None and not match.repoint(hooks, slots if live else -1):
                 match = None
@@ -282,8 +208,10 @@ class SlotStore(_IndexCarrier):
     Mutations follow :meth:`Relation.add_inplace` exactly — payload
     addition, a sum that is the exact ring zero deletes its key, a
     ring-zero delta for an absent key is skipped — and keep every built
-    index in step. ``support`` is the view's static feature support (the
-    block is allocated over it; the sparse cofactor ring ignores it).
+    index in step: a whole-key index reads ``slots`` itself, a partial
+    one gains and loses keys with it. ``support`` is the view's static
+    feature support (the block is allocated over it; the sparse
+    cofactor ring ignores it).
     """
 
     __slots__ = (
@@ -315,7 +243,7 @@ class SlotStore(_IndexCarrier):
         return store
 
     def _build_index(self, attrs) -> StoreIndex:
-        return StoreIndex(self, attrs).build(self.slots)
+        return StoreIndex(self, attrs)
 
     # ------------------------------------------------------------------
     # Reads (all copies)
@@ -326,6 +254,12 @@ class SlotStore(_IndexCarrier):
 
     def __contains__(self, key: Key) -> bool:
         return key in self.slots
+
+    def get(self, key: Key) -> Any:
+        """Row view of ``key``'s payload, None when absent — row mode's
+        whole-key probe; it may alias the block (see the module notes)."""
+        slot = self.slots.get(key)
+        return None if slot is None else self.ring.row(self.block, slot)
 
     def payload(self, key: Key) -> Any:
         """Copy of ``key``'s payload (ring zero when absent)."""
@@ -406,9 +340,10 @@ class SlotStore(_IndexCarrier):
 
         One slot lookup per key, one ``add_at`` over the hit rows, one
         zero test over the touched rows; only inserts and deletes write
-        the dict and the buckets. Hits never move a key and batch keys
-        are distinct, so deleting after the hits and appending the live
-        misses last lands :meth:`add_inplace`'s key and bucket orders.
+        the dict and the partial indexes' buckets. Hits never move a
+        key and batch keys are distinct, so deleting after the hits and
+        appending the live misses last lands :meth:`add_inplace`'s key
+        and bucket orders.
         ``distinct`` is the caller's promise that no key repeats (the
         fused program groups by key first), which skips hashing every
         key once more to find out. Returns how many cached
@@ -477,24 +412,29 @@ class SlotStore(_IndexCarrier):
         self.ring.set_rows(self.block, np.array(slots, dtype=np.intp), rows)
         self.slots.update(zip(keys, slots))
         for index in self.indexes.values():
-            for key, slot in zip(keys, slots):
-                index.set(key, slot)
+            if not index.whole:
+                for key in keys:
+                    index.add(key)
         return slots
 
     def _delete(self, keys: List[Key]) -> List[int]:
         slots = list(map(self.slots.pop, keys))
         self.free.extend(slots)
         for index in self.indexes.values():
-            for key in keys:
-                index.discard(key)
+            if not index.whole:
+                for key in keys:
+                    index.discard(key)
         return slots
 
     def _keys_changed(self, dead_slots: List[int], new_keys: List[Key], new_slots: List[int]) -> int:
-        """Patch the cached probe arrays after deletes, then inserts;
-        returns how many could not be patched and were dropped."""
+        """Patch the whole-key indexes' cached probe arrays after deletes,
+        then inserts, and drop the partial ones' (the next columnar probe
+        builds them again); returns how many were dropped."""
         dropped = 0
         for index in self.indexes.values():
-            if index.cache is not None and not index.patch(dead_slots, new_keys, new_slots):
+            if index.cache is None:
+                continue
+            if not (index.whole and index.patch(dead_slots, new_keys, new_slots)):
                 index.cache = None
                 dropped += 1
         return dropped

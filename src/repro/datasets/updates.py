@@ -135,19 +135,3 @@ class UpdateStream:
         same seed the batched pipeline, and the results must agree.
         """
         yield from tuple_events(self.bulk(total_updates))
-
-    def timed_tuples(
-        self, total_updates: int, start: int = 0
-    ) -> Iterator[Tuple[str, Tuple, int, int]]:
-        """Single-tuple events stamped with an event time (their index).
-
-        The timed form :class:`~repro.data.windows.WindowedStream`
-        consumes: ``(name, row, ±1, time)`` with times non-decreasing
-        from ``start``. The default index clock means window sizes are
-        measured in event counts, which keeps windowed runs exactly
-        reproducible from ``(seed, total_updates)`` alone.
-        """
-        for index, (name, row, step) in enumerate(
-            self.tuples(total_updates), start
-        ):
-            yield name, row, step, index

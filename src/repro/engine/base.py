@@ -93,11 +93,11 @@ class EngineStatistics:
     #: Lifecycle of the probe arrays a slot-store index caches for the
     #: fused probe (names predate the stores): probes that reused live
     #: arrays, arrays (re)built, and live arrays dropped. Payload updates
-    #: leave the arrays alone and key inserts and deletes are patched
-    #: into them; only a new key whose values the cached column types
-    #: cannot hold (a string in an integer column) drops them, so
-    #: ``mirror_invalidations`` close to ``mirror_builds`` means a view's
-    #: key columns keep changing type.
+    #: leave the arrays alone. Key inserts and deletes are patched into
+    #: a whole-key index's arrays, which drop only for a new key whose
+    #: values the cached column types cannot hold (a string in an
+    #: integer column), and drop a partial index's arrays, which the
+    #: next columnar probe builds again.
     mirror_hits: int = 0
     mirror_builds: int = 0
     mirror_invalidations: int = 0

@@ -8,8 +8,11 @@ size (``EngineStatistics.COLUMNAR_MIN_DELTA``):
 - **row mode** (small deltas, e.g. single-tuple updates, and every
   delta on dict views): one payload object per key, driven by the
   compiled hook / keep / group positions and lift lists — lift and scale
-  each delta row (times the decay boost, below), probe each sibling
-  through its persistent index (``matches``), multiply with the ring's
+  each delta row (times the decay boost, below), probe each sibling —
+  one ``get`` on its own key map when the probe carries its whole key
+  (every probe but a dimension update's into its fact leaf, or a free
+  variable's), else its partial index's ``matches`` — multiply with
+  the ring's
   payload ``mul`` (plain ``*`` for scalar rings), group-sum in dicts in
   row order, and add into the stored views (``SlotStore.add_inplace``,
   or a dict view's ``Relation._add_rows``). No
@@ -42,8 +45,9 @@ mode's left-to-right adds). Columnar mode rests on:
 - **columnar sibling probes** — every stored view is a
   :class:`~repro.data.store.SlotStore`, and each of its indexes caches
   its :class:`~repro.data.store.ProbeArrays` (key columns, bucket ranges,
-  hook value columns and row slots; patched, not rebuilt, when the view
-  gains or loses keys): probe hooks are matched against buckets
+  hook value columns and row slots; a whole-key index's are laid out by
+  slot and patched when the view gains or loses keys, a partial index's
+  built again after such a change): probe hooks are matched against buckets
   numerically — through a hook-code -> bucket table when the index's
   hook columns are integers of a packed range within ``_DIRECT_LIMIT``,
   via per-column ``searchsorted`` otherwise — match pairs are expanded
@@ -65,6 +69,7 @@ import numpy as np
 
 from repro.data.columnar import bulk_liftable, column_array, lift_column
 from repro.data.relation import Relation, _hook_getter, _key_getter, _positions
+from repro.data.store import SlotStore
 from repro.engine.base import EngineStatistics
 
 __all__ = ["FusedPath", "compile_fused_path"]
@@ -377,8 +382,8 @@ def _hook_table(live, cols):
 
 
 def _hook_match(arrays) -> _HookMatch:
-    """The index's matching structures, rebuilt after ``StoreIndex.patch``
-    reset them."""
+    """The index's matching structures, built again after the probe
+    arrays were (re)built or ``StoreIndex.patch`` reset them."""
     match = arrays.match
     if match is None:
         match = arrays.match = _HookMatch(arrays)
@@ -609,7 +614,8 @@ class _FusedProbe:
     extractors."""
 
     __slots__ = (
-        "sibling", "attrs", "hook_positions", "keep_positions", "hook_of", "rest_of",
+        "sibling", "attrs", "hook_positions", "keep_positions", "whole",
+        "hook_of", "key_of", "rest_of",
     )
 
     def __init__(
@@ -618,6 +624,7 @@ class _FusedProbe:
         attrs: Tuple[str, ...],
         hook_positions: Tuple[int, ...],
         keep_positions: Tuple[int, ...],
+        whole: bool,
     ):
         self.sibling = sibling
         self.attrs = attrs
@@ -625,33 +632,49 @@ class _FusedProbe:
         self.hook_positions = hook_positions
         #: Positions (in the sibling key) of its non-shared suffix.
         self.keep_positions = keep_positions
-        #: Row mode: a running key's hook (the index's hook form) and a
-        #: sibling key's non-shared suffix.
+        #: The probe carries the sibling's whole key, in key order.
+        self.whole = whole
+        #: Row mode: a running key's hook (the index's hook form), the
+        #: sibling key it names when ``whole``, and a sibling key's
+        #: non-shared suffix.
         self.hook_of = _hook_getter(hook_positions)
+        self.key_of = _key_getter(hook_positions)
         self.rest_of = _key_getter(keep_positions)
 
     def run_rows(self, rows, sibling, index, mul, is_zero, stats):
         """Row mode of :meth:`run`: join the running ``key -> payload``
-        dict with the sibling through ``index``, delta rows outer and
-        bucket entries inner. The running keys are distinct and a
-        sibling key is its hook plus its suffix, so every product lands
-        on its own key; exact ring-zero products drop."""
+        dict with the sibling, delta rows outer and sibling entries
+        inner — one lookup in the sibling's own map when the probe
+        carries its whole key, else the entries of ``index``'s bucket.
+        The running keys are distinct and a sibling key is its hook plus
+        its suffix, so every product lands on its own key; exact
+        ring-zero products drop."""
         if not len(sibling):
             return {}  # no lookups, so none counted
         out = {}
-        matches, hook_of, rest_of = index.matches, self.hook_of, self.rest_of
         hits = 0
-        for key_a, payload_a in rows.items():
-            bucket = matches(hook_of(key_a))
-            if not bucket:
-                continue
-            hits += 1
-            for key_b, payload_b in bucket:
+        if self.whole:
+            get = sibling.get if isinstance(sibling, SlotStore) else sibling.data.get
+            key_of = self.key_of
+            for key_a, payload_a in rows.items():
+                payload_b = get(key_of(key_a))
+                if payload_b is None:
+                    continue
+                hits += 1
                 product = mul(payload_a, payload_b)
                 if not is_zero(product):
-                    out[key_a + rest_of(key_b)] = product
-        index.probes += len(rows)
-        index.hits += hits
+                    out[key_a] = product
+        else:
+            matches, hook_of, rest_of = index.matches, self.hook_of, self.rest_of
+            for key_a, payload_a in rows.items():
+                bucket = matches(hook_of(key_a))
+                if not bucket:
+                    continue
+                hits += 1
+                for key_b, payload_b in bucket:
+                    product = mul(payload_a, payload_b)
+                    if not is_zero(product):
+                        out[key_a + rest_of(key_b)] = product
         stats.index_probes += len(rows)
         stats.index_hits += hits
         return out
@@ -684,8 +707,6 @@ class _FusedProbe:
             ent_start = arrays.starts[bucket_idx]
             ent_count = arrays.counts[bucket_idx]
         hits = len(keep_arr)
-        index.probes += k
-        index.hits += hits
         stats.index_probes += k
         stats.index_hits += hits
         if not hits:
@@ -753,8 +774,9 @@ class FusedPath:
     - **row** (:meth:`rows`, every other delta): one payload per key
       and one ring call per operation (lift, ``mul`` per probe match,
       ``copy``/``add_inplace`` per group, in row order — the C-level
-      number operators for scalar rings), siblings probed through their
-      index's ``matches`` and the views added into through
+      number operators for scalar rings), siblings probed by one lookup
+      of their whole key or through a partial index's ``matches``, and
+      the views added into through
       ``_add_rows`` — slot stores and dict views alike; it counts
       ``probe_steps``, and builds no :class:`Relation`.
 
@@ -1041,9 +1063,10 @@ def compile_fused_path(engine, relation_name: str) -> FusedPath:
             keep_positions = tuple(
                 i for i, attr in enumerate(sibling_key) if attr not in schema_now
             )
+            whole = bool(sibling_key) and tuple(step.attrs) == tuple(sibling_key)
             probes.append(
                 _FusedProbe(
-                    step.sibling, tuple(step.attrs), hook_positions, keep_positions
+                    step.sibling, tuple(step.attrs), hook_positions, keep_positions, whole
                 )
             )
             schema_now = schema_now + tuple(sibling_key[i] for i in keep_positions)

@@ -515,10 +515,6 @@ class FIVMEngine(MaintenanceEngine):
             for key, payload in data.items():
                 data[key] = scale_float(payload, factor)
             view._columnar = None
-            # Buckets alias the replaced payloads; a bucket's entries are
-            # in view order, so rebuilding from the view keeps that order.
-            for index in getattr(view, "indexes", {}).values():
-                index.build(data)
         self.pending_ticks = 0
         self.boost = 1.0
         self.stats.decay_settles += 1
@@ -553,8 +549,9 @@ class FIVMEngine(MaintenanceEngine):
         Cofactor plans add ``support``, the names of the features lifted
         in the view's subtree. Views carrying persistent indexes
         additionally report ``indexes`` (how many), their total
-        ``index_entries`` (one per live key per index; payloads are
-        shared, not copied) and ``index_buckets``. Stored views add
+        ``index_entries`` (one per live key per index) and
+        ``index_buckets`` (one per key for a whole-key index, which is
+        the view's own key map and holds nothing itself). Stored views add
         ``capacity`` (rows allocated) and ``free_slots`` (rows deletes
         gave back), sparse cofactor views ``arena_cells`` (their row
         arena's cells, live or not). ``stored`` tells the views the engine
@@ -694,7 +691,7 @@ class FIVMEngine(MaintenanceEngine):
         :class:`IndexedRelation` when some maintenance path probes the
         view (the probe plan names exactly those attribute tuples) and
         the plain relation when none does (e.g. the root). Indexes are
-        only registered here; the hash maps materialize on first probe.
+        only registered here and built on first probe.
         """
         specs = self.probe_plan.index_specs.get(relation.name, ())
         if self._stored:

@@ -105,9 +105,6 @@ class WorkerSupervisor:
         )
         self.log.clear()
 
-    def has_baseline(self) -> bool:
-        return self._baseline_blob is not None
-
     def baseline_views(self) -> Dict[str, Dict]:
         if self._baseline_blob is None:
             raise SupervisionError(

@@ -108,7 +108,7 @@ def child_pids(pid):
 
 class _GenericIntegerRing(IntegerRing):
     """Z with ``is_scalar`` off: the same data takes the generic-ring
-    branches of Relation/IndexedRelation (``ring.add``/``ring.is_zero``
+    branch of ``Relation._add_rows`` (``ring.add``/``ring.is_zero``
     dispatch instead of native ``+`` and truthiness), so scalar ≡ generic
     is checked without a switch in ``src/``."""
 

@@ -135,8 +135,8 @@ class TestStoreBlockScatter:
         view.add_block(keys, ring.make_block([count(v) for v in (-1.0, 4.0, 5.0)]))
         assert dict(view.data) == {(2, "b"): count(4.0), (2, "c"): count(5.0)}
         assert index.entry_count() == 2
-        assert index.get(1) is None
-        assert list(index.get(2)) == [(2, "b"), (2, "c")]
+        assert index.keys(1) == ()
+        assert index.keys(2) == ((2, "b"), (2, "c"))
         assert [key for key, _ in index.matches(2)] == [(2, "b"), (2, "c")]
         assert [payload for _, payload in index.matches(2)] == [count(4.0), count(5.0)]
 

@@ -1,10 +1,15 @@
-"""Persistent relation indexes: consistency, probing, cancellation."""
+"""Persistent relation indexes: consistency, probing, cancellation.
+
+A whole-key index is the view's own key map; a partial index's buckets
+hold keys, never payloads, so every assertion on a bucket is on its
+keys and every payload is read through the view.
+"""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.data import IndexedRelation, Relation, RelationIndex
+from repro.data import IndexedRelation, Relation
 from repro.errors import DataError, SchemaError
 from repro.rings.scalar import Z
 
@@ -24,38 +29,62 @@ def indexed(schema, entries, attrs, ring=Z):
     return relation
 
 
+def bucket_keys(index):
+    """Every partial bucket as ``hook -> [keys]``, in bucket order."""
+    return {hook: list(bucket) for hook, bucket in index.buckets.items()}
+
+
 class TestRelationIndex:
-    def test_build_groups_by_hook(self):
-        index = RelationIndex(("A", "B"), ("A",))
-        index.build({("x", 1): 2, ("x", 2): 3, ("y", 1): 4})
-        assert index.get("x") == {("x", 1): 2, ("x", 2): 3}
-        assert index.get("y") == {("y", 1): 4}
-        assert index.get("z") is None
+    def test_build_groups_keys_by_hook(self):
+        relation = indexed(("A", "B"), {("x", 1): 2, ("x", 2): 3, ("y", 1): 4}, ("A",))
+        index = relation.index_on(("A",))
+        assert bucket_keys(index) == {"x": [("x", 1), ("x", 2)], "y": [("y", 1)]}
+        assert index.keys("z") == ()
         assert index.entry_count() == 3
         assert index.bucket_count() == 2
 
     def test_multi_attr_hook_is_tuple(self):
-        index = RelationIndex(("A", "B", "C"), ("A", "B"))
-        index.build({("x", 1, "p"): 5})
-        assert index.get(("x", 1)) == {("x", 1, "p"): 5}
+        relation = indexed(("A", "B", "C"), {("x", 1, "p"): 5}, ("A", "B"))
+        assert relation.index_on(("A", "B")).keys(("x", 1)) == (("x", 1, "p"),)
 
     def test_empty_attrs_single_bucket(self):
-        index = RelationIndex(("A", "B"), ())
-        index.build({("x", 1): 1, ("y", 2): 2})
-        assert index.bucket_count() == 1
-        assert index.get(()) == {("x", 1): 1, ("y", 2): 2}
+        relation = indexed(("A", "B"), {("x", 1): 1, ("y", 2): 2}, ())
+        index = relation.index_on(())
+        assert not index.whole and index.bucket_count() == 1
+        assert index.keys(()) == (("x", 1), ("y", 2))
 
     def test_unknown_attr_rejected(self):
         with pytest.raises(SchemaError):
-            RelationIndex(("A", "B"), ("Z",))
+            IndexedRelation(("A", "B")).add_index(("Z",))
 
     def test_discard_removes_empty_bucket(self):
-        index = RelationIndex(("A", "B"), ("A",))
-        index.build({("x", 1): 2})
+        relation = indexed(("A", "B"), {("x", 1): 2}, ("A",))
+        index = relation.index_on(("A",))
         index.discard(("x", 1))
-        assert index.get("x") is None
+        assert index.keys("x") == ()
         assert index.bucket_count() == 0
         index.discard(("x", 1))  # idempotent on absent entries
+
+    def test_whole_key_index_is_the_relations_own_map(self):
+        """On the view's whole key, in key order, the index keeps no
+        bucket: lookups, counts and matches read the relation."""
+        relation = indexed(("A", "B"), {("x", 1): 2, ("y", 1): 4}, ("A", "B"))
+        index = relation.index_on(("A", "B"))
+        assert index.whole and index.buckets is None
+        assert index.keys(("x", 1)) == (("x", 1),) and index.keys(("x", 2)) == ()
+        relation.add_inplace(z_relation(("A", "B"), {("x", 2): 3, ("y", 1): -4}))
+        assert index.buckets is None
+        assert index.entry_count() == index.bucket_count() == len(relation) == 2
+        assert index.matches(("x", 2)) == [(("x", 2), 3)]
+        assert not index.matches(("y", 1))
+        # Unary keys hook as bare values, as partial hooks do.
+        unary = indexed(("A",), {("x",): 1}, ("A",)).index_on(("A",))
+        assert unary.whole and unary.keys("x") == (("x",),)
+
+    def test_the_whole_key_out_of_order_is_partial(self):
+        relation = indexed(("A", "B"), {("x", 1): 2}, ("B", "A"))
+        index = relation.index_on(("B", "A"))
+        assert not index.whole and bucket_keys(index) == {(1, "x"): [("x", 1)]}
 
 
 class TestIndexedRelationMaintenance:
@@ -63,9 +92,17 @@ class TestIndexedRelationMaintenance:
         relation = indexed(("A", "B"), {("x", 1): 2}, ("A",))
         relation.add_inplace(z_relation(("A", "B"), {("x", 2): 3, ("y", 1): 1}))
         index = relation.index_on(("A",))
-        assert index.get("x") == {("x", 1): 2, ("x", 2): 3}
-        assert index.get("y") == {("y", 1): 1}
+        assert bucket_keys(index) == {"x": [("x", 1), ("x", 2)], "y": [("y", 1)]}
         assert index.entry_count() == len(relation)
+
+    def test_payload_updates_leave_the_buckets_alone(self):
+        relation = indexed(("A", "B"), {("x", 1): 2, ("x", 2): 1}, ("A",))
+        index = relation.index_on(("A",))
+        bucket = index.buckets["x"]
+        relation.add_inplace(z_relation(("A", "B"), {("x", 1): 5}))
+        assert index.buckets["x"] is bucket and list(bucket) == [("x", 1), ("x", 2)]
+        assert set(bucket.values()) == {None}
+        assert dict(index.matches("x")) == {("x", 1): 7, ("x", 2): 1}
 
     def test_insert_then_delete_empties_bucket(self):
         """Cancellation must drop index buckets, not leave dead ones."""
@@ -73,11 +110,23 @@ class TestIndexedRelationMaintenance:
         relation.add_inplace(z_relation(("A", "B"), {("x", 1): 1, ("x", 2): 1}))
         relation.add_inplace(z_relation(("A", "B"), {("x", 1): -1}))
         index = relation.index_on(("A",))
-        assert index.get("x") == {("x", 2): 1}
+        assert index.keys("x") == (("x", 2),)
         relation.add_inplace(z_relation(("A", "B"), {("x", 2): -1}))
-        assert index.get("x") is None
+        assert index.keys("x") == ()
         assert index.bucket_count() == 0
         assert relation.data == {}
+
+    def test_a_bucket_keeps_its_place_while_it_holds_a_key(self):
+        """A key joining before the last one leaves keeps the bucket where
+        it was; one joining after it reopens the bucket at the end — the
+        order the rows arrive in, as a rebuild over the relation sees it."""
+        relation = indexed(("A", "B"), {("x", 1): 1, ("y", 1): 1}, ("A",))
+        index = relation.index_on(("A",))
+        relation.add_inplace(z_relation(("A", "B"), {("x", 2): 1, ("x", 1): -1}))
+        assert list(index.buckets) == ["x", "y"]
+        relation.add_inplace(z_relation(("A", "B"), {("x", 2): -1, ("x", 3): 1}))
+        assert list(index.buckets) == ["y", "x"]
+        assert bucket_keys(index) == {"y": [("y", 1)], "x": [("x", 3)]}
 
     def test_generic_path_maintains_index(self):
         relation = indexed(("A", "B"), {("x", 1): 2}, ("A",), ring=GENERIC_Z)
@@ -85,17 +134,19 @@ class TestIndexedRelationMaintenance:
         delta.data = {("x", 1): -2, ("y", 3): 0, ("z", 4): 5}
         relation.add_inplace(delta)
         index = relation.index_on(("A",))
-        assert index.get("x") is None  # cancelled
-        assert index.get("y") is None  # ring-zero payload never parked
-        assert index.get("z") == {("z", 4): 5}
+        assert index.keys("x") == ()  # cancelled
+        assert index.keys("y") == ()  # ring-zero payload never parked
+        assert index.keys("z") == (("z", 4),)
 
     def test_multiple_indexes_updated_together(self):
         relation = IndexedRelation(("A", "B"), Z)
         relation.add_index(("A",))
         relation.add_index(("B",))
+        relation.add_index(("A", "B"))
         relation.add_inplace(z_relation(("A", "B"), {("x", 1): 1}))
-        assert relation.index_on(("A",)).get("x") == {("x", 1): 1}
-        assert relation.index_on(("B",)).get(1) == {("x", 1): 1}
+        assert relation.index_on(("A",)).keys("x") == (("x", 1),)
+        assert relation.index_on(("B",)).keys(1) == (("x", 1),)
+        assert relation.index_on(("A", "B")).keys(("x", 1)) == (("x", 1),)
 
     def test_add_index_is_idempotent(self):
         relation = indexed(("A", "B"), {("x", 1): 1}, ("A",))
@@ -116,9 +167,9 @@ class TestIndexedRelationMaintenance:
 
 
 class TestMatches:
-    """``RelationIndex.matches`` — what row mode's sibling probe iterates —
-    yields exactly the live entries under a hook, whatever maintenance
-    the relation went through."""
+    """``RelationIndex.matches`` — what row mode's partial probe
+    iterates — yields exactly the live entries under a hook, whatever
+    maintenance the relation went through."""
 
     def test_matches_yields_the_bucket_entries(self):
         relation = indexed(("A", "C"), {("x", 10): 5, ("x", 11): 7, ("y", 12): -3}, ("A",))
@@ -153,10 +204,15 @@ class TestMatches:
     )
     def test_matches_equal_a_scan_on_random_streams(self, deltas, ring):
         relation = indexed(("A", "C"), {}, ("A",), ring)
+        whole = relation.add_index(("A", "C"))
         for entries in deltas:
             relation.add_inplace(z_relation(("A", "C"), entries, ring))
         index = relation.index_on(("A",))
         for hook in range(6):
             live = {key: p for key, p in relation.data.items() if key[0] == hook}
             assert dict(index.matches(hook)) == live
-        assert index.entry_count() == len(relation)
+            for key, payload in live.items():
+                assert whole.matches(key) == [(key, payload)]
+        assert index.entry_count() == whole.entry_count() == len(relation)
+        assert whole.buckets is None
+        assert all(set(b.values()) == {None} for b in index.buckets.values())

@@ -1,13 +1,14 @@
 """SlotStore against the dict model it replaced, on generated histories.
 
 A ``RuleBasedStateMachine`` drives one store and one plain
-``IndexedRelation`` (dict of payload objects + ``RelationIndex`` buckets
-— the reference representation, still what scalar and general rings use)
+``IndexedRelation`` (dict of payload objects + ``RelationIndex`` — the
+reference representation, still what scalar and general rings use)
 through interleaved block scatters and small dict deltas, and after
 every step demands the same keys in the same order, ``np.array_equal``
-rows, every built bucket listing its entries in the model's order, and
-cached probe arrays — patched on every key insert and delete — equal to
-a rebuild. Integer-valued floats keep the arithmetic exact, so a delete
+rows, whole-key indexes that read the store's own rows, partial buckets
+listing their keys in the model's order, and probe arrays equal to a
+rebuild — a whole-key index's patched on every key insert and delete, a
+partial one's built again after it. Integer-valued floats keep the arithmetic exact, so a delete
 really does cancel to the exact ring zero. The machine runs over the
 numeric cofactor ring (dense rows) and the sparse one (ragged rows).
 """
@@ -122,7 +123,7 @@ def store_machine(ring, support, payloads, rows_equal, grown):
         @rule(attrs=st.sampled_from([("A",), ("B",), ("A", "B"), ()]), cached=st.booleans())
         def build_index(self, attrs, cached):
             """``cached``: the probe arrays exist from here on, so every
-            later insert and delete has to patch them."""
+            later insert and delete has to patch a whole-key index's."""
             index = self.store.ensure_index(attrs)
             self.model.ensure_index(attrs)
             if cached:
@@ -148,17 +149,29 @@ def store_machine(ring, support, payloads, rows_equal, grown):
             assert all(ring.eq(ring.row(store.block, slot), zero) for slot in store.free)
 
         @invariant()
-        def buckets_match_the_model(self):
+        def indexes_read_the_store(self):
+            """A whole-key index is the store's own map: its ``matches``
+            is the store's row. A partial one holds keys only, in the
+            model's order, and its probe arrays — cached or built now —
+            equal a fresh build; a whole-key one's, patched on every key
+            insert and delete, read as a rebuild too."""
             store, model = self.store, self.model
             assert set(store.indexes) == set(model.indexes)
             for attrs, index in store.indexes.items():
                 reference = model.indexes[attrs]
-                assert set(index.buckets) == set(reference.buckets)
-                for hook, bucket in reference.buckets.items():
-                    assert list(index.buckets[hook]) == list(bucket)
-                    assert index.buckets[hook] == {
-                        key: store.slots[key] for key in bucket
-                    }
+                assert index.whole == reference.whole == (attrs == SCHEMA)
+                if index.whole:
+                    assert index.buckets is None and reference.buckets is None
+                    for key, slot in store.slots.items():
+                        [(found, row)] = index.matches(key)
+                        assert found == key
+                        assert ring.eq(row, ring.row(store.block, slot))
+                else:
+                    assert list(index.buckets) == list(reference.buckets)
+                    for hook, bucket in reference.buckets.items():
+                        assert list(index.buckets[hook]) == list(bucket)
+                        assert set(index.buckets[hook].values()) == {None}
+                    index.probe_arrays()
                 if index.cache is not None:
                     assert_same_as_rebuilt(index)
                     live = [s for *_, slots in probe_entries(index.cache) for s in slots]

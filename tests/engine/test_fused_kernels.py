@@ -176,19 +176,21 @@ class TestFusedBitEquality:
 
 class TestProbeArrays:
     """Cached probe arrays can never serve a probe stale state: they hold
-    no payloads, and every key insert or delete is patched into them."""
+    no payloads, every key insert or delete is patched into a whole-key
+    index's, and it drops a partial index's for the next probe to build
+    again."""
 
     def ring(self):
         return NumericCofactorRing(CofactorLayout(("x",)))
 
-    def indexed(self):
+    def indexed(self, attrs=("A",)):
         ring = self.ring()
         rel = SlotStore(("A", "B"), ring, support=(0,))
         block = ring.make_block(
             [ring.lift(0, float(v)) for v in (1.0, 2.0, 3.0)]
         )
         rel.add_block([(1, 10), (2, 20), (2, 21)], block)
-        return ring, rel, rel.ensure_index(("A",))
+        return ring, rel, rel.ensure_index(attrs)
 
     def test_layout_matches_buckets(self):
         ring, rel, index = self.indexed()
@@ -203,10 +205,10 @@ class TestProbeArrays:
             assert [
                 tuple(col[i] for col in arrays.key_cols)
                 for i in range(start, start + count)
-            ] == list(bucket.keys())
-            assert arrays.slots[start : start + count].tolist() == list(
-                bucket.values()
-            )
+            ] == list(bucket)
+            assert arrays.slots[start : start + count].tolist() == [
+                rel.slots[key] for key in bucket
+            ]
             total += count
         assert total == len(rel) == len(arrays.slots)
         gathered = ring.take(rel.block, arrays.slots)
@@ -215,8 +217,9 @@ class TestProbeArrays:
     @pytest.mark.parametrize(
         "mutate", ("add_inplace", "add_block", "delete_inplace", "delete_block")
     )
-    def test_every_key_change_is_patched_into_the_arrays(self, mutate):
-        ring, rel, index = self.indexed()
+    @pytest.mark.parametrize("attrs", (("A", "B"), ("A",)), ids=("whole", "partial"))
+    def test_every_key_change_is_patched_or_drops_the_arrays(self, mutate, attrs):
+        ring, rel, index = self.indexed(attrs)
         arrays = index.probe_arrays()
         payload = ring.lift(0, 5.0)
         gone = ring.neg(ring.lift(0, 1.0))  # cancels (1, 10) exactly
@@ -228,19 +231,25 @@ class TestProbeArrays:
             dropped = rel.add_inplace({(1, 10): gone})
         else:
             dropped = rel.add_block([(1, 10)], ring.make_block([gone]))
-        assert dropped == 0 and index.cache is arrays
-        assert arrays.match is None  # a bucket came or went
-        assert len(arrays.slots) == len(rel) == index.entry_count()
-        assert_same_as_rebuilt(index)
+        if index.whole:
+            assert dropped == 0 and index.cache is arrays
+            assert arrays.match is None  # a bucket came or went
+            assert_same_as_rebuilt(index)
+        else:
+            assert dropped == 1 and index.cache is None
+        assert index.entry_count() == len(rel)
+        live = index.probe_arrays().counts
+        assert int(live.sum()) == len(rel)
 
     def test_a_key_the_columns_cannot_hold_drops_the_arrays(self):
-        ring, rel, index = self.indexed()
+        whole = ("A", "B")
+        ring, rel, index = self.indexed(whole)
         index.probe_arrays()
         assert rel.add_block([("nine", 90)], ring.make_block([ring.lift(0, 5.0)])) == 1
         assert index.cache is None
         assert index.probe_arrays().key_cols[0].dtype == object
         # A wider number is absorbed the way a rebuild would type it.
-        ring, rel, index = self.indexed()
+        ring, rel, index = self.indexed(whole)
         index.probe_arrays()
         assert rel.add_block([(2.5, 7)], ring.make_block([ring.lift(0, 5.0)])) == 0
         assert index.cache.key_cols[0].dtype == np.float64
@@ -545,7 +554,7 @@ class TestHookMatchingPaths:
         assert (keep.tolist(), buckets.tolist()) == ([0, 2], [1, 0])
 
     def test_a_one_key_per_bucket_index_repoints_its_table(self):
-        """Hashing every key attribute, an index lays its buckets out by
+        """Hashing the whole key, an index lays its buckets out by
         slot: a delete or an insert writes its own slot's count, key and
         table cell — the table object survives — unless a new hook falls
         outside the table's ranges, which drops it for a rebuild. Every
@@ -558,16 +567,16 @@ class TestHookMatchingPaths:
             store.add_block(keys, ring.make_block([payload] * len(keys)))
 
         add([(1, 10), (2, 20), (3, 30)])
-        index = store.ensure_index(("B", "A"))
-        assert index.unique
+        index = store.ensure_index(("A", "B"))
+        assert index.whole
         arrays = index.probe_arrays()
-        probes = [np.array([20, 21, 10, 30, 40, 20]), np.array([2, 2, 1, 3, 4, 2], dtype=np.int16)]
+        probes = [np.array([2, 2, 1, 3, 4, 2], dtype=np.int16), np.array([20, 21, 10, 30, 40, 20])]
         reps = np.arange(6)
 
         def check():
             want = ([], [])
             for g, hook in enumerate(zip(*(col.tolist() for col in probes))):
-                slot = store.slots.get(hook[::-1])
+                slot = store.slots.get(hook)
                 if slot is not None:
                     want[0].append(g)
                     want[1].append(slot)
@@ -581,7 +590,7 @@ class TestHookMatchingPaths:
         add([(2, 21)])  # an insert inside the ranges, into that slot
         assert index.cache is arrays and check() is table
         # A float probe takes the sorted form, built from the live keys now.
-        keep, buckets = _match_reps([probes[0].astype(float), probes[1]], reps, arrays)
+        keep, buckets = _match_reps([probes[0], probes[1].astype(float)], reps, arrays)
         assert (keep.tolist(), buckets.tolist()) == ([1, 2, 3], [1, 0, 2])
         assert table.sorted_built and arrays.match is table
         add([(4, 40)])  # outside them
@@ -591,7 +600,7 @@ class TestHookMatchingPaths:
             assert got == ([1, 4], [store.slots[(2, 21)], store.slots[(4, 40)]])
         assert_same_as_rebuilt(index)
 
-    def test_buckets_added_and_removed_by_patch_reach_every_path(self):
+    def test_buckets_added_and_removed_reach_every_path_after_a_rebuild(self):
         ring = NumericCofactorRing(CofactorLayout(("x",)))
         store = SlotStore(("A", "B"), ring, support=(0,))
         store.add_block(
@@ -615,10 +624,12 @@ class TestHookMatchingPaths:
 
         assert check() == ([1, 2], [0, 1])
         store.add_block([(9, 90), (40, 1)], ring.make_block([ring.lift(0, 5.0)] * 2))
-        assert index.cache is arrays and arrays.match is None  # patched, table dropped
+        assert index.cache is None  # a partial index's arrays drop
+        arrays = index.probe_arrays()
         assert check() == ([1, 2, 3, 4], [0, 1, 2, 3])
         store.add_block([(1, 10)], ring.make_block([ring.neg(ring.lift(0, 1.0))]))
-        assert index.cache is arrays and arrays.match is None
+        assert index.cache is None
+        arrays = index.probe_arrays()
         assert check() == ([2, 3, 4], [0, 1, 2])
 
 

@@ -132,8 +132,14 @@ class TestViewForms:
             assert entry["free_slots"] == len(view.free)
             if view.indexes:
                 assert entry["index_entries"] == len(view) * len(view.indexes)
+                # A whole-key index has one hook per key and no bucket dict.
                 assert entry["index_buckets"] == sum(
-                    len(index.buckets) for index in view.indexes.values()
+                    len(view) if index.whole else len(index.buckets)
+                    for index in view.indexes.values()
+                )
+                assert all(
+                    (index.buckets is None) == index.whole
+                    for index in view.indexes.values()
                 )
         assert any(entry["free_slots"] for entry in report.values())
         assert any("index_entries" in entry for entry in report.values())
