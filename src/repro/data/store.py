@@ -8,7 +8,9 @@ it would over a dict relation — plus one growing payload block whose row
 ``slot`` holds the key's payload, and a free list of the rows exact-zero
 deletes gave back. Both modes of the compiled maintenance program read
 and write these rows: columnar mode scatters with
-:meth:`SlotStore.add_block` and gathers probe matches with
+:meth:`SlotStore.add_block` — one ring pass: each new key takes a zero
+row first, so one ``add_at`` and one zero test cover hits and new keys
+alike — and gathers probe matches with
 ``ring.take(store.block, slots)``; row mode adds small deltas with
 :meth:`SlotStore.add_inplace` and joins against row views — of one key
 (:meth:`SlotStore.get`) when it probes the whole key, of a partial
@@ -336,14 +338,19 @@ class SlotStore(_IndexCarrier):
     _add_rows = add_inplace
 
     def add_block(self, keys, block, distinct: bool = False) -> int:
-        """Scatter ``block`` row ``i`` into ``keys[i]``'s row.
+        """Scatter ``block`` row ``i`` into ``keys[i]``'s row, in one ring pass.
 
-        One slot lookup per key, one ``add_at`` over the hit rows, one
-        zero test over the touched rows; only inserts and deletes write
-        the dict and the partial indexes' buckets. Hits never move a
-        key and batch keys are distinct, so deleting after the hits and
-        appending the live misses last lands :meth:`add_inplace`'s key
-        and bucket orders.
+        One slot lookup per key. Misses whose payload is the ring zero
+        drop; every other miss takes its row first — a free one, else a
+        fresh one, both holding the ring zero — so one ``add_at`` adds
+        hits and misses alike and one zero test finds the hits that
+        cancelled. Only then are the dict and the partial indexes'
+        buckets written: deletes first, then the misses appended in
+        batch order, which is :meth:`add_inplace`'s key and bucket order.
+        Misses the block has no row left for wait for those deletes and
+        go in last through :meth:`_insert`, which reuses the freed rows
+        before it grows the block — so the block grows when, and by as
+        much as, a scatter that deleted before it inserted would grow it.
         ``distinct`` is the caller's promise that no key repeats (the
         fused program groups by key first), which skips hashing every
         key once more to find out. Returns how many cached
@@ -360,28 +367,34 @@ class SlotStore(_IndexCarrier):
                 for i, key in enumerate(keys)
             )
         at = np.fromiter(map(self.slots.get, keys, repeat(-1)), dtype=np.intp, count=n)
-        hit = np.flatnonzero(at >= 0)
+        miss = np.flatnonzero(at < 0)
+        new = miss[~ring.is_zero_many(block)[miss]] if len(miss) else miss
+        free = self.free
+        reused = min(len(new), len(free))
+        fresh = min(len(new) - reused, self.capacity - self.high)
+        new_slots = free[len(free) - reused :][::-1]
+        del free[len(free) - reused :]
+        new_slots.extend(range(self.high, self.high + fresh))
+        self.high += fresh
+        new, late = new[: len(new_slots)], new[len(new_slots) :]
+        at[new] = new_slots
+        # Every row is added, unless a miss dropped or waits.
+        rows = np.flatnonzero(at >= 0)
         dead_keys: List[Key] = []
-        if len(hit):
-            delta, rows_at = block, at
-            if len(hit) < n:
-                delta, rows_at = ring.take(block, hit), at[hit]
-            dead = ring.is_zero_many(ring.add_at(self.block, rows_at, delta))
+        if len(rows):
+            delta, to = (block, at) if len(rows) == n else (ring.take(block, rows), at[rows])
+            dead = ring.is_zero_many(ring.add_at(self.block, to, delta))
             if dead.any():
-                dead_keys = [keys[i] for i in hit[dead].tolist()]
-        new_keys: List[Key] = []
-        if len(hit) < n:
-            miss = np.flatnonzero(at < 0)
-            rows = ring.take(block, miss) if len(hit) else block
-            zero = ring.is_zero_many(rows)
-            if zero.any():
-                miss = miss[~zero]
-                rows = ring.take(rows, np.flatnonzero(~zero))
-            new_keys = keys if len(miss) == n else [keys[i] for i in miss.tolist()]
-        if not dead_keys and not new_keys:
+                dead_keys = [keys[i] for i in rows[dead].tolist()]
+        if not dead_keys and not len(new) and not len(late):
             return 0
         dead_slots = self._delete(dead_keys)
-        new_slots = self._insert(new_keys, rows) if new_keys else []
+        new_keys = [keys[i] for i in new.tolist()]
+        self._link(new_keys, new_slots)
+        if len(late):
+            late_keys = [keys[i] for i in late.tolist()]
+            new_slots = new_slots + self._insert(late_keys, ring.take(block, late))
+            new_keys += late_keys
         return self._keys_changed(dead_slots, new_keys, new_slots)
 
     def rescale(self, factor: float) -> None:
@@ -410,12 +423,16 @@ class SlotStore(_IndexCarrier):
             slots.extend(range(high, high + fresh))
             self.high = high + fresh
         self.ring.set_rows(self.block, np.array(slots, dtype=np.intp), rows)
+        self._link(keys, slots)
+        return slots
+
+    def _link(self, keys: List[Key], slots: List[int]) -> None:
+        """Enter new ``keys``, whose rows are written, at ``slots``."""
         self.slots.update(zip(keys, slots))
         for index in self.indexes.values():
             if not index.whole:
                 for key in keys:
                     index.add(key)
-        return slots
 
     def _delete(self, keys: List[Key]) -> List[int]:
         slots = list(map(self.slots.pop, keys))

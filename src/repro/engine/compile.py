@@ -52,7 +52,11 @@ mode's left-to-right adds). Columnar mode rests on:
   hook columns are integers of a packed range within ``_DIRECT_LIMIT``,
   via per-column ``searchsorted`` otherwise — match pairs are expanded
   by integer index arithmetic and payloads fetched from the store's
-  block with ``ring.take``;
+  block with ``ring.take``. A step's first probe whose hook is the whole
+  running key (known at compile time: ``_FusedProbe.distinct``) sees
+  distinct hooks, since the step below just grouped by that key, and
+  skips grouping them; when every delta row matches one entry, in
+  order, the running columns and block go on as they are, ungathered;
 - **ordering discipline** — hooks are visited in first-seen order,
   bucket entries outer, delta rows inner, and within-group sums run over
   ascending original row order, so results do not depend on how the
@@ -615,7 +619,7 @@ class _FusedProbe:
 
     __slots__ = (
         "sibling", "attrs", "hook_positions", "keep_positions", "whole",
-        "hook_of", "key_of", "rest_of",
+        "distinct", "hook_of", "key_of", "rest_of",
     )
 
     def __init__(
@@ -625,6 +629,7 @@ class _FusedProbe:
         hook_positions: Tuple[int, ...],
         keep_positions: Tuple[int, ...],
         whole: bool,
+        distinct: bool,
     ):
         self.sibling = sibling
         self.attrs = attrs
@@ -634,6 +639,10 @@ class _FusedProbe:
         self.keep_positions = keep_positions
         #: The probe carries the sibling's whole key, in key order.
         self.whole = whole
+        #: The hooks are the whole key of a delta the ladder has just
+        #: grouped by that key, so no two rows share one: columnar mode
+        #: groups them by identity, without looking.
+        self.distinct = distinct
         #: Row mode: a running key's hook (the index's hook form), the
         #: sibling key it names when ``whole``, and a sibling key's
         #: non-shared suffix.
@@ -682,13 +691,19 @@ class _FusedProbe:
     def run(self, cols, block, n, sibling, index, ring, stats, scratch):
         """Probe one sibling: returns the widened ``(cols, block, n)``.
 
-        Delta rows are grouped by hook (first-seen order), each distinct
-        hook is looked up once, and surviving (group, bucket) pairs are
-        expanded into match-pair index arrays — gather + multiply then
-        run as three kernel calls over the whole batch.
+        Delta rows are grouped by hook (first-seen order; each row its
+        own group when the hooks are known to be ``distinct``), each
+        distinct hook is looked up once, and surviving (group, bucket)
+        pairs are expanded into match-pair index arrays — gather +
+        multiply then run as three kernel calls over the whole batch;
+        when every row matches one entry, in order, the running columns
+        and block are used as they are.
         """
         hook_cols = [cols[p] for p in self.hook_positions]
-        gids, reps = _group_rows(hook_cols, n, scratch)
+        if self.distinct:
+            gids = reps = np.arange(n, dtype=np.intp)
+        else:
+            gids, reps = _group_rows(hook_cols, n, scratch)
         k = len(reps)
         if index.cache is not None:
             stats.mirror_hits += 1
@@ -719,7 +734,9 @@ class _FusedProbe:
             member_count = np.ones(len(keep_arr), dtype=np.intp)
             order = gids
         else:
-            order = np.argsort(gids, kind="stable")
+            # Stable; group ids that fit 16 bits sort by radix, the same
+            # permutation sooner.
+            order = np.argsort(gids.astype(np.uint16) if k <= 1 << 16 else gids, kind="stable")
             counts = np.bincount(gids, minlength=k)
             member_start = np.concatenate(([0], np.cumsum(counts)[:-1]))[keep_arr]
             member_count = counts[keep_arr]
@@ -730,11 +747,14 @@ class _FusedProbe:
             ent_start,
             ent_count,
         )
-        new_cols = [col[left] for col in cols]
+        if reps is gids and hits == n == len(left):
+            # Every row matched one entry: ``left`` is every row in order.
+            new_cols = list(cols)
+        else:
+            new_cols = [col[left] for col in cols]
+            block = ring.take(block, left)
         new_cols.extend(arrays.key_cols[p][right] for p in self.keep_positions)
-        product = ring.mul_many(
-            ring.take(block, left), ring.take(sibling.block, arrays.slots[right])
-        )
+        product = ring.mul_many(block, ring.take(sibling.block, arrays.slots[right]))
         return new_cols, product, len(left)
 
 
@@ -1057,6 +1077,10 @@ def compile_fused_path(engine, relation_name: str) -> FusedPath:
     steps: List[_FusedStep] = []
     for position, (view, lifts) in enumerate(inner):
         probes = []
+        # The running rows are grouped by their whole key here (the leaf's
+        # or the step below's view key), so a first probe on all of it
+        # sees distinct hooks.
+        grouped = list(range(len(schema_now)))
         for step in probe_steps[position]:
             sibling_key = engine.tree.views[step.sibling].key
             hook_positions = _positions(schema_now, tuple(step.attrs))
@@ -1064,9 +1088,11 @@ def compile_fused_path(engine, relation_name: str) -> FusedPath:
                 i for i, attr in enumerate(sibling_key) if attr not in schema_now
             )
             whole = bool(sibling_key) and tuple(step.attrs) == tuple(sibling_key)
+            distinct = bool(grouped) and not probes and sorted(hook_positions) == grouped
             probes.append(
                 _FusedProbe(
-                    step.sibling, tuple(step.attrs), hook_positions, keep_positions, whole
+                    step.sibling, tuple(step.attrs), hook_positions, keep_positions,
+                    whole, distinct,
                 )
             )
             schema_now = schema_now + tuple(sibling_key[i] for i in keep_positions)

@@ -548,10 +548,10 @@ class FIVMEngine(MaintenanceEngine):
         factorization-aware memory measure the engine paper reports.
         Cofactor plans add ``support``, the names of the features lifted
         in the view's subtree. Views carrying persistent indexes
-        additionally report ``indexes`` (how many), their total
-        ``index_entries`` (one per live key per index) and
-        ``index_buckets`` (one per key for a whole-key index, which is
-        the view's own key map and holds nothing itself). Stored views add
+        additionally report ``indexes`` (how many) and what they hold:
+        ``index_entries``, the keys in a partial index's buckets, and
+        ``index_buckets``, its buckets — 0 for a whole-key index, which
+        is the view's own key map and holds nothing itself. Stored views add
         ``capacity`` (rows allocated) and ``free_slots`` (rows deletes
         gave back), sparse cofactor views ``arena_cells`` (their row
         arena's cells, live or not). ``stored`` tells the views the engine
@@ -585,13 +585,10 @@ class FIVMEngine(MaintenanceEngine):
                 entry["support"] = tuple(self.plan.layout.attributes[i] for i in support)
             indexes = getattr(relation, "indexes", None)
             if indexes:
+                partial = [index for index in indexes.values() if not index.whole]
                 entry["indexes"] = len(indexes)
-                entry["index_entries"] = sum(
-                    index.entry_count() for index in indexes.values()
-                )
-                entry["index_buckets"] = sum(
-                    index.bucket_count() for index in indexes.values()
-                )
+                entry["index_entries"] = sum(index.entry_count() for index in partial)
+                entry["index_buckets"] = sum(index.bucket_count() for index in partial)
             report[name] = entry
         return report
 

@@ -402,15 +402,18 @@ class SparseCofactorRing(Ring):
 
         Sorting by ``(row, code)`` is the cost of every kernel that
         merges entries. The key is ``row << (48 + tag bits) | code`` when
-        the row fits above a code, else the row over the code fields
-        squeezed (they are mostly air: a vocabulary rarely needs its 24
-        bits), else the row over the codes' ranks — one stable sort,
-        near-linear over the few sorted runs the kernels concatenate.
+        the row fits above a code — the codes are then read back off the
+        sorted key — else the row over the code fields squeezed (they
+        are mostly air: a vocabulary rarely needs its 24 bits), else the
+        row over the codes' ranks — one stable sort, near-linear over
+        the few sorted runs the kernels concatenate.
         """
         shift = _TAG_SHIFT + self._tag_bits
+        carried = None  # the codes, when the key does not hold them
         if n.bit_length() + shift <= 63:
             key = (rows << shift) | codes
         else:
+            carried = codes
             width = self._packing_width()
             shift = self._tag_bits + 2 * width
             if n.bit_length() + shift <= 63:
@@ -423,18 +426,25 @@ class SparseCofactorRing(Ring):
                 key = (rows << shift) | ranks
         if len(key) > 1:
             order = key.argsort(kind="stable")
-            key, codes, vals = key[order], codes[order], vals[order]
+            key, vals = key[order], vals[order]
+            if carried is not None:
+                carried = carried[order]
             fresh = np.empty(len(key), dtype=bool)
             fresh[0] = True
             np.not_equal(key[1:], key[:-1], out=fresh[1:])
             if not fresh.all():
                 # bincount adds left to right: within one cell, arrival order.
                 vals = np.bincount(fresh.cumsum() - 1, weights=vals)
-                key, codes = key[fresh], codes[fresh]
+                key = key[fresh]
+                if carried is not None:
+                    carried = carried[fresh]
         live = vals != 0.0
         if not live.all():
-            key, codes, vals = key[live], codes[live], vals[live]
+            key, vals = key[live], vals[live]
+            if carried is not None:
+                carried = carried[live]
         indptr = key.searchsorted(np.arange(n + 1, dtype=np.int64) << shift)
+        codes = key & ((1 << shift) - 1) if carried is None else carried
         return indptr, codes, vals
 
     def _packing_width(self) -> int:
@@ -947,10 +957,12 @@ class SparseCofactorRing(Ring):
         rows.top = top = int(lengths.sum())
         cell = (rows.start[keep] - start).repeat(lengths)
         cell += np.arange(top)
-        for name, dtype in (("codes", np.int64), ("vals", np.float64)):
-            arena = np.empty(live + live // 4, dtype=dtype)
-            getattr(rows, name).take(cell, out=arena[:top], mode="clip")
-            setattr(rows, name, arena)
+        codes = np.empty(live + live // 4, dtype=np.int64)
+        rows.codes.take(cell, out=codes[:top], mode="clip")
+        rows.codes = codes
+        vals = np.empty(live + live // 4, dtype=np.float64)
+        rows.vals.take(cell, out=vals[:top], mode="clip")
+        rows.vals = vals
         rows.start[keep] = start
 
     def row(self, rows: SparseCofactorRows, i: int) -> SparseCofactor:

@@ -38,6 +38,8 @@ SPARSE = SparseCofactorRing(
 )
 
 keys = st.tuples(st.integers(0, 3), st.integers(0, 4))
+#: The keys ``keys`` draws, and a few more only mixed batches miss with.
+KEY_SPACE = [(a, b) for a in range(6) for b in range(5)]
 coefficients = st.integers(-2, 2)
 
 
@@ -115,6 +117,46 @@ def store_machine(ring, support, payloads, rows_equal, grown):
                 self.store.add_inplace(delta.data)
             self.model.add_inplace(delta)
             assert not any(key in self.store for key in doomed)
+
+        @rule(data=st.data())
+        def scatter_mixed_batch(self, data):
+            """One scatter of distinct keys, in a drawn order, mixing hits,
+            hits that cancel to the exact zero, live misses and misses
+            whose payload is the ring zero. The block grows only when the
+            keys left alive outgrow it — freed rows are reused first — and
+            then as far as a scatter that deleted before it inserted would
+            grow it; a whole-key index's cached arrays are patched, a
+            partial one's dropped when a key came or went."""
+            store = self.store
+            live = list(self.model.data)
+            hits = data.draw(st.lists(st.sampled_from(live), unique=True, max_size=6)) if live else []
+            absent = [key for key in KEY_SPACE if key not in self.model.data]
+            misses = data.draw(st.lists(st.sampled_from(absent), unique=True, max_size=6)) if absent else []
+            batch = []
+            for key in hits:
+                cancel = data.draw(st.booleans())
+                batch.append((key, ring.neg(self.model.data[key]) if cancel else data.draw(payloads)))
+            for key in misses:
+                batch.append((key, ring.zero() if data.draw(st.booleans()) else data.draw(payloads)))
+            batch = data.draw(st.permutations(batch))
+            if not batch:
+                return
+            capacity, before = store.capacity, set(store.slots)
+            cached = [index for index in store.indexes.values() if index.cache is not None]
+            dropped = store.add_block(
+                [key for key, _ in batch], ring.make_block(p for _, p in batch), distinct=True
+            )
+            self.model.add_inplace(self._delta(batch))
+            after = len(self.model)
+            if after > capacity:
+                assert store.capacity == max(2 * capacity, after, 16)
+            else:
+                assert store.capacity == capacity
+            changed = set(store.slots) != before
+            partial = [index for index in cached if not index.whole]
+            assert dropped == (len(partial) if changed else 0)
+            for index in cached:
+                assert (index.cache is None) == (changed and not index.whole)
 
         @rule(count=st.integers(1, 40), start=st.integers(10, 10_000))
         def grow_past_capacity(self, count, start):

@@ -78,8 +78,9 @@ def retailer_setup(seed=11, inventory_rows=300, insert_ratio=0.5):
 
 
 def payloads_identical(a, b):
-    """Bit-for-bit payload equality (never ``close_to``)."""
-    if hasattr(a, "c"):
+    """Bit-for-bit payload equality (never ``close_to``); a sparse
+    payload's ``==`` compares its arrays exactly."""
+    if hasattr(a, "s"):
         return (
             a.c == b.c and bool((a.s == b.s).all()) and bool((a.q == b.q).all())
         )
@@ -702,9 +703,10 @@ def sparse_sorts_in_an_mi_batch():
     """What the sparse cofactor ring does in one warm 100-event flush
     shaped like ``retailer_mi_mixed``'s — Inventory and Weather events
     over the scale-4 retailer MI scenario: how many times it sorts cells
-    into rows (``_canonical_rows``), and how many of its calls loop in
+    into rows (``_canonical_rows``), how many of its calls loop in
     Python (jump back in their bytecode: a ``for``, ``while`` or
-    comprehension of ``cofactor_sparse.py`` runs)."""
+    comprehension of ``cofactor_sparse.py`` runs), and how many gathers
+    (``take``) and row writes (``set_rows``) it makes."""
     scenario = build_serving_scenario("retailer", "mi", scale=4, seed=BENCH_SEED)
     engine = scenario.engine()
     stream = UpdateStream(
@@ -725,13 +727,16 @@ def sparse_sorts_in_an_mi_batch():
         engine.apply_many(next(flushes))
     batch = next(flushes)
     assert {name for name, _ in batch} == {"Inventory", "Weather"}
-    sorts = 0
-    canonical_rows = SparseCofactorRing._canonical_rows
+    calls = Counter()
 
-    def counted(self, *args):
-        nonlocal sorts
-        sorts += 1
-        return canonical_rows(self, *args)
+    def counting(name):
+        method = getattr(SparseCofactorRing, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        return mock.patch.object(SparseCofactorRing, name, counted)
 
     offsets = {}  # frame -> bytecode offset of each line it ran (ring frames)
 
@@ -748,14 +753,19 @@ def sparse_sorts_in_an_mi_batch():
         return line
 
     previous = sys.gettrace()
-    with mock.patch.object(SparseCofactorRing, "_canonical_rows", counted):
+    with counting("_canonical_rows"), counting("take"), counting("set_rows"):
         sys.settrace(trace)
         try:
             engine.apply_many(batch)
         finally:
             sys.settrace(previous)
     loops = sum(any(b < a for a, b in zip(ran, ran[1:])) for ran in offsets.values())
-    return {"canonicalizations": sorts, "python_loops": loops}
+    return {
+        "canonicalizations": calls["_canonical_rows"],
+        "python_loops": loops,
+        "takes": calls["take"],
+        "set_rows": calls["set_rows"],
+    }
 
 
 def test_sparse_sorts_in_an_mi_batch():
@@ -764,8 +774,140 @@ def test_sparse_sorts_in_an_mi_batch():
     settles the unsorted product ``mul_many`` left — and no Python loop
     in the ring. Sorting every product and sum, and copying each
     scattered row out one by one, the same flush took 16 sorts and 9
-    looping calls. No clock involved."""
-    assert sparse_sorts_in_an_mi_batch() == {"canonicalizations": 10, "python_loops": 0}
+    looping calls. One ``set_rows`` per stored view the flush scatters
+    into (each scatter adds hits and misses in one pass), and 14 gathers;
+    splitting each scatter into hits and misses, and gathering a probe's
+    rows when they were every row in order, took 8 ``set_rows`` and 22
+    ``take``. No clock involved."""
+    assert sparse_sorts_in_an_mi_batch() == {
+        "canonicalizations": 10, "python_loops": 0, "takes": 14, "set_rows": 5,
+    }
+
+
+# ----------------------------------------------------------------------
+# Probes whose hooks are distinct by construction
+# ----------------------------------------------------------------------
+
+
+def distinct_probes(engine):
+    """``(relation, step view, sibling)`` of every probe compiled as seeing
+    distinct hooks (``_FusedProbe.distinct``)."""
+    return {
+        (relation, step.view_name, probe.sibling)
+        for relation, path in engine._fused_paths.items()
+        for step in path.steps
+        for probe in step.probes
+        if probe.distinct
+    }
+
+
+def mixed_flushes(scenario, targets, count, seed=1):
+    """``count`` 100-event flushes over ``targets``, batcher-coalesced."""
+    query = scenario.query
+    stream = UpdateStream(
+        scenario.database,
+        scenario.factories,
+        targets=targets,
+        batch_size=10,
+        insert_ratio=0.5,
+        seed=seed,
+    )
+    batcher = UpdateBatcher(
+        {name: query.schema_of(name).attributes for name in query.relation_names},
+        batch_size=100,
+    )
+    flushes = filter(None, (batcher.add(*event) for event in stream.tuples(100 * count)))
+    return [flush for flush, _ in zip(flushes, range(count))]
+
+
+class TestDistinctProbes:
+    """``compile_fused_path`` marks the first probe of a step whose hook
+    is the whole running key — the key the step below (or the leaf) has
+    just grouped by — and nothing else."""
+
+    #: Retailer (the bulk, trickle and MI tree): the first probe of a step
+    #: on ``(locn, dateid)`` or ``locn`` above a view keyed by exactly
+    #: that, and a dimension update's probe into its fact leaf on ``ksn``
+    #: / ``zip``. Inventory's ``V@ksn`` probe hooks ``ksn`` of a delta
+    #: keyed ``(locn, dateid, ksn)``: not marked.
+    RETAILER = {
+        ("Inventory", "V@dateid", "V_Weather"),
+        ("Inventory", "V@locn", "V@zip"),
+        ("Weather", "V@dateid", "V@ksn"),
+        ("Weather", "V@locn", "V@zip"),
+        ("Item", "V@ksn", "V_Inventory"),
+        ("Item", "V@dateid", "V_Weather"),
+        ("Item", "V@locn", "V@zip"),
+        ("Location", "V@locn", "V@dateid"),
+        ("Census", "V@zip", "V_Location"),
+        ("Census", "V@locn", "V@dateid"),
+    }
+    #: Favorita: a step's second probe (``V@date`` into ``V@store`` or
+    #: ``V_Holiday``) also sees distinct hooks, but only first probes are
+    #: marked.
+    FAVORITA = {
+        ("Oil", "V@date", "V_Holiday"),
+        ("Holiday", "V@date", "V_Oil"),
+        ("Stores", "V@store", "V_Transactions"),
+        ("Stores", "V@date", "V_Oil"),
+        ("Transactions", "V@date", "V_Oil"),
+        ("Sales", "V@date", "V_Oil"),
+        ("Items", "V@item", "V_Sales"),
+        ("Items", "V@date", "V_Oil"),
+    }
+
+    def test_retailer_bulk_and_mi_paths(self):
+        bulk = FIVMEngine(covar_query(limit=3), order=retailer_variable_order())
+        mi = build_serving_scenario("retailer", "mi", scale=1, seed=BENCH_SEED).engine()
+        for engine in (bulk, mi):
+            assert distinct_probes(engine) == self.RETAILER
+        # A bulk batch (Inventory) marks V@dateid -> V_Weather and
+        # V@locn -> V@zip; an MI flush (Inventory + Weather) four of its
+        # five probes.
+        flush = [
+            (relation, step.view_name, probe.sibling)
+            for relation in ("Inventory", "Weather")
+            for step in mi._fused_paths[relation].steps
+            for probe in step.probes
+        ]
+        assert len(flush) == 5
+        assert len(set(flush) & self.RETAILER) == 4
+
+    def test_favorita_paths(self):
+        engine = build_serving_scenario("favorita", "covar", scale=1, seed=BENCH_SEED).engine()
+        assert distinct_probes(engine) == self.FAVORITA
+
+    @pytest.mark.parametrize("dataset, payload, targets", [
+        ("retailer", "mi", ("Inventory", "Weather", "Item", "Location", "Census")),
+        ("favorita", "covar", ("Sales", "Transactions", "Oil", "Items", "Stores")),
+    ])
+    def test_marked_probes_see_distinct_hooks_and_change_nothing(self, dataset, payload, targets):
+        """Every marked probe's hooks are distinct in every flush, and an
+        engine that groups them by looking leaves the same views, bit for
+        bit."""
+        scenario = build_serving_scenario(dataset, payload, scale=1, seed=BENCH_SEED)
+        marked, looking = scenario.engine(), scenario.engine()
+        for path in looking._fused_paths.values():
+            for step in path.steps:
+                for probe in step.probes:
+                    probe.distinct = False
+        seen = Counter()
+        run = fused_program._FusedProbe.run
+
+        def checked(probe, cols, block, n, *args):
+            if probe.distinct:
+                hooks = list(zip(*(cols[p].tolist() for p in probe.hook_positions)))
+                assert len(set(hooks)) == len(hooks) == n
+                seen[probe.sibling] += 1
+            return run(probe, cols, block, n, *args)
+
+        with mock.patch.object(fused_program._FusedProbe, "run", checked):
+            for flush in mixed_flushes(scenario, targets, 12):
+                marked.apply_many(flush)
+                looking.apply_many(flush)
+        assert marked.stats.columnar_batches == looking.stats.columnar_batches > 0
+        assert len(seen) >= 3
+        assert_views_bit_equal(marked, looking)
 
 
 class TestCheckpointRoundTrip:

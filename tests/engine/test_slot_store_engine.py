@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import EngineConfig, create_engine
-from repro.data import IndexedRelation, SlotStore, UpdateBatcher
+from repro.data import IndexedRelation, SlotStore, UpdateBatcher, inserts
 from repro.datasets import (
     RetailerConfig,
     UpdateStream,
@@ -120,7 +120,12 @@ class TestViewForms:
         engine.initialize(database)
         for batch in batches:
             engine.apply_many(batch)
+        # An Item row probes V_Inventory on ksn alone: a partial index.
+        items = database.relation("Item")
+        engine.apply("Item", inserts(items.schema, [next(iter(items.data))]))
+        assert not engine.materialized["V_Inventory"].indexes[("ksn",)].whole
         report = engine.memory_report()
+        assert report["V_Inventory"]["index_entries"] == len(engine.materialized["V_Inventory"])
         for name, view in engine.materialized.items():
             entry = report[name]
             payloads = view.copy().data.values()
@@ -131,12 +136,12 @@ class TestViewForms:
             assert entry["capacity"] == view.capacity >= view.high
             assert entry["free_slots"] == len(view.free)
             if view.indexes:
-                assert entry["index_entries"] == len(view) * len(view.indexes)
-                # A whole-key index has one hook per key and no bucket dict.
-                assert entry["index_buckets"] == sum(
-                    len(view) if index.whole else len(index.buckets)
-                    for index in view.indexes.values()
-                )
+                # Only a partial index holds anything: its buckets of keys.
+                # A whole-key index is the view's own key map and counts 0.
+                partial = [i for i in view.indexes.values() if not i.whole]
+                assert entry["indexes"] == len(view.indexes)
+                assert entry["index_entries"] == len(view) * len(partial)
+                assert entry["index_buckets"] == sum(len(i.buckets) for i in partial)
                 assert all(
                     (index.buckets is None) == index.whole
                     for index in view.indexes.values()
